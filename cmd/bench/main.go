@@ -27,9 +27,8 @@
 //     allocs/query per mode → the "stream" section of
 //     BENCH_linkindex.json
 //   - backfill: the corpus-scale write paths — bulk-backfill ingest
-//     (unlogged, snapshot-barrier commit) vs WAL-logged ingest, and
-//     shard-parallel vs sequential WAL replay on the same crash state →
-//     the "backfill" section of BENCH_linkindex.json
+//     (unlogged, snapshot-barrier commit) vs WAL-logged ingest → the
+//     "backfill" section of BENCH_linkindex.json
 //   - replication: WAL shipping — leader write throughput with a live
 //     follower tailing the stream over HTTP, the follower's lag profile,
 //     catch-up time and the promote cost → the "replication" section of
@@ -923,8 +922,7 @@ type IngestRate struct {
 }
 
 // BackfillReport is the "backfill" section of BENCH_linkindex.json:
-// bulk-backfill vs WAL-logged ingest of the same corpus, and
-// shard-parallel vs sequential replay of the same crash state.
+// bulk-backfill vs WAL-logged ingest of the same corpus.
 type BackfillReport struct {
 	Generated string `json:"generated"`
 	GoVersion string `json:"go_version"`
@@ -940,13 +938,6 @@ type BackfillReport struct {
 	// atomic snapshot making the whole load durable.
 	CommitMs float64 `json:"commit_ms"`
 
-	// Replay of the full logged ingest from cold, sequential reference vs
-	// the shard-parallel pipeline (decode-ahead reader, per-shard apply
-	// workers) on copies of the same state.
-	RecordsReplayed      int     `json:"records_replayed"`
-	RecoverySequentialMs float64 `json:"recovery_sequential_ms"`
-	RecoveryParallelMs   float64 `json:"recovery_parallel_ms"`
-
 	Speedups map[string]float64 `json:"speedups"`
 }
 
@@ -954,9 +945,7 @@ type BackfillReport struct {
 // other: the dataset's B source is streamed through the WAL-logged Apply
 // path (fsync=batch — the durability contract online writes pay), then
 // through an unlogged bulk-backfill session closed by its snapshot
-// barrier; and the logged run's crash state is recovered from cold twice,
-// once through the sequential replay reference and once through the
-// shard-parallel pipeline.
+// barrier.
 func runBackfillWorkload(ds *entity.Dataset, out, blockerName string, batchSize, shards int) {
 	bl := matching.BlockerByName(blockerName)
 	if bl == nil {
@@ -983,7 +972,7 @@ func runBackfillWorkload(ds *entity.Dataset, out, blockerName string, batchSize,
 	dopts := linkindex.DurableOptions{Fsync: linkindex.FsyncBatch, SnapshotEvery: -1}
 
 	// Logged ingest: every batch through WAL append + fsync, the price
-	// online writes pay. The directory is kept as the replay corpus.
+	// online writes pay.
 	loggedDir, err := os.MkdirTemp("", "genlink-bench-backfill-log-")
 	if err != nil {
 		log.Fatal(err)
@@ -1056,39 +1045,9 @@ func runBackfillWorkload(ds *entity.Dataset, out, blockerName string, batchSize,
 	fmt.Printf("%-28s %12.0f ns/batch %10.0f entities/sec (commit %.1f ms)\n",
 		"backfill/ingest(bulk)", bulk.NsPerBatch, bulk.EntitiesPerSec, report.CommitMs)
 
-	// Replay: the logged run left a genesis snapshot plus the whole log —
-	// the worst crash state. Recover it through both pipelines; they must
-	// agree on what was replayed or the comparison is void.
-	seqIx, seqStats, err := linkindex.Recover(loggedDir, linkindex.DurableOptions{SnapshotEvery: -1, RecoveryParallelism: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := seqIx.Close(); err != nil {
-		log.Fatal(err)
-	}
-	parallelism := max(shards, 2)
-	parIx, parStats, err := linkindex.Recover(loggedDir, linkindex.DurableOptions{SnapshotEvery: -1, RecoveryParallelism: parallelism})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := parIx.Close(); err != nil {
-		log.Fatal(err)
-	}
-	if seqStats.RecordsReplayed != batches || parStats.RecordsReplayed != batches ||
-		seqStats.ParallelReplay || !parStats.ParallelReplay {
-		log.Fatalf("replay mismatch: sequential %+v, parallel %+v, want %d records", seqStats, parStats, batches)
-	}
-	report.RecordsReplayed = batches
-	report.RecoverySequentialMs = float64(seqStats.Duration.Microseconds()) / 1000
-	report.RecoveryParallelMs = float64(parStats.Duration.Microseconds()) / 1000
-	report.Speedups["parallel_vs_sequential_recovery"] = ratio(report.RecoverySequentialMs, report.RecoveryParallelMs)
-	fmt.Printf("%-28s %10.1f ms sequential, %10.1f ms parallel (%d records)\n",
-		"backfill/recover", report.RecoverySequentialMs, report.RecoveryParallelMs, batches)
-
 	writeLinkIndexSection(out, "backfill", report)
-	fmt.Printf("\nbackfill ingest is %.1fx logged; parallel replay %.1fx sequential → %s\n",
-		report.Speedups["backfill_vs_logged_ingest"],
-		report.Speedups["parallel_vs_sequential_recovery"], out)
+	fmt.Printf("\nbackfill ingest is %.1fx logged → %s\n",
+		report.Speedups["backfill_vs_logged_ingest"], out)
 }
 
 // ratio returns num/den sanitized for JSON: a measurement that recorded

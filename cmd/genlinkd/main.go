@@ -8,28 +8,25 @@
 //
 //	genlinkd -rule rule.json [-addr :8080] [-blocker multipass] [-threshold 0.5] [-shards 0]
 //	genlinkd -dataset Cora [-population 100] [-iterations 10]   # learn at startup, bulk-load side B
-//	genlinkd -rule rule.json -snapshot index.snap               # restore if present, flush on shutdown
 //	genlinkd -rule rule.json -wal-dir /var/lib/genlink          # crash-safe: WAL + auto-snapshots
 //	genlinkd -follow leader:8080 -wal-dir /var/lib/replica      # read replica: tail the leader's WAL
 //	genlinkd -route "l1:8080,f1:8081;l2:8080,f2:8081"           # stateless routing tier over partition groups
 //
 // The corpus is hash-partitioned over -shards partitions (0 means one
 // per CPU), so writes stall only the shard they touch and queries fan
-// out in parallel. With -snapshot, the index is restored from the
-// snapshot file at startup when it exists (taking precedence over
-// -rule/-dataset seeding), saved on demand via POST /snapshot, and
-// flushed a final time on graceful shutdown (SIGINT/SIGTERM drains
-// in-flight requests first).
+// out in parallel. Without -wal-dir the index lives in memory only.
 //
-// With -wal-dir the server is crash-safe, not just restart-safe: every
+// -wal-dir is the one persistence mode, and it is crash-safe: every
 // write is appended to a segmented, CRC-checked write-ahead log before
 // it is applied (-fsync batch|interval|off selects when it hits disk),
-// snapshots are taken automatically every -auto-snapshot records (and
-// every -auto-snapshot-interval, when set), and log segments a snapshot
-// covers are compacted away. At startup the state is recovered from the
-// newest valid snapshot plus the log tail — a kill -9 mid-write loses at
+// a snapshot is taken automatically whenever -auto-snapshot records are
+// not yet covered by one (and on demand via POST /snapshot), and log
+// segments a snapshot covers are compacted away. At startup the state is
+// recovered from the newest valid snapshot plus the log tail (taking
+// precedence over -rule/-dataset seeding) — a kill -9 mid-write loses at
 // most the final torn, unacknowledged record under -fsync batch.
-// -wal-dir and -snapshot are mutually exclusive.
+// Graceful shutdown (SIGINT/SIGTERM) drains in-flight requests, takes a
+// final snapshot and closes the log.
 //
 // On a durable server, POST /entities?backfill=1 routes the batch
 // through a bulk-backfill session instead of the log: batches apply
@@ -85,8 +82,8 @@
 //	                        without adding it to the corpus (a stored
 //	                        entity with the same id is excluded as the
 //	                        probe's own record)
-//	POST   /snapshot        write a snapshot to the -snapshot path
-//	                        (409 if the server runs without -snapshot)
+//	POST   /snapshot        snapshot into the -wal-dir and compact the
+//	                        log (409 if the server runs without -wal-dir)
 //	GET    /wal/stream      stream committed WAL records from from_seq
 //	                        (replication wire; -wal-dir servers only)
 //	GET    /wal/snapshot    newest snapshot file, seq in X-Snapshot-Seq
@@ -110,7 +107,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"log"
 	"net/http"
 	_ "net/http/pprof" // registers profiling handlers on DefaultServeMux, served only via -pprof
@@ -142,13 +138,11 @@ func main() {
 		k          = flag.Int("k", 10, "default number of matches per query (k= overrides per request)")
 		shards     = flag.Int("shards", 0, "index shard count (0 = one per CPU)")
 		stream     = flag.Bool("stream", false, "streaming query path: lazy candidate enumeration with prefilter pushdown and early-exit top-k")
-		snapshot   = flag.String("snapshot", "", "snapshot file: restored at startup if present, written by POST /snapshot and on shutdown")
-		walDir     = flag.String("wal-dir", "", "durability directory: write-ahead log + auto-snapshots, recovered at startup (mutually exclusive with -snapshot)")
+		walDir     = flag.String("wal-dir", "", "durability directory: write-ahead log + auto-snapshots, recovered at startup")
 		fsync      = flag.String("fsync", "batch", "WAL fsync policy: batch (fsync per write), interval (group-commit) or off")
 		fsyncInt   = flag.Duration("fsync-interval", 100*time.Millisecond, "group-commit period for -fsync interval")
 		autoSnap   = flag.Int("auto-snapshot", 10000, "auto-snapshot after this many WAL records (negative disables)")
-		autoSnapT  = flag.Duration("auto-snapshot-interval", 0, "also auto-snapshot on this interval when records arrived (0 disables)")
-		follow     = flag.String("follow", "", "run as a read replica of this leader address (requires -wal-dir; excludes -rule/-dataset/-snapshot)")
+		follow     = flag.String("follow", "", "run as a read replica of this leader address (requires -wal-dir; excludes -rule/-dataset)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; off when empty)")
 		route      = flag.String("route", "", `run as a stateless routing tier over partition groups: "leader1,replica1,...;leader2,..." (excludes every index-serving flag)`)
 		maxLag     = flag.Uint64("max-lag", 0, "-route: serve reads from a replica only while its replica_lag_records is at most this (0 = fully caught up)")
@@ -158,8 +152,8 @@ func main() {
 	flag.Parse()
 
 	if *route != "" {
-		if *ruleFile != "" || *dataset != "" || *snapshot != "" || *walDir != "" || *follow != "" {
-			log.Fatal("-route is exclusive with -rule/-dataset/-snapshot/-wal-dir/-follow: the router serves no index of its own")
+		if *ruleFile != "" || *dataset != "" || *walDir != "" || *follow != "" {
+			log.Fatal("-route is exclusive with -rule/-dataset/-wal-dir/-follow: the router serves no index of its own")
 		}
 		runRouter(*addr, *route, *maxLag, *hedgeAfter, *routePoll, *k)
 		return
@@ -170,6 +164,21 @@ func main() {
 		log.Fatalf("unknown blocker %q (available: %v)", *blocker, genlinkapi.BlockerNames())
 	}
 
+	policy, ok := genlinkapi.FsyncPolicyByName(*fsync)
+	if !ok {
+		log.Fatalf("unknown -fsync policy %q (available: batch, interval, off)", *fsync)
+	}
+	// One set of durability options: a -follow replica's local log is
+	// tuned exactly like a leader's -wal-dir.
+	durable := genlinkapi.DurableIndexOptions{
+		Fsync:         policy,
+		FsyncInterval: *fsyncInt,
+		SnapshotEvery: *autoSnap,
+		Shards:        *shards,
+		Stream:        *stream,
+		Logf:          log.Printf,
+	}
+
 	var (
 		ix       *genlinkapi.Index
 		dix      *genlinkapi.DurableIndex
@@ -178,8 +187,6 @@ func main() {
 		err      error
 	)
 	switch {
-	case *walDir != "" && *snapshot != "":
-		log.Fatal("-wal-dir and -snapshot are mutually exclusive (the WAL directory holds its own snapshots)")
 	case *follow != "":
 		if *walDir == "" {
 			log.Fatal("-follow requires -wal-dir (the follower keeps its own crash-safe copy of the log)")
@@ -187,23 +194,7 @@ func main() {
 		if *ruleFile != "" || *dataset != "" {
 			log.Fatal("-follow is exclusive with -rule/-dataset: a replica's rule and corpus come from the leader's snapshot")
 		}
-		policy, ok := genlinkapi.FsyncPolicyByName(*fsync)
-		if !ok {
-			log.Fatalf("unknown -fsync policy %q (available: batch, interval, off)", *fsync)
-		}
-		fol, err = genlinkapi.OpenFollower(genlinkapi.FollowerOptions{
-			Leader: *follow,
-			Dir:    *walDir,
-			Durable: genlinkapi.DurableIndexOptions{
-				Fsync:            policy,
-				FsyncInterval:    *fsyncInt,
-				SnapshotEvery:    *autoSnap,
-				SnapshotInterval: *autoSnapT,
-				Shards:           *shards,
-				Stream:           *stream,
-				Logf:             log.Printf,
-			},
-		})
+		fol, err = genlinkapi.OpenFollower(genlinkapi.FollowerOptions{Leader: *follow, Dir: *walDir, Durable: durable})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -211,21 +202,9 @@ func main() {
 		ix = fol.Index()
 		log.Printf("following %s from applied seq %d (%d entities)", fol.Leader(), fol.Status().AppliedSeq, ix.Len())
 	case *walDir != "":
-		policy, ok := genlinkapi.FsyncPolicyByName(*fsync)
-		if !ok {
-			log.Fatalf("unknown -fsync policy %q (available: batch, interval, off)", *fsync)
-		}
 		dix, recovery, err = genlinkapi.OpenDurableIndex(*walDir, func() (*genlinkapi.Index, error) {
 			return freshIndex(*ruleFile, *dataset, *population, *iterations, *seed, *shards, *threshold, bl, *stream)
-		}, genlinkapi.DurableIndexOptions{
-			Fsync:            policy,
-			FsyncInterval:    *fsyncInt,
-			SnapshotEvery:    *autoSnap,
-			SnapshotInterval: *autoSnapT,
-			Shards:           *shards,
-			Stream:           *stream,
-			Logf:             log.Printf,
-		})
+		}, durable)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -239,13 +218,13 @@ func main() {
 				*walDir, policy, *autoSnap)
 		}
 	default:
-		ix, err = buildIndex(*ruleFile, *dataset, *population, *iterations, *seed, *shards, *threshold, *snapshot, bl, *stream)
+		ix, err = freshIndex(*ruleFile, *dataset, *population, *iterations, *seed, *shards, *threshold, bl, *stream)
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	srv := newServer(ix, *k, *snapshot)
+	srv := newServer(ix, *k)
 	srv.dix = dix
 	srv.fol = fol
 	srv.recoveryMs = float64(recovery.Duration.Microseconds()) / 1000
@@ -263,21 +242,30 @@ func main() {
 	}
 	st := ix.Stats()
 	log.Printf("serving on %s (blocker %s, %d shards, %d entities)", *addr, st.Blocker, st.Shards, st.Entities)
+	serve(*addr, srv.routes(), func() {
+		if err := srv.shutdownPersist(); err != nil {
+			log.Printf("final snapshot: %v", err)
+		} else if dix != nil {
+			log.Printf("final snapshot written to %s; log compacted", dix.Dir())
+		}
+	})
+}
+
+// serve runs handler on addr until SIGINT/SIGTERM, then stops accepting
+// connections, drains in-flight requests and calls onShutdown. It
+// returns only after a graceful shutdown; a listen failure is fatal.
+func serve(addr string, handler http.Handler, onShutdown func()) {
 	// Explicit timeouts so stalled clients (slowloris headers, never-
 	// finished bodies, idle keep-alives) cannot pin goroutines forever on
 	// a long-lived service.
 	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.routes(),
+		Addr:              addr,
+		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-
-	// Graceful shutdown: SIGINT/SIGTERM stops accepting connections,
-	// drains in-flight requests, then flushes a final snapshot so nothing
-	// written since the last POST /snapshot is lost.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
@@ -293,13 +281,7 @@ func main() {
 		if err := hs.Shutdown(shutdownCtx); err != nil {
 			log.Printf("shutdown: %v", err)
 		}
-		if err := srv.shutdownPersist(); err != nil {
-			log.Printf("final snapshot: %v", err)
-		} else if *snapshot != "" {
-			log.Printf("final snapshot written to %s", *snapshot)
-		} else if *walDir != "" {
-			log.Printf("final snapshot written to %s; log compacted", *walDir)
-		}
+		onShutdown()
 	}
 }
 
@@ -324,7 +306,7 @@ func parseRouteSpec(spec string) [][]string {
 
 // runRouter serves the -route mode: the stateless routing tier over the
 // partition groups named in spec, with the same server timeouts and
-// graceful shutdown as an index-serving node. It never returns.
+// graceful shutdown as an index-serving node.
 func runRouter(addr, spec string, maxLag uint64, hedgeAfter, poll time.Duration, defaultK int) {
 	rt, err := genlinkapi.NewRouter(genlinkapi.RouterOptions{
 		Groups:       parseRouteSpec(spec),
@@ -338,63 +320,11 @@ func runRouter(addr, spec string, maxLag uint64, hedgeAfter, poll time.Duration,
 		log.Fatal(err)
 	}
 	log.Printf("routing %d partition groups on %s (max lag %d, hedge after %v)", rt.Partitions(), addr, maxLag, hedgeAfter)
-	hs := &http.Server{
-		Addr:              addr,
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
-	select {
-	case err := <-errCh:
-		log.Fatal(err)
-	case <-ctx.Done():
-		stop()
-		log.Printf("shutting down: draining in-flight requests...")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shutdownCtx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-		rt.Close()
-	}
-}
-
-// buildIndex constructs the serving index: restored from the snapshot
-// file when one exists, otherwise fresh from -rule or learned on
-// -dataset (bulk-loading the dataset's B source).
-func buildIndex(ruleFile, dataset string, population, iterations int, seed int64, shards int, threshold float64, snapshot string, bl genlinkapi.Blocker, stream bool) (*genlinkapi.Index, error) {
-	if snapshot != "" {
-		switch _, err := os.Stat(snapshot); {
-		case err == nil:
-			ix, err := genlinkapi.RestoreIndex(snapshot, genlinkapi.IndexRestoreOptions{Shards: shards, Blocker: bl, Stream: stream})
-			if err != nil {
-				return nil, fmt.Errorf("restore %s: %w", snapshot, err)
-			}
-			// The snapshot's recorded options win so the restored index
-			// answers exactly like the one that wrote it; say so, since
-			// -blocker/-threshold flags are not applied on this path.
-			st := ix.Stats()
-			log.Printf("restored %d entities from %s (snapshot options in effect: blocker %s, threshold %v)",
-				ix.Len(), snapshot, st.Blocker, st.Threshold)
-			return ix, nil
-		case !errors.Is(err, fs.ErrNotExist):
-			// A snapshot that exists but can't be read must not silently
-			// start an empty index — the shutdown flush would overwrite it.
-			return nil, fmt.Errorf("stat %s: %w", snapshot, err)
-		}
-	}
-
-	return freshIndex(ruleFile, dataset, population, iterations, seed, shards, threshold, bl, stream)
+	serve(addr, rt.Handler(), rt.Close)
 }
 
 // freshIndex builds a brand-new index from -rule or -dataset — the
-// startup path when there is no persisted state to restore.
+// startup path when there is no durable state to recover.
 func freshIndex(ruleFile, dataset string, population, iterations int, seed int64, shards int, threshold float64, bl genlinkapi.Blocker, stream bool) (*genlinkapi.Index, error) {
 	var (
 		r            *genlinkapi.Rule
@@ -428,7 +358,7 @@ func freshIndex(ruleFile, dataset string, population, iterations int, seed int64
 		log.Printf("learned: %s", r.Render())
 		seedEntities = ds.B.Entities
 	default:
-		return nil, errors.New("one of -rule, -dataset or existing persisted state (-snapshot / -wal-dir) is required")
+		return nil, errors.New("one of -rule, -dataset or existing durable state in -wal-dir is required")
 	}
 
 	ix := genlinkapi.NewShardedIndex(r, shards, genlinkapi.MatchOptions{Blocker: bl, Threshold: threshold, Stream: stream})
@@ -482,20 +412,19 @@ func (m *metrics) observeQuery(d time.Duration) {
 	m.latencyBuckets[last].Add(1)
 }
 
-// server wires an index into HTTP handlers. Beyond the default k, the
-// snapshot path and the metrics counters it holds no state of its own:
+// server wires an index into HTTP handlers. Beyond the default k and the
+// metrics counters it holds no state of its own:
 // the index is the single synchronized source of truth, so handlers are
 // trivially safe under concurrent requests. When dix is set (-wal-dir),
 // every mutation routes through the durable wrapper — logged before
 // applied — and ix is its underlying index, used for reads.
 type server struct {
-	ix           *genlinkapi.Index
-	dix          *genlinkapi.DurableIndex
-	fol          *genlinkapi.Follower // read replica (-follow); nil on a leader
-	defaultK     int
-	snapshotPath string
-	recoveryMs   float64
-	m            metrics
+	ix         *genlinkapi.Index
+	dix        *genlinkapi.DurableIndex
+	fol        *genlinkapi.Follower // read replica (-follow); nil on a leader
+	defaultK   int
+	recoveryMs float64
+	m          metrics
 
 	// bf is the open bulk-backfill session, lazily opened by the first
 	// POST /entities?backfill=1 and closed by POST /backfill/commit (or
@@ -505,34 +434,21 @@ type server struct {
 	bf   *genlinkapi.BackfillSession // guarded by bfMu
 }
 
-func newServer(ix *genlinkapi.Index, defaultK int, snapshotPath string) *server {
+func newServer(ix *genlinkapi.Index, defaultK int) *server {
 	if defaultK <= 0 {
 		defaultK = 10
 	}
-	s := &server{ix: ix, defaultK: defaultK, snapshotPath: snapshotPath}
+	s := &server{ix: ix, defaultK: defaultK}
 	s.m.latencyBuckets = make([]atomic.Int64, len(queryLatencyBuckets))
 	return s
 }
 
-// flushSnapshot writes a snapshot to the configured path, counting it in
-// the metrics. It is a no-op when the server runs without -snapshot.
-func (s *server) flushSnapshot() error {
-	if s.snapshotPath == "" {
-		return nil
-	}
-	if err := s.ix.SnapshotTo(s.snapshotPath); err != nil {
-		return err
-	}
-	s.m.snapshots.Add(1)
-	return nil
-}
-
 // shutdownPersist is the graceful-shutdown hook: on a durable server it
-// takes a final snapshot (compacting the log) and closes the WAL; on a
-// -snapshot server it flushes the snapshot file; otherwise it is a
-// no-op. An open backfill session is committed first — its snapshot
-// barrier doubles as the shutdown snapshot, and skipping it would lose
-// the whole load (plain Snapshot refuses while a session is open).
+// takes a final snapshot (compacting the log) and closes the WAL; on an
+// in-memory server it is a no-op. An open backfill session is committed
+// first — its snapshot barrier doubles as the shutdown snapshot, and
+// skipping it would lose the whole load (plain Snapshot refuses while a
+// session is open).
 func (s *server) shutdownPersist() error {
 	// Stop a follower's tailing goroutine FIRST: a record shipped from
 	// the leader between the final snapshot and the log close would be
@@ -543,7 +459,7 @@ func (s *server) shutdownPersist() error {
 		s.fol.Stop()
 	}
 	if s.dix == nil {
-		return s.flushSnapshot()
+		return nil
 	}
 	s.bfMu.Lock()
 	var err error
@@ -907,41 +823,26 @@ func (s *server) handleMatchProbe(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, toMatchResponse(entities[0].ID, k, links))
 }
 
-// handleSnapshot persists on demand: on a durable server it snapshots
-// into the WAL directory and compacts the log; otherwise it writes the
-// configured -snapshot path. Without either there is nowhere to write:
-// 409.
+// handleSnapshot persists on demand: it snapshots into the WAL directory
+// and compacts the log. Without -wal-dir there is nowhere to write: 409.
 func (s *server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
-	if s.dix != nil {
-		t0 := time.Now()
-		if err := s.dix.Snapshot(); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		s.m.snapshots.Add(1)
-		dm := s.dix.Metrics()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"wal_dir":      s.dix.Dir(),
-			"snapshot_seq": dm.SnapshotSeq,
-			"wal_segments": dm.WALSegments,
-			"entities":     s.ix.Len(),
-			"ms":           float64(time.Since(t0).Microseconds()) / 1000,
-		})
-		return
-	}
-	if s.snapshotPath == "" {
-		writeError(w, http.StatusConflict, errors.New("server runs without -snapshot or -wal-dir; no snapshot destination configured"))
+	if s.dix == nil {
+		writeError(w, http.StatusConflict, errors.New("server runs without -wal-dir; no snapshot destination configured"))
 		return
 	}
 	t0 := time.Now()
-	if err := s.flushSnapshot(); err != nil {
+	if err := s.dix.Snapshot(); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
+	s.m.snapshots.Add(1)
+	dm := s.dix.Metrics()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"path":     s.snapshotPath,
-		"entities": s.ix.Len(),
-		"ms":       float64(time.Since(t0).Microseconds()) / 1000,
+		"wal_dir":      s.dix.Dir(),
+		"snapshot_seq": dm.SnapshotSeq,
+		"wal_segments": dm.WALSegments,
+		"entities":     s.ix.Len(),
+		"ms":           float64(time.Since(t0).Microseconds()) / 1000,
 	})
 }
 

@@ -41,19 +41,13 @@ func serveRule(t *testing.T) *genlinkapi.Rule {
 	return r
 }
 
+// newTestServer builds an in-memory test server over a sharded index.
 func newTestServer(t *testing.T) (*httptest.Server, *genlinkapi.Index) {
 	t.Helper()
-	return newTestServerOpts(t, 4, "")
-}
-
-// newTestServerOpts builds a test server over a sharded index, optionally
-// with a snapshot path configured.
-func newTestServerOpts(t *testing.T, shards int, snapshotPath string) (*httptest.Server, *genlinkapi.Index) {
-	t.Helper()
-	ix := genlinkapi.NewShardedIndex(serveRule(t), shards, genlinkapi.MatchOptions{
+	ix := genlinkapi.NewShardedIndex(serveRule(t), 4, genlinkapi.MatchOptions{
 		Blocker: genlinkapi.MultiPass(),
 	})
-	ts := httptest.NewServer(newServer(ix, 10, snapshotPath).routes())
+	ts := httptest.NewServer(newServer(ix, 10).routes())
 	t.Cleanup(ts.Close)
 	return ts, ix
 }
@@ -176,7 +170,7 @@ func TestServerEndpoints(t *testing.T) {
 // consistent (shard sizes sum to the corpus, bucket counts sum to the
 // query count).
 func TestMetricsEndpoint(t *testing.T) {
-	ts, _ := newTestServerOpts(t, 3, "")
+	ts, _ := newTestServer(t)
 	c := ts.Client()
 
 	bulk := []byte(`[` + string(entityJSON("a", "Grace Hopper", "compilers")) + `,` +
@@ -214,8 +208,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.Entities != 2 || m.Writes != 3 || m.Deletes != 1 || m.Queries != 4 || m.Snapshots != 0 {
 		t.Fatalf("metrics = %+v, want entities=2 writes=3 deletes=1 queries=4 snapshots=0", m)
 	}
-	if m.Shards != 3 || len(m.ShardEntities) != 3 {
-		t.Fatalf("metrics shards = %d/%v, want 3 shards with per-shard sizes", m.Shards, m.ShardEntities)
+	if m.Shards != 4 || len(m.ShardEntities) != 4 {
+		t.Fatalf("metrics shards = %d/%v, want 4 shards with per-shard sizes", m.Shards, m.ShardEntities)
 	}
 	sum := 0
 	for _, n := range m.ShardEntities {
@@ -237,14 +231,16 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestSnapshotEndpointAndRestore exercises the full persistence loop the
-// way a restart would: seed a server, POST /snapshot, then rebuild the
-// index through the startup restore path and check stats and answers are
-// identical — including that the batched POST /entities writes and a
-// delete survived.
+// way a restart would: seed a -wal-dir server, POST /snapshot, then
+// reopen the directory through the startup recovery path and check stats
+// and answers are identical — including that the batched POST /entities
+// writes and a delete survived, with nothing left to replay.
 func TestSnapshotEndpointAndRestore(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "index.snap")
-	ts, ix := newTestServerOpts(t, 3, snap)
+	dir := t.TempDir()
+	opts := genlinkapi.DurableIndexOptions{Fsync: genlinkapi.FsyncBatch, SnapshotEvery: -1}
+	ts, dix := newDurableTestServer(t, dir, opts)
 	c := ts.Client()
+	ix := dix.Index()
 
 	bulk := []byte(`[` + string(entityJSON("a", "Grace Hopper", "compilers")) + `,` +
 		string(entityJSON("b", "grace hoper", "compilers")) + `,` +
@@ -263,12 +259,28 @@ func TestSnapshotEndpointAndRestore(t *testing.T) {
 	if int(snapResp["entities"].(float64)) != 3 {
 		t.Fatalf("snapshot response = %v, want 3 entities", snapResp)
 	}
+	// The metrics snapshot counter moved.
+	var m map[string]any
+	doJSON(t, c, "GET", ts.URL+"/metrics", nil, &m)
+	if m["snapshots"].(float64) != 1 {
+		t.Fatalf("snapshots counter = %v, want 1", m["snapshots"])
+	}
 
-	// Restart: buildIndex must prefer the snapshot over -rule/-dataset.
-	restored, err := buildIndex("", "", 0, 0, 1, 0, 0, snap, genlinkapi.BlockerByName("multipass"), false)
+	// Restart: recovery must prefer the durable state over -rule/-dataset
+	// (a nil build func would panic if it were consulted).
+	ts.Close()
+	if err := dix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, stats, err := genlinkapi.OpenDurableIndex(dir, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer reopened.Close()
+	if !stats.Recovered || stats.SnapshotSeq != 2 || stats.RecordsReplayed != 0 {
+		t.Fatalf("recovery stats = %+v, want snapshot seq 2 with an empty replay tail", stats)
+	}
+	restored := reopened.Index()
 	want, got := ix.Stats(), restored.Stats()
 	if got.Entities != want.Entities || got.Keys != want.Keys || got.Blocker != want.Blocker ||
 		got.Threshold != want.Threshold || got.Shards != want.Shards {
@@ -292,35 +304,36 @@ func TestSnapshotEndpointAndRestore(t *testing.T) {
 	if restored.Get("d") != nil {
 		t.Fatal("deleted entity d came back after restore")
 	}
-
-	// The metrics snapshot counter moved.
-	var m map[string]any
-	doJSON(t, c, "GET", ts.URL+"/metrics", nil, &m)
-	if m["snapshots"].(float64) != 1 {
-		t.Fatalf("snapshots counter = %v, want 1", m["snapshots"])
-	}
 }
 
 // TestSnapshotWithoutPath pins the 409 on servers running without
-// -snapshot, and that flushSnapshot (the graceful-shutdown hook) is a
+// -wal-dir, and that shutdownPersist (the graceful-shutdown hook) is a
 // no-op rather than an error there.
 func TestSnapshotWithoutPath(t *testing.T) {
 	ts, ix := newTestServer(t)
 	if code := doJSON(t, ts.Client(), "POST", ts.URL+"/snapshot", nil, nil); code != http.StatusConflict {
-		t.Fatalf("POST /snapshot without path = %d, want 409", code)
+		t.Fatalf("POST /snapshot without -wal-dir = %d, want 409", code)
 	}
-	if err := newServer(ix, 10, "").flushSnapshot(); err != nil {
-		t.Fatalf("flushSnapshot without path = %v, want nil", err)
+	if err := newServer(ix, 10).shutdownPersist(); err != nil {
+		t.Fatalf("shutdownPersist without -wal-dir = %v, want nil", err)
 	}
 }
 
 // TestShutdownFlushesSnapshot drives the graceful-shutdown sequence the
-// signal handler runs — drain the HTTP server, then flushSnapshot — and
-// checks the final state is recoverable.
+// signal handler runs on a -wal-dir server — drain the HTTP server, then
+// shutdownPersist — and checks the final state is recoverable from the
+// final snapshot alone, with an empty replay tail.
 func TestShutdownFlushesSnapshot(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "final.snap")
-	ix := genlinkapi.NewShardedIndex(serveRule(t), 2, genlinkapi.MatchOptions{Blocker: genlinkapi.MultiPass()})
-	srv := newServer(ix, 10, snap)
+	dir := t.TempDir()
+	opts := genlinkapi.DurableIndexOptions{Fsync: genlinkapi.FsyncBatch, SnapshotEvery: -1}
+	dix, _, err := genlinkapi.OpenDurableIndex(dir, func() (*genlinkapi.Index, error) {
+		return genlinkapi.NewShardedIndex(serveRule(t), 2, genlinkapi.MatchOptions{Blocker: genlinkapi.MultiPass()}), nil
+	}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(dix.Index(), 10)
+	srv.dix = dix
 	hs := &http.Server{Handler: srv.routes()}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -333,21 +346,25 @@ func TestShutdownFlushesSnapshot(t *testing.T) {
 		t.Fatalf("POST /entities = %d", code)
 	}
 
-	// The shutdown sequence from main's signal branch.
+	// The shutdown sequence from serve's signal branch.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if err := srv.flushSnapshot(); err != nil {
-		t.Fatalf("final flushSnapshot: %v", err)
+	if err := srv.shutdownPersist(); err != nil {
+		t.Fatalf("shutdownPersist: %v", err)
 	}
-	restored, err := genlinkapi.RestoreIndex(snap, genlinkapi.IndexRestoreOptions{})
+	reopened, stats, err := genlinkapi.OpenDurableIndex(dir, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Len() != 1 || restored.Get("a") == nil {
-		t.Fatalf("restored corpus = %d entities, want the 1 written before shutdown", restored.Len())
+	defer reopened.Close()
+	if stats.SnapshotSeq != 1 || stats.RecordsReplayed != 0 {
+		t.Fatalf("recovery stats = %+v, want the final snapshot at seq 1 and an empty replay tail", stats)
+	}
+	if reopened.Len() != 1 || reopened.Get("a") == nil {
+		t.Fatalf("recovered corpus = %d entities, want the 1 written before shutdown", reopened.Len())
 	}
 }
 
@@ -368,7 +385,7 @@ func TestServerConcurrentQueriesDuringUpdates(t *testing.T) {
 				Blocker: genlinkapi.MultiPass(),
 				Stream:  stream,
 			})
-			ts := httptest.NewServer(newServer(ix, 10, "").routes())
+			ts := httptest.NewServer(newServer(ix, 10).routes())
 			t.Cleanup(ts.Close)
 			runConcurrentQueriesDuringUpdates(t, ts)
 		})
@@ -533,7 +550,7 @@ func newDurableTestServer(t *testing.T, dir string, opts genlinkapi.DurableIndex
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(dix.Index(), 10, "")
+	srv := newServer(dix.Index(), 10)
 	srv.dix = dix
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
@@ -825,7 +842,7 @@ func newFollowerTestServer(t *testing.T, leaderURL, dir string) (*httptest.Serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(fol.Index(), 10, "")
+	srv := newServer(fol.Index(), 10)
 	srv.dix = fol.Durable()
 	srv.fol = fol
 	ts := httptest.NewServer(srv.routes())

@@ -52,7 +52,7 @@ func newRouterBackend(t *testing.T, shards int) (*httptest.Server, *genlinkapi.I
 	ix := genlinkapi.NewShardedIndex(serveRule(t), shards, genlinkapi.MatchOptions{
 		Blocker: genlinkapi.TokenBlocking(), MaxBlockSize: -1,
 	})
-	ts := httptest.NewServer(newServer(ix, 10, "").routes())
+	ts := httptest.NewServer(newServer(ix, 10).routes())
 	t.Cleanup(ts.Close)
 	return ts, ix
 }
@@ -369,7 +369,7 @@ func TestRouterHedgedQuery(t *testing.T) {
 		Blocker: genlinkapi.TokenBlocking(), MaxBlockSize: -1,
 	})
 	ix.Apply(genlinkapi.IndexBatch{Upserts: routerTestCorpus()})
-	srv := newServer(ix, 10, "")
+	srv := newServer(ix, 10)
 	real := srv.routes()
 	fast := httptest.NewServer(real)
 	t.Cleanup(fast.Close)

@@ -50,19 +50,15 @@ type DurableIndex struct {
 	mu     sync.Mutex // serializes mutations: wal append + index apply
 	closed bool       // guarded by mu
 
-	recordsSinceSnap atomic.Int64
-	lastSnapSeq      atomic.Uint64
-	snapshotting     atomic.Bool
-	backfilling      atomic.Bool // open Backfill session: snapshots suppressed
-	snapMu           sync.Mutex  // serializes snapshot file writes + compaction
-
-	stop chan struct{}
-	done chan struct{}
+	lastSnapSeq  atomic.Uint64
+	snapshotting atomic.Bool
+	backfilling  atomic.Bool // open Backfill session: snapshots suppressed
+	snapMu       sync.Mutex  // serializes snapshot file writes + compaction
 }
 
 // DurableOptions tunes the write-ahead log, the auto-snapshot policy and
 // recovery. The zero value is a usable default: per-batch fsync, 16 MiB
-// segments, auto-snapshot every 10000 records, no interval snapshots.
+// segments, auto-snapshot every 10000 records.
 type DurableOptions struct {
 	// Fsync selects when appended records are made durable.
 	Fsync FsyncPolicy
@@ -75,9 +71,6 @@ type DurableOptions struct {
 	// SnapshotEvery auto-snapshots after this many log records
 	// (default 10000; negative disables).
 	SnapshotEvery int
-	// SnapshotInterval auto-snapshots on a timer when records arrived
-	// since the last snapshot (0 disables).
-	SnapshotInterval time.Duration
 	// Shards overrides the snapshot's shard count on recovery when > 0
 	// (see RestoreOptions.Shards).
 	Shards int
@@ -87,13 +80,6 @@ type DurableOptions struct {
 	// Stream enables the streaming query path on the recovered index
 	// (see RestoreOptions.Stream). Execution mode, never persisted.
 	Stream bool
-	// RecoveryParallelism selects the WAL replay path: 0 (the default)
-	// uses the shard-parallel decode-ahead pipeline when goroutines can
-	// actually run in parallel, 1 forces the sequential reference path,
-	// and values > 1 force the pipeline regardless of GOMAXPROCS. Both
-	// paths recover identical state (differentially pinned); this is a
-	// performance knob, not a semantics knob.
-	RecoveryParallelism int
 	// Logf, when set, receives diagnostics from background snapshots
 	// and recovery fallbacks (e.g. log.Printf).
 	Logf func(format string, args ...any)
@@ -135,9 +121,6 @@ type RecoveryStats struct {
 	// Torn reports that the log ended in a torn or corrupt record,
 	// which recovery discarded.
 	Torn bool
-	// ParallelReplay reports that the log tail was replayed through the
-	// shard-parallel pipeline rather than the sequential reference path.
-	ParallelReplay bool
 	// Duration is the wall-clock recovery time.
 	Duration time.Duration
 }
@@ -201,16 +184,14 @@ func NewDurable(dir string, ix *ShardedIndex, o DurableOptions) (*DurableIndex, 
 	if HasDurableState(dir) {
 		return nil, fmt.Errorf("linkindex: durable: %s already holds durable state; use Recover", dir)
 	}
-	if err := writeSnapshotFile(filepath.Join(dir, snapName(0)), ix.buildSnapshot()); err != nil {
+	if err := writeSnapshotFile(filepath.Join(dir, snapName(0)), ix.buildSnapshot().encode); err != nil {
 		return nil, err
 	}
 	w, err := openWAL(dir, 0, o.wal())
 	if err != nil {
 		return nil, err
 	}
-	d := &DurableIndex{dir: dir, ix: ix, wal: w, opts: o}
-	d.start()
-	return d, nil
+	return &DurableIndex{dir: dir, ix: ix, wal: w, opts: o}, nil
 }
 
 // Recover rebuilds a durable index from dir: it loads the newest valid
@@ -252,32 +233,20 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 		return nil, stats, fmt.Errorf("linkindex: recover: no readable snapshot in %s", dir)
 	}
 
-	// Replay the log tail. The parallel path keeps read+CRC+decode in
-	// the replayWAL goroutine and fans per-shard ops out to apply
-	// workers; the sequential path decodes and applies inline. Either
-	// way a record that fails to decode stops the scan as a torn tail
-	// before any of its ops are applied.
-	parallel := useParallelReplay(o.RecoveryParallelism)
-	var replayer *parallelReplayer
-	if parallel {
-		replayer = newParallelReplayer(ix)
-	}
+	// Replay the log tail: read+CRC+decode stay in this goroutine
+	// (replayWAL's callback) while the replayer fans per-shard ops out to
+	// apply workers. A record that fails to decode stops the scan as a
+	// torn tail before any of its ops are applied.
+	replayer := startReplayer(ix)
 	scan, err := replayWAL(dir, base.seq, func(seq uint64, payload []byte) error {
 		var b walBatch
 		if err := json.Unmarshal(payload, &b); err != nil {
 			return err
 		}
-		batch := Batch{Upserts: b.Upserts, Deletes: b.Deletes}
-		if parallel {
-			replayer.apply(batch)
-		} else {
-			ix.Apply(batch)
-		}
+		replayer.apply(Batch{Upserts: b.Upserts, Deletes: b.Deletes})
 		return nil
 	})
-	if replayer != nil {
-		replayer.wait()
-	}
+	replayer.wait()
 	if err != nil {
 		return nil, stats, err
 	}
@@ -290,15 +259,12 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 	}
 	d := &DurableIndex{dir: dir, ix: ix, wal: w, opts: o}
 	d.lastSnapSeq.Store(base.seq)
-	d.recordsSinceSnap.Store(int64(scan.Records))
-	d.start()
 	stats = RecoveryStats{
 		Recovered:       true,
 		SnapshotPath:    base.path,
 		SnapshotSeq:     base.seq,
 		RecordsReplayed: scan.Records,
 		Torn:            scan.Torn,
-		ParallelReplay:  parallel,
 		Duration:        time.Since(t0),
 	}
 	return d, stats, nil
@@ -323,34 +289,6 @@ func OpenDurable(dir string, build func() (*ShardedIndex, error), o DurableOptio
 	return d, RecoveryStats{}, nil
 }
 
-// start launches the interval auto-snapshotter when configured.
-func (d *DurableIndex) start() {
-	if d.opts.SnapshotInterval <= 0 {
-		return
-	}
-	d.stop = make(chan struct{})
-	d.done = make(chan struct{})
-	go func() {
-		defer close(d.done)
-		t := time.NewTicker(d.opts.SnapshotInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-d.stop:
-				return
-			case <-t.C:
-				if d.recordsSinceSnap.Load() > 0 {
-					// ErrBackfillActive is expected while a session is open;
-					// the ticker retries after the session's own barrier.
-					if err := d.Snapshot(); err != nil && !errors.Is(err, errWALClosed) && !errors.Is(err, ErrBackfillActive) {
-						d.opts.logf("auto-snapshot: %v", err)
-					}
-				}
-			}
-		}
-	}()
-}
-
 // Apply logs the batch, then applies it to the index. It returns once
 // the record is durable per the fsync policy and the index reflects the
 // batch. An empty batch is a no-op and is not logged.
@@ -372,16 +310,29 @@ func (d *DurableIndex) Apply(b Batch) (ApplyResult, error) {
 		return ApplyResult{}, err
 	}
 	res := d.ix.Apply(b)
+	uncovered := d.uncoveredLocked()
 	d.mu.Unlock()
 
-	d.noteRecord()
+	d.autoSnapshot(uncovered)
 	return res, nil
 }
 
-// maybeSnapshotAsync starts a background snapshot unless one is already
-// running.
-func (d *DurableIndex) maybeSnapshotAsync() {
-	if !d.snapshotting.CompareAndSwap(false, true) {
+// uncoveredLocked returns the number of log records no snapshot covers
+// yet — what recovery would replay right now. It is derived, not
+// counted, so records logged while a snapshot file is being written stay
+// uncovered by construction. The caller holds d.mu: a snapshot only
+// ever records a position the log has already reached, and a follower
+// re-bootstrap moves the log and lastSnapSeq together under d.mu, so
+// read under it the difference cannot underflow.
+func (d *DurableIndex) uncoveredLocked() uint64 {
+	return d.wal.LastSeq() - d.lastSnapSeq.Load()
+}
+
+// autoSnapshot starts a background snapshot once the uncovered log tail
+// has reached SnapshotEvery records, unless one is already running.
+func (d *DurableIndex) autoSnapshot(uncovered uint64) {
+	every := d.opts.snapshotEvery()
+	if every <= 0 || uncovered < uint64(every) || !d.snapshotting.CompareAndSwap(false, true) {
 		return
 	}
 	go func() {
@@ -393,13 +344,14 @@ func (d *DurableIndex) maybeSnapshotAsync() {
 			}
 			return
 		}
-		// A threshold crossing while this snapshot ran lost its trigger
-		// to the CAS above; re-check so a write burst that quiesces
-		// mid-snapshot still gets its covering snapshot instead of
-		// waiting for the next write.
-		if every := d.opts.snapshotEvery(); every > 0 && d.recordsSinceSnap.Load() >= int64(every) {
-			d.maybeSnapshotAsync()
-		}
+		// Writers that crossed the threshold while this snapshot ran lost
+		// their trigger to the CAS above; re-check so a write burst that
+		// quiesces mid-snapshot still gets its covering snapshot instead
+		// of waiting for the next write.
+		d.mu.Lock()
+		uncovered := d.uncoveredLocked()
+		d.mu.Unlock()
+		d.autoSnapshot(uncovered)
 	}()
 }
 
@@ -455,11 +407,10 @@ func (d *DurableIndex) snapshotLocked() error {
 	snap := d.ix.buildSnapshot()
 	d.mu.Unlock()
 
-	if err := writeSnapshotFile(filepath.Join(d.dir, snapName(seq)), snap); err != nil {
+	if err := writeSnapshotFile(filepath.Join(d.dir, snapName(seq)), snap.encode); err != nil {
 		return err
 	}
 	d.lastSnapSeq.Store(seq)
-	d.recordsSinceSnap.Store(0)
 	// Rotate so the segment holding the covered records stops growing
 	// and becomes deletable at the next snapshot.
 	if err := d.wal.RotateIfDirty(); err != nil && !errors.Is(err, errWALClosed) {
@@ -503,15 +454,10 @@ func (d *DurableIndex) compact() error {
 	return nil
 }
 
-// Close stops the auto-snapshotter, syncs the log tail and closes the
-// log. The index stays queryable; further mutations fail. Close does not
-// snapshot — call Snapshot first for a compact restart, or let recovery
-// replay the tail.
+// Close syncs the log tail and closes the log. The index stays
+// queryable; further mutations fail. Close does not snapshot — call
+// Snapshot first for a compact restart, or let recovery replay the tail.
 func (d *DurableIndex) Close() error {
-	if d.stop != nil {
-		close(d.stop)
-		<-d.done
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -565,11 +511,13 @@ type DurableMetrics struct {
 
 // Metrics returns the current durability counters.
 func (d *DurableIndex) Metrics() DurableMetrics {
-	w := d.walRef()
+	d.mu.Lock()
+	w, seq, uncovered := d.wal, d.wal.LastSeq(), d.uncoveredLocked()
+	d.mu.Unlock()
 	return DurableMetrics{
-		WALRecords:           w.LastSeq(),
+		WALRecords:           seq,
 		WALSegments:          w.Segments(),
-		SnapshotSeq:          d.lastSnapSeq.Load(),
-		RecordsSinceSnapshot: d.recordsSinceSnap.Load(),
+		SnapshotSeq:          seq - uncovered, // the lastSnapSeq the count was derived from
+		RecordsSinceSnapshot: int64(uncovered),
 	}
 }

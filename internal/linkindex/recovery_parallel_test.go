@@ -15,11 +15,10 @@ import (
 // shard-parallel replay pipeline: over shard counts {1, 2, 5}, clean and
 // torn log tails, and random batch interleavings (upserts and deletes
 // racing over a shared ID pool, with a mid-stream snapshot so replay
-// starts from a non-zero base), recovery through the parallel pipeline
-// must land on exactly the state of the sequential reference path —
-// identical recovery stats, identical corpora, identical top-k answers —
-// and both must equal the ground-truth reference index fed the covered
-// batches directly.
+// starts from a non-zero base), recovery must land on exactly the state
+// of the sequential reference — referenceIndex, plain in-order Apply of
+// the covered batches on a fresh index: identical corpora, identical
+// top-k answers.
 func TestParallelRecoveryEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2, 5} {
 		for _, torn := range []bool{false, true} {
@@ -67,39 +66,21 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 						}
 					}
 
-					// Recover mutates the directory (torn-tail discard, a
-					// fresh active segment), so each path gets its own copy
-					// of the crash state.
-					seqDir, parDir := copyDir(t, dir), copyDir(t, dir)
-					seqIx, seqStats, err := linkindex.Recover(seqDir, linkindex.DurableOptions{RecoveryParallelism: 1})
+					rec, stats, err := linkindex.Recover(dir, linkindex.DurableOptions{})
 					if err != nil {
-						t.Fatalf("sequential recover: %v", err)
+						t.Fatalf("recover: %v", err)
 					}
-					defer seqIx.Close()
-					parIx, parStats, err := linkindex.Recover(parDir, linkindex.DurableOptions{RecoveryParallelism: 4})
-					if err != nil {
-						t.Fatalf("parallel recover: %v", err)
+					defer rec.Close()
+					if torn != stats.Torn {
+						t.Fatalf("torn=%v but recovery reported Torn=%v", torn, stats.Torn)
 					}
-					defer parIx.Close()
-
-					if seqStats.ParallelReplay {
-						t.Fatalf("RecoveryParallelism=1 took the parallel path: %+v", seqStats)
+					// A torn tail loses at most the final record; a clean
+					// log loses nothing.
+					covered := int(stats.SnapshotSeq) + stats.RecordsReplayed
+					if lost := len(batches) - covered; lost < 0 || lost > 1 || (lost == 1 && !torn) {
+						t.Fatalf("recovery covered %d of %d records (torn=%v): %+v", covered, len(batches), torn, stats)
 					}
-					if !parStats.ParallelReplay {
-						t.Fatalf("RecoveryParallelism=4 took the sequential path: %+v", parStats)
-					}
-					if parStats.SnapshotSeq != seqStats.SnapshotSeq ||
-						parStats.RecordsReplayed != seqStats.RecordsReplayed ||
-						parStats.Torn != seqStats.Torn {
-						t.Fatalf("recovery stats diverge:\n parallel %+v\n sequential %+v", parStats, seqStats)
-					}
-					if torn != seqStats.Torn {
-						t.Fatalf("torn=%v but recovery reported Torn=%v", torn, seqStats.Torn)
-					}
-					compareIndexes(t, name+" parallel-vs-sequential", parIx.Index(), seqIx.Index())
-
-					covered := int(seqStats.SnapshotSeq) + seqStats.RecordsReplayed
-					compareIndexes(t, name+" vs ground truth", parIx.Index(), referenceIndex(batches, covered, shards))
+					compareIndexes(t, name+" vs ground truth", rec.Index(), referenceIndex(batches, covered, shards))
 				})
 			}
 		}

@@ -1,16 +1,12 @@
 package linkindex
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
-// This file implements the shard-parallel WAL replay pipeline used by
-// Recover. The sequential reference path decodes and applies one record
-// at a time in the replay callback; the parallel path keeps the
-// read+CRC+decode work in the reader goroutine (replayWAL's callback)
-// and hands the partitioned per-shard ops to one apply worker per shard
-// over bounded channels, so decoding runs ahead of index building.
+// This file implements the shard-parallel WAL replay pipeline Recover
+// feeds every log tail through: the read+CRC+decode work stays in the
+// reader goroutine (replayWAL's callback), which hands the partitioned
+// per-shard ops to one apply worker per shard over bounded channels, so
+// decoding runs ahead of index building.
 //
 // Soundness: recovery correctness requires apply order ≡ log order per
 // entity ID. An ID hashes to exactly one shard, every record's ops for
@@ -20,7 +16,8 @@ import (
 // concurrently. partitionBatch is the same batch-resolution step Apply
 // uses, so within-record semantics (last upsert wins, delete beats
 // upsert) are shared, not reimplemented. The recovery-equivalence
-// differential test pins parallel ≡ sequential replay exactly.
+// differential test pins the pipeline against plain sequential Apply of
+// the covered batches on a fresh index.
 
 // replayQueueDepth bounds each shard's decoded-but-unapplied backlog so
 // the decode-ahead reader cannot buffer an arbitrarily long log tail in
@@ -36,7 +33,7 @@ type parallelReplayer struct {
 	wg  sync.WaitGroup
 }
 
-func newParallelReplayer(ix *ShardedIndex) *parallelReplayer {
+func startReplayer(ix *ShardedIndex) *parallelReplayer {
 	r := &parallelReplayer{ix: ix, chs: make([]chan *shardOps, ix.Shards())}
 	for si := range r.chs {
 		ch := make(chan *shardOps, replayQueueDepth)
@@ -67,20 +64,4 @@ func (r *parallelReplayer) wait() {
 		close(ch)
 	}
 	r.wg.Wait()
-}
-
-// useParallelReplay resolves DurableOptions.RecoveryParallelism against
-// the runtime: 1 forces the sequential reference path, values > 1 force
-// the pipeline (tests and benches use this to exercise it even on one
-// CPU), and 0 picks the pipeline exactly when goroutines can actually
-// run in parallel — on a single-CPU runtime the pipeline is pure
-// channel overhead.
-func useParallelReplay(parallelism int) bool {
-	if parallelism == 1 {
-		return false
-	}
-	if parallelism > 1 {
-		return true
-	}
-	return runtime.GOMAXPROCS(0) > 1
 }

@@ -26,8 +26,7 @@ import (
 // files, and a Follower bootstraps from the leader's newest snapshot and
 // then tails the stream into its own local WAL — so a follower is itself
 // crash-safe and re-tails from its last applied sequence number after a
-// restart (through the same Recover path as the leader, parallel replay
-// included).
+// restart (through the same Recover path as the leader).
 //
 // Wire protocol of GET /wal/stream?from_seq=N (response body):
 //
@@ -328,15 +327,6 @@ func (d *DurableIndex) ServeWALSnapshot(w http.ResponseWriter, r *http.Request) 
 	replError(w, http.StatusInternalServerError, "snapshot files kept changing; retry", nil)
 }
 
-// noteRecord advances the auto-snapshot counter for one logged record.
-func (d *DurableIndex) noteRecord() {
-	if every := d.opts.snapshotEvery(); every > 0 && d.recordsSinceSnap.Add(1) >= int64(every) {
-		d.maybeSnapshotAsync()
-	} else if every <= 0 {
-		d.recordsSinceSnap.Add(1)
-	}
-}
-
 // applyReplicated logs and applies one record shipped from the leader.
 // The record must be the exact next sequence number: the local Append
 // assigns seq itself, which keeps follower seq numbering byte-identical
@@ -361,41 +351,19 @@ func (d *DurableIndex) applyReplicated(seq uint64, payload []byte) error {
 		return err
 	}
 	d.ix.Apply(Batch{Upserts: b.Upserts, Deletes: b.Deletes})
+	uncovered := d.uncoveredLocked()
 	d.mu.Unlock()
-	d.noteRecord()
+	d.autoSnapshot(uncovered)
 	return nil
 }
 
-// writeFileAtomic writes data to path via a temp file, fsync and rename,
-// then fsyncs the directory — same durability dance as snapshot writes.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("linkindex: replication: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("linkindex: replication: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("linkindex: replication: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("linkindex: replication: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("linkindex: replication: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("linkindex: replication: %w", err)
-	}
-	return nil
+// writeSnapshotBytes stores a snapshot fetched from the leader verbatim,
+// through the same atomic write as locally captured snapshots.
+func writeSnapshotBytes(path string, data []byte) error {
+	return writeSnapshotFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // resetToSnapshot replaces the durable state with a leader snapshot at
@@ -424,7 +392,7 @@ func (d *DurableIndex) resetToSnapshot(data []byte, seq uint64) error {
 	// leaves both generations on disk and recovery picks the newest
 	// snapshot; a crash before the write leaves the old state intact (and
 	// OpenFollower re-bootstraps if nothing is left).
-	if err := writeFileAtomic(filepath.Join(d.dir, snapName(seq)), data); err != nil {
+	if err := writeSnapshotBytes(filepath.Join(d.dir, snapName(seq)), data); err != nil {
 		return err
 	}
 	snaps, err := listSnapshots(d.dir)
@@ -466,7 +434,6 @@ func (d *DurableIndex) resetToSnapshot(data []byte, seq uint64) error {
 	}
 	d.wal = w
 	d.lastSnapSeq.Store(seq)
-	d.recordsSinceSnap.Store(0)
 	return nil
 }
 
@@ -545,8 +512,8 @@ type Follower struct {
 // OpenFollower starts a follower of opts.Leader rooted at opts.Dir. With
 // no local durable state it bootstraps from the leader's newest snapshot
 // (the leader must be reachable); with local state it recovers exactly
-// like a leader would — snapshot, parallel tail replay, torn-tail
-// discard — and re-tails from its last applied seq.
+// like a leader would — snapshot, tail replay, torn-tail discard — and
+// re-tails from its last applied seq.
 func OpenFollower(opts FollowerOptions) (*Follower, error) {
 	if opts.Leader == "" || opts.Dir == "" {
 		return nil, errors.New("linkindex: replication: follower needs a leader address and a directory")
@@ -587,7 +554,7 @@ func OpenFollower(opts FollowerOptions) (*Follower, error) {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("linkindex: replication: %w", err)
 		}
-		if err := writeFileAtomic(filepath.Join(opts.Dir, snapName(seq)), data); err != nil {
+		if err := writeSnapshotBytes(filepath.Join(opts.Dir, snapName(seq)), data); err != nil {
 			return nil, err
 		}
 		d, _, err := Recover(opts.Dir, opts.Durable)

@@ -222,9 +222,13 @@ func TestFollowerRebootstrapAfterCompaction(t *testing.T) {
 	}
 	defer fol.Stop()
 	waitApplied(t, fol, leader.AppliedSeq())
-	st := fol.Status()
-	if st.Bootstraps < 1 {
-		t.Fatalf("follower converged without a re-bootstrap: %+v (compaction should have forced one)", st)
+	// The snapshot's seq becomes the applied seq inside resetToSnapshot,
+	// an instant before rebootstrap counts the bootstrap: wait for the
+	// count rather than assuming the two are observed together.
+	for deadline := time.Now().Add(5 * time.Second); fol.Status().Bootstraps < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower converged without a re-bootstrap: %+v (compaction should have forced one)", fol.Status())
+		}
 	}
 	compareIndexes(t, "post-rebootstrap", fol.Index(), leader.Index())
 

@@ -15,31 +15,29 @@ import (
 	"genlink/internal/rule"
 )
 
-// SnapshotVersion is the format version WriteSnapshot emits. Readers
-// accept v1 and v2 and reject anything newer instead of guessing at its
-// layout.
+// SnapshotVersion is the one format version WriteSnapshot emits and
+// ReadSnapshot accepts; any other version is rejected instead of guessed
+// at.
 //
-// A v2 snapshot is a stream of JSON values separated by newlines: one
+// A snapshot is a stream of JSON values separated by newlines: one
 // header (version, shard count, blocker, threshold, rule, and the number
 // of sections that follow) and then one section per shard, each holding
 // that shard's slice of the corpus sorted by ID. Sections are
 // independently decodable, so both sides of the round trip parallelize:
 // writing marshals every section concurrently and restoring decodes and
-// index-builds sections concurrently. A v1 snapshot is a single JSON
-// object with the whole corpus inline in the header; readers still
-// accept it. Block structures are NOT persisted in either version; they
-// are deterministic functions of (blocker, corpus) and are rebuilt
-// through the bulk-load path on restore, which is both simpler and
-// robust against block-structure layout changes between versions.
+// index-builds sections concurrently. Block structures are NOT
+// persisted; they are deterministic functions of (blocker, corpus) and
+// are rebuilt through the bulk-load path on restore, which is both
+// simpler and robust against block-structure layout changes between
+// versions.
 const SnapshotVersion = 2
 
 // maxSnapshotSections rejects absurd section counts decoded from a
 // corrupt header before they turn into a giant allocation.
 const maxSnapshotSections = 1 << 20
 
-// snapshotHeader is the first JSON value of a snapshot. In v2 the corpus
-// follows in Sections per-shard section values; in v1 it is inline in
-// Entities and Sections is absent.
+// snapshotHeader is the first JSON value of a snapshot; the corpus
+// follows in Sections per-shard section values.
 type snapshotHeader struct {
 	Version      int        `json:"version"`
 	Created      string     `json:"created,omitempty"`
@@ -48,11 +46,8 @@ type snapshotHeader struct {
 	Threshold    float64    `json:"threshold"`
 	MaxBlockSize int        `json:"max_block_size"`
 	Rule         *rule.Rule `json:"rule"`
-	// Sections counts the per-shard section values following the header
-	// (v2 only).
+	// Sections counts the per-shard section values following the header.
 	Sections int `json:"sections,omitempty"`
-	// Entities is the whole corpus inline (v1 only).
-	Entities []*entity.Entity `json:"entities,omitempty"`
 }
 
 // snapshotSection is one shard's slice of the corpus. Shard records the
@@ -161,19 +156,27 @@ func (ix *ShardedIndex) WriteSnapshot(w io.Writer) error {
 // written to a temporary file in the same directory and renamed into
 // place, so a crash mid-write never truncates the previous snapshot.
 func (ix *ShardedIndex) SnapshotTo(path string) error {
-	return writeSnapshotFile(path, ix.buildSnapshot())
+	return writeSnapshotFile(path, ix.buildSnapshot().encode)
 }
 
-// writeSnapshotFile writes a captured snapshot to path atomically
-// (temp file + fsync + rename + directory fsync).
-func writeSnapshotFile(path string, snap *snapshotCapture) error {
+// snapshotWriteHook, when a test sets it, runs before writeSnapshotFile
+// touches the disk — tests block in it to hold a snapshot write open
+// while more records are logged.
+var snapshotWriteHook func(path string)
+
+// writeSnapshotFile writes the snapshot encode produces to path
+// atomically (temp file + fsync + rename + directory fsync).
+func writeSnapshotFile(path string, encode func(io.Writer) error) error {
+	if snapshotWriteHook != nil {
+		snapshotWriteHook(path)
+	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("linkindex: snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := snap.encode(tmp); err != nil {
+	if err := encode(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -219,17 +222,16 @@ type RestoreOptions struct {
 
 // ReadSnapshot rebuilds an index from a snapshot written by
 // WriteSnapshot: the rule is recompiled, the options reconstructed, and
-// the block structures rebuilt by bulk-loading the corpus. It reads both
-// the sectioned v2 format — sections are decoded and index-built in
-// parallel — and the single-object v1 format.
+// the block structures rebuilt by installing the corpus sections, which
+// are decoded and index-built in parallel.
 func ReadSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
 	dec := json.NewDecoder(r)
 	var hdr snapshotHeader
 	if err := dec.Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("linkindex: restore: %w", err)
 	}
-	if hdr.Version != 1 && hdr.Version != SnapshotVersion {
-		return nil, fmt.Errorf("linkindex: restore: snapshot version %d, this build reads 1..%d", hdr.Version, SnapshotVersion)
+	if hdr.Version != SnapshotVersion {
+		return nil, fmt.Errorf("linkindex: restore: snapshot version %d, this build reads version %d only", hdr.Version, SnapshotVersion)
 	}
 	if hdr.Rule == nil {
 		return nil, fmt.Errorf("linkindex: restore: snapshot has no rule")
@@ -251,15 +253,8 @@ func ReadSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
 		Blocker:      bl,
 		Stream:       o.Stream,
 	})
-	if hdr.Version == 1 {
-		if err := validateSnapshotEntities(hdr.Entities); err != nil {
-			return nil, fmt.Errorf("linkindex: restore: %w", err)
-		}
-		ix.BulkLoad(hdr.Entities)
-		return ix, nil
-	}
 
-	// v2: slurp the raw section values in order (a cheap syntactic scan),
+	// Slurp the raw section values in order (a cheap syntactic scan),
 	// then decode and install them in parallel — entity unmarshaling and
 	// block building dominate restore time. A valid snapshot's sections
 	// hold disjoint ID sets, so concurrent installs into the same

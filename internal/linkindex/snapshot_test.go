@@ -110,11 +110,10 @@ func TestSnapshotShardCountOverride(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1Compat pins backward compatibility: a v1 snapshot — one
-// JSON object with the whole corpus inline — still restores into an
-// index answering identically to the live one, even though writers now
-// emit the sectioned v2 format.
-func TestSnapshotV1Compat(t *testing.T) {
+// TestSnapshotV1Rejected pins that the retired v1 format — one JSON
+// object with the whole corpus inline — is refused with an error naming
+// its version, never misread as an empty v2 snapshot.
+func TestSnapshotV1Rejected(t *testing.T) {
 	r := diffRule()
 	rng := rand.New(rand.NewSource(5))
 	ix := linkindex.NewSharded(r, 3, matching.Options{Blocker: matching.TokenBlocking(), MaxBlockSize: -1})
@@ -135,19 +134,8 @@ func TestSnapshotV1Compat(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored, err := linkindex.ReadSnapshot(bytes.NewReader(v1), linkindex.RestoreOptions{})
-	if err != nil {
-		t.Fatalf("v1 restore: %v", err)
-	}
-	if restored.Len() != ix.Len() || restored.Shards() != 3 {
-		t.Fatalf("v1 restore Len=%d Shards=%d, want %d and 3", restored.Len(), restored.Shards(), ix.Len())
-	}
-	for i := 0; i < 60; i += 7 {
-		id := fmt.Sprintf("c%d", i)
-		want, _ := ix.QueryID(id, 0)
-		got, ok := restored.QueryID(id, 0)
-		if !ok || !linksEqual(got, want) {
-			t.Fatalf("v1 restore QueryID(%s): got %v, want %v", id, got, want)
-		}
+	if err == nil || !strings.Contains(err.Error(), "snapshot version 1") {
+		t.Fatalf("v1 restore = %v, %v; want an error naming snapshot version 1", restored, err)
 	}
 }
 

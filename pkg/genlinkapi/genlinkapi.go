@@ -136,11 +136,14 @@ type (
 	// blocker to use when the snapshot's strategy is not a registry name).
 	IndexRestoreOptions = linkindex.RestoreOptions
 	// DurableIndex wraps an Index with a segmented write-ahead log and
-	// auto-snapshot compaction: every mutation is logged before it is
-	// applied, and recovery replays snapshot + log tail after a crash.
+	// auto-snapshot compaction — the one persistence mode: every mutation
+	// is logged before it is applied, a snapshot is taken whenever
+	// SnapshotEvery log records are not yet covered by one, and recovery
+	// replays snapshot + log tail (through the shard-parallel pipeline)
+	// after a crash.
 	DurableIndex = linkindex.DurableIndex
 	// DurableIndexOptions tunes the log (fsync policy, segment size), the
-	// auto-snapshot policy and recovery.
+	// records-based auto-snapshot trigger and the recovered index.
 	DurableIndexOptions = linkindex.DurableOptions
 	// DurableIndexMetrics is a point-in-time summary of the durability
 	// subsystem (log records/segments, snapshot coverage).
@@ -301,7 +304,10 @@ func NewShardedIndex(r *Rule, shards int, opts MatchOptions) *Index {
 // RestoreIndex rebuilds an index from a snapshot file written by
 // Index.SnapshotTo: the corpus, rule, options and shard count are
 // restored and the block structures rebuilt, so queries against the
-// restored index answer exactly like the snapshotted one.
+// restored index answer exactly like the snapshotted one. There is one
+// snapshot format (version 2); any other version is rejected. To carry a
+// standalone snapshot file into a durable directory, return
+// RestoreIndex(file, …) from OpenDurableIndex's build func.
 func RestoreIndex(path string, o IndexRestoreOptions) (*Index, error) {
 	return linkindex.RestoreFrom(path, o)
 }
