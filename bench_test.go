@@ -269,9 +269,9 @@ func BenchmarkAblationMatchParallel(b *testing.B) {
 
 // BenchmarkAblationEvalEngine runs the learner with the compiled
 // memoizing evaluation engine versus the interpreted tree-walk — the
-// learner-level view of the engine speedup (cmd/bench measures the
-// isolated fitness pass on full-size reference links and records it to
-// BENCH_evalengine.json).
+// learner-level view of the engine speedup (BenchmarkFitnessEvaluation
+// in internal/evalengine measures the isolated fitness pass on
+// full-size reference links).
 func BenchmarkAblationEvalEngine(b *testing.B) {
 	ds := experiments.Dataset("Cora", 1)
 	for _, mode := range []struct {

@@ -137,7 +137,6 @@ func main() {
 		threshold  = flag.Float64("threshold", 0, "minimum link score (0 = rule match threshold)")
 		k          = flag.Int("k", 10, "default number of matches per query (k= overrides per request)")
 		shards     = flag.Int("shards", 0, "index shard count (0 = one per CPU)")
-		stream     = flag.Bool("stream", false, "streaming query path: lazy candidate enumeration with prefilter pushdown and early-exit top-k")
 		walDir     = flag.String("wal-dir", "", "durability directory: write-ahead log + auto-snapshots, recovered at startup")
 		fsync      = flag.String("fsync", "batch", "WAL fsync policy: batch (fsync per write), interval (group-commit) or off")
 		fsyncInt   = flag.Duration("fsync-interval", 100*time.Millisecond, "group-commit period for -fsync interval")
@@ -175,7 +174,6 @@ func main() {
 		FsyncInterval: *fsyncInt,
 		SnapshotEvery: *autoSnap,
 		Shards:        *shards,
-		Stream:        *stream,
 		Logf:          log.Printf,
 	}
 
@@ -203,7 +201,7 @@ func main() {
 		log.Printf("following %s from applied seq %d (%d entities)", fol.Leader(), fol.Status().AppliedSeq, ix.Len())
 	case *walDir != "":
 		dix, recovery, err = genlinkapi.OpenDurableIndex(*walDir, func() (*genlinkapi.Index, error) {
-			return freshIndex(*ruleFile, *dataset, *population, *iterations, *seed, *shards, *threshold, bl, *stream)
+			return freshIndex(*ruleFile, *dataset, *population, *iterations, *seed, *shards, *threshold, bl)
 		}, durable)
 		if err != nil {
 			log.Fatal(err)
@@ -218,7 +216,7 @@ func main() {
 				*walDir, policy, *autoSnap)
 		}
 	default:
-		ix, err = freshIndex(*ruleFile, *dataset, *population, *iterations, *seed, *shards, *threshold, bl, *stream)
+		ix, err = freshIndex(*ruleFile, *dataset, *population, *iterations, *seed, *shards, *threshold, bl)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -325,7 +323,7 @@ func runRouter(addr, spec string, maxLag uint64, hedgeAfter, poll time.Duration,
 
 // freshIndex builds a brand-new index from -rule or -dataset — the
 // startup path when there is no durable state to recover.
-func freshIndex(ruleFile, dataset string, population, iterations int, seed int64, shards int, threshold float64, bl genlinkapi.Blocker, stream bool) (*genlinkapi.Index, error) {
+func freshIndex(ruleFile, dataset string, population, iterations int, seed int64, shards int, threshold float64, bl genlinkapi.Blocker) (*genlinkapi.Index, error) {
 	var (
 		r            *genlinkapi.Rule
 		seedEntities []*genlinkapi.Entity
@@ -361,7 +359,7 @@ func freshIndex(ruleFile, dataset string, population, iterations int, seed int64
 		return nil, errors.New("one of -rule, -dataset or existing durable state in -wal-dir is required")
 	}
 
-	ix := genlinkapi.NewShardedIndex(r, shards, genlinkapi.MatchOptions{Blocker: bl, Threshold: threshold, Stream: stream})
+	ix := genlinkapi.NewShardedIndex(r, shards, genlinkapi.MatchOptions{Blocker: bl, Threshold: threshold})
 	if len(seedEntities) > 0 {
 		log.Printf("bulk-loaded %d entities", ix.BulkLoad(seedEntities))
 	}
@@ -878,7 +876,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"threshold":      st.Threshold,
 		"shards":         st.Shards,
 		"shard_entities": st.ShardEntities,
-		"stream":         st.Stream,
 	})
 }
 

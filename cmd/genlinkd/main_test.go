@@ -376,23 +376,9 @@ func TestShutdownFlushesSnapshot(t *testing.T) {
 // server must answer exactly like the batch matcher on the final corpus
 // (no stale pairs survive).
 func TestServerConcurrentQueriesDuringUpdates(t *testing.T) {
-	// Both execution modes must survive the same concurrent torture and
-	// converge to the same quiescent answers — the streaming path is
-	// exercised under -race exactly like the materializing one.
-	for _, stream := range []bool{false, true} {
-		t.Run(fmt.Sprintf("stream=%v", stream), func(t *testing.T) {
-			ix := genlinkapi.NewShardedIndex(serveRule(t), 4, genlinkapi.MatchOptions{
-				Blocker: genlinkapi.MultiPass(),
-				Stream:  stream,
-			})
-			ts := httptest.NewServer(newServer(ix, 10).routes())
-			t.Cleanup(ts.Close)
-			runConcurrentQueriesDuringUpdates(t, ts)
-		})
-	}
-}
-
-func runConcurrentQueriesDuringUpdates(t *testing.T, ts *httptest.Server) {
+	ix := genlinkapi.NewShardedIndex(serveRule(t), 4, genlinkapi.MatchOptions{Blocker: genlinkapi.MultiPass()})
+	ts := httptest.NewServer(newServer(ix, 10).routes())
+	t.Cleanup(ts.Close)
 	c := ts.Client()
 
 	names := []string{"Grace Hopper", "grace hoper", "Alan Turing", "Ada Lovelace", "ada lovelace", "John McCarthy"}

@@ -40,9 +40,10 @@ func corpusFingerprint(ds *entity.Dataset) string {
 
 // TestGeneratorsDeterministic pins that every generator is a pure
 // function of its seed: same seed → byte-identical corpora and reference
-// links. The perf harness (cmd/bench) and the cross-PR benchmark
-// trajectory depend on this — a nondeterministic corpus would make
-// BENCH_*.json numbers incomparable between runs.
+// links. The rig (benchmark/, whose cora-x corpus is built from
+// datagen.Cora chunks) and its cross-PR result trajectory depend on this
+// — a nondeterministic corpus would make its records incomparable
+// between runs.
 func TestGeneratorsDeterministic(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
@@ -61,10 +62,11 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
-// goldenFingerprints pins the exact corpora of the two datasets the
-// benchmark harness defaults to. If an intentional generator change
-// lands, update these values — and expect BENCH_*.json numbers from
-// before the change to be incomparable with numbers after it.
+// goldenFingerprints pins the exact corpora of two datasets, Cora being
+// the one the rig's corpus and pinned rule are built on. If an
+// intentional generator change lands, update these values — and expect
+// rig records (benchmark/out/results.jsonl) from before the change to be
+// incomparable with records after it.
 var goldenFingerprints = map[string]string{
 	"Cora":       "9443b894f32074588a58df12e1ac3459cbe29aac4b03488b70d3a11dbd632d17",
 	"Restaurant": "4c5eb6248a3e6df7688badbbbb2c18162323516b11fd669abf261a4e1b881668",
@@ -75,7 +77,7 @@ func TestGeneratorsGolden(t *testing.T) {
 		if got := corpusFingerprint(Registry[name](1)); got != want {
 			t.Errorf("%s(seed=1) fingerprint changed:\n got %s\nwant %s\n"+
 				"(if the generator change is intentional, update goldenFingerprints "+
-				"and treat older BENCH_*.json files as a new baseline)", name, got, want)
+				"and treat older rig records as a new baseline)", name, got, want)
 		}
 	}
 }

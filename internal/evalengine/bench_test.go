@@ -49,7 +49,8 @@ func coraPopulation(rng *rand.Rand, size int) []*rule.Rule {
 // the full Cora reference links (1617 positive + 1617 negative pairs) for
 // a population of 60 rules: the compiled memoizing engine versus the
 // interpreted tree-walk. This is the measurement behind the engine's
-// headline speedup; cmd/bench records it to BENCH_evalengine.json.
+// headline speedup; the rig's learn workload (benchmark/) measures the
+// engine inside the whole learner.
 func BenchmarkFitnessEvaluation(b *testing.B) {
 	ds := datagen.Cora(1)
 	for _, mode := range []struct {

@@ -77,9 +77,6 @@ type DurableOptions struct {
 	// Blocker is used on recovery when the snapshot's blocker name is
 	// not a registry strategy (see RestoreOptions.Blocker).
 	Blocker matching.Blocker
-	// Stream enables the streaming query path on the recovered index
-	// (see RestoreOptions.Stream). Execution mode, never persisted.
-	Stream bool
 	// Logf, when set, receives diagnostics from background snapshots
 	// and recovery fallbacks (e.g. log.Printf).
 	Logf func(format string, args ...any)
@@ -213,7 +210,7 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 	var ix *ShardedIndex
 	var base durableSnapshot
 	for _, s := range snaps {
-		restored, rerr := RestoreFrom(s.path, RestoreOptions{Shards: o.Shards, Blocker: o.Blocker, Stream: o.Stream})
+		restored, rerr := RestoreFrom(s.path, RestoreOptions{Shards: o.Shards, Blocker: o.Blocker})
 		if rerr != nil {
 			// Quarantine the unreadable snapshot (keep the bytes for
 			// forensics, but take it out of the snapshot-*.snap namespace):

@@ -76,14 +76,9 @@ type Stats struct {
 	Shards int
 	// ShardEntities is the per-shard corpus size, in shard order.
 	ShardEntities []int
-	// Stream reports whether queries run the streaming path
-	// (matching.Options.Stream): candidate pull iterators with pushdown
-	// prefiltering and early-exit top-k.
-	Stream bool
-	// StreamEarlyExits counts streamed per-shard query enumerations
-	// terminated before exhaustion — the probe's attainable-score bound
-	// fell below the threshold, or below a full top-k heap's floor.
-	// Always 0 when Stream is false.
+	// StreamEarlyExits counts per-shard query enumerations terminated
+	// before exhaustion — the probe's attainable-score bound fell below
+	// the threshold, or below a full top-k heap's floor.
 	StreamEarlyExits int64
 }
 

@@ -373,7 +373,7 @@ func writeSnapshotBytes(path string, data []byte) error {
 // during the reset see intermediate states (per-shard application), the
 // same eventual-consistency a tailing follower already exposes.
 func (d *DurableIndex) resetToSnapshot(data []byte, seq uint64) error {
-	restored, err := ReadSnapshot(bytes.NewReader(data), RestoreOptions{Shards: d.opts.Shards, Blocker: d.opts.Blocker, Stream: d.opts.Stream})
+	restored, err := ReadSnapshot(bytes.NewReader(data), RestoreOptions{Shards: d.opts.Shards, Blocker: d.opts.Blocker})
 	if err != nil {
 		return err
 	}

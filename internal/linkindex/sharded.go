@@ -75,10 +75,9 @@ type ShardedIndex struct {
 	opts     matching.Options
 	shards   []*shard
 	count    atomic.Int64 // total entities across shards
-	// streamEarlyExits counts per-shard streamed-query enumerations
-	// terminated before exhaustion (probe bound below threshold, or heap
-	// full with the attainable bound below its floor). Only the
-	// Options.Stream query path increments it.
+	// streamEarlyExits counts per-shard query enumerations terminated
+	// before exhaustion (probe bound below threshold, or heap full with
+	// the attainable bound below its floor).
 	streamEarlyExits atomic.Int64
 }
 
@@ -89,10 +88,7 @@ type shard struct {
 	entities map[string]*entity.Entity
 	blocks   BlockIndex
 	scorer   *evalengine.SharedScorer
-	// stream routes queries through the pull-iterator path with pushdown
-	// prefiltering and early-exit top-k (Options.Stream); earlyExits
-	// points at the owning index's counter.
-	stream     bool
+	// earlyExits points at the owning index's counter.
 	earlyExits *atomic.Int64
 }
 
@@ -119,7 +115,6 @@ func NewSharded(r *rule.Rule, shards int, opts matching.Options) *ShardedIndex {
 			entities:   make(map[string]*entity.Entity),
 			blocks:     NewBlockIndex(opts.Blocker),
 			scorer:     compiled.NewSharedScorer(),
-			stream:     opts.Stream,
 			earlyExits: &ix.streamEarlyExits,
 		}
 	}
@@ -429,7 +424,6 @@ func (ix *ShardedIndex) Stats() Stats {
 		Threshold:        ix.opts.Threshold,
 		Shards:           len(ix.shards),
 		ShardEntities:    make([]int, len(ix.shards)),
-		Stream:           ix.opts.Stream,
 		StreamEarlyExits: ix.streamEarlyExits.Load(),
 	}
 	for i, sh := range ix.shards {
@@ -597,51 +591,22 @@ func (sh *shard) query(probe *entity.Entity, k, maxBlockCfg int, threshold float
 	return sh.queryLocked(probe, k, maxBlockCfg, threshold)
 }
 
-// queryLocked is query with the shard lock already held.
+// queryLocked is query with the shard lock already held: the shard
+// scores straight off the candidate pull iterator (stream.go), applies
+// the compiled rule's pushdown prefilter per candidate, and for k > 0
+// terminates the enumeration once the heap is full and the probe's
+// attainable-score upper bound falls below the heap floor. Results are
+// exactly those of scoring every materialized candidate (Candidates):
+// every skip condition is strict (bound < threshold, bound < floor), so
+// only candidates the threshold or the heap would reject anyway are
+// skipped — and the per-shard top-k set is enumeration-order independent
+// because (score, BID) is a total order.
 func (sh *shard) queryLocked(probe *entity.Entity, k, maxBlockCfg int, threshold float64) []matching.Link {
-	if sh.stream {
-		return sh.queryStreamLocked(probe, k, maxBlockCfg, threshold)
-	}
-	cands := sh.blocks.Candidates(probe, sh.effectiveMaxBlock(probe, maxBlockCfg))
 	if sh.entities[probe.ID] != probe {
 		// External probe (for this shard): cache its value sets only for
 		// the duration of the query (they are reused across every
 		// candidate), then drop them so the shard's cache tracks its own
 		// live entities only.
-		defer sh.scorer.Invalidate(probe)
-	}
-	if k > 0 {
-		// Preallocate bounded by the candidate count, not k: k comes
-		// straight from clients and the heap can never hold more links
-		// than there are candidates.
-		h := newTopK(k, min(k, len(cands)))
-		for _, cand := range cands {
-			if score := sh.scorer.Score(probe, cand); score >= threshold {
-				h.push(matching.Link{AID: probe.ID, BID: cand.ID, Score: score})
-			}
-		}
-		return h.links
-	}
-	var links []matching.Link
-	for _, cand := range cands {
-		if score := sh.scorer.Score(probe, cand); score >= threshold {
-			links = append(links, matching.Link{AID: probe.ID, BID: cand.ID, Score: score})
-		}
-	}
-	return links
-}
-
-// queryStreamLocked is the Options.Stream form of queryLocked: the shard
-// scores straight off the candidate pull iterator (stream.go), applies
-// the compiled rule's pushdown prefilter per candidate, and for k > 0
-// terminates the enumeration once the heap is full and the probe's
-// attainable-score upper bound falls below the heap floor. Results are
-// exactly queryLocked's: every skip condition is strict (bound <
-// threshold, bound < floor), so only candidates the threshold or the
-// heap would reject anyway are skipped — and the per-shard top-k set is
-// enumeration-order independent because (score, BID) is a total order.
-func (sh *shard) queryStreamLocked(probe *entity.Entity, k, maxBlockCfg int, threshold float64) []matching.Link {
-	if sh.entities[probe.ID] != probe {
 		defer sh.scorer.Invalidate(probe)
 	}
 	hasPF := sh.scorer.HasPrefilter()

@@ -214,10 +214,6 @@ type RestoreOptions struct {
 	// snapshot's name resolves, the snapshot wins: restoring with a
 	// different blocker would silently change candidate semantics.
 	Blocker matching.Blocker
-	// Stream enables the streaming query path on the restored index
-	// (matching.Options.Stream). It is an execution mode, not corpus
-	// state, so it is not persisted in snapshots; set it per restore.
-	Stream bool
 }
 
 // ReadSnapshot rebuilds an index from a snapshot written by
@@ -251,7 +247,6 @@ func ReadSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
 		Threshold:    hdr.Threshold,
 		MaxBlockSize: hdr.MaxBlockSize,
 		Blocker:      bl,
-		Stream:       o.Stream,
 	})
 
 	// Slurp the raw section values in order (a cheap syntactic scan),

@@ -3,21 +3,26 @@ package linkindex_test
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"genlink/internal/entity"
+	"genlink/internal/evalengine"
 	"genlink/internal/linkindex"
 	"genlink/internal/matching"
+	"genlink/internal/rule"
 )
 
 // The stream-vs-materialize differential harness: after ANY interleaving
 // of Add/Update/Remove, (1) a candidate stream must yield exactly the
 // materialized Candidates slice as a set, with no duplicates and
 // regardless of partial consumption or early Close, for every strategy
-// and cap; (2) a streaming index (Options.Stream) must answer Query and
-// QueryID exactly — order included — like a materializing index fed the
-// identical writes, for every strategy × cap × shard combination. Runs
-// under -race in CI alongside the other differential tests.
+// and cap; (2) the index must answer Query and QueryID exactly — order
+// included — like the materializing reference (referenceQuery: every
+// blocked candidate scored, thresholded, sorted, truncated), for every
+// strategy × cap × shard combination and for a rule with and without a
+// pushdown bound. Runs under -race in CI alongside the other
+// differential tests.
 
 // drainStream consumes a candidate stream to exhaustion, failing on any
 // duplicate yield, and returns the sorted candidate ID set.
@@ -127,75 +132,114 @@ func equalLinks(a, b []matching.Link) bool {
 	return true
 }
 
-func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
-	r := diffRule()
-	for name, bl := range diffStrategies() {
-		for _, maxBlock := range []int{-1, 0, 6} {
-			for _, shards := range []int{1, 2, 5} {
-				t.Run(fmt.Sprintf("%s/cap=%d/shards=%d", name, maxBlock, shards), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(len(name))*1000 + int64(maxBlock)*10 + int64(shards)))
-					mat := linkindex.NewSharded(r, shards, matching.Options{Blocker: bl, MaxBlockSize: maxBlock})
-					str := linkindex.NewSharded(r, shards, matching.Options{Blocker: bl, MaxBlockSize: maxBlock, Stream: true})
-					survivors := make(map[string]*entity.Entity)
-					nextID := 0
+// opaqueSim is an extension operator kind the compiler cannot compile:
+// a rule rooted in it scores by the tree-walk and gets no prefilter.
+type opaqueSim struct{ rule.SimilarityOp }
 
-					checkProbe := func(probe *entity.Entity) {
-						t.Helper()
-						for _, k := range []int{0, 1, 3} {
-							want := mat.Query(probe, k)
-							got := str.Query(probe, k)
-							if !equalLinks(got, want) {
-								t.Fatalf("probe %s k=%d: streamed Query diverges\n got: %v\nwant: %v",
-									probe.ID, k, got, want)
+func (o opaqueSim) CloneSim() rule.SimilarityOp { return o }
+
+// referenceQuery is the materializing oracle of the query path: score
+// every candidate blocking proposes, keep those reaching the threshold,
+// order by (score desc, BID asc), truncate to k (k ≤ 0 keeps all).
+func referenceQuery(ix *linkindex.ShardedIndex, scorer *evalengine.Scorer, probe *entity.Entity, k int) []matching.Link {
+	var links []matching.Link
+	for _, cand := range ix.Candidates(probe) {
+		if score := scorer.Score(probe, cand); score >= rule.MatchThreshold {
+			links = append(links, matching.Link{AID: probe.ID, BID: cand.ID, Score: score})
+		}
+	}
+	sort.Slice(links, func(i, j int) bool {
+		if links[i].Score != links[j].Score {
+			return links[i].Score > links[j].Score
+		}
+		return links[i].BID < links[j].BID
+	})
+	if k > 0 && len(links) > k {
+		links = links[:k]
+	}
+	return links
+}
+
+func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
+	// The one query path is pinned in both regimes: with a pushdown bound
+	// (the compiled rule) and without one (an opaque rule scored by the
+	// tree-walk, for which every candidate reaches Score).
+	rules := []struct {
+		name      string
+		r         *rule.Rule
+		prefilter bool
+	}{
+		{"prefilter", diffRule(), true},
+		{"opaque", rule.New(opaqueSim{diffRule().Root}), false},
+	}
+	for _, rc := range rules {
+		compiled := evalengine.Compile(rc.r)
+		if got := compiled.Scorer().HasPrefilter(); got != rc.prefilter {
+			t.Fatalf("rule %s: HasPrefilter = %v, want %v", rc.name, got, rc.prefilter)
+		}
+		for name, bl := range diffStrategies() {
+			for _, maxBlock := range []int{-1, 0, 6} {
+				for _, shards := range []int{1, 2, 5} {
+					t.Run(fmt.Sprintf("%s/%s/cap=%d/shards=%d", rc.name, name, maxBlock, shards), func(t *testing.T) {
+						rng := rand.New(rand.NewSource(int64(len(name))*1000 + int64(maxBlock)*10 + int64(shards)))
+						ix := linkindex.NewSharded(rc.r, shards, matching.Options{Blocker: bl, MaxBlockSize: maxBlock})
+						scorer := compiled.Scorer()
+						survivors := make(map[string]*entity.Entity)
+						nextID := 0
+
+						checkProbe := func(probe *entity.Entity) {
+							t.Helper()
+							for _, k := range []int{0, 1, 3} {
+								want := referenceQuery(ix, scorer, probe, k)
+								got := ix.Query(probe, k)
+								if !equalLinks(got, want) {
+									t.Fatalf("probe %s k=%d: Query diverges from the materialized reference\n got: %v\nwant: %v",
+										probe.ID, k, got, want)
+								}
+							}
+							var wantL []matching.Link
+							stored := ix.Get(probe.ID)
+							if stored != nil {
+								wantL = referenceQuery(ix, scorer, stored, 3)
+							}
+							gotL, gotOK := ix.QueryID(probe.ID, 3)
+							if gotOK != (stored != nil) || !equalLinks(gotL, wantL) {
+								t.Fatalf("QueryID(%s): (%v,%v) vs materialized reference (%v,%v)",
+									probe.ID, gotL, gotOK, wantL, stored != nil)
 							}
 						}
-						wantL, wantOK := mat.QueryID(probe.ID, 3)
-						gotL, gotOK := str.QueryID(probe.ID, 3)
-						if gotOK != wantOK || !equalLinks(gotL, wantL) {
-							t.Fatalf("QueryID(%s): streamed (%v,%v) vs materialized (%v,%v)",
-								probe.ID, gotL, gotOK, wantL, wantOK)
-						}
-					}
 
-					for op := 0; op < 60; op++ {
-						ids := sortedIDsOfMap(survivors)
-						switch {
-						case len(ids) == 0 || rng.Float64() < 0.45:
-							id := fmt.Sprintf("e%d", nextID)
-							nextID++
-							e := diffEntity(rng, id)
-							mat.Add(e)
-							str.Add(e)
-							survivors[id] = e
-						case rng.Float64() < 0.5:
-							id := ids[rng.Intn(len(ids))]
-							e := diffEntity(rng, id)
-							mat.Update(e)
-							str.Update(e)
-							survivors[id] = e
-						default:
-							id := ids[rng.Intn(len(ids))]
-							mat.Remove(id)
-							str.Remove(id)
-							delete(survivors, id)
-						}
+						for op := 0; op < 60; op++ {
+							ids := sortedIDsOfMap(survivors)
+							switch {
+							case len(ids) == 0 || rng.Float64() < 0.45:
+								id := fmt.Sprintf("e%d", nextID)
+								nextID++
+								e := diffEntity(rng, id)
+								ix.Add(e)
+								survivors[id] = e
+							case rng.Float64() < 0.5:
+								id := ids[rng.Intn(len(ids))]
+								e := diffEntity(rng, id)
+								ix.Update(e)
+								survivors[id] = e
+							default:
+								id := ids[rng.Intn(len(ids))]
+								ix.Remove(id)
+								delete(survivors, id)
+							}
 
-						if op%10 != 0 {
-							continue
+							if op%10 != 0 {
+								continue
+							}
+							ids = sortedIDsOfMap(survivors)
+							if len(ids) > 0 {
+								checkProbe(survivors[ids[rng.Intn(len(ids))]])
+							}
+							checkProbe(diffEntity(rng, "external-probe"))
 						}
-						ids = sortedIDsOfMap(survivors)
-						if len(ids) > 0 {
-							checkProbe(survivors[ids[rng.Intn(len(ids))]])
-						}
-						checkProbe(diffEntity(rng, "external-probe"))
-					}
-					if st := str.Stats(); !st.Stream {
-						t.Fatal("Stats().Stream must report the streaming mode")
-					}
-					if st := mat.Stats(); st.StreamEarlyExits != 0 {
-						t.Fatalf("materializing index counted %d early exits", st.StreamEarlyExits)
-					}
-				})
+					})
+				}
 			}
 		}
 	}

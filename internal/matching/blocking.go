@@ -33,11 +33,11 @@ type Blocker interface {
 
 // CandidatePairs runs a blocker and returns its candidate pairs with
 // duplicates and self pairs removed, in first-seen order. Memory is
-// O(total candidates): materializing the deduplicated list is what lets
-// multi-pass blockers union passes and MatchParallel partition work
-// evenly, at the cost of the streaming per-entity footprint the token
-// matcher alone would need. Keep Options.MaxBlockSize finite on large
-// text-heavy sources.
+// O(total candidates) — Match and MatchParallel avoid that bill by
+// enumerating per A entity (StreamPairs yields the same pair set); the
+// materialized list is for callers that need the pairs themselves (the
+// blocking ablation, MatchPairs) and for the differential tests. Keep
+// Options.MaxBlockSize finite on large text-heavy sources.
 func CandidatePairs(bl Blocker, a, b *entity.Source, opts Options) []Pair {
 	opts.normalize(b.Len())
 	raw := bl.Pairs(a, b, opts)

@@ -15,6 +15,15 @@
 // Blocking only affects wall-clock cost and pairs-completeness (which true
 // matches get scored at all), never rule semantics; MatchCartesian scores
 // every pair and anchors exactness tests and the blocking-ablation bench.
+//
+// Match and MatchParallel never materialize the global pair list: they
+// enumerate each A entity's candidate partners in turn (stream.go) and
+// apply the compiled rule's score upper bound (evalengine's prefilter)
+// before scoring, so memory is O(per-entity candidates) and pairs that
+// cannot reach the threshold cost no distance computation.
+// CandidatePairs + MatchPairs is the materializing form of the same
+// computation — the blocking ablation's input and the reference the
+// differential tests compare against.
 package matching
 
 import (
@@ -32,7 +41,9 @@ type Link struct {
 	Score    float64
 }
 
-// Options tunes rule execution.
+// Options tunes rule execution. Match and MatchParallel enumerate
+// candidates per A entity and apply the compiled rule's bound before
+// scoring (see the package comment); these fields tune that one path.
 type Options struct {
 	// Threshold is the minimum similarity to emit a link
 	// (default: rule.MatchThreshold).
@@ -45,15 +56,6 @@ type Options struct {
 	// Blocker selects the candidate-generation strategy
 	// (default: TokenBlocking).
 	Blocker Blocker
-	// Stream enumerates candidates lazily instead of materializing the
-	// deduplicated pair list: Match and MatchParallel score pairs as
-	// blocking proposes them (per-A-entity memory instead of O(total
-	// candidates)), applying the compiled rule's pushdown prefilter
-	// before scoring, and the incremental index (internal/linkindex)
-	// answers Query from pull iterators with early-exit top-k. Results
-	// are identical either way; Stream trades the materialized list's
-	// memory and allocation bill for streaming enumeration.
-	Stream bool
 }
 
 // normalize fills defaults: the rule match threshold, stop-token
@@ -164,56 +166,40 @@ func (idx *Index) Candidates(e *entity.Entity, maxBlock int) []*entity.Entity {
 
 // Match executes the rule over A×B using the blocker selected in opts
 // (token blocking by default) and returns all links with score ≥
-// threshold, sorted by descending score then IDs.
+// threshold, sorted by descending score then IDs. It is the one-worker
+// case of MatchParallel.
 func Match(r *rule.Rule, a, b *entity.Source, opts Options) []Link {
-	opts.normalize(b.Len())
-	if opts.Stream {
-		return matchStream(r, a, b, opts)
-	}
-	links := scorePairs(r, CandidatePairs(opts.Blocker, a, b, opts), opts.Threshold)
-	sortLinks(links)
-	return links
+	return MatchParallel(r, a, b, opts, 1)
 }
 
 // MatchPairs scores precomputed candidate pairs (as returned by
 // CandidatePairs) and returns the links sorted like Match. It lets
 // callers that already hold the pair list — the blocking ablation, custom
 // pipelines — avoid re-running the blocker; only opts.Threshold is used.
-func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
-	if opts.Threshold == 0 {
-		opts.Threshold = rule.MatchThreshold
-	}
-	links := scorePairs(r, pairs, opts.Threshold)
-	sortLinks(links)
-	return links
-}
-
-// scorePairs evaluates the rule on each candidate pair and keeps links
-// scoring at or above the threshold. CandidatePairs has already removed
-// self pairs (meaningless in dedup setups) and duplicates.
+// CandidatePairs has already removed self pairs (meaningless in dedup
+// setups) and duplicates.
 //
 // The rule is compiled once (internal/evalengine) and scored through a
 // Scorer whose per-entity value-set cache pays each entity's
 // transformation chains once, however many candidate pairs blocking puts
 // it in. Scores are identical to Rule.Evaluate.
-func scorePairs(r *rule.Rule, pairs []Pair, threshold float64) []Link {
-	return scorePairsWith(evalengine.Compile(r).Scorer(), pairs, threshold)
-}
-
-// scorePairsWith scores pairs through an existing scorer (one per
-// goroutine; a Scorer is not safe for concurrent use).
-func scorePairsWith(scorer *evalengine.Scorer, pairs []Pair, threshold float64) []Link {
+func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
+	if opts.Threshold == 0 {
+		opts.Threshold = rule.MatchThreshold
+	}
+	scorer := evalengine.Compile(r).Scorer()
 	var links []Link
 	for _, p := range pairs {
-		if score := scorer.Score(p.A, p.B); score >= threshold {
+		if score := scorer.Score(p.A, p.B); score >= opts.Threshold {
 			links = append(links, Link{AID: p.A.ID, BID: p.B.ID, Score: score})
 		}
 	}
+	sortLinks(links)
 	return links
 }
 
 // MatchCartesian executes the rule over the full cross product — exact but
-// quadratic. Used by tests and the blocking ablation. Like scorePairs it
+// quadratic. Used by tests and the blocking ablation. Like MatchPairs it
 // runs the compiled rule with per-entity value caching, which matters even
 // more here: every entity appears in |B| (resp. |A|) pairs.
 func MatchCartesian(r *rule.Rule, a, b *entity.Source, opts Options) []Link {

@@ -9,58 +9,51 @@ import (
 	"genlink/internal/rule"
 )
 
-// MatchParallel is Match with the candidate pairs partitioned across
-// workers (≤0 means GOMAXPROCS). Partitioning the deduplicated pair list
-// — rather than the source entities — keeps every worker busy during
-// scoring even when blocking is skewed: one giant block no longer
-// serializes on the worker that owns its source entities. Candidate
-// generation itself still runs serially before the fan-out, so the
-// speedup applies to rule evaluation — the dominant cost for learned
-// rules with several transformations and comparisons, though not for a
-// trivial single-comparison rule, where blocking dominates and workers
-// add little. Results are identical to Match: rule evaluation is pure
-// and the combined link list is re-sorted.
+// MatchParallel is Match with the A entities partitioned across workers
+// (≤0 means GOMAXPROCS) over one shared immutable streamer — there is no
+// materialized pair list to partition. Per-entity candidate enumeration
+// stays within one worker, so deduplication needs no cross-worker state,
+// and both enumeration and scoring run inside the fan-out. Results are
+// identical for every worker count: rule evaluation is pure and the
+// combined link list is re-sorted.
 func MatchParallel(r *rule.Rule, a, b *entity.Source, opts Options, workers int) []Link {
 	opts.normalize(b.Len())
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Stream {
-		return matchParallelStream(r, a, b, opts, workers)
+	eas := uniqueEntities(a.Entities)
+	if workers > len(eas) {
+		workers = len(eas)
 	}
-	pairs := CandidatePairs(opts.Blocker, a, b, opts)
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers <= 1 {
-		links := scorePairs(r, pairs, opts.Threshold)
-		sortLinks(links)
-		return links
-	}
-
+	ps := newPairStreamer(opts.Blocker, a, b, opts)
 	// The rule compiles once; each worker scores its chunk through its own
 	// Scorer (per-entity value caches are not synchronized) over the
 	// shared immutable program.
 	compiled := evalengine.Compile(r)
+	if workers <= 1 {
+		links := streamChunk(compiled.Scorer(), ps, eas, opts.Threshold)
+		sortLinks(links)
+		return links
+	}
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
 		links   []Link
-		chunkSz = (len(pairs) + workers - 1) / workers
+		chunkSz = (len(eas) + workers - 1) / workers
 	)
-	for lo := 0; lo < len(pairs); lo += chunkSz {
+	for lo := 0; lo < len(eas); lo += chunkSz {
 		hi := lo + chunkSz
-		if hi > len(pairs) {
-			hi = len(pairs)
+		if hi > len(eas) {
+			hi = len(eas)
 		}
 		wg.Add(1)
-		go func(chunk []Pair) {
+		go func(chunk []*entity.Entity) {
 			defer wg.Done()
-			local := scorePairsWith(compiled.Scorer(), chunk, opts.Threshold)
+			local := streamChunk(compiled.Scorer(), ps, chunk, opts.Threshold)
 			mu.Lock()
 			links = append(links, local...)
 			mu.Unlock()
-		}(pairs[lo:hi])
+		}(eas[lo:hi])
 	}
 	wg.Wait()
 	sortLinks(links)

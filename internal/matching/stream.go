@@ -2,27 +2,25 @@ package matching
 
 import (
 	"sort"
-	"sync"
 
 	"genlink/internal/entity"
 	"genlink/internal/evalengine"
-	"genlink/internal/rule"
 )
 
-// The streaming half of the blocking subsystem: instead of materializing
-// the full deduplicated candidate list (CandidatePairs) before scoring,
-// a pairStreamer enumerates one A entity's partners at a time, so batch
-// matching holds O(per-entity candidates) instead of O(total candidates)
-// and scoring can push the compiled rule's prefilter (a cheap sound
-// upper bound on the pair's score) down into the enumeration. Both modes
-// produce identical links; the differential test
-// TestStreamPairsEqualCandidatePairs pins pair-set equality for every
-// strategy and cap.
+// The enumeration Match and MatchParallel score from: instead of
+// materializing the full deduplicated candidate list (CandidatePairs)
+// before scoring, a pairStreamer enumerates one A entity's partners at a
+// time, so batch matching holds O(per-entity candidates) instead of
+// O(total candidates) and scoring can push the compiled rule's prefilter
+// (a cheap sound upper bound on the pair's score) down into the
+// enumeration. The pair set is exactly CandidatePairs';
+// TestStreamPairsEqualCandidatePairs pins that for every strategy and
+// cap, TestMatchStreamModeEquivalence pins the links.
 
 // pairStreamer enumerates a blocker's candidate partners one A entity at
 // a time. Implementations are immutable after construction and safe for
-// concurrent forA calls from multiple goroutines — that is what lets the
-// streaming MatchParallel partition A entities across workers.
+// concurrent forA calls from multiple goroutines — that is what lets
+// MatchParallel partition A entities across workers.
 type pairStreamer interface {
 	// forA calls yield once per distinct B partner of ea, with self
 	// pairs (same entity ID) already removed — exactly the B sides of
@@ -98,19 +96,10 @@ func uniqueEntities(es []*entity.Entity) []*entity.Entity {
 	return es
 }
 
-// matchStream is the Options.Stream form of Match: candidates are scored
-// as blocking enumerates them, with the compiled rule's prefilter
-// rejecting pairs whose score upper bound cannot reach the threshold
-// before any distance is computed. opts must already be normalized.
-func matchStream(r *rule.Rule, a, b *entity.Source, opts Options) []Link {
-	ps := newPairStreamer(opts.Blocker, a, b, opts)
-	links := streamChunk(evalengine.Compile(r).Scorer(), ps, uniqueEntities(a.Entities), opts.Threshold)
-	sortLinks(links)
-	return links
-}
-
 // streamChunk scores one chunk of A entities against the streamer —
-// the per-worker unit of the streaming MatchParallel.
+// the per-worker unit of MatchParallel. The compiled rule's prefilter
+// rejects pairs whose score upper bound cannot reach the threshold
+// before any distance is computed.
 func streamChunk(scorer *evalengine.Scorer, ps pairStreamer, chunk []*entity.Entity, threshold float64) []Link {
 	var links []Link
 	for _, ea := range chunk {
@@ -123,47 +112,6 @@ func streamChunk(scorer *evalengine.Scorer, ps pairStreamer, chunk []*entity.Ent
 			}
 		})
 	}
-	return links
-}
-
-// matchParallelStream partitions A entities (not a materialized pair
-// list — there is none) across workers over one shared immutable
-// streamer. Per-entity candidate enumeration stays within one worker, so
-// deduplication needs no cross-worker state. opts must be normalized.
-func matchParallelStream(r *rule.Rule, a, b *entity.Source, opts Options, workers int) []Link {
-	eas := uniqueEntities(a.Entities)
-	if workers > len(eas) {
-		workers = len(eas)
-	}
-	ps := newPairStreamer(opts.Blocker, a, b, opts)
-	compiled := evalengine.Compile(r)
-	if workers <= 1 {
-		links := streamChunk(compiled.Scorer(), ps, eas, opts.Threshold)
-		sortLinks(links)
-		return links
-	}
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		links   []Link
-		chunkSz = (len(eas) + workers - 1) / workers
-	)
-	for lo := 0; lo < len(eas); lo += chunkSz {
-		hi := lo + chunkSz
-		if hi > len(eas) {
-			hi = len(eas)
-		}
-		wg.Add(1)
-		go func(chunk []*entity.Entity) {
-			defer wg.Done()
-			local := streamChunk(compiled.Scorer(), ps, chunk, opts.Threshold)
-			mu.Lock()
-			links = append(links, local...)
-			mu.Unlock()
-		}(eas[lo:hi])
-	}
-	wg.Wait()
-	sortLinks(links)
 	return links
 }
 
@@ -328,9 +276,9 @@ func (s *multiStreamer) forA(ea *entity.Entity, yield func(*entity.Entity)) {
 
 // genericStreamer is the fallback for unknown strategies: it runs the
 // batch blocker once at construction and serves the deduplicated pairs
-// grouped per A entity. Correct for any Blocker, but the memory the
-// streaming mode exists to avoid is paid anyway — mirror new strategies
-// in newPairStreamer to stream them for real.
+// grouped per A entity. Correct for any Blocker, but the memory
+// streaming exists to avoid is paid anyway — mirror new strategies in
+// newPairStreamer to stream them for real.
 type genericStreamer struct {
 	byA map[*entity.Entity][]*entity.Entity
 }

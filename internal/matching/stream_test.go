@@ -77,9 +77,10 @@ func TestStreamPairsEqualCandidatePairs(t *testing.T) {
 	}
 }
 
-// TestMatchStreamModeEquivalence pins Options.Stream as a pure execution
-// mode: Match and MatchParallel must return byte-identical link slices
-// with and without it, for every strategy and cap.
+// TestMatchStreamModeEquivalence pins the per-A-entity enumeration with
+// pushdown bound as a pure execution strategy: Match and MatchParallel
+// (one worker and several) must return link slices byte-identical to
+// scoring the materialized candidate list, for every strategy and cap.
 func TestMatchStreamModeEquivalence(t *testing.T) {
 	r := labelRule()
 	for _, bl := range allBlockers() {
@@ -89,18 +90,16 @@ func TestMatchStreamModeEquivalence(t *testing.T) {
 				a := randomWordSource(rng, "a", 40)
 				b := randomWordSource(rng, "b", 35)
 				opts := Options{Blocker: bl, MaxBlockSize: maxBlock}
-				streamOpts := opts
-				streamOpts.Stream = true
 
-				want := Match(r, a, b, opts)
-				if got := Match(r, a, b, streamOpts); !reflect.DeepEqual(got, want) {
-					t.Fatalf("Match stream mode diverges:\n got: %v\nwant: %v", got, want)
+				want := MatchPairs(r, CandidatePairs(bl, a, b, opts), opts)
+				if got := Match(r, a, b, opts); !reflect.DeepEqual(got, want) {
+					t.Fatalf("Match diverges from the materialized reference:\n got: %v\nwant: %v", got, want)
 				}
-				if got := MatchParallel(r, a, b, streamOpts, 3); !reflect.DeepEqual(got, want) {
-					t.Fatalf("MatchParallel stream mode diverges:\n got: %v\nwant: %v", got, want)
+				if got := MatchParallel(r, a, b, opts, 3); !reflect.DeepEqual(got, want) {
+					t.Fatalf("MatchParallel diverges from the materialized reference:\n got: %v\nwant: %v", got, want)
 				}
-				if got := MatchParallel(r, a, b, streamOpts, 1); !reflect.DeepEqual(got, want) {
-					t.Fatalf("single-worker MatchParallel stream mode diverges:\n got: %v\nwant: %v", got, want)
+				if got := MatchParallel(r, a, b, opts, 1); !reflect.DeepEqual(got, want) {
+					t.Fatalf("single-worker MatchParallel diverges from the materialized reference:\n got: %v\nwant: %v", got, want)
 				}
 			})
 		}

@@ -404,8 +404,8 @@ func CandidatePairs(bl Blocker, a, b *Source, opts MatchOptions) []CandidatePair
 // StreamCandidatePairs enumerates the same deduplicated candidate pairs
 // as CandidatePairs but pushes them to yield one at a time instead of
 // materializing the full slice — the constant-memory form for pipelines
-// that filter or score pairs as they arrive. Setting MatchOptions.Stream
-// selects this enumeration inside Match as well.
+// that filter or score pairs as they arrive. Match and MatchParallel
+// score from this same enumeration.
 func StreamCandidatePairs(bl Blocker, a, b *Source, opts MatchOptions, yield func(CandidatePair)) {
 	matching.StreamPairs(bl, a, b, opts, yield)
 }
