@@ -12,9 +12,9 @@ import (
 // each value program's output — no distance computation). Candidate
 // enumeration uses it to drop pairs that cannot reach the match
 // threshold before paying for Levenshtein matrices or token-set
-// intersections, and the early-exit top-k query (internal/linkindex)
-// uses the probe-only variant to stop enumerating once even a perfect
-// candidate could not displace the heap floor.
+// intersections, and the query path (internal/linkindex) uses the
+// probe-only variant to answer without enumerating at all when even a
+// perfect candidate could not reach the threshold.
 //
 // Soundness argument, pinned by TestMetamorphicPrefilterSoundness: each per-measure
 // bound below is a lower bound on the measure's distance; scoreFromDist

@@ -76,9 +76,9 @@ type Stats struct {
 	Shards int
 	// ShardEntities is the per-shard corpus size, in shard order.
 	ShardEntities []int
-	// StreamEarlyExits counts per-shard query enumerations terminated
-	// before exhaustion — the probe's attainable-score bound fell below
-	// the threshold, or below a full top-k heap's floor.
+	// StreamEarlyExits counts per-shard queries answered without opening
+	// the candidate stream: the probe's attainable-score bound was below
+	// the threshold.
 	StreamEarlyExits int64
 }
 

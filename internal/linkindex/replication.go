@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
@@ -31,11 +30,8 @@ import (
 // Wire protocol of GET /wal/stream?from_seq=N (response body):
 //
 //	8 bytes   stream magic "glnkrep1"
-//	frames, each encoded exactly like a WAL record:
-//	  4 bytes  payload length (little endian)
-//	  4 bytes  CRC-32C (Castagnoli) over seq bytes + payload
-//	  8 bytes  frame sequence number (little endian)
-//	  n bytes  payload
+//	frames, each laid out exactly like a WAL record (wal.go; appendFrame
+//	and readFrame are the one codec of both)
 //
 // Frames with seq ≥ 1 carry WAL records, contiguous from from_seq+1.
 // seq == 0 is the heartbeat sentinel (record sequence numbers start at
@@ -104,26 +100,9 @@ func NewPooledClient(timeout time.Duration) *http.Client {
 	return &http.Client{Transport: PooledTransport(), Timeout: timeout}
 }
 
-// writeStreamFrame encodes one frame (identical layout to a WAL record).
-func writeStreamFrame(w io.Writer, seq uint64, payload []byte) error {
-	var hdr [walHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	crc := crc32.Update(0, crcTable, hdr[8:16])
-	crc = crc32.Update(crc, crcTable, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// streamReader decodes frames from a replication stream. It trusts
-// nothing: lengths are bounded, payloads are allocated from the bytes
-// that actually arrive (a mutated header claiming 1 GiB must not
-// allocate 1 GiB before the CRC can reject it), and every frame is
-// CRC-checked. FuzzWALStream pins that arbitrary bytes never panic it.
+// streamReader decodes frames from a replication stream with readFrame,
+// which trusts nothing it has not verified. FuzzWALStream pins that
+// arbitrary bytes never panic it.
 type streamReader struct {
 	br  *bufio.Reader
 	buf bytes.Buffer
@@ -147,30 +126,11 @@ func (sr *streamReader) readMagic() error {
 // next returns the next frame; io.EOF marks a clean end of stream. The
 // payload is only valid until the next call.
 func (sr *streamReader) next() (seq uint64, payload []byte, err error) {
-	var hdr [walHeaderLen]byte
-	if _, err := io.ReadFull(sr.br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("linkindex: replication: frame header: %w", err)
+	seq, payload, err = readFrame(sr.br, &sr.buf)
+	if err != nil && err != io.EOF {
+		err = fmt.Errorf("linkindex: replication: stream: %w", err)
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-	seq = binary.LittleEndian.Uint64(hdr[8:16])
-	if length > maxWALRecordLen {
-		return 0, nil, fmt.Errorf("linkindex: replication: frame of %d bytes exceeds the record limit", length)
-	}
-	sr.buf.Reset()
-	if _, err := io.CopyN(&sr.buf, sr.br, int64(length)); err != nil {
-		return 0, nil, fmt.Errorf("linkindex: replication: frame payload: %w", err)
-	}
-	payload = sr.buf.Bytes()
-	crc := crc32.Update(0, crcTable, hdr[8:16])
-	crc = crc32.Update(crc, crcTable, payload)
-	if crc != wantCRC {
-		return 0, nil, fmt.Errorf("linkindex: replication: frame CRC mismatch at seq %d", seq)
-	}
-	return seq, payload, nil
+	return seq, payload, err
 }
 
 // replError writes the service's standard JSON error body.
@@ -240,7 +200,7 @@ func (d *DurableIndex) ServeWALStream(w http.ResponseWriter, r *http.Request) {
 	heartbeat := func(gate uint64) error {
 		binary.LittleEndian.PutUint64(hb[0:8], gate)
 		binary.LittleEndian.PutUint64(hb[8:16], uint64(time.Now().UnixNano()))
-		return writeStreamFrame(w, replHeartbeatSeq, hb)
+		return appendFrame(w, replHeartbeatSeq, hb)
 	}
 	ctx := r.Context()
 	// One reusable heartbeat timer for the life of the stream: time.After
@@ -269,14 +229,14 @@ func (d *DurableIndex) ServeWALStream(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				break
 			}
-			if err := writeStreamFrame(w, seq, payload); err != nil {
+			if err := appendFrame(w, seq, payload); err != nil {
 				return
 			}
 		}
 		if err := heartbeat(gate); err != nil {
 			return
 		}
-		//genlint:ignore errsink stream flush to a live ResponseWriter; a broken connection surfaces on the next writeStreamFrame
+		//genlint:ignore errsink stream flush to a live ResponseWriter; a broken connection surfaces on the next appendFrame
 		_ = rc.Flush()
 		hbTimer.Reset(replHeartbeatInterval)
 		select {

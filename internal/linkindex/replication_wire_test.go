@@ -58,9 +58,9 @@ func buildStream(records [][]byte) []byte {
 	buf.WriteString(replStreamMagic)
 	hb := make([]byte, replHeartbeatLen)
 	binary.LittleEndian.PutUint64(hb[0:8], uint64(len(records)))
-	_ = writeStreamFrame(&buf, replHeartbeatSeq, hb)
+	_ = appendFrame(&buf, replHeartbeatSeq, hb)
 	for i, p := range records {
-		_ = writeStreamFrame(&buf, uint64(i+1), p)
+		_ = appendFrame(&buf, uint64(i+1), p)
 	}
 	return buf.Bytes()
 }

@@ -75,9 +75,8 @@ type ShardedIndex struct {
 	opts     matching.Options
 	shards   []*shard
 	count    atomic.Int64 // total entities across shards
-	// streamEarlyExits counts per-shard query enumerations terminated
-	// before exhaustion (probe bound below threshold, or heap full with
-	// the attainable bound below its floor).
+	// streamEarlyExits counts per-shard queries answered without opening
+	// the candidate stream (probe bound below threshold).
 	streamEarlyExits atomic.Int64
 }
 
@@ -592,10 +591,11 @@ func (sh *shard) query(probe *entity.Entity, k, maxBlockCfg int, threshold float
 }
 
 // queryLocked is query with the shard lock already held: the shard
-// scores straight off the candidate pull iterator (stream.go), applies
-// the compiled rule's pushdown prefilter per candidate, and for k > 0
-// terminates the enumeration once the heap is full and the probe's
-// attainable-score upper bound falls below the heap floor. Results are
+// scores straight off the candidate pull iterator (stream.go) and applies
+// the compiled rule's pushdown prefilter per candidate. The one early
+// exit is before the stream opens (probe bound < threshold); none can
+// exist inside the loop, because the heap floor is a Score and Score ≤
+// Bound ≤ ProbeBound (TestMetamorphicPrefilterSoundness). Results are
 // exactly those of scoring every materialized candidate (Candidates):
 // every skip condition is strict (bound < threshold, bound < floor), so
 // only candidates the threshold or the heap would reject anyway are
@@ -610,28 +610,19 @@ func (sh *shard) queryLocked(probe *entity.Entity, k, maxBlockCfg int, threshold
 		defer sh.scorer.Invalidate(probe)
 	}
 	hasPF := sh.scorer.HasPrefilter()
-	probeBound := 1.0
-	if hasPF {
-		// Upper bound over every possible candidate: a probe whose value
-		// sets already cap the score below the threshold (e.g. missing
-		// the properties of high-weight comparisons) answers without
-		// opening the stream at all.
-		probeBound = sh.scorer.ProbeBound(probe)
-		if probeBound < threshold {
-			sh.earlyExits.Add(1)
-			return nil
-		}
+	// Upper bound over every possible candidate: a probe whose value
+	// sets already cap the score below the threshold (e.g. missing
+	// the properties of high-weight comparisons) answers without
+	// opening the stream at all.
+	if hasPF && sh.scorer.ProbeBound(probe) < threshold {
+		sh.earlyExits.Add(1)
+		return nil
 	}
 	st := streamCandidates(sh.blocks, probe, sh.effectiveMaxBlock(probe, maxBlockCfg))
 	defer st.Close()
 	if k > 0 {
 		h := newTopK(k, min(k, 16))
 		for {
-			if len(h.links) == h.k && probeBound < h.links[0].Score {
-				// Even a perfect candidate cannot displace the floor.
-				sh.earlyExits.Add(1)
-				break
-			}
 			cand, ok := st.Next()
 			if !ok {
 				break

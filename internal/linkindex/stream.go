@@ -9,9 +9,8 @@ import (
 
 // Candidate streaming: the pull-iterator counterpart of
 // BlockIndex.Candidates. A CandidateStream enumerates the same candidate
-// set one entity at a time, so the query path can score, prefilter and
-// early-exit without first materializing (and sorting) the full
-// candidate slice. Streams yield candidates in an unspecified order —
+// set one entity at a time, so the query path can prefilter and score
+// without first materializing (and sorting) the full candidate slice. Streams yield candidates in an unspecified order —
 // TestDifferentialStreamVsMaterialize pins set equality with Candidates
 // for every strategy, cap and interleaving, and FuzzCandidateStream pins
 // the cursor contract (no panics, no duplicates, batch equality on

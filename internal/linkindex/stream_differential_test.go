@@ -238,6 +238,25 @@ func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
 							}
 							checkProbe(diffEntity(rng, "external-probe"))
 						}
+
+						// A probe with none of the rule's properties caps every
+						// comparison at 0: with a pushdown bound each shard
+						// answers before opening its stream (the one early exit,
+						// counted once per shard); without one nothing exits
+						// early. Either way the answer is the oracle's: empty.
+						bare := entity.New("bare-probe")
+						before := ix.Stats().StreamEarlyExits
+						if got, want := ix.Query(bare, 3), referenceQuery(ix, scorer, bare, 3); len(want) != 0 || !equalLinks(got, want) {
+							t.Fatalf("bare probe: Query = %v, materialized reference = %v, want both empty", got, want)
+						}
+						wantExits := int64(0)
+						if rc.prefilter {
+							wantExits = int64(shards)
+						}
+						if exits := ix.Stats().StreamEarlyExits - before; exits != wantExits {
+							t.Fatalf("bare probe: StreamEarlyExits rose by %d, want %d (%d shards, prefilter=%v)",
+								exits, wantExits, shards, rc.prefilter)
+						}
 					})
 				}
 			}

@@ -2,11 +2,13 @@ package linkindex
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -96,6 +98,58 @@ var (
 	crcTable     = crc32.MakeTable(crc32.Castagnoli)
 	errWALClosed = errors.New("linkindex: wal is closed")
 )
+
+// appendFrame encodes one record frame — the layout above, shared by the
+// segment files and the replication stream — into w as two writes: the
+// 16-byte header, then the payload as given.
+func appendFrame(w io.Writer, seq uint64, payload []byte) error {
+	var hdr [walHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(hdr[8:16], seq)
+	crc := crc32.Update(0, crcTable, hdr[8:16])
+	crc = crc32.Update(crc, crcTable, payload)
+	binary.LittleEndian.PutUint32(hdr[4:8], crc)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// readFrame decodes the frame at the head of r — the one decoder behind
+// segment replay, the replication cursor and the follower's stream
+// reader. It trusts nothing it has not verified: the length is bounded,
+// the payload grows in buf from the bytes that actually arrive (a
+// corrupt header claiming 1 GiB must not allocate 1 GiB before the CRC
+// can reject it), and the CRC is checked before the frame is returned.
+// The payload aliases buf. A header that stops short comes back bare, as
+// io.ReadFull reports it: io.EOF on a frame boundary, else
+// io.ErrUnexpectedEOF; every other failure is wrapped and never bare
+// io.EOF. What a failure means (torn tail, not yet written, broken
+// stream) and the sequence-number check are the caller's.
+func readFrame(r io.Reader, buf *bytes.Buffer) (seq uint64, payload []byte, err error) {
+	var hdr [walHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	length := binary.LittleEndian.Uint32(hdr[0:4])
+	wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
+	seq = binary.LittleEndian.Uint64(hdr[8:16])
+	if length > maxWALRecordLen {
+		return 0, nil, fmt.Errorf("frame of %d bytes exceeds the %d-byte record limit", length, maxWALRecordLen)
+	}
+	buf.Reset()
+	if _, err := io.CopyN(buf, r, int64(length)); err != nil {
+		return 0, nil, fmt.Errorf("frame payload: %w", err)
+	}
+	payload = buf.Bytes()
+	crc := crc32.Update(0, crcTable, hdr[8:16])
+	crc = crc32.Update(crc, crcTable, payload)
+	if crc != wantCRC {
+		return 0, nil, fmt.Errorf("frame CRC mismatch at seq %d", seq)
+	}
+	return seq, payload, nil
+}
 
 // walFile is the file surface the log writes through; *os.File satisfies
 // it. Tests substitute a stub whose Sync fails to pin the sticky-error
@@ -254,16 +308,7 @@ func (w *wal) Append(payload []byte) (uint64, error) {
 		return 0, w.syncErr
 	}
 	seq := w.seq + 1
-	var hdr [walHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	crc := crc32.Update(0, crcTable, hdr[8:16])
-	crc = crc32.Update(crc, crcTable, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("linkindex: wal: %w", err)
-	}
-	if _, err := w.w.Write(payload); err != nil {
+	if err := appendFrame(w.w, seq, payload); err != nil {
 		return 0, fmt.Errorf("linkindex: wal: %w", err)
 	}
 	w.seq = seq
@@ -347,22 +392,6 @@ func (w *wal) RotateIfDirty() error {
 	return w.rotateLocked()
 }
 
-// Sync flushes and fsyncs the active segment regardless of policy.
-func (w *wal) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return errWALClosed
-	}
-	if err := w.w.Flush(); err != nil {
-		return w.poisonLocked(err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return w.poisonLocked(err)
-	}
-	return nil
-}
-
 // Flush drains the user-space buffer to the OS without fsyncing, so the
 // segment files hold every acknowledged record. The replication stream
 // calls this before reading the active segment: under FsyncOff appends
@@ -373,10 +402,7 @@ func (w *wal) Flush() error {
 	if w.closed {
 		return errWALClosed
 	}
-	if err := w.w.Flush(); err != nil {
-		return w.poisonLocked(err)
-	}
-	return nil
+	return w.flushLocked(false)
 }
 
 // seqAndNotify returns the last appended sequence number together with
@@ -551,34 +577,15 @@ func replaySegment(seg walSegment, fromSeq uint64, scan *walScan, fn func(seq ui
 	}
 	offset := int64(len(walMagic))
 	expect := seg.firstSeq
-	var hdr [walHeaderLen]byte
-	var payload []byte
+	var buf bytes.Buffer
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return false, nil // clean end of segment
-			}
-			torn(offset) // truncated header
-			return true, nil
+		seq, payload, err := readFrame(r, &buf)
+		if err == io.EOF {
+			return false, nil // clean end of segment
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		seq := binary.LittleEndian.Uint64(hdr[8:16])
-		if length > maxWALRecordLen || seq != expect {
-			torn(offset)
-			return true, nil
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			torn(offset) // truncated payload
-			return true, nil
-		}
-		crc := crc32.Update(0, crcTable, hdr[8:16])
-		crc = crc32.Update(crc, crcTable, payload)
-		if crc != wantCRC {
+		if err != nil || seq != expect {
+			// Truncated header or payload, absurd length, CRC mismatch or a
+			// sequence gap: the valid log ends before this record.
 			torn(offset)
 			return true, nil
 		}
@@ -592,7 +599,7 @@ func replaySegment(seg walSegment, fromSeq uint64, scan *walScan, fn func(seq ui
 			scan.LastSeq = seq
 			scan.Records++
 		}
-		offset += int64(walHeaderLen) + int64(length)
+		offset += int64(walHeaderLen + len(payload))
 		expect = seq + 1
 	}
 }
@@ -604,8 +611,9 @@ var errWALCompacted = errors.New("linkindex: wal: records compacted away; re-boo
 
 // walCursor reads committed records sequentially from the segment files,
 // decoupled from the appender: it opens segments read-only and validates
-// every record (length bound, CRC, sequence contiguity) as it goes —
-// this is the leader-side read path of the replication stream. The
+// every record (readFrame's length bound and CRC, then sequence
+// contiguity) as it goes — this is the leader-side read path of the
+// replication stream. The
 // appender may keep writing while a cursor reads; callers gate each read
 // on a sequence number they know is flushed (LastSeq, then Flush), so
 // the cursor never parses a half-written tail.
@@ -613,9 +621,10 @@ type walCursor struct {
 	dir     string
 	nextSeq uint64 // sequence number of the next record to return
 	f       *os.File
-	offset  int64  // byte offset of the next unread byte in f
-	expect  uint64 // sequence number of the record at offset
-	payload []byte // reusable read buffer
+	r       *io.SectionReader // f as an io.Reader, re-positioned to offset before every read
+	offset  int64             // byte offset of the next unread byte in f
+	expect  uint64            // sequence number of the record at offset
+	buf     bytes.Buffer      // reusable payload buffer
 }
 
 // newWALCursor positions a cursor after fromSeq: the first record it
@@ -668,7 +677,8 @@ func (c *walCursor) seek() error {
 		f.Close()
 		return fmt.Errorf("linkindex: wal: segment %s has no magic", segs[idx].path)
 	}
-	c.f, c.offset, c.expect = f, int64(len(walMagic)), segs[idx].firstSeq
+	c.f, c.r = f, io.NewSectionReader(f, 0, math.MaxInt64)
+	c.offset, c.expect = int64(len(walMagic)), segs[idx].firstSeq
 	return nil
 }
 
@@ -690,49 +700,38 @@ func (c *walCursor) next(gate uint64) (seq uint64, payload []byte, ok bool, err 
 				return 0, nil, false, nil
 			}
 		}
-		var hdr [walHeaderLen]byte
-		if _, rerr := c.f.ReadAt(hdr[:], c.offset); rerr != nil {
-			if rerr == io.EOF {
-				// Clean or partial end of this segment. Every record up to
-				// gate is fully flushed, so a record we still need lives in
-				// the segment the appender rotated to: re-seek there. If the
-				// re-seek lands on the same segment (rotation mid-flight),
-				// report "nothing yet" and let the caller retry.
-				again, aerr := c.reseek()
-				if aerr != nil {
-					return 0, nil, false, aerr
-				}
-				if !again {
-					return 0, nil, false, nil
-				}
-				continue
+		// Read by offset, not by position: a frame the appender has not
+		// finished is re-read from its start on the next call. (Seek to a
+		// non-negative absolute offset cannot fail.)
+		_, _ = c.r.Seek(c.offset, io.SeekStart)
+		seq, payload, rerr := readFrame(c.r, &c.buf)
+		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
+			// Clean or partial end of this segment. Every record up to
+			// gate is fully flushed, so a record we still need lives in
+			// the segment the appender rotated to: re-seek there. If the
+			// re-seek lands on the same segment (rotation mid-flight),
+			// report "nothing yet" and let the caller retry.
+			again, aerr := c.reseek()
+			if aerr != nil {
+				return 0, nil, false, aerr
 			}
-			return 0, nil, false, fmt.Errorf("linkindex: wal: %w", rerr)
+			if !again {
+				return 0, nil, false, nil
+			}
+			continue
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		seq := binary.LittleEndian.Uint64(hdr[8:16])
-		if length > maxWALRecordLen || seq != c.expect {
-			return 0, nil, false, fmt.Errorf("linkindex: wal: corrupt record at offset %d (len %d, seq %d, want seq %d)",
-				c.offset, length, seq, c.expect)
+		if rerr != nil {
+			return 0, nil, false, fmt.Errorf("linkindex: wal: record at offset %d: %w", c.offset, rerr)
 		}
-		if cap(c.payload) < int(length) {
-			c.payload = make([]byte, length)
+		if seq != c.expect {
+			return 0, nil, false, fmt.Errorf("linkindex: wal: corrupt record at offset %d (seq %d, want seq %d)",
+				c.offset, seq, c.expect)
 		}
-		c.payload = c.payload[:length]
-		if _, rerr := c.f.ReadAt(c.payload, c.offset+walHeaderLen); rerr != nil {
-			return 0, nil, false, fmt.Errorf("linkindex: wal: %w", rerr)
-		}
-		crc := crc32.Update(0, crcTable, hdr[8:16])
-		crc = crc32.Update(crc, crcTable, c.payload)
-		if crc != wantCRC {
-			return 0, nil, false, fmt.Errorf("linkindex: wal: CRC mismatch at seq %d", seq)
-		}
-		c.offset += int64(walHeaderLen) + int64(length)
+		c.offset += int64(walHeaderLen + len(payload))
 		c.expect = seq + 1
 		if seq >= c.nextSeq {
 			c.nextSeq = seq + 1
-			return seq, c.payload, true, nil
+			return seq, payload, true, nil
 		}
 		// A record below nextSeq (re-positioned cursor): skip it.
 	}

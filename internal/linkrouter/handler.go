@@ -5,24 +5,22 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"net/http"
 	"net/url"
 	"strconv"
 	"sync"
 	"time"
 
-	"genlink/internal/entity"
 	"genlink/internal/linkindex"
+	"genlink/internal/linkserver"
 	"genlink/internal/matching"
 )
 
-// Handler returns the router's HTTP surface. It mirrors the genlinkd
+// Handler returns the router's HTTP surface. It serves the genlinkd
 // client API (POST /entities, GET/DELETE /entities/{id}, GET/POST
-// /match, GET /stats) so clients move from one node to the routed tier
-// by changing the base URL, plus the router's own /metrics and
-// /healthz.
+// /match, GET /stats) with linkserver's own wire types and parsing, so
+// clients move from one node to the routed tier by changing the base
+// URL, plus the router's own /metrics and /healthz.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /entities", rt.handlePostEntities)
@@ -33,7 +31,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", rt.handleStats)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "partitions": rt.Partitions()})
+		linkserver.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "partitions": rt.Partitions()})
 	})
 	return mux
 }
@@ -46,17 +44,16 @@ func (rt *Router) Handler() http.Handler {
 // is 502 with the per-partition outcome, so a retry of the same batch
 // is the recovery path (upserts are idempotent).
 func (rt *Router) handlePostEntities(w http.ResponseWriter, r *http.Request) {
-	entities, err := decodeEntities(w, r)
+	entities, err := linkserver.DecodeEntities(w, r)
 	if err != nil {
-		writeDecodeError(w, err)
+		linkserver.WriteDecodeError(w, err)
 		return
 	}
 	rt.m.writeBatches.Add(1)
 	parts := linkindex.SplitBatch(linkindex.Batch{Upserts: entities}, len(rt.groups))
 	type legResult struct {
-		added    int
-		entities int
-		err      error
+		ack linkserver.EntitiesAck
+		err error
 	}
 	results := make(map[int]*legResult, len(parts))
 	var wg sync.WaitGroup
@@ -83,17 +80,11 @@ func (rt *Router) handlePostEntities(w http.ResponseWriter, r *http.Request) {
 				res.err = fmt.Errorf("partition %d: status %d: %s", pi, status, truncate(data))
 				return
 			}
-			var ack struct {
-				Added    int `json:"added"`
-				Entities int `json:"entities"`
-			}
-			if err := json.Unmarshal(data, &ack); err != nil {
+			if err := json.Unmarshal(data, &res.ack); err != nil {
 				res.err = fmt.Errorf("partition %d: bad ack: %w", pi, err)
 				return
 			}
-			res.added = ack.Added
-			res.entities = ack.Entities
-			rt.m.routedWrites[pi].Add(int64(ack.Added))
+			rt.m.routedWrites[pi].Add(int64(res.ack.Added))
 		}(pi, body, res)
 	}
 	wg.Wait()
@@ -109,19 +100,19 @@ func (rt *Router) handlePostEntities(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		perPart[key] = map[string]int{"added": res.added}
-		added += res.added
-		total += res.entities
+		perPart[key] = map[string]int{"added": res.ack.Added}
+		added += res.ack.Added
+		total += res.ack.Entities
 	}
 	if firstErr != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]any{
+		linkserver.WriteJSON(w, http.StatusBadGateway, map[string]any{
 			"error":      firstErr.Error(),
 			"added":      added,
 			"partitions": perPart,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	linkserver.WriteJSON(w, http.StatusOK, map[string]any{
 		"added":      added,
 		"entities":   total,
 		"partitions": perPart,
@@ -132,9 +123,9 @@ func (rt *Router) handlePostEntities(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleGetEntity(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	gi := linkindex.PartitionOf(id, len(rt.groups))
-	status, data, err := rt.readGroup(r.Context(), gi, http.MethodGet, "/entities/"+pathEscape(id), nil)
+	status, data, err := rt.readGroup(r.Context(), gi, http.MethodGet, "/entities/"+url.PathEscape(id), nil)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		linkserver.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	writeRaw(w, status, data)
@@ -144,9 +135,9 @@ func (rt *Router) handleGetEntity(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleDeleteEntity(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	gi := linkindex.PartitionOf(id, len(rt.groups))
-	status, data, err := rt.writeGroup(r.Context(), gi, http.MethodDelete, "/entities/"+pathEscape(id), nil)
+	status, data, err := rt.writeGroup(r.Context(), gi, http.MethodDelete, "/entities/"+url.PathEscape(id), nil)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		linkserver.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	if status == http.StatusNoContent {
@@ -166,18 +157,18 @@ func (rt *Router) handleDeleteEntity(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleMatch(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing id parameter"))
+		linkserver.WriteError(w, http.StatusBadRequest, errors.New("missing id parameter"))
 		return
 	}
-	k, err := rt.parseK(r)
+	k, err := linkserver.ParseK(r, rt.opts.DefaultK)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		linkserver.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	gi := linkindex.PartitionOf(id, len(rt.groups))
-	status, probe, err := rt.readGroup(r.Context(), gi, http.MethodGet, "/entities/"+pathEscape(id), nil)
+	status, probe, err := rt.readGroup(r.Context(), gi, http.MethodGet, "/entities/"+url.PathEscape(id), nil)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		linkserver.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	if status != http.StatusOK {
@@ -186,42 +177,42 @@ func (rt *Router) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	links, err := rt.fanOutMatch(r.Context(), probe, k)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		linkserver.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	rt.m.queries.Add(1)
-	writeJSON(w, http.StatusOK, toMatchResponse(id, k, links))
+	linkserver.WriteJSON(w, http.StatusOK, linkserver.ToMatchResponse(id, k, links))
 }
 
 // handleMatchProbe answers POST /match?k=N with a probe entity in the
 // body, fanning it out to every partition group and merging the top-k.
 func (rt *Router) handleMatchProbe(w http.ResponseWriter, r *http.Request) {
-	k, err := rt.parseK(r)
+	k, err := linkserver.ParseK(r, rt.opts.DefaultK)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		linkserver.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	entities, err := decodeEntities(w, r)
+	entities, err := linkserver.DecodeEntities(w, r)
 	if err != nil {
-		writeDecodeError(w, err)
+		linkserver.WriteDecodeError(w, err)
 		return
 	}
 	if len(entities) != 1 {
-		writeError(w, http.StatusBadRequest, errors.New("POST /match takes exactly one entity"))
+		linkserver.WriteError(w, http.StatusBadRequest, errors.New("POST /match takes exactly one entity"))
 		return
 	}
 	probe, err := json.Marshal(entities[0])
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		linkserver.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	links, err := rt.fanOutMatch(r.Context(), probe, k)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		linkserver.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	rt.m.queries.Add(1)
-	writeJSON(w, http.StatusOK, toMatchResponse(entities[0].ID, k, links))
+	linkserver.WriteJSON(w, http.StatusOK, linkserver.ToMatchResponse(entities[0].ID, k, links))
 }
 
 // fanOutMatch POSTs the probe to every partition group concurrently
@@ -325,7 +316,7 @@ func (rt *Router) matchLeg(ctx context.Context, gi int, path string, probe []byt
 				rt.m.hedgeWins.Add(1)
 			}
 			rt.m.observeRead(a.replica)
-			rt.m.observeLeg(gi, time.Since(t0))
+			rt.m.legLatency[gi].Observe(time.Since(t0))
 			return a.links, nil
 		}
 	}
@@ -348,13 +339,7 @@ func (rt *Router) doMatch(ctx context.Context, url string, probe []byte) ([]matc
 	if status != http.StatusOK {
 		return nil, fmt.Errorf("status %d: %s", status, truncate(data))
 	}
-	var resp struct {
-		Query string `json:"query"`
-		Links []struct {
-			ID    string  `json:"id"`
-			Score float64 `json:"score"`
-		} `json:"links"`
-	}
+	var resp linkserver.MatchResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
 		return nil, err
 	}
@@ -424,10 +409,10 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if firstErr != "" {
 		resp["error"] = firstErr
-		writeJSON(w, http.StatusBadGateway, resp)
+		linkserver.WriteJSON(w, http.StatusBadGateway, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	linkserver.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMetrics exposes the router's counters: per-partition routed
@@ -438,11 +423,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s := rt.Metrics()
 	buckets := make(map[string]map[string]int64, len(rt.groups))
 	for gi := range rt.groups {
-		b := make(map[string]int64, len(legLatencyBuckets))
-		for i, lb := range legLatencyBuckets {
-			b[lb.label] = rt.m.legBuckets[gi][i].Load()
-		}
-		buckets["partition_"+strconv.Itoa(gi)] = b
+		buckets["partition_"+strconv.Itoa(gi)] = rt.m.legLatency[gi].Buckets()
 	}
 	groups := make([]map[string]any, len(rt.groups))
 	for gi, g := range rt.groups {
@@ -460,7 +441,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		groups[gi] = map[string]any{"leader": g.leader, "nodes": nodes}
 		g.mu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	linkserver.WriteJSON(w, http.StatusOK, map[string]any{
 		"partitions":          rt.Partitions(),
 		"max_lag":             rt.opts.MaxLag,
 		"hedge_after_ms":      float64(rt.opts.HedgeAfter.Microseconds()) / 1000,
@@ -480,111 +461,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// parseK mirrors genlinkd: absent means the router default, 0 is "every
-// link above the threshold", negative is a client error.
-func (rt *Router) parseK(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("k")
-	if raw == "" {
-		return rt.opts.DefaultK, nil
-	}
-	k, err := strconv.Atoi(raw)
-	if err != nil || k < 0 {
-		return 0, fmt.Errorf("invalid k %q (want 0 for all links, or a positive count)", raw)
-	}
-	return k, nil
-}
-
-// matchResponse mirrors the genlinkd match response shape so routed and
-// direct clients parse the same JSON.
-type matchResponse struct {
-	Query string          `json:"query"`
-	K     int             `json:"k"`
-	Links []matchLinkJSON `json:"links"`
-}
-
-type matchLinkJSON struct {
-	ID    string  `json:"id"`
-	Score float64 `json:"score"`
-}
-
-func toMatchResponse(query string, k int, links []matching.Link) matchResponse {
-	resp := matchResponse{Query: query, K: k, Links: make([]matchLinkJSON, 0, len(links))}
-	for _, l := range links {
-		resp.Links = append(resp.Links, matchLinkJSON{ID: l.BID, Score: l.Score})
-	}
-	return resp
-}
-
-// decodeEntities accepts `{...}` or `[{...}, ...]` bodies and validates
-// that every entity carries an id — the same contract as genlinkd's
-// ingest, applied before the batch is split so a malformed body is
-// rejected in one place instead of N.
-func decodeEntities(w http.ResponseWriter, r *http.Request) ([]*entity.Entity, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err != nil {
-		return nil, fmt.Errorf("read body: %w", err)
-	}
-	var entities []*entity.Entity
-	if first := firstNonSpace(body); first == '[' {
-		if err := json.Unmarshal(body, &entities); err != nil {
-			return nil, fmt.Errorf("invalid entity array: %w", err)
-		}
-	} else {
-		var e entity.Entity
-		if err := json.Unmarshal(body, &e); err != nil {
-			return nil, fmt.Errorf("invalid entity: %w", err)
-		}
-		entities = append(entities, &e)
-	}
-	for _, e := range entities {
-		if e == nil || e.ID == "" {
-			return nil, errors.New(`every entity needs a non-empty "id"`)
-		}
-	}
-	return entities, nil
-}
-
-func firstNonSpace(b []byte) byte {
-	for _, c := range b {
-		switch c {
-		case ' ', '\t', '\r', '\n':
-			continue
-		}
-		return c
-	}
-	return 0
-}
-
-func writeDecodeError(w http.ResponseWriter, err error) {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body exceeds the %d-byte limit", mbe.Limit))
-		return
-	}
-	writeError(w, http.StatusBadRequest, err)
-}
-
-// pathEscape escapes an entity ID for a path segment.
-func pathEscape(id string) string {
-	return url.PathEscape(id)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("linkrouter: write response: %v", err)
-	}
-}
-
 // writeRaw relays a backend response unchanged.
 func writeRaw(w http.ResponseWriter, status int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(data)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -23,11 +23,12 @@
 // the per-group winners with linkindex.MergeTopK — the per-shard
 // candidate-semantics contract of the sharded index is the cross-node
 // contract, so a quiescent router over N groups answers exactly like
-// one big index for partition-invariant blocking (pinned by the
-// differential tests in cmd/genlinkd). Slow fan-out legs are hedged: if
-// a leg has not answered within Options.HedgeAfter, the same request is
-// fired at another node of that group and the first answer wins, taming
-// the p99 a single slow or GC-pausing node would otherwise set.
+// one big index for partition-invariant blocking (pinned byte for byte
+// by the differential tests in internal/linkserver). Slow fan-out legs
+// are hedged: if a leg has not answered within Options.HedgeAfter, the
+// same request is fired at another node of that group and the first
+// answer wins, taming the p99 a single slow or GC-pausing node would
+// otherwise set.
 //
 // Membership and freshness come from polling each node's GET /metrics
 // (role, applied_seq, replica_lag_records); a node that stops answering
@@ -50,6 +51,7 @@ import (
 	"time"
 
 	"genlink/internal/linkindex"
+	"genlink/internal/linkserver"
 )
 
 // Options configures New.
@@ -184,23 +186,6 @@ func (g *group) markUnhealthy(addr string) {
 	g.state[addr] = st
 }
 
-// legLatencyBuckets defines the per-partition latency histogram of
-// proxied query legs: an upper bound (exclusive, in nanoseconds) with
-// its label, ascending, plus a final catch-all.
-var legLatencyBuckets = []struct {
-	boundNs int64
-	label   string
-}{
-	{500_000, "<0.5ms"},
-	{1_000_000, "<1ms"},
-	{5_000_000, "<5ms"},
-	{10_000_000, "<10ms"},
-	{50_000_000, "<50ms"},
-	{100_000_000, "<100ms"},
-	{1_000_000_000, "<1s"},
-	{0, "+inf"},
-}
-
 // routerMetrics is the router's counter set. Slices are indexed by
 // partition; all counters are monotonic.
 type routerMetrics struct {
@@ -212,21 +197,9 @@ type routerMetrics struct {
 	hedgeWins     atomic.Int64
 	replicaReads  atomic.Int64 // read legs answered by a replica
 	leaderReads   atomic.Int64
-	retargets     atomic.Int64     // leader-guess changes (403 redirect or failover)
-	legErrors     atomic.Int64     // fan-out legs that failed both primary and hedge
-	legBuckets    [][]atomic.Int64 // [partition][bucket]
-}
-
-func (m *routerMetrics) observeLeg(part int, d time.Duration) {
-	ns := d.Nanoseconds()
-	last := len(legLatencyBuckets) - 1
-	for i, b := range legLatencyBuckets[:last] {
-		if ns < b.boundNs {
-			m.legBuckets[part][i].Add(1)
-			return
-		}
-	}
-	m.legBuckets[part][last].Add(1)
+	retargets     atomic.Int64           // leader-guess changes (403 redirect or failover)
+	legErrors     atomic.Int64           // fan-out legs that failed both primary and hedge
+	legLatency    []linkserver.Histogram // proxied query legs, per partition
 }
 
 func (m *routerMetrics) observeRead(isReplica bool) {
@@ -326,10 +299,7 @@ func New(opts Options) (*Router, error) {
 	}
 	rt.m.routedWrites = make([]atomic.Int64, len(rt.groups))
 	rt.m.routedDeletes = make([]atomic.Int64, len(rt.groups))
-	rt.m.legBuckets = make([][]atomic.Int64, len(rt.groups))
-	for i := range rt.m.legBuckets {
-		rt.m.legBuckets[i] = make([]atomic.Int64, len(legLatencyBuckets))
-	}
+	rt.m.legLatency = make([]linkserver.Histogram, len(rt.groups))
 	rt.pollOnce()
 	go rt.pollLoop()
 	return rt, nil
@@ -415,32 +385,23 @@ func (rt *Router) pollOnce() {
 }
 
 // pollNode fetches one node's /metrics and extracts the replication
-// standing.
+// standing. The poll deadline is the tighter of 5s and the per-leg
+// RequestTimeout do applies.
 func (rt *Router) pollNode(addr string) (nodeState, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), min(rt.opts.RequestTimeout, 5*time.Second))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/metrics", nil)
+	status, data, err := rt.do(ctx, http.MethodGet, addr+"/metrics", nil)
 	if err != nil {
 		return nodeState{}, err
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
+	if status != http.StatusOK {
+		return nodeState{}, fmt.Errorf("linkrouter: %s/metrics: status %d", addr, status)
+	}
+	var m linkserver.NodeMetrics
+	if err := json.Unmarshal(data, &m); err != nil {
 		return nodeState{}, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nodeState{}, fmt.Errorf("linkrouter: %s/metrics: %s", addr, resp.Status)
-	}
-	var m struct {
-		Role       string `json:"role"`
-		AppliedSeq uint64 `json:"applied_seq"`
-		LagRecords uint64 `json:"replica_lag_records"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&m); err != nil {
-		return nodeState{}, err
-	}
-	return nodeState{role: m.Role, lag: m.LagRecords, appliedSeq: m.AppliedSeq, healthy: true}, nil
+	return nodeState{role: m.Role, lag: m.ReplicaLagRecords, appliedSeq: m.AppliedSeq, healthy: true}, nil
 }
 
 // do issues one proxied request with the router's per-leg deadline and
@@ -504,9 +465,7 @@ func (rt *Router) writeGroup(ctx context.Context, gi int, method, path string, b
 		case status == http.StatusForbidden:
 			// An unpromoted replica: its body names the leader. Retarget
 			// and try there next (in front of the remaining candidates).
-			var reject struct {
-				Leader string `json:"leader"`
-			}
+			var reject linkserver.ErrorBody
 			_ = json.Unmarshal(data, &reject)
 			lastErr = fmt.Errorf("linkrouter: %s is a read-only replica of %s", addr, reject.Leader)
 			if reject.Leader != "" {

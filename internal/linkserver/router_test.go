@@ -1,6 +1,7 @@
-package main
+package linkserver_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"genlink/internal/linkrouter"
+	"genlink/internal/linkserver"
 	"genlink/pkg/genlinkapi"
 )
 
@@ -52,7 +54,7 @@ func newRouterBackend(t *testing.T, shards int) (*httptest.Server, *genlinkapi.I
 	ix := genlinkapi.NewShardedIndex(serveRule(t), shards, genlinkapi.MatchOptions{
 		Blocker: genlinkapi.TokenBlocking(), MaxBlockSize: -1,
 	})
-	ts := httptest.NewServer(newServer(ix, 10).routes())
+	ts := httptest.NewServer(linkserver.New(linkserver.Config{Index: ix}).Handler())
 	t.Cleanup(ts.Close)
 	return ts, ix
 }
@@ -69,10 +71,31 @@ func newTestRouter(t *testing.T, opts linkrouter.Options) (*httptest.Server, *li
 	return ts, rt
 }
 
+// rawBody issues a request and returns the status and the exact response
+// bytes.
+func rawBody(t *testing.T, c *http.Client, method, url string, body []byte) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data
+}
+
 // TestRouterDifferentialVsSingleIndex pins the routing contract: a
 // quiescent router over {2,3} partition groups answers exactly like one
 // big ShardedIndex over the same corpus — same top-k links in the same
-// order (scores included) for GET /match and POST /match, the same
+// order (scores included) for GET /match and POST /match, and the same
+// response bytes as a single node serving that index; the same
 // entities from GET /entities/{id}, the same corpus size — under
 // token blocking with uncapped blocks, the partition-invariant
 // candidate semantics.
@@ -84,6 +107,8 @@ func TestRouterDifferentialVsSingleIndex(t *testing.T) {
 				Blocker: genlinkapi.TokenBlocking(), MaxBlockSize: -1,
 			})
 			big.Apply(genlinkapi.IndexBatch{Upserts: corpus})
+			single := httptest.NewServer(linkserver.New(linkserver.Config{Index: big}).Handler())
+			t.Cleanup(single.Close)
 
 			var groups [][]string
 			for i := 0; i < parts; i++ {
@@ -138,9 +163,17 @@ func TestRouterDifferentialVsSingleIndex(t *testing.T) {
 					if !ok {
 						t.Fatalf("big index lost %s", e.ID)
 					}
-					var got matchResponse
-					if code := doJSON(t, c, "GET", fmt.Sprintf("%s/match?id=%s&k=%d", rts.URL, e.ID, k), nil, &got); code != 200 {
-						t.Fatalf("routed GET /match id=%s = %d", e.ID, code)
+					path := fmt.Sprintf("/match?id=%s&k=%d", e.ID, k)
+					code, routed := rawBody(t, c, "GET", rts.URL+path, nil)
+					if code != 200 {
+						t.Fatalf("routed GET %s = %d", path, code)
+					}
+					if _, direct := rawBody(t, c, "GET", single.URL+path, nil); !bytes.Equal(routed, direct) {
+						t.Fatalf("GET %s: router and single node answer different bytes\nrouter: %s\nsingle: %s", path, routed, direct)
+					}
+					var got linkserver.MatchResponse
+					if err := json.Unmarshal(routed, &got); err != nil {
+						t.Fatal(err)
 					}
 					if len(got.Links) != len(want) {
 						t.Fatalf("id=%s k=%d: router %d links, big index %d\nrouter: %+v\nbig: %+v",
@@ -159,9 +192,16 @@ func TestRouterDifferentialVsSingleIndex(t *testing.T) {
 			probe := routerCorpusEntity("probe-fresh", "item 07x", "the quick brown fox 7")
 			want := big.Query(probe, 10)
 			body, _ := json.Marshal(probe)
-			var got matchResponse
-			if code := doJSON(t, c, "POST", rts.URL+"/match?k=10", body, &got); code != 200 {
+			code, routed := rawBody(t, c, "POST", rts.URL+"/match?k=10", body)
+			if code != 200 {
 				t.Fatalf("routed POST /match = %d", code)
+			}
+			if _, direct := rawBody(t, c, "POST", single.URL+"/match?k=10", body); !bytes.Equal(routed, direct) {
+				t.Fatalf("POST /match: router and single node answer different bytes\nrouter: %s\nsingle: %s", routed, direct)
+			}
+			var got linkserver.MatchResponse
+			if err := json.Unmarshal(routed, &got); err != nil {
+				t.Fatal(err)
 			}
 			if len(got.Links) != len(want) {
 				t.Fatalf("probe: router %d links, big index %d", len(got.Links), len(want))
@@ -369,8 +409,7 @@ func TestRouterHedgedQuery(t *testing.T) {
 		Blocker: genlinkapi.TokenBlocking(), MaxBlockSize: -1,
 	})
 	ix.Apply(genlinkapi.IndexBatch{Upserts: routerTestCorpus()})
-	srv := newServer(ix, 10)
-	real := srv.routes()
+	real := linkserver.New(linkserver.Config{Index: ix}).Handler()
 	fast := httptest.NewServer(real)
 	t.Cleanup(fast.Close)
 
@@ -381,7 +420,7 @@ func TestRouterHedgedQuery(t *testing.T) {
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.URL.Path == "/metrics":
-			writeJSON(w, http.StatusOK, map[string]any{
+			linkserver.WriteJSON(w, http.StatusOK, map[string]any{
 				"role": "follower", "applied_seq": 60, "replica_lag_records": 0,
 			})
 		case r.URL.Path == "/match":
@@ -405,7 +444,7 @@ func TestRouterHedgedQuery(t *testing.T) {
 	want := ix.Query(probe, 10)
 	body, _ := json.Marshal(probe)
 	t0 := time.Now()
-	var got matchResponse
+	var got linkserver.MatchResponse
 	if code := doJSON(t, c, "POST", rts.URL+"/match?k=10", body, &got); code != 200 {
 		t.Fatalf("hedged POST /match = %d", code)
 	}

@@ -1,4 +1,4 @@
-package main
+package linkserver_test
 
 import (
 	"bytes"
@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"genlink/internal/linkserver"
 	"genlink/pkg/genlinkapi"
 )
 
@@ -47,7 +48,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *genlinkapi.Index) {
 	ix := genlinkapi.NewShardedIndex(serveRule(t), 4, genlinkapi.MatchOptions{
 		Blocker: genlinkapi.MultiPass(),
 	})
-	ts := httptest.NewServer(newServer(ix, 10).routes())
+	ts := httptest.NewServer(linkserver.New(linkserver.Config{Index: ix}).Handler())
 	t.Cleanup(ts.Close)
 	return ts, ix
 }
@@ -120,7 +121,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	// Match a stored entity.
-	var match matchResponse
+	var match linkserver.MatchResponse
 	if code := doJSON(t, c, "GET", ts.URL+"/match?id=a&k=5", nil, &match); code != 200 {
 		t.Fatalf("GET /match = %d", code)
 	}
@@ -191,17 +192,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("POST /match = %d", code)
 	}
 
-	var m struct {
-		Entities      int              `json:"entities"`
-		Shards        int              `json:"shards"`
-		ShardEntities []int            `json:"shard_entities"`
-		Keys          int              `json:"keys"`
-		Queries       int64            `json:"queries"`
-		Writes        int64            `json:"writes"`
-		Deletes       int64            `json:"deletes"`
-		Snapshots     int64            `json:"snapshots"`
-		Buckets       map[string]int64 `json:"query_latency_buckets"`
-	}
+	var m linkserver.NodeMetrics
 	if code := doJSON(t, c, "GET", ts.URL+"/metrics", nil, &m); code != 200 {
 		t.Fatalf("GET /metrics = %d", code)
 	}
@@ -222,11 +213,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal("metrics keys = 0, want > 0")
 	}
 	var bucketTotal int64
-	for _, n := range m.Buckets {
+	for _, n := range m.QueryLatencyBuckets {
 		bucketTotal += n
 	}
 	if bucketTotal != m.Queries {
-		t.Fatalf("latency buckets %v sum to %d, want %d queries", m.Buckets, bucketTotal, m.Queries)
+		t.Fatalf("latency buckets %v sum to %d, want %d queries", m.QueryLatencyBuckets, bucketTotal, m.Queries)
 	}
 }
 
@@ -307,21 +298,21 @@ func TestSnapshotEndpointAndRestore(t *testing.T) {
 }
 
 // TestSnapshotWithoutPath pins the 409 on servers running without
-// -wal-dir, and that shutdownPersist (the graceful-shutdown hook) is a
+// -wal-dir, and that Shutdown (the graceful-shutdown hook) is a
 // no-op rather than an error there.
 func TestSnapshotWithoutPath(t *testing.T) {
 	ts, ix := newTestServer(t)
 	if code := doJSON(t, ts.Client(), "POST", ts.URL+"/snapshot", nil, nil); code != http.StatusConflict {
 		t.Fatalf("POST /snapshot without -wal-dir = %d, want 409", code)
 	}
-	if err := newServer(ix, 10).shutdownPersist(); err != nil {
-		t.Fatalf("shutdownPersist without -wal-dir = %v, want nil", err)
+	if err := linkserver.New(linkserver.Config{Index: ix}).Shutdown(); err != nil {
+		t.Fatalf("Shutdown without -wal-dir = %v, want nil", err)
 	}
 }
 
 // TestShutdownFlushesSnapshot drives the graceful-shutdown sequence the
 // signal handler runs on a -wal-dir server — drain the HTTP server, then
-// shutdownPersist — and checks the final state is recoverable from the
+// Shutdown — and checks the final state is recoverable from the
 // final snapshot alone, with an empty replay tail.
 func TestShutdownFlushesSnapshot(t *testing.T) {
 	dir := t.TempDir()
@@ -332,9 +323,8 @@ func TestShutdownFlushesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(dix.Index(), 10)
-	srv.dix = dix
-	hs := &http.Server{Handler: srv.routes()}
+	srv := linkserver.New(linkserver.Config{Index: dix.Index(), Durable: dix})
+	hs := &http.Server{Handler: srv.Handler()}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -352,8 +342,8 @@ func TestShutdownFlushesSnapshot(t *testing.T) {
 	if err := hs.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if err := srv.shutdownPersist(); err != nil {
-		t.Fatalf("shutdownPersist: %v", err)
+	if err := srv.Shutdown(); err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 	reopened, stats, err := genlinkapi.OpenDurableIndex(dir, nil, opts)
 	if err != nil {
@@ -377,7 +367,7 @@ func TestShutdownFlushesSnapshot(t *testing.T) {
 // (no stale pairs survive).
 func TestServerConcurrentQueriesDuringUpdates(t *testing.T) {
 	ix := genlinkapi.NewShardedIndex(serveRule(t), 4, genlinkapi.MatchOptions{Blocker: genlinkapi.MultiPass()})
-	ts := httptest.NewServer(newServer(ix, 10).routes())
+	ts := httptest.NewServer(linkserver.New(linkserver.Config{Index: ix}).Handler())
 	t.Cleanup(ts.Close)
 	c := ts.Client()
 
@@ -423,7 +413,7 @@ func TestServerConcurrentQueriesDuringUpdates(t *testing.T) {
 			defer readers.Done()
 			rng := rand.New(rand.NewSource(int64(100 + r)))
 			for i := 0; i < 120; i++ {
-				var match matchResponse
+				var match linkserver.MatchResponse
 				var code int
 				if rng.Float64() < 0.5 {
 					id := fmt.Sprintf("s%d", rng.Intn(3*perWriter))
@@ -498,7 +488,7 @@ func TestServerConcurrentQueriesDuringUpdates(t *testing.T) {
 	}
 	r := serveRule(t)
 	for _, id := range ids {
-		var match matchResponse
+		var match linkserver.MatchResponse
 		if code := doJSON(t, c, "GET", fmt.Sprintf("%s/match?id=%s&k=0", ts.URL, id), nil, &match); code != 200 {
 			t.Fatalf("final GET /match?id=%s = %d", id, code)
 		}
@@ -536,9 +526,8 @@ func newDurableTestServer(t *testing.T, dir string, opts genlinkapi.DurableIndex
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(dix.Index(), 10)
-	srv.dix = dix
-	ts := httptest.NewServer(srv.routes())
+	srv := linkserver.New(linkserver.Config{Index: dix.Index(), Durable: dix})
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, dix
 }
@@ -653,12 +642,12 @@ func TestDurableServerCrashRecovery(t *testing.T) {
 	if m["wal_records"].(float64) != 3 || m["wal_snapshot_seq"].(float64) != 2 {
 		t.Fatalf("metrics = wal_records %v, wal_snapshot_seq %v; want 3 and 2", m["wal_records"], m["wal_snapshot_seq"])
 	}
-	var wantMatch matchResponse
+	var wantMatch linkserver.MatchResponse
 	if code := doJSON(t, c, "GET", ts.URL+"/match?id=a&k=5", nil, &wantMatch); code != 200 {
 		t.Fatalf("GET /match = %d", code)
 	}
 
-	// Crash: no shutdownPersist, no final snapshot.
+	// Crash: no Shutdown, no final snapshot.
 	ts.Close()
 	if err := dix.Close(); err != nil {
 		t.Fatal(err)
@@ -672,7 +661,7 @@ func TestDurableServerCrashRecovery(t *testing.T) {
 	if stats["entities"].(float64) != 4 {
 		t.Fatalf("recovered stats = %v, want 4 entities (a,b,c,e)", stats)
 	}
-	var gotMatch matchResponse
+	var gotMatch linkserver.MatchResponse
 	if code := doJSON(t, c, "GET", ts2.URL+"/match?id=a&k=5", nil, &gotMatch); code != 200 {
 		t.Fatalf("recovered GET /match = %d", code)
 	}
@@ -817,7 +806,7 @@ func TestBackfillWithoutWALDir(t *testing.T) {
 
 // newFollowerTestServer opens a follower of leaderURL over dir and
 // serves it the way main's -follow branch does.
-func newFollowerTestServer(t *testing.T, leaderURL, dir string) (*httptest.Server, *genlinkapi.Follower, *server) {
+func newFollowerTestServer(t *testing.T, leaderURL, dir string) (*httptest.Server, *genlinkapi.Follower, *linkserver.Server) {
 	t.Helper()
 	fol, err := genlinkapi.OpenFollower(genlinkapi.FollowerOptions{
 		Leader:         leaderURL,
@@ -828,10 +817,8 @@ func newFollowerTestServer(t *testing.T, leaderURL, dir string) (*httptest.Serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(fol.Index(), 10)
-	srv.dix = fol.Durable()
-	srv.fol = fol
-	ts := httptest.NewServer(srv.routes())
+	srv := linkserver.New(linkserver.Config{Index: fol.Index(), Durable: fol.Durable(), Follower: fol})
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, fol, srv
 }
@@ -876,7 +863,7 @@ func TestReplicaServer(t *testing.T) {
 	if code := doJSON(t, c, "GET", folTS.URL+"/entities/a", nil, &got); code != 200 || got["id"] != "a" {
 		t.Fatalf("replica GET /entities/a = %d %v", code, got)
 	}
-	var wantMatch, gotMatch matchResponse
+	var wantMatch, gotMatch linkserver.MatchResponse
 	if code := doJSON(t, c, "GET", leaderTS.URL+"/match?id=a&k=5", nil, &wantMatch); code != 200 {
 		t.Fatalf("leader GET /match = %d", code)
 	}
@@ -973,8 +960,8 @@ func TestFollowerShutdownOrdering(t *testing.T) {
 
 	// The signal handler's persistence sequence: stop tailing, then the
 	// final snapshot.
-	if err := srv.shutdownPersist(); err != nil {
-		t.Fatalf("shutdownPersist: %v", err)
+	if err := srv.Shutdown(); err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 	if err := fol.Durable().Close(); err != nil {
 		t.Fatal(err)
