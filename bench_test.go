@@ -267,34 +267,6 @@ func BenchmarkAblationMatchParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEvalEngine runs the learner with the compiled
-// memoizing evaluation engine versus the interpreted tree-walk — the
-// learner-level view of the engine speedup (BenchmarkFitnessEvaluation
-// in internal/evalengine measures the isolated fitness pass on
-// full-size reference links).
-func BenchmarkAblationEvalEngine(b *testing.B) {
-	ds := experiments.Dataset("Cora", 1)
-	for _, mode := range []struct {
-		name string
-		off  bool
-	}{
-		{"engine", false},
-		{"treewalk", true},
-	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			scale := benchScale()
-			scale.EngineOff = mode.off
-			var final experiments.CurveRow
-			for i := 0; i < b.N; i++ {
-				res := experiments.LearningCurve(ds, scale)
-				final = res.Rows[len(res.Rows)-1]
-			}
-			b.ReportMetric(final.ValF1, "valF1")
-		})
-	}
-}
-
 func BenchmarkAblationParallel(b *testing.B) {
 	ds := experiments.Dataset("Cora", 1)
 	for _, workers := range []int{1, 4} {

@@ -33,7 +33,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 		runs    = flag.Int("runs", 0, "override the number of cross-validation runs")
 		dataset = flag.String("dataset", "", "restrict the blocking ablation to one dataset")
-		engine  = flag.Bool("engine", true, "evaluate fitness through the compiled engine (false = interpreted tree-walk)")
 	)
 	flag.Parse()
 
@@ -42,7 +41,6 @@ func main() {
 		scale = experiments.Paper()
 	}
 	scale.Seed = *seed
-	scale.EngineOff = !*engine
 	if *runs > 0 {
 		scale.Runs = *runs
 	}

@@ -44,7 +44,6 @@ func main() {
 		execute    = flag.Bool("execute", false, "execute the learned rule over the full sources and print links")
 		blocker    = flag.String("blocker", "token", "blocking strategy for -execute: token, sortedneighborhood, qgram or multipass")
 		workers    = flag.Int("workers", 0, "parallel match workers for -execute (0 = GOMAXPROCS)")
-		engine     = flag.Bool("engine", true, "evaluate fitness through the compiled engine (false = interpreted tree-walk)")
 		distCache  = flag.Int("engine-dist-cache", 0, "max cached distance vectors (0 = default, negative = unlimited)")
 		valueCache = flag.Int("engine-value-cache", 0, "max cached value-set columns (0 = default, negative = unlimited)")
 	)
@@ -82,7 +81,6 @@ func main() {
 	cfg.PopulationSize = *population
 	cfg.MaxIterations = *iterations
 	cfg.Engine = genlinkapi.EngineOptions{
-		Disabled:        !*engine,
 		MaxDistEntries:  *distCache,
 		MaxValueEntries: *valueCache,
 	}

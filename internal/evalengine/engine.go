@@ -51,9 +51,11 @@ type Counts struct {
 
 // Options tunes an Engine.
 type Options struct {
-	// Disabled switches the engine off: evaluation falls back to the
-	// interpreted tree-walk (parallelized over rules). Useful for
-	// differential testing and for measuring the engine's speedup.
+	// Disabled is the switch the engine ≡ tree-walk differentials flip
+	// (TestEngineDisabledEqualsEnabled, the learner-level identity test,
+	// BenchmarkFitnessEvaluation's baseline): evaluation falls back to
+	// the interpreted tree-walk, parallelized over rules. It is not a
+	// tuning option — no binary or flag sets it.
 	Disabled bool
 	// Workers bounds evaluation parallelism (≤0 means GOMAXPROCS).
 	Workers int

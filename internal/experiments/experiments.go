@@ -38,9 +38,6 @@ type Scale struct {
 	MaxRefLinks int
 	// Workers bounds fitness parallelism (0 = GOMAXPROCS).
 	Workers int
-	// EngineOff disables the compiled evaluation engine, falling back to
-	// the interpreted tree-walk — the baseline of the engine ablation.
-	EngineOff bool
 	// Seed drives everything.
 	Seed int64
 }
@@ -75,7 +72,6 @@ func (s Scale) learnerConfig(run int) genlink.Config {
 	cfg.PopulationSize = s.PopulationSize
 	cfg.MaxIterations = s.MaxIterations
 	cfg.Workers = s.Workers
-	cfg.Engine.Disabled = s.EngineOff
 	cfg.Seed = s.Seed + int64(run)*104729
 	return cfg
 }

@@ -34,6 +34,15 @@ type BlockIndex interface {
 	// probe, excluding the probe's own record. maxBlock > 0 caps key-block
 	// sizes (stop-token suppression); ≤ 0 means unlimited.
 	Candidates(probe *entity.Entity, maxBlock int) []*entity.Entity
+	// Each enumerates Candidates(probe, maxBlock) without materializing
+	// it: yield is called once per candidate, in unspecified order, until
+	// it returns false; Each reports whether it ran to completion. IDs
+	// already in seen are skipped and every yielded ID is recorded in it,
+	// so a caller passing one (initially empty) set to several indexes
+	// gets their deduplicated union. Like the other methods it is not
+	// synchronized: it runs to completion under the caller's lock, and
+	// yield must not write to the index.
+	Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool
 	// Len returns the number of indexed entities.
 	Len() int
 	// Keys returns the number of key entries held (diagnostic: tokens,

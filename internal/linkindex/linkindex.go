@@ -76,9 +76,9 @@ type Stats struct {
 	Shards int
 	// ShardEntities is the per-shard corpus size, in shard order.
 	ShardEntities []int
-	// StreamEarlyExits counts per-shard queries answered without opening
-	// the candidate stream: the probe's attainable-score bound was below
-	// the threshold.
+	// StreamEarlyExits counts per-shard queries answered without
+	// enumerating a candidate: the probe's attainable-score bound was
+	// below the threshold.
 	StreamEarlyExits int64
 }
 

@@ -75,8 +75,8 @@ type ShardedIndex struct {
 	opts     matching.Options
 	shards   []*shard
 	count    atomic.Int64 // total entities across shards
-	// streamEarlyExits counts per-shard queries answered without opening
-	// the candidate stream (probe bound below threshold).
+	// streamEarlyExits counts per-shard queries answered without
+	// enumerating a candidate (probe bound below threshold).
 	streamEarlyExits atomic.Int64
 }
 
@@ -590,17 +590,18 @@ func (sh *shard) query(probe *entity.Entity, k, maxBlockCfg int, threshold float
 	return sh.queryLocked(probe, k, maxBlockCfg, threshold)
 }
 
-// queryLocked is query with the shard lock already held: the shard
-// scores straight off the candidate pull iterator (stream.go) and applies
-// the compiled rule's pushdown prefilter per candidate. The one early
-// exit is before the stream opens (probe bound < threshold); none can
-// exist inside the loop, because the heap floor is a Score and Score ≤
-// Bound ≤ ProbeBound (TestMetamorphicPrefilterSoundness). Results are
-// exactly those of scoring every materialized candidate (Candidates):
-// every skip condition is strict (bound < threshold, bound < floor), so
-// only candidates the threshold or the heap would reject anyway are
-// skipped — and the per-shard top-k set is enumeration-order independent
-// because (score, BID) is a total order.
+// queryLocked is query with the shard lock already held: the block index
+// pushes each candidate (BlockIndex.Each, stream.go) into the prefilter →
+// score → heap body below, which applies the compiled rule's pushdown
+// prefilter per candidate. The one early exit is before the enumeration
+// starts (probe bound < threshold); none can exist inside it, because
+// the heap floor is a Score and Score ≤ Bound ≤ ProbeBound
+// (TestMetamorphicPrefilterSoundness). Results are exactly those of
+// scoring every materialized candidate (Candidates): every skip
+// condition is strict (bound < threshold, bound < floor), so only
+// candidates the threshold or the heap would reject anyway are skipped —
+// and the per-shard top-k set is enumeration-order independent because
+// (score, BID) is a total order.
 func (sh *shard) queryLocked(probe *entity.Entity, k, maxBlockCfg int, threshold float64) []matching.Link {
 	if sh.entities[probe.ID] != probe {
 		// External probe (for this shard): cache its value sets only for
@@ -613,46 +614,36 @@ func (sh *shard) queryLocked(probe *entity.Entity, k, maxBlockCfg int, threshold
 	// Upper bound over every possible candidate: a probe whose value
 	// sets already cap the score below the threshold (e.g. missing
 	// the properties of high-weight comparisons) answers without
-	// opening the stream at all.
+	// enumerating a single candidate.
 	if hasPF && sh.scorer.ProbeBound(probe) < threshold {
 		sh.earlyExits.Add(1)
 		return nil
 	}
-	st := streamCandidates(sh.blocks, probe, sh.effectiveMaxBlock(probe, maxBlockCfg))
-	defer st.Close()
-	if k > 0 {
-		h := newTopK(k, min(k, 16))
-		for {
-			cand, ok := st.Next()
-			if !ok {
-				break
+	seen := seenPool.Get().(map[string]struct{})
+	defer func() {
+		clear(seen)
+		seenPool.Put(seen)
+	}()
+	// k > 0 keeps the best k in a bounded heap; k ≤ 0 keeps every link.
+	h := newTopK(k, min(max(k, 0), 16))
+	sh.blocks.Each(probe, sh.effectiveMaxBlock(probe, maxBlockCfg), seen, func(cand *entity.Entity) bool {
+		if hasPF {
+			bound := sh.scorer.Bound(probe, cand)
+			if bound < threshold || (k > 0 && len(h.links) == k && bound < h.links[0].Score) {
+				return true
 			}
-			if hasPF {
-				bound := sh.scorer.Bound(probe, cand)
-				if bound < threshold || (len(h.links) == h.k && bound < h.links[0].Score) {
-					continue
-				}
-			}
-			if score := sh.scorer.Score(probe, cand); score >= threshold {
-				h.push(matching.Link{AID: probe.ID, BID: cand.ID, Score: score})
-			}
-		}
-		return h.links
-	}
-	var links []matching.Link
-	for {
-		cand, ok := st.Next()
-		if !ok {
-			break
-		}
-		if hasPF && sh.scorer.Bound(probe, cand) < threshold {
-			continue
 		}
 		if score := sh.scorer.Score(probe, cand); score >= threshold {
-			links = append(links, matching.Link{AID: probe.ID, BID: cand.ID, Score: score})
+			l := matching.Link{AID: probe.ID, BID: cand.ID, Score: score}
+			if k > 0 {
+				h.push(l)
+			} else {
+				h.links = append(h.links, l)
+			}
 		}
-	}
-	return links
+		return true
+	})
+	return h.links
 }
 
 // sortLinks orders links by descending score, then ascending candidate

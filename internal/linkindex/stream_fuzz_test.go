@@ -9,14 +9,17 @@ import (
 	"genlink/internal/matching"
 )
 
-// FuzzCandidateStream drives the candidate-stream cursor contract with a
-// mutated op script: random corpus writes interleaved with opening,
-// partially consuming, and early-closing streams — including resuming a
-// stream after the corpus changed under it (legal only outside the
-// Index's locking, which is exactly what raw BlockIndex access is). The
-// invariants: never panic, a stream never yields the same candidate ID
-// twice, Next after Close yields nothing, and once writes quiesce a
-// fresh stream yields exactly the materialized Candidates set.
+// FuzzCandidateStream drives the BlockIndex.Each contract with a mutated
+// op script: random corpus writes interleaved with enumerations whose
+// yield returns false after a budget of n candidates. The invariants:
+// never panic, one enumeration never yields the same candidate ID twice,
+// nothing is yielded after yield returned false, the completion flag is
+// false exactly when yield returned false (eachIDs checks those three),
+// a stopped enumeration yields min(n, |Candidates|) members of
+// Candidates, and a full one yields exactly the materialized Candidates
+// set, which is the batch blocker's. The former "resume a cursor after
+// the corpus changed under it" schedule is gone with the cursor: Each
+// runs to completion inside one call, so no state outlives a write.
 func FuzzCandidateStream(f *testing.F) {
 	f.Add([]byte{0, 7, 13, 2, 19, 3, 22, 4, 9, 5, 1, 3, 17}, uint8(0), uint8(1))
 	f.Add([]byte{6, 6, 6, 3, 2, 4, 4, 4, 0, 3, 4, 5, 4}, uint8(3), uint8(2))
@@ -27,41 +30,34 @@ func FuzzCandidateStream(f *testing.F) {
 			matching.QGramBlocking(2),
 			matching.SortedNeighborhood(3),
 			matching.MultiPass(matching.TokenBlocking(), matching.SortedNeighborhood(3), matching.QGramBlocking(0)),
+			opaqueBlocker{matching.TokenBlocking()},
 		}
 		bl := strategies[int(stratSel)%len(strategies)]
 		maxBlock := []int{-1, 0, 2, 5}[int(capSel)%4]
 		bi := linkindex.NewBlockIndex(bl)
-		cs, ok := bi.(linkindex.CandidateStreamer)
-		if !ok {
-			t.Fatalf("%T: every built-in strategy must stream", bi)
-		}
-
-		// openStream tracks one live cursor and every ID it has yielded.
-		type openStream struct {
-			st      linkindex.CandidateStream
-			yielded map[string]struct{}
-			closed  bool
-		}
 		survivors := make(map[string]*entity.Entity)
-		var streams []*openStream
 
-		advance := func(s *openStream, steps int) {
-			for j := 0; j < steps; j++ {
-				e, ok := s.st.Next()
-				if !ok {
-					if s.closed {
-						return
-					}
-					return
-				}
-				if s.closed {
-					t.Fatalf("stream yielded %s after Close", e.ID)
-				}
-				if _, dup := s.yielded[e.ID]; dup {
-					t.Fatalf("stream yielded duplicate candidate %s", e.ID)
-				}
-				s.yielded[e.ID] = struct{}{}
+		// enumerate checks one Each against Candidates; budget < 0 runs it
+		// to completion.
+		enumerate := func(probe *entity.Entity, budget int) []string {
+			want := idsOf(bi.Candidates(probe, maxBlock))
+			got := eachIDs(t, bi, probe, maxBlock, budget)
+			if budget < 0 || budget > len(want) {
+				budget = len(want)
 			}
+			if len(got) != budget {
+				t.Fatalf("probe %s: %d candidates enumerated, want %d of %v", probe.ID, len(got), budget, want)
+			}
+			in := make(map[string]struct{}, len(want))
+			for _, id := range want {
+				in[id] = struct{}{}
+			}
+			for _, id := range got {
+				if _, ok := in[id]; !ok {
+					t.Fatalf("probe %s: enumerated %s, not among the materialized %v", probe.ID, id, want)
+				}
+			}
+			return got
 		}
 
 		if len(script) > 300 {
@@ -88,47 +84,29 @@ func FuzzCandidateStream(f *testing.F) {
 					bi.Remove(old)
 					delete(survivors, id)
 				}
-			case 3: // open a stream (indexed or external probe)
+			default: // enumerate (indexed or external probe): 3 in full, 4 and 5 stopped early
 				probe := fuzzStreamEntity(id, arg)
 				if e, ok := survivors[id]; ok && arg%2 == 0 {
 					probe = e
 				}
-				streams = append(streams, &openStream{
-					st:      cs.StreamCandidates(probe, maxBlock),
-					yielded: make(map[string]struct{}),
-				})
-			case 4: // advance a stream a few steps
-				if len(streams) > 0 {
-					advance(streams[int(arg)%len(streams)], 1+int(arg)%4)
+				budget := -1
+				if op%6 != 3 {
+					budget = 1 + int(arg)%4
 				}
-			case 5: // close a stream early
-				if len(streams) > 0 {
-					s := streams[int(arg)%len(streams)]
-					s.st.Close()
-					s.closed = true
-				}
+				enumerate(probe, budget)
 			}
 		}
-		// Drain every leftover cursor against the final corpus: still no
-		// panics, no duplicates, nothing after Close.
-		for _, s := range streams {
-			advance(s, 1<<20)
-			s.st.Close()
-			s.closed = true
-			advance(s, 4)
-		}
-		// Quiescent re-run: with no writes in flight, a fresh stream is
-		// exactly the materialized batch set.
+		// Final corpus: a full enumeration is the materialized set (checked
+		// by enumerate) and the independent batch blocker's.
 		probes := make([]*entity.Entity, 0, len(survivors)+1)
 		for _, e := range survivors {
 			probes = append(probes, e)
 		}
 		probes = append(probes, fuzzStreamEntity("external", 5))
 		for _, probe := range probes {
-			want := idsOf(bi.Candidates(probe, maxBlock))
-			got := drainStream(t, cs.StreamCandidates(probe, maxBlock))
-			if !equalIDs(got, want) {
-				t.Fatalf("probe %s: quiescent stream %v != materialized %v", probe.ID, got, want)
+			got := enumerate(probe, -1)
+			if want := batchCandidates(bl, probe, survivors, batchCap(maxBlock)); !equalIDs(got, want) {
+				t.Fatalf("probe %s: enumerated %v != batch blocker %v", probe.ID, got, want)
 			}
 		}
 	})

@@ -80,7 +80,7 @@ type NodeMetrics struct {
 	ShardEntities       []int            `json:"shard_entities"`
 	Shards              int              `json:"shards"`
 	Snapshots           int64            `json:"snapshots"`
-	StreamEarlyExits    int64            `json:"stream_early_exits"` // per-shard queries answered without opening the candidate stream
+	StreamEarlyExits    int64            `json:"stream_early_exits"` // per-shard queries answered without enumerating a candidate
 	WALRecords          uint64           `json:"wal_records"`
 	WALSegments         int              `json:"wal_segments"`
 	WALSnapshotSeq      uint64           `json:"wal_snapshot_seq"`

@@ -16,7 +16,7 @@ import (
 // has MaxBlockSize *others* and must be admitted — the old per-path cap
 // checks compared the raw block length and skipped it. Every
 // candidate-generation path (batch blockers, streaming batch
-// enumerators, the incremental indexes and their candidate streams) must
+// enumerators, the incremental indexes' Candidates and Each) must
 // pick the same survivors on both sides of the boundary.
 func TestCapPolicySharedSurvivors(t *testing.T) {
 	t.Run("CapAllows", func(t *testing.T) {
@@ -122,15 +122,11 @@ func TestCapPolicySharedSurvivors(t *testing.T) {
 			if got := candidateIDs(bi.Candidates(external, cap)); len(got) != 0 {
 				t.Fatalf("incremental index: external probe admitted cap+1 others: %v", got)
 			}
-			cs, ok := bi.(linkindex.CandidateStreamer)
-			if !ok {
-				t.Fatalf("%T must stream", bi)
+			if got := eachIDs(bi, members[0], cap); !equalIDSlices(got, wantCands) {
+				t.Fatalf("candidate enumeration: probe's boundary block skipped, got %v want %v", got, wantCands)
 			}
-			if got := streamIDs(cs.StreamCandidates(members[0], cap)); !equalIDSlices(got, wantCands) {
-				t.Fatalf("candidate stream: probe's boundary block skipped, got %v want %v", got, wantCands)
-			}
-			if got := streamIDs(cs.StreamCandidates(external, cap)); len(got) != 0 {
-				t.Fatalf("candidate stream: external probe admitted cap+1 others: %v", got)
+			if got := eachIDs(bi, external, cap); len(got) != 0 {
+				t.Fatalf("candidate enumeration: external probe admitted cap+1 others: %v", got)
 			}
 
 			// One notch tighter: the probe's own block now has cap+1
@@ -146,8 +142,8 @@ func TestCapPolicySharedSurvivors(t *testing.T) {
 			if got := candidateIDs(bi.Candidates(members[0], tight)); len(got) != 0 {
 				t.Fatalf("tightened cap: incremental index still admitted %v", got)
 			}
-			if got := streamIDs(cs.StreamCandidates(members[0], tight)); len(got) != 0 {
-				t.Fatalf("tightened cap: candidate stream still admitted %v", got)
+			if got := eachIDs(bi, members[0], tight); len(got) != 0 {
+				t.Fatalf("tightened cap: candidate enumeration still admitted %v", got)
 			}
 		})
 	}
@@ -190,17 +186,14 @@ func candidateIDs(es []*entity.Entity) []string {
 	return out
 }
 
-func streamIDs(st linkindex.CandidateStream) []string {
-	defer st.Close()
+func eachIDs(bi linkindex.BlockIndex, probe *entity.Entity, maxBlock int) []string {
 	var out []string
-	for {
-		e, ok := st.Next()
-		if !ok {
-			sort.Strings(out)
-			return out
-		}
+	bi.Each(probe, maxBlock, make(map[string]struct{}), func(e *entity.Entity) bool {
 		out = append(out, e.ID)
-	}
+		return true
+	})
+	sort.Strings(out)
+	return out
 }
 
 func equalIDSlices(a, b []string) bool {

@@ -35,15 +35,17 @@ type pairStreamer interface {
 func newPairStreamer(bl Blocker, a, b *entity.Source, opts Options) pairStreamer {
 	switch blk := bl.(type) {
 	case TokenBlocker:
-		return &tokenStreamer{idx: BuildIndex(b), maxBlock: opts.MaxBlockSize}
+		return &keyedStreamer{byKey: BuildIndex(b).byToken, keys: Tokens, maxBlock: opts.MaxBlockSize}
 	case QGramBlocker:
+		q := blk.q()
+		keys := func(e *entity.Entity) []string { return QGramKeys(e, q) }
 		byGram := make(map[string][]*entity.Entity)
 		for _, eb := range b.Entities {
-			for _, gram := range QGramKeys(eb, blk.q()) {
+			for _, gram := range keys(eb) {
 				byGram[gram] = append(byGram[gram], eb)
 			}
 		}
-		return &qgramStreamer{byGram: byGram, q: blk.q(), maxBlock: opts.MaxBlockSize}
+		return &keyedStreamer{byKey: byGram, keys: keys, maxBlock: opts.MaxBlockSize}
 	case SortedNeighborhoodBlocker:
 		return newSNStreamer(blk, a, b)
 	case MultiPassBlocker:
@@ -118,43 +120,19 @@ func streamChunk(scorer *evalengine.Scorer, ps pairStreamer, chunk []*entity.Ent
 // ---------------------------------------------------------------------------
 // Per-strategy streamers
 
-// tokenStreamer probes the batch inverted token index per A entity.
-type tokenStreamer struct {
-	idx      *Index
+// keyedStreamer probes a batch inverted index (key → B entities) per A
+// entity: the token and q-gram strategies differ only in the key
+// function.
+type keyedStreamer struct {
+	byKey    map[string][]*entity.Entity
+	keys     func(*entity.Entity) []string
 	maxBlock int
 }
 
-func (s *tokenStreamer) forA(ea *entity.Entity, yield func(*entity.Entity)) {
+func (s *keyedStreamer) forA(ea *entity.Entity, yield func(*entity.Entity)) {
 	seen := make(map[*entity.Entity]struct{})
-	for _, tok := range Tokens(ea) {
-		block := s.idx.byToken[tok]
-		if !CapAllows(OthersInBlock(block, ea, s.maxBlock), s.maxBlock) {
-			continue
-		}
-		for _, eb := range block {
-			if eb.ID == ea.ID {
-				continue
-			}
-			if _, dup := seen[eb]; dup {
-				continue
-			}
-			seen[eb] = struct{}{}
-			yield(eb)
-		}
-	}
-}
-
-// qgramStreamer probes the batch inverted q-gram index per A entity.
-type qgramStreamer struct {
-	byGram   map[string][]*entity.Entity
-	q        int
-	maxBlock int
-}
-
-func (s *qgramStreamer) forA(ea *entity.Entity, yield func(*entity.Entity)) {
-	seen := make(map[*entity.Entity]struct{})
-	for _, gram := range QGramKeys(ea, s.q) {
-		block := s.byGram[gram]
+	for _, k := range s.keys(ea) {
+		block := s.byKey[k]
 		if !CapAllows(OthersInBlock(block, ea, s.maxBlock), s.maxBlock) {
 			continue
 		}
