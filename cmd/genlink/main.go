@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"genlink/pkg/genlinkapi"
 )
@@ -95,6 +96,13 @@ func main() {
 	conf := genlinkapi.Evaluate(res.Best, refs)
 	fmt.Printf("F-measure %.3f, precision %.3f, recall %.3f, MCC %.3f over %d reference links\n",
 		conf.FMeasure(), conf.Precision(), conf.Recall(), conf.MCC(), refs.Len())
+	fmt.Println("\nEvolution (rules: evaluated / distinct signatures / answered from the signature memo):")
+	fmt.Printf("%-5s %9s %9s %9s  %-18s %8s  %s\n", "Iter.", "Time s", "Breed ms", "Eval ms", "Rules", "Vectors", "Train F1")
+	for _, h := range res.History {
+		fmt.Printf("%-5d %9.2f %9.1f %9.1f  %-18s %8d  %.3f\n", h.Iteration, h.Elapsed.Seconds(),
+			float64(h.BreedTime)/float64(time.Millisecond), float64(h.EvalTime)/float64(time.Millisecond),
+			fmt.Sprintf("%d / %d / %d", h.Evaluated, h.DistinctRules, h.MemoHits), h.DistComputed, h.TrainF1)
+	}
 
 	if *outJSON != "" {
 		data, err := json.MarshalIndent(res.Best, "", "  ")

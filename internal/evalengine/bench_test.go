@@ -48,11 +48,43 @@ func coraPopulation(rng *rand.Rand, size int) []*rule.Rule {
 // BenchmarkFitnessEvaluation measures one generation's fitness pass over
 // the full Cora reference links (1617 positive + 1617 negative pairs) for
 // a population of 60 rules: the compiled memoizing engine versus the
-// interpreted tree-walk. This is the measurement behind the engine's
-// headline speedup; the rig's learn workload (benchmark/) measures the
-// engine inside the whole learner.
+// interpreted tree-walk, on two populations. "mutating" replaces a third
+// of 60 distinct rules every generation, as early crossover does, so the
+// caches see a realistic mix of hits and misses rather than a fully warm
+// population. "converged" is what the learner breeds once a few rules
+// dominate: 20 distinct rules and 40 copies of them (two thirds of the
+// population repeat a signature); every generation half of the distinct
+// rules are replaced by threshold-crossover offspring of one another —
+// new signatures over distance vectors already cached — and the copies
+// are re-drawn. This is the
+// measurement behind the engine's headline speedup; the rig's learn
+// workload (benchmark/) measures the engine inside the whole learner.
 func BenchmarkFitnessEvaluation(b *testing.B) {
 	ds := datagen.Cora(1)
+	const size = 60
+	populations := []struct {
+		name string
+		next func(rng *rand.Rand, pop []*rule.Rule)
+	}{
+		{"mutating", func(rng *rand.Rand, pop []*rule.Rule) {
+			for j := 0; j < size/3; j++ {
+				pop[rng.Intn(size)] = coraPopulation(rng, 1)[0]
+			}
+		}},
+		{"converged", func(rng *rand.Rand, pop []*rule.Rule) {
+			distinct := pop[:size/3]
+			for j := 0; j < size/6; j++ {
+				child := distinct[rng.Intn(len(distinct))].Clone()
+				for _, op := range child.Root.(*rule.AggregationOp).Operands {
+					op.(*rule.ComparisonOp).Threshold *= 0.5 + rng.Float64()
+				}
+				distinct[rng.Intn(len(distinct))] = child
+			}
+			for j := len(distinct); j < size; j++ {
+				pop[j] = distinct[rng.Intn(len(distinct))].Clone()
+			}
+		}},
+	}
 	for _, mode := range []struct {
 		name string
 		opts evalengine.Options
@@ -60,22 +92,19 @@ func BenchmarkFitnessEvaluation(b *testing.B) {
 		{"engine", evalengine.Options{Workers: 1}},
 		{"treewalk", evalengine.Options{Workers: 1, Disabled: true}},
 	} {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := evalengine.New(ds.Refs, mode.opts)
-			rng := rand.New(rand.NewSource(1))
-			pop := coraPopulation(rng, 60)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Mutate a third of the population each iteration, as
-				// crossover would, so the cache sees a realistic mix of
-				// hits and misses rather than a fully warm population.
-				for j := 0; j < len(pop)/3; j++ {
-					pop[rng.Intn(len(pop))] = coraPopulation(rng, 1)[0]
+		for _, population := range populations {
+			b.Run(mode.name+"/"+population.name, func(b *testing.B) {
+				eng := evalengine.New(ds.Refs, mode.opts)
+				rng := rand.New(rand.NewSource(1))
+				pop := coraPopulation(rng, size)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					population.next(rng, pop)
+					eng.EvaluateBatch(pop)
 				}
-				eng.EvaluateBatch(pop)
-			}
-		})
+			})
+		}
 	}
 }
 

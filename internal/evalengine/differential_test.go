@@ -66,7 +66,8 @@ func randomRule(rng *rand.Rand) *rule.Rule {
 
 func randomEntity(rng *rand.Rand, id string) *entity.Entity {
 	e := entity.New(id)
-	words := []string{"Berlin", "berlin", "New York", "1999", "2001", "", "café", "N.Y.C."}
+	words := []string{"Berlin", "berlin", "New York", "1999", "2001", "", "café", "N.Y.C.",
+		"2001-05-03", "52.52 13.405", "POINT(13.06 52.39)"} // dates and coordinates: every prepared measure parses something
 	for _, p := range diffProps {
 		n := rng.Intn(3) // 0 values → property absent half the time
 		for i := 0; i < n; i++ {

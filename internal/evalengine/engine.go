@@ -16,17 +16,30 @@
 //	                  population (this file):
 //
 //	  - value sets     memoized per (value-subtree signature, entity)
+//	  - typed values   the value sets parsed once per (value-subtree
+//	                   signature, prepared measure, entity) — numeric,
+//	                   geographic and date compare floats, coordinates
+//	                   and times, not strings (similarity.Prepared); the
+//	                   typed column lives in its value-set entry
 //	  - raw distances  memoized per (comparison-modulo-threshold
 //	                   signature, pair) — a comparison's distance does not
 //	                   depend on its threshold, so threshold-crossover
 //	                   offspring hit the cache
 //	  - scores         derived from cached distances at fold time
 //	                   (a few float ops per pair)
+//	  - counts         memoized per canonical rule signature: a rule that
+//	                   repeats inside a batch, or was scored in an earlier
+//	                   one, is neither compiled nor folded again
 //
 // Caches are keyed by the canonical signatures of package rule and survive
 // across generations: only subtrees first seen this generation are
 // computed. Entries unused for KeepGenerations generations are evicted, and
-// hard caps bound memory on adversarial populations.
+// hard caps bound memory on adversarial populations. One ageing rule covers
+// every layer: a typed column goes when its value-set entry goes; a
+// memoized count answers only while every distance vector its rule reads
+// is still cached, and answering refreshes those vectors exactly as
+// folding the rule would have — so the value and distance caches hold what
+// they would hold without the memo, which only removes work.
 //
 // Equivalence with the interpreted tree-walk (rule.Rule.Evaluate) is pinned
 // by a differential test over random rules and entities; rules containing
@@ -40,6 +53,7 @@ import (
 
 	"genlink/internal/entity"
 	"genlink/internal/rule"
+	"genlink/internal/similarity"
 )
 
 // Counts is a confusion matrix over reference links. It is structurally
@@ -100,18 +114,35 @@ func (o Options) keep() int {
 }
 
 // valueEntry caches the value sets of one value program for every interned
-// entity, computed lazily per entity side.
+// entity, computed lazily per entity side, and next to them their typed
+// form under every prepared measure that has compared them.
 type valueEntry struct {
 	prog     *valueProgram
 	vals     [][]string
 	done     []bool
+	prepared map[string]*preparedColumn // by measure name
 	lastUsed int
+}
+
+// preparedColumn is the typed form of a valueEntry's value sets under one
+// prepared measure, filled as lazily as the value sets themselves.
+type preparedColumn struct {
+	col  similarity.Column
+	done []bool
 }
 
 // distEntry caches the raw distances of one distance program for every
 // reference pair.
 type distEntry struct {
 	dists    []float64
+	lastUsed int
+}
+
+// ruleEntry memoizes the confusion counts of one canonical rule signature.
+type ruleEntry struct {
+	counts Counts
+	// dists are the signatures of the distance vectors the rule reads.
+	dists    []string
 	lastUsed int
 }
 
@@ -123,6 +154,19 @@ type CacheStats struct {
 	// DistComputed counts distance vectors computed across all batches;
 	// DistHits counts batch lookups served from cache.
 	DistComputed, DistHits int64
+	// PreparedColumns is the number of typed columns currently cached
+	// inside the value vectors; PreparedComputed counts those ever built.
+	PreparedColumns  int
+	PreparedComputed int64
+	// RuleSignatures is the current size of the per-signature counts memo.
+	RuleSignatures int
+	// RulesFolded counts the rules compiled and folded over the pairs
+	// across all batches. RuleHits counts the rules answered from the
+	// memo instead; RuleRepeats is the part of RuleHits whose signature
+	// had occurred earlier in the same batch, the rest were scored in an
+	// earlier one. Rules with extension operators are walked, not
+	// folded, and count as neither.
+	RulesFolded, RuleHits, RuleRepeats int64
 }
 
 // Engine evaluates batches of rules against a fixed set of reference links
@@ -139,6 +183,7 @@ type Engine struct {
 
 	values map[string]*valueEntry
 	dists  map[string]*distEntry
+	rules  map[string]*ruleEntry
 	gen    int
 	stats  CacheStats
 }
@@ -151,6 +196,7 @@ func New(refs *entity.ReferenceLinks, opts Options) *Engine {
 		table:  newEntityTable(refs),
 		values: make(map[string]*valueEntry),
 		dists:  make(map[string]*distEntry),
+		rules:  make(map[string]*ruleEntry),
 	}
 }
 
@@ -159,6 +205,10 @@ func (e *Engine) Stats() CacheStats {
 	s := e.stats
 	s.ValueVectors = len(e.values)
 	s.DistVectors = len(e.dists)
+	s.RuleSignatures = len(e.rules)
+	for _, ve := range e.values {
+		s.PreparedColumns += len(ve.prepared)
+	}
 	return s
 }
 
@@ -178,6 +228,18 @@ func EvaluateOnce(r *rule.Rule, refs *entity.ReferenceLinks) Counts {
 	return New(refs, Options{Workers: 1}).Evaluate(r)
 }
 
+// sides records for which sides of the reference pairs a lazily filled
+// column is needed by the current batch.
+type sides struct{ a, b bool }
+
+func (s *sides) add(sideA bool) {
+	if sideA {
+		s.a = true
+	} else {
+		s.b = true
+	}
+}
+
 // EvaluateBatch scores every rule over the engine's reference links and
 // returns one confusion count per rule, in order. It advances the cache
 // generation.
@@ -195,12 +257,12 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 	}
 	e.gen++
 
-	// Compile the population and collect the cache misses of this
-	// generation, deduplicated by signature.
-	progs := make([]*Compiled, len(rules))
+	// Look every rule up by canonical signature. Only the first rule of a
+	// signature the memo cannot answer is compiled; its cache misses are
+	// collected, deduplicated by signature.
 	type valueNeed struct {
-		entry        *valueEntry
-		needA, needB bool
+		entry *valueEntry
+		sides
 	}
 	valueNeeds := make(map[string]*valueNeed)
 	needValue := func(p *valueProgram, sideA bool) *valueEntry {
@@ -219,26 +281,68 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 			valueNeeds[p.sig] = n
 		}
 		n.entry.lastUsed = e.gen
-		if sideA {
-			n.needA = true
-		} else {
-			n.needB = true
-		}
+		n.add(sideA)
 		return n.entry
+	}
+	type preparedNeed struct {
+		values *valueEntry
+		column *preparedColumn
+		sides
+	}
+	preparedNeeds := make(map[*preparedColumn]*preparedNeed)
+	needPrepared := func(ve *valueEntry, m similarity.Prepared, sideA bool) similarity.Column {
+		pc, cached := ve.prepared[m.Name()]
+		if !cached {
+			pc = &preparedColumn{col: m.NewColumn(len(ve.vals)), done: make([]bool, len(ve.vals))}
+			if ve.prepared == nil {
+				ve.prepared = make(map[string]*preparedColumn)
+			}
+			ve.prepared[m.Name()] = pc
+			e.stats.PreparedComputed++
+		}
+		n, ok := preparedNeeds[pc]
+		if !ok {
+			n = &preparedNeed{values: ve, column: pc}
+			preparedNeeds[pc] = n
+		}
+		n.add(sideA)
+		return pc.col
 	}
 	type distNeed struct {
 		entry *distEntry
 		prog  *distProgram
 		a, b  *valueEntry
+		// pa and pb are the typed columns of a and b when the measure is
+		// a prepared one.
+		pa, pb similarity.Column
 	}
 	distNeeds := make(map[string]*distNeed)
+	type foldTask struct {
+		prog  *Compiled
+		entry *ruleEntry
+	}
+	var folds []foldTask
+	memo := make([]*ruleEntry, len(rules)) // nil: extension operators, walked
+	var walks []int
 	for i, r := range rules {
-		p := Compile(r)
-		progs[i] = p
-		if p.opaque {
+		if !r.HasOnlyCoreOps() {
+			// Signatures do not describe extension operators.
+			walks = append(walks, i)
 			continue
 		}
-		for _, d := range p.dists {
+		sig := r.Signature()
+		if re, ok := e.rules[sig]; ok && e.answers(re) {
+			memo[i] = re
+			continue
+		}
+		p := Compile(r)
+		re := &ruleEntry{dists: make([]string, len(p.dists)), lastUsed: e.gen}
+		e.rules[sig] = re
+		memo[i] = re
+		folds = append(folds, foldTask{prog: p, entry: re})
+		e.stats.RulesFolded++
+		for j, d := range p.dists {
+			re.dists[j] = d.sig
 			if de, ok := e.dists[d.sig]; ok {
 				// Cached from a previous generation or already scheduled
 				// by another rule of this batch.
@@ -248,12 +352,17 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 			}
 			de := &distEntry{dists: make([]float64, e.table.numPairs()), lastUsed: e.gen}
 			e.dists[d.sig] = de
-			distNeeds[d.sig] = &distNeed{
+			n := &distNeed{
 				entry: de,
 				prog:  d,
 				a:     needValue(d.a, true),
 				b:     needValue(d.b, false),
 			}
+			if m, ok := d.measure.(similarity.Prepared); ok {
+				n.pa = needPrepared(n.a, m, true)
+				n.pb = needPrepared(n.b, m, false)
+			}
+			distNeeds[d.sig] = n
 			e.stats.DistComputed++
 		}
 	}
@@ -269,7 +378,8 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 	}
 
 	// Phase 1: materialize missing value sets, one worker per value
-	// program (distinct programs write distinct entries — no contention).
+	// program (distinct programs write distinct entries — no contention),
+	// then their missing typed forms, one worker per typed column.
 	valueTasks := make([]*valueNeed, 0, len(valueNeeds))
 	for _, n := range valueNeeds {
 		valueTasks = append(valueTasks, n)
@@ -278,45 +388,48 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 		n := valueTasks[ti]
 		prog := n.entry.prog
 		scratch := make([][]string, prog.depth)
-		fill := func(ids []int32) {
-			for _, id := range ids {
-				if n.entry.done[id] {
-					continue
-				}
-				n.entry.vals[id] = prog.eval(e.table.columnGetter(id), scratch)
-				n.entry.done[id] = true
-			}
-		}
-		if n.needA {
-			fill(e.table.aEnts)
-		}
-		if n.needB {
-			fill(e.table.bEnts)
-		}
+		e.table.fillMissing(n.entry.done, n.sides, func(id int32) {
+			n.entry.vals[id] = prog.eval(e.table.columnGetter(id), scratch)
+		})
+	})
+	preparedTasks := make([]*preparedNeed, 0, len(preparedNeeds))
+	for _, n := range preparedNeeds {
+		preparedTasks = append(preparedTasks, n)
+	}
+	parallelDo(len(preparedTasks), workers, func(ti int) {
+		n := preparedTasks[ti]
+		e.table.fillMissing(n.column.done, n.sides, func(id int32) {
+			n.column.col.Prepare(int(id), n.values.vals[id])
+		})
 	})
 
 	// Phase 2: compute missing distance vectors over all pairs, one worker
-	// per distance program.
+	// per distance program — arithmetic over the typed columns for the
+	// prepared measures, the measure over the value sets for the others.
 	distTasks := make([]*distNeed, 0, len(distNeeds))
 	for _, n := range distNeeds {
 		distTasks = append(distTasks, n)
 	}
+	pairA, pairB := e.table.pairA, e.table.pairB
 	parallelDo(len(distTasks), workers, func(ti int) {
 		n := distTasks[ti]
+		if n.pa != nil {
+			for p := range n.entry.dists {
+				n.entry.dists[p] = n.pa.Distance(int(pairA[p]), n.pb, int(pairB[p]))
+			}
+			return
+		}
 		va, vb := n.a.vals, n.b.vals
 		m := n.prog.measure
 		for p := range n.entry.dists {
-			n.entry.dists[p] = m.Distance(va[e.table.pairA[p]], vb[e.table.pairB[p]])
+			n.entry.dists[p] = m.Distance(va[pairA[p]], vb[pairB[p]])
 		}
 	})
 
-	// Phase 3: fold every rule over the cached distance vectors.
-	parallelDo(len(rules), workers, func(i int) {
-		p := progs[i]
-		if p.opaque {
-			out[i] = treeWalk(rules[i], e.refs)
-			return
-		}
+	// Phase 3: fold every rule the memo could not answer over the cached
+	// distance vectors, then hand every rule the counts of its signature.
+	parallelDo(len(folds), workers, func(ti int) {
+		p := folds[ti].prog
 		vecs := make([][]float64, len(p.dists))
 		for _, d := range p.dists {
 			vecs[d.id] = e.dists[d.sig].dists
@@ -343,11 +456,47 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 				}
 			}
 		}
-		out[i] = c
+		folds[ti].entry.counts = c
+	})
+	for i, re := range memo {
+		if re != nil {
+			out[i] = re.counts
+		}
+	}
+	parallelDo(len(walks), workers, func(wi int) {
+		out[walks[wi]] = treeWalk(rules[walks[wi]], e.refs)
 	})
 
 	e.evict()
 	return out
+}
+
+// answers reports whether the memoized counts of re stand in for
+// evaluating its rule in the current batch, and if so touches the caches
+// the way the evaluation would have. An evaluation recomputes a distance
+// vector that is no longer cached, so the memo answers only while every
+// vector the rule reads is; it then stamps them as used and counts one
+// cache hit each — lastUsed, DistHits and DistComputed move as if the rule
+// had been compiled and folded.
+func (e *Engine) answers(re *ruleEntry) bool {
+	if re.lastUsed == e.gen {
+		// Entered or refreshed by an earlier rule of this batch, which
+		// stamped (or scheduled) the vectors already.
+		e.stats.RuleRepeats++
+	} else {
+		for _, sig := range re.dists {
+			if _, ok := e.dists[sig]; !ok {
+				return false
+			}
+		}
+		for _, sig := range re.dists {
+			e.dists[sig].lastUsed = e.gen
+		}
+		re.lastUsed = e.gen
+	}
+	e.stats.DistHits += int64(len(re.dists))
+	e.stats.RuleHits++
+	return true
 }
 
 // evict drops cache entries unused for KeepGenerations generations, then
@@ -362,6 +511,11 @@ func (e *Engine) evict() {
 	for sig, ve := range e.values {
 		if ve.lastUsed <= cutoff {
 			delete(e.values, sig)
+		}
+	}
+	for sig, re := range e.rules {
+		if re.lastUsed <= cutoff {
+			delete(e.rules, sig)
 		}
 	}
 	if limit := e.opts.maxDist(); limit > 0 && len(e.dists) > limit {

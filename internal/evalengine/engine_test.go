@@ -174,3 +174,101 @@ func TestCompiledDeduplicatesSubtrees(t *testing.T) {
 		t.Fatalf("dist programs = %d, want 1", got)
 	}
 }
+
+// TestEngineMemoMeetsTreeWalk drives one engine through eight batches
+// that repeat signatures inside a batch, bring a signature back after it
+// sat out a batch or more, and shrink and grow — under KeepGenerations 1
+// (whatever a batch does not use is aged out at once, memo entries and
+// vectors alike), under a distance-vector cap of 3 (vectors are evicted
+// while the memo entries that read them live on, so the memo must
+// decline) and under the defaults. Every count of every batch must equal
+// the tree-walk's, and the distance and value caches must do exactly what
+// they did before the per-signature memo and the prepared columns
+// existed: wantCache holds DistComputed, DistHits, DistVectors and
+// ValueVectors after every batch as the commit before them reported
+// them for these populations (not under the cap: which of several
+// equally old vectors it evicts is up to the map's iteration order).
+func TestEngineMemoMeetsTreeWalk(t *testing.T) {
+	schedule := [][]int{
+		{0, 1, 2, 0, 1, 6},
+		{0, 0, 3, 7},
+		{3, 4},
+		{1, 2, 4, 4, 6},
+		{1, 5, 5, 5},
+		{0, 1, 2, 3, 4, 5, 6, 7},
+		{5, 4, 3},
+		{7, 6, 5, 4, 3, 2, 1, 0, 0, 1, 2, 3},
+	}
+	for _, tc := range []struct {
+		name      string
+		opts      evalengine.Options
+		wantCache [][4]int64
+	}{
+		{"keep1", evalengine.Options{KeepGenerations: 1, Workers: 2}, [][4]int64{
+			{14, 6, 14, 13},
+			{16, 8, 3, 4},
+			{20, 9, 5, 7},
+			{33, 17, 17, 13},
+			{34, 24, 6, 2},
+			{49, 30, 21, 14},
+			{49, 36, 6, 0},
+			{64, 55, 21, 14},
+		}},
+		{"cap3", evalengine.Options{MaxDistEntries: 3, Workers: 2}, nil},
+		{"defaults", evalengine.Options{Workers: 2}, [][4]int64{
+			{14, 6, 14, 13},
+			{16, 8, 16, 15},
+			{20, 9, 20, 18},
+			{20, 30, 20, 10},
+			{21, 37, 19, 9},
+			{23, 56, 21, 6},
+			{23, 62, 21, 6},
+			{23, 96, 21, 4},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			refs := randomRefs(rng, 40)
+			pool := make([]*rule.Rule, 8)
+			for i := range pool {
+				pool[i] = randomRule(rng)
+			}
+			eng := evalengine.New(refs, tc.opts)
+			total := 0
+			for bi, picks := range schedule {
+				batch := make([]*rule.Rule, len(picks))
+				for i, p := range picks {
+					batch[i] = pool[p].Clone()
+				}
+				total += len(batch)
+				got := eng.EvaluateBatch(batch)
+				for i, r := range batch {
+					if want := treeWalkCounts(r, refs); got[i] != want {
+						t.Fatalf("batch %d rule %d (pool %d): engine %+v, tree-walk %+v\nrule: %s",
+							bi, i, picks[i], got[i], want, r.Render())
+					}
+				}
+				st := eng.Stats()
+				cache := [4]int64{st.DistComputed, st.DistHits, int64(st.DistVectors), int64(st.ValueVectors)}
+				if tc.wantCache != nil && cache != tc.wantCache[bi] {
+					t.Errorf("after batch %d: DistComputed, DistHits, DistVectors, ValueVectors = %v, were %v before the memo",
+						bi, cache, tc.wantCache[bi])
+				}
+			}
+			st := eng.Stats()
+			if st.RulesFolded+st.RuleHits != int64(total) {
+				t.Errorf("folded %d + memo hits %d != %d rules evaluated", st.RulesFolded, st.RuleHits, total)
+			}
+			if st.PreparedComputed == 0 || int64(st.PreparedColumns) > st.PreparedComputed {
+				t.Errorf("pool compares numbers, dates and coordinates, yet %d typed columns built, %d cached",
+					st.PreparedComputed, st.PreparedColumns)
+			}
+			if st.RuleRepeats == 0 || st.RuleHits == st.RuleRepeats {
+				t.Errorf("schedule must hit the memo inside a batch and across batches: %+v", st)
+			}
+			if tc.name != "defaults" && st.RulesFolded <= int64(len(pool)) {
+				t.Errorf("no signature was folded twice, so nothing aged out or was declined: %+v", st)
+			}
+		})
+	}
+}

@@ -71,6 +71,26 @@ func (t *entityTable) intern(e *entity.Entity) int32 {
 
 func (t *entityTable) numPairs() int { return len(t.pairA) }
 
+// fillMissing calls fill for every entity of the needed sides that done
+// does not mark yet, and marks it.
+func (t *entityTable) fillMissing(done []bool, need sides, fill func(id int32)) {
+	var ids [2][]int32
+	if need.a {
+		ids[0] = t.aEnts
+	}
+	if need.b {
+		ids[1] = t.bEnts
+	}
+	for _, side := range ids {
+		for _, id := range side {
+			if !done[id] {
+				fill(id)
+				done[id] = true
+			}
+		}
+	}
+}
+
 // column returns the value column of a property, building it on first use.
 // Callers must ensure all needed columns exist before reading them from
 // multiple goroutines.

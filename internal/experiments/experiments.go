@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"time"
 
 	"genlink/internal/carvalho"
 	"genlink/internal/datagen"
@@ -109,6 +110,12 @@ type CurveRow struct {
 	// Comparisons and Transformations give the mean best-rule composition
 	// (the Table 12 discussion).
 	Comparisons, Transformations float64
+	// What the evolution cost up to and including this iteration, mean
+	// over the runs: seconds spent breeding and evaluating, rules handed
+	// to the evaluation engine and rules it folded over the reference
+	// links (the rest carried a signature it had already scored).
+	BreedSeconds, EvalSeconds   float64
+	RulesEvaluated, RulesFolded float64
 }
 
 // CurveResult is a full learning-curve experiment.
@@ -140,6 +147,7 @@ func LearningCurveWithConfig(ds *entity.Dataset, scale Scale,
 
 type checkpointAgg struct {
 	sec, train, val, meanPop, cmps, trans evalx.Sample
+	breed, eval, evaluated, folded        evalx.Sample
 }
 
 func learningCurve(ds *entity.Dataset, scale Scale, cfgFor func(run int) genlink.Config) *CurveResult {
@@ -166,6 +174,20 @@ func learningCurve(ds *entity.Dataset, scale Scale, cfgFor func(run int) genlink
 			agg.train.Add(h.TrainF1)
 			agg.val.Add(h.ValF1)
 			agg.meanPop.Add(h.MeanF1)
+			var breed, eval time.Duration
+			var evaluated, folded int
+			for _, g := range res.History {
+				if g.Iteration <= cp {
+					breed += g.BreedTime
+					eval += g.EvalTime
+					evaluated += g.Evaluated
+					folded += g.Evaluated - g.MemoHits
+				}
+			}
+			agg.breed.Add(breed.Seconds())
+			agg.eval.Add(eval.Seconds())
+			agg.evaluated.Add(float64(evaluated))
+			agg.folded.Add(float64(folded))
 		}
 		stats := res.Best.ComputeStats()
 		last := scale.Checkpoints[len(scale.Checkpoints)-1]
@@ -189,6 +211,10 @@ func learningCurve(ds *entity.Dataset, scale Scale, cfgFor func(run int) genlink
 			MeanPopulationF1: agg.meanPop.Mean(),
 			Comparisons:      agg.cmps.Mean(),
 			Transformations:  agg.trans.Mean(),
+			BreedSeconds:     agg.breed.Mean(),
+			EvalSeconds:      agg.eval.Mean(),
+			RulesEvaluated:   agg.evaluated.Mean(),
+			RulesFolded:      agg.folded.Mean(),
 		})
 	}
 	return out
@@ -198,10 +224,12 @@ func learningCurve(ds *entity.Dataset, scale Scale, cfgFor func(run int) genlink
 func FormatCurve(c *CurveResult, referenceRows []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Results for the %s data set\n", c.Dataset)
-	fmt.Fprintf(&b, "%-6s %-16s %-18s %-18s\n", "Iter.", "Time in s (σ)", "Train. F1 (σ)", "Val. F1 (σ)")
+	fmt.Fprintf(&b, "%-6s %-16s %-18s %-18s %-16s %s\n", "Iter.", "Time in s (σ)", "Train. F1 (σ)", "Val. F1 (σ)",
+		"Breed/eval in s", "Rules evaluated/folded")
 	for _, r := range c.Rows {
-		fmt.Fprintf(&b, "%-6d %6.1f (%.1f)     %.3f (%.3f)      %.3f (%.3f)\n",
-			r.Iteration, r.Seconds, r.SecondsStd, r.TrainF1, r.TrainStd, r.ValF1, r.ValStd)
+		fmt.Fprintf(&b, "%-6d %6.1f (%.1f)     %.3f (%.3f)      %.3f (%.3f)      %5.2f / %-8.2f %.0f / %.0f\n",
+			r.Iteration, r.Seconds, r.SecondsStd, r.TrainF1, r.TrainStd, r.ValF1, r.ValStd,
+			r.BreedSeconds, r.EvalSeconds, r.RulesEvaluated, r.RulesFolded)
 	}
 	for _, ref := range referenceRows {
 		b.WriteString(ref + "\n")

@@ -44,38 +44,65 @@ func CompatibleProperties(positive []entity.Pair, measures []similarity.Measure,
 
 	lower := transform.LowerCase()
 	tokenize := transform.Tokenize()
+	prepared := make([]similarity.Prepared, len(measures)) // nil: compares the strings
+	for i, m := range measures {
+		prepared[i], _ = m.(similarity.Prepared)
+	}
 
-	// normalized holds both the lowercased raw values and their tokens:
-	// string measures match on tokens while measures that parse whole
-	// values (geographic, date, numeric) need the untokenized form.
-	type normalized struct{ raw, tokens []string }
-	norm := func(values []string) normalized {
-		raw := lower.Apply(values)
-		return normalized{raw: raw, tokens: tokenize.Apply(raw)}
+	// side is one entity of a link, normalized once per property — the
+	// lowercased raw values and their tokens: string measures match on
+	// tokens while measures that parse whole values (geographic, date,
+	// numeric) need the untokenized form — and parsed once per property
+	// and prepared measure instead of once per property pair: sets 2k and
+	// 2k+1 of columns[m] are the raw values and the tokens of props[k].
+	type side struct {
+		props       []string
+		raw, tokens [][]string
+		columns     []similarity.Column
+	}
+	normalize := func(e *entity.Entity) side {
+		s := side{props: e.PropertyNames(), columns: make([]similarity.Column, len(measures))}
+		for _, p := range s.props {
+			raw := lower.Apply(e.Values(p))
+			s.raw = append(s.raw, raw)
+			s.tokens = append(s.tokens, tokenize.Apply(raw))
+		}
+		for mi, m := range prepared {
+			if m == nil {
+				continue
+			}
+			col := m.NewColumn(2 * len(s.props))
+			for k := range s.props {
+				col.Prepare(2*k, s.raw[k])
+				col.Prepare(2*k+1, s.tokens[k])
+			}
+			s.columns[mi] = col
+		}
+		return s
 	}
 
 	type key struct{ a, b, m string }
 	support := make(map[key]int)
 	for _, link := range links {
-		propsA := link.A.PropertyNames()
-		propsB := link.B.PropertyNames()
-		normA := make(map[string]normalized, len(propsA))
-		for _, p := range propsA {
-			normA[p] = norm(link.A.Values(p))
-		}
-		for _, pb := range propsB {
-			vb := norm(link.B.Values(pb))
-			if len(vb.raw) == 0 {
+		a, b := normalize(link.A), normalize(link.B)
+		for ib, pb := range b.props {
+			if len(b.raw[ib]) == 0 {
 				continue
 			}
-			for _, pa := range propsA {
-				va := normA[pa]
-				if len(va.raw) == 0 {
+			for ia, pa := range a.props {
+				if len(a.raw[ia]) == 0 {
 					continue
 				}
-				for _, m := range measures {
-					if m.Distance(va.tokens, vb.tokens) < threshold ||
-						m.Distance(va.raw, vb.raw) < threshold {
+				for mi, m := range measures {
+					var within bool
+					if ca, cb := a.columns[mi], b.columns[mi]; ca != nil {
+						within = ca.Distance(2*ia+1, cb, 2*ib+1) < threshold ||
+							ca.Distance(2*ia, cb, 2*ib) < threshold
+					} else {
+						within = m.Distance(a.tokens[ia], b.tokens[ib]) < threshold ||
+							m.Distance(a.raw[ia], b.raw[ib]) < threshold
+					}
+					if within {
 						support[key{pa, pb, m.Name()}]++
 					}
 				}

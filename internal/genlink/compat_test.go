@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"genlink/internal/datagen"
 	"genlink/internal/entity"
 	"genlink/internal/similarity"
+	"genlink/internal/transform"
 )
 
 // figure3Links reproduces the example of Figure 3: two city entities whose
@@ -127,5 +129,56 @@ func TestAllPropertyPairs(t *testing.T) {
 		if p.Measure != "" {
 			t.Fatal("AllPropertyPairs should leave measures empty")
 		}
+	}
+}
+
+// pairwiseCompatibleProperties is Algorithm 2 as it was before the
+// prepared measures: every measure re-run on the strings of every property
+// pair. It is the reference CompatibleProperties is held to.
+func pairwiseCompatibleProperties(links []entity.Pair, measures []similarity.Measure, threshold float64) map[[3]string]int {
+	lower, tokenize := transform.LowerCase(), transform.Tokenize()
+	support := make(map[[3]string]int)
+	for _, link := range links {
+		for _, pa := range link.A.PropertyNames() {
+			rawA := lower.Apply(link.A.Values(pa))
+			for _, pb := range link.B.PropertyNames() {
+				rawB := lower.Apply(link.B.Values(pb))
+				if len(rawA) == 0 || len(rawB) == 0 {
+					continue
+				}
+				for _, m := range measures {
+					if m.Distance(tokenize.Apply(rawA), tokenize.Apply(rawB)) < threshold ||
+						m.Distance(rawA, rawB) < threshold {
+						support[[3]string{pa, pb, m.Name()}]++
+					}
+				}
+			}
+		}
+	}
+	return support
+}
+
+func TestCompatiblePropertiesMatchesPairwiseReference(t *testing.T) {
+	parsed := 0 // pairs found by a measure that parses its values
+	for _, ds := range datagen.All(3) {
+		links := ds.Refs.Positive[:min(10, len(ds.Refs.Positive))]
+		for _, threshold := range []float64{1, 400} { // 400: days, meters and plain numbers within reach
+			want := pairwiseCompatibleProperties(links, similarity.Core(), threshold)
+			got := CompatibleProperties(links, similarity.Core(), threshold, 0, nil)
+			if len(got) != len(want) {
+				t.Errorf("%s θ=%v: %d pairs, reference has %d", ds.Name, threshold, len(got), len(want))
+			}
+			for _, p := range got {
+				if _, ok := similarity.ByName(p.Measure).(similarity.Prepared); ok {
+					parsed++
+				}
+				if want[[3]string{p.A, p.B, p.Measure}] != p.Support {
+					t.Errorf("%s θ=%v: %+v, reference support %d", ds.Name, threshold, p, want[[3]string{p.A, p.B, p.Measure}])
+				}
+			}
+		}
+	}
+	if parsed == 0 {
+		t.Error("no pair was found by numeric, geographic or date: the prepared columns went unexercised")
 	}
 }

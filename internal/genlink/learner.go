@@ -44,6 +44,24 @@ type IterationStats struct {
 	BestFitness float64
 	// OperatorCount is the operator count of the fittest rule.
 	OperatorCount int
+
+	// The remaining fields say what the generation cost, not what it
+	// found. BreedTime is the wall-clock time spent building the
+	// population (selection, crossover and repair; for iteration 0 the
+	// property-pair seeding of Section 5.1 and the random rules) and
+	// EvalTime the time spent scoring it on the training links; scoring
+	// the fittest rule on the validation links is in neither.
+	BreedTime, EvalTime time.Duration
+	// Evaluated is the number of rules handed to the evaluation engine:
+	// the population but for the elites, which carry their measurements.
+	// DistinctRules is the number of distinct canonical signatures among
+	// them, and MemoHits how many the engine answered from its
+	// per-signature memo — repeats inside the generation and signatures
+	// scored in an earlier generation still cached — instead of compiling
+	// and folding them. DistComputed is the number of distance vectors the
+	// engine had to compute. The three engine counters are 0 under the
+	// interpreted tree-walk.
+	Evaluated, DistinctRules, MemoHits, DistComputed int
 }
 
 // Result is the outcome of a learning run.
@@ -157,28 +175,43 @@ func (l *Learner) LearnWithValidation(train, val *entity.ReferenceLinks) (*Resul
 		valEngine = evalengine.New(val, l.engineOptions())
 	}
 
-	// Initial population.
-	pop := l.newPopulation(gen.InitialPopulation(rng, l.cfg.PopulationSize))
-	l.evaluate(pop, engine)
-
 	result := &Result{CompatiblePairs: pairs}
-	record := func(iteration int) *candidate {
+	var pop *gp.Population[*candidate]
+	// score evaluates the freshly bred pop and appends its history entry.
+	bredFrom := start // when breeding of the current generation began
+	distinct := func(s evalengine.CacheStats) int64 { return s.RulesFolded + s.RuleHits - s.RuleRepeats }
+	score := func(iteration int) *candidate {
+		bred := time.Now()
+		before := engine.Stats()
+		evaluated := l.evaluate(pop, engine)
+		after := engine.Stats()
+		scored := time.Now()
 		best := pop.Individuals[pop.Best()].Genome
 		stats := IterationStats{
 			Iteration:     iteration,
-			Elapsed:       time.Since(start),
+			Elapsed:       scored.Sub(start),
 			TrainF1:       best.f1,
 			MeanF1:        meanF1(pop),
 			BestFitness:   l.accuracy(best) - l.parsimony(best.rule.OperatorCount()),
 			OperatorCount: best.rule.OperatorCount(),
+			BreedTime:     bred.Sub(bredFrom),
+			EvalTime:      scored.Sub(bred),
+			Evaluated:     evaluated,
+			DistinctRules: int(distinct(after) - distinct(before)),
+			MemoHits:      int(after.RuleHits - before.RuleHits),
+			DistComputed:  int(after.DistComputed - before.DistComputed),
 		}
 		if valEngine != nil {
 			stats.ValF1 = confusion(valEngine.Evaluate(best.rule)).FMeasure()
 		}
 		result.History = append(result.History, stats)
+		bredFrom = time.Now()
 		return best
 	}
-	best := record(0)
+
+	// Initial population.
+	pop = l.newPopulation(gen.InitialPopulation(rng, l.cfg.PopulationSize))
+	best := score(0)
 
 	// Algorithm 1 main loop.
 	maxIter := l.cfg.MaxIterations
@@ -186,21 +219,7 @@ func (l *Learner) LearnWithValidation(train, val *entity.ReferenceLinks) (*Resul
 		if l.cfg.TargetFMeasure > 0 && maxPopulationF1(pop) >= l.cfg.TargetFMeasure {
 			break
 		}
-		next := make([]*candidate, 0, l.cfg.PopulationSize)
-		for e := 0; e < l.cfg.Elitism && e < pop.Len(); e++ {
-			// Preserve the fittest rule across generations (reproduction),
-			// carrying its measurements: evaluation is deterministic, so
-			// re-scoring the identical rule would only waste a full pass
-			// over the reference links.
-			elite := pop.Individuals[pop.Best()].Genome
-			next = append(next, &candidate{
-				rule:  elite.rule.Clone(),
-				conf:  elite.conf,
-				f1:    elite.f1,
-				mcc:   elite.mcc,
-				valid: elite.valid,
-			})
-		}
+		next := append(make([]*candidate, 0, l.cfg.PopulationSize), l.elites(pop)...)
 		for len(next) < l.cfg.PopulationSize {
 			i1, i2 := pop.SelectPair(rng, l.cfg.TournamentSize)
 			r1 := pop.Individuals[i1].Genome.rule
@@ -218,8 +237,7 @@ func (l *Learner) LearnWithValidation(train, val *entity.ReferenceLinks) (*Resul
 			next = append(next, &candidate{rule: child})
 		}
 		pop = &gp.Population[*candidate]{Individuals: wrap(next)}
-		l.evaluate(pop, engine)
-		best = record(iter)
+		best = score(iter)
 		result.Iterations = iter
 	}
 
@@ -245,8 +263,27 @@ func (l *Learner) engineOptions() evalengine.Options {
 // confusion converts engine counts into the evalx confusion matrix.
 func confusion(c evalengine.Counts) evalx.Confusion { return evalx.Confusion(c) }
 
-// topRules returns the fittest structurally distinct rules, best first.
-func topRules(pop *gp.Population[*candidate], n int) []*rule.Rule {
+// elites returns copies of the Elitism fittest individuals, fittest first
+// (reproduction). They carry their measurements into the next generation:
+// evaluation is deterministic, so re-scoring the identical rule would only
+// waste a full pass over the reference links.
+func (l *Learner) elites(pop *gp.Population[*candidate]) []*candidate {
+	n := min(l.cfg.Elitism, pop.Len())
+	if n <= 0 {
+		return nil
+	}
+	out := make([]*candidate, n)
+	for j, i := range byFitness(pop)[:n] {
+		elite := *pop.Individuals[i].Genome
+		elite.rule = elite.rule.Clone()
+		out[j] = &elite
+	}
+	return out
+}
+
+// byFitness returns the indices of the population from fittest to least
+// fit, equally fit individuals in index order.
+func byFitness(pop *gp.Population[*candidate]) []int {
 	idx := make([]int, pop.Len())
 	for i := range idx {
 		idx[i] = i
@@ -254,9 +291,14 @@ func topRules(pop *gp.Population[*candidate], n int) []*rule.Rule {
 	sort.SliceStable(idx, func(a, b int) bool {
 		return pop.Individuals[idx[a]].Fitness > pop.Individuals[idx[b]].Fitness
 	})
+	return idx
+}
+
+// topRules returns the fittest structurally distinct rules, best first.
+func topRules(pop *gp.Population[*candidate], n int) []*rule.Rule {
 	seen := make(map[string]bool)
 	var out []*rule.Rule
-	for _, i := range idx {
+	for _, i := range byFitness(pop) {
 		r := pop.Individuals[i].Genome.rule
 		// The canonical signature deduplicates more sharply than the
 		// Compact rendering: operand order of commutative aggregations is
@@ -309,8 +351,9 @@ func (l *Learner) parsimony(n int) float64 {
 // re-scored. Everything else goes through the engine as one batch, so
 // value sets and distances shared across the population (and, via the
 // engine's generation caches, with previous populations) are computed
-// once; the engine parallelizes internally.
-func (l *Learner) evaluate(pop *gp.Population[*candidate], engine *evalengine.Engine) {
+// once; the engine parallelizes internally. evaluate returns the size of
+// that batch.
+func (l *Learner) evaluate(pop *gp.Population[*candidate], engine *evalengine.Engine) int {
 	var idx []int
 	var rules []*rule.Rule
 	for i := range pop.Individuals {
@@ -330,6 +373,7 @@ func (l *Learner) evaluate(pop *gp.Population[*candidate], engine *evalengine.En
 		c := pop.Individuals[i].Genome
 		pop.Individuals[i].Fitness = l.accuracy(c) - l.parsimony(c.rule.OperatorCount())
 	}
+	return len(rules)
 }
 
 // accuracy returns the configured accuracy term of a candidate.

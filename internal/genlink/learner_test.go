@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"genlink/internal/entity"
 	"genlink/internal/evalengine"
@@ -453,5 +454,112 @@ func TestEliteCarriesStatsAcrossGenerations(t *testing.T) {
 	conf := evalx.Evaluate(res.Best, refs)
 	if got := conf.FMeasure(); got != res.BestTrainF1 {
 		t.Fatalf("carried train F1 %v != re-evaluated %v", res.BestTrainF1, got)
+	}
+}
+
+// TestElitesAreTheFittestIndividuals pins elitism above one: the elites
+// are the Elitism fittest individuals, equally fit ones in index order —
+// not Elitism copies of the single fittest.
+func TestElitesAreTheFittestIndividuals(t *testing.T) {
+	fitness := []float64{0.5, 0.9, 0.9, 0.7}
+	cands := make([]*candidate, len(fitness))
+	for i := range cands {
+		r := rule.New(rule.NewComparison(rule.NewProperty("name"), rule.NewProperty("label"),
+			similarity.Levenshtein(), float64(i+1)))
+		cands[i] = &candidate{rule: r, conf: evalx.Confusion{TP: i}, f1: fitness[i], mcc: fitness[i], valid: true}
+	}
+	pop := &gp.Population[*candidate]{Individuals: wrap(cands)}
+	for i := range pop.Individuals {
+		pop.Individuals[i].Fitness = fitness[i]
+	}
+	for _, tc := range []struct {
+		elitism int
+		want    []int
+	}{
+		{0, nil}, {-1, nil}, {1, []int{1}}, {2, []int{1, 2}}, {3, []int{1, 2, 3}}, {9, []int{1, 2, 3, 0}},
+	} {
+		cfg := smallConfig(1)
+		cfg.Elitism = tc.elitism
+		got := NewLearner(cfg).elites(pop)
+		if len(got) != len(tc.want) {
+			t.Fatalf("Elitism %d: %d elites, want %d", tc.elitism, len(got), len(tc.want))
+		}
+		for j, i := range tc.want {
+			e, src := got[j], cands[i]
+			if e.rule.Signature() != src.rule.Signature() || e.conf != src.conf || e.f1 != src.f1 || !e.valid {
+				t.Errorf("Elitism %d: elite %d is %s %+v, want individual %d with its measurements",
+					tc.elitism, j, e.rule.Signature(), e.conf, i)
+			}
+			if e == src || e.rule == src.rule {
+				t.Errorf("Elitism %d: elite %d shares memory with the individual it copies", tc.elitism, j)
+			}
+		}
+	}
+	if best := pop.Best(); best != 1 {
+		t.Fatalf("Population.Best() = %d; Elitism 1 must keep choosing it", best)
+	}
+}
+
+// TestLearnerHistoryCounters checks the cost fields of IterationStats
+// against what they are defined as, and that they repeat under a seed.
+func TestLearnerHistoryCounters(t *testing.T) {
+	refs := toyTask(25, 3)
+	cfg := smallConfig(4)
+	cfg.MaxIterations = 6
+	cfg.TargetFMeasure = 2 // never reached: six generations whatever the seed finds
+	res, err := NewLearner(cfg).Learn(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spent time.Duration
+	var folded, vectors int
+	for i, h := range res.History {
+		want := cfg.PopulationSize
+		if i > 0 {
+			want -= cfg.Elitism
+		}
+		if h.Evaluated != want {
+			t.Errorf("generation %d: %d rules evaluated, want %d", i, h.Evaluated, want)
+		}
+		if h.DistinctRules < 1 || h.DistinctRules > h.Evaluated || h.MemoHits < h.Evaluated-h.DistinctRules || h.MemoHits > h.Evaluated {
+			t.Errorf("generation %d: %d evaluated, %d distinct, %d memo hits do not add up", i, h.Evaluated, h.DistinctRules, h.MemoHits)
+		}
+		if h.BreedTime <= 0 || h.EvalTime <= 0 {
+			t.Errorf("generation %d: breed %v, evaluate %v", i, h.BreedTime, h.EvalTime)
+		}
+		spent += h.BreedTime + h.EvalTime
+		folded += h.Evaluated - h.MemoHits
+		vectors += h.DistComputed
+	}
+	if last := res.History[len(res.History)-1].Elapsed; spent > last {
+		t.Errorf("breed + evaluate time %v exceeds the elapsed %v", spent, last)
+	}
+	if total := cfg.PopulationSize*7 - 6*cfg.Elitism; folded == 0 || folded >= total {
+		t.Errorf("%d of %d rules folded: a converging population of 60 repeats signatures", folded, total)
+	}
+	if vectors == 0 {
+		t.Error("no distance vector computed")
+	}
+
+	again, err := NewLearner(cfg).Learn(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range res.History {
+		g := again.History[i]
+		if g.Evaluated != h.Evaluated || g.DistinctRules != h.DistinctRules || g.MemoHits != h.MemoHits || g.DistComputed != h.DistComputed {
+			t.Errorf("generation %d: counters %+v then %+v under one seed", i, h, g)
+		}
+	}
+
+	cfg.Engine.Disabled = true
+	walked, err := NewLearner(cfg).Learn(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range walked.History {
+		if h.Evaluated != res.History[i].Evaluated || h.DistinctRules != 0 || h.MemoHits != 0 || h.DistComputed != 0 {
+			t.Errorf("generation %d under the tree-walk: %+v", i, h)
+		}
 	}
 }

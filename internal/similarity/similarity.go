@@ -13,9 +13,6 @@ package similarity
 import (
 	"math"
 	"sort"
-	"strconv"
-	"strings"
-	"time"
 )
 
 // Measure computes a non-negative distance between two value sets.
@@ -273,154 +270,6 @@ func (cosineMeasure) Distance(a, b []string) float64 {
 		return 0
 	}
 	return 1 - float64(inter)/den
-}
-
-// ---------------------------------------------------------------------------
-// Numeric
-
-// Numeric returns the absolute numeric difference of Table 2. Values that
-// do not parse as floats are ignored; if no pair parses the distance is +Inf.
-func Numeric() Measure {
-	return Func{MeasureName: "numeric", Single: func(a, b string) float64 {
-		fa, errA := strconv.ParseFloat(strings.TrimSpace(a), 64)
-		fb, errB := strconv.ParseFloat(strings.TrimSpace(b), 64)
-		if errA != nil || errB != nil {
-			return math.Inf(1)
-		}
-		return math.Abs(fa - fb)
-	}}
-}
-
-// ---------------------------------------------------------------------------
-// Geographic
-
-// earthRadiusMeters is the mean Earth radius used by the haversine formula.
-const earthRadiusMeters = 6371000.0
-
-// Geographic returns the geographical distance in meters between two
-// coordinate values (Table 2). Coordinates are expected in "lat lon" or
-// "lat,lon" form in degrees; unparsable values yield +Inf.
-func Geographic() Measure {
-	return Func{MeasureName: "geographic", Single: func(a, b string) float64 {
-		latA, lonA, okA := ParseCoord(a)
-		latB, lonB, okB := ParseCoord(b)
-		if !okA || !okB {
-			return math.Inf(1)
-		}
-		return Haversine(latA, lonA, latB, lonB)
-	}}
-}
-
-// ParseCoord parses "lat lon", "lat,lon" or "POINT(lon lat)" degree strings.
-func ParseCoord(s string) (lat, lon float64, ok bool) {
-	s = strings.TrimSpace(s)
-	if rest, found := strings.CutPrefix(s, "POINT("); found {
-		rest = strings.TrimSuffix(rest, ")")
-		parts := strings.Fields(rest)
-		if len(parts) != 2 {
-			return 0, 0, false
-		}
-		// WKT order is lon lat.
-		lonV, err1 := strconv.ParseFloat(parts[0], 64)
-		latV, err2 := strconv.ParseFloat(parts[1], 64)
-		if err1 != nil || err2 != nil {
-			return 0, 0, false
-		}
-		return latV, lonV, true
-	}
-	s = strings.ReplaceAll(s, ",", " ")
-	parts := strings.Fields(s)
-	if len(parts) != 2 {
-		return 0, 0, false
-	}
-	latV, err1 := strconv.ParseFloat(parts[0], 64)
-	lonV, err2 := strconv.ParseFloat(parts[1], 64)
-	if err1 != nil || err2 != nil {
-		return 0, 0, false
-	}
-	return latV, lonV, true
-}
-
-// Haversine returns the great-circle distance in meters between two points
-// given in degrees.
-func Haversine(lat1, lon1, lat2, lon2 float64) float64 {
-	const degToRad = math.Pi / 180
-	phi1, phi2 := lat1*degToRad, lat2*degToRad
-	dPhi := (lat2 - lat1) * degToRad
-	dLambda := (lon2 - lon1) * degToRad
-	sinPhi := math.Sin(dPhi / 2)
-	sinLambda := math.Sin(dLambda / 2)
-	h := sinPhi*sinPhi + math.Cos(phi1)*math.Cos(phi2)*sinLambda*sinLambda
-	return 2 * earthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(h)))
-}
-
-// ---------------------------------------------------------------------------
-// Date
-
-// dateLayouts are attempted in order when parsing date values.
-var dateLayouts = []string{
-	"2006-01-02",
-	"2006/01/02",
-	"02.01.2006",
-	"January 2, 2006",
-	"Jan 2, 2006",
-	"2006",
-}
-
-// monthPrefixes are the distinct three-letter prefixes of the English
-// month names — the first token every named dateLayout begins with.
-var monthPrefixes = []string{"jan", "feb", "mar", "apr", "may", "jun", "jul", "aug", "sep", "oct", "nov", "dec"}
-
-// hasMonthPrefix reports whether s could start with a month name. The
-// check is case-insensitive, so it is at least as permissive as
-// time.Parse's name matching — a false positive costs one failed parse,
-// a false negative is impossible.
-func hasMonthPrefix(s string) bool {
-	if len(s) < 3 {
-		return false
-	}
-	for _, m := range monthPrefixes {
-		if strings.EqualFold(s[:3], m) {
-			return true
-		}
-	}
-	return false
-}
-
-// ParseDate parses a date value using the supported layouts.
-//
-// The measure runs once per value pair on the query hot path, and on
-// non-date corpora every attempt fails — with time.Parse allocating an
-// error each try. Values that cannot possibly match any layout (no
-// leading digit or sign for the numeric layouts, no month-name prefix
-// for the named ones) are rejected before time.Parse runs.
-func ParseDate(s string) (time.Time, bool) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return time.Time{}, false
-	}
-	numericish := s[0] >= '0' && s[0] <= '9' || s[0] == '-' || s[0] == '+'
-	if !numericish && !hasMonthPrefix(s) {
-		return time.Time{}, false
-	}
-	for _, layout := range dateLayouts {
-		if t, err := time.Parse(layout, s); err == nil {
-			return t, true
-		}
-	}
-	return time.Time{}, false
-}
-
-// Date returns the distance between two dates in days (Table 2).
-func Date() Measure {
-	return Func{MeasureName: "date", Single: func(a, b string) float64 {
-		ta, okA := ParseDate(a)
-		tb, okB := ParseDate(b)
-		if !okA || !okB {
-			return math.Inf(1)
-		}
-		return math.Abs(ta.Sub(tb).Hours() / 24)
-	}}
 }
 
 // ---------------------------------------------------------------------------
