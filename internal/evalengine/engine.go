@@ -526,7 +526,10 @@ func (e *Engine) evict() {
 	}
 }
 
-// evictOldest removes n entries with the smallest lastUsed stamp.
+// evictOldest removes the n entries first in (lastUsed, signature)
+// order. Breaking stamp ties by signature, not by map order, makes the
+// choice — and so everything later batches recompute — repeat run to run
+// (TestEngineEvictionDeterministic).
 func evictOldest[V any](m map[string]V, n int, lastUsed func(V) int) {
 	type aged struct {
 		sig string
@@ -536,7 +539,12 @@ func evictOldest[V any](m map[string]V, n int, lastUsed func(V) int) {
 	for sig, v := range m {
 		entries = append(entries, aged{sig, lastUsed(v)})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].gen < entries[j].gen })
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].gen != entries[j].gen {
+			return entries[i].gen < entries[j].gen
+		}
+		return entries[i].sig < entries[j].sig
+	})
 	for i := 0; i < n && i < len(entries); i++ {
 		delete(m, entries[i].sig)
 	}

@@ -188,17 +188,22 @@ func TestCompiledDeduplicatesSubtrees(t *testing.T) {
 // ValueVectors after every batch as the commit before them reported
 // them for these populations (not under the cap: which of several
 // equally old vectors it evicts is up to the map's iteration order).
+// memoSchedule is the batch schedule of the memo tests: which of eight
+// random pool rules each batch evaluates, repeats within and across
+// batches included.
+var memoSchedule = [][]int{
+	{0, 1, 2, 0, 1, 6},
+	{0, 0, 3, 7},
+	{3, 4},
+	{1, 2, 4, 4, 6},
+	{1, 5, 5, 5},
+	{0, 1, 2, 3, 4, 5, 6, 7},
+	{5, 4, 3},
+	{7, 6, 5, 4, 3, 2, 1, 0, 0, 1, 2, 3},
+}
+
 func TestEngineMemoMeetsTreeWalk(t *testing.T) {
-	schedule := [][]int{
-		{0, 1, 2, 0, 1, 6},
-		{0, 0, 3, 7},
-		{3, 4},
-		{1, 2, 4, 4, 6},
-		{1, 5, 5, 5},
-		{0, 1, 2, 3, 4, 5, 6, 7},
-		{5, 4, 3},
-		{7, 6, 5, 4, 3, 2, 1, 0, 0, 1, 2, 3},
-	}
+	schedule := memoSchedule
 	for _, tc := range []struct {
 		name      string
 		opts      evalengine.Options
@@ -270,5 +275,41 @@ func TestEngineMemoMeetsTreeWalk(t *testing.T) {
 				t.Errorf("no signature was folded twice, so nothing aged out or was declined: %+v", st)
 			}
 		})
+	}
+}
+
+// TestEngineEvictionDeterministic runs the memo schedule under a hard
+// distance-cache cap of 3 — where every batch evicts, and entries share
+// lastUsed stamps — twelve times from scratch. Which entries the cap
+// drops decides what later batches recompute, so the CacheStats after
+// every batch must repeat exactly from run to run.
+func TestEngineEvictionDeterministic(t *testing.T) {
+	run := func() []evalengine.CacheStats {
+		rng := rand.New(rand.NewSource(23))
+		refs := randomRefs(rng, 40)
+		pool := make([]*rule.Rule, 8)
+		for i := range pool {
+			pool[i] = randomRule(rng)
+		}
+		eng := evalengine.New(refs, evalengine.Options{MaxDistEntries: 3, Workers: 2})
+		var stats []evalengine.CacheStats
+		for _, picks := range memoSchedule {
+			batch := make([]*rule.Rule, len(picks))
+			for i, p := range picks {
+				batch[i] = pool[p].Clone()
+			}
+			eng.EvaluateBatch(batch)
+			stats = append(stats, eng.Stats())
+		}
+		return stats
+	}
+	first := run()
+	for i := 1; i < 12; i++ {
+		again := run()
+		for bi := range first {
+			if again[bi] != first[bi] {
+				t.Fatalf("run %d, after batch %d: %+v, first run %+v", i, bi, again[bi], first[bi])
+			}
+		}
 	}
 }

@@ -18,10 +18,18 @@ import (
 // Add/Update/Remove, the incremental index must propose exactly the
 // candidates the batch blocker proposes when run on the surviving entity
 // set — for every strategy (token, q-gram, sorted-neighborhood with
-// default/property/reversed keys, multi-pass, and the generic fallback),
-// with both derived and explicit stop-token caps. Query results must
-// likewise equal batch-scoring those candidates with the interpreted
-// rule. Run under -race in CI alongside concurrent-access tests.
+// default/property/reversed keys, multi-pass with and without a window
+// member), with both derived and
+// explicit stop-token caps. Query results must likewise equal
+// batch-scoring those candidates with the interpreted rule. Run under
+// -race in CI alongside concurrent-access tests.
+//
+// The batch side is matching.CandidatePairs over a freshly built source:
+// a one-shot BulkAdd of the survivors (the sorted-neighborhood scan of
+// its own, for that strategy) against an index maintained through every
+// write of the interleaving. CandidatePairs itself is held to the
+// independent reference materializer in internal/matching
+// (FuzzBatchCandidates, TestStreamPairsEqualCandidatePairs).
 
 // diffVocab is deliberately tiny so entities share tokens (big blocks,
 // cap-skip paths) and sort keys collide (window tie-breaking paths).
@@ -66,11 +74,6 @@ func diffEntity(rng *rand.Rand, id string) *entity.Entity {
 	return e
 }
 
-// opaqueBlocker hides the concrete strategy type from NewBlockIndex so
-// the generic re-blocking fallback is exercised against the same batch
-// semantics.
-type opaqueBlocker struct{ matching.Blocker }
-
 func diffStrategies() map[string]matching.Blocker {
 	return map[string]matching.Blocker{
 		"token":       matching.TokenBlocking(),
@@ -83,7 +86,12 @@ func diffStrategies() map[string]matching.Blocker {
 			matching.SortedNeighborhood(3),
 			matching.QGramBlocking(0),
 		),
-		"generic-token": opaqueBlocker{matching.TokenBlocking()},
+		// Keyed members only, one with a non-default q: the members'
+		// enumerators share one seen set and no window is involved.
+		"multipass-keyed": matching.MultiPass(
+			matching.TokenBlocking(),
+			matching.QGramBlocking(2),
+		),
 	}
 }
 

@@ -11,11 +11,11 @@
 // source of candidate-generation semantics and adds the storage layer
 // around it:
 //
-//   - BlockIndex mirrors each matching.Blocker strategy with mutable
-//     structures: inverted key maps (TokenIndex, QGramIndex), an
-//     order-maintained sorted list (SortedNeighborhoodIndex), a MultiIndex
-//     union composite, and a generic re-blocking fallback. A differential
-//     property test pins incremental candidates ≡ the batch blocker on the
+//   - Candidates come from the blocker's own matching.BlockIndex — the
+//     same index batch matching enumerates through: inverted key maps for
+//     token and q-gram blocking, an order-maintained sorted list for
+//     sorted-neighborhood, a union composite for multi-pass. Differential
+//     property tests pin the index's candidates ≡ the batch blocker on the
 //     surviving entity set under any interleaving of Add/Update/Remove.
 //   - ShardedIndex hash-partitions the corpus over N shards, each owning
 //     its own entity map, BlockIndex and evalengine.SharedScorer behind a
@@ -49,6 +49,21 @@ import (
 	"genlink/internal/matching"
 	"genlink/internal/rule"
 )
+
+// The block indexes live in internal/matching, next to the blockers they
+// implement. These three names remain here only because the benchmark
+// rig (benchmark/layers.go) builds per-shard block indexes through
+// linkindex, and the rig is kept unchanged so its runs stay comparable
+// across commits.
+type (
+	// BlockIndex is matching.BlockIndex.
+	BlockIndex = matching.BlockIndex
+	// BulkAdder is matching.BulkAdder.
+	BulkAdder = matching.BulkAdder
+)
+
+// NewBlockIndex is matching.NewBlockIndex.
+func NewBlockIndex(bl matching.Blocker) BlockIndex { return matching.NewBlockIndex(bl) }
 
 // Index is a mutable matching service over one entity corpus: entities
 // are added, updated and removed individually, and Query matches a probe

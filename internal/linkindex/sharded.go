@@ -31,10 +31,7 @@ import (
 //     with no block-size cap): a key's global block is the disjoint
 //     union of its per-shard blocks, so the union is exactly the
 //     single-shard candidate set and query results are identical to an
-//     unsharded Index. The generic re-blocking fallback shares this
-//     identity only for key-based custom strategies; an order- or
-//     window-dependent custom blocker re-blocked per partition follows
-//     the union-of-partitions contract, like sorted neighborhood.
+//     unsharded Index.
 //   - Sorted neighborhood: each shard keeps its own sorted list, and a
 //     probe takes a window of w on either side per shard. The shard's
 //     list is a subsequence of the global sorted list, so any entity
@@ -85,7 +82,7 @@ type ShardedIndex struct {
 type shard struct {
 	mu       sync.RWMutex
 	entities map[string]*entity.Entity
-	blocks   BlockIndex
+	blocks   matching.BlockIndex
 	scorer   *evalengine.SharedScorer
 	// earlyExits points at the owning index's counter.
 	earlyExits *atomic.Int64
@@ -112,7 +109,7 @@ func NewSharded(r *rule.Rule, shards int, opts matching.Options) *ShardedIndex {
 	for i := range ix.shards {
 		ix.shards[i] = &shard{
 			entities:   make(map[string]*entity.Entity),
-			blocks:     NewBlockIndex(opts.Blocker),
+			blocks:     matching.NewBlockIndex(opts.Blocker),
 			scorer:     compiled.NewSharedScorer(),
 			earlyExits: &ix.streamEarlyExits,
 		}
@@ -295,7 +292,7 @@ func SplitBatch(b Batch, parts int) map[int]Batch {
 
 // applyShardOps installs one shard's resolved ops under its write lock —
 // old versions leave the block structures through the bulk-remove fast
-// path, new versions enter through the BulkAdder append-then-sort path —
+// path, new versions enter through the BulkAdd merge path —
 // and reports the distinct upserts and deletes performed. Callers may
 // run it concurrently for different shards; per shard it is atomic with
 // respect to queries.
@@ -332,20 +329,20 @@ func (ix *ShardedIndex) applyShardOps(si int, g *shardOps) (upserted, deleted in
 			ix.count.Add(1)
 		}
 	}
-	bulkRemove(sh.blocks, olds)
+	sh.blocks.BulkRemove(olds)
 	for _, e := range fresh {
 		sh.entities[e.ID] = e
 		sh.scorer.Invalidate(e)
 	}
-	bulkAdd(sh.blocks, fresh)
+	sh.blocks.BulkAdd(fresh)
 	return len(fresh), deleted
 }
 
 // Apply installs a batch of upserts and deletes: writes are grouped per
 // shard, shards are written in parallel, and each shard takes its write
 // lock exactly once — old versions leave the block structures through the
-// bulk-remove fast path and new versions enter through the BulkAdder
-// append-then-sort path, so a batched upsert never pays the per-record
+// bulk-remove fast path and new versions enter through the BulkAdd merge
+// path, so a batched upsert never pays the per-record
 // sorted-neighborhood memmove of repeated Adds. Per shard the batch is
 // atomic with respect to queries; across shards there is no global
 // barrier (see the isolation notes on ShardedIndex).
@@ -591,7 +588,7 @@ func (sh *shard) query(probe *entity.Entity, k, maxBlockCfg int, threshold float
 }
 
 // queryLocked is query with the shard lock already held: the block index
-// pushes each candidate (BlockIndex.Each, stream.go) into the prefilter →
+// pushes each candidate (matching.BlockIndex.Each) into the prefilter →
 // score → heap body below, which applies the compiled rule's pushdown
 // prefilter per candidate. The one early exit is before the enumeration
 // starts (probe bound < threshold); none can exist inside it, because
@@ -644,6 +641,17 @@ func (sh *shard) queryLocked(probe *entity.Entity, k, maxBlockCfg int, threshold
 		return true
 	})
 	return h.links
+}
+
+// seenPool recycles the per-query dedup sets Each is handed. A query's
+// seen set grows to the candidate count, so allocating one per query
+// would dominate the query path's allocations; pooling makes the map a
+// steady-state cost. Whoever draws a set clears it before giving it back.
+var seenPool = sync.Pool{New: func() any { return make(map[string]struct{}) }}
+
+// sortByID orders entities by ID (deterministic candidate output).
+func sortByID(es []*entity.Entity) {
+	sort.Slice(es, func(i, j int) bool { return es[i].ID < es[j].ID })
 }
 
 // sortLinks orders links by descending score, then ascending candidate

@@ -16,14 +16,14 @@ import (
 // partitionInvariant names the strategies whose sharded candidate union
 // is EXACTLY the single-shard candidate set when blocks are uncapped:
 // inverted key maps (token, q-gram — a key's global block is the disjoint
-// union of its per-shard blocks) and the generic re-blocking fallback
-// applied per partition. Sorted-neighborhood strategies are windowed per
-// shard and produce a superset instead (see the superset test below);
-// multipass inherits whichever its members do.
+// union of its per-shard blocks). Sorted-neighborhood strategies are
+// windowed per shard and produce a superset instead (see the superset
+// test below); multipass inherits whichever its members do, so one of
+// keyed members only is exact too.
 var partitionInvariant = map[string]bool{
-	"token":         true,
-	"qgram":         true,
-	"generic-token": true,
+	"token":           true,
+	"qgram":           true,
+	"multipass-keyed": true,
 }
 
 // sortLinksLike orders links the way Query does: descending score, ties

@@ -1,0 +1,348 @@
+package linkrouter
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"genlink/internal/linkserver"
+)
+
+// The router's decisions — 403 retarget, write failover, lag-gated
+// reads, hedged fan-out legs — driven through its Handler over a fake
+// http.RoundTripper (Options.Client): every backend node is a function
+// answering in process, so each case is deterministic and no server or
+// socket is involved.
+
+// fakeNode is one backend genlinkd as the router sees it.
+type fakeNode struct {
+	role string // reported by the /metrics poll
+	lag  uint64 // replica_lag_records reported by the poll
+	down bool   // every request, polls included, fails to connect
+	// serve answers every request but the poll. A nil error with a zero
+	// status is not allowed; return an error to simulate a dropped
+	// connection.
+	serve func(r *http.Request) (int, any, error)
+}
+
+// fakeNet is the fake transport: nodes by host, plus the log of every
+// non-poll request in arrival order ("host METHOD path").
+type fakeNet struct {
+	nodes map[string]*fakeNode
+	mu    sync.Mutex
+	log   []string
+}
+
+func (f *fakeNet) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		r.Body.Close()
+	}
+	n := f.nodes[r.URL.Host]
+	if r.URL.Path != "/metrics" {
+		f.mu.Lock()
+		f.log = append(f.log, r.URL.Host+" "+r.Method+" "+r.URL.Path)
+		f.mu.Unlock()
+	}
+	if n == nil || n.down {
+		return nil, errors.New("dial tcp: connection refused")
+	}
+	if r.URL.Path == "/metrics" {
+		return reply(r, http.StatusOK, linkserver.NodeMetrics{Role: n.role, ReplicaLagRecords: n.lag})
+	}
+	status, body, err := n.serve(r)
+	if err != nil {
+		return nil, err
+	}
+	return reply(r, status, body)
+}
+
+func reply(r *http.Request, status int, body any) (*http.Response, error) {
+	data, err := json.Marshal(body)
+	if err != nil {
+		return nil, err
+	}
+	return &http.Response{
+		StatusCode: status,
+		Header:     http.Header{"Content-Type": {"application/json"}},
+		Body:       io.NopCloser(bytes.NewReader(data)),
+		Request:    r,
+	}, nil
+}
+
+func (f *fakeNet) requests() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.log...)
+}
+
+// newFakeRouter starts a router over one partition group of the given
+// hosts (the first is the initial leader guess). The background poll is
+// parked for the test's lifetime, so the only poll is New's own.
+func newFakeRouter(t *testing.T, net *fakeNet, group []string, opts Options) *Router {
+	t.Helper()
+	opts.Groups = [][]string{group}
+	opts.Client = &http.Client{Transport: net, Timeout: time.Minute}
+	opts.PollInterval = time.Hour
+	rt, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	return rt
+}
+
+// serve sends one request through the router's handler.
+func serve(rt *Router, method, target, body string) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(w, httptest.NewRequest(method, target, strings.NewReader(body)))
+	return w
+}
+
+func answer(status int, body any) func(*http.Request) (int, any, error) {
+	return func(*http.Request) (int, any, error) { return status, body, nil }
+}
+
+var ack = linkserver.EntitiesAck{Added: 1, Entities: 1}
+
+func TestRouterWritesRetargetAndFailOver(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		group         []string
+		nodes         map[string]*fakeNode
+		wantLog       []string
+		wantRetargets int64
+	}{
+		{
+			// The leader guess is an unpromoted replica: its 403 names the
+			// leader, the router retargets there, and the next write goes
+			// straight to it.
+			name:  "403 retargets to the named leader",
+			group: []string{"f"},
+			nodes: map[string]*fakeNode{
+				"f":  {role: "follower", serve: answer(http.StatusForbidden, linkserver.ErrorBody{Error: "read-only replica", Leader: "l2"})},
+				"l2": {role: "leader", serve: answer(http.StatusOK, ack)},
+			},
+			wantLog:       []string{"f POST /entities", "l2 POST /entities", "l2 POST /entities"},
+			wantRetargets: 1,
+		},
+		{
+			name:  "5xx fails over to the next node",
+			group: []string{"l", "f"},
+			nodes: map[string]*fakeNode{
+				"l": {role: "leader", serve: answer(http.StatusServiceUnavailable, linkserver.ErrorBody{Error: "shutting down"})},
+				"f": {role: "follower", serve: answer(http.StatusOK, ack)},
+			},
+			wantLog:       []string{"l POST /entities", "f POST /entities", "f POST /entities"},
+			wantRetargets: 1,
+		},
+		{
+			// The old leader is gone and the poll has not yet seen the
+			// promotion: the connection error moves the write on.
+			name:  "connection error fails over to the next node",
+			group: []string{"l", "f"},
+			nodes: map[string]*fakeNode{
+				"l": {down: true},
+				"f": {role: "follower", serve: answer(http.StatusOK, ack)},
+			},
+			wantLog:       []string{"l POST /entities", "f POST /entities", "f POST /entities"},
+			wantRetargets: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := &fakeNet{nodes: tc.nodes}
+			rt := newFakeRouter(t, net, tc.group, Options{})
+			for i := 0; i < 2; i++ {
+				if w := serve(rt, http.MethodPost, "/entities", `{"id":"x","properties":{"p":["v"]}}`); w.Code != http.StatusOK {
+					t.Fatalf("write %d: status %d: %s", i, w.Code, w.Body)
+				}
+			}
+			if got := net.requests(); !reflect.DeepEqual(got, tc.wantLog) {
+				t.Fatalf("requests %q, want %q", got, tc.wantLog)
+			}
+			m := rt.Metrics()
+			if m.Retargets != tc.wantRetargets || m.WriteBatches != 2 || m.RoutedWrites[0] != 2 {
+				t.Fatalf("retargets %d, write batches %d, routed writes %d; want %d, 2, 2",
+					m.Retargets, m.WriteBatches, m.RoutedWrites[0], tc.wantRetargets)
+			}
+		})
+	}
+}
+
+func TestRouterReadsLagGated(t *testing.T) {
+	entity := map[string]any{"id": "x", "properties": map[string][]string{}}
+	for _, tc := range []struct {
+		name                    string
+		followerLag, maxLag     uint64
+		followerStatus          int
+		wantLog                 []string
+		wantReplica, wantLeader int64
+	}{
+		{
+			name:           "caught-up replica serves",
+			followerStatus: http.StatusOK,
+			wantLog:        []string{"f GET /entities/x", "f GET /entities/x"},
+			wantReplica:    2,
+		},
+		{
+			name:        "replica beyond MaxLag: the leader serves",
+			followerLag: 5, maxLag: 2,
+			followerStatus: http.StatusOK,
+			wantLog:        []string{"l GET /entities/x", "l GET /entities/x"},
+			wantLeader:     2,
+		},
+		{
+			name:        "replica within MaxLag serves",
+			followerLag: 5, maxLag: 5,
+			followerStatus: http.StatusOK,
+			wantLog:        []string{"f GET /entities/x", "f GET /entities/x"},
+			wantReplica:    2,
+		},
+		{
+			// A replica failing mid-read is retried on the leader and then
+			// left out of reads until the next poll.
+			name:           "failed replica read falls back to the leader",
+			followerStatus: http.StatusInternalServerError,
+			wantLog:        []string{"f GET /entities/x", "l GET /entities/x", "l GET /entities/x"},
+			wantLeader:     2,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := &fakeNet{nodes: map[string]*fakeNode{
+				"l": {role: "leader", serve: answer(http.StatusOK, entity)},
+				"f": {role: "follower", lag: tc.followerLag, serve: answer(tc.followerStatus, entity)},
+			}}
+			rt := newFakeRouter(t, net, []string{"l", "f"}, Options{MaxLag: tc.maxLag})
+			for i := 0; i < 2; i++ {
+				if w := serve(rt, http.MethodGet, "/entities/x", ""); w.Code != http.StatusOK {
+					t.Fatalf("read %d: status %d: %s", i, w.Code, w.Body)
+				}
+			}
+			if got := net.requests(); !reflect.DeepEqual(got, tc.wantLog) {
+				t.Fatalf("requests %q, want %q", got, tc.wantLog)
+			}
+			if m := rt.Metrics(); m.ReplicaReads != tc.wantReplica || m.LeaderReads != tc.wantLeader {
+				t.Fatalf("replica reads %d, leader reads %d; want %d, %d", m.ReplicaReads, m.LeaderReads, tc.wantReplica, tc.wantLeader)
+			}
+		})
+	}
+}
+
+func TestRouterHedgedMatchLeg(t *testing.T) {
+	links := func(id string) linkserver.MatchResponse {
+		return linkserver.MatchResponse{Query: "p", K: 3, Links: []linkserver.MatchLink{{ID: id, Score: 0.9}}}
+	}
+	// Every case has a caught-up replica f (the primary pick) and the
+	// leader l (the hedge target). hedged is closed when the hedge reaches
+	// l, so "after the hedge fired" is an event, not a sleep.
+	type nodes struct {
+		f, l func(r *http.Request, hedged <-chan struct{}) (int, any, error)
+	}
+	untilCancelled := func(r *http.Request, _ <-chan struct{}) (int, any, error) {
+		<-r.Context().Done()
+		return 0, nil, r.Context().Err()
+	}
+	for _, tc := range []struct {
+		name       string
+		hedgeAfter time.Duration
+		nodes      nodes
+		wantStatus int
+		wantLink   string
+		want       Snapshot
+	}{
+		{
+			name:       "primary answers within the budget",
+			hedgeAfter: time.Hour,
+			nodes: nodes{
+				f: func(*http.Request, <-chan struct{}) (int, any, error) { return http.StatusOK, links("from-f"), nil },
+			},
+			wantStatus: http.StatusOK, wantLink: "from-f",
+			want: Snapshot{Queries: 1, ReplicaReads: 1},
+		},
+		{
+			name:       "hedge answers first",
+			hedgeAfter: time.Millisecond,
+			nodes: nodes{
+				f: untilCancelled,
+				l: func(*http.Request, <-chan struct{}) (int, any, error) { return http.StatusOK, links("from-l"), nil },
+			},
+			wantStatus: http.StatusOK, wantLink: "from-l",
+			want: Snapshot{Queries: 1, HedgesFired: 1, HedgeWins: 1, LeaderReads: 1},
+		},
+		{
+			name:       "primary answers after the hedge fired",
+			hedgeAfter: time.Millisecond,
+			nodes: nodes{
+				f: func(_ *http.Request, hedged <-chan struct{}) (int, any, error) {
+					<-hedged
+					return http.StatusOK, links("from-f"), nil
+				},
+				l: untilCancelled,
+			},
+			wantStatus: http.StatusOK, wantLink: "from-f",
+			want: Snapshot{Queries: 1, HedgesFired: 1, ReplicaReads: 1},
+		},
+		{
+			name:       "both legs fail",
+			hedgeAfter: time.Millisecond,
+			nodes: nodes{
+				f: func(_ *http.Request, hedged <-chan struct{}) (int, any, error) {
+					<-hedged
+					return http.StatusInternalServerError, linkserver.ErrorBody{Error: "boom"}, nil
+				},
+				l: func(*http.Request, <-chan struct{}) (int, any, error) {
+					return http.StatusInternalServerError, linkserver.ErrorBody{Error: "boom"}, nil
+				},
+			},
+			wantStatus: http.StatusBadGateway,
+			want:       Snapshot{HedgesFired: 1, LegErrors: 1},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hedged := make(chan struct{})
+			var once sync.Once
+			bind := func(h func(*http.Request, <-chan struct{}) (int, any, error), hedge bool) func(*http.Request) (int, any, error) {
+				return func(r *http.Request) (int, any, error) {
+					if hedge {
+						once.Do(func() { close(hedged) })
+					}
+					if h == nil {
+						t.Errorf("unexpected request to %s", r.URL.Host)
+						return http.StatusInternalServerError, linkserver.ErrorBody{Error: "unexpected"}, nil
+					}
+					return h(r, hedged)
+				}
+			}
+			net := &fakeNet{nodes: map[string]*fakeNode{
+				"f": {role: "follower", serve: bind(tc.nodes.f, false)},
+				"l": {role: "leader", serve: bind(tc.nodes.l, true)},
+			}}
+			rt := newFakeRouter(t, net, []string{"l", "f"}, Options{HedgeAfter: tc.hedgeAfter})
+			w := serve(rt, http.MethodPost, "/match?k=3", `{"id":"p","properties":{"name":["x"]}}`)
+			if w.Code != tc.wantStatus {
+				t.Fatalf("status %d, want %d: %s", w.Code, tc.wantStatus, w.Body)
+			}
+			if tc.wantStatus == http.StatusOK {
+				var resp linkserver.MatchResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+					t.Fatal(err)
+				}
+				if len(resp.Links) != 1 || resp.Links[0].ID != tc.wantLink {
+					t.Fatalf("links %+v, want the one from %s", resp.Links, tc.wantLink)
+				}
+			}
+			got := rt.Metrics()
+			got.RoutedWrites, got.RoutedDeletes = nil, nil
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("metrics %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}

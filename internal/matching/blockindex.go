@@ -1,28 +1,28 @@
-package linkindex
+package matching
 
 import (
 	"sort"
 
 	"genlink/internal/entity"
-	"genlink/internal/matching"
 )
 
-// BlockIndex is the mutable counterpart of a matching.Blocker: instead of
-// proposing candidate pairs for two fixed sources in one batch pass, it
-// maintains per-entity index structures under Add/Remove and answers
-// Candidates for one probe entity at a time.
+// BlockIndex is the mutable form of a Blocker: instead of proposing
+// candidate pairs for two fixed sources, it maintains per-entity index
+// structures under Add/Remove and answers Candidates for one probe entity
+// at a time. Every Blocker builds its own (NewBlockIndex); batch matching
+// bulk-loads B into one and probes it with every A entity, and
+// internal/linkindex keeps one per shard.
 //
-// The contract that the differential property test pins: for every probe,
-// Candidates(probe, maxBlock) returns exactly the B-side entities of
-// matching.CandidatePairs(blocker, {probe}, survivors∖{probe.ID}, opts) —
-// the batch blocker run with the probe as the only A entity against the
-// currently indexed entities minus the probe's own record ("remove, then
-// query as an external entity"). Self matches are therefore never
-// candidates, and an indexed probe does not inflate its own block sizes
-// or occupy a slot of its own sorted-neighborhood window.
+// The contract the differential tests pin: for every probe,
+// Candidates(probe, maxBlock) returns exactly the B-side entities the
+// reference batch materializer proposes with the probe as the only A
+// entity against the currently indexed entities minus the probe's own
+// record ("remove, then query as an external entity"). Self matches are
+// therefore never candidates, and an indexed probe does not inflate its
+// own block sizes or occupy a slot of its own sorted-neighborhood window.
 //
-// Implementations are NOT synchronized; Index serializes access. Results
-// are sorted by entity ID for determinism.
+// Implementations are NOT synchronized: writes need the caller's lock,
+// and Candidates/Each may run concurrently only with each other.
 type BlockIndex interface {
 	// Add indexes e. The caller guarantees e.ID is not currently indexed.
 	Add(e *entity.Entity)
@@ -30,18 +30,23 @@ type BlockIndex interface {
 	// (implementations record their keys at Add time, so an entity mutated
 	// after Add is still removed cleanly).
 	Remove(e *entity.Entity)
+	BulkAdder
+	// BulkRemove has Remove's contract for every element, in one pass
+	// where the structure allows it.
+	BulkRemove(es []*entity.Entity)
 	// Candidates returns the indexed entities the strategy pairs with
-	// probe, excluding the probe's own record. maxBlock > 0 caps key-block
-	// sizes (stop-token suppression); ≤ 0 means unlimited.
+	// probe, excluding the probe's own record, sorted by ID. maxBlock > 0
+	// caps key-block sizes (stop-token suppression); ≤ 0 means unlimited.
 	Candidates(probe *entity.Entity, maxBlock int) []*entity.Entity
 	// Each enumerates Candidates(probe, maxBlock) without materializing
-	// it: yield is called once per candidate, in unspecified order, until
-	// it returns false; Each reports whether it ran to completion. IDs
-	// already in seen are skipped and every yielded ID is recorded in it,
-	// so a caller passing one (initially empty) set to several indexes
-	// gets their deduplicated union. Like the other methods it is not
-	// synchronized: it runs to completion under the caller's lock, and
-	// yield must not write to the index.
+	// it: the structures are read in place, yield is called once per
+	// candidate, in unspecified order, until it returns false; Each
+	// reports whether it ran to completion. IDs already in seen are
+	// skipped and every yielded ID is recorded in it, so a caller passing
+	// one (initially empty) set to several indexes gets their
+	// deduplicated union. yield must not write to the index. Nothing is
+	// copied per block or allocated per candidate
+	// (TestEachAllocsIndependentOfBlockSize).
 	Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool
 	// Len returns the number of indexed entities.
 	Len() int
@@ -50,68 +55,18 @@ type BlockIndex interface {
 	Keys() int
 }
 
-// BulkAdder is implemented by BlockIndexes with a batch-load fast path.
-// BulkAdd has Add's contract for every element (no ID currently indexed,
-// and IDs unique within the batch); bulkAdd falls back to per-entity Add
-// for indexes that don't implement it.
+// BulkAdder is the batch-load half of BlockIndex. BulkAdd has Add's
+// contract for every element (no ID currently indexed, and IDs unique
+// within the batch).
 type BulkAdder interface {
 	BulkAdd(es []*entity.Entity)
 }
 
-// bulkAdd loads a batch through the index's fast path if it has one.
-func bulkAdd(bi BlockIndex, es []*entity.Entity) {
-	if ba, ok := bi.(BulkAdder); ok {
-		ba.BulkAdd(es)
-		return
-	}
-	for _, e := range es {
-		bi.Add(e)
-	}
-}
-
-// BulkRemover is implemented by BlockIndexes with a batch-unindex fast
-// path. BulkRemove has Remove's contract for every element; bulkRemove
-// falls back to per-entity Remove for indexes that don't implement it.
-type BulkRemover interface {
-	BulkRemove(es []*entity.Entity)
-}
-
-// bulkRemove unindexes a batch through the index's fast path if it has
-// one.
-func bulkRemove(bi BlockIndex, es []*entity.Entity) {
-	if br, ok := bi.(BulkRemover); ok {
-		br.BulkRemove(es)
-		return
-	}
-	for _, e := range es {
-		bi.Remove(e)
-	}
-}
-
-// NewBlockIndex returns the incremental index matching a blocker
+// NewBlockIndex returns an empty incremental index of the blocker's
 // strategy: inverted key maps for token and q-gram blocking, an
 // order-maintained sorted list for sorted-neighborhood, a MultiIndex for
-// multi-pass composites, and a generic re-blocking fallback for unknown
-// strategies — so any matching.Blocker can be served incrementally,
-// just not always at indexed speed.
-func NewBlockIndex(bl matching.Blocker) BlockIndex {
-	switch b := bl.(type) {
-	case matching.TokenBlocker:
-		return NewTokenIndex()
-	case matching.QGramBlocker:
-		return NewQGramIndex(b.Q)
-	case matching.SortedNeighborhoodBlocker:
-		return NewSortedNeighborhoodIndex(b.Window, b.Key)
-	case matching.MultiPassBlocker:
-		members := make([]BlockIndex, len(b.Passes))
-		for i, p := range b.Passes {
-			members[i] = NewBlockIndex(p)
-		}
-		return NewMultiIndex(members...)
-	default:
-		return NewGenericIndex(bl)
-	}
-}
+// multi-pass composites.
+func NewBlockIndex(bl Blocker) BlockIndex { return bl.newIndex() }
 
 // ---------------------------------------------------------------------------
 // Inverted key maps (token, q-gram)
@@ -164,10 +119,22 @@ func (x *keyedIndex) Remove(e *entity.Entity) {
 	}
 }
 
+// BulkAdd implements BlockIndex: an inverted map has no batch fast path.
+func (x *keyedIndex) BulkAdd(es []*entity.Entity) {
+	for _, e := range es {
+		x.Add(e)
+	}
+}
+
+// BulkRemove implements BlockIndex.
+func (x *keyedIndex) BulkRemove(es []*entity.Entity) {
+	for _, e := range es {
+		x.Remove(e)
+	}
+}
+
 // Candidates implements BlockIndex. Block sizes are measured without the
-// probe's own record, mirroring a batch run over the corpus minus the
-// probe: a block that is exactly at the cap must not flip to skipped just
-// because the probe itself is a member.
+// probe's own record (the CapAllows policy).
 func (x *keyedIndex) Candidates(probe *entity.Entity, maxBlock int) []*entity.Entity {
 	seen := make(map[string]struct{})
 	var out []*entity.Entity
@@ -177,7 +144,7 @@ func (x *keyedIndex) Candidates(probe *entity.Entity, maxBlock int) []*entity.En
 		if _, self := block[probe.ID]; self {
 			size--
 		}
-		if !matching.CapAllows(size, maxBlock) {
+		if !CapAllows(size, maxBlock) {
 			continue
 		}
 		for id, cand := range block {
@@ -195,30 +162,58 @@ func (x *keyedIndex) Candidates(probe *entity.Entity, maxBlock int) []*entity.En
 	return out
 }
 
+// Each implements BlockIndex: the probe's key blocks are ranged in place,
+// one at a time, deduplicating across blocks through seen. Oversized
+// blocks are skipped by the same policy as Candidates.
+func (x *keyedIndex) Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+	for _, k := range x.keys(probe) {
+		block := x.byKey[k]
+		size := len(block)
+		if _, self := block[probe.ID]; self {
+			size--
+		}
+		if !CapAllows(size, maxBlock) {
+			continue
+		}
+		for id, cand := range block {
+			if id == probe.ID {
+				continue
+			}
+			if _, dup := seen[id]; dup {
+				continue
+			}
+			seen[id] = struct{}{}
+			if !yield(cand) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Len implements BlockIndex.
 func (x *keyedIndex) Len() int { return len(x.keysOf) }
 
 // Keys implements BlockIndex.
 func (x *keyedIndex) Keys() int { return len(x.byKey) }
 
-// TokenIndex is the incremental form of matching.TokenBlocker: an
-// inverted map from lowercased value tokens to the entities containing
-// them.
+// TokenIndex is the index of TokenBlocker: an inverted map from
+// lowercased value tokens to the entities containing them.
 type TokenIndex struct{ *keyedIndex }
 
 // NewTokenIndex returns an empty token index.
 func NewTokenIndex() TokenIndex {
-	return TokenIndex{newKeyedIndex(matching.Tokens)}
+	return TokenIndex{newKeyedIndex(Tokens)}
 }
 
-// QGramIndex is the incremental form of matching.QGramBlocker: an
-// inverted map from character q-grams to the entities containing them.
+// QGramIndex is the index of QGramBlocker: an inverted map from
+// character q-grams to the entities containing them.
 type QGramIndex struct{ *keyedIndex }
 
 // NewQGramIndex returns an empty q-gram index (q ≤ 0 means 3).
 func NewQGramIndex(q int) QGramIndex {
 	return QGramIndex{newKeyedIndex(func(e *entity.Entity) []string {
-		return matching.QGramKeys(e, q)
+		return QGramKeys(e, q)
 	})}
 }
 
@@ -231,15 +226,16 @@ type snRec struct {
 	e   *entity.Entity
 }
 
-// SortedNeighborhoodIndex is the incremental form of
-// matching.SortedNeighborhoodBlocker: an order-maintained list sorted by
-// (sort key, entity ID). Add and Remove locate the position by binary
-// search and shift the tail (O(log n) search + O(n) memmove — fine up to
-// hundreds of thousands of entities; the constant is a single copy of
-// pointer-sized records). Candidates virtually inserts the probe at its
-// sorted position and returns the entities within the window on either
-// side, exactly the pairs the batch windowed scan would generate for a
-// singleton A source.
+// SortedNeighborhoodIndex is the index of SortedNeighborhoodBlocker: an
+// order-maintained list sorted by (sort key, entity ID). Add and Remove
+// locate the position by binary search and shift the tail (O(log n)
+// search + O(n) memmove — fine up to hundreds of thousands of entities;
+// the constant is a single copy of pointer-sized records). Candidates
+// virtually inserts the probe at its sorted position and returns the
+// entities within the window on either side: the window is over the
+// indexed entities alone, which is the batch scan's window for a
+// singleton A source (see snStreamer for why batch matching with many A
+// entities keeps its own merged-order window).
 type SortedNeighborhoodIndex struct {
 	window int
 	key    func(*entity.Entity) string
@@ -248,13 +244,13 @@ type SortedNeighborhoodIndex struct {
 }
 
 // NewSortedNeighborhoodIndex returns an empty sorted-neighborhood index
-// (window ≤ 0 means 10, key nil means matching.DefaultSortKey).
+// (window ≤ 0 means 10, key nil means DefaultSortKey).
 func NewSortedNeighborhoodIndex(window int, key func(*entity.Entity) string) *SortedNeighborhoodIndex {
 	if window <= 0 {
 		window = 10
 	}
 	if key == nil {
-		key = matching.DefaultSortKey
+		key = DefaultSortKey
 	}
 	return &SortedNeighborhoodIndex{window: window, key: key, keyOf: make(map[string]string)}
 }
@@ -289,7 +285,7 @@ func recLess(a, b snRec) bool {
 	return a.e.ID < b.e.ID
 }
 
-// BulkAdd implements BulkAdder: sort the m new records, then merge them
+// BulkAdd implements BlockIndex: sort the m new records, then merge them
 // into the existing list with one backward pass — O(n + m·log m)
 // instead of the O(n·m) memmoves of m repeated Adds, and never a full
 // re-sort of the n existing records, so a small batch into a large
@@ -322,7 +318,7 @@ func (x *SortedNeighborhoodIndex) BulkAdd(es []*entity.Entity) {
 	}
 }
 
-// BulkRemove implements BulkRemover: mark every doomed record, then
+// BulkRemove implements BlockIndex: mark every doomed record, then
 // compact the list in one pass. O(n + m) instead of the O(n·m) memmoves
 // of m repeated Removes — the batch half of the Apply write pipeline.
 func (x *SortedNeighborhoodIndex) BulkRemove(es []*entity.Entity) {
@@ -402,6 +398,43 @@ func (x *SortedNeighborhoodIndex) Candidates(probe *entity.Entity, _ int) []*ent
 	return out
 }
 
+// Each implements BlockIndex: the probe's window of the sorted list is
+// read in place — no slice copy and no sort. The window arithmetic
+// repeats Candidates' on purpose: Candidates is the reference the
+// differentials compare this against, so the two share no code.
+func (x *SortedNeighborhoodIndex) Each(probe *entity.Entity, _ int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+	pos := x.lowerBound(x.key(probe), probe.ID)
+	self := -1
+	if k, ok := x.keyOf[probe.ID]; ok {
+		self = x.lowerBound(k, probe.ID)
+	}
+	// Translate to coordinates of the list without the probe's record.
+	m := len(x.recs)
+	if self >= 0 {
+		m--
+		if self < pos {
+			pos--
+		}
+	}
+	lo := max(pos-x.window, 0)
+	hi := min(pos+x.window, m) - 1
+	for i := lo; i <= hi; i++ {
+		full := i
+		if self >= 0 && i >= self {
+			full = i + 1
+		}
+		e := x.recs[full].e
+		if _, dup := seen[e.ID]; dup {
+			continue
+		}
+		seen[e.ID] = struct{}{}
+		if !yield(e) {
+			return false
+		}
+	}
+	return true
+}
+
 // Len implements BlockIndex.
 func (x *SortedNeighborhoodIndex) Len() int { return len(x.recs) }
 
@@ -411,11 +444,10 @@ func (x *SortedNeighborhoodIndex) Keys() int { return len(x.recs) }
 // ---------------------------------------------------------------------------
 // Multi-pass composite
 
-// MultiIndex unions the candidates of several member indexes — the
-// incremental mirror of matching.MultiPassBlocker (the MultiBlock idea of
-// one index per similarity dimension). Every entity is added to and
-// removed from all members; a candidate survives if any one member
-// proposes it.
+// MultiIndex unions the candidates of several member indexes — the index
+// of MultiPassBlocker (the MultiBlock idea of one index per similarity
+// dimension). Every entity is added to and removed from all members; a
+// candidate survives if any one member proposes it.
 type MultiIndex struct {
 	members []BlockIndex
 }
@@ -432,24 +464,24 @@ func (x *MultiIndex) Add(e *entity.Entity) {
 	}
 }
 
-// BulkAdd implements BulkAdder, forwarding each member's fast path.
-func (x *MultiIndex) BulkAdd(es []*entity.Entity) {
-	for _, m := range x.members {
-		bulkAdd(m, es)
-	}
-}
-
-// BulkRemove implements BulkRemover, forwarding each member's fast path.
-func (x *MultiIndex) BulkRemove(es []*entity.Entity) {
-	for _, m := range x.members {
-		bulkRemove(m, es)
-	}
-}
-
 // Remove implements BlockIndex.
 func (x *MultiIndex) Remove(e *entity.Entity) {
 	for _, m := range x.members {
 		m.Remove(e)
+	}
+}
+
+// BulkAdd implements BlockIndex, forwarding to each member's.
+func (x *MultiIndex) BulkAdd(es []*entity.Entity) {
+	for _, m := range x.members {
+		m.BulkAdd(es)
+	}
+}
+
+// BulkRemove implements BlockIndex, forwarding to each member's.
+func (x *MultiIndex) BulkRemove(es []*entity.Entity) {
+	for _, m := range x.members {
+		m.BulkRemove(es)
 	}
 }
 
@@ -471,6 +503,11 @@ func (x *MultiIndex) Candidates(probe *entity.Entity, maxBlock int) []*entity.En
 	return out
 }
 
+// Each implements BlockIndex through eachUnion.
+func (x *MultiIndex) Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+	return eachUnion(x.members, probe, maxBlock, seen, yield)
+}
+
 // Len implements BlockIndex.
 func (x *MultiIndex) Len() int {
 	if len(x.members) == 0 {
@@ -488,66 +525,24 @@ func (x *MultiIndex) Keys() int {
 	return total
 }
 
-// ---------------------------------------------------------------------------
-// Generic fallback
-
-// GenericIndex adapts an arbitrary matching.Blocker with no incremental
-// structure: it keeps the entities and re-runs the batch blocker with the
-// probe as a singleton A source on every query. Correct for any strategy
-// (the differential contract holds by construction) but O(corpus) per
-// query — the fallback that lets Index wrap blockers it has never heard
-// of.
-type GenericIndex struct {
-	bl       matching.Blocker
-	entities map[string]*entity.Entity
+// enumerator is the Each half of BlockIndex — all batch matching needs
+// of a pass (stream.go).
+type enumerator interface {
+	Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool
 }
 
-// NewGenericIndex returns a generic re-blocking index over bl.
-func NewGenericIndex(bl matching.Blocker) *GenericIndex {
-	return &GenericIndex{bl: bl, entities: make(map[string]*entity.Entity)}
-}
-
-// Add implements BlockIndex.
-func (x *GenericIndex) Add(e *entity.Entity) { x.entities[e.ID] = e }
-
-// Remove implements BlockIndex.
-func (x *GenericIndex) Remove(e *entity.Entity) { delete(x.entities, e.ID) }
-
-// Candidates implements BlockIndex by running the batch blocker over
-// {probe} × (indexed ∖ {probe.ID}).
-func (x *GenericIndex) Candidates(probe *entity.Entity, maxBlock int) []*entity.Entity {
-	a := entity.NewSource("probe")
-	a.Add(probe)
-	rest := make([]*entity.Entity, 0, len(x.entities))
-	for id, e := range x.entities {
-		if id == probe.ID {
-			continue
+// eachUnion enumerates the members in order sharing seen, so later
+// members skip what earlier members already yielded and each candidate
+// is yielded exactly once however many members propose it — the
+// multi-pass union of both the index and the batch enumeration.
+func eachUnion[E enumerator](members []E, probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+	for _, m := range members {
+		if !m.Each(probe, maxBlock, seen, yield) {
+			return false
 		}
-		rest = append(rest, e)
 	}
-	sortByID(rest)
-	b := entity.NewSource("indexed")
-	for _, e := range rest {
-		b.Add(e)
-	}
-	opts := matching.Options{MaxBlockSize: maxBlock}
-	if maxBlock <= 0 {
-		opts.MaxBlockSize = -1 // CandidatePairs treats 0 as "derive default"
-	}
-	pairs := matching.CandidatePairs(x.bl, a, b, opts)
-	out := make([]*entity.Entity, 0, len(pairs))
-	for _, p := range pairs {
-		out = append(out, p.B)
-	}
-	sortByID(out)
-	return out
+	return true
 }
-
-// Len implements BlockIndex.
-func (x *GenericIndex) Len() int { return len(x.entities) }
-
-// Keys implements BlockIndex.
-func (x *GenericIndex) Keys() int { return len(x.entities) }
 
 // sortByID orders entities by ID (deterministic candidate output).
 func sortByID(es []*entity.Entity) {

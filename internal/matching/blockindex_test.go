@@ -1,0 +1,283 @@
+package matching
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"genlink/internal/entity"
+)
+
+// The index differential: after ANY interleaving of Add/Update/Remove,
+// BlockIndex.Each must yield exactly the materialized Candidates slice —
+// and the reference materializer's candidates for the probe as the only
+// A entity against the surviving entities minus the probe's own record —
+// as a set, with no duplicates and regardless of an earlier enumeration
+// having been stopped half-way, for every strategy and cap. The
+// ShardedIndex-level differentials (internal/linkindex) build on this.
+
+// diffVocab is deliberately tiny so entities share tokens (big blocks,
+// cap-skip paths) and sort keys collide (window tie-breaking paths).
+var diffVocab = []string{
+	"data", "graph", "learning", "systems", "parallel", "adaptive",
+	"netwrk", "network", "analisys", "analysis", "kernel", "query",
+}
+
+func diffValue(rng *rand.Rand) string {
+	switch rng.Intn(10) {
+	case 0:
+		return "" // empty values are legal and must not break keying
+	case 1:
+		return diffVocab[rng.Intn(len(diffVocab))]
+	default:
+		n := 1 + rng.Intn(3)
+		s := ""
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				s += " "
+			}
+			s += diffVocab[rng.Intn(len(diffVocab))]
+		}
+		return s
+	}
+}
+
+func diffEntity(rng *rand.Rand, id string) *entity.Entity {
+	e := entity.New(id)
+	for _, p := range []string{"name", "title", "year"} {
+		if rng.Float64() < 0.8 {
+			if p == "year" {
+				e.Add(p, fmt.Sprintf("%d", 1990+rng.Intn(6)))
+			} else {
+				e.Add(p, diffValue(rng))
+				if rng.Float64() < 0.2 {
+					e.Add(p, diffValue(rng)) // multi-valued
+				}
+			}
+		}
+	}
+	return e
+}
+
+func diffStrategies() map[string]Blocker {
+	return map[string]Blocker{
+		"token":       TokenBlocking(),
+		"qgram":       QGramBlocking(0),
+		"sn-default":  SortedNeighborhood(4),
+		"sn-property": SortedNeighborhoodBlocker{Window: 3, Key: PropertySortKey("name", "title")},
+		"sn-reversed": SortedNeighborhoodBlocker{Window: 3, Key: ReversedKey(DefaultSortKey)},
+		"multipass": MultiPass(
+			TokenBlocking(),
+			SortedNeighborhood(3),
+			QGramBlocking(0),
+		),
+		// Keyed members only, one with a non-default q: the members'
+		// enumerators share one seen set and no window is involved.
+		"multipass-keyed": MultiPass(
+			TokenBlocking(),
+			QGramBlocking(2),
+		),
+	}
+}
+
+// referenceCandidates is the ground truth of the index differentials:
+// the reference materializer with the probe as the only A entity against
+// the surviving corpus minus the probe's own record, exactly the
+// Candidates contract. maxBlock ≤ 0 means uncapped, as for the index.
+func referenceCandidates(bl Blocker, probe *entity.Entity, survivors map[string]*entity.Entity, maxBlock int) []string {
+	a := entity.NewSource("probe")
+	a.Add(probe)
+	b := entity.NewSource("survivors")
+	for _, id := range sortedIDsOfMap(survivors) {
+		if id != probe.ID {
+			b.Add(survivors[id])
+		}
+	}
+	if maxBlock == 0 {
+		maxBlock = -1 // Options treats 0 as "derive a default"
+	}
+	ids := make(map[string]struct{})
+	for _, p := range referencePairs(bl, a, b, Options{MaxBlockSize: maxBlock}) {
+		ids[p.B.ID] = struct{}{}
+	}
+	return sortedIDs(ids)
+}
+
+func sortedIDs(set map[string]struct{}) []string {
+	out := make([]string, 0, len(set))
+	for id := range set {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func idsOf(es []*entity.Entity) []string {
+	set := make(map[string]struct{}, len(es))
+	for _, e := range es {
+		set[e.ID] = struct{}{}
+	}
+	return sortedIDs(set)
+}
+
+func sortedIDsOfMap(m map[string]*entity.Entity) []string {
+	set := make(map[string]struct{}, len(m))
+	for id := range m {
+		set[id] = struct{}{}
+	}
+	return sortedIDs(set)
+}
+
+// eachIDs runs one Each over a fresh seen set, letting yield return
+// false once it has been called stopAfter times (stopAfter < 0: never).
+// It fails on a duplicate yield, on a yield after the false return and
+// on a wrong completion flag, and returns the sorted IDs yielded.
+func eachIDs(t *testing.T, bi BlockIndex, probe *entity.Entity, maxBlock, stopAfter int) []string {
+	t.Helper()
+	got := make(map[string]struct{})
+	stopped := false
+	done := bi.Each(probe, maxBlock, make(map[string]struct{}), func(e *entity.Entity) bool {
+		if stopped {
+			t.Fatalf("probe %s: Each yielded %s after yield returned false", probe.ID, e.ID)
+		}
+		if _, dup := got[e.ID]; dup {
+			t.Fatalf("probe %s: Each yielded duplicate candidate %s", probe.ID, e.ID)
+		}
+		got[e.ID] = struct{}{}
+		stopped = len(got) == stopAfter
+		return !stopped
+	})
+	if done == stopped {
+		t.Fatalf("probe %s: Each reported completion = %v after %d yields (stop after %d)", probe.ID, done, len(got), stopAfter)
+	}
+	return sortedIDs(got)
+}
+
+func TestDifferentialStreamVsMaterialize(t *testing.T) {
+	for name, bl := range diffStrategies() {
+		for _, maxBlock := range []int{-1, 0, 6} {
+			t.Run(fmt.Sprintf("%s/cap=%d", name, maxBlock), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(len(name))*100 + int64(maxBlock)))
+				bi := NewBlockIndex(bl)
+				survivors := make(map[string]*entity.Entity)
+				nextID := 0
+
+				checkProbe := func(probe *entity.Entity) {
+					t.Helper()
+					want := idsOf(bi.Candidates(probe, maxBlock))
+					got := eachIDs(t, bi, probe, maxBlock, -1)
+					if !slicesEqual(got, want) {
+						t.Fatalf("probe %s: enumerated candidates diverge from materialized\n got: %v\nwant: %v",
+							probe.ID, got, want)
+					}
+					if ref := referenceCandidates(bl, probe, survivors, maxBlock); !slicesEqual(got, ref) {
+						t.Fatalf("probe %s: enumerated candidates diverge from the reference materializer\n got: %v\nwant: %v",
+							probe.ID, got, ref)
+					}
+					// yield returns false after ⌊n/2⌋ candidates: exactly that
+					// many yields, Each reports false, nothing afterwards
+					// (eachIDs), and a fresh full enumeration is unharmed.
+					if half := len(want) / 2; half > 0 {
+						if part := eachIDs(t, bi, probe, maxBlock, half); len(part) != half {
+							t.Fatalf("probe %s: stopped enumeration yielded %d candidates, want %d", probe.ID, len(part), half)
+						}
+					}
+					if again := eachIDs(t, bi, probe, maxBlock, -1); !slicesEqual(again, want) {
+						t.Fatalf("probe %s: enumeration after a stopped one diverges\n got: %v\nwant: %v",
+							probe.ID, again, want)
+					}
+				}
+
+				for op := 0; op < 80; op++ {
+					ids := sortedIDsOfMap(survivors)
+					switch {
+					case len(ids) == 0 || rng.Float64() < 0.45:
+						id := fmt.Sprintf("e%d", nextID)
+						nextID++
+						e := diffEntity(rng, id)
+						bi.Add(e)
+						survivors[id] = e
+					case rng.Float64() < 0.5:
+						id := ids[rng.Intn(len(ids))]
+						old := survivors[id]
+						e := diffEntity(rng, id)
+						bi.Remove(old)
+						bi.Add(e)
+						survivors[id] = e
+					default:
+						id := ids[rng.Intn(len(ids))]
+						bi.Remove(survivors[id])
+						delete(survivors, id)
+					}
+
+					if op%8 != 0 {
+						continue
+					}
+					ids = sortedIDsOfMap(survivors)
+					if len(ids) > 0 {
+						checkProbe(survivors[ids[rng.Intn(len(ids))]])
+						// A probe whose ID collides with a survivor but whose
+						// value is a different version (the external-probe
+						// self-exclusion paths).
+						checkProbe(diffEntity(rng, ids[rng.Intn(len(ids))]))
+					}
+					checkProbe(diffEntity(rng, "external-probe"))
+				}
+			})
+		}
+	}
+}
+
+func slicesEqual(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEachAllocsIndependentOfBlockSize pins the hand-off's cost model:
+// with a warm seen set and a no-op yield, a full Each over the built-in
+// multipass index allocates exactly what extracting the probe's keys
+// allocates (tokens, q-grams, sort key) — the same number of objects
+// whether the probe's blocks hold 200 candidates or 2,000. A per-block
+// copy or a per-candidate cursor object fails it.
+func TestEachAllocsIndependentOfBlockSize(t *testing.T) {
+	probe := entity.New("probe")
+	probe.Add("name", "shared network analysis")
+	allocs := func(n int) (perRun float64, yielded int) {
+		bi := NewBlockIndex(MultiPass(
+			TokenBlocking(), SortedNeighborhood(3), QGramBlocking(0)))
+		for i := 0; i < n; i++ {
+			e := entity.New(fmt.Sprintf("e%d", i))
+			e.Add("name", "shared network analysis")
+			bi.Add(e)
+		}
+		seen := make(map[string]struct{})
+		yield := func(*entity.Entity) bool { yielded++; return true }
+		perRun = testing.AllocsPerRun(10, func() {
+			clear(seen)
+			yielded = 0
+			bi.Each(probe, -1, seen, yield)
+		})
+		return perRun, yielded
+	}
+	var sink int
+	keys := testing.AllocsPerRun(10, func() {
+		sink += len(Tokens(probe)) + len(QGramKeys(probe, 0)) + len(DefaultSortKey(probe))
+	})
+	small, ySmall := allocs(200)
+	large, yLarge := allocs(2000)
+	if ySmall != 200 || yLarge != 2000 {
+		t.Fatalf("Each yielded %d and %d candidates, want 200 and 2000", ySmall, yLarge)
+	}
+	if small != keys || large != keys {
+		t.Fatalf("Each allocated %.0f objects over 200 candidates and %.0f over 2,000; key extraction alone allocates %.0f (%d keys): the hand-off must not allocate per block or per candidate",
+			small, large, keys, sink)
+	}
+}

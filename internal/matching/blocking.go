@@ -20,78 +20,53 @@ type Pair struct {
 // against the number of rule evaluations; it never changes rule semantics,
 // only which pairs get scored.
 //
-// Implementations may emit duplicate pairs and self pairs (same ID on both
-// sides, as in dedup setups where A and B are one source); CandidatePairs
-// removes both. Strategies are registered in BlockerByName for CLI and
-// bench wiring.
+// The strategy set is closed: the four Blockers of this package —
+// TokenBlocker, SortedNeighborhoodBlocker, QGramBlocker and
+// MultiPassBlocker, in any parameterization and composition — are the
+// only implementations, each building its own BlockIndex. Strategies are
+// registered in BlockerByName for CLI and bench wiring.
 type Blocker interface {
 	// Name identifies the strategy in benches, tables and CLI flags.
 	Name() string
-	// Pairs proposes candidate pairs for A×B. Duplicates are allowed.
-	Pairs(a, b *entity.Source, opts Options) []Pair
+	// newIndex returns an empty index of the strategy (NewBlockIndex).
+	newIndex() BlockIndex
 }
 
 // CandidatePairs runs a blocker and returns its candidate pairs with
-// duplicates and self pairs removed, in first-seen order. Memory is
-// O(total candidates) — Match and MatchParallel avoid that bill by
-// enumerating per A entity (StreamPairs yields the same pair set); the
-// materialized list is for callers that need the pairs themselves (the
-// blocking ablation, MatchPairs) and for the differential tests. Keep
+// duplicates and self pairs (same ID on both sides, as in dedup setups
+// where A and B are one source) removed: the pairs StreamPairs yields,
+// collected. Pairs are grouped per A entity in A's order; the order of
+// the B partners within a group is unspecified. Memory is O(total
+// candidates) — Match and MatchParallel avoid that bill by scoring the
+// enumeration as it runs; the list is for callers that need the pairs
+// themselves (the blocking ablation, MatchPairs). Keep
 // Options.MaxBlockSize finite on large text-heavy sources.
 func CandidatePairs(bl Blocker, a, b *entity.Source, opts Options) []Pair {
-	opts.normalize(b.Len())
-	raw := bl.Pairs(a, b, opts)
-	seen := make(map[Pair]struct{}, len(raw))
-	out := make([]Pair, 0, len(raw))
-	for _, p := range raw {
-		if p.A.ID == p.B.ID {
-			continue
-		}
-		if _, dup := seen[p]; dup {
-			continue
-		}
-		seen[p] = struct{}{}
-		out = append(out, p)
-	}
+	var out []Pair
+	StreamPairs(bl, a, b, opts, func(p Pair) { out = append(out, p) })
 	return out
 }
 
 // ---------------------------------------------------------------------------
 // Block-size cap policy
 
-// CapAllows is the single block-size cap policy shared by every
-// candidate-generation path — the batch blockers, the incremental
-// indexes of internal/linkindex, and the streaming enumerators: a key
-// block is admitted iff the cap is unlimited (maxBlock ≤ 0) or the
-// number of *other* entities in the block — the block size measured
-// without the probe's own record — does not exceed the cap. A block is
-// never truncated to the cap: picking which members survive truncation
-// would depend on enumeration order and could not be reproduced by a
-// streaming path, so an oversized block is skipped whole (stop-token
-// suppression). Measuring without the probe keeps the decision stable
-// between dedup-shaped batch runs (where the probe is itself indexed)
-// and online probes against a corpus that excludes it: a block exactly
-// at the cap must not flip to skipped just because the probe is a
-// member. TestCapPolicySharedSurvivors pins that every path picks the
-// same survivors.
+// CapAllows is the single block-size cap policy of every
+// candidate-generation path — batch matching and the incremental indexes
+// of internal/linkindex enumerate through the same BlockIndex, and the
+// reference materializer of the tests applies it too: a key block is
+// admitted iff the cap is unlimited (maxBlock ≤ 0) or the number of
+// *other* entities in the block — the block size measured without the
+// probe's own record — does not exceed the cap. A block is never
+// truncated to the cap: picking which members survive truncation would
+// depend on enumeration order, so an oversized block is skipped whole
+// (stop-token suppression). Measuring without the probe keeps the
+// decision stable between dedup-shaped batch runs (where the probe is
+// itself indexed) and online probes against a corpus that excludes it: a
+// block exactly at the cap must not flip to skipped just because the
+// probe is a member. TestCapPolicySharedSurvivors pins that every path
+// picks the same survivors.
 func CapAllows(others, maxBlock int) bool {
 	return maxBlock <= 0 || others <= maxBlock
-}
-
-// OthersInBlock returns the size of a materialized block excluding the
-// probe's own record (matched by entity ID) — the quantity CapAllows
-// measures. The membership scan only runs when excluding one record
-// could change the cap decision, so the common cases stay O(1).
-func OthersInBlock(block []*entity.Entity, probe *entity.Entity, maxBlock int) int {
-	size := len(block)
-	if maxBlock > 0 && size == maxBlock+1 {
-		for _, c := range block {
-			if c.ID == probe.ID {
-				return size - 1
-			}
-		}
-	}
-	return size
 }
 
 // ---------------------------------------------------------------------------
@@ -111,17 +86,7 @@ func TokenBlocking() Blocker { return TokenBlocker{} }
 // Name implements Blocker.
 func (TokenBlocker) Name() string { return "token" }
 
-// Pairs implements Blocker using the inverted token index.
-func (TokenBlocker) Pairs(a, b *entity.Source, opts Options) []Pair {
-	idx := BuildIndex(b)
-	var out []Pair
-	for _, ea := range a.Entities {
-		for _, eb := range idx.Candidates(ea, opts.MaxBlockSize) {
-			out = append(out, Pair{A: ea, B: eb})
-		}
-	}
-	return out
-}
+func (TokenBlocker) newIndex() BlockIndex { return NewTokenIndex() }
 
 // ---------------------------------------------------------------------------
 // Sorted neighborhood
@@ -133,7 +98,10 @@ func (TokenBlocker) Pairs(a, b *entity.Source, opts Options) []Pair {
 // regardless of value frequency skew, so it generates far fewer pairs
 // than token blocking on text-heavy sources — at the price of missing
 // matches whose keys sort far apart. Run several passes with different
-// keys via MultiPass to recover them (the MultiBlock idea).
+// keys via MultiPass to recover them (the MultiBlock idea). Its index,
+// SortedNeighborhoodIndex, windows over the indexed entities alone; the
+// two definitions agree only when A holds one entity (snStreamer has the
+// numbers).
 type SortedNeighborhoodBlocker struct {
 	// Window is how far apart two entities may sit in the sorted order
 	// and still become a candidate pair (default 10).
@@ -209,47 +177,8 @@ func ReversedKey(key func(*entity.Entity) string) func(*entity.Entity) string {
 	}
 }
 
-// Pairs implements Blocker with a windowed scan over the merged sort order.
-func (s SortedNeighborhoodBlocker) Pairs(a, b *entity.Source, opts Options) []Pair {
-	key := s.Key
-	if key == nil {
-		key = DefaultSortKey
-	}
-	type rec struct {
-		key string
-		e   *entity.Entity
-		isA bool
-	}
-	recs := make([]rec, 0, len(a.Entities)+len(b.Entities))
-	for _, e := range a.Entities {
-		recs = append(recs, rec{key: key(e), e: e, isA: true})
-	}
-	for _, e := range b.Entities {
-		recs = append(recs, rec{key: key(e), e: e, isA: false})
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].key != recs[j].key {
-			return recs[i].key < recs[j].key
-		}
-		return recs[i].e.ID < recs[j].e.ID
-	})
-	w := s.window()
-	var out []Pair
-	for i := range recs {
-		hi := i + w
-		if hi >= len(recs) {
-			hi = len(recs) - 1
-		}
-		for j := i + 1; j <= hi; j++ {
-			switch {
-			case recs[i].isA && !recs[j].isA:
-				out = append(out, Pair{A: recs[i].e, B: recs[j].e})
-			case !recs[i].isA && recs[j].isA:
-				out = append(out, Pair{A: recs[j].e, B: recs[i].e})
-			}
-		}
-	}
-	return out
+func (s SortedNeighborhoodBlocker) newIndex() BlockIndex {
+	return NewSortedNeighborhoodIndex(s.Window, s.Key)
 }
 
 // ---------------------------------------------------------------------------
@@ -285,9 +214,9 @@ func (g QGramBlocker) q() int {
 // at all — indexing the empty string as a blocking key would put every
 // entity carrying any empty value into one giant block, and slicing
 // assumptions downstream must never see "" (the guard the fuzz target
-// FuzzQGramsOf pins). Grams are byte-based, matching the batch blocker: a
-// multi-byte rune may be split across grams, which is harmless for
-// blocking (both sides split identically).
+// FuzzQGramsOf pins). Grams are byte-based: a multi-byte rune may be
+// split across grams, which is harmless for blocking (both sides split
+// identically).
 func QGramsOf(tok string, q int) []string {
 	return appendQGrams(nil, tok, q)
 }
@@ -312,8 +241,7 @@ func appendQGrams(dst []string, tok string, q int) []string {
 }
 
 // QGramKeys returns the deduplicated q-grams of every token of e — the
-// blocking keys of QGramBlocker, shared with the incremental q-gram index
-// so batch and incremental candidates cannot diverge.
+// blocking keys of QGramBlocker's index.
 func QGramKeys(e *entity.Entity, q int) []string {
 	var d dedup
 	var buf []string
@@ -326,33 +254,7 @@ func QGramKeys(e *entity.Entity, q int) []string {
 	return d.out
 }
 
-// Pairs implements Blocker via an inverted q-gram index over B.
-func (g QGramBlocker) Pairs(a, b *entity.Source, opts Options) []Pair {
-	byGram := make(map[string][]*entity.Entity)
-	for _, eb := range b.Entities {
-		for _, gram := range QGramKeys(eb, g.q()) {
-			byGram[gram] = append(byGram[gram], eb)
-		}
-	}
-	var out []Pair
-	for _, ea := range a.Entities {
-		seen := make(map[*entity.Entity]struct{})
-		for _, gram := range QGramKeys(ea, g.q()) {
-			block := byGram[gram]
-			if !CapAllows(OthersInBlock(block, ea, opts.MaxBlockSize), opts.MaxBlockSize) {
-				continue
-			}
-			for _, eb := range block {
-				if _, dup := seen[eb]; dup {
-					continue
-				}
-				seen[eb] = struct{}{}
-				out = append(out, Pair{A: ea, B: eb})
-			}
-		}
-	}
-	return out
-}
+func (g QGramBlocker) newIndex() BlockIndex { return NewQGramIndex(g.Q) }
 
 // ---------------------------------------------------------------------------
 // Multi-pass composite
@@ -385,14 +287,12 @@ func (m MultiPassBlocker) Name() string {
 	return "multipass(" + strings.Join(names, "+") + ")"
 }
 
-// Pairs implements Blocker by concatenating every pass's candidates;
-// CandidatePairs dedupes the union.
-func (m MultiPassBlocker) Pairs(a, b *entity.Source, opts Options) []Pair {
-	var out []Pair
-	for _, p := range m.Passes {
-		out = append(out, p.Pairs(a, b, opts)...)
+func (m MultiPassBlocker) newIndex() BlockIndex {
+	members := make([]BlockIndex, len(m.Passes))
+	for i, p := range m.Passes {
+		members[i] = p.newIndex()
 	}
-	return out
+	return NewMultiIndex(members...)
 }
 
 // ---------------------------------------------------------------------------

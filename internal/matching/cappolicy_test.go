@@ -1,4 +1,4 @@
-package matching_test
+package matching
 
 import (
 	"fmt"
@@ -6,18 +6,17 @@ import (
 	"testing"
 
 	"genlink/internal/entity"
-	"genlink/internal/linkindex"
-	"genlink/internal/matching"
 )
 
 // TestCapPolicySharedSurvivors pins the shared block-size cap policy
-// (CapAllows / OthersInBlock) and its regression case: a block of
-// exactly MaxBlockSize+1 records that includes the probe's own record
-// has MaxBlockSize *others* and must be admitted — the old per-path cap
-// checks compared the raw block length and skipped it. Every
-// candidate-generation path (batch blockers, streaming batch
-// enumerators, the incremental indexes' Candidates and Each) must
-// pick the same survivors on both sides of the boundary.
+// (CapAllows, and the reference materializer's OthersInBlock) and its
+// regression case: a block of exactly MaxBlockSize+1 records that
+// includes the probe's own record has MaxBlockSize *others* and must be
+// admitted — the old per-path cap checks compared the raw block length
+// and skipped it. Every candidate-generation path (the reference
+// materializer, batch CandidatePairs and StreamPairs, the indexes'
+// Candidates and Each) must pick the same survivors on both sides of the
+// boundary.
 func TestCapPolicySharedSurvivors(t *testing.T) {
 	t.Run("CapAllows", func(t *testing.T) {
 		cases := []struct {
@@ -31,7 +30,7 @@ func TestCapPolicySharedSurvivors(t *testing.T) {
 			{0, 1, true}, {2, 1, false},
 		}
 		for _, c := range cases {
-			if got := matching.CapAllows(c.others, c.maxBlock); got != c.want {
+			if got := CapAllows(c.others, c.maxBlock); got != c.want {
 				t.Errorf("CapAllows(%d, %d) = %v, want %v", c.others, c.maxBlock, got, c.want)
 			}
 		}
@@ -49,22 +48,22 @@ func TestCapPolicySharedSurvivors(t *testing.T) {
 		outsider := entity.New("px")
 		// The boundary case the whole policy exists for: cap+1 records,
 		// probe among them.
-		if got := matching.OthersInBlock(mk(4), probe, 3); got != 3 {
+		if got := OthersInBlock(mk(4), probe, 3); got != 3 {
 			t.Errorf("boundary block with probe: others = %d, want 3", got)
 		}
-		if got := matching.OthersInBlock(mk(4), outsider, 3); got != 4 {
+		if got := OthersInBlock(mk(4), outsider, 3); got != 4 {
 			t.Errorf("boundary block without probe: others = %d, want 4", got)
 		}
 		// Away from the boundary the raw length is returned (the scan is
 		// skipped) — the cap decision is unaffected, which is the property
 		// that matters.
-		if got := matching.OthersInBlock(mk(3), probe, 3); got != 3 {
+		if got := OthersInBlock(mk(3), probe, 3); got != 3 {
 			t.Errorf("under-cap block: others = %d, want 3", got)
 		}
-		if allowed := matching.CapAllows(matching.OthersInBlock(mk(5), probe, 3), 3); allowed {
+		if allowed := CapAllows(OthersInBlock(mk(5), probe, 3), 3); allowed {
 			t.Error("block of cap+2 must stay skipped even when the probe is a member")
 		}
-		if got := matching.OthersInBlock(mk(4), probe, 0); got != 4 {
+		if got := OthersInBlock(mk(4), probe, 0); got != 4 {
 			t.Errorf("uncapped: others = %d, want raw length 4", got)
 		}
 	})
@@ -73,7 +72,7 @@ func TestCapPolicySharedSurvivors(t *testing.T) {
 	// dedup-shaped run (probe indexed) must keep it; an external probe
 	// against the same corpus (cap+1 others) must skip it; one notch
 	// tighter and everyone skips it.
-	for _, bl := range []matching.Blocker{matching.TokenBlocking(), matching.QGramBlocking(3)} {
+	for _, bl := range []Blocker{TokenBlocking(), QGramBlocking(3)} {
 		t.Run(bl.Name(), func(t *testing.T) {
 			const cap = 3
 			members := make([]*entity.Entity, cap+1)
@@ -87,7 +86,7 @@ func TestCapPolicySharedSurvivors(t *testing.T) {
 			external.Add("name", "shared")
 			extSrc := entity.NewSource("ext")
 			extSrc.Add(external)
-			opts := matching.Options{Blocker: bl, MaxBlockSize: cap}
+			opts := Options{Blocker: bl, MaxBlockSize: cap}
 
 			wantPairs := make(map[string]struct{})
 			for _, a := range members {
@@ -98,20 +97,26 @@ func TestCapPolicySharedSurvivors(t *testing.T) {
 				}
 			}
 
-			if got := pairKeySet(matching.CandidatePairs(bl, src, src, opts)); !equalKeySets(got, wantPairs) {
+			if got := pairKeySet(referencePairs(bl, src, src, opts)); !equalKeySets(got, wantPairs) {
+				t.Fatalf("dedup reference run: boundary block not fully admitted\n got %d pairs, want %d", len(got), len(wantPairs))
+			}
+			if got := pairKeySet(CandidatePairs(bl, src, src, opts)); !equalKeySets(got, wantPairs) {
 				t.Fatalf("dedup batch run: boundary block not fully admitted\n got %d pairs, want %d", len(got), len(wantPairs))
 			}
 			if got := streamPairKeySet(bl, src, src, opts); !equalKeySets(got, wantPairs) {
 				t.Fatalf("dedup streamed run: boundary block not fully admitted\n got %d pairs, want %d", len(got), len(wantPairs))
 			}
-			if got := matching.CandidatePairs(bl, extSrc, src, opts); len(got) != 0 {
+			if got := referencePairs(bl, extSrc, src, opts); len(got) != 0 {
+				t.Fatalf("external reference run: cap+1 others must be skipped, got %d pairs", len(got))
+			}
+			if got := CandidatePairs(bl, extSrc, src, opts); len(got) != 0 {
 				t.Fatalf("external batch run: cap+1 others must be skipped, got %d pairs", len(got))
 			}
 			if got := streamPairKeySet(bl, extSrc, src, opts); len(got) != 0 {
 				t.Fatalf("external streamed run: cap+1 others must be skipped, got %d pairs", len(got))
 			}
 
-			bi := linkindex.NewBlockIndex(bl)
+			bi := NewBlockIndex(bl)
 			for _, e := range members {
 				bi.Add(e)
 			}
@@ -122,18 +127,21 @@ func TestCapPolicySharedSurvivors(t *testing.T) {
 			if got := candidateIDs(bi.Candidates(external, cap)); len(got) != 0 {
 				t.Fatalf("incremental index: external probe admitted cap+1 others: %v", got)
 			}
-			if got := eachIDs(bi, members[0], cap); !equalIDSlices(got, wantCands) {
+			if got := eachIDSet(bi, members[0], cap); !equalIDSlices(got, wantCands) {
 				t.Fatalf("candidate enumeration: probe's boundary block skipped, got %v want %v", got, wantCands)
 			}
-			if got := eachIDs(bi, external, cap); len(got) != 0 {
+			if got := eachIDSet(bi, external, cap); len(got) != 0 {
 				t.Fatalf("candidate enumeration: external probe admitted cap+1 others: %v", got)
 			}
 
 			// One notch tighter: the probe's own block now has cap+1
 			// others for everyone, and every path must drop it.
 			tight := cap - 1
-			tightOpts := matching.Options{Blocker: bl, MaxBlockSize: tight}
-			if got := matching.CandidatePairs(bl, src, src, tightOpts); len(got) != 0 {
+			tightOpts := Options{Blocker: bl, MaxBlockSize: tight}
+			if got := referencePairs(bl, src, src, tightOpts); len(got) != 0 {
+				t.Fatalf("tightened cap: reference run still admitted %d pairs", len(got))
+			}
+			if got := CandidatePairs(bl, src, src, tightOpts); len(got) != 0 {
 				t.Fatalf("tightened cap: batch run still admitted %d pairs", len(got))
 			}
 			if got := streamPairKeySet(bl, src, src, tightOpts); len(got) != 0 {
@@ -142,14 +150,14 @@ func TestCapPolicySharedSurvivors(t *testing.T) {
 			if got := candidateIDs(bi.Candidates(members[0], tight)); len(got) != 0 {
 				t.Fatalf("tightened cap: incremental index still admitted %v", got)
 			}
-			if got := eachIDs(bi, members[0], tight); len(got) != 0 {
+			if got := eachIDSet(bi, members[0], tight); len(got) != 0 {
 				t.Fatalf("tightened cap: candidate enumeration still admitted %v", got)
 			}
 		})
 	}
 }
 
-func pairKeySet(ps []matching.Pair) map[string]struct{} {
+func pairKeySet(ps []Pair) map[string]struct{} {
 	out := make(map[string]struct{}, len(ps))
 	for _, p := range ps {
 		out[p.A.ID+"→"+p.B.ID] = struct{}{}
@@ -157,9 +165,9 @@ func pairKeySet(ps []matching.Pair) map[string]struct{} {
 	return out
 }
 
-func streamPairKeySet(bl matching.Blocker, a, b *entity.Source, opts matching.Options) map[string]struct{} {
+func streamPairKeySet(bl Blocker, a, b *entity.Source, opts Options) map[string]struct{} {
 	out := make(map[string]struct{})
-	matching.StreamPairs(bl, a, b, opts, func(p matching.Pair) {
+	StreamPairs(bl, a, b, opts, func(p Pair) {
 		out[p.A.ID+"→"+p.B.ID] = struct{}{}
 	})
 	return out
@@ -186,7 +194,7 @@ func candidateIDs(es []*entity.Entity) []string {
 	return out
 }
 
-func eachIDs(bi linkindex.BlockIndex, probe *entity.Entity, maxBlock int) []string {
+func eachIDSet(bi BlockIndex, probe *entity.Entity, maxBlock int) []string {
 	var out []string
 	bi.Each(probe, maxBlock, make(map[string]struct{}), func(e *entity.Entity) bool {
 		out = append(out, e.ID)

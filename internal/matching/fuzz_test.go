@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -87,4 +88,178 @@ func FuzzBlockingKeys(f *testing.F) {
 			t.Fatalf("ReversedKey changed rune count: %q -> %q", key, rev)
 		}
 	})
+}
+
+// FuzzCandidateStream drives the BlockIndex.Each contract with a mutated
+// op script: random corpus writes interleaved with enumerations whose
+// yield returns false after a budget of n candidates. The invariants:
+// never panic, one enumeration never yields the same candidate ID twice,
+// nothing is yielded after yield returned false, the completion flag is
+// false exactly when yield returned false (eachIDs checks those three),
+// a stopped enumeration yields min(n, |Candidates|) members of
+// Candidates, and a full one yields exactly the materialized Candidates
+// set, which is the reference materializer's. Each runs to completion
+// inside one call, so no enumeration state outlives a write.
+func FuzzCandidateStream(f *testing.F) {
+	f.Add([]byte{0, 7, 13, 2, 19, 3, 22, 4, 9, 5, 1, 3, 17}, uint8(0), uint8(1))
+	f.Add([]byte{6, 6, 6, 3, 2, 4, 4, 4, 0, 3, 4, 5, 4}, uint8(3), uint8(2))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, script []byte, stratSel, capSel uint8) {
+		bl := fuzzStrategies()[int(stratSel)%len(fuzzStrategies())]
+		maxBlock := []int{-1, 0, 2, 5}[int(capSel)%4]
+		bi := NewBlockIndex(bl)
+		survivors := make(map[string]*entity.Entity)
+
+		// enumerate checks one Each against Candidates; budget < 0 runs it
+		// to completion.
+		enumerate := func(probe *entity.Entity, budget int) []string {
+			want := idsOf(bi.Candidates(probe, maxBlock))
+			got := eachIDs(t, bi, probe, maxBlock, budget)
+			if budget < 0 || budget > len(want) {
+				budget = len(want)
+			}
+			if len(got) != budget {
+				t.Fatalf("probe %s: %d candidates enumerated, want %d of %v", probe.ID, len(got), budget, want)
+			}
+			in := make(map[string]struct{}, len(want))
+			for _, id := range want {
+				in[id] = struct{}{}
+			}
+			for _, id := range got {
+				if _, ok := in[id]; !ok {
+					t.Fatalf("probe %s: enumerated %s, not among the materialized %v", probe.ID, id, want)
+				}
+			}
+			return got
+		}
+
+		if len(script) > 300 {
+			script = script[:300]
+		}
+		for i := 0; i < len(script); i++ {
+			op := script[i]
+			arg := byte(0)
+			if i+1 < len(script) {
+				i++
+				arg = script[i]
+			}
+			id := fmt.Sprintf("e%d", int(arg)%8)
+			switch op % 6 {
+			case 0, 1: // add or replace
+				if old, ok := survivors[id]; ok {
+					bi.Remove(old)
+				}
+				e := fuzzEntity(id, arg)
+				bi.Add(e)
+				survivors[id] = e
+			case 2: // remove
+				if old, ok := survivors[id]; ok {
+					bi.Remove(old)
+					delete(survivors, id)
+				}
+			default: // enumerate (indexed or external probe): 3 in full, 4 and 5 stopped early
+				probe := fuzzEntity(id, arg)
+				if e, ok := survivors[id]; ok && arg%2 == 0 {
+					probe = e
+				}
+				budget := -1
+				if op%6 != 3 {
+					budget = 1 + int(arg)%4
+				}
+				enumerate(probe, budget)
+			}
+		}
+		// Final corpus: a full enumeration is the materialized set (checked
+		// by enumerate) and the reference materializer's.
+		probes := make([]*entity.Entity, 0, len(survivors)+1)
+		for _, e := range survivors {
+			probes = append(probes, e)
+		}
+		probes = append(probes, fuzzEntity("external", 5))
+		for _, probe := range probes {
+			got := enumerate(probe, -1)
+			if want := referenceCandidates(bl, probe, survivors, maxBlock); !slicesEqual(got, want) {
+				t.Fatalf("probe %s: enumerated %v != reference materializer %v", probe.ID, got, want)
+			}
+		}
+	})
+}
+
+// FuzzBatchCandidates is the batch differential: for small random A and
+// B sources (disjoint, or one source matched against itself), every
+// strategy and caps {−1, 0, 1, 3}, CandidatePairs must return exactly the
+// reference materializer's pair set, with no duplicate, no self pair, and
+// the pairs of one A entity contiguous and in A's order.
+func FuzzBatchCandidates(f *testing.F) {
+	f.Add([]byte{0, 7, 13, 2, 19, 3, 22, 4, 9, 5}, []byte{1, 3, 17, 6, 6, 2}, uint8(0), uint8(1), false)
+	f.Add([]byte{6, 6, 6, 3, 2, 4, 4, 4, 0, 3, 4, 5, 4}, []byte{}, uint8(3), uint8(2), true)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{9, 10, 11, 12, 3, 3, 0}, uint8(2), uint8(3), false)
+	f.Add([]byte{5, 5, 5, 5, 5}, []byte{5, 5, 5, 5}, uint8(4), uint8(0), false)
+	f.Fuzz(func(t *testing.T, aSel, bSel []byte, stratSel, capSel uint8, selfJoin bool) {
+		bl := fuzzStrategies()[int(stratSel)%len(fuzzStrategies())]
+		maxBlock := []int{-1, 0, 1, 3}[int(capSel)%4]
+		source := func(name string, sel []byte) *entity.Source {
+			src := entity.NewSource(name)
+			for i, s := range sel[:min(len(sel), 40)] {
+				src.Add(fuzzEntity(fmt.Sprintf("%s%d", name, i), s))
+			}
+			return src
+		}
+		a := source("a", aSel)
+		b := source("b", bSel)
+		if selfJoin {
+			b = a
+		}
+		opts := Options{Blocker: bl, MaxBlockSize: maxBlock}
+		want := make(map[Pair]struct{})
+		for _, p := range referencePairs(bl, a, b, opts) {
+			want[p] = struct{}{}
+		}
+		got := CandidatePairs(bl, a, b, opts)
+		gotSet := pairSet(t, got)
+		order := make(map[*entity.Entity]int, a.Len())
+		for i, e := range a.Entities {
+			order[e] = i
+		}
+		for i, p := range got {
+			if p.A.ID == p.B.ID {
+				t.Fatalf("self pair %s→%s", p.A.ID, p.B.ID)
+			}
+			if i > 0 && order[got[i-1].A] > order[p.A] {
+				t.Fatalf("pairs of %s come after pairs of %s, against A's order", p.A.ID, got[i-1].A.ID)
+			}
+		}
+		if len(gotSet) != len(want) {
+			t.Fatalf("%s cap=%d: CandidatePairs has %d pairs, the reference %d", bl.Name(), maxBlock, len(gotSet), len(want))
+		}
+		for p := range want {
+			if _, ok := gotSet[p]; !ok {
+				t.Fatalf("%s cap=%d: CandidatePairs misses the reference pair %s→%s", bl.Name(), maxBlock, p.A.ID, p.B.ID)
+			}
+		}
+	})
+}
+
+// fuzzStrategies is every strategy the fuzz targets draw from.
+func fuzzStrategies() []Blocker {
+	return []Blocker{
+		TokenBlocking(),
+		QGramBlocking(2),
+		SortedNeighborhood(3),
+		MultiPass(TokenBlocking(), SortedNeighborhood(3), QGramBlocking(0)),
+		SortedNeighborhoodBlocker{Window: 2, Key: ReversedKey(PropertySortKey("name"))},
+	}
+}
+
+// fuzzEntity derives a small deterministic entity from one byte — a tiny
+// vocabulary so blocks collide, caps trigger and sorted-neighborhood
+// windows overlap.
+func fuzzEntity(id string, sel byte) *entity.Entity {
+	vocab := []string{"data graph", "graph kernel", "netwrk", "network analysis", "", "query data", "kernel query", "analisys"}
+	e := entity.New(id)
+	e.Add("name", vocab[int(sel)%len(vocab)])
+	if sel%3 == 0 {
+		e.Add("title", vocab[int(sel/3)%len(vocab)])
+	}
+	return e
 }

@@ -16,14 +16,21 @@
 // matches get scored at all), never rule semantics; MatchCartesian scores
 // every pair and anchors exactness tests and the blocking-ablation bench.
 //
+// Each strategy is implemented once, as a BlockIndex (blockindex.go): a
+// mutable index a probe entity's candidates are pushed out of with Each.
+// The matching service (internal/linkindex) keeps one per shard; batch
+// matching loads B into one and probes it with every A entity
+// (stream.go). The one exception is sorted neighborhood, whose batch
+// window runs over the merged A∪B order — a different definition from the
+// index's per-probe window, kept on purpose (snStreamer says why).
+//
 // Match and MatchParallel never materialize the global pair list: they
-// enumerate each A entity's candidate partners in turn (stream.go) and
-// apply the compiled rule's score upper bound (evalengine's prefilter)
-// before scoring, so memory is O(per-entity candidates) and pairs that
-// cannot reach the threshold cost no distance computation.
-// CandidatePairs + MatchPairs is the materializing form of the same
-// computation — the blocking ablation's input and the reference the
-// differential tests compare against.
+// enumerate each A entity's candidate partners in turn and apply the
+// compiled rule's score upper bound (evalengine's prefilter) before
+// scoring, so memory is O(per-entity candidates) and pairs that cannot
+// reach the threshold cost no distance computation. CandidatePairs +
+// MatchPairs is the materializing form of the same computation, the
+// blocking ablation's input.
 package matching
 
 import (
@@ -72,15 +79,10 @@ func (o *Options) normalize(sourceSize int) {
 	}
 }
 
-// Index maps lowercased value tokens to the entities containing them.
-type Index struct {
-	byToken map[string][]*entity.Entity
-}
-
 // Tokens returns the deduplicated lowercased whitespace-split tokens of
 // every property value of e, in unspecified order. Every blocking
-// strategy — batch and incremental (internal/linkindex) — tokenizes
-// through this single helper so the strategies cannot silently diverge.
+// strategy tokenizes through this single helper so the strategies cannot
+// silently diverge.
 func Tokens(e *entity.Entity) []string {
 	var d dedup
 	for _, values := range e.Properties {
@@ -129,41 +131,6 @@ func (d *dedup) add(v string) {
 	d.out = append(d.out, v)
 }
 
-// BuildIndex indexes every token of every property value of the source.
-func BuildIndex(src *entity.Source) *Index {
-	idx := &Index{byToken: make(map[string][]*entity.Entity)}
-	for _, e := range src.Entities {
-		for _, tok := range Tokens(e) {
-			idx.byToken[tok] = append(idx.byToken[tok], e)
-		}
-	}
-	return idx
-}
-
-// Tokens returns the number of distinct tokens in the index.
-func (idx *Index) Tokens() int { return len(idx.byToken) }
-
-// Candidates returns the entities sharing at least one token with e,
-// skipping blocks larger than maxBlock.
-func (idx *Index) Candidates(e *entity.Entity, maxBlock int) []*entity.Entity {
-	seen := make(map[*entity.Entity]struct{})
-	var out []*entity.Entity
-	for _, tok := range Tokens(e) {
-		block := idx.byToken[tok]
-		if !CapAllows(OthersInBlock(block, e, maxBlock), maxBlock) {
-			continue
-		}
-		for _, cand := range block {
-			if _, dup := seen[cand]; dup {
-				continue
-			}
-			seen[cand] = struct{}{}
-			out = append(out, cand)
-		}
-	}
-	return out
-}
-
 // Match executes the rule over A×B using the blocker selected in opts
 // (token blocking by default) and returns all links with score ≥
 // threshold, sorted by descending score then IDs. It is the one-worker
@@ -176,8 +143,8 @@ func Match(r *rule.Rule, a, b *entity.Source, opts Options) []Link {
 // CandidatePairs) and returns the links sorted like Match. It lets
 // callers that already hold the pair list — the blocking ablation, custom
 // pipelines — avoid re-running the blocker; only opts.Threshold is used.
-// CandidatePairs has already removed self pairs (meaningless in dedup
-// setups) and duplicates.
+// CandidatePairs never yields self pairs (meaningless in dedup setups) or
+// duplicates.
 //
 // The rule is compiled once (internal/evalengine) and scored through a
 // Scorer whose per-entity value-set cache pays each entity's

@@ -81,9 +81,10 @@ func TestIndexCandidates(t *testing.T) {
 	src.Add(e1)
 	src.Add(e2)
 	src.Add(e3)
-	idx := BuildIndex(src)
-	if idx.Tokens() != 4 { // berlin, mitte, spandau, hamburg
-		t.Fatalf("tokens = %d", idx.Tokens())
+	idx := NewTokenIndex()
+	idx.BulkAdd(src.Entities)
+	if idx.Keys() != 4 { // berlin, mitte, spandau, hamburg
+		t.Fatalf("tokens = %d", idx.Keys())
 	}
 	probe := entity.New("p")
 	probe.Add("name", "berlin")
@@ -100,7 +101,8 @@ func TestIndexStopTokenSuppression(t *testing.T) {
 		e.Add("label", fmt.Sprintf("the item%d", i)) // "the" is shared by all
 		src.Add(e)
 	}
-	idx := BuildIndex(src)
+	idx := NewTokenIndex()
+	idx.BulkAdd(src.Entities)
 	probe := entity.New("p")
 	probe.Add("label", "the item5")
 	all := idx.Candidates(probe, 0)

@@ -10,28 +10,28 @@ import (
 )
 
 // MatchParallel is Match with the A entities partitioned across workers
-// (≤0 means GOMAXPROCS) over one shared immutable streamer — there is no
-// materialized pair list to partition. Per-entity candidate enumeration
+// (≤0 means GOMAXPROCS) over one shared immutable enumerator — there is
+// no materialized pair list to partition. Per-entity candidate enumeration
 // stays within one worker, so deduplication needs no cross-worker state,
 // and both enumeration and scoring run inside the fan-out. Results are
 // identical for every worker count: rule evaluation is pure and the
 // combined link list is re-sorted.
 func MatchParallel(r *rule.Rule, a, b *entity.Source, opts Options, workers int) []Link {
-	opts.normalize(b.Len())
+	eas, ebs := uniqueEntities(a.Entities), uniqueEntities(b.Entities)
+	opts.normalize(len(ebs))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	eas := uniqueEntities(a.Entities)
 	if workers > len(eas) {
 		workers = len(eas)
 	}
-	ps := newPairStreamer(opts.Blocker, a, b, opts)
+	en := newEnumerator(opts.Blocker, eas, ebs)
 	// The rule compiles once; each worker scores its chunk through its own
 	// Scorer (per-entity value caches are not synchronized) over the
 	// shared immutable program.
 	compiled := evalengine.Compile(r)
 	if workers <= 1 {
-		links := streamChunk(compiled.Scorer(), ps, eas, opts.Threshold)
+		links := streamChunk(compiled.Scorer(), en, eas, opts)
 		sortLinks(links)
 		return links
 	}
@@ -49,7 +49,7 @@ func MatchParallel(r *rule.Rule, a, b *entity.Source, opts Options, workers int)
 		wg.Add(1)
 		go func(chunk []*entity.Entity) {
 			defer wg.Done()
-			local := streamChunk(compiled.Scorer(), ps, chunk, opts.Threshold)
+			local := streamChunk(compiled.Scorer(), en, chunk, opts)
 			mu.Lock()
 			links = append(links, local...)
 			mu.Unlock()

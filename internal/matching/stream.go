@@ -7,77 +7,75 @@ import (
 	"genlink/internal/evalengine"
 )
 
-// The enumeration Match and MatchParallel score from: instead of
-// materializing the full deduplicated candidate list (CandidatePairs)
-// before scoring, a pairStreamer enumerates one A entity's partners at a
-// time, so batch matching holds O(per-entity candidates) instead of
-// O(total candidates) and scoring can push the compiled rule's prefilter
-// (a cheap sound upper bound on the pair's score) down into the
-// enumeration. The pair set is exactly CandidatePairs';
-// TestStreamPairsEqualCandidatePairs pins that for every strategy and
-// cap, TestMatchStreamModeEquivalence pins the links.
+// The enumeration Match, MatchParallel, StreamPairs and CandidatePairs
+// all run: B is loaded once into the strategy's enumerator (newEnumerator)
+// and every A entity is probed with Each, so batch matching holds
+// O(per-entity candidates) beyond the loaded B and scoring can push the
+// compiled rule's prefilter (a cheap sound upper bound on the pair's
+// score) down into the enumeration. The reference materializer of the
+// tests pins the pair set for every strategy and cap
+// (TestStreamPairsEqualCandidatePairs, FuzzBatchCandidates), and
+// TestMatchStreamModeEquivalence pins the links.
 
-// pairStreamer enumerates a blocker's candidate partners one A entity at
-// a time. Implementations are immutable after construction and safe for
-// concurrent forA calls from multiple goroutines — that is what lets
-// MatchParallel partition A entities across workers.
-type pairStreamer interface {
-	// forA calls yield once per distinct B partner of ea, with self
-	// pairs (same entity ID) already removed — exactly the B sides of
-	// ea's pairs in CandidatePairs.
-	forA(ea *entity.Entity, yield func(eb *entity.Entity))
-}
-
-// newPairStreamer builds the streaming enumerator for a blocker: lazy
-// per-entity probes of the same inverted indexes and sorted orders the
-// batch passes build, or a materializing fallback for strategies it has
-// never heard of. opts must already be normalized.
-func newPairStreamer(bl Blocker, a, b *entity.Source, opts Options) pairStreamer {
+// newEnumerator loads B into the strategy's batch enumerator. Token and
+// q-gram blocking bulk-load B into their own BlockIndex — the index the
+// matching service keeps per shard, so batch and online candidates are
+// one implementation. Sorted neighborhood keeps the merged-order window
+// of snStreamer, a different definition (see there). A multi-pass
+// composite unions its members' enumerators through one ID-keyed seen
+// set, exactly as MultiIndex.Each does. as and bs are the sources'
+// entities with repeats dropped (uniqueEntities), and entity IDs in B
+// must be unique, as Source.Get assumes: the index keys entities by ID.
+// The enumerator is immutable once built and safe for concurrent Each
+// calls, which is what lets MatchParallel partition A across workers.
+func newEnumerator(bl Blocker, as, bs []*entity.Entity) enumerator {
 	switch blk := bl.(type) {
-	case TokenBlocker:
-		return &keyedStreamer{byKey: BuildIndex(b).byToken, keys: Tokens, maxBlock: opts.MaxBlockSize}
-	case QGramBlocker:
-		q := blk.q()
-		keys := func(e *entity.Entity) []string { return QGramKeys(e, q) }
-		byGram := make(map[string][]*entity.Entity)
-		for _, eb := range b.Entities {
-			for _, gram := range keys(eb) {
-				byGram[gram] = append(byGram[gram], eb)
-			}
-		}
-		return &keyedStreamer{byKey: byGram, keys: keys, maxBlock: opts.MaxBlockSize}
 	case SortedNeighborhoodBlocker:
-		return newSNStreamer(blk, a, b)
+		return newSNStreamer(blk, as, bs)
 	case MultiPassBlocker:
-		members := make([]pairStreamer, len(blk.Passes))
+		members := make(passes, len(blk.Passes))
 		for i, p := range blk.Passes {
-			members[i] = newPairStreamer(p, a, b, opts)
+			members[i] = newEnumerator(p, as, bs)
 		}
-		return &multiStreamer{members: members}
-	default:
-		return newGenericStreamer(bl, a, b, opts)
+		return members
 	}
+	bi := bl.newIndex()
+	bi.BulkAdd(bs)
+	return bi
 }
 
-// StreamPairs enumerates exactly the pairs CandidatePairs(bl, a, b,
-// opts) returns — duplicates and self pairs removed — without ever
-// materializing the global pair list. Pair order may differ from
-// CandidatePairs (per-A-entity enumeration order instead of first-seen
-// global order); the pair set is identical.
+// passes is the batch enumerator of a multi-pass composite.
+type passes []enumerator
+
+func (ps passes) Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+	return eachUnion(ps, probe, maxBlock, seen, yield)
+}
+
+// StreamPairs pushes the blocker's candidate pairs for A×B to yield
+// without ever materializing the global pair list: duplicates and self
+// pairs (same entity ID) never appear, pairs arrive grouped per A entity
+// in A's order, and the order of B partners within a group is
+// unspecified. An entity listed twice in a source counts once.
+// CandidatePairs collects exactly this enumeration.
 func StreamPairs(bl Blocker, a, b *entity.Source, opts Options, yield func(Pair)) {
-	opts.normalize(b.Len())
-	ps := newPairStreamer(bl, a, b, opts)
-	for _, ea := range uniqueEntities(a.Entities) {
-		ps.forA(ea, func(eb *entity.Entity) {
+	as, bs := uniqueEntities(a.Entities), uniqueEntities(b.Entities)
+	opts.normalize(len(bs))
+	en := newEnumerator(bl, as, bs)
+	seen := make(map[string]struct{})
+	for _, ea := range as {
+		clear(seen)
+		en.Each(ea, opts.MaxBlockSize, seen, func(eb *entity.Entity) bool {
 			yield(Pair{A: ea, B: eb})
+			return true
 		})
 	}
 }
 
 // uniqueEntities drops repeated occurrences of the same entity pointer,
-// keeping first-seen order — CandidatePairs deduplicates the pairs such
-// repeats would produce, so the streaming enumeration must visit each A
-// entity once. The copy is only taken when a repeat actually exists.
+// keeping first-seen order: a source is a set of entities, so a repeat
+// must neither produce its pairs twice nor count twice toward a block
+// size or take a second sorted-neighborhood window slot. The copy is only
+// taken when a repeat actually exists.
 func uniqueEntities(es []*entity.Entity) []*entity.Entity {
 	seen := make(map[*entity.Entity]struct{}, len(es))
 	for i, e := range es {
@@ -98,179 +96,115 @@ func uniqueEntities(es []*entity.Entity) []*entity.Entity {
 	return es
 }
 
-// streamChunk scores one chunk of A entities against the streamer —
-// the per-worker unit of MatchParallel. The compiled rule's prefilter
-// rejects pairs whose score upper bound cannot reach the threshold
-// before any distance is computed.
-func streamChunk(scorer *evalengine.Scorer, ps pairStreamer, chunk []*entity.Entity, threshold float64) []Link {
+// streamChunk scores one chunk of A entities against the enumerator —
+// the per-worker unit of MatchParallel, with one seen set reused across
+// the chunk. The compiled rule's prefilter rejects pairs whose score
+// upper bound cannot reach the threshold before any distance is
+// computed.
+func streamChunk(scorer *evalengine.Scorer, en enumerator, chunk []*entity.Entity, opts Options) []Link {
 	var links []Link
+	seen := make(map[string]struct{})
 	for _, ea := range chunk {
-		ps.forA(ea, func(eb *entity.Entity) {
-			if scorer.Bound(ea, eb) < threshold {
-				return // the pair cannot reach the threshold: skip scoring
+		clear(seen)
+		en.Each(ea, opts.MaxBlockSize, seen, func(eb *entity.Entity) bool {
+			if scorer.Bound(ea, eb) < opts.Threshold {
+				return true // the pair cannot reach the threshold: skip scoring
 			}
-			if score := scorer.Score(ea, eb); score >= threshold {
+			if score := scorer.Score(ea, eb); score >= opts.Threshold {
 				links = append(links, Link{AID: ea.ID, BID: eb.ID, Score: score})
 			}
+			return true
 		})
 	}
 	return links
 }
 
 // ---------------------------------------------------------------------------
-// Per-strategy streamers
-
-// keyedStreamer probes a batch inverted index (key → B entities) per A
-// entity: the token and q-gram strategies differ only in the key
-// function.
-type keyedStreamer struct {
-	byKey    map[string][]*entity.Entity
-	keys     func(*entity.Entity) []string
-	maxBlock int
-}
-
-func (s *keyedStreamer) forA(ea *entity.Entity, yield func(*entity.Entity)) {
-	seen := make(map[*entity.Entity]struct{})
-	for _, k := range s.keys(ea) {
-		block := s.byKey[k]
-		if !CapAllows(OthersInBlock(block, ea, s.maxBlock), s.maxBlock) {
-			continue
-		}
-		for _, eb := range block {
-			if eb.ID == ea.ID {
-				continue
-			}
-			if _, dup := seen[eb]; dup {
-				continue
-			}
-			seen[eb] = struct{}{}
-			yield(eb)
-		}
-	}
-}
+// Sorted neighborhood over the merged order
 
 // snStreamRec is one record of the sorted-neighborhood streamer's merged
-// order — the same (key, ID)-sorted interleaving of both sources the
-// batch windowed scan walks.
+// order: both sources interleaved, sorted by (key, entity ID).
 type snStreamRec struct {
 	key string
 	e   *entity.Entity
 	isA bool
 }
 
-// snStreamer answers per-A-entity windows over the merged sorted order.
-// The batch scan emits the pair of positions (i, j), i < j ≤ i+w, when
-// exactly one side is an A record; seen from one A record at position p
-// that is every B record within w positions on either side — which is
-// what forA walks, reproducing the batch pair set exactly (including its
-// dependence on interleaved A records occupying window slots).
+// snStreamer is batch sorted-neighborhood: one scan over the merged A∪B
+// order (Hernández & Stolfo), pairing positions i < j ≤ i+w when exactly
+// one side is an A record. Seen from one A record at position p that is
+// every B record within w positions on either side, which is what Each
+// walks.
+//
+// Sorted neighborhood has two definitions in this package, and they are
+// equal only when A holds one entity. Here the other A records take up
+// window slots. SortedNeighborhoodIndex, which the matching service
+// queries, windows over the indexed entities alone. Loading B into the
+// index and probing it with every A entity would therefore change batch
+// results (seed 1, window 10):
+//   - Cora: the blocking ablation's sorted-neighborhood pass goes from
+//     17,826 to 37,470 candidates, and its two-pass multi-pass from
+//     33,212 to 72,162. That breaks TestMultiPassBeatsTokenOnCora's bound
+//     of a third of token blocking's 172,724.
+//   - NYT: the ablation's sorted-neighborhood F1 drops from 0.474 to
+//     0.426.
+//   - cora-x, N = 10,000 self-join: sortedneighborhood links go from 4,052
+//     to 4,636.
+//
+// So batch keeps the merged-order window, and the index keeps the
+// per-probe one.
 type snStreamer struct {
 	recs   []snStreamRec
-	posOfA map[*entity.Entity][]int
+	posOfA map[*entity.Entity]int
 	window int
 }
 
-func newSNStreamer(blk SortedNeighborhoodBlocker, a, b *entity.Source) *snStreamer {
+func newSNStreamer(blk SortedNeighborhoodBlocker, as, bs []*entity.Entity) *snStreamer {
 	key := blk.Key
 	if key == nil {
 		key = DefaultSortKey
 	}
-	recs := make([]snStreamRec, 0, len(a.Entities)+len(b.Entities))
-	for _, e := range a.Entities {
+	recs := make([]snStreamRec, 0, len(as)+len(bs))
+	for _, e := range as {
 		recs = append(recs, snStreamRec{key: key(e), e: e, isA: true})
 	}
-	for _, e := range b.Entities {
+	for _, e := range bs {
 		recs = append(recs, snStreamRec{key: key(e), e: e, isA: false})
 	}
-	sortSNStreamRecs(recs)
-	pos := make(map[*entity.Entity][]int)
-	for i, r := range recs {
-		if r.isA {
-			pos[r.e] = append(pos[r.e], i)
-		}
-	}
-	return &snStreamer{recs: recs, posOfA: pos, window: blk.window()}
-}
-
-// sortSNStreamRecs orders records by (key, entity ID) — the exact order
-// of the batch windowed scan, so window contents agree position for
-// position.
-func sortSNStreamRecs(recs []snStreamRec) {
 	sort.Slice(recs, func(i, j int) bool {
 		if recs[i].key != recs[j].key {
 			return recs[i].key < recs[j].key
 		}
 		return recs[i].e.ID < recs[j].e.ID
 	})
-}
-
-func (s *snStreamer) forA(ea *entity.Entity, yield func(*entity.Entity)) {
-	seen := make(map[*entity.Entity]struct{})
-	for _, p := range s.posOfA[ea] {
-		lo := p - s.window
-		if lo < 0 {
-			lo = 0
-		}
-		hi := p + s.window
-		if hi > len(s.recs)-1 {
-			hi = len(s.recs) - 1
-		}
-		for q := lo; q <= hi; q++ {
-			if q == p {
-				continue
-			}
-			r := s.recs[q]
-			if r.isA || r.e.ID == ea.ID {
-				continue
-			}
-			if _, dup := seen[r.e]; dup {
-				continue
-			}
-			seen[r.e] = struct{}{}
-			yield(r.e)
+	pos := make(map[*entity.Entity]int, len(as))
+	for i, r := range recs {
+		if r.isA {
+			pos[r.e] = i
 		}
 	}
+	return &snStreamer{recs: recs, posOfA: pos, window: blk.window()}
 }
 
-// multiStreamer unions member streamers with per-A-entity dedup — the
-// streaming mirror of MultiPassBlocker + CandidatePairs dedup (with the
-// A entity fixed, deduplicating pairs is deduplicating B partners).
-type multiStreamer struct {
-	members []pairStreamer
-}
-
-func (s *multiStreamer) forA(ea *entity.Entity, yield func(*entity.Entity)) {
-	seen := make(map[*entity.Entity]struct{})
-	for _, m := range s.members {
-		m.forA(ea, func(eb *entity.Entity) {
-			if _, dup := seen[eb]; dup {
-				return
-			}
-			seen[eb] = struct{}{}
-			yield(eb)
-		})
+// Each has BlockIndex.Each's contract for an A entity of the merged
+// order; there is no block cap to apply.
+func (s *snStreamer) Each(ea *entity.Entity, _ int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+	p, ok := s.posOfA[ea]
+	if !ok {
+		return true
 	}
-}
-
-// genericStreamer is the fallback for unknown strategies: it runs the
-// batch blocker once at construction and serves the deduplicated pairs
-// grouped per A entity. Correct for any Blocker, but the memory
-// streaming exists to avoid is paid anyway — mirror new strategies in
-// newPairStreamer to stream them for real.
-type genericStreamer struct {
-	byA map[*entity.Entity][]*entity.Entity
-}
-
-func newGenericStreamer(bl Blocker, a, b *entity.Source, opts Options) *genericStreamer {
-	byA := make(map[*entity.Entity][]*entity.Entity)
-	for _, p := range CandidatePairs(bl, a, b, opts) {
-		byA[p.A] = append(byA[p.A], p.B)
+	for q := max(p-s.window, 0); q <= min(p+s.window, len(s.recs)-1); q++ {
+		r := s.recs[q]
+		if q == p || r.isA || r.e.ID == ea.ID {
+			continue
+		}
+		if _, dup := seen[r.e.ID]; dup {
+			continue
+		}
+		seen[r.e.ID] = struct{}{}
+		if !yield(r.e) {
+			return false
+		}
 	}
-	return &genericStreamer{byA: byA}
-}
-
-func (s *genericStreamer) forA(ea *entity.Entity, yield func(*entity.Entity)) {
-	for _, eb := range s.byA[ea] {
-		yield(eb)
-	}
+	return true
 }

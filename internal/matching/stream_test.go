@@ -9,10 +9,6 @@ import (
 	"genlink/internal/entity"
 )
 
-// opaquePairBlocker hides its concrete type from newPairStreamer's
-// type switch, forcing the materializing generic fallback.
-type opaquePairBlocker struct{ Blocker }
-
 // randomWordSource builds a source of n entities over a small shared
 // vocabulary — enough value collisions to make blocks overlap, caps
 // trigger and sorted-neighborhood windows crowd.
@@ -34,14 +30,13 @@ func randomWordSource(rng *rand.Rand, name string, n int) *entity.Source {
 }
 
 // TestStreamPairsEqualCandidatePairs is the batch-layer differential:
-// for every strategy (and an opaque one served by the generic fallback)
-// and every cap, StreamPairs must yield exactly the CandidatePairs set —
-// no extras, no omissions, no duplicates. Covers A=B dedup shape,
-// disjoint sources, and a source with the same entity pointer listed
-// twice.
+// for every strategy and every cap, StreamPairs and CandidatePairs must
+// yield exactly the reference materializer's pair set — no extras, no
+// omissions, no duplicates. Covers A=B dedup shape, disjoint sources, and
+// a source with the same entity pointer listed twice, which must block
+// like the source without the repeat.
 func TestStreamPairsEqualCandidatePairs(t *testing.T) {
-	blockers := append(allBlockers(), opaquePairBlocker{TokenBlocking()})
-	for _, bl := range blockers {
+	for _, bl := range allBlockers() {
 		for _, maxBlock := range []int{-1, 0, 4} {
 			t.Run(fmt.Sprintf("%s/cap=%d", bl.Name(), maxBlock), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(len(bl.Name()))*10 + int64(maxBlock)))
@@ -55,8 +50,11 @@ func TestStreamPairsEqualCandidatePairs(t *testing.T) {
 				check := func(label string, a, b *entity.Source) {
 					t.Helper()
 					want := make(map[Pair]struct{})
-					for _, p := range CandidatePairs(bl, a, b, opts) {
+					for _, p := range referencePairs(bl, uniqueSource(a), uniqueSource(b), opts) {
 						want[p] = struct{}{}
+					}
+					if got := pairSet(t, CandidatePairs(bl, a, b, opts)); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: CandidatePairs diverges from the reference: %d vs %d pairs", label, len(got), len(want))
 					}
 					got := make(map[Pair]struct{})
 					StreamPairs(bl, a, b, opts, func(p Pair) {
@@ -66,7 +64,7 @@ func TestStreamPairsEqualCandidatePairs(t *testing.T) {
 						got[p] = struct{}{}
 					})
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: streamed pair set diverges from CandidatePairs: %d streamed vs %d materialized",
+						t.Fatalf("%s: streamed pair set diverges from the reference: %d streamed vs %d materialized",
 							label, len(got), len(want))
 					}
 				}
@@ -80,7 +78,8 @@ func TestStreamPairsEqualCandidatePairs(t *testing.T) {
 // TestMatchStreamModeEquivalence pins the per-A-entity enumeration with
 // pushdown bound as a pure execution strategy: Match and MatchParallel
 // (one worker and several) must return link slices byte-identical to
-// scoring the materialized candidate list, for every strategy and cap.
+// scoring the reference materializer's candidate list, for every strategy
+// and cap.
 func TestMatchStreamModeEquivalence(t *testing.T) {
 	r := labelRule()
 	for _, bl := range allBlockers() {
@@ -91,7 +90,7 @@ func TestMatchStreamModeEquivalence(t *testing.T) {
 				b := randomWordSource(rng, "b", 35)
 				opts := Options{Blocker: bl, MaxBlockSize: maxBlock}
 
-				want := MatchPairs(r, CandidatePairs(bl, a, b, opts), opts)
+				want := MatchPairs(r, referencePairs(bl, a, b, opts), opts)
 				if got := Match(r, a, b, opts); !reflect.DeepEqual(got, want) {
 					t.Fatalf("Match diverges from the materialized reference:\n got: %v\nwant: %v", got, want)
 				}
@@ -104,4 +103,34 @@ func TestMatchStreamModeEquivalence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// pairSet collects pairs into a set, failing on a duplicate and on pairs
+// that are not grouped per A entity (CandidatePairs' documented order).
+func pairSet(t *testing.T, ps []Pair) map[Pair]struct{} {
+	t.Helper()
+	out := make(map[Pair]struct{}, len(ps))
+	done := make(map[*entity.Entity]struct{})
+	for i, p := range ps {
+		if _, dup := out[p]; dup {
+			t.Fatalf("duplicate pair %s→%s", p.A.ID, p.B.ID)
+		}
+		out[p] = struct{}{}
+		if i > 0 && ps[i-1].A != p.A {
+			done[ps[i-1].A] = struct{}{}
+		}
+		if _, closed := done[p.A]; closed {
+			t.Fatalf("pairs of %s are not grouped", p.A.ID)
+		}
+	}
+	return out
+}
+
+// uniqueSource is s without repeated entity pointers.
+func uniqueSource(s *entity.Source) *entity.Source {
+	out := entity.NewSource(s.Name)
+	for _, e := range uniqueEntities(s.Entities) {
+		out.Add(e)
+	}
+	return out
 }

@@ -47,12 +47,17 @@ func trigrams(s string) map[string]struct{} {
 // and each token of the first value is matched to its most similar token
 // of the second under Jaro-Winkler; the distance is one minus the mean
 // best similarity. Asymmetric by definition, the measure is symmetrized
-// by taking the max of both directions.
+// by taking the max of both directions. Two values without tokens are
+// equal under this tokenization (distance 0); a value without tokens is
+// at distance 1 from one with tokens.
 func MongeElkan() Measure {
 	jw := JaroWinkler()
 	direction := func(a, b string) float64 {
 		ta, tb := strings.Fields(a), strings.Fields(b)
 		if len(ta) == 0 || len(tb) == 0 {
+			if len(ta) == len(tb) {
+				return 0
+			}
 			return 1
 		}
 		var sum float64

@@ -56,6 +56,10 @@ func TestMongeElkan(t *testing.T) {
 	if got := dist1(m, "", "x"); got != 1 {
 		t.Fatalf("empty mongeElkan = %v", got)
 	}
+	// Two values without tokens are equal under the measure's tokenization.
+	if got := dist1(m, " ", "\t"); got != 0 {
+		t.Fatalf("tokenless mongeElkan = %v, want 0", got)
+	}
 }
 
 func TestMongeElkanSymmetric(t *testing.T) {

@@ -107,8 +107,9 @@ type (
 	MatchOptions = matching.Options
 	// MatchedLink is a scored link produced by rule execution.
 	MatchedLink = matching.Link
-	// Blocker generates candidate pairs for rule execution; see
-	// TokenBlocking, SortedNeighborhood, QGramBlocking and MultiPass.
+	// Blocker generates candidate pairs for rule execution. The strategy
+	// set is closed: TokenBlocking, SortedNeighborhood, QGramBlocking and
+	// MultiPass, in any parameterization and composition.
 	Blocker = matching.Blocker
 	// CandidatePair is an entity pair proposed by a Blocker.
 	CandidatePair = matching.Pair
@@ -276,8 +277,12 @@ func MatchCartesian(r *Rule, a, b *Source, opts MatchOptions) []MatchedLink {
 // concurrently and serialize only against writes.
 //
 // Incremental candidates are differentially tested to be identical to
-// running the batch Blocker on the same surviving corpus, so switching a
-// pipeline from Match to an Index changes latency, never semantics.
+// running the batch Blocker with the probe as the only A entity against
+// the same surviving corpus. Switching a pipeline from Match to an Index
+// changes latency, not semantics, for token, q-gram and multi-pass
+// composites of them; a sorted-neighborhood pass differs when A holds
+// more than one entity, because batch windows run over the merged A∪B
+// order and the index windows over the corpus alone.
 func NewIndex(r *Rule, opts MatchOptions) *Index {
 	return linkindex.New(r, opts)
 }
