@@ -294,35 +294,65 @@ func (c *Compiled) fold(dists []float64, stack []float64) float64 {
 	return stack[sp-1]
 }
 
-// Scorer evaluates a compiled rule on arbitrary entity pairs, caching value
-// sets per (value subtree, entity) so entities that appear in many candidate
-// pairs — the normal case under blocking — pay for their transformation
-// chains once. A Scorer is not safe for concurrent use; create one per
-// goroutine around a shared Compiled.
+// record is everything the scorers derive from one entity version,
+// indexed by value program id: the value set each program computes and,
+// when the rule has a prefilter, that set's metadata. It is built in one
+// pass over the value programs, so a scorer reaches all of an entity's
+// values through one cache lookup, and is immutable afterwards.
+type record struct {
+	sets [][]string
+	meta []valueMeta // nil when the rule has no prefilter
+}
+
+// newRecord evaluates every value program on e. vstack is value-stack
+// scratch of at least c.vdepth slots.
+func (c *Compiled) newRecord(e *entity.Entity, vstack [][]string) *record {
+	r := &record{sets: make([][]string, len(c.values))}
+	if c.pf != nil {
+		r.meta = make([]valueMeta, len(c.values))
+	}
+	for i, p := range c.values {
+		r.sets[i] = p.eval(e.Values, vstack)
+		if r.meta != nil {
+			r.meta[i] = metaOfValues(r.sets[i])
+		}
+	}
+	return r
+}
+
+// score computes every distance program from the two sides' records and
+// folds the similarity program: the score Rule.Evaluate gives the pair
+// the records were built from. dists and stack are scratch of the usual
+// sizes. The rule must not be opaque.
+func (c *Compiled) score(ra, rb *record, dists, stack []float64) float64 {
+	for _, d := range c.dists {
+		dists[d.id] = d.measure.Distance(ra.sets[d.a.id], rb.sets[d.b.id])
+	}
+	return c.fold(dists, stack)
+}
+
+// Scorer evaluates a compiled rule on arbitrary entity pairs, caching one
+// record per entity so entities that appear in many candidate pairs — the
+// normal case under blocking — pay for their transformation chains once.
+// A Scorer is not safe for concurrent use; create one per goroutine around
+// a shared Compiled.
 type Scorer struct {
-	c      *Compiled
-	cache  []map[*entity.Entity][]string  // per valueProgram id
-	meta   []map[*entity.Entity]valueMeta // per valueProgram id (prefilter)
-	vstack [][]string
-	sstack []float64
-	dists  []float64
+	c       *Compiled
+	records map[*entity.Entity]*record
+	vstack  [][]string
+	sstack  []float64
+	dists   []float64
 }
 
 // Scorer returns a fresh scorer over the compiled rule.
 func (c *Compiled) Scorer() *Scorer {
-	s := &Scorer{
-		c:      c,
-		cache:  make([]map[*entity.Entity][]string, len(c.values)),
-		meta:   make([]map[*entity.Entity]valueMeta, len(c.values)),
-		vstack: make([][]string, c.vdepth),
-		sstack: make([]float64, c.depth),
-		dists:  make([]float64, len(c.dists)),
+	return &Scorer{
+		c:       c,
+		records: make(map[*entity.Entity]*record),
+		vstack:  make([][]string, c.vdepth),
+		sstack:  make([]float64, c.depth),
+		dists:   make([]float64, len(c.dists)),
 	}
-	for i := range s.cache {
-		s.cache[i] = make(map[*entity.Entity][]string)
-		s.meta[i] = make(map[*entity.Entity]valueMeta)
-	}
-	return s
 }
 
 // Score returns the similarity the rule assigns to the pair, identical to
@@ -331,19 +361,15 @@ func (s *Scorer) Score(a, b *entity.Entity) float64 {
 	if s.c.opaque {
 		return s.c.rule.Evaluate(a, b)
 	}
-	for _, d := range s.c.dists {
-		s.dists[d.id] = d.measure.Distance(s.valueSet(d.a, a), s.valueSet(d.b, b))
-	}
-	return s.c.fold(s.dists, s.sstack)
+	return s.c.score(s.record(a), s.record(b), s.dists, s.sstack)
 }
 
-// valueSet returns the memoized value set of a value program for an entity.
-func (s *Scorer) valueSet(p *valueProgram, e *entity.Entity) []string {
-	m := s.cache[p.id]
-	if v, ok := m[e]; ok {
-		return v
+// record returns the memoized record of an entity.
+func (s *Scorer) record(e *entity.Entity) *record {
+	if r, ok := s.records[e]; ok {
+		return r
 	}
-	v := p.eval(e.Values, s.vstack)
-	m[e] = v
-	return v
+	r := s.c.newRecord(e, s.vstack)
+	s.records[e] = r
+	return r
 }

@@ -2,8 +2,10 @@ package evalengine
 
 import (
 	"math"
+	"unicode/utf8"
 
 	"genlink/internal/entity"
+	"genlink/internal/similarity"
 )
 
 // Predicate pushdown: a Prefilter computes a cheap, sound upper bound on
@@ -11,7 +13,7 @@ import (
 // metadata alone (rune-length range and distinct-value cardinality of
 // each value program's output — no distance computation). Candidate
 // enumeration uses it to drop pairs that cannot reach the match
-// threshold before paying for Levenshtein matrices or token-set
+// threshold before paying for edit distances or token-set
 // intersections, and the query path (internal/linkindex) uses the
 // probe-only variant to answer without enumerating at all when even a
 // perfect candidate could not reach the threshold.
@@ -37,29 +39,19 @@ type valueMeta struct {
 	minLen, maxLen int
 }
 
-// metaOfValues computes the metadata of a value set.
+// metaOfValues computes the metadata of a value set. The cardinality is
+// the set measures' own (similarity.Cardinality, allocation-free for the
+// short value lists properties hold); duplicates share a length, so the
+// length range needs no deduplication.
 func metaOfValues(vs []string) valueMeta {
-	var m valueMeta
 	if len(vs) == 0 {
-		return m
+		return valueMeta{}
 	}
-	seen := make(map[string]struct{}, len(vs))
+	m := valueMeta{card: similarity.Cardinality(vs), minLen: math.MaxInt}
 	for _, v := range vs {
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		n := 0
-		for range v {
-			n++
-		}
-		if m.card == 0 || n < m.minLen {
-			m.minLen = n
-		}
-		if n > m.maxLen {
-			m.maxLen = n
-		}
-		m.card++
+		n := utf8.RuneCountInString(v)
+		m.minLen = min(m.minLen, n)
+		m.maxLen = max(m.maxLen, n)
 	}
 	return m
 }
@@ -150,8 +142,8 @@ func bounderFor(name string) distBounder {
 
 // Prefilter bounds a compiled rule's scores from value metadata. It is
 // immutable and shared like the Compiled it belongs to; callers go
-// through Scorer.Bound / SharedScorer.Bound, which cache metadata per
-// entity.
+// through the scorers (Scorer.Bound, SharedScorer.Bound, Probe.Score),
+// whose per-entity records carry the metadata.
 type Prefilter struct {
 	c        *Compiled
 	bounders []distBounder // per distProgram id
@@ -191,16 +183,16 @@ func newPrefilter(c *Compiled) *Prefilter {
 
 // Prefilter returns the rule's pushdown prefilter, or nil when the rule
 // admits no sound metadata-level bound (opaque rules, unknown
-// aggregators, negative weights). A nil receiver is handled by the
-// Scorer-level Bound methods, which degrade to the trivial bound.
+// aggregators, negative weights). Without one the scorers' Bound methods
+// return +Inf: nothing caps the score.
 func (c *Compiled) Prefilter() *Prefilter { return c.pf }
 
-// bound folds lower-bound distances through the similarity program.
-// metaA/metaB supply the per-side metadata of each distance program's
-// value subtrees; dists and stack are scratch of the usual sizes.
-func (pf *Prefilter) bound(metaA, metaB func(*valueProgram) valueMeta, dists, stack []float64) float64 {
+// bound folds lower-bound distances through the similarity program from
+// the metadata of both sides' records; dists and stack are scratch of the
+// usual sizes.
+func (pf *Prefilter) bound(ra, rb *record, dists, stack []float64) float64 {
 	for _, d := range pf.c.dists {
-		ma, mb := metaA(d.a), metaB(d.b)
+		ma, mb := ra.meta[d.a.id], rb.meta[d.b.id]
 		if ma.card == 0 || mb.card == 0 {
 			dists[d.id] = math.Inf(1)
 			continue
@@ -210,12 +202,12 @@ func (pf *Prefilter) bound(metaA, metaB func(*valueProgram) valueMeta, dists, st
 	return pf.c.fold(dists, stack)
 }
 
-// probeBound folds the one-sided bound: the A side's metadata is known,
+// probeBound folds the one-sided bound: the A side's record is known,
 // the B side is a hypothetical best-case candidate (distance lower bound
 // 0 everywhere the probe side is non-empty).
-func (pf *Prefilter) probeBound(metaA func(*valueProgram) valueMeta, dists, stack []float64) float64 {
+func (pf *Prefilter) probeBound(ra *record, dists, stack []float64) float64 {
 	for _, d := range pf.c.dists {
-		if metaA(d.a).card == 0 {
+		if ra.meta[d.a.id].card == 0 {
 			dists[d.id] = math.Inf(1)
 			continue
 		}
@@ -231,82 +223,14 @@ func (pf *Prefilter) probeBound(metaA func(*valueProgram) valueMeta, dists, stac
 // sound metadata-level bound).
 func (s *Scorer) HasPrefilter() bool { return s.c.pf != nil }
 
-// Bound returns an upper bound on Score(a, b), computed from cached
-// per-entity value metadata without evaluating any distance. Without a
-// prefilter it returns 1 (every score is ≤ 1 after aggregation; a bare
-// comparison also never exceeds 1), which prunes nothing.
+// Bound returns an upper bound on Score(a, b), computed from the cached
+// records' value metadata without evaluating any distance. Without a
+// prefilter it returns +Inf, which prunes nothing, so every candidate is
+// scored: compiled operators score in [0, 1], but an opaque rule's
+// extension operators may score above 1.
 func (s *Scorer) Bound(a, b *entity.Entity) float64 {
-	pf := s.c.pf
-	if pf == nil {
-		return 1
+	if s.c.pf == nil {
+		return math.Inf(1)
 	}
-	return pf.bound(
-		func(p *valueProgram) valueMeta { return s.metaSet(p, a) },
-		func(p *valueProgram) valueMeta { return s.metaSet(p, b) },
-		s.dists, s.sstack,
-	)
-}
-
-// metaSet returns the memoized value metadata of a value program for an
-// entity.
-func (s *Scorer) metaSet(p *valueProgram, e *entity.Entity) valueMeta {
-	m := s.meta[p.id]
-	if v, ok := m[e]; ok {
-		return v
-	}
-	v := metaOfValues(s.valueSet(p, e))
-	m[e] = v
-	return v
-}
-
-// HasPrefilter reports whether Bound and ProbeBound can ever prune.
-func (s *SharedScorer) HasPrefilter() bool { return s.c.pf != nil }
-
-// Bound returns an upper bound on Score(a, b) like Scorer.Bound, safe
-// for concurrent use.
-func (s *SharedScorer) Bound(a, b *entity.Entity) float64 {
-	pf := s.c.pf
-	if pf == nil {
-		return 1
-	}
-	sc := s.pool.Get().(*scorerScratch)
-	defer s.pool.Put(sc)
-	return pf.bound(
-		func(p *valueProgram) valueMeta { return s.metaSet(p, a, sc) },
-		func(p *valueProgram) valueMeta { return s.metaSet(p, b, sc) },
-		sc.dists, sc.sstack,
-	)
-}
-
-// ProbeBound returns an upper bound on Score(a, b) over every possible
-// b — what a perfect candidate could still score against this probe
-// (the A side of the rule). Empty probe-side value sets force their
-// comparisons to 0 whatever the candidate holds, so a probe missing the
-// properties of high-weight comparisons gets a bound below threshold and
-// its enumeration can stop before scoring anything. Returns 1 when the
-// rule has no prefilter.
-func (s *SharedScorer) ProbeBound(a *entity.Entity) float64 {
-	pf := s.c.pf
-	if pf == nil {
-		return 1
-	}
-	sc := s.pool.Get().(*scorerScratch)
-	defer s.pool.Put(sc)
-	return pf.probeBound(
-		func(p *valueProgram) valueMeta { return s.metaSet(p, a, sc) },
-		sc.dists, sc.sstack,
-	)
-}
-
-// metaSet returns the memoized value metadata of a value program for an
-// entity. Like valueSet, concurrent duplicate computation stores equal
-// results.
-func (s *SharedScorer) metaSet(p *valueProgram, e *entity.Entity, sc *scorerScratch) valueMeta {
-	m := &s.meta[p.id]
-	if v, ok := m.Load(e); ok {
-		return v.(valueMeta)
-	}
-	v := metaOfValues(s.valueSet(p, e, sc))
-	m.Store(e, v)
-	return v
+	return s.c.pf.bound(s.record(a), s.record(b), s.dists, s.sstack)
 }

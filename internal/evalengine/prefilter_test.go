@@ -1,6 +1,7 @@
 package evalengine_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -106,9 +107,10 @@ func TestMetamorphicPrefilterSoundness(t *testing.T) {
 }
 
 // TestMetamorphicSharedScorerBoundsAgree pins the concurrent scorer's
-// Bound to the single-goroutine one, and ProbeBound as a one-sided
-// relaxation: ProbeBound(a) must dominate Bound(a, b) — and therefore
-// the score — for every candidate b.
+// Bound to the single-goroutine one, and a bound probe's Upper as a
+// one-sided relaxation: Upper() of probe a must dominate Bound(a, b) —
+// and therefore the score — for every candidate b, whether the probe's
+// record is cached (stored) or lives in the handle (external).
 func TestMetamorphicSharedScorerBoundsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 80; trial++ {
@@ -116,9 +118,6 @@ func TestMetamorphicSharedScorerBoundsAgree(t *testing.T) {
 		c := evalengine.Compile(r)
 		s := c.Scorer()
 		shared := c.NewSharedScorer()
-		if s.HasPrefilter() != shared.HasPrefilter() {
-			t.Fatal("Scorer and SharedScorer disagree on HasPrefilter")
-		}
 		for i := 0; i < 10; i++ {
 			a := randomEntity(rng, "a")
 			b := randomEntity(rng, "b")
@@ -126,11 +125,42 @@ func TestMetamorphicSharedScorerBoundsAgree(t *testing.T) {
 			if sb := shared.Bound(a, b); sb != bound {
 				t.Fatalf("SharedScorer.Bound %v != Scorer.Bound %v\nrule: %s", sb, bound, r.Render())
 			}
-			if pb := shared.ProbeBound(a); pb < bound {
-				t.Fatalf("ProbeBound(a) %v < Bound(a,b) %v: one-sided bound must be a relaxation\nrule: %s",
-					pb, bound, r.Render())
+			for _, stored := range []bool{false, true} {
+				if up := shared.Bind(a, stored).Upper(); up < bound {
+					t.Fatalf("Bind(a, %v).Upper() %v < Bound(a,b) %v: one-sided bound must be a relaxation\nrule: %s",
+						stored, up, bound, r.Render())
+				}
 			}
 		}
+	}
+}
+
+// TestMetaOfValues pins the prefilter metadata against its definition —
+// distinct-value count and rune-length range — and the map-free contract:
+// for value lists up to the set measures' small-set size (16), computing
+// it allocates nothing. It runs once per cached record and once per
+// external probe.
+func TestMetaOfValues(t *testing.T) {
+	cases := []struct {
+		vs                   []string
+		card, minLen, maxLen int
+	}{
+		{nil, 0, 0, 0},
+		{[]string{"café"}, 1, 4, 4},
+		{[]string{"a", "bb", "a", "", "bb"}, 3, 0, 2},
+		{[]string{"x\xff", "日本語", "x\xff"}, 2, 2, 3},
+	}
+	for _, c := range cases {
+		card, lo, hi := evalengine.MetaOfValues(c.vs)
+		if card != c.card || lo != c.minLen || hi != c.maxLen {
+			t.Errorf("metaOfValues(%q) = card %d, len [%d, %d]; want %d, [%d, %d]",
+				c.vs, card, lo, hi, c.card, c.minLen, c.maxLen)
+		}
+	}
+	tokens := []string{"learning", "expressive", "linkage", "rules", "using", "genetic",
+		"programming", "learning", "rules", "for", "entity", "matching", "on", "the", "web", "rules"}
+	if n := testing.AllocsPerRun(100, func() { evalengine.MetaOfValues(tokens) }); n != 0 {
+		t.Errorf("metaOfValues over %d values allocates %v times per run", len(tokens), n)
 	}
 }
 
@@ -149,7 +179,8 @@ func TestMetamorphicHarnessCatchesUnsoundPrefilter(t *testing.T) {
 
 // TestPrefilterAbsentWhenUnsound pins the cases where no sound bound can
 // be stated: opaque rules and negative aggregation weights must compile
-// without a prefilter, and Bound must degrade to the trivial 1.
+// without a prefilter, and Bound must degrade to +Inf — not 1, because an
+// opaque rule's extension operators may score above 1.
 func TestPrefilterAbsentWhenUnsound(t *testing.T) {
 	opaque := rule.New(&rule.AggregationOp{
 		Function: rule.Min(),
@@ -177,7 +208,15 @@ func TestPrefilterAbsentWhenUnsound(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	a, b := randomEntity(rng, "a"), randomEntity(rng, "b")
-	if got := s.Bound(a, b); got != 1 {
-		t.Fatalf("Bound without a prefilter = %v, want the trivial 1", got)
+	if got := s.Bound(a, b); !math.IsInf(got, 1) {
+		t.Fatalf("Bound without a prefilter = %v, want +Inf", got)
+	}
+	// Why not 1: an extension operator at the root is not clamped.
+	over := rule.New(constSim(1.5))
+	if score := over.Evaluate(a, b); score != 1.5 {
+		t.Fatalf("constSim(1.5) scored %v", score)
+	}
+	if got := evalengine.Compile(over).Scorer().Bound(a, b); !math.IsInf(got, 1) {
+		t.Fatalf("Bound = %v for an opaque rule scoring 1.5, want +Inf", got)
 	}
 }

@@ -166,13 +166,13 @@ func (ix *ShardedIndex) Add(e *entity.Entity) {
 	sh.entities[e.ID] = e
 	sh.blocks.Add(e)
 	// The caller may have mutated e in place before re-adding it under the
-	// same pointer; cached value sets of that pointer are stale either way.
+	// same pointer; a cached record of that pointer is stale either way.
 	sh.scorer.Invalidate(e)
 	sh.mu.Unlock()
 }
 
 // Update replaces the entity with e.ID by e: the block structures are
-// re-keyed and the scorer's cached value sets for the old version are
+// re-keyed and the scorer's cached record of the old version is
 // dropped. Always pass a freshly built entity value — mutating a stored
 // entity (as returned by Get) in place is a data race against concurrent
 // queries, which read entity properties under only the read lock.
@@ -587,32 +587,30 @@ func (sh *shard) query(probe *entity.Entity, k, maxBlockCfg int, threshold float
 	return sh.queryLocked(probe, k, maxBlockCfg, threshold)
 }
 
-// queryLocked is query with the shard lock already held: the block index
-// pushes each candidate (matching.BlockIndex.Each) into the prefilter →
-// score → heap body below, which applies the compiled rule's pushdown
-// prefilter per candidate. The one early exit is before the enumeration
-// starts (probe bound < threshold); none can exist inside it, because
-// the heap floor is a Score and Score ≤ Bound ≤ ProbeBound
-// (TestMetamorphicPrefilterSoundness). Results are exactly those of
-// scoring every materialized candidate (Candidates): every skip
+// queryLocked is query with the shard lock already held: the probe is
+// bound to the shard's scorer once, and the block index pushes each
+// candidate (matching.BlockIndex.Each) into the bound score → heap body
+// below, which applies the compiled rule's pushdown prefilter per
+// candidate against the floor the threshold and the heap set. An
+// external probe (one this shard does not store: a POST probe, or a
+// stored entity of another shard) is evaluated into the handle only, so
+// the shard's scorer cache holds records of its own live entities and
+// nothing else, and nothing is invalidated after the query. The one early
+// exit is before the enumeration starts (probe bound < threshold); none
+// can exist inside it, because the heap floor is a Score and Score ≤
+// Bound ≤ Upper (TestMetamorphicPrefilterSoundness). Results are exactly
+// those of scoring every materialized candidate (Candidates): every skip
 // condition is strict (bound < threshold, bound < floor), so only
 // candidates the threshold or the heap would reject anyway are skipped —
 // and the per-shard top-k set is enumeration-order independent because
 // (score, BID) is a total order.
 func (sh *shard) queryLocked(probe *entity.Entity, k, maxBlockCfg int, threshold float64) []matching.Link {
-	if sh.entities[probe.ID] != probe {
-		// External probe (for this shard): cache its value sets only for
-		// the duration of the query (they are reused across every
-		// candidate), then drop them so the shard's cache tracks its own
-		// live entities only.
-		defer sh.scorer.Invalidate(probe)
-	}
-	hasPF := sh.scorer.HasPrefilter()
+	handle := sh.scorer.Bind(probe, sh.entities[probe.ID] == probe)
 	// Upper bound over every possible candidate: a probe whose value
 	// sets already cap the score below the threshold (e.g. missing
 	// the properties of high-weight comparisons) answers without
 	// enumerating a single candidate.
-	if hasPF && sh.scorer.ProbeBound(probe) < threshold {
+	if handle.Upper() < threshold {
 		sh.earlyExits.Add(1)
 		return nil
 	}
@@ -624,13 +622,11 @@ func (sh *shard) queryLocked(probe *entity.Entity, k, maxBlockCfg int, threshold
 	// k > 0 keeps the best k in a bounded heap; k ≤ 0 keeps every link.
 	h := newTopK(k, min(max(k, 0), 16))
 	sh.blocks.Each(probe, sh.effectiveMaxBlock(probe, maxBlockCfg), seen, func(cand *entity.Entity) bool {
-		if hasPF {
-			bound := sh.scorer.Bound(probe, cand)
-			if bound < threshold || (k > 0 && len(h.links) == k && bound < h.links[0].Score) {
-				return true
-			}
+		floor := threshold
+		if k > 0 && len(h.links) == k {
+			floor = max(floor, h.links[0].Score)
 		}
-		if score := sh.scorer.Score(probe, cand); score >= threshold {
+		if score, ok := handle.Score(cand, floor); ok && score >= threshold {
 			l := matching.Link{AID: probe.ID, BID: cand.ID, Score: score}
 			if k > 0 {
 				h.push(l)

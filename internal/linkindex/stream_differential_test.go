@@ -65,10 +65,20 @@ func referenceQuery(ix *linkindex.ShardedIndex, scorer *evalengine.Scorer, probe
 	return links
 }
 
+// doubledSim is an opaque extension operator scoring twice its operand,
+// up to 2. Once a top-k heap holds links scoring above 1, its floor is
+// above 1 too, and a query that assumed every score is ≤ 1 would skip the
+// better candidates still to come.
+type doubledSim struct{ rule.SimilarityOp }
+
+func (d doubledSim) Evaluate(a, b *entity.Entity) float64 { return 2 * d.SimilarityOp.Evaluate(a, b) }
+func (d doubledSim) CloneSim() rule.SimilarityOp          { return d }
+
 func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
 	// The one query path is pinned in both regimes: with a pushdown bound
-	// (the compiled rule) and without one (an opaque rule scored by the
-	// tree-walk, for which every candidate reaches Score).
+	// (the compiled rule) and without one (opaque rules scored by the
+	// tree-walk, one of them scoring above 1, for which every candidate
+	// reaches Score).
 	rules := []struct {
 		name      string
 		r         *rule.Rule
@@ -76,7 +86,14 @@ func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
 	}{
 		{"prefilter", diffRule(), true},
 		{"opaque", rule.New(opaqueSim{diffRule().Root}), false},
+		{"over-one", rule.New(doubledSim{diffRule().Root}), false},
 	}
+	above1 := 0 // links scoring above 1 returned by Query
+	defer func() {
+		if !t.Failed() && above1 == 0 {
+			t.Error("no query returned a link scoring above 1; the over-one rule went unexercised")
+		}
+	}()
 	for _, rc := range rules {
 		compiled := evalengine.Compile(rc.r)
 		if got := compiled.Scorer().HasPrefilter(); got != rc.prefilter {
@@ -100,6 +117,11 @@ func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
 								if !equalLinks(got, want) {
 									t.Fatalf("probe %s k=%d: Query diverges from the materialized reference\n got: %v\nwant: %v",
 										probe.ID, k, got, want)
+								}
+								for _, l := range got {
+									if l.Score > 1 {
+										above1++
+									}
 								}
 							}
 							var wantL []matching.Link

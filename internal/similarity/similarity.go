@@ -12,7 +12,9 @@ package similarity
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"unicode/utf8"
 )
 
 // Measure computes a non-negative distance between two value sets.
@@ -62,15 +64,14 @@ func Levenshtein() Measure {
 	return Func{MeasureName: "levenshtein", Single: levenshtein}
 }
 
-// levenshteinStack bounds the input length (in runes) for which the
-// rune buffers and DP rows of levenshtein stay on the stack. Typical
-// property values (names, titles) fit; longer inputs spill to the heap.
-const levenshteinStack = 64
-
-// levenshtein computes the classic edit distance in O(len(a)·len(b)) time
-// and O(min) space, operating on runes so multi-byte input is handled.
-// The scorer calls this once per candidate pair on the query hot path,
-// so the working set is stack-allocated for typical value lengths.
+// levenshtein is the exact edit distance over runes (insertions,
+// deletions and substitutions of one rune each cost 1), so multi-byte
+// input is handled and an invalid byte counts as one rune. It runs Myers'
+// bit-parallel algorithm (levenshteinLen) in O(⌈m/64⌉·n) time for rune
+// lengths m ≤ n, allocation-free while the shorter side has at most 64
+// runes — which covers names, titles and venues — and with one allocation
+// past that (two when it holds more than 64 non-ASCII runes). The scorer
+// calls it once per candidate pair on the query hot path.
 func levenshtein(a, b string) float64 {
 	if a == b {
 		return 0
@@ -79,57 +80,123 @@ func levenshtein(a, b string) float64 {
 	return d
 }
 
-// levenshteinLen is levenshtein returning also the rune lengths of both
-// inputs: they fall out of the rune buffering the DP needs anyway, so
-// normalized variants get them without the two heap-allocating
-// len([]rune(x)) conversions. Callers handle the a == b fast path.
-func levenshteinLen(a, b string) (dist float64, la, lb int) {
-	var raBuf, rbBuf [levenshteinStack]rune
-	ra, rb := appendRunes(raBuf[:0], a), appendRunes(rbBuf[:0], b)
-	la, lb = len(ra), len(rb)
-	if len(ra) == 0 {
-		return float64(len(rb)), la, lb
-	}
-	if len(rb) == 0 {
-		return float64(len(ra)), la, lb
-	}
-	if len(ra) > len(rb) {
-		ra, rb = rb, ra
-	}
-	var rowBuf [2 * (levenshteinStack + 1)]int
-	var prev, cur []int
-	if len(ra) <= levenshteinStack {
-		prev = rowBuf[: len(ra)+1 : levenshteinStack+1]
-		cur = rowBuf[levenshteinStack+1 : levenshteinStack+2+len(ra)]
-	} else {
-		prev = make([]int, len(ra)+1)
-		cur = make([]int, len(ra)+1)
-	}
-	for i := range prev {
-		prev[i] = i
-	}
-	for j := 1; j <= len(rb); j++ {
-		cur[0] = j
-		for i := 1; i <= len(ra); i++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[i] = minInt(prev[i]+1, cur[i-1]+1, prev[i-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return float64(prev[len(ra)]), la, lb
-}
+// wordBits is the width of one bit-vector block of levenshteinLen.
+const wordBits = 64
 
-// appendRunes appends the runes of s to dst — rune decoding without the
-// []rune(s) conversion's unconditional heap allocation (dst can be a
-// stack buffer; append spills to the heap only past its capacity).
-func appendRunes(dst []rune, s string) []rune {
-	for _, r := range s {
-		dst = append(dst, r)
+// levenshteinLen is levenshtein returning also the rune lengths of both
+// inputs, so normalized variants get them from the same pass. Callers
+// handle the a == b fast path.
+//
+// The algorithm is Myers' bit-vector edit distance in Hyyrö's
+// formulation. The pattern is the shorter side, m runes, with column j of
+// the DP matrix D (text prefix of j runes) held as two bit vectors over
+// the pattern rows: pv/mv mark rows whose vertical delta D[i][j] −
+// D[i−1][j] is +1/−1. One text rune advances every row at once through a
+// handful of word operations; the score follows D[m][j] by the horizontal
+// delta at row m. Patterns longer than 64 runes are cut into 64-row
+// blocks, and each block hands its bottom row's horizontal delta to the
+// next as a carry — row 0's delta is always +1, since D[0][j] = j. A
+// pattern of at most 64 runes is the same loop with one block. Bits above
+// row m in the last block see only never-matching rows, and carries and
+// shifts only move upward, so they cannot disturb rows ≤ m. The result is
+// exact; FuzzLevenshtein holds it to the classic dynamic program.
+func levenshteinLen(a, b string) (dist float64, la, lb int) {
+	la, lb = utf8.RuneCountInString(a), utf8.RuneCountInString(b)
+	pattern, text, m := a, b, la
+	if la > lb {
+		pattern, text, m = b, a, lb
 	}
-	return dst
+	if m == 0 {
+		return float64(la + lb), la, lb
+	}
+	words := (m + wordBits - 1) / wordBits
+
+	// Match masks, words per symbol: peq[r·words+w] marks the rows of
+	// block w holding ASCII symbol r; othersPeq[k·words+w] does the same
+	// for others[k], the pattern's other runes in first-occurrence
+	// order. A text rune the pattern lacks matches nothing (zero).
+	var (
+		asciiBuf  [128]uint64
+		otherBuf  [wordBits]rune
+		otherPeq  [wordBits]uint64
+		vecBuf    [2]uint64
+		zeroBuf   [1]uint64
+		peq       = asciiBuf[:]
+		others    = otherBuf[:0]
+		othersPeq = otherPeq[:0]
+		pv, mv    = vecBuf[:1], vecBuf[1:]
+		zero      = zeroBuf[:]
+	)
+	if words > 1 {
+		// Sized by the pattern's non-ASCII runes, so neither other-rune
+		// list grows: one allocation, and a second for the rune list only
+		// past 64 non-ASCII runes.
+		nonASCII := 0
+		for _, r := range pattern {
+			if r >= 128 {
+				nonASCII++
+			}
+		}
+		buf := make([]uint64, (128+3+nonASCII)*words)
+		peq, buf = buf[:128*words], buf[128*words:]
+		pv, mv, zero, othersPeq = buf[:words], buf[words:2*words], buf[2*words:3*words], buf[3*words:3*words]
+		if nonASCII > len(otherBuf) {
+			others = make([]rune, 0, nonASCII)
+		}
+	}
+	i := uint(0)
+	for _, r := range pattern {
+		w, bit := int(i/wordBits), uint64(1)<<(i%wordBits)
+		if r < 128 {
+			peq[int(r)*words+w] |= bit
+		} else {
+			k := slices.Index(others, r)
+			if k < 0 {
+				k = len(others)
+				others = append(others, r)
+				othersPeq = append(othersPeq, zero...)
+			}
+			othersPeq[k*words+w] |= bit
+		}
+		i++
+	}
+
+	for w := range pv {
+		pv[w] = ^uint64(0) // D[i][0] = i: every vertical delta is +1
+	}
+	lastShift := uint((m - 1) % wordBits)
+	score := m
+	for _, r := range text {
+		eq := zero
+		if r < 128 {
+			eq = peq[int(r)*words : int(r)*words+words]
+		} else if k := slices.Index(others, r); k >= 0 {
+			eq = othersPeq[k*words : k*words+words]
+		}
+		// carryP/carryM: the horizontal delta entering the block from
+		// the row above it is +1/−1 (both 0: delta 0).
+		carryP, carryM := uint64(1), uint64(0)
+		for w := range pv {
+			p, n, e := pv[w], mv[w], eq[w]
+			xv := e | n
+			e |= carryM
+			xh := (((e & p) + p) ^ p) | e
+			ph := n | ^(xh | p)
+			mh := p & xh
+			shift := uint(wordBits - 1)
+			if w == words-1 {
+				shift = lastShift
+			}
+			outP, outM := ph>>shift&1, mh>>shift&1
+			ph = ph<<1 | carryP
+			mh = mh<<1 | carryM
+			pv[w] = mh | ^(xv | ph)
+			mv[w] = ph & xv
+			carryP, carryM = outP, outM
+		}
+		score += int(carryP) - int(carryM)
+	}
+	return float64(score), la, lb
 }
 
 // NormalizedLevenshtein returns levenshtein divided by the length of the
@@ -138,9 +205,9 @@ func NormalizedLevenshtein() Measure {
 	return Func{MeasureName: "normLevenshtein", Single: normalizedLevenshtein}
 }
 
-// normalizedLevenshtein gets the rune lengths from the same stack-
-// buffered pass that computes the distance (levenshteinLen), so it stays
-// allocation-free for inputs up to levenshteinStack runes.
+// normalizedLevenshtein gets the rune lengths from the same pass that
+// computes the distance (levenshteinLen), so it stays allocation-free
+// while the shorter input has at most 64 runes.
 func normalizedLevenshtein(a, b string) float64 {
 	if a == b {
 		return 0 // covers the both-empty case where the length is 0
@@ -198,12 +265,7 @@ func setStats(a, b []string) (ca, cb, inter int) {
 				}
 			}
 		}
-		for i, v := range b {
-			if !containsBefore(b, i, v) {
-				cb++
-			}
-		}
-		return ca, cb, inter
+		return ca, Cardinality(b), inter
 	}
 	setA := make(map[string]struct{}, len(a))
 	for _, v := range a {
@@ -219,6 +281,26 @@ func setStats(a, b []string) (ca, cb, inter int) {
 		}
 	}
 	return len(setA), len(setB), inter
+}
+
+// Cardinality returns the number of distinct values in vs: the set size
+// the set measures (jaccard, dice, cosine) are defined over. Up to
+// smallSet values it counts with a nested scan and allocates nothing.
+func Cardinality(vs []string) int {
+	if len(vs) > smallSet {
+		seen := make(map[string]struct{}, len(vs))
+		for _, v := range vs {
+			seen[v] = struct{}{}
+		}
+		return len(seen)
+	}
+	n := 0
+	for i, v := range vs {
+		if !containsBefore(vs, i, v) {
+			n++
+		}
+	}
+	return n
 }
 
 // containsBefore reports whether vs[i] already occurred in vs[:i].
@@ -399,16 +481,6 @@ func Names() []string {
 // Core returns the five measures used in all paper experiments (Table 2).
 func Core() []Measure {
 	return []Measure{Levenshtein(), Jaccard(), Numeric(), Geographic(), Date()}
-}
-
-func minInt(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }
 
 func minInt2(a, b int) int {

@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -331,18 +332,60 @@ func TestNormalizedLevenshteinReference(t *testing.T) {
 	}
 }
 
-// TestLevenshteinAllocationFree pins the hot-path contract: for inputs
-// up to levenshteinStack runes — including the normalized variant, whose
-// length terms now come from the same stack-buffered pass instead of two
-// []rune conversions — a comparison performs zero heap allocations.
+// TestLevenshteinAllocationFree pins the hot-path contract: while the
+// shorter input has at most 64 runes — one bit-vector block, up to its
+// last row — a comparison performs zero heap allocations, including the
+// normalized variant, whose length terms come from the same pass, and
+// including a longer other side and non-ASCII runes.
 func TestLevenshteinAllocationFree(t *testing.T) {
-	a := "entity matching with genetic programming"
-	b := "éntity matching with génetic programs"
-	if n := testing.AllocsPerRun(100, func() { levenshtein(a, b) }); n != 0 {
-		t.Errorf("levenshtein allocates %v times per run", n)
+	const r64 = "learning expressive linkage rules with genetic programming, 2012"
+	if n := len([]rune(r64)); n != 64 {
+		t.Fatalf("fixture has %d runes, want 64", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { normalizedLevenshtein(a, b) }); n != 0 {
-		t.Errorf("normalizedLevenshtein allocates %v times per run", n)
+	pairs := [][2]string{
+		{"entity matching with genetic programming", "éntity matching with génetic programs"},
+		{r64, strings.ToUpper(r64)},
+		{r64, strings.ReplaceAll(r64, "e", "é")},
+		{r64, r64 + " and a much longer tail past the first block of the other side"},
+	}
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		if n := testing.AllocsPerRun(100, func() { levenshtein(a, b) }); n != 0 {
+			t.Errorf("levenshtein(%q, %q) allocates %v times per run", a, b, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { normalizedLevenshtein(a, b) }); n != 0 {
+			t.Errorf("normalizedLevenshtein(%q, %q) allocates %v times per run", a, b, n)
+		}
+	}
+}
+
+// TestLevenshteinAllocationsPastOneBlock pins the cost past 64 runes: the
+// masks of every block come from one allocation sized up front, so a
+// pattern of many distinct non-ASCII runes (CJK text) never grows them;
+// only a rune list beyond 64 non-ASCII runes takes a second allocation.
+func TestLevenshteinAllocationsPastOneBlock(t *testing.T) {
+	var cjk, accented strings.Builder
+	for i := 0; i < 130; i++ {
+		cjk.WriteRune(rune(0x4e00 + i)) // 130 distinct runes
+		if i%3 == 0 {
+			accented.WriteRune(rune(0xc0 + i/3)) // 44 distinct runes
+		} else {
+			accented.WriteByte(byte('a' + i%26))
+		}
+	}
+	cases := []struct {
+		a      string
+		allocs float64
+	}{
+		{strings.Repeat("genetic programming ", 7)[:130], 1},
+		{accented.String(), 1},
+		{cjk.String(), 2},
+	}
+	for _, c := range cases {
+		b := string([]rune(c.a)[1:]) + "x" // same rune length: either side is the pattern
+		if n := testing.AllocsPerRun(100, func() { levenshtein(c.a, b) }); n != c.allocs {
+			t.Errorf("levenshtein over %d runes allocates %v times per run, want %v", len([]rune(c.a)), n, c.allocs)
+		}
 	}
 }
 
