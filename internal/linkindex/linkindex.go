@@ -12,7 +12,7 @@
 // around it:
 //
 //   - Candidates come from the blocker's own matching.BlockIndex — the
-//     same index batch matching enumerates through: inverted key maps for
+//     same index batch matching enumerates through: slot posting lists for
 //     token and q-gram blocking, an order-maintained sorted list for
 //     sorted-neighborhood, a union composite for multi-pass. Differential
 //     property tests pin the index's candidates ≡ the batch blocker on the

@@ -27,7 +27,7 @@ import (
 // its partition — same code path, same per-partition cap derivation —
 // and the index unions the per-shard candidate sets. Concretely:
 //
-//   - Partition-invariant strategies (token and q-gram inverted maps
+//   - Partition-invariant strategies (token and q-gram posting lists
 //     with no block-size cap): a key's global block is the disjoint
 //     union of its per-shard blocks, so the union is exactly the
 //     single-shard candidate set and query results are identical to an

@@ -15,7 +15,7 @@ import (
 
 // partitionInvariant names the strategies whose sharded candidate union
 // is EXACTLY the single-shard candidate set when blocks are uncapped:
-// inverted key maps (token, q-gram — a key's global block is the disjoint
+// keyed posting lists (token, q-gram — a key's global block is the disjoint
 // union of its per-shard blocks). Sorted-neighborhood strategies are
 // windowed per shard and produce a superset instead (see the superset
 // test below); multipass inherits whichever its members do, so one of

@@ -1,0 +1,71 @@
+package matching
+
+import (
+	"fmt"
+	"testing"
+
+	"genlink/internal/datagen"
+	"genlink/internal/entity"
+)
+
+// coraCorpus returns n Cora-style citation records: datagen.Cora chunks
+// concatenated, each chunk's IDs prefixed so they stay unique.
+func coraCorpus(n int) []*entity.Entity {
+	var out []*entity.Entity
+	for chunk := 1; len(out) < n; chunk++ {
+		for _, e := range datagen.Cora(int64(chunk)).A.Entities {
+			if len(out) == n {
+				break
+			}
+			re := e.Clone()
+			re.ID = fmt.Sprintf("s%d/%s", chunk, e.ID)
+			out = append(out, re)
+		}
+	}
+	return out
+}
+
+// BenchmarkBlockIndexWrite measures every strategy's index on the write
+// path at 10,000 entities. load bulk-loads the corpus into an empty index
+// (what snapshot restore and recovery pay per shard). update64 replaces
+// 64 indexed entities per op with other versions through BulkRemove +
+// BulkAdd (one Apply batch), at that size.
+func BenchmarkBlockIndexWrite(b *testing.B) {
+	const n, batch = 10_000, 64
+	live := coraCorpus(n)
+	// alt[i] is a second version of live[i]: another record's values
+	// under live[i]'s ID.
+	alt := make([]*entity.Entity, n)
+	for i, e := range live {
+		v := live[(i+n/2)%n].Clone()
+		v.ID = e.ID
+		alt[i] = v
+	}
+	for _, name := range BlockerNames() {
+		bl := BlockerByName(name)
+		b.Run(name+"/load", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				NewBlockIndex(bl).BulkAdd(live)
+			}
+		})
+		b.Run(name+"/update64", func(b *testing.B) {
+			bi := NewBlockIndex(bl)
+			cur, next := append([]*entity.Entity(nil), live...), append([]*entity.Entity(nil), alt...)
+			bi.BulkAdd(cur)
+			off := 0
+			b.ReportAllocs()
+			for b.Loop() {
+				olds, news := cur[off:off+batch], next[off:off+batch]
+				bi.BulkRemove(olds)
+				bi.BulkAdd(news)
+				for i := range olds {
+					olds[i], news[i] = news[i], olds[i]
+				}
+				if off += batch; off+batch > n {
+					off = 0
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"slices"
 	"sort"
 
 	"genlink/internal/entity"
@@ -20,6 +21,10 @@ import (
 // record ("remove, then query as an external entity"). Self matches are
 // therefore never candidates, and an indexed probe does not inflate its
 // own block sizes or occupy a slot of its own sorted-neighborhood window.
+//
+// Keys are sorted: Tokens and QGramKeys return each entity's keys sorted
+// and unique, which is what lets the keyed indexes tell by one merge walk
+// which of a probe's blocks hold its own record.
 //
 // Implementations are NOT synchronized: writes need the caller's lock,
 // and Candidates/Each may run concurrently only with each other.
@@ -63,63 +68,95 @@ type BulkAdder interface {
 }
 
 // NewBlockIndex returns an empty incremental index of the blocker's
-// strategy: inverted key maps for token and q-gram blocking, an
+// strategy: slot posting lists for token and q-gram blocking, an
 // order-maintained sorted list for sorted-neighborhood, a MultiIndex for
 // multi-pass composites.
 func NewBlockIndex(bl Blocker) BlockIndex { return bl.newIndex() }
 
 // ---------------------------------------------------------------------------
-// Inverted key maps (token, q-gram)
+// Slot posting lists (token, q-gram)
 
-// keyedIndex is the shared inverted-map core of TokenIndex and
-// QGramIndex: key → (entity ID → entity), plus the keys recorded for each
-// entity at Add time so Remove never depends on re-deriving keys from a
-// possibly-mutated entity.
+// keyedIndex is the shared core of TokenIndex and QGramIndex. Every
+// indexed entity holds an int32 slot (freed slots are reused), and every
+// key maps to the posting list of the slots whose entity carries it. The
+// lists hold no pointers, so the garbage collector never scans them.
+// Add appends the slot to one list per key; Remove swap-removes it from
+// each, fixing the moved slot's position by binary search in that
+// slot's sorted keys — O(keys · log keys), whatever the block sizes.
 type keyedIndex struct {
-	keys   func(*entity.Entity) []string
-	byKey  map[string]map[string]*entity.Entity
-	keysOf map[string][]string
+	keys     func(*entity.Entity) []string // sorted, unique
+	postings map[string][]int32
+	slots    []keyedSlot
+	slotOf   map[string]int32 // entity ID → slot
+	free     []int32
+}
+
+// keyedSlot is one indexed entity with the keys recorded at Add time, so
+// Remove never re-derives keys from a possibly mutated entity. pos[i] is
+// the slot's position in postings[keys[i]]. A free slot has no entity
+// and no keys.
+type keyedSlot struct {
+	e    *entity.Entity
+	keys []string
+	pos  []int32
 }
 
 func newKeyedIndex(keys func(*entity.Entity) []string) *keyedIndex {
 	return &keyedIndex{
-		keys:   keys,
-		byKey:  make(map[string]map[string]*entity.Entity),
-		keysOf: make(map[string][]string),
+		keys:     keys,
+		postings: make(map[string][]int32),
+		slotOf:   make(map[string]int32),
 	}
 }
 
 // Add implements BlockIndex.
 func (x *keyedIndex) Add(e *entity.Entity) {
-	ks := x.keys(e)
-	x.keysOf[e.ID] = ks
-	for _, k := range ks {
-		block := x.byKey[k]
-		if block == nil {
-			block = make(map[string]*entity.Entity)
-			x.byKey[k] = block
-		}
-		block[e.ID] = e
+	var s int32
+	if n := len(x.free); n > 0 {
+		s, x.free = x.free[n-1], x.free[:n-1]
+	} else {
+		s = int32(len(x.slots))
+		x.slots = append(x.slots, keyedSlot{})
+	}
+	x.slotOf[e.ID] = s
+	sl := &x.slots[s]
+	sl.e, sl.keys = e, x.keys(e)
+	sl.pos = slices.Grow(sl.pos, len(sl.keys))
+	for _, k := range sl.keys {
+		list := x.postings[k]
+		sl.pos = append(sl.pos, int32(len(list)))
+		x.postings[k] = append(list, s)
 	}
 }
 
 // Remove implements BlockIndex.
 func (x *keyedIndex) Remove(e *entity.Entity) {
-	ks, ok := x.keysOf[e.ID]
+	s, ok := x.slotOf[e.ID]
 	if !ok {
 		return
 	}
-	delete(x.keysOf, e.ID)
-	for _, k := range ks {
-		block := x.byKey[k]
-		delete(block, e.ID)
-		if len(block) == 0 {
-			delete(x.byKey, k)
+	delete(x.slotOf, e.ID)
+	sl := &x.slots[s]
+	for i, k := range sl.keys {
+		list := x.postings[k]
+		last := int32(len(list) - 1)
+		if last == 0 {
+			delete(x.postings, k)
+			continue
 		}
+		if p := sl.pos[i]; p != last {
+			moved := &x.slots[list[last]]
+			list[p] = list[last]
+			j, _ := slices.BinarySearch(moved.keys, k)
+			moved.pos[j] = p
+		}
+		x.postings[k] = list[:last]
 	}
+	*sl = keyedSlot{pos: sl.pos[:0]}
+	x.free = append(x.free, s)
 }
 
-// BulkAdd implements BlockIndex: an inverted map has no batch fast path.
+// BulkAdd implements BlockIndex: posting lists have no batch fast path.
 func (x *keyedIndex) BulkAdd(es []*entity.Entity) {
 	for _, e := range es {
 		x.Add(e)
@@ -133,56 +170,49 @@ func (x *keyedIndex) BulkRemove(es []*entity.Entity) {
 	}
 }
 
-// Candidates implements BlockIndex. Block sizes are measured without the
-// probe's own record (the CapAllows policy).
+// Candidates implements BlockIndex: Each, collected and sorted.
 func (x *keyedIndex) Candidates(probe *entity.Entity, maxBlock int) []*entity.Entity {
-	seen := make(map[string]struct{})
 	var out []*entity.Entity
-	for _, k := range x.keys(probe) {
-		block := x.byKey[k]
-		size := len(block)
-		if _, self := block[probe.ID]; self {
-			size--
-		}
-		if !CapAllows(size, maxBlock) {
-			continue
-		}
-		for id, cand := range block {
-			if id == probe.ID {
-				continue
-			}
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			out = append(out, cand)
-		}
-	}
+	x.Each(probe, maxBlock, make(map[string]struct{}), func(e *entity.Entity) bool {
+		out = append(out, e)
+		return true
+	})
 	sortByID(out)
 	return out
 }
 
-// Each implements BlockIndex: the probe's key blocks are ranged in place,
-// one at a time, deduplicating across blocks through seen. Oversized
-// blocks are skipped by the same policy as Candidates.
+// Each implements BlockIndex: the probe's posting lists are ranged in
+// place, one at a time, deduplicating across lists through seen. A
+// block's size is measured without the probe's own record (the
+// CapAllows policy): both the probe's keys and the keys recorded for
+// probe.ID are sorted, so one merge walk tells which blocks hold that
+// record, and the record itself is skipped by its slot.
 func (x *keyedIndex) Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+	self, selfKeys := int32(-1), []string(nil)
+	if s, ok := x.slotOf[probe.ID]; ok {
+		self, selfKeys = s, x.slots[s].keys
+	}
 	for _, k := range x.keys(probe) {
-		block := x.byKey[k]
-		size := len(block)
-		if _, self := block[probe.ID]; self {
+		list := x.postings[k]
+		size := len(list)
+		for len(selfKeys) > 0 && selfKeys[0] < k {
+			selfKeys = selfKeys[1:]
+		}
+		if len(selfKeys) > 0 && selfKeys[0] == k {
 			size--
 		}
 		if !CapAllows(size, maxBlock) {
 			continue
 		}
-		for id, cand := range block {
-			if id == probe.ID {
+		for _, s := range list {
+			if s == self {
 				continue
 			}
-			if _, dup := seen[id]; dup {
+			cand := x.slots[s].e
+			if _, dup := seen[cand.ID]; dup {
 				continue
 			}
-			seen[id] = struct{}{}
+			seen[cand.ID] = struct{}{}
 			if !yield(cand) {
 				return false
 			}
@@ -192,13 +222,13 @@ func (x *keyedIndex) Each(probe *entity.Entity, maxBlock int, seen map[string]st
 }
 
 // Len implements BlockIndex.
-func (x *keyedIndex) Len() int { return len(x.keysOf) }
+func (x *keyedIndex) Len() int { return len(x.slotOf) }
 
 // Keys implements BlockIndex.
-func (x *keyedIndex) Keys() int { return len(x.byKey) }
+func (x *keyedIndex) Keys() int { return len(x.postings) }
 
-// TokenIndex is the index of TokenBlocker: an inverted map from
-// lowercased value tokens to the entities containing them.
+// TokenIndex is the index of TokenBlocker: posting lists keyed by
+// lowercased value tokens.
 type TokenIndex struct{ *keyedIndex }
 
 // NewTokenIndex returns an empty token index.
@@ -206,8 +236,8 @@ func NewTokenIndex() TokenIndex {
 	return TokenIndex{newKeyedIndex(Tokens)}
 }
 
-// QGramIndex is the index of QGramBlocker: an inverted map from
-// character q-grams to the entities containing them.
+// QGramIndex is the index of QGramBlocker: posting lists keyed by
+// character q-grams.
 type QGramIndex struct{ *keyedIndex }
 
 // NewQGramIndex returns an empty q-gram index (q ≤ 0 means 3).
@@ -318,30 +348,38 @@ func (x *SortedNeighborhoodIndex) BulkAdd(es []*entity.Entity) {
 	}
 }
 
-// BulkRemove implements BlockIndex: mark every doomed record, then
-// compact the list in one pass. O(n + m) instead of the O(n·m) memmoves
-// of m repeated Removes — the batch half of the Apply write pipeline.
+// BulkRemove implements BlockIndex: find each doomed record by binary
+// search on its recorded (key, ID), then compact the list once from the
+// first doomed position. O(m·log n) searches plus one copy of the tail
+// instead of the O(n·m) memmoves of m repeated Removes, and no record
+// outside the batch is hashed — the batch half of the Apply write
+// pipeline.
 func (x *SortedNeighborhoodIndex) BulkRemove(es []*entity.Entity) {
-	drop := make(map[string]struct{}, len(es))
+	doomed := make([]int, 0, len(es))
 	for _, e := range es {
-		if _, ok := x.keyOf[e.ID]; ok {
-			drop[e.ID] = struct{}{}
-			delete(x.keyOf, e.ID)
+		k, ok := x.keyOf[e.ID]
+		if !ok {
+			continue
+		}
+		delete(x.keyOf, e.ID)
+		if pos := x.lowerBound(k, e.ID); pos < len(x.recs) && x.recs[pos].e.ID == e.ID {
+			doomed = append(doomed, pos)
 		}
 	}
-	if len(drop) == 0 {
+	if len(doomed) == 0 {
 		return
 	}
-	kept := x.recs[:0]
-	for _, r := range x.recs {
-		if _, doomed := drop[r.e.ID]; !doomed {
-			kept = append(kept, r)
+	slices.Sort(doomed)
+	w := doomed[0]
+	for i, from := range doomed {
+		to := len(x.recs)
+		if i+1 < len(doomed) {
+			to = doomed[i+1]
 		}
+		w += copy(x.recs[w:], x.recs[from+1:to])
 	}
-	for i := len(kept); i < len(x.recs); i++ {
-		x.recs[i] = snRec{}
-	}
-	x.recs = kept
+	clear(x.recs[w:])
+	x.recs = x.recs[:w]
 }
 
 // Remove implements BlockIndex.

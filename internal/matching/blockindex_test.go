@@ -3,6 +3,7 @@ package matching
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -210,6 +211,7 @@ func TestDifferentialStreamVsMaterialize(t *testing.T) {
 						bi.Remove(survivors[id])
 						delete(survivors, id)
 					}
+					checkIndexInvariants(t, bi, len(survivors))
 
 					if op%8 != 0 {
 						continue
@@ -226,6 +228,122 @@ func TestDifferentialStreamVsMaterialize(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// checkIndexInvariants asserts the structure of bi (and of each member of
+// a MultiIndex) after a write, with live entities indexed. Posting lists:
+// every live slot's recorded keys are sorted and unique, and
+// postings[keys[i]][pos[i]] is the slot itself; every list entry is such
+// a position of a live slot, so no slot appears twice in one list and no
+// list is empty; free slots hold no entity and no keys. Sorted
+// neighborhood: recs is strictly sorted by (key, ID) and keyOf records
+// exactly the listed records' keys.
+func checkIndexInvariants(t *testing.T, bi BlockIndex, live int) {
+	t.Helper()
+	if bi.Len() != live {
+		t.Fatalf("%T: Len() = %d, want %d", bi, bi.Len(), live)
+	}
+	switch x := bi.(type) {
+	case *MultiIndex:
+		for _, m := range x.members {
+			checkIndexInvariants(t, m, live)
+		}
+	case TokenIndex:
+		checkKeyedInvariants(t, x.keyedIndex, live)
+	case QGramIndex:
+		checkKeyedInvariants(t, x.keyedIndex, live)
+	case *SortedNeighborhoodIndex:
+		if len(x.keyOf) != len(x.recs) {
+			t.Fatalf("sorted neighborhood: %d recorded keys for %d records", len(x.keyOf), len(x.recs))
+		}
+		for i, r := range x.recs {
+			if k, ok := x.keyOf[r.e.ID]; !ok || k != r.key {
+				t.Fatalf("sorted neighborhood: record %s has key %q, recorded %q (%v)", r.e.ID, r.key, k, ok)
+			}
+			if i > 0 && !recLess(x.recs[i-1], r) {
+				t.Fatalf("sorted neighborhood: records %s and %s out of (key, ID) order", x.recs[i-1].e.ID, r.e.ID)
+			}
+		}
+	default:
+		t.Fatalf("no invariant check for %T", bi)
+	}
+}
+
+func checkKeyedInvariants(t *testing.T, x *keyedIndex, live int) {
+	t.Helper()
+	if len(x.slotOf) != live || len(x.slots) != live+len(x.free) {
+		t.Fatalf("keyed: %d IDs, %d slots, %d free, want %d live", len(x.slotOf), len(x.slots), len(x.free), live)
+	}
+	free := make(map[int32]bool, len(x.free))
+	for _, s := range x.free {
+		sl := x.slots[s]
+		if free[s] || sl.e != nil || len(sl.keys) != 0 || len(sl.pos) != 0 {
+			t.Fatalf("keyed: free slot %d is listed twice or holds %v with keys %v", s, sl.e, sl.keys)
+		}
+		free[s] = true
+	}
+	entries := 0
+	for s, sl := range x.slots {
+		if free[int32(s)] {
+			continue
+		}
+		if sl.e == nil || x.slotOf[sl.e.ID] != int32(s) {
+			t.Fatalf("keyed: live slot %d holds %v, not its ID's slot", s, sl.e)
+		}
+		if !slices.IsSorted(sl.keys) || len(slices.Compact(slices.Clone(sl.keys))) != len(sl.keys) || len(sl.pos) != len(sl.keys) {
+			t.Fatalf("keyed: slot %d keys %v are not sorted and unique, or have %d positions", s, sl.keys, len(sl.pos))
+		}
+		for i, k := range sl.keys {
+			if list := x.postings[k]; int(sl.pos[i]) >= len(list) || list[sl.pos[i]] != int32(s) {
+				t.Fatalf("keyed: slot %d is not at position %d of %q's list %v", s, sl.pos[i], k, list)
+			}
+		}
+		entries += len(sl.keys)
+	}
+	// Every live slot's keys are found at their recorded positions, so the
+	// lists hold nothing else iff their lengths add up to the same count.
+	total := 0
+	for k, list := range x.postings {
+		if len(list) == 0 {
+			t.Fatalf("keyed: key %q has an empty list", k)
+		}
+		total += len(list)
+	}
+	if total != entries {
+		t.Fatalf("keyed: posting lists hold %d entries, live slots record %d keys", total, entries)
+	}
+}
+
+// TestRemoveAfterMutation pins Remove's contract: it unindexes the keys
+// recorded at Add time, so an entity whose properties were mutated in
+// place after Add still leaves no trace — no entity, no key, and no
+// candidate for a probe carrying the old values.
+func TestRemoveAfterMutation(t *testing.T) {
+	for _, name := range sortedKeys(diffStrategies()) {
+		t.Run(name, func(t *testing.T) {
+			bi := NewBlockIndex(diffStrategies()[name])
+			e := entity.New("e")
+			e.Add("name", "graph learning")
+			e.Add("title", "parallel systems")
+			bi.Add(e)
+			probe := entity.New("probe")
+			probe.Add("name", "graph learning")
+			probe.Add("title", "parallel systems")
+			if got := bi.Candidates(probe, -1); len(got) != 1 {
+				t.Fatalf("before removal: %d candidates, want e", len(got))
+			}
+			e.Set("name", "kernel query")
+			delete(e.Properties, "title")
+			bi.Remove(e)
+			if bi.Len() != 0 || bi.Keys() != 0 {
+				t.Fatalf("after removal: Len() = %d, Keys() = %d, want 0 and 0", bi.Len(), bi.Keys())
+			}
+			if got := bi.Candidates(probe, -1); len(got) != 0 {
+				t.Fatalf("after removal: candidates %v for the old values", idsOf(got))
+			}
+			checkIndexInvariants(t, bi, 0)
+		})
 	}
 }
 

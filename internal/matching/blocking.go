@@ -2,7 +2,6 @@ package matching
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"genlink/internal/entity"
@@ -136,14 +135,12 @@ func (s SortedNeighborhoodBlocker) window() int {
 
 // DefaultSortKey is the sort key used when SortedNeighborhoodBlocker.Key
 // is nil: every lowercased token of every property value, sorted and
-// joined. Sorting the tokens (rather than concatenating values in schema
-// order) keeps the key comparable across sources with different property
-// names — matching entities get near-identical keys no matter how their
-// values are split into properties.
+// joined (Tokens' order). Sorting the tokens (rather than concatenating
+// values in schema order) keeps the key comparable across sources with
+// different property names — matching entities get near-identical keys no
+// matter how their values are split into properties.
 func DefaultSortKey(e *entity.Entity) string {
-	toks := Tokens(e)
-	sort.Strings(toks)
-	return strings.Join(toks, " ")
+	return strings.Join(Tokens(e), " ")
 }
 
 // PropertySortKey returns a sort key reading the first value of the first
@@ -240,18 +237,19 @@ func appendQGrams(dst []string, tok string, q int) []string {
 	return dst
 }
 
-// QGramKeys returns the deduplicated q-grams of every token of e — the
-// blocking keys of QGramBlocker's index.
+// QGramKeys returns the q-grams of every token of e, sorted and unique —
+// the blocking keys of QGramBlocker's index.
 func QGramKeys(e *entity.Entity, q int) []string {
-	var d dedup
-	var buf []string
-	for _, tok := range Tokens(e) {
-		buf = appendQGrams(buf[:0], tok, q)
-		for _, gram := range buf {
-			d.add(gram)
-		}
+	toks := Tokens(e)
+	n := 0
+	for _, tok := range toks {
+		n += len(tok) // ≥ the token's gram count
 	}
-	return d.out
+	grams := make([]string, 0, n)
+	for _, tok := range toks {
+		grams = appendQGrams(grams, tok, q)
+	}
+	return sortedUnique(grams)
 }
 
 func (g QGramBlocker) newIndex() BlockIndex { return NewQGramIndex(g.Q) }

@@ -91,19 +91,36 @@ func FuzzBlockingKeys(f *testing.F) {
 }
 
 // FuzzCandidateStream drives the BlockIndex.Each contract with a mutated
-// op script: random corpus writes interleaved with enumerations whose
-// yield returns false after a budget of n candidates. The invariants:
-// never panic, one enumeration never yields the same candidate ID twice,
-// nothing is yielded after yield returned false, the completion flag is
-// false exactly when yield returned false (eachIDs checks those three),
-// a stopped enumeration yields min(n, |Candidates|) members of
-// Candidates, and a full one yields exactly the materialized Candidates
-// set, which is the reference materializer's. Each runs to completion
-// inside one call, so no enumeration state outlives a write.
+// op script: random corpus writes — single adds, replacements and
+// removals, and BulkAdd/BulkRemove groups as Apply issues them —
+// interleaved with enumerations whose yield returns false after a budget
+// of n candidates. The invariants: never panic, the index's structure is
+// sound after every write (checkIndexInvariants), one enumeration never
+// yields the same candidate ID twice, nothing is yielded after yield
+// returned false, the completion flag is false exactly when yield
+// returned false (eachIDs checks those three), a stopped enumeration
+// yields min(n, |Candidates|) members of Candidates, and a full one
+// yields exactly the materialized Candidates set, which is the reference
+// materializer's. Each runs to completion inside one call, so no
+// enumeration state outlives a write.
 func FuzzCandidateStream(f *testing.F) {
 	f.Add([]byte{0, 7, 13, 2, 19, 3, 22, 4, 9, 5, 1, 3, 17}, uint8(0), uint8(1))
 	f.Add([]byte{6, 6, 6, 3, 2, 4, 4, 4, 0, 3, 4, 5, 4}, uint8(3), uint8(2))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), uint8(0))
+	// e0, e1 and e3 share the token "graph" in slots 0, 1, 2; removing e1
+	// swap-removes from the middle of that list, and re-adding e1 reuses
+	// its freed slot.
+	f.Add([]byte{0, 0, 0, 1, 0, 3, 2, 1, 3, 0, 0, 9, 3, 0}, uint8(0), uint8(0))
+	f.Add([]byte{0, 0, 0, 1, 0, 3, 2, 1, 3, 0, 0, 9, 3, 0}, uint8(3), uint8(1))
+	// The same through groups: BulkAdd {e2, e5, e0}, then e7, so e5, e0
+	// and e7 share "data"; BulkRemove {e0} from the middle of that list,
+	// then BulkAdd e0 into its freed slot.
+	f.Add([]byte{6, 2, 6, 15, 7, 0, 3, 0, 6, 0, 3, 2}, uint8(0), uint8(0))
+	f.Add([]byte{6, 2, 6, 15, 7, 0, 3, 0, 6, 0, 3, 2}, uint8(1), uint8(3))
+	// Groups that replace and remove several IDs at once: BulkAdd {e2,
+	// e5, e0}, replace {e5, e0} and add e3, BulkRemove {e2, e5, e0},
+	// BulkAdd {e2, e5}.
+	f.Add([]byte{6, 2, 6, 5, 3, 5, 7, 2, 3, 3, 6, 10, 3, 2}, uint8(3), uint8(3))
 	f.Fuzz(func(t *testing.T, script []byte, stratSel, capSel uint8) {
 		bl := fuzzStrategies()[int(stratSel)%len(fuzzStrategies())]
 		maxBlock := []int{-1, 0, 2, 5}[int(capSel)%4]
@@ -144,7 +161,13 @@ func FuzzCandidateStream(f *testing.F) {
 				arg = script[i]
 			}
 			id := fmt.Sprintf("e%d", int(arg)%8)
-			switch op % 6 {
+			// group is the batch of ops 6 and 7: 1–3 distinct IDs, each
+			// entity derived from its selector like a single add's.
+			var group []byte
+			for j := range 1 + int(arg)%3 {
+				group = append(group, arg+byte(3*j))
+			}
+			switch op % 8 {
 			case 0, 1: // add or replace
 				if old, ok := survivors[id]; ok {
 					bi.Remove(old)
@@ -157,17 +180,41 @@ func FuzzCandidateStream(f *testing.F) {
 					bi.Remove(old)
 					delete(survivors, id)
 				}
+			case 6: // BulkAdd a group of new or replaced IDs, as Apply does
+				var olds, news []*entity.Entity
+				for _, sel := range group {
+					e := fuzzEntity(fmt.Sprintf("e%d", int(sel)%8), sel)
+					if old, ok := survivors[e.ID]; ok {
+						olds = append(olds, old)
+					}
+					news = append(news, e)
+					survivors[e.ID] = e
+				}
+				bi.BulkRemove(olds)
+				bi.BulkAdd(news)
+			case 7: // BulkRemove a group
+				var olds []*entity.Entity
+				for _, sel := range group {
+					gid := fmt.Sprintf("e%d", int(sel)%8)
+					if old, ok := survivors[gid]; ok {
+						olds = append(olds, old)
+						delete(survivors, gid)
+					}
+				}
+				bi.BulkRemove(olds)
 			default: // enumerate (indexed or external probe): 3 in full, 4 and 5 stopped early
 				probe := fuzzEntity(id, arg)
 				if e, ok := survivors[id]; ok && arg%2 == 0 {
 					probe = e
 				}
 				budget := -1
-				if op%6 != 3 {
+				if op%8 != 3 {
 					budget = 1 + int(arg)%4
 				}
 				enumerate(probe, budget)
+				continue
 			}
+			checkIndexInvariants(t, bi, len(survivors))
 		}
 		// Final corpus: a full enumeration is the materialized set (checked
 		// by enumerate) and the reference materializer's.

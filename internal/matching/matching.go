@@ -34,6 +34,7 @@
 package matching
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -79,56 +80,25 @@ func (o *Options) normalize(sourceSize int) {
 	}
 }
 
-// Tokens returns the deduplicated lowercased whitespace-split tokens of
-// every property value of e, in unspecified order. Every blocking
-// strategy tokenizes through this single helper so the strategies cannot
-// silently diverge.
+// Tokens returns the lowercased whitespace-split tokens of every property
+// value of e, sorted and unique. Every blocking strategy tokenizes
+// through this single helper so the strategies cannot silently diverge.
 func Tokens(e *entity.Entity) []string {
-	var d dedup
+	var toks []string
 	for _, values := range e.Properties {
 		for _, v := range values {
-			for _, tok := range strings.Fields(strings.ToLower(v)) {
-				d.add(tok)
+			for tok := range strings.FieldsSeq(strings.ToLower(v)) {
+				toks = append(toks, tok)
 			}
 		}
 	}
-	return d.out
+	return sortedUnique(toks)
 }
 
-// dedupScan is the size up to which dedup uses a linear scan instead of
-// a map; key extraction runs on every query, so small entities should
-// not pay a map allocation just to deduplicate a handful of keys.
-const dedupScan = 16
-
-// dedup accumulates strings in first-seen order, dropping duplicates. It
-// scans linearly while the result is small and switches to a lazily
-// built map once it grows past dedupScan.
-type dedup struct {
-	out  []string
-	seen map[string]struct{} // nil until len(out) > dedupScan
-}
-
-func (d *dedup) add(v string) {
-	if d.seen == nil {
-		for _, x := range d.out {
-			if x == v {
-				return
-			}
-		}
-		d.out = append(d.out, v)
-		if len(d.out) > dedupScan {
-			d.seen = make(map[string]struct{}, 2*len(d.out))
-			for _, x := range d.out {
-				d.seen[x] = struct{}{}
-			}
-		}
-		return
-	}
-	if _, dup := d.seen[v]; dup {
-		return
-	}
-	d.seen[v] = struct{}{}
-	d.out = append(d.out, v)
+// sortedUnique sorts keys and drops repeats, in place.
+func sortedUnique(keys []string) []string {
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 // Match executes the rule over A×B using the blocker selected in opts
@@ -168,13 +138,15 @@ func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
 // MatchCartesian executes the rule over the full cross product — exact but
 // quadratic. Used by tests and the blocking ablation. Like MatchPairs it
 // runs the compiled rule with per-entity value caching, which matters even
-// more here: every entity appears in |B| (resp. |A|) pairs.
+// more here: every entity appears in |B| (resp. |A|) pairs. It iterates
+// the sources with repeated IDs dropped, as every blocked path does.
 func MatchCartesian(r *rule.Rule, a, b *entity.Source, opts Options) []Link {
-	opts.normalize(b.Len())
+	as, bs := uniqueEntities(a.Entities), uniqueEntities(b.Entities)
+	opts.normalize(len(bs))
 	scorer := evalengine.Compile(r).Scorer()
 	var links []Link
-	for _, ea := range a.Entities {
-		for _, eb := range b.Entities {
+	for _, ea := range as {
+		for _, eb := range bs {
 			if ea.ID == eb.ID {
 				continue
 			}

@@ -23,9 +23,8 @@ import (
 // one implementation. Sorted neighborhood keeps the merged-order window
 // of snStreamer, a different definition (see there). A multi-pass
 // composite unions its members' enumerators through one ID-keyed seen
-// set, exactly as MultiIndex.Each does. as and bs are the sources'
-// entities with repeats dropped (uniqueEntities), and entity IDs in B
-// must be unique, as Source.Get assumes: the index keys entities by ID.
+// set, exactly as MultiIndex.Each does. as and bs hold one entity per ID
+// (uniqueEntities): the index keys entities by ID.
 // The enumerator is immutable once built and safe for concurrent Each
 // calls, which is what lets MatchParallel partition A across workers.
 func newEnumerator(bl Blocker, as, bs []*entity.Entity) enumerator {
@@ -55,7 +54,8 @@ func (ps passes) Each(probe *entity.Entity, maxBlock int, seen map[string]struct
 // without ever materializing the global pair list: duplicates and self
 // pairs (same entity ID) never appear, pairs arrive grouped per A entity
 // in A's order, and the order of B partners within a group is
-// unspecified. An entity listed twice in a source counts once.
+// unspecified. An ID listed twice in a source counts once, as its last
+// version.
 // CandidatePairs collects exactly this enumeration.
 func StreamPairs(bl Blocker, a, b *entity.Source, opts Options, yield func(Pair)) {
 	as, bs := uniqueEntities(a.Entities), uniqueEntities(b.Entities)
@@ -71,29 +71,33 @@ func StreamPairs(bl Blocker, a, b *entity.Source, opts Options, yield func(Pair)
 	}
 }
 
-// uniqueEntities drops repeated occurrences of the same entity pointer,
-// keeping first-seen order: a source is a set of entities, so a repeat
-// must neither produce its pairs twice nor count twice toward a block
-// size or take a second sorted-neighborhood window slot. The copy is only
+// uniqueEntities keeps one entity per ID: the last occurrence, at the
+// position of the first. That is the version Source.Get returns and what
+// Apply does with an ID upserted twice in one batch, so every strategy
+// and MatchCartesian link against the same version, a repeat never
+// produces its pairs twice, never counts twice toward a block size and
+// never takes a second sorted-neighborhood window slot. The copy is only
 // taken when a repeat actually exists.
 func uniqueEntities(es []*entity.Entity) []*entity.Entity {
-	seen := make(map[*entity.Entity]struct{}, len(es))
+	at := make(map[string]int, len(es)) // ID → position in the result
+	var out []*entity.Entity            // nil until the first repeat
 	for i, e := range es {
-		if _, dup := seen[e]; dup {
-			out := make([]*entity.Entity, i, len(es))
-			copy(out, es[:i])
-			for _, e := range es[i:] {
-				if _, dup := seen[e]; dup {
-					continue
-				}
-				seen[e] = struct{}{}
-				out = append(out, e)
+		if j, dup := at[e.ID]; dup {
+			if out == nil {
+				out = append(make([]*entity.Entity, 0, len(es)), es[:i]...)
 			}
-			return out
+			out[j] = e
+			continue
 		}
-		seen[e] = struct{}{}
+		at[e.ID] = len(at)
+		if out != nil {
+			out = append(out, e)
+		}
 	}
-	return es
+	if out == nil {
+		return es
+	}
+	return out
 }
 
 // streamChunk scores one chunk of A entities against the enumerator —

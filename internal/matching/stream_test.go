@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"genlink/internal/entity"
+	"genlink/internal/rule"
+	"genlink/internal/similarity"
 )
 
 // randomWordSource builds a source of n entities over a small shared
@@ -103,6 +106,95 @@ func TestMatchStreamModeEquivalence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestRepeatedIDLinksLastVersion pins how batch matching reads a source
+// that lists one ID twice: the entity is the last version, the one
+// Source.Get returns and Apply keeps. Every strategy and MatchCartesian
+// must link exactly like the source holding only the last versions —
+// never the first version under the ID Source.Get resolves to the last.
+func TestRepeatedIDLinksLastVersion(t *testing.T) {
+	r := rule.New(rule.NewComparison(rule.NewProperty("label"), rule.NewProperty("label"), similarity.Levenshtein(), 2))
+	labeled := func(id, label string) *entity.Entity {
+		e := entity.New(id)
+		e.Add("label", label)
+		return e
+	}
+	source := func(name string, es ...*entity.Entity) *entity.Source {
+		s := entity.NewSource(name)
+		for _, e := range es {
+			s.Add(e)
+		}
+		return s
+	}
+	// lastVersions is s with each ID once, as Source.Get resolves it, in
+	// first-seen order.
+	lastVersions := func(s *entity.Source) *entity.Source {
+		out := entity.NewSource(s.Name)
+		for _, e := range s.Entities {
+			if out.Get(e.ID) == nil {
+				out.Add(s.Get(e.ID))
+			}
+		}
+		return out
+	}
+
+	a := source("a", labeled("a1", "graph learning"), labeled("a2", "parallel systems"))
+	b := source("b", labeled("b1", "graph learning"), labeled("b1", "parallel systems"))
+	rng := rand.New(rand.NewSource(7))
+	ra, rb := randomWordSource(rng, "a", 30), randomWordSource(rng, "b", 25)
+	for _, s := range []*entity.Source{ra, rb} {
+		// Second versions of the first 8 IDs, listed after the first.
+		for _, e := range randomWordSource(rng, s.Name, 8).Entities {
+			s.Add(e)
+		}
+	}
+
+	strategies := diffStrategies()
+	names := append(sortedKeys(strategies), "cartesian")
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			match := func(a, b *entity.Source) []Link {
+				if name == "cartesian" {
+					return MatchCartesian(r, a, b, Options{})
+				}
+				return Match(r, a, b, Options{Blocker: strategies[name], MaxBlockSize: -1})
+			}
+			want := []Link{{AID: "a2", BID: "b1", Score: 1}}
+			if got := match(a, b); !reflect.DeepEqual(got, want) {
+				t.Fatalf("repro: got %v, want %v", got, want)
+			}
+			linked := 0
+			for _, c := range []struct {
+				label string
+				a, b  *entity.Source
+			}{
+				{"repeats in A", ra, lastVersions(rb)},
+				{"repeats in B", lastVersions(ra), rb},
+				{"self-join", rb, rb},
+			} {
+				got := match(c.a, c.b)
+				want := match(lastVersions(c.a), lastVersions(c.b))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: links diverge from the last-version source\n got: %v\nwant: %v", c.label, got, want)
+				}
+				linked += len(want)
+			}
+			if name == "cartesian" && linked == 0 {
+				t.Fatal("the random sources hold no links: every comparison is vacuous")
+			}
+		})
+	}
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // pairSet collects pairs into a set, failing on a duplicate and on pairs
