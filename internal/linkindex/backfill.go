@@ -66,24 +66,20 @@ func (d *DurableIndex) BeginBackfill() (*Backfill, error) {
 	return &Backfill{d: d}, nil
 }
 
-// Apply installs a batch into the index without logging it. The batch
-// follows Batch semantics exactly (last upsert of an ID wins, a delete
-// beats an upsert); it is durable only after Commit.
+// Apply installs a batch into the index without logging it, through the
+// durable layer's commit step with no payload. The batch follows Batch
+// semantics exactly (last upsert of an ID wins, a delete beats an
+// upsert); it is visible to queries at once but invisible to recovery
+// until Commit.
 func (bf *Backfill) Apply(b Batch) (ApplyResult, error) {
 	bf.mu.Lock()
 	defer bf.mu.Unlock()
 	if bf.closed {
 		return ApplyResult{}, errBackfillClosed
 	}
-	d := bf.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ApplyResult{}, errWALClosed
-	}
-	res := d.ix.Apply(b)
+	res, err := bf.d.commit(b, nil, 0)
 	bf.loaded.Add(int64(res.Upserted))
-	return res, nil
+	return res, err
 }
 
 // BulkLoad applies every entity as one unlogged batch, returning the

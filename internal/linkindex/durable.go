@@ -35,9 +35,12 @@ import (
 //     the buffered tail; a power cut can lose everything since the last
 //     snapshot.
 //
-// Mutations (Apply/Add/Update/Remove) are serialized by one mutex so the
-// log order always equals the apply order — recovery replays the log and
-// lands on the same state. Queries read the underlying index directly
+// Every mutation — Apply/Add/Update/Remove/BulkLoad, a follower's shipped
+// record, a backfill write — goes through one commit step serialized by
+// one mutex, so the log order always equals the apply order: recovery
+// replays the same batches in log order and lands on the same state. A
+// backfill write is not logged, so recovery does not see it until the
+// session commits. Queries read the underlying index directly
 // and are never blocked by the log. Do not mutate the underlying index
 // behind the wrapper's back (via Index()): those writes would be
 // invisible to the log and silently lost on recovery.
@@ -286,9 +289,14 @@ func OpenDurable(dir string, build func() (*ShardedIndex, error), o DurableOptio
 	return d, RecoveryStats{}, nil
 }
 
-// Apply logs the batch, then applies it to the index. It returns once
-// the record is durable per the fsync policy and the index reflects the
-// batch. An empty batch is a no-op and is not logged.
+// Apply logs the batch as one WAL record, then installs it with
+// ShardedIndex.Apply: the last upsert of an ID wins, a delete beats an
+// upsert, each shard's part is atomic with respect to queries and there
+// is no barrier across shards. Once Apply returns nil the record is
+// durable under the fsync policy (see the DurableIndex contract) and the
+// index reflects the batch; on an error nothing was applied. Recovery
+// replays the same batches in log order. An empty batch is a no-op and
+// is not logged.
 func (d *DurableIndex) Apply(b Batch) (ApplyResult, error) {
 	if len(b.Upserts) == 0 && len(b.Deletes) == 0 {
 		return ApplyResult{}, nil
@@ -297,20 +305,35 @@ func (d *DurableIndex) Apply(b Batch) (ApplyResult, error) {
 	if err != nil {
 		return ApplyResult{}, fmt.Errorf("linkindex: durable: %w", err)
 	}
+	return d.commit(b, payload, 0)
+}
+
+// commit is the durable layer's one write step; logged writes, shipped
+// records and backfill writes all go through it. Under d.mu, in order:
+// it refuses with errWALClosed after Close; a shipped record (seq ≠ 0)
+// must be the log's next sequence number; a logged write (payload ≠ nil)
+// is appended to the log; the batch is applied to the index; and a
+// logged write starts an auto-snapshot once the uncovered tail has
+// reached the policy. A backfill write has no payload: it is applied
+// but not logged, and never triggers a snapshot.
+func (d *DurableIndex) commit(b Batch, payload []byte, seq uint64) (ApplyResult, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
 		return ApplyResult{}, errWALClosed
 	}
-	if _, err := d.wal.Append(payload); err != nil {
-		d.mu.Unlock()
-		return ApplyResult{}, err
+	if want := d.wal.LastSeq() + 1; seq != 0 && seq != want {
+		return ApplyResult{}, fmt.Errorf("linkindex: replication: out-of-order record %d (want %d)", seq, want)
+	}
+	if payload != nil {
+		if _, err := d.wal.Append(payload); err != nil {
+			return ApplyResult{}, err
+		}
 	}
 	res := d.ix.Apply(b)
-	uncovered := d.uncoveredLocked()
-	d.mu.Unlock()
-
-	d.autoSnapshot(uncovered)
+	if payload != nil {
+		d.autoSnapshot(d.uncoveredLocked())
+	}
 	return res, nil
 }
 

@@ -18,6 +18,13 @@ import "sync"
 // upsert) are shared, not reimplemented. The recovery-equivalence
 // differential test pins the pipeline against plain sequential Apply of
 // the covered batches on a fresh index.
+//
+// The pipeline pays for being a second way into the shards. A prototype
+// that sent the log tail through plain Apply, and decoded every snapshot
+// section before one Apply, measured the rig's ingest-durable recovery
+// time (aux_ms, 10,000 entities, kill -9, 2-core Xeon) at a median of
+// 547.5 ms against 487.1 ms here, slower in 6 of 6 alternating pairs
+// (seeds 1–6).
 
 // replayQueueDepth bounds each shard's decoded-but-unapplied backlog so
 // the decode-ahead reader cannot buffer an arbitrarily long log tail in
@@ -39,12 +46,12 @@ func startReplayer(ix *ShardedIndex) *parallelReplayer {
 		ch := make(chan *shardOps, replayQueueDepth)
 		r.chs[si] = ch
 		r.wg.Add(1)
-		go func(si int, ch <-chan *shardOps) {
+		go func() {
 			defer r.wg.Done()
 			for g := range ch {
-				r.ix.applyShardOps(si, g)
+				r.ix.applyShardOps(g)
 			}
-		}(si, ch)
+		}()
 	}
 	return r
 }
@@ -52,8 +59,8 @@ func startReplayer(ix *ShardedIndex) *parallelReplayer {
 // apply partitions one decoded record and enqueues its per-shard ops.
 // Records must be fed in log order from one goroutine.
 func (r *parallelReplayer) apply(b Batch) {
-	for si, g := range r.ix.partitionBatch(b) {
-		r.chs[si] <- g
+	for _, g := range r.ix.partitionBatch(b) {
+		r.chs[g.part] <- g
 	}
 }
 

@@ -287,34 +287,18 @@ func (d *DurableIndex) ServeWALSnapshot(w http.ResponseWriter, r *http.Request) 
 	replError(w, http.StatusInternalServerError, "snapshot files kept changing; retry", nil)
 }
 
-// applyReplicated logs and applies one record shipped from the leader.
-// The record must be the exact next sequence number: the local Append
-// assigns seq itself, which keeps follower seq numbering byte-identical
-// to the leader's, so a promoted follower's log is a seamless
-// continuation.
+// applyReplicated logs and applies one record shipped from the leader,
+// verbatim, through the commit step. The record must be the exact next
+// sequence number: the local Append assigns seq itself, which keeps
+// follower seq numbering byte-identical to the leader's, so a promoted
+// follower's log is a seamless continuation.
 func (d *DurableIndex) applyReplicated(seq uint64, payload []byte) error {
 	var b walBatch
 	if err := json.Unmarshal(payload, &b); err != nil {
 		return fmt.Errorf("linkindex: replication: undecodable record %d: %w", seq, err)
 	}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return errWALClosed
-	}
-	if want := d.wal.LastSeq() + 1; seq != want {
-		d.mu.Unlock()
-		return fmt.Errorf("linkindex: replication: out-of-order record %d (want %d)", seq, want)
-	}
-	if _, err := d.wal.Append(payload); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	d.ix.Apply(Batch{Upserts: b.Upserts, Deletes: b.Deletes})
-	uncovered := d.uncoveredLocked()
-	d.mu.Unlock()
-	d.autoSnapshot(uncovered)
-	return nil
+	_, err := d.commit(Batch{Upserts: b.Upserts, Deletes: b.Deletes}, payload, seq)
+	return err
 }
 
 // writeSnapshotBytes stores a snapshot fetched from the leader verbatim,

@@ -151,24 +151,12 @@ func (ix *ShardedIndex) shardFor(id string) *shard {
 }
 
 // Add inserts e into the corpus, replacing any entity with the same ID
-// (Add of a known ID is an update). Only e's shard is locked. The index
-// takes ownership of e: do not mutate it afterwards without calling
-// Update.
+// (Add of a known ID is an update). It is Apply of a one-upsert batch, so
+// only e's shard is locked and the write is atomic with respect to
+// queries of that shard. The index takes ownership of e: do not mutate it
+// afterwards without calling Update.
 func (ix *ShardedIndex) Add(e *entity.Entity) {
-	sh := ix.shardFor(e.ID)
-	sh.mu.Lock()
-	if old, ok := sh.entities[e.ID]; ok {
-		sh.blocks.Remove(old)
-		sh.scorer.Invalidate(old)
-	} else {
-		ix.count.Add(1)
-	}
-	sh.entities[e.ID] = e
-	sh.blocks.Add(e)
-	// The caller may have mutated e in place before re-adding it under the
-	// same pointer; a cached record of that pointer is stale either way.
-	sh.scorer.Invalidate(e)
-	sh.mu.Unlock()
+	ix.Apply(Batch{Upserts: []*entity.Entity{e}})
 }
 
 // Update replaces the entity with e.ID by e: the block structures are
@@ -180,21 +168,10 @@ func (ix *ShardedIndex) Update(e *entity.Entity) {
 	ix.Add(e)
 }
 
-// Remove deletes the entity with the given ID. It reports whether the
-// entity was present.
+// Remove deletes the entity with the given ID and reports whether it was
+// present. It is Apply of a one-delete batch.
 func (ix *ShardedIndex) Remove(id string) bool {
-	sh := ix.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old, ok := sh.entities[id]
-	if !ok {
-		return false
-	}
-	sh.blocks.Remove(old)
-	delete(sh.entities, id)
-	sh.scorer.Invalidate(old)
-	ix.count.Add(-1)
-	return true
+	return ix.Apply(Batch{Deletes: []string{id}}).Deleted > 0
 }
 
 // Batch is one group of writes for Apply. Within a batch, the last
@@ -217,10 +194,11 @@ type ApplyResult struct {
 	Deleted int
 }
 
-// shardOps is one shard's resolved slice of a Batch: the final op per ID
-// in first-seen upsert order (a nil upsert slot marks an ID a later
-// delete won over).
+// shardOps is one partition's resolved slice of a Batch: the final op
+// per ID in first-seen upsert order (a nil upsert slot marks an ID a
+// later delete won over).
 type shardOps struct {
+	part    int
 	upserts []*entity.Entity
 	pos     map[string]int
 	deletes []string
@@ -228,23 +206,26 @@ type shardOps struct {
 
 // partitionBatch resolves a batch to one final op per ID — later upsert
 // occurrences win, a delete beats an upsert of the same ID — grouped by
-// the owning shard index. Parallel recovery and snapshot restore reuse it
-// so every bulk path shares Apply's batch semantics exactly.
-func (ix *ShardedIndex) partitionBatch(b Batch) map[int]*shardOps {
+// the owning shard. Apply and the replay pipeline both start from it, so
+// every write shares one batch semantics.
+func (ix *ShardedIndex) partitionBatch(b Batch) []*shardOps {
 	return partitionOps(b, len(ix.shards))
 }
 
 // partitionOps is partitionBatch for an arbitrary partition count —
 // shared with SplitBatch so in-process sharding and cross-node routing
-// resolve a batch identically.
-func partitionOps(b Batch, parts int) map[int]*shardOps {
-	groups := make(map[int]*shardOps)
+// resolve a batch identically. Only touched partitions get a group, in
+// first-touch order.
+func partitionOps(b Batch, parts int) []*shardOps {
+	byPart := make([]*shardOps, parts)
+	var groups []*shardOps
 	groupFor := func(id string) *shardOps {
-		si := PartitionOf(id, parts)
-		g := groups[si]
+		p := PartitionOf(id, parts)
+		g := byPart[p]
 		if g == nil {
-			g = &shardOps{pos: make(map[string]int)}
-			groups[si] = g
+			g = &shardOps{part: p, pos: make(map[string]int)}
+			byPart[p] = g
+			groups = append(groups, g)
 		}
 		return g
 	}
@@ -277,7 +258,7 @@ func partitionOps(b Batch, parts int) map[int]*shardOps {
 // N-shard Apply (the differential router tests pin that equality).
 func SplitBatch(b Batch, parts int) map[int]Batch {
 	out := make(map[int]Batch)
-	for pi, g := range partitionOps(b, parts) {
+	for _, g := range partitionOps(b, parts) {
 		var pb Batch
 		for _, e := range g.upserts {
 			if e != nil {
@@ -285,7 +266,7 @@ func SplitBatch(b Batch, parts int) map[int]Batch {
 			}
 		}
 		pb.Deletes = g.deletes
-		out[pi] = pb
+		out[g.part] = pb
 	}
 	return out
 }
@@ -293,11 +274,14 @@ func SplitBatch(b Batch, parts int) map[int]Batch {
 // applyShardOps installs one shard's resolved ops under its write lock —
 // old versions leave the block structures through the bulk-remove fast
 // path, new versions enter through the BulkAdd merge path —
-// and reports the distinct upserts and deletes performed. Callers may
-// run it concurrently for different shards; per shard it is atomic with
-// respect to queries.
-func (ix *ShardedIndex) applyShardOps(si int, g *shardOps) (upserted, deleted int) {
-	sh := ix.shards[si]
+// and reports the distinct upserts and deletes performed. It is the only
+// code that writes a shard's entity map, block index, scorer cache and
+// the entity count, so those four stay in lockstep by construction; its
+// callers are Apply and the replay pipeline. Callers may run it
+// concurrently for different shards; per shard it is atomic with respect
+// to queries.
+func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
+	sh := ix.shards[g.part]
 	fresh := g.upserts[:0]
 	for _, e := range g.upserts {
 		if e != nil {
@@ -338,42 +322,25 @@ func (ix *ShardedIndex) applyShardOps(si int, g *shardOps) (upserted, deleted in
 	return len(fresh), deleted
 }
 
-// Apply installs a batch of upserts and deletes: writes are grouped per
-// shard, shards are written in parallel, and each shard takes its write
-// lock exactly once — old versions leave the block structures through the
-// bulk-remove fast path and new versions enter through the BulkAdd merge
-// path, so a batched upsert never pays the per-record
-// sorted-neighborhood memmove of repeated Adds. Per shard the batch is
-// atomic with respect to queries; across shards there is no global
-// barrier (see the isolation notes on ShardedIndex).
+// Apply is the one way into a shard: Add, Update, Remove, BulkLoad, the
+// durable layer, backfill and snapshot restore all write through it.
+// Writes are grouped per shard, shards are written in parallel, and each
+// shard takes its write lock exactly once — old versions leave the block
+// structures through the bulk-remove fast path and new versions enter
+// through the BulkAdd merge path, so a batched upsert never pays the
+// per-record sorted-neighborhood memmove. The batch semantics are
+// Batch's: the last upsert of an ID wins and a delete beats an upsert.
+// Per shard the batch is atomic with respect to queries; across shards
+// there is no barrier, so a racing query may see it in some shards first
+// (see the isolation notes on ShardedIndex).
 func (ix *ShardedIndex) Apply(b Batch) ApplyResult {
 	groups := ix.partitionBatch(b)
-	var (
-		upserted atomic.Int64
-		deleted  atomic.Int64
-	)
-	run := func(si int, g *shardOps) {
-		u, d := ix.applyShardOps(si, g)
+	var upserted, deleted atomic.Int64
+	parallel(len(groups), func(i int) {
+		u, d := ix.applyShardOps(groups[i])
 		upserted.Add(int64(u))
 		deleted.Add(int64(d))
-	}
-	// Like fanOut: parallel shard writes only buy wall-clock when the
-	// runtime can run them in parallel; otherwise apply in place.
-	if len(groups) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for si, g := range groups {
-			run(si, g)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for si, g := range groups {
-			wg.Add(1)
-			go func(si int, g *shardOps) {
-				defer wg.Done()
-				run(si, g)
-			}(si, g)
-		}
-		wg.Wait()
-	}
+	})
 	return ApplyResult{Upserted: int(upserted.Load()), Deleted: int(deleted.Load())}
 }
 
@@ -475,7 +442,8 @@ func (sh *shard) effectiveMaxBlock(probe *entity.Entity, cfg int) int {
 func (ix *ShardedIndex) Candidates(probe *entity.Entity) []*entity.Entity {
 	cfg := ix.shardMaxBlockCfg()
 	perShard := make([][]*entity.Entity, len(ix.shards))
-	ix.fanOut(func(i int, sh *shard) {
+	parallel(len(ix.shards), func(i int) {
+		sh := ix.shards[i]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
 		perShard[i] = sh.blocks.Candidates(probe, sh.effectiveMaxBlock(probe, cfg))
@@ -497,8 +465,8 @@ func (ix *ShardedIndex) Candidates(probe *entity.Entity) []*entity.Entity {
 func (ix *ShardedIndex) Query(probe *entity.Entity, k int) []matching.Link {
 	cfg := ix.shardMaxBlockCfg()
 	perShard := make([][]matching.Link, len(ix.shards))
-	ix.fanOut(func(i int, sh *shard) {
-		perShard[i] = sh.query(probe, k, cfg, ix.opts.Threshold)
+	parallel(len(ix.shards), func(i int) {
+		perShard[i] = ix.shards[i].query(probe, k, cfg, ix.opts.Threshold)
 	})
 	return MergeTopK(perShard, k)
 }
@@ -546,35 +514,35 @@ func (ix *ShardedIndex) QueryID(id string, k int) ([]matching.Link, bool) {
 	}
 	perShard := make([][]matching.Link, len(ix.shards))
 	perShard[hi] = homeLinks
-	ix.fanOut(func(i int, sh *shard) {
-		if i == hi {
-			return
+	parallel(len(ix.shards), func(i int) {
+		if i != hi {
+			perShard[i] = ix.shards[i].query(probe, k, cfg, ix.opts.Threshold)
 		}
-		perShard[i] = sh.query(probe, k, cfg, ix.opts.Threshold)
 	})
 	return MergeTopK(perShard, k), true
 }
 
-// fanOut runs f once per shard — concurrently when the index has more
-// than one shard and the runtime can actually run goroutines in
-// parallel, inline otherwise: the single-shard case keeps the
-// no-goroutine query path of the retired monolithic index, and on a
-// GOMAXPROCS=1 runtime sequential shard visits have the same lock-wait
-// behavior without the spawn/join overhead.
-func (ix *ShardedIndex) fanOut(f func(i int, sh *shard)) {
-	if len(ix.shards) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for i, sh := range ix.shards {
-			f(i, sh)
+// parallel runs f(0), …, f(n-1) and returns when all have returned:
+// one goroutine per item when there is more than one item and the
+// runtime can run goroutines in parallel, inline otherwise. A
+// single-shard query or a one-shard write spawns nothing, and on a
+// GOMAXPROCS=1 runtime sequential calls do the same work without the
+// spawn/join overhead. Query fan-out, Apply's per-shard writes and the
+// sectioned snapshot encode and restore all go through it.
+func parallel(n int, f func(i int)) {
+	if n <= 1 || runtime.GOMAXPROCS(0) == 1 {
+		for i := range n {
+			f(i)
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	wg.Add(len(ix.shards))
-	for i, sh := range ix.shards {
-		go func(i int, sh *shard) {
+	wg.Add(n)
+	for i := range n {
+		go func() {
 			defer wg.Done()
-			f(i, sh)
-		}(i, sh)
+			f(i)
+		}()
 	}
 	wg.Wait()
 }

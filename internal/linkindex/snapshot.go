@@ -6,8 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
 	"time"
 
 	"genlink/internal/entity"
@@ -105,30 +103,13 @@ func (ix *ShardedIndex) buildSnapshot() *snapshotCapture {
 func (snap *snapshotCapture) encode(w io.Writer) error {
 	blobs := make([][]byte, 1+len(snap.sections))
 	errs := make([]error, len(blobs))
-	marshal := func(i int) {
+	parallel(len(blobs), func(i int) {
 		if i == 0 {
 			blobs[0], errs[0] = json.Marshal(&snap.header)
 		} else {
 			blobs[i], errs[i] = json.Marshal(&snap.sections[i-1])
 		}
-	}
-	// Like fanOut: parallel marshaling only buys wall-clock when the
-	// runtime can run goroutines in parallel.
-	if len(blobs) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for i := range blobs {
-			marshal(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(blobs))
-		for i := range blobs {
-			go func(i int) {
-				defer wg.Done()
-				marshal(i)
-			}(i)
-		}
-		wg.Wait()
-	}
+	})
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("linkindex: snapshot: %w", err)
@@ -251,11 +232,12 @@ func ReadSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
 
 	// Slurp the raw section values in order (a cheap syntactic scan),
 	// then decode and install them in parallel — entity unmarshaling and
-	// block building dominate restore time. A valid snapshot's sections
-	// hold disjoint ID sets, so concurrent installs into the same
-	// destination shard commute (applyShardOps serializes on the shard
-	// lock), and re-partitioning by ID makes shard-count overrides work
-	// transparently.
+	// block building dominate restore time. Each section installs through
+	// Apply. When the shard counts match, a section is one shard's group
+	// and Apply runs it inline; re-partitioning by ID makes shard-count
+	// overrides work transparently. A valid snapshot's sections hold
+	// disjoint ID sets, so concurrent installs into the same destination
+	// shard commute.
 	if hdr.Sections < 0 || hdr.Sections > maxSnapshotSections {
 		return nil, fmt.Errorf("linkindex: restore: snapshot section count %d out of range", hdr.Sections)
 	}
@@ -266,7 +248,7 @@ func ReadSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
 		}
 	}
 	errs := make([]error, len(raws))
-	install := func(i int) {
+	parallel(len(raws), func(i int) {
 		var sec snapshotSection
 		if err := json.Unmarshal(raws[i], &sec); err != nil {
 			errs[i] = fmt.Errorf("linkindex: restore: section %d: %w", i, err)
@@ -276,25 +258,8 @@ func ReadSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
 			errs[i] = fmt.Errorf("linkindex: restore: section %d: %w", i, err)
 			return
 		}
-		for si, g := range ix.partitionBatch(Batch{Upserts: sec.Entities}) {
-			ix.applyShardOps(si, g)
-		}
-	}
-	if len(raws) <= 1 || runtime.GOMAXPROCS(0) == 1 {
-		for i := range raws {
-			install(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(raws))
-		for i := range raws {
-			go func(i int) {
-				defer wg.Done()
-				install(i)
-			}(i)
-		}
-		wg.Wait()
-	}
+		ix.Apply(Batch{Upserts: sec.Entities})
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

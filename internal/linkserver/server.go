@@ -212,13 +212,28 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, out)
 }
 
+// apply is the server's one write path: POST /entities and DELETE
+// /entities/{id} each send one batch through it. With -wal-dir the batch
+// goes through the durable wrapper — logged before it is applied, and
+// durable under the -fsync policy once apply returns nil; a log failure
+// means nothing was applied, so the client sees a 500 instead of a lying
+// 200. Without -wal-dir it goes straight into the in-memory index.
+// Either way the batch is one ShardedIndex.Apply: atomic per shard with
+// respect to queries, no barrier across shards, the last upsert of an ID
+// wins and a delete beats an upsert.
+func (s *Server) apply(b linkindex.Batch) (linkindex.ApplyResult, error) {
+	if s.dix != nil {
+		return s.dix.Apply(b)
+	}
+	return s.ix.Apply(b), nil
+}
+
 // handlePostEntities decodes one entity or an array and upserts them as
-// one batch through the sharded Apply pipeline: each shard is locked
-// once, old versions leave through the bulk-remove path, new versions
-// enter through the BulkAdder append-then-sort path — never the
-// per-entity sorted-neighborhood memmove of repeated Adds. Concurrent
-// queries see each shard's slice of the batch either fully applied or
-// not at all. "added" counts distinct IDs (a repeated ID upserts once).
+// one batch through apply: each shard is locked once, old versions leave
+// through the bulk-remove path and new versions enter through the BulkAdd
+// path. Concurrent queries see each shard's slice of the batch either
+// fully applied or not at all. "added" counts distinct IDs (a repeated ID
+// upserts once).
 func (s *Server) handlePostEntities(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReplicaWrite(w) {
 		return
@@ -232,18 +247,10 @@ func (s *Server) handlePostEntities(w http.ResponseWriter, r *http.Request) {
 		s.handleBackfillEntities(w, entities)
 		return
 	}
-	var res linkindex.ApplyResult
-	if s.dix != nil {
-		// Durable path: the batch is write-ahead logged (and fsynced per
-		// the -fsync policy) before it is applied; a log failure means
-		// the write is NOT durable, so it is not applied and the client
-		// sees a 500 instead of a lying 200.
-		if res, err = s.dix.Apply(linkindex.Batch{Upserts: entities}); err != nil {
-			WriteError(w, http.StatusInternalServerError, err)
-			return
-		}
-	} else {
-		res = s.ix.Apply(linkindex.Batch{Upserts: entities})
+	res, err := s.apply(linkindex.Batch{Upserts: entities})
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, err)
+		return
 	}
 	s.m.writes.Add(int64(res.Upserted))
 	WriteJSON(w, http.StatusOK, EntitiesAck{Added: res.Upserted, Entities: s.ix.Len()})
@@ -345,29 +352,26 @@ func (s *Server) handleGetEntity(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, e)
 }
 
+// handleDeleteEntity deletes one entity through apply. An unknown ID
+// answers 404 without logging anything: the existence check runs first,
+// in both modes. A delete that loses a race to another delete of the same
+// ID between the check and the write applies nothing (Deleted == 0) and
+// also answers 404, so a delete is never counted twice.
 func (s *Server) handleDeleteEntity(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReplicaWrite(w) {
 		return
 	}
 	id := r.PathValue("id")
-	if s.dix != nil {
-		// Cheap existence pre-check so 404s don't append log records; the
-		// durable Remove re-checks under the write path, so a racing
-		// delete still answers 404, never double-counts.
-		if s.ix.Get(id) == nil {
-			WriteError(w, http.StatusNotFound, fmt.Errorf("unknown entity %q", id))
-			return
-		}
-		present, err := s.dix.Remove(id)
-		if err != nil {
-			WriteError(w, http.StatusInternalServerError, err)
-			return
-		}
-		if !present {
-			WriteError(w, http.StatusNotFound, fmt.Errorf("unknown entity %q", id))
-			return
-		}
-	} else if !s.ix.Remove(id) {
+	if s.ix.Get(id) == nil {
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown entity %q", id))
+		return
+	}
+	res, err := s.apply(linkindex.Batch{Deletes: []string{id}})
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, err)
+		return
+	}
+	if res.Deleted == 0 {
 		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown entity %q", id))
 		return
 	}

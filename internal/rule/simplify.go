@@ -1,7 +1,5 @@
 package rule
 
-import "sort"
-
 // Simplify returns a semantically equivalent but structurally smaller copy
 // of the rule:
 //
@@ -10,7 +8,7 @@ import "sort"
 //   - nested aggregations with the same min/max function are flattened
 //     (min(a, min(b, c)) = min(a, b, c)); wmean is not flattened because
 //     nested weighted means weight differently,
-//   - structurally identical siblings under min/max are deduplicated
+//   - siblings under min/max with equal SimSignature are deduplicated
 //     (idempotence), keeping the first occurrence.
 //
 // Learned rules often carry such redundancies; Simplify makes them easier
@@ -42,15 +40,21 @@ func simplifySim(op SimilarityOp) SimilarityOp {
 			}
 			flat = append(flat, child)
 		}
-		// Deduplicate identical siblings (idempotent functions).
+		// Deduplicate siblings that score identically (idempotent
+		// functions). The key is the behavioural signature: exact
+		// thresholds, quoted property names, operand weights of nested
+		// aggregations — but not the sibling's own weight, which min and
+		// max ignore. An extension operator has no signature and is kept.
 		seen := make(map[string]bool, len(flat))
 		var unique []SimilarityOp
 		for _, child := range flat {
-			key := compactSim(child)
-			if seen[key] {
-				continue
+			if coreSim(child) {
+				key := SimSignature(child)
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
 			}
-			seen[key] = true
 			unique = append(unique, child)
 		}
 		agg.Operands = unique
@@ -64,38 +68,4 @@ func simplifySim(op SimilarityOp) SimilarityOp {
 		return child
 	}
 	return agg
-}
-
-// Canonical returns a canonical compact form of the rule: operands of
-// commutative aggregations (min/max) are sorted so structurally equal
-// rules serialize identically regardless of operand order. wmean operands
-// are left in place (their order is irrelevant too, but sorting must keep
-// weights attached — they are, since weights live on the operands).
-func (r *Rule) Canonical() string {
-	if r == nil || r.Root == nil {
-		return "∅"
-	}
-	c := r.Clone()
-	canonicalizeSim(c.Root)
-	return c.Compact()
-}
-
-func canonicalizeSim(op SimilarityOp) {
-	agg, ok := op.(*AggregationOp)
-	if !ok {
-		return
-	}
-	for _, child := range agg.Operands {
-		canonicalizeSim(child)
-	}
-	sort.SliceStable(agg.Operands, func(i, j int) bool {
-		return compactSim(agg.Operands[i]) < compactSim(agg.Operands[j])
-	})
-}
-
-// EquivalentTo reports whether two rules have the same canonical form.
-// This is a structural (syntactic-up-to-commutativity) check, not a
-// semantic equivalence decision.
-func (r *Rule) EquivalentTo(other *Rule) bool {
-	return r.Canonical() == other.Canonical()
 }

@@ -89,30 +89,68 @@ func TestSimplifyEmpty(t *testing.T) {
 	}
 }
 
-func TestCanonicalOrderIndependence(t *testing.T) {
-	r1 := New(NewAggregation(Min(), cmpOn("a", 1), cmpOn("b", 2)))
-	r2 := New(NewAggregation(Min(), cmpOn("b", 2), cmpOn("a", 1)))
-	if r1.Canonical() != r2.Canonical() {
-		t.Fatalf("canonical forms differ:\n%s\n%s", r1.Canonical(), r2.Canonical())
-	}
-	if !r1.EquivalentTo(r2) {
-		t.Fatal("EquivalentTo should hold for reordered operands")
-	}
-	r3 := New(NewAggregation(Min(), cmpOn("a", 1), cmpOn("c", 2)))
-	if r1.EquivalentTo(r3) {
-		t.Fatal("different rules should not be equivalent")
-	}
-	if (&Rule{}).Canonical() != "∅" {
-		t.Fatal("empty canonical")
-	}
+// weighted sets op's weight and returns it.
+func weighted(op SimilarityOp, w int) SimilarityOp {
+	op.SetWeight(w)
+	return op
 }
 
-func TestCanonicalDoesNotMutate(t *testing.T) {
-	r := New(NewAggregation(Min(), cmpOn("b", 2), cmpOn("a", 1)))
-	before := r.Compact()
-	r.Canonical()
-	if r.Compact() != before {
-		t.Fatal("Canonical mutated the rule")
+// TestSimplifyKeepsSiblingsThatScoreDifferently pins that min/max
+// deduplication merges only siblings with equal scores on every pair:
+// siblings whose thresholds agree to three significant digits, or whose
+// weighted means differ only in operand weights, both render alike in
+// Compact but score differently.
+func TestSimplifyKeepsSiblingsThatScoreDifferently(t *testing.T) {
+	wmean := func(w1, w3 int) SimilarityOp {
+		return NewAggregation(WMean(), weighted(cmpOn("p", 1), w1), weighted(cmpOn("p", 3), w3))
+	}
+	cases := []struct {
+		name     string
+		root     SimilarityOp
+		operands int     // operands the simplified root keeps
+		want     float64 // score of the pair, before and after Simplify
+	}{
+		{
+			name:     "thresholds equal to three digits",
+			root:     NewAggregation(Min(), cmpOn("p", 2.0004), cmpOn("p", 2.0001)),
+			operands: 2,
+			want:     1 - 1/2.0001,
+		},
+		{
+			name:     "wmeans differing only in operand weights",
+			root:     NewAggregation(Min(), wmean(1, 2), wmean(2, 1)),
+			operands: 2,
+			want:     (1 - 1.0/3) / 3,
+		},
+		{
+			name:     "same comparison under different own weights",
+			root:     NewAggregation(Max(), weighted(cmpOn("p", 2), 1), weighted(cmpOn("p", 2), 5)),
+			operands: 1,
+			want:     0.5,
+		},
+	}
+	a, b := entity.New("a"), entity.New("b")
+	a.Add("p", "abcd")
+	b.Add("p", "abce")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := New(tc.root)
+			s := r.Simplify()
+			got, simplified := r.Evaluate(a, b), s.Evaluate(a, b)
+			if diff := got - tc.want; diff > 1e-12 || diff < -1e-12 {
+				t.Fatalf("rule scores %v, want %v", got, tc.want)
+			}
+			if simplified != got {
+				t.Fatalf("Simplify changed the score %v → %v:\n%s\n%s", got, simplified, r.Compact(), s.Compact())
+			}
+			n := 1
+			if agg, ok := s.Root.(*AggregationOp); ok {
+				n = len(agg.Operands)
+			}
+			if n != tc.operands {
+				t.Fatalf("simplified root has %d operands, want %d: %s", n, tc.operands, s.Compact())
+			}
+		})
 	}
 }
 
