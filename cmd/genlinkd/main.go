@@ -21,23 +21,26 @@
 //
 // -wal-dir is the one persistence mode, and it is crash-safe: every
 // write is appended to a segmented, CRC-checked write-ahead log before
-// it is applied (-fsync batch|interval|off selects when it hits disk),
-// a snapshot is taken automatically whenever -auto-snapshot records are
-// not yet covered by one (and on demand via POST /snapshot), and log
-// segments a snapshot covers are compacted away. At startup the state is
-// recovered from the newest valid snapshot plus the log tail (taking
-// precedence over -rule/-dataset seeding) — a kill -9 mid-write loses at
-// most the final torn, unacknowledged record under -fsync batch.
+// it is applied (-fsync batch|interval selects when it hits disk: every
+// write, or a group commit every 100 ms), a snapshot is taken
+// automatically whenever -auto-snapshot records are not yet covered by
+// one (and on demand via POST /snapshot), and log segments a snapshot
+// covers are compacted away. At startup the state is recovered from the
+// newest valid snapshot plus the log tail (taking precedence over
+// -rule/-dataset seeding) — a kill -9 mid-write loses at most the final
+// torn, unacknowledged record under either policy; a power cut can also
+// lose the last 100 ms of acknowledged writes under -fsync interval.
 // Graceful shutdown (SIGINT/SIGTERM) drains in-flight requests, takes a
 // final snapshot and closes the log.
 //
 // On a durable server, POST /entities?backfill=1 routes the batch
-// through a bulk-backfill session instead of the log: batches apply
+// through DurableIndex.Backfill instead of the log: batches apply
 // through the per-shard parallel pipeline with no per-batch WAL
-// append/fsync, and POST /backfill/commit makes the whole load durable
-// with one atomic snapshot barrier. A crash before the commit recovers
-// the pre-backfill state (regular logged writes keep their own
-// durability throughout). Graceful shutdown commits an open session.
+// append/fsync, and POST /backfill/commit (DurableIndex.CommitBackfill)
+// makes the whole load durable with one atomic snapshot barrier. A
+// crash before the commit recovers the pre-backfill state (regular
+// logged writes keep their own durability throughout). Graceful
+// shutdown commits an open session.
 //
 // With -follow the server is an asynchronous read replica: it bootstraps
 // from the leader's newest snapshot (or recovers its own local state and
@@ -138,8 +141,7 @@ func main() {
 		k          = flag.Int("k", 10, "default number of matches per query (k= overrides per request)")
 		shards     = flag.Int("shards", 0, "index shard count (0 = one per CPU)")
 		walDir     = flag.String("wal-dir", "", "durability directory: write-ahead log + auto-snapshots, recovered at startup")
-		fsync      = flag.String("fsync", "batch", "WAL fsync policy: batch (fsync per write), interval (group-commit) or off")
-		fsyncInt   = flag.Duration("fsync-interval", 100*time.Millisecond, "group-commit period for -fsync interval")
+		fsync      = flag.String("fsync", "batch", "WAL fsync policy: batch|interval (fsync per write, or group-commit every 100ms)")
 		autoSnap   = flag.Int("auto-snapshot", 10000, "auto-snapshot after this many WAL records (negative disables)")
 		follow     = flag.String("follow", "", "run as a read replica of this leader address (requires -wal-dir; excludes -rule/-dataset)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; off when empty)")
@@ -165,13 +167,12 @@ func main() {
 
 	policy, ok := genlinkapi.FsyncPolicyByName(*fsync)
 	if !ok {
-		log.Fatalf("unknown -fsync policy %q (available: batch, interval, off)", *fsync)
+		log.Fatalf("unknown -fsync policy %q (available: batch, interval)", *fsync)
 	}
 	// One set of durability options: a -follow replica's local log is
 	// tuned exactly like a leader's -wal-dir.
 	durable := genlinkapi.DurableIndexOptions{
 		Fsync:         policy,
-		FsyncInterval: *fsyncInt,
 		SnapshotEvery: *autoSnap,
 		Shards:        *shards,
 		Logf:          log.Printf,

@@ -30,7 +30,7 @@ func checkCoverage(t *testing.T, label string, d *DurableIndex) DurableMetrics {
 // snapshot without any further write. The snapshot write is held open
 // with snapshotWriteHook to make the window deterministic.
 func TestDurableAutoSnapshotCoversRecordsLoggedDuringWrite(t *testing.T) {
-	opts := DurableOptions{Fsync: FsyncOff, SnapshotEvery: 5}
+	opts := DurableOptions{Fsync: FsyncIntervalPolicy, SnapshotEvery: 5}
 	dir := t.TempDir()
 	d, err := NewDurable(dir, NewSharded(wireTestRule(), 2, matching.Options{Blocker: matching.MultiPass()}), opts)
 	if err != nil {

@@ -3,6 +3,8 @@ package linkindex_test
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"genlink/internal/entity"
@@ -22,11 +24,11 @@ func backfillEntities(n int) []*entity.Entity {
 }
 
 // TestBackfillCrashContract is the snapshot-barrier differential: a
-// crash before Commit recovers the pre-backfill state (plus acknowledged
-// logged writes — logged Apply keeps its durability contract during the
-// session), and a crash after Commit recovers every backfilled entity.
-// Snapshots are suppressed while the session is open, so no intermediate
-// durable state can expose a partial backfill.
+// crash before CommitBackfill recovers the pre-backfill state (plus
+// acknowledged logged writes — logged Apply keeps its durability
+// contract during the session), and a crash after it recovers every
+// backfilled entity. Snapshots are suppressed while the session is open,
+// so no intermediate durable state can expose a partial backfill.
 func TestBackfillCrashContract(t *testing.T) {
 	const shards = 3
 	dir := t.TempDir()
@@ -42,28 +44,24 @@ func TestBackfillCrashContract(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if d.Backfilling() {
+		t.Fatal("Backfilling() = true before the first Backfill")
+	}
 
-	bf, err := d.BeginBackfill()
-	if err != nil {
-		t.Fatal(err)
+	walBefore := d.Metrics().WALRecords
+	entities := backfillEntities(50)
+	res, pending, err := d.Backfill(linkindex.Batch{Upserts: entities[:30]})
+	if err != nil || res.Upserted != 30 || pending != 30 {
+		t.Fatalf("first Backfill = %d upserted, %d pending, %v; want 30, 30", res.Upserted, pending, err)
 	}
 	if !d.Backfilling() {
 		t.Fatal("Backfilling() = false with an open session")
 	}
-	if _, err := d.BeginBackfill(); !errors.Is(err, linkindex.ErrBackfillActive) {
-		t.Fatalf("second BeginBackfill error = %v, want ErrBackfillActive", err)
-	}
 	if err := d.Snapshot(); !errors.Is(err, linkindex.ErrBackfillActive) {
 		t.Fatalf("Snapshot during session error = %v, want ErrBackfillActive", err)
 	}
-
-	walBefore := d.Metrics().WALRecords
-	n, err := bf.BulkLoad(backfillEntities(50))
-	if err != nil || n != 50 {
-		t.Fatalf("BulkLoad = %d, %v; want 50", n, err)
-	}
-	if bf.Loaded() != 50 {
-		t.Fatalf("Loaded() = %d, want 50", bf.Loaded())
+	if _, pending, err = d.Backfill(linkindex.Batch{Upserts: entities[30:]}); err != nil || pending != 50 {
+		t.Fatalf("second Backfill = %d pending, %v; want 50 across batches", pending, err)
 	}
 	if got := d.Metrics().WALRecords; got != walBefore {
 		t.Fatalf("backfill wrote %d WAL records, want 0", got-walBefore)
@@ -94,22 +92,21 @@ func TestBackfillCrashContract(t *testing.T) {
 	compareIndexes(t, "pre-barrier crash", r.Index(), want)
 	r.Close()
 
-	// Commit is the barrier: afterwards a crash recovers everything, the
-	// session is closed, and snapshots work again.
-	if err := bf.Commit(); err != nil {
-		t.Fatal(err)
+	// CommitBackfill is the barrier: afterwards a crash recovers
+	// everything, the session is closed, and snapshots work again.
+	if committed, err := d.CommitBackfill(); err != nil || committed != 50 {
+		t.Fatalf("CommitBackfill = %d, %v; want 50 committed", committed, err)
 	}
 	if d.Backfilling() {
-		t.Fatal("Backfilling() = true after Commit")
+		t.Fatal("Backfilling() = true after CommitBackfill")
 	}
-	if _, err := bf.Apply(linkindex.Batch{}); err == nil {
-		t.Fatal("Apply on a committed session succeeded")
-	}
-	if err := bf.Commit(); err == nil {
-		t.Fatal("double Commit succeeded")
+	// With the session closed a second commit has nothing to count: it
+	// is a plain snapshot.
+	if committed, err := d.CommitBackfill(); err != nil || committed != 0 {
+		t.Fatalf("CommitBackfill without a session = %d, %v; want 0, nil", committed, err)
 	}
 	if err := d.Snapshot(); err != nil {
-		t.Fatalf("Snapshot after Commit: %v", err)
+		t.Fatalf("Snapshot after CommitBackfill: %v", err)
 	}
 	crash = copyDir(t, dir)
 	r2, stats, err := linkindex.Recover(crash, linkindex.DurableOptions{})
@@ -121,51 +118,6 @@ func TestBackfillCrashContract(t *testing.T) {
 		t.Fatalf("post-barrier recovery replayed %d records, want 0 (snapshot covers all)", stats.RecordsReplayed)
 	}
 	compareIndexes(t, "post-barrier crash", r2.Index(), d.Index())
-}
-
-// TestBackfillAbort pins Abort semantics: the session closes without a
-// barrier, snapshots re-enable, and the applied entities — visible in
-// memory — become durable only at the next snapshot.
-func TestBackfillAbort(t *testing.T) {
-	dir := t.TempDir()
-	d, err := linkindex.NewDurable(dir, linkindex.NewSharded(testRule(), 2, durableOpts()),
-		linkindex.DurableOptions{Fsync: linkindex.FsyncBatch, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	bf, err := d.BeginBackfill()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bf.BulkLoad(backfillEntities(5)); err != nil {
-		t.Fatal(err)
-	}
-	bf.Abort()
-	if d.Backfilling() {
-		t.Fatal("Backfilling() = true after Abort")
-	}
-	// Not durable yet: a crash now loses the aborted load.
-	r, _, err := linkindex.Recover(copyDir(t, dir), linkindex.DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 0 {
-		t.Fatalf("aborted backfill leaked %d entities into recovery", r.Len())
-	}
-	r.Close()
-	// The next snapshot persists the in-memory state, aborted load included.
-	if err := d.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	r2, _, err := linkindex.Recover(copyDir(t, dir), linkindex.DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if r2.Len() != 5 {
-		t.Fatalf("post-abort snapshot recovered %d entities, want 5", r2.Len())
-	}
 }
 
 // TestBulkBackfillOneShot pins the convenience wrapper: load, barrier,
@@ -180,6 +132,9 @@ func TestBulkBackfillOneShot(t *testing.T) {
 	n, err := d.BulkBackfill(backfillEntities(30))
 	if err != nil || n != 30 {
 		t.Fatalf("BulkBackfill = %d, %v; want 30", n, err)
+	}
+	if d.Backfilling() {
+		t.Fatal("Backfilling() = true after BulkBackfill")
 	}
 	if m := d.Metrics(); m.WALRecords != 0 {
 		t.Fatalf("BulkBackfill logged %d WAL records, want 0", m.WALRecords)
@@ -196,4 +151,91 @@ func TestBulkBackfillOneShot(t *testing.T) {
 		t.Fatalf("recovered Len=%d replayed=%d, want 30 entities from the barrier snapshot alone", r.Len(), stats.RecordsReplayed)
 	}
 	compareIndexes(t, "one-shot backfill", r.Index(), d.Index())
+}
+
+// TestBackfillCommitRacesWrites races Backfill writers against a
+// goroutine that calls CommitBackfill in a loop. Both hold the snapshot
+// lock, so every write lands wholly before or after a commit: after a
+// final commit, recovery holds every entity whose Backfill returned nil,
+// and the commits counted each upsert exactly once.
+func TestBackfillCommitRacesWrites(t *testing.T) {
+	dir := t.TempDir()
+	d, err := linkindex.NewDurable(dir, linkindex.NewSharded(testRule(), 2, durableOpts()),
+		linkindex.DurableOptions{Fsync: linkindex.FsyncBatch, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	const writers, perWriter = 3, 40
+	var (
+		wg       sync.WaitGroup
+		acked    [writers][]string
+		upserted atomic.Int64
+	)
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perWriter {
+				id := fmt.Sprintf("bf-w%d-%d", w, i)
+				res, _, err := d.Backfill(linkindex.Batch{Upserts: []*entity.Entity{ent(id, "Grace Hopper", "compilers")}})
+				if err != nil {
+					t.Errorf("writer %d: Backfill(%s): %v", w, id, err)
+					return
+				}
+				upserted.Add(int64(res.Upserted))
+				acked[w] = append(acked[w], id)
+			}
+		}()
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	committed := 0
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n, err := d.CommitBackfill()
+			if err != nil {
+				t.Errorf("CommitBackfill: %v", err)
+				return
+			}
+			committed += n
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-stopped
+	n, err := d.CommitBackfill()
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed += n
+	if committed != int(upserted.Load()) {
+		t.Fatalf("commits counted %d backfilled entities, writers upserted %d", committed, upserted.Load())
+	}
+	if d.Backfilling() {
+		t.Fatal("Backfilling() = true after the final CommitBackfill")
+	}
+
+	r, stats, err := linkindex.Recover(copyDir(t, dir), linkindex.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if stats.RecordsReplayed != 0 {
+		t.Fatalf("recovery replayed %d records, want 0 (nothing was logged)", stats.RecordsReplayed)
+	}
+	for w := range writers {
+		for _, id := range acked[w] {
+			if r.Get(id) == nil {
+				t.Fatalf("acknowledged backfill write %s lost across a racing CommitBackfill", id)
+			}
+		}
+	}
+	compareIndexes(t, "racing commits", r.Index(), d.Index())
 }

@@ -11,22 +11,23 @@ import (
 
 // TestCommitRefusals pins the refusals of the durable commit step. After
 // Close every write path — logged, single-op, bulk, shipped and backfill
-// — answers errWALClosed and changes neither the index nor the log. On
-// an open index a shipped record that is not the log's next sequence
-// number is refused before it is appended or applied.
+// — answers errWALClosed and changes neither the index, the log nor the
+// backfill session's pending count, and CommitBackfill cannot close the
+// session it can no longer snapshot. On an open index a shipped record
+// that is not the log's next sequence number is refused before it is
+// appended or applied.
 func TestCommitRefusals(t *testing.T) {
 	t.Run("closed", func(t *testing.T) {
 		d, err := NewDurable(t.TempDir(), NewSharded(wireTestRule(), 2, matching.Options{Blocker: matching.MultiPass()}),
-			DurableOptions{Fsync: FsyncOff, SnapshotEvery: -1})
+			DurableOptions{Fsync: FsyncIntervalPolicy, SnapshotEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Add(wireEnt("e0", "name 0")); err != nil {
 			t.Fatal(err)
 		}
-		bf, err := d.BeginBackfill()
-		if err != nil {
-			t.Fatal(err)
+		if _, pending, err := d.Backfill(Batch{Upserts: []*entity.Entity{wireEnt("b0", "name b0")}}); err != nil || pending != 1 {
+			t.Fatalf("Backfill before Close = pending %d, %v; want 1", pending, err)
 		}
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
@@ -51,8 +52,11 @@ func TestCommitRefusals(t *testing.T) {
 				return err
 			}},
 			{"applyReplicated", func() error { return d.applyReplicated(seqBefore+1, payload) }},
-			{"Backfill.Apply", func() error {
-				_, err := bf.Apply(Batch{Upserts: []*entity.Entity{wireEnt("x", "x")}, Deletes: []string{"e0"}})
+			{"Backfill", func() error {
+				_, pending, err := d.Backfill(Batch{Upserts: []*entity.Entity{wireEnt("x", "x")}, Deletes: []string{"e0"}})
+				if pending != 1 {
+					t.Errorf("refused Backfill moved the pending count 1 → %d", pending)
+				}
 				return err
 			}},
 		}
@@ -65,14 +69,15 @@ func TestCommitRefusals(t *testing.T) {
 					w.name, lenBefore, d.Len(), seqBefore, d.AppliedSeq())
 			}
 		}
-		if bf.Loaded() != 0 {
-			t.Errorf("refused backfill write counted %d loaded entities", bf.Loaded())
+		if committed, err := d.CommitBackfill(); !errors.Is(err, errWALClosed) || committed != 0 || !d.Backfilling() {
+			t.Errorf("CommitBackfill after Close = %d, %v with Backfilling %v; want errWALClosed and the session still open",
+				committed, err, d.Backfilling())
 		}
 	})
 
 	t.Run("out of order", func(t *testing.T) {
 		d, err := NewDurable(t.TempDir(), NewSharded(wireTestRule(), 2, matching.Options{Blocker: matching.MultiPass()}),
-			DurableOptions{Fsync: FsyncOff, SnapshotEvery: -1})
+			DurableOptions{Fsync: FsyncIntervalPolicy, SnapshotEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,19 +28,16 @@ import (
 //     which recovery discards — the unacknowledged batch it held was
 //     never confirmed to the caller.
 //   - FsyncIntervalPolicy: acknowledged batches reach the OS
-//     immediately and the disk within one FsyncInterval; a power cut can
-//     lose up to one interval of acknowledged writes, a process crash
-//     loses nothing the OS had accepted.
-//   - FsyncOff: the page cache decides. A process crash loses at most
-//     the buffered tail; a power cut can lose everything since the last
-//     snapshot.
+//     immediately and the disk within one 100 ms group-commit period; a
+//     power cut can lose up to one period of acknowledged writes, a
+//     process crash loses nothing the OS had accepted.
 //
 // Every mutation — Apply/Add/Update/Remove/BulkLoad, a follower's shipped
-// record, a backfill write — goes through one commit step serialized by
+// record, a Backfill write — goes through one commit step serialized by
 // one mutex, so the log order always equals the apply order: recovery
 // replays the same batches in log order and lands on the same state. A
-// backfill write is not logged, so recovery does not see it until the
-// session commits. Queries read the underlying index directly
+// Backfill write is not logged, so recovery does not see it until
+// CommitBackfill. Queries read the underlying index directly
 // and are never blocked by the log. Do not mutate the underlying index
 // behind the wrapper's back (via Index()): those writes would be
 // invisible to the log and silently lost on recovery.
@@ -55,8 +52,13 @@ type DurableIndex struct {
 
 	lastSnapSeq  atomic.Uint64
 	snapshotting atomic.Bool
-	backfilling  atomic.Bool // open Backfill session: snapshots suppressed
-	snapMu       sync.Mutex  // serializes snapshot file writes + compaction
+	snapMu       sync.Mutex // serializes snapshot file writes, compaction and backfill
+	// The backfill session (backfill.go): open while backfilling is set,
+	// which suppresses snapshots. Both are written only under snapMu;
+	// backfilling is atomic so Backfilling can read it without waiting
+	// out a snapshot write.
+	backfilling     atomic.Bool
+	backfillPending int // guarded by snapMu; entities upserted since the session opened
 }
 
 // DurableOptions tunes the write-ahead log, the auto-snapshot policy and
@@ -65,9 +67,6 @@ type DurableIndex struct {
 type DurableOptions struct {
 	// Fsync selects when appended records are made durable.
 	Fsync FsyncPolicy
-	// FsyncInterval is the group-commit period under
-	// FsyncIntervalPolicy (default 100ms).
-	FsyncInterval time.Duration
 	// SegmentBytes rotates the active log segment once it exceeds this
 	// size (default 16 MiB).
 	SegmentBytes int64
@@ -104,7 +103,7 @@ func (o DurableOptions) logf(format string, args ...any) {
 }
 
 func (o DurableOptions) wal() walOptions {
-	return walOptions{SegmentBytes: o.SegmentBytes, Fsync: o.Fsync, Interval: o.FsyncInterval}
+	return walOptions{SegmentBytes: o.SegmentBytes, Fsync: o.Fsync}
 }
 
 // RecoveryStats reports what Recover (or OpenDurable) did.
@@ -314,7 +313,7 @@ func (d *DurableIndex) Apply(b Batch) (ApplyResult, error) {
 // must be the log's next sequence number; a logged write (payload ≠ nil)
 // is appended to the log; the batch is applied to the index; and a
 // logged write starts an auto-snapshot once the uncovered tail has
-// reached the policy. A backfill write has no payload: it is applied
+// reached the policy. A Backfill write has no payload: it is applied
 // but not logged, and never triggers a snapshot.
 func (d *DurableIndex) commit(b Batch, payload []byte, seq uint64) (ApplyResult, error) {
 	d.mu.Lock()
@@ -404,8 +403,8 @@ func (d *DurableIndex) BulkLoad(entities []*entity.Entity) (int, error) {
 // snapshots are kept. Writers are blocked only while the state is
 // captured, not while it is serialized to disk. While a backfill
 // session is open Snapshot fails with ErrBackfillActive — a snapshot
-// taken mid-session would make a partial backfill durable; commit the
-// session instead (Backfill.Commit is exactly this snapshot).
+// taken mid-session would make a partial backfill durable; call
+// CommitBackfill instead, which is exactly this snapshot.
 func (d *DurableIndex) Snapshot() error {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()

@@ -240,7 +240,7 @@ func TestDurableCrashSimulationDifferential(t *testing.T) {
 func TestDurableAutoSnapshotAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	d, err := linkindex.NewDurable(dir, linkindex.NewSharded(testRule(), 2, durableOpts()),
-		linkindex.DurableOptions{Fsync: linkindex.FsyncOff, SnapshotEvery: 5, SegmentBytes: 1})
+		linkindex.DurableOptions{Fsync: linkindex.FsyncIntervalPolicy, SnapshotEvery: 5, SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestOpenDurableBuildsOnlyWhenFresh(t *testing.T) {
 func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	d, err := linkindex.NewDurable(dir, linkindex.NewSharded(testRule(), 2, durableOpts()),
-		linkindex.DurableOptions{Fsync: linkindex.FsyncOff, SnapshotEvery: -1})
+		linkindex.DurableOptions{Fsync: linkindex.FsyncIntervalPolicy, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {
 func TestDurableConcurrentMutations(t *testing.T) {
 	dir := t.TempDir()
 	d, err := linkindex.NewDurable(dir, linkindex.NewSharded(testRule(), 3, durableOpts()),
-		linkindex.DurableOptions{Fsync: linkindex.FsyncOff, SnapshotEvery: 10, SegmentBytes: 1 << 12})
+		linkindex.DurableOptions{Fsync: linkindex.FsyncIntervalPolicy, SnapshotEvery: 10, SegmentBytes: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ type frameLog struct {
 func buildFrameLog(t testing.TB, n int) frameLog {
 	t.Helper()
 	dir := t.TempDir()
-	w, err := openWAL(dir, 0, walOptions{Fsync: FsyncOff})
+	w, err := openWAL(dir, 0, walOptions{Fsync: FsyncIntervalPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}

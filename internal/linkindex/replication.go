@@ -175,7 +175,7 @@ func (d *DurableIndex) ServeWALStream(w http.ResponseWriter, r *http.Request) {
 		fromSeq = v
 	}
 	wl := d.walRef()
-	if err := wl.Flush(); err != nil {
+	if err := wl.Err(); err != nil {
 		replError(w, http.StatusInternalServerError, err.Error(), nil)
 		return
 	}
@@ -210,11 +210,12 @@ func (d *DurableIndex) ServeWALStream(w http.ResponseWriter, r *http.Request) {
 	defer hbTimer.Stop()
 	for {
 		wl := d.walRef()
-		// Order matters: snapshot (gate, notify) first, then drain the
-		// user-space buffer, so every record ≤ gate is readable from the
-		// segment files before the cursor goes looking for it.
+		// Order matters: snapshot (gate, notify) first, then check the
+		// log. Append flushes every record before it returns, so each one
+		// ≤ gate is readable from the segment files; but a record whose
+		// fsync failed counts in gate without having been acknowledged.
 		gate, notify := wl.seqAndNotify()
-		if err := wl.Flush(); err != nil {
+		if err := wl.Err(); err != nil {
 			return // log closed or poisoned: drop the stream, follower reconnects
 		}
 		_ = rc.SetWriteDeadline(time.Now().Add(replWriteTimeout))

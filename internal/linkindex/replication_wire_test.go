@@ -6,7 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"genlink/internal/entity"
 	"genlink/internal/matching"
@@ -152,6 +156,87 @@ func TestMutatedStreamAppliesPrefixOnly(t *testing.T) {
 			}
 		}
 		d.Close()
+	}
+}
+
+// TestWALStreamPoisonedLog pins the leader's stream on a poisoned log.
+// The append whose fsync fails has already reached the segment file and
+// counts in LastSeq, but it was never acknowledged: an open
+// /wal/stream must drop without shipping it, and a new one answers 500.
+func TestWALStreamPoisonedLog(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDurable(dir, NewSharded(wireTestRule(), 2, matching.Options{Blocker: matching.MultiPass()}),
+		DurableOptions{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	// Reopen the empty log through the failing-Sync hook.
+	var fail atomic.Bool
+	if err := d.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d.wal, err = openWAL(dir, 0, flakyWALOptions(&fail, walOptions{Fsync: FsyncBatch})); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"e0", "e1"} {
+		if err := d.Add(wireEnt(id, "name "+id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ts := httptest.NewServer(http.HandlerFunc(d.ServeWALStream))
+	defer ts.Close()
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(ts.URL + "?from_seq=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy stream answered %s", resp.Status)
+	}
+	sr := newStreamReader(resp.Body)
+	if err := sr.readMagic(); err != nil {
+		t.Fatal(err)
+	}
+	// Records 1 and 2, then the heartbeat that reports the stream caught up.
+	for shipped := uint64(0); ; {
+		seq, _, err := sr.next()
+		if err != nil {
+			t.Fatalf("healthy stream after record %d: %v", shipped, err)
+		}
+		if seq != replHeartbeatSeq {
+			shipped = seq
+		} else if shipped == 2 {
+			break
+		}
+	}
+
+	fail.Store(true)
+	if err := d.Add(wireEnt("e2", "name e2")); err == nil {
+		t.Fatal("an append whose fsync failed was acknowledged")
+	}
+	for {
+		seq, _, err := sr.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("open stream on a poisoned log ended with %v, want a clean drop", err)
+		}
+		if seq != replHeartbeatSeq {
+			t.Fatalf("poisoned leader shipped unacknowledged record %d", seq)
+		}
+	}
+
+	resp2, err := client.Get(ts.URL + "?from_seq=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("new stream on a poisoned log answered %s, want 500", resp2.Status)
 	}
 }
 

@@ -225,11 +225,10 @@ func TestWALSegmentGapStopsReplay(t *testing.T) {
 	}
 }
 
-// TestWALFsyncPolicies exercises the interval group-commit and the
-// no-fsync policies end to end: every acknowledged record must be
-// replayable after a clean Close under any policy.
+// TestWALFsyncPolicies exercises both policies end to end: every
+// acknowledged record must be replayable after a clean Close.
 func TestWALFsyncPolicies(t *testing.T) {
-	for _, p := range []FsyncPolicy{FsyncBatch, FsyncIntervalPolicy, FsyncOff} {
+	for _, p := range []FsyncPolicy{FsyncBatch, FsyncIntervalPolicy} {
 		t.Run(p.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			w, err := openWAL(dir, 0, walOptions{Fsync: p, Interval: time.Millisecond})
@@ -249,14 +248,16 @@ func TestWALFsyncPolicies(t *testing.T) {
 }
 
 func TestFsyncPolicyByName(t *testing.T) {
-	for _, p := range []FsyncPolicy{FsyncBatch, FsyncIntervalPolicy, FsyncOff} {
+	for _, p := range []FsyncPolicy{FsyncBatch, FsyncIntervalPolicy} {
 		got, ok := FsyncPolicyByName(p.String())
 		if !ok || got != p {
 			t.Fatalf("FsyncPolicyByName(%q) = %v, %v", p.String(), got, ok)
 		}
 	}
-	if _, ok := FsyncPolicyByName("always"); ok {
-		t.Fatal("FsyncPolicyByName accepted an unknown name")
+	for _, name := range []string{"always", "off"} {
+		if _, ok := FsyncPolicyByName(name); ok {
+			t.Fatalf("FsyncPolicyByName accepted the unknown name %q", name)
+		}
 	}
 }
 
@@ -267,7 +268,7 @@ func TestFsyncPolicyByName(t *testing.T) {
 func FuzzWALReplay(f *testing.F) {
 	// Build the baseline log once.
 	base := f.TempDir()
-	w, err := openWAL(base, 0, walOptions{Fsync: FsyncOff})
+	w, err := openWAL(base, 0, walOptions{Fsync: FsyncIntervalPolicy})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -430,17 +431,16 @@ func TestWALIntervalFsyncFailurePoisonsLog(t *testing.T) {
 func TestWALCursorStreamsAcrossRotation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force a rotation roughly every append, so the cursor
-	// must hop segment files mid-stream.
-	w, err := openWAL(dir, 0, walOptions{Fsync: FsyncOff, SegmentBytes: 48})
+	// must hop segment files mid-stream. Under the group-commit policy
+	// nothing is fsynced yet, but every appended record has reached the
+	// OS, which is all the cursor needs.
+	w, err := openWAL(dir, 0, walOptions{Fsync: FsyncIntervalPolicy, SegmentBytes: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	payloads := testPayloads(9)
 	appendAll(t, w, payloads)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if w.Segments() < 3 {
 		t.Fatalf("want ≥3 segments for a rotation-spanning read, got %d", w.Segments())
 	}
@@ -464,9 +464,6 @@ func TestWALCursorStreamsAcrossRotation(t *testing.T) {
 	if _, err := w.Append([]byte("tail")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if _, _, ok, _ := cur.next(gate); ok {
 		t.Fatal("cursor read past its gate")
 	}
@@ -478,16 +475,13 @@ func TestWALCursorStreamsAcrossRotation(t *testing.T) {
 
 func TestWALCursorSkipsToFromSeq(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 0, walOptions{Fsync: FsyncOff})
+	w, err := openWAL(dir, 0, walOptions{Fsync: FsyncIntervalPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	payloads := testPayloads(8)
 	appendAll(t, w, payloads)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	cur := newWALCursor(dir, 5)
 	defer cur.Close()
 	seq, payload, ok, err := cur.next(w.LastSeq())
@@ -498,15 +492,12 @@ func TestWALCursorSkipsToFromSeq(t *testing.T) {
 
 func TestWALCursorReportsCompaction(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 0, walOptions{Fsync: FsyncOff, SegmentBytes: 48})
+	w, err := openWAL(dir, 0, walOptions{Fsync: FsyncIntervalPolicy, SegmentBytes: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	appendAll(t, w, testPayloads(9))
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	segs, err := listSegments(dir)
 	if err != nil || len(segs) < 2 {
 		t.Fatalf("want ≥2 segments, got %d (%v)", len(segs), err)

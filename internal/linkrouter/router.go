@@ -30,6 +30,13 @@
 // answer wins, taming the p99 a single slow or GC-pausing node would
 // otherwise set.
 //
+// Hedging pays against a slow node. Measured in-process on an nproc 2
+// Xeon: two groups, each a leader plus a caught-up follower, with group
+// 0's follower delaying a seeded 5 % of /match replies by 20 ms; 2
+// clients × 1,500 routed GET /match?k=10, 6 alternating pairs,
+// HedgeAfter 0 against 5 ms. p95 went 9.21 → 7.01 ms (lower with
+// hedging in 6/6 pairs), p99 23.2 → 9.9 ms and p50 2.04 → 1.87 ms.
+//
 // Membership and freshness come from polling each node's GET /metrics
 // (role, applied_seq, replica_lag_records); a node that stops answering
 // is excluded from reads until it answers again. The router itself

@@ -15,7 +15,6 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -88,10 +87,10 @@ type Config struct {
 
 // Server wires an index into HTTP handlers. Beyond the default k and the
 // metrics counters it holds no state of its own: the index is the single
-// synchronized source of truth, so handlers are trivially safe under
-// concurrent requests. When dix is set (-wal-dir), every mutation routes
-// through the durable wrapper — logged before applied — and ix is its
-// underlying index, used for reads.
+// synchronized source of truth (the backfill session included), so
+// handlers are trivially safe under concurrent requests. When dix is set
+// (-wal-dir), every mutation routes through the durable wrapper — logged
+// before applied — and ix is its underlying index, used for reads.
 type Server struct {
 	ix         *linkindex.ShardedIndex
 	dix        *linkindex.DurableIndex
@@ -99,13 +98,6 @@ type Server struct {
 	defaultK   int
 	recoveryMs float64
 	m          metrics
-
-	// bf is the open bulk-backfill session, lazily opened by the first
-	// POST /entities?backfill=1 and closed by POST /backfill/commit (or
-	// committed on graceful shutdown). bfMu serializes session lifecycle
-	// against backfill applies.
-	bfMu sync.Mutex
-	bf   *linkindex.Backfill // guarded by bfMu
 }
 
 // New returns the server of one node over cfg's handles.
@@ -118,10 +110,10 @@ func New(cfg Config) *Server {
 
 // Shutdown is the graceful-shutdown hook: on a durable server it
 // takes a final snapshot (compacting the log) and closes the WAL; on an
-// in-memory server it is a no-op. An open backfill session is committed
-// first — its snapshot barrier doubles as the shutdown snapshot, and
-// skipping it would lose the whole load (plain Snapshot refuses while a
-// session is open).
+// in-memory server it is a no-op. The final snapshot is CommitBackfill,
+// a plain snapshot that also commits an open backfill session: skipping
+// the commit would lose the whole load (Snapshot refuses while a session
+// is open).
 func (s *Server) Shutdown() error {
 	// Stop a follower's tailing goroutine FIRST: a record shipped from
 	// the leader between the final snapshot and the log close would be
@@ -134,15 +126,7 @@ func (s *Server) Shutdown() error {
 	if s.dix == nil {
 		return nil
 	}
-	s.bfMu.Lock()
-	var err error
-	if s.bf != nil {
-		err = s.bf.Commit()
-		s.bf = nil
-	} else {
-		err = s.dix.Snapshot()
-	}
-	s.bfMu.Unlock()
+	_, err := s.dix.CommitBackfill()
 	if err == nil {
 		s.m.snapshots.Add(1)
 	}
@@ -257,29 +241,17 @@ func (s *Server) handlePostEntities(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBackfillEntities is the ?backfill=1 branch of POST /entities:
-// the batch applies through the bulk-backfill session — per-shard
-// parallel build, no WAL append, no fsync — lazily opening the session
-// on first use. Nothing is durable until POST /backfill/commit; the
-// response says so explicitly so a 200 here cannot be mistaken for the
-// logged path's durability acknowledgment.
+// the batch applies through DurableIndex.Backfill — per-shard parallel
+// build, no WAL append, no fsync — which opens the session on first use.
+// Nothing is durable until POST /backfill/commit; the response says so
+// explicitly so a 200 here cannot be mistaken for the logged path's
+// durability acknowledgment.
 func (s *Server) handleBackfillEntities(w http.ResponseWriter, entities []*entity.Entity) {
 	if s.dix == nil {
 		WriteError(w, http.StatusConflict, errors.New("backfill mode requires -wal-dir (there is no durability barrier to commit to)"))
 		return
 	}
-	s.bfMu.Lock()
-	if s.bf == nil {
-		bf, err := s.dix.BeginBackfill()
-		if err != nil {
-			s.bfMu.Unlock()
-			WriteError(w, http.StatusInternalServerError, err)
-			return
-		}
-		s.bf = bf
-	}
-	res, err := s.bf.Apply(linkindex.Batch{Upserts: entities})
-	loaded := s.bf.Loaded()
-	s.bfMu.Unlock()
+	res, pending, err := s.dix.Backfill(linkindex.Batch{Upserts: entities})
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, err)
 		return
@@ -289,15 +261,16 @@ func (s *Server) handleBackfillEntities(w http.ResponseWriter, entities []*entit
 	WriteJSON(w, http.StatusOK, map[string]any{
 		"added":            res.Upserted,
 		"entities":         s.ix.Len(),
-		"backfill_pending": loaded,
+		"backfill_pending": pending,
 		"durable":          false,
 	})
 }
 
-// handleBackfillCommit closes the open backfill session with its
-// snapshot barrier: one atomic snapshot makes every backfilled entity
-// durable and compacts the log. 409 when no session is open. On a
-// snapshot failure the session stays open so the commit can be retried.
+// handleBackfillCommit closes the open backfill session with
+// DurableIndex.CommitBackfill: one atomic snapshot makes every
+// backfilled entity durable and compacts the log. 409 when no session is
+// open. On a snapshot failure the session stays open so the commit can
+// be retried.
 func (s *Server) handleBackfillCommit(w http.ResponseWriter, _ *http.Request) {
 	if s.rejectReplicaWrite(w) {
 		return
@@ -306,23 +279,20 @@ func (s *Server) handleBackfillCommit(w http.ResponseWriter, _ *http.Request) {
 		WriteError(w, http.StatusConflict, errors.New("backfill mode requires -wal-dir"))
 		return
 	}
-	s.bfMu.Lock()
-	defer s.bfMu.Unlock()
-	if s.bf == nil {
+	if !s.dix.Backfilling() {
 		WriteError(w, http.StatusConflict, errors.New("no open backfill session (POST /entities?backfill=1 opens one)"))
 		return
 	}
 	t0 := time.Now()
-	loaded := s.bf.Loaded()
-	if err := s.bf.Commit(); err != nil {
+	committed, err := s.dix.CommitBackfill()
+	if err != nil {
 		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.bf = nil
 	s.m.snapshots.Add(1)
 	dm := s.dix.Metrics()
 	WriteJSON(w, http.StatusOK, map[string]any{
-		"committed":    loaded,
+		"committed":    committed,
 		"entities":     s.ix.Len(),
 		"snapshot_seq": dm.SnapshotSeq,
 		"ms":           float64(time.Since(t0).Microseconds()) / 1000,

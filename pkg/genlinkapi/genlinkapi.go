@@ -153,14 +153,8 @@ type (
 	// loaded, records replayed, torn tail, duration).
 	RecoveryStats = linkindex.RecoveryStats
 	// FsyncPolicy selects when the write-ahead log makes acknowledged
-	// writes durable: FsyncBatch, FsyncInterval or FsyncOff.
+	// writes durable: FsyncBatch or FsyncInterval.
 	FsyncPolicy = linkindex.FsyncPolicy
-	// BackfillSession is an open bulk-ingest session on a DurableIndex
-	// (DurableIndex.BeginBackfill): batches apply through the per-shard
-	// parallel pipeline without write-ahead logging, and Commit makes the
-	// whole load durable with one atomic snapshot barrier. A crash before
-	// Commit recovers the pre-backfill state.
-	BackfillSession = linkindex.Backfill
 	// Follower tails a leader's WAL stream into a local durable index:
 	// crash-safe read replica with manual Promote.
 	Follower = linkindex.Follower
@@ -172,17 +166,21 @@ type (
 	ReplicationStatus = linkindex.ReplicationStatus
 )
 
-// ErrBackfillActive is returned by DurableIndex.Snapshot and
-// DurableIndex.BeginBackfill while a backfill session is open.
+// ErrBackfillActive is returned by DurableIndex.Snapshot while a
+// backfill session is open. DurableIndex.Backfill applies a batch
+// through the per-shard parallel pipeline without write-ahead logging
+// and opens the session; DurableIndex.CommitBackfill makes the whole
+// load durable with one atomic snapshot barrier. A crash before the
+// commit recovers the pre-backfill state.
 var ErrBackfillActive = linkindex.ErrBackfillActive
 
 // Write-ahead-log fsync policies, in decreasing durability order: fsync
-// before acknowledging every batch; group-commit on a background
-// interval; no explicit fsync (the OS page cache decides).
+// before acknowledging every batch; group-commit every 100 ms. Under
+// both, an acknowledged batch has reached the OS and survives a process
+// crash.
 const (
 	FsyncBatch    = linkindex.FsyncBatch
 	FsyncInterval = linkindex.FsyncIntervalPolicy
-	FsyncOff      = linkindex.FsyncOff
 )
 
 // NewEntity returns an entity with the given id.
@@ -324,14 +322,14 @@ func RestoreIndex(path string, o IndexRestoreOptions) (*Index, error) {
 // index to wrap (so an expensive startup, like learning a rule, is paid
 // only on first boot). Every mutation through the returned DurableIndex
 // is write-ahead logged before it is applied; see FsyncBatch /
-// FsyncInterval / FsyncOff for the durability trade-offs and
-// DurableIndexOptions for the auto-snapshot + compaction policy.
+// FsyncInterval for the durability trade-offs and DurableIndexOptions
+// for the auto-snapshot + compaction policy.
 func OpenDurableIndex(dir string, build func() (*Index, error), o DurableIndexOptions) (*DurableIndex, RecoveryStats, error) {
 	return linkindex.OpenDurable(dir, build, o)
 }
 
-// FsyncPolicyByName resolves a flag value ("batch", "interval", "off")
-// to its FsyncPolicy. It reports false for unknown names.
+// FsyncPolicyByName resolves a flag value ("batch", "interval") to its
+// FsyncPolicy. It reports false for unknown names.
 func FsyncPolicyByName(name string) (FsyncPolicy, bool) {
 	return linkindex.FsyncPolicyByName(name)
 }
