@@ -232,10 +232,10 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 		return nil, stats, fmt.Errorf("linkindex: recover: no readable snapshot in %s", dir)
 	}
 
-	// Replay the log tail: read+CRC+decode stay in this goroutine
-	// (replayWAL's callback) while the replayer fans per-shard ops out to
-	// apply workers. A record that fails to decode stops the scan as a
-	// torn tail before any of its ops are applied.
+	// Replay the log tail: read+CRC (replayWAL's walReader) and decode
+	// (its callback) stay in this goroutine while the replayer fans
+	// per-shard ops out to apply workers. A record that fails to decode
+	// stops the scan as a torn tail before any of its ops are applied.
 	replayer := startReplayer(ix)
 	scan, err := replayWAL(dir, base.seq, func(seq uint64, payload []byte) error {
 		var b walBatch

@@ -237,6 +237,62 @@ func TestDurableCrashSimulationDifferential(t *testing.T) {
 	}
 }
 
+// TestRecoverAfterRotationNotTorn crashes right after a segment opens,
+// with no append since: after Snapshot's rotation, and after the fresh
+// segment Recover starts. The segment's magic reaches the OS when it
+// opens, so recovery finds an empty segment, not a zero-byte file it
+// would report as a torn tail.
+func TestRecoverAfterRotationNotTorn(t *testing.T) {
+	const shards = 2
+	dir := t.TempDir()
+	d, err := linkindex.NewDurable(dir, linkindex.NewSharded(testRule(), shards, durableOpts()),
+		linkindex.DurableOptions{Fsync: linkindex.FsyncBatch, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := testBatches(6, 3)
+	for _, b := range batches[:4] {
+		if _, err := d.Apply(cloneBatch(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	r, stats, err := linkindex.Recover(copyDir(t, dir), linkindex.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Torn || stats.SnapshotSeq != 4 || stats.RecordsReplayed != 0 {
+		t.Fatalf("crash after rotation: stats = %+v, want snapshot seq 4, 0 records replayed, not torn", stats)
+	}
+	compareIndexes(t, "crash after rotation", r.Index(), referenceIndex(batches, 4, shards))
+	r.Close()
+
+	for _, b := range batches[4:] {
+		if _, err := d.Apply(cloneBatch(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, _, err = linkindex.Recover(dir, linkindex.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	r, stats, err = linkindex.Recover(copyDir(t, dir), linkindex.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if stats.Torn || stats.SnapshotSeq != 4 || stats.RecordsReplayed != 2 {
+		t.Fatalf("crash after recovery: stats = %+v, want snapshot seq 4, 2 records replayed, not torn", stats)
+	}
+	compareIndexes(t, "crash after recovery", r.Index(), referenceIndex(batches, 6, shards))
+}
+
 func TestDurableAutoSnapshotAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	d, err := linkindex.NewDurable(dir, linkindex.NewSharded(testRule(), 2, durableOpts()),

@@ -11,13 +11,14 @@ import (
 	"testing"
 )
 
-// The three frame readers — segment replay (recovery), walCursor (the
-// leader's replication read path) and streamReader (the follower) — sit
-// on one decoder, readFrame. These tests run the same damaged log
-// through all three and pin that each still reaches its own verdict:
-// every record before the damage is returned byte-exact, and then replay
-// reports a torn tail, the cursor errors (or, for a header that simply
-// stops, reports "nothing yet"), and the stream reader errors.
+// Two readers sit on one frame decoder, readFrame: walReader, the one
+// segment reader behind recovery (replayWAL) and the leader's
+// replication stream, and streamReader (the follower). These tests run
+// the same damaged log through replay, walReader and streamReader and
+// pin that each still reaches its own verdict: every record before the
+// damage is returned byte-exact, and then replay reports a torn tail,
+// walReader reports damage (or, for a header that simply stops at the
+// end of the log, "nothing yet"), and the stream reader errors.
 
 // frameLog is a valid single-segment log of n records: the segment file
 // bytes plus the byte offset at which each record's frame starts.
@@ -60,36 +61,53 @@ func buildFrameLog(t testing.TB, n int) frameLog {
 	return fl
 }
 
+// logDir writes a segment holding data into a fresh directory. With
+// later > 0 it also writes the segment a rotation would have started at
+// record later+1, holding the rest of fl's records, so damage in data
+// sits mid-log instead of at its tail.
+func logDir(t *testing.T, fl frameLog, data []byte, later int) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, fl.name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if later > 0 {
+		seg := bytes.NewBufferString(walMagic)
+		for i, p := range fl.payloads[later:] {
+			if err := appendFrame(seg, uint64(later+i+1), p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, segName(uint64(later+1))), seg.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
 // frameVerdict is what one reader made of a log.
 type frameVerdict struct {
 	records [][]byte
 	torn    bool  // segment replay only
-	err     error // cursor and stream reader: why reading stopped (nil: "nothing more yet" / clean EOF)
+	err     error // walReader and stream reader: why reading stopped (nil: "nothing more yet" / clean EOF)
 }
 
-func replayVerdict(t *testing.T, name string, data []byte) frameVerdict {
+func replayVerdict(t *testing.T, dir string) frameVerdict {
 	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	payloads, scan := collectReplay(t, dir, 0)
 	return frameVerdict{records: payloads, torn: scan.Torn}
 }
 
-func cursorVerdict(t *testing.T, name string, data []byte, gate uint64) frameVerdict {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cur := newWALCursor(dir, 0)
-	defer cur.Close()
+func readerVerdict(dir string, gate uint64) frameVerdict {
+	r := newWALReader(dir, 0)
+	defer r.Close()
 	var v frameVerdict
 	for {
-		_, payload, ok, err := cur.next(gate)
-		if err != nil || !ok {
-			v.err = err
+		_, payload, err := r.next(gate)
+		if err != nil {
+			if err != io.EOF && err != io.ErrUnexpectedEOF {
+				v.err = err
+			}
 			return v
 		}
 		v.records = append(v.records, append([]byte(nil), payload...))
@@ -136,19 +154,24 @@ func checkPrefix(t *testing.T, reader string, got, want [][]byte) {
 // way a frame can be damaged, and checks all three readers.
 func TestFrameReadersMutatedFrames(t *testing.T) {
 	fl := buildFrameLog(t, 6)
+	truncateHeader := func(d []byte, at int) []byte { return d[:at+7] }
 	mutations := []struct {
 		name string
 		// mutate damages the frame starting at data[at] and returns the
 		// (possibly shortened) log.
 		mutate func(data []byte, at int) []byte
-		// stopsShort: the log just ends inside the header, which the
-		// cursor reads as "not written yet", not as corruption.
+		// stopsShort: the log just ends inside the header, which
+		// walReader reads as "not written yet", not as damage.
 		stopsShort bool
+		// later: a later segment holding the records from the damaged
+		// one on follows, as if the appender had rotated past it.
+		later bool
 	}{
 		{name: "flipped payload byte", mutate: func(d []byte, at int) []byte { d[at+walHeaderLen+2] ^= 0x01; return d }},
 		{name: "flipped CRC", mutate: func(d []byte, at int) []byte { d[at+5] ^= 0x80; return d }},
 		{name: "flipped seq", mutate: func(d []byte, at int) []byte { d[at+8] ^= 0x02; return d }},
-		{name: "truncated header", mutate: func(d []byte, at int) []byte { return d[:at+7] }, stopsShort: true},
+		{name: "truncated header", mutate: truncateHeader, stopsShort: true},
+		{name: "truncated header, later segment follows", mutate: truncateHeader, later: true},
 		{name: "truncated payload", mutate: func(d []byte, at int) []byte { return d[:at+walHeaderLen+3] }},
 	}
 	for _, m := range mutations {
@@ -156,21 +179,27 @@ func TestFrameReadersMutatedFrames(t *testing.T) {
 			t.Run(m.name+"/record="+string(rune('0'+victim)), func(t *testing.T) {
 				data := m.mutate(append([]byte(nil), fl.data...), fl.starts[victim])
 				want := fl.payloads[:victim]
+				later := 0
+				if m.later {
+					later = victim
+				}
+				dir := logDir(t, fl, data, later)
 
-				rv := replayVerdict(t, fl.name, data)
+				rv := replayVerdict(t, dir)
 				checkPrefix(t, "segment replay", rv.records, want)
 				if !rv.torn {
 					t.Fatal("segment replay did not report the damage as a torn tail")
 				}
 
-				cv := cursorVerdict(t, fl.name, data, uint64(len(fl.payloads)))
-				checkPrefix(t, "walCursor", cv.records, want)
+				cv := readerVerdict(dir, uint64(len(fl.payloads)))
+				checkPrefix(t, "walReader", cv.records, want)
+				var damage *walDamage
 				if m.stopsShort {
 					if cv.err != nil {
-						t.Fatalf("walCursor at a header that stops short returned %v, want \"nothing yet\"", cv.err)
+						t.Fatalf("walReader at a header that stops short returned %v, want \"nothing yet\"", cv.err)
 					}
-				} else if cv.err == nil || errors.Is(cv.err, errWALCompacted) {
-					t.Fatalf("walCursor over a damaged frame returned %v, want a corruption error", cv.err)
+				} else if !errors.As(cv.err, &damage) || errors.Is(cv.err, errWALCompacted) {
+					t.Fatalf("walReader over a damaged frame returned %v, want damage", cv.err)
 				}
 
 				sv := streamVerdict(t, data)
@@ -188,13 +217,15 @@ func TestFrameReadersMutatedFrames(t *testing.T) {
 // is overwritten with 1<<30 − 1 (inside the 1 GiB bound, so only the CRC
 // can reject it). Each reader must return the five records before it
 // and then its usual verdict — having allocated next to nothing. Before
-// readFrame, segment replay and walCursor each did make([]byte, length):
-// 1 GiB of TotalAlloc per recovery of a log with one flipped bit.
+// readFrame, segment replay and the replication cursor each did
+// make([]byte, length): 1 GiB of TotalAlloc per recovery of a log with
+// one flipped bit.
 func TestFrameReadersCorruptLengthBoundedAlloc(t *testing.T) {
 	fl := buildFrameLog(t, 6)
 	data := append([]byte(nil), fl.data...)
 	binary.LittleEndian.PutUint32(data[fl.starts[5]:], 1<<30-1)
 	want := fl.payloads[:5]
+	dir := logDir(t, fl, data, 0)
 
 	readers := []struct {
 		name string
@@ -202,9 +233,9 @@ func TestFrameReadersCorruptLengthBoundedAlloc(t *testing.T) {
 		// check judges the verdict beyond the record prefix.
 		check func(v frameVerdict) bool
 	}{
-		{"segment replay", func() frameVerdict { return replayVerdict(t, fl.name, data) },
+		{"segment replay", func() frameVerdict { return replayVerdict(t, dir) },
 			func(v frameVerdict) bool { return v.torn }},
-		{"walCursor", func() frameVerdict { return cursorVerdict(t, fl.name, data, 6) },
+		{"walReader", func() frameVerdict { return readerVerdict(dir, 6) },
 			func(v frameVerdict) bool { return v.err != nil }},
 		{"streamReader", func() frameVerdict { return streamVerdict(t, data) },
 			func(v frameVerdict) bool { return v.err != nil }},

@@ -34,9 +34,9 @@
 //     structures from it, so a service restart does not lose the index.
 //   - Durability: DurableIndex wraps a ShardedIndex with a segmented,
 //     CRC-checked write-ahead log — every mutation is logged before it is
-//     applied (fsync per batch, interval group-commit, or off),
-//     snapshots are taken automatically on policy, and the log segments
-//     a snapshot covers are compacted away. Recover loads the newest
+//     applied (fsync per batch or interval group-commit), snapshots are
+//     taken automatically on policy, and the log segments a snapshot
+//     covers are compacted away. Recover loads the newest
 //     valid snapshot and replays the log tail, stopping cleanly at a
 //     torn final record, so a crash loses at most the unacknowledged
 //     write in flight.

@@ -3,10 +3,11 @@ package linkindex
 import "sync"
 
 // This file implements the shard-parallel WAL replay pipeline Recover
-// feeds every log tail through: the read+CRC+decode work stays in the
-// reader goroutine (replayWAL's callback), which hands the partitioned
-// per-shard ops to one apply worker per shard over bounded channels, so
-// decoding runs ahead of index building.
+// feeds every log tail through: the read+CRC work (replayWAL's
+// walReader) and the decode (replayWAL's callback) stay in the
+// recovering goroutine, which hands the partitioned per-shard ops to one
+// apply worker per shard over bounded channels, so decoding runs ahead
+// of index building.
 //
 // Soundness: recovery correctness requires apply order ≡ log order per
 // entity ID. An ID hashes to exactly one shard, every record's ops for

@@ -194,8 +194,8 @@ func (d *DurableIndex) ServeWALStream(w http.ResponseWriter, r *http.Request) {
 	if _, err := io.WriteString(w, replStreamMagic); err != nil {
 		return
 	}
-	cur := newWALCursor(d.dir, fromSeq)
-	defer cur.Close()
+	rd := newWALReader(d.dir, fromSeq)
+	defer rd.Close()
 	hb := make([]byte, replHeartbeatLen)
 	heartbeat := func(gate uint64) error {
 		binary.LittleEndian.PutUint64(hb[0:8], gate)
@@ -220,15 +220,16 @@ func (d *DurableIndex) ServeWALStream(w http.ResponseWriter, r *http.Request) {
 		}
 		_ = rc.SetWriteDeadline(time.Now().Add(replWriteTimeout))
 		for {
-			seq, payload, ok, err := cur.next(gate)
-			if err != nil {
-				// errWALCompacted: the cursor fell behind compaction
-				// mid-stream. Nothing useful can follow a 200; drop the
-				// stream and let the reconnect get the 410.
-				return
+			seq, payload, err := rd.next(gate)
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				break // nothing more on disk yet: wait for the next append
 			}
-			if !ok {
-				break
+			if err != nil {
+				// Compaction overtook the reader, or the log is damaged.
+				// Nothing useful can follow a 200: drop the stream. The
+				// follower reconnects, and gets the 410 if its next record
+				// was compacted away.
+				return
 			}
 			if err := appendFrame(w, seq, payload); err != nil {
 				return

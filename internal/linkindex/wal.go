@@ -123,13 +123,13 @@ func appendFrame(w io.Writer, seq uint64, payload []byte) error {
 }
 
 // readFrame decodes the frame at the head of r — the one decoder behind
-// segment replay, the replication cursor and the follower's stream
-// reader. It trusts nothing it has not verified: the length is bounded,
-// the payload grows in buf from the bytes that actually arrive (a
-// corrupt header claiming 1 GiB must not allocate 1 GiB before the CRC
-// can reject it), and the CRC is checked before the frame is returned.
-// The payload aliases buf. A header that stops short comes back bare, as
-// io.ReadFull reports it: io.EOF on a frame boundary, else
+// walReader (recovery and the replication stream) and the follower's
+// stream reader. It trusts nothing it has not verified: the length is
+// bounded, the payload grows in buf from the bytes that actually arrive
+// (a corrupt header claiming 1 GiB must not allocate 1 GiB before the
+// CRC can reject it), and the CRC is checked before the frame is
+// returned. The payload aliases buf. A header that stops short comes
+// back bare, as io.ReadFull reports it: io.EOF on a frame boundary, else
 // io.ErrUnexpectedEOF; every other failure is wrapped and never bare
 // io.EOF. What a failure means (torn tail, not yet written, broken
 // stream) and the sequence-number check are the caller's.
@@ -261,7 +261,12 @@ func (w *wal) openSegmentLocked(firstSeq uint64) error {
 		return fmt.Errorf("linkindex: wal: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	if _, err := bw.WriteString(walMagic); err != nil {
+	// Flush the magic now: a crash before the first append must leave a
+	// valid empty segment, not a zero-byte file recovery reads as torn.
+	if _, err = bw.WriteString(walMagic); err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("linkindex: wal: %w", err)
 	}
@@ -492,115 +497,50 @@ type walScan struct {
 	LastSeq uint64
 	// Records counts the records handed to fn.
 	Records int
-	// Segments counts the segment files present (replayed or not).
-	Segments int
 	// Torn reports that the scan stopped at a corrupt or truncated
 	// record instead of the end of the log.
 	Torn bool
-	// tornPath/tornOffset locate the torn tail: the segment holding it
-	// and the byte offset of its last valid record end. later holds the
-	// paths of segments after the torn one, whose records are
-	// unreplayable (their ordering can no longer be trusted).
-	tornPath   string
-	tornOffset int64
-	later      []string
+	// cut/cutOffset locate the torn tail: the segment holding it and the
+	// byte offset at which its valid records end.
+	cut       walSegment
+	cutOffset int64
 }
 
 // replayWAL streams every record with sequence number > fromSeq to fn,
-// in order. It stops cleanly — never panics, never errors — at the first
-// torn or corrupt record: a truncated header or payload, a CRC mismatch,
-// a non-contiguous sequence number, or an fn error (an undecodable
-// payload), reporting the stop through walScan.Torn. Real I/O errors
-// (an unreadable directory) are returned as err.
+// in order. It stops cleanly — never panics, never errors — wherever the
+// reader finds the log damaged (a truncated header or payload, a CRC
+// mismatch, a sequence gap within or across segments) or fn rejects a
+// record (an undecodable payload), reporting the stop through
+// walScan.Torn. Real I/O errors (an unreadable directory) are returned
+// as err.
 func replayWAL(dir string, fromSeq uint64, fn func(seq uint64, payload []byte) error) (walScan, error) {
-	segs, err := listSegments(dir)
-	if err != nil {
-		return walScan{}, err
-	}
-	scan := walScan{LastSeq: fromSeq, Segments: len(segs)}
-	for i, seg := range segs {
-		// A segment is fully covered by fromSeq when the next segment
-		// starts at or below fromSeq+1; skip reading it entirely.
-		if i+1 < len(segs) && segs[i+1].firstSeq <= fromSeq+1 {
-			continue
-		}
-		// A segment starting past the next expected sequence number means
-		// a segment in between is missing (a partial directory copy, a
-		// manual deletion): the records from here on cannot be trusted to
-		// follow the log order. Stop cleanly, discarding them.
-		if seg.firstSeq > scan.LastSeq+1 {
-			scan.Torn = true
-			scan.tornPath = seg.path
-			scan.tornOffset = 0
-			for _, later := range segs[i+1:] {
-				scan.later = append(scan.later, later.path)
-			}
-			return scan, nil
-		}
-		stop, err := replaySegment(seg, fromSeq, &scan, fn)
-		if err != nil {
-			return scan, err
-		}
-		if stop {
-			for _, later := range segs[i+1:] {
-				scan.later = append(scan.later, later.path)
-			}
-			return scan, nil
-		}
-	}
-	return scan, nil
-}
-
-// replaySegment replays one segment into fn, updating scan. It reports
-// stop=true when the scan must not continue into later segments (a torn
-// or corrupt record was found).
-func replaySegment(seg walSegment, fromSeq uint64, scan *walScan, fn func(seq uint64, payload []byte) error) (bool, error) {
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return false, fmt.Errorf("linkindex: wal: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-
-	torn := func(validEnd int64) {
-		scan.Torn = true
-		scan.tornPath = seg.path
-		scan.tornOffset = validEnd
-	}
-
-	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != walMagic {
-		// Not a segment this build can read (torn creation or foreign
-		// bytes): treat the whole file as a torn tail.
-		torn(0)
-		return true, nil
-	}
-	offset := int64(len(walMagic))
-	expect := seg.firstSeq
-	var buf bytes.Buffer
+	r := newWALReader(dir, fromSeq)
+	defer r.Close()
+	scan := walScan{LastSeq: fromSeq}
 	for {
-		seq, payload, err := readFrame(r, &buf)
-		if err == io.EOF {
-			return false, nil // clean end of segment
-		}
-		if err != nil || seq != expect {
-			// Truncated header or payload, absurd length, CRC mismatch or a
-			// sequence gap: the valid log ends before this record.
-			torn(offset)
-			return true, nil
-		}
-		if seq > fromSeq {
-			if err := fn(seq, payload); err != nil {
-				// CRC-valid but undecodable: a format drift, not a torn
-				// write — still stop cleanly rather than guess.
-				torn(offset)
-				return true, nil
+		seq, payload, err := r.next(math.MaxUint64)
+		var damage *walDamage
+		switch {
+		case err == io.EOF:
+			return scan, nil
+		case err == io.ErrUnexpectedEOF:
+			scan.cut, scan.cutOffset = r.seg, r.offset
+		case errors.As(err, &damage):
+			scan.cut, scan.cutOffset = damage.seg, damage.offset
+		case err != nil:
+			return scan, err
+		default:
+			if fn(seq, payload) == nil {
+				scan.LastSeq = seq
+				scan.Records++
+				continue
 			}
-			scan.LastSeq = seq
-			scan.Records++
+			// CRC-valid but undecodable: a format drift, not a torn write —
+			// still cut the log before it rather than guess.
+			scan.cut, scan.cutOffset = r.seg, r.offset-int64(walHeaderLen+len(payload))
 		}
-		offset += int64(walHeaderLen + len(payload))
-		expect = seq + 1
+		scan.Torn = true
+		return scan, nil
 	}
 }
 
@@ -609,149 +549,170 @@ func replaySegment(seg walSegment, fromSeq uint64, scan *walScan, fn func(seq ui
 // and must re-bootstrap from a snapshot instead of the log.
 var errWALCompacted = errors.New("linkindex: wal: records compacted away; re-bootstrap from a snapshot")
 
-// walCursor reads committed records sequentially from the segment files,
-// decoupled from the appender: it opens segments read-only and validates
-// every record (readFrame's length bound and CRC, then sequence
-// contiguity) as it goes — this is the leader-side read path of the
-// replication stream. The
-// appender may keep writing while a cursor reads; callers gate each read
-// on LastSeq, and every record up to it has reached the OS because
-// Append flushes before it returns, so the cursor never parses a
-// half-written tail.
-type walCursor struct {
-	dir     string
-	nextSeq uint64 // sequence number of the next record to return
-	f       *os.File
-	r       *io.SectionReader // f as an io.Reader, re-positioned to offset before every read
-	offset  int64             // byte offset of the next unread byte in f
-	expect  uint64            // sequence number of the record at offset
-	buf     bytes.Buffer      // reusable payload buffer
+// walDamage is a stop that no later append can cure: a segment without
+// the magic, a frame readFrame rejects, a sequence gap, a frame cut short
+// with more log after it, or deleted records (err is errWALCompacted).
+// The valid log ends at offset in seg.
+type walDamage struct {
+	seg    walSegment
+	offset int64
+	err    error
 }
 
-// newWALCursor positions a cursor after fromSeq: the first record it
+func (d *walDamage) Error() string {
+	return fmt.Sprintf("linkindex: wal: %s at offset %d: %v", filepath.Base(d.seg.path), d.offset, d.err)
+}
+
+func (d *walDamage) Unwrap() error { return d.err }
+
+// walReader reads records in log order across the segment files. It is
+// the one segment reader: recovery (replayWAL) and the leader's
+// replication stream (ServeWALStream) both read through it, and keep
+// only their own policy for what a stop means. It opens segments
+// read-only, decoupled from the appender, and checks every record:
+// readFrame's length bound and CRC, then sequence contiguity within and
+// across segments. The appender may keep writing while a reader reads:
+// callers gate each read on LastSeq, and every record up to it has
+// reached the OS because Append flushes before it returns.
+type walReader struct {
+	dir     string
+	nextSeq uint64        // sequence number of the next record to return
+	seg     walSegment    // the open segment
+	f       *os.File      // nil until the first segment is open
+	br      *bufio.Reader // f, buffered
+	offset  int64         // byte offset in f of the frame br reads next
+	expect  uint64        // sequence number of the frame at offset
+	buf     bytes.Buffer  // payload buffer; a returned payload aliases it
+}
+
+// newWALReader positions a reader after fromSeq: the first record it
 // returns is fromSeq+1.
-func newWALCursor(dir string, fromSeq uint64) *walCursor {
-	return &walCursor{dir: dir, nextSeq: fromSeq + 1}
+func newWALReader(dir string, fromSeq uint64) *walReader {
+	return &walReader{dir: dir, nextSeq: fromSeq + 1, br: bufio.NewReaderSize(nil, 1<<16)}
 }
 
 // Close releases the open segment file, if any.
-func (c *walCursor) Close() {
-	if c.f != nil {
-		c.f.Close()
-		c.f = nil
+func (r *walReader) Close() {
+	if r.f != nil {
+		r.f.Close()
+		r.f = nil
 	}
 }
 
-// seek opens the segment holding nextSeq, leaving c.f nil when no
-// on-disk segment can hold it yet (the record has not been appended).
-// It returns errWALCompacted when the segment was deleted by compaction.
-func (c *walCursor) seek() error {
-	segs, err := listSegments(c.dir)
-	if err != nil {
-		return err
-	}
-	idx := -1
-	for i, s := range segs {
-		if s.firstSeq <= c.nextSeq {
-			idx = i
-		} else {
-			break
-		}
-	}
-	if idx == -1 {
-		if len(segs) > 0 {
-			// The oldest surviving segment starts past nextSeq: the records
-			// in between are gone.
-			return errWALCompacted
-		}
-		return nil
-	}
-	f, err := os.Open(segs[idx].path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return errWALCompacted // deleted between list and open
-		}
-		return fmt.Errorf("linkindex: wal: %w", err)
-	}
-	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != walMagic {
-		f.Close()
-		return fmt.Errorf("linkindex: wal: segment %s has no magic", segs[idx].path)
-	}
-	c.f, c.r = f, io.NewSectionReader(f, 0, math.MaxInt64)
-	c.offset, c.expect = int64(len(walMagic)), segs[idx].firstSeq
-	return nil
-}
-
-// next returns the next committed record with sequence number ≤ gate.
-// ok=false means no such record is readable yet (the caller should wait
-// for appends and retry); errWALCompacted means the cursor's position
-// was compacted away. The returned payload is only valid until the next
-// call.
-func (c *walCursor) next(gate uint64) (seq uint64, payload []byte, ok bool, err error) {
-	for {
-		if c.nextSeq > gate {
-			return 0, nil, false, nil
-		}
-		if c.f == nil {
-			if err := c.seek(); err != nil {
-				return 0, nil, false, err
-			}
-			if c.f == nil {
-				return 0, nil, false, nil
+// next returns the next record with sequence number ≤ gate; the payload
+// is valid until the next call. io.EOF means nothing more up to gate is
+// on disk yet, and io.ErrUnexpectedEOF that the last segment ends inside
+// a frame header. Every other stop in the log is a *walDamage; any
+// other error is a real I/O failure.
+func (r *walReader) next(gate uint64) (uint64, []byte, error) {
+	for r.nextSeq <= gate {
+		if r.f == nil {
+			if err := r.open(); err != nil {
+				return 0, nil, err
 			}
 		}
-		// Read by offset, not by position: a frame the appender has not
-		// finished is re-read from its start on the next call. (Seek to a
-		// non-negative absolute offset cannot fail.)
-		_, _ = c.r.Seek(c.offset, io.SeekStart)
-		seq, payload, rerr := readFrame(c.r, &c.buf)
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			// Clean or partial end of this segment. Every record up to
-			// gate is fully flushed, so a record we still need lives in
-			// the segment the appender rotated to: re-seek there. If the
-			// re-seek lands on the same segment (rotation mid-flight),
-			// report "nothing yet" and let the caller retry.
-			again, aerr := c.reseek()
-			if aerr != nil {
-				return 0, nil, false, aerr
-			}
-			if !again {
-				return 0, nil, false, nil
+		seq, payload, err := readFrame(r.br, &r.buf)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			if err := r.endOfSegment(err); err != nil {
+				return 0, nil, err
 			}
 			continue
 		}
-		if rerr != nil {
-			return 0, nil, false, fmt.Errorf("linkindex: wal: record at offset %d: %w", c.offset, rerr)
+		if err == nil && seq != r.expect {
+			err = fmt.Errorf("frame seq %d, want %d", seq, r.expect)
 		}
-		if seq != c.expect {
-			return 0, nil, false, fmt.Errorf("linkindex: wal: corrupt record at offset %d (seq %d, want seq %d)",
-				c.offset, seq, c.expect)
+		if err != nil {
+			return 0, nil, r.damage(err)
 		}
-		c.offset += int64(walHeaderLen + len(payload))
-		c.expect = seq + 1
-		if seq >= c.nextSeq {
-			c.nextSeq = seq + 1
-			return seq, payload, true, nil
+		r.offset += int64(walHeaderLen + len(payload))
+		r.expect = seq + 1
+		if seq >= r.nextSeq {
+			r.nextSeq = seq + 1
+			return seq, payload, nil
 		}
-		// A record below nextSeq (re-positioned cursor): skip it.
+		// A record below nextSeq (the reader started mid-segment): skip
+		// it.
 	}
+	return 0, nil, io.EOF
 }
 
-// reseek closes the current segment and re-seeks for nextSeq, reporting
-// whether the cursor moved to a different position worth re-reading.
-func (c *walCursor) reseek() (bool, error) {
-	segs, err := listSegments(c.dir)
+// open opens the segment holding nextSeq: the last one starting at or
+// before it. With no segment on disk yet there is nothing to read
+// (io.EOF); an oldest segment starting past nextSeq means the records in
+// between were deleted.
+func (r *walReader) open() error {
+	segs, err := listSegments(r.dir)
 	if err != nil {
-		return false, err
+		return err
 	}
-	for _, s := range segs {
-		if s.firstSeq == c.nextSeq {
-			c.Close()
-			return true, c.seek()
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].firstSeq > r.nextSeq })
+	if i == 0 {
+		if len(segs) == 0 {
+			return io.EOF
 		}
+		return &walDamage{seg: segs[0], err: errWALCompacted}
 	}
-	return false, nil
+	return r.openSegment(segs[i-1])
+}
+
+// openSegment makes seg the open segment, positioned after its magic.
+// It is the only place a segment is opened for reading.
+func (r *walReader) openSegment(seg walSegment) error {
+	f, err := os.Open(seg.path)
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return &walDamage{seg: seg, err: errWALCompacted} // deleted between list and open
+		}
+		return fmt.Errorf("linkindex: wal: %w", err)
+	}
+	r.Close()
+	r.seg, r.f, r.offset, r.expect = seg, f, 0, seg.firstSeq
+	r.br.Reset(f)
+	var magic [len(walMagic)]byte
+	if _, err := io.ReadFull(r.br, magic[:]); err != nil || string(magic[:]) != walMagic {
+		// Not a segment this build can read (torn creation or foreign
+		// bytes).
+		return r.damage(errors.New("segment has no magic"))
+	}
+	r.offset = int64(len(walMagic))
+	return nil
+}
+
+// endOfSegment is the one rule for a segment whose bytes ran out; stop
+// is readFrame's io.EOF (on a frame boundary) or io.ErrUnexpectedEOF
+// (inside a header). With no later segment the log ends here: the
+// reader rewinds to offset, so a tail still being written is re-read
+// from its frame start, and returns stop. On a frame boundary, a later
+// segment starting at the next expected seq is opened. Anything else is
+// damage: the open segment has left the directory (compaction overtook
+// the reader), a header was cut short with more log after it, or a
+// segment in between is missing.
+func (r *walReader) endOfSegment(stop error) error {
+	segs, err := listSegments(r.dir)
+	if err != nil {
+		return err
+	}
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].firstSeq > r.seg.firstSeq })
+	switch {
+	case i == len(segs):
+		if _, err := r.f.Seek(r.offset, io.SeekStart); err != nil {
+			return fmt.Errorf("linkindex: wal: %w", err)
+		}
+		r.br.Reset(r.f)
+		return stop
+	case stop == io.EOF && segs[i].firstSeq == r.expect:
+		return r.openSegment(segs[i])
+	case i == 0 || segs[i-1].firstSeq != r.seg.firstSeq:
+		return r.damage(errWALCompacted)
+	case stop == io.ErrUnexpectedEOF:
+		return r.damage(fmt.Errorf("frame header cut short, %s follows", filepath.Base(segs[i].path)))
+	}
+	return r.damage(fmt.Errorf("next segment starts at seq %d, want %d", segs[i].firstSeq, r.expect))
+}
+
+// damage reports err at the reader's position.
+func (r *walReader) damage(err error) error {
+	return &walDamage{seg: r.seg, offset: r.offset, err: err}
 }
 
 // oldestWALSeq returns the first record sequence number still covered by
@@ -766,26 +727,33 @@ func oldestWALSeq(dir string, lastSeq uint64) uint64 {
 }
 
 // discardTornTail removes the unreplayable bytes a torn scan found: the
-// torn segment is truncated to its last valid record and every later
-// segment is deleted, so the next recovery sees a clean log end and new
+// cut segment is truncated to its last valid record and every segment
+// after it is deleted, so the next recovery sees a clean log end and new
 // appends cannot interleave with garbage.
 func (s walScan) discardTornTail() error {
 	if !s.Torn {
 		return nil
 	}
-	if s.tornOffset == 0 {
+	if s.cutOffset == 0 {
 		// Nothing in the file checked out (not even the magic): remove it
-		// rather than leave a zero-byte segment that would read as torn
-		// forever.
-		if err := os.Remove(s.tornPath); err != nil {
+		// rather than leave a segment that would read as torn forever.
+		if err := os.Remove(s.cut.path); err != nil {
 			return fmt.Errorf("linkindex: wal: %w", err)
 		}
-	} else if err := os.Truncate(s.tornPath, s.tornOffset); err != nil {
+	} else if err := os.Truncate(s.cut.path, s.cutOffset); err != nil {
 		return fmt.Errorf("linkindex: wal: %w", err)
 	}
-	for _, path := range s.later {
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("linkindex: wal: %w", err)
+	// The records past the cut can no longer be trusted to follow the
+	// log order.
+	segs, err := listSegments(filepath.Dir(s.cut.path))
+	if err != nil {
+		return err
+	}
+	for _, seg := range segs {
+		if seg.firstSeq > s.cut.firstSeq {
+			if err := os.Remove(seg.path); err != nil {
+				return fmt.Errorf("linkindex: wal: %w", err)
+			}
 		}
 	}
 	return nil

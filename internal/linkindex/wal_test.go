@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -261,14 +262,18 @@ func TestFsyncPolicyByName(t *testing.T) {
 	}
 }
 
-// FuzzWALReplay mutates and truncates a valid log: replay must never
-// panic, and — because CRC-32C catches every single-byte flip — the
-// replayed records must always be a byte-exact prefix of the original
-// ones. With no mutation (xor 0, no truncation) the full log replays.
+// FuzzWALReplay damages a valid three-segment log: it flips one byte
+// and truncates at one position of the segments laid end to end (the
+// truncated segment is cut, the ones after it stay), and drops one
+// segment file. Replay must never panic, and — because CRC-32C catches
+// every single-byte flip and the reader checks sequence contiguity
+// across segments — the replayed records must always be a byte-exact
+// prefix of the original ones. With no damage (xor 0, no truncation, no
+// drop) the full log replays.
 func FuzzWALReplay(f *testing.F) {
-	// Build the baseline log once.
+	// Build the baseline log once: eight records in three segments.
 	base := f.TempDir()
-	w, err := openWAL(base, 0, walOptions{Fsync: FsyncIntervalPolicy})
+	w, err := openWAL(base, 0, walOptions{Fsync: FsyncIntervalPolicy, SegmentBytes: 100})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -282,32 +287,60 @@ func FuzzWALReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	segs, err := listSegments(base)
-	if err != nil || len(segs) != 1 {
+	if err != nil || len(segs) != 3 {
 		f.Fatalf("baseline segments = %v, %v", segs, err)
 	}
-	valid, err := os.ReadFile(segs[0].path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	segFile := filepath.Base(segs[0].path)
-
-	f.Add(uint32(0), byte(0), uint32(len(valid)))     // untouched
-	f.Add(uint32(9), byte(0x40), uint32(len(valid)))  // flip in first header
-	f.Add(uint32(40), byte(0x01), uint32(len(valid))) // flip in a payload
-	f.Add(uint32(0), byte(0xff), uint32(len(valid)))  // flip in the magic
-	f.Add(uint32(0), byte(0), uint32(len(valid)-2))   // torn final record
-	f.Add(uint32(0), byte(0), uint32(3))              // torn magic
-	f.Fuzz(func(t *testing.T, mutPos uint32, mutXor byte, truncTo uint32) {
-		data := append([]byte(nil), valid...)
-		if n := int(truncTo); n < len(data) {
-			data = data[:n]
+	names := make([]string, len(segs))
+	valid := make([][]byte, len(segs))
+	total := 0
+	for i, seg := range segs {
+		names[i] = filepath.Base(seg.path)
+		if valid[i], err = os.ReadFile(seg.path); err != nil {
+			f.Fatal(err)
 		}
-		if len(data) > 0 {
-			data[int(mutPos)%len(data)] ^= mutXor
+		total += len(valid[i])
+	}
+	const noDrop = 0xff
+
+	f.Add(uint32(0), byte(0), uint32(total), byte(noDrop))            // untouched
+	f.Add(uint32(9), byte(0x40), uint32(total), byte(noDrop))         // flip in first header
+	f.Add(uint32(40), byte(0x01), uint32(total), byte(noDrop))        // flip in a payload
+	f.Add(uint32(0), byte(0xff), uint32(total), byte(noDrop))         // flip in the magic
+	f.Add(uint32(0), byte(0), uint32(total-2), byte(noDrop))          // torn final record
+	f.Add(uint32(0), byte(0), uint32(3), byte(noDrop))                // torn magic
+	f.Add(uint32(0), byte(0), uint32(len(valid[0])-20), byte(noDrop)) // header cut short, later segments follow
+	for drop := range segs {
+		f.Add(uint32(0), byte(0), uint32(total), byte(drop)) // a missing segment
+	}
+	f.Fuzz(func(t *testing.T, mutPos uint32, mutXor byte, truncTo uint32, drop byte) {
+		data := make([][]byte, len(valid))
+		for i := range valid {
+			data[i] = append([]byte(nil), valid[i]...)
+		}
+		// at maps a position in the segments laid end to end to
+		// (segment, offset).
+		at := func(pos int) (int, int) {
+			i := 0
+			for pos >= len(valid[i]) {
+				pos -= len(valid[i])
+				i++
+			}
+			return i, pos
+		}
+		i, off := at(int(mutPos % uint32(total)))
+		data[i][off] ^= mutXor
+		if int(truncTo) < total {
+			i, off := at(int(truncTo))
+			data[i] = data[i][:off]
 		}
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segFile), data, 0o644); err != nil {
-			t.Fatal(err)
+		for i := range data {
+			if i == int(drop) {
+				continue
+			}
+			if err := os.WriteFile(filepath.Join(dir, names[i]), data[i], 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 
 		var got [][]byte
@@ -326,7 +359,7 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatalf("record %d = %q, want prefix record %q", i, got[i], payloads[i])
 			}
 		}
-		if mutXor == 0 && int(truncTo) >= len(valid) && (scan.Torn || len(got) != len(payloads)) {
+		if mutXor == 0 && int(truncTo) >= total && int(drop) >= len(data) && (scan.Torn || len(got) != len(payloads)) {
 			t.Fatalf("untouched log replayed %d/%d records (torn=%v)", len(got), len(payloads), scan.Torn)
 		}
 		// discarding the torn tail must always leave a cleanly replayable log
@@ -428,12 +461,12 @@ func TestWALIntervalFsyncFailurePoisonsLog(t *testing.T) {
 	}
 }
 
-func TestWALCursorStreamsAcrossRotation(t *testing.T) {
+func TestWALReaderStreamsAcrossRotation(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments force a rotation roughly every append, so the cursor
+	// Tiny segments force a rotation roughly every append, so the reader
 	// must hop segment files mid-stream. Under the group-commit policy
 	// nothing is fsynced yet, but every appended record has reached the
-	// OS, which is all the cursor needs.
+	// OS, which is all the reader needs.
 	w, err := openWAL(dir, 0, walOptions{Fsync: FsyncIntervalPolicy, SegmentBytes: 48})
 	if err != nil {
 		t.Fatal(err)
@@ -444,36 +477,36 @@ func TestWALCursorStreamsAcrossRotation(t *testing.T) {
 	if w.Segments() < 3 {
 		t.Fatalf("want ≥3 segments for a rotation-spanning read, got %d", w.Segments())
 	}
-	cur := newWALCursor(dir, 0)
-	defer cur.Close()
+	r := newWALReader(dir, 0)
+	defer r.Close()
 	gate := w.LastSeq()
 	for i, want := range payloads {
-		seq, payload, ok, err := cur.next(gate)
-		if err != nil || !ok {
-			t.Fatalf("next(%d): ok=%v err=%v", i, ok, err)
+		seq, payload, err := r.next(gate)
+		if err != nil {
+			t.Fatalf("next(%d): %v", i, err)
 		}
 		if seq != uint64(i+1) || !bytes.Equal(payload, want) {
 			t.Fatalf("record %d = (seq %d, %q), want (seq %d, %q)", i, seq, payload, i+1, want)
 		}
 	}
-	if _, _, ok, err := cur.next(gate); ok || err != nil {
-		t.Fatalf("drained cursor returned ok=%v err=%v", ok, err)
+	if _, _, err := r.next(gate); err != io.EOF {
+		t.Fatalf("drained reader returned %v, want io.EOF", err)
 	}
-	// The gate bounds the cursor: records appended later stay invisible
+	// The gate bounds the reader: records appended later stay invisible
 	// until the caller re-gates.
 	if _, err := w.Append([]byte("tail")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, _ := cur.next(gate); ok {
-		t.Fatal("cursor read past its gate")
+	if _, _, err := r.next(gate); err != io.EOF {
+		t.Fatalf("reader past its gate returned %v, want io.EOF", err)
 	}
-	seq, payload, ok, err := cur.next(w.LastSeq())
-	if err != nil || !ok || seq != gate+1 || string(payload) != "tail" {
-		t.Fatalf("re-gated next = (%d, %q, %v, %v), want (%d, \"tail\", true, nil)", seq, payload, ok, err, gate+1)
+	seq, payload, err := r.next(w.LastSeq())
+	if err != nil || seq != gate+1 || string(payload) != "tail" {
+		t.Fatalf("re-gated next = (%d, %q, %v), want (%d, \"tail\", nil)", seq, payload, err, gate+1)
 	}
 }
 
-func TestWALCursorSkipsToFromSeq(t *testing.T) {
+func TestWALReaderSkipsToFromSeq(t *testing.T) {
 	dir := t.TempDir()
 	w, err := openWAL(dir, 0, walOptions{Fsync: FsyncIntervalPolicy})
 	if err != nil {
@@ -482,15 +515,15 @@ func TestWALCursorSkipsToFromSeq(t *testing.T) {
 	defer w.Close()
 	payloads := testPayloads(8)
 	appendAll(t, w, payloads)
-	cur := newWALCursor(dir, 5)
-	defer cur.Close()
-	seq, payload, ok, err := cur.next(w.LastSeq())
-	if err != nil || !ok || seq != 6 || !bytes.Equal(payload, payloads[5]) {
-		t.Fatalf("next = (%d, %q, %v, %v), want record 6", seq, payload, ok, err)
+	r := newWALReader(dir, 5)
+	defer r.Close()
+	seq, payload, err := r.next(w.LastSeq())
+	if err != nil || seq != 6 || !bytes.Equal(payload, payloads[5]) {
+		t.Fatalf("next = (%d, %q, %v), want record 6", seq, payload, err)
 	}
 }
 
-func TestWALCursorReportsCompaction(t *testing.T) {
+func TestWALReaderReportsCompaction(t *testing.T) {
 	dir := t.TempDir()
 	w, err := openWAL(dir, 0, walOptions{Fsync: FsyncIntervalPolicy, SegmentBytes: 48})
 	if err != nil {
@@ -505,12 +538,86 @@ func TestWALCursorReportsCompaction(t *testing.T) {
 	if err := os.Remove(segs[0].path); err != nil {
 		t.Fatal(err)
 	}
-	cur := newWALCursor(dir, 0)
-	defer cur.Close()
-	if _, _, _, err := cur.next(w.LastSeq()); !errors.Is(err, errWALCompacted) {
-		t.Fatalf("cursor over a compacted-away position returned %v, want errWALCompacted", err)
+	r := newWALReader(dir, 0)
+	defer r.Close()
+	if _, _, err := r.next(w.LastSeq()); !errors.Is(err, errWALCompacted) {
+		t.Fatalf("reader over a compacted-away position returned %v, want errWALCompacted", err)
 	}
 	if oldest := oldestWALSeq(dir, w.LastSeq()); oldest != segs[1].firstSeq {
 		t.Fatalf("oldestWALSeq = %d, want %d", oldest, segs[1].firstSeq)
+	}
+}
+
+// TestWALReaderRereadsPartialTail pins the end-of-log rule: a reader
+// that stops inside a frame header rewinds to the frame's start, so once
+// the rest of the frame lands it reads the whole record.
+func TestWALReaderRereadsPartialTail(t *testing.T) {
+	fl := buildFrameLog(t, 3)
+	dir := t.TempDir()
+	path := filepath.Join(dir, fl.name)
+	cut := fl.starts[2] + 7
+	if err := os.WriteFile(path, fl.data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := newWALReader(dir, 0)
+	defer r.Close()
+	for i := 0; i < 2; i++ {
+		if _, _, err := r.next(3); err != nil {
+			t.Fatalf("next(%d): %v", i, err)
+		}
+	}
+	if _, _, err := r.next(3); err != io.ErrUnexpectedEOF {
+		t.Fatalf("next over a header cut short = %v, want io.ErrUnexpectedEOF", err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(fl.data[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seq, payload, err := r.next(3)
+	if err != nil || seq != 3 || !bytes.Equal(payload, fl.payloads[2]) {
+		t.Fatalf("next after the tail landed = (%d, %q, %v), want record 3", seq, payload, err)
+	}
+}
+
+// TestWALReaderCompactedMidStream is the regression test for a stream
+// that compaction overtakes: the segment the reader has open and the
+// one after it are deleted, as compaction deletes them, while the reader
+// sits at the end of the open one. The next read must report the lost
+// records — before walReader it returned "nothing yet" forever, and the
+// follower heartbeated along with a growing lag instead of
+// re-bootstrapping.
+func TestWALReaderCompactedMidStream(t *testing.T) {
+	dir := t.TempDir()
+	w, err := openWAL(dir, 0, walOptions{Fsync: FsyncIntervalPolicy, SegmentBytes: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	appendAll(t, w, testPayloads(9))
+	r := newWALReader(dir, 0)
+	defer r.Close()
+	gate := w.LastSeq()
+	for i := 0; i < 2; i++ {
+		if _, _, err := r.next(gate); err != nil {
+			t.Fatalf("next(%d): %v", i, err)
+		}
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) < 3 || segs[1].firstSeq != 3 {
+		t.Fatalf("want records 1–2 alone in the first segment, got %v (%v)", segs, err)
+	}
+	for _, seg := range segs[:2] {
+		if err := os.Remove(seg.path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := r.next(gate); !errors.Is(err, errWALCompacted) {
+		t.Fatalf("reader overtaken by compaction returned %v, want errWALCompacted", err)
 	}
 }

@@ -31,10 +31,18 @@ wait_healthy() {
   fail "server at $BASE never became healthy"
 }
 
+# Each boot's stderr goes to server.log, replacing the previous boot's.
 start_server() {
-  "$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch &
+  "$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch 2>"$WORK/server.log" &
   PID=$!
   wait_healthy
+}
+
+# Every kill in this script happens with no write in flight, so a
+# restart must find no torn tail to discard.
+check_clean_recovery() {
+  grep -q 'torn tail discarded: false' "$WORK/server.log" ||
+    fail "restart did not log a clean recovery: $(grep recovered "$WORK/server.log" || echo 'no recovery line')"
 }
 
 crash_server() {
@@ -85,6 +93,7 @@ crash_server
 
 echo "backfill_smoke: restart — must recover the pre-backfill state"
 start_server
+check_clean_recovery
 entities=$(curl -fsS "$BASE/stats" | jq -r .entities)
 [ "$entities" = "1" ] || fail "pre-barrier crash recovered $entities entities, want 1 (logged only)"
 code=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/entities/bf1")
@@ -108,6 +117,7 @@ crash_server
 
 echo "backfill_smoke: restart — must recover the whole load"
 start_server
+check_clean_recovery
 entities=$(curl -fsS "$BASE/stats" | jq -r .entities)
 [ "$entities" = "4" ] || fail "post-barrier crash recovered $entities entities, want 4"
 match=$(curl -fsS "$BASE/match?id=bf1&k=5" | jq -r '.links[0].id')

@@ -45,7 +45,7 @@ EOF
 go build -o "$BIN" ./cmd/genlinkd
 
 echo "crash_smoke: first boot"
-"$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch &
+"$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch 2>"$WORK/server.log" &
 PID=$!
 wait_healthy
 
@@ -70,9 +70,14 @@ wait "$PID" 2>/dev/null || true
 PID=""
 
 echo "crash_smoke: restart on the same -wal-dir"
-"$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch &
+"$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch 2>"$WORK/server.log" &
 PID=$!
 wait_healthy
+
+# The kill happened with no write in flight, so the restart must find no
+# torn tail to discard.
+grep -q 'torn tail discarded: false' "$WORK/server.log" ||
+  fail "restart did not log a clean recovery: $(grep recovered "$WORK/server.log" || echo 'no recovery line')"
 
 entities=$(curl -fsS "$BASE/stats" | jq -r .entities)
 [ "$entities" = "3" ] || fail "post-crash corpus = $entities, want 3 (a,b,c)"
