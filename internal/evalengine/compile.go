@@ -3,7 +3,6 @@ package evalengine
 import (
 	"math"
 
-	"genlink/internal/entity"
 	"genlink/internal/rule"
 	"genlink/internal/similarity"
 	"genlink/internal/transform"
@@ -95,8 +94,8 @@ type simInstr struct {
 }
 
 // Compiled is an executable form of a linkage rule. It is immutable after
-// Compile and safe to share across goroutines; per-goroutine state lives in
-// Scorer.
+// Compile and safe to share across goroutines; per-query state lives in
+// Probe.
 type Compiled struct {
 	rule   *rule.Rule
 	sims   []simInstr
@@ -294,90 +293,13 @@ func (c *Compiled) fold(dists []float64, stack []float64) float64 {
 	return stack[sp-1]
 }
 
-// record is everything the scorers derive from one entity version,
-// indexed by value program id: the value set each program computes and,
-// when the rule has a prefilter, that set's metadata. It is built in one
-// pass over the value programs, so a scorer reaches all of an entity's
-// values through one cache lookup, and is immutable afterwards.
-type record struct {
-	sets [][]string
-	meta []valueMeta // nil when the rule has no prefilter
-}
-
-// newRecord evaluates every value program on e. vstack is value-stack
-// scratch of at least c.vdepth slots.
-func (c *Compiled) newRecord(e *entity.Entity, vstack [][]string) *record {
-	r := &record{sets: make([][]string, len(c.values))}
-	if c.pf != nil {
-		r.meta = make([]valueMeta, len(c.values))
-	}
-	for i, p := range c.values {
-		r.sets[i] = p.eval(e.Values, vstack)
-		if r.meta != nil {
-			r.meta[i] = metaOfValues(r.sets[i])
-		}
-	}
-	return r
-}
-
 // score computes every distance program from the two sides' records and
 // folds the similarity program: the score Rule.Evaluate gives the pair
 // the records were built from. dists and stack are scratch of the usual
 // sizes. The rule must not be opaque.
-func (c *Compiled) score(ra, rb *record, dists, stack []float64) float64 {
+func (c *Compiled) score(ra, rb *Record, dists, stack []float64) float64 {
 	for _, d := range c.dists {
 		dists[d.id] = d.measure.Distance(ra.sets[d.a.id], rb.sets[d.b.id])
 	}
 	return c.fold(dists, stack)
-}
-
-// Scorer evaluates a compiled rule on arbitrary entity pairs, caching one
-// record per entity so entities that appear in many candidate pairs — the
-// normal case under blocking — pay for their transformation chains once.
-// A Scorer is not safe for concurrent use; create one per goroutine around
-// a shared Compiled.
-//
-// It stays next to SharedScorer because batch matching measured faster
-// on it. With MatchParallel over one SharedScorer instead (one Bind per A
-// entity, then Probe.Score), BenchmarkAblationMatchParallel on Cora
-// (2-core Xeon, 6 alternating pairs) read workers=1 41.1 → 47.0 ms, slower
-// in 5 of 6 pairs. workers=2 read 29.8 → 29.1 ms, 3 of 6 either way. In
-// the CPU profile the prototype's sync.Map loads take 13 % against 9 %
-// for this plain pointer-keyed map.
-type Scorer struct {
-	c       *Compiled
-	records map[*entity.Entity]*record
-	vstack  [][]string
-	sstack  []float64
-	dists   []float64
-}
-
-// Scorer returns a fresh scorer over the compiled rule.
-func (c *Compiled) Scorer() *Scorer {
-	return &Scorer{
-		c:       c,
-		records: make(map[*entity.Entity]*record),
-		vstack:  make([][]string, c.vdepth),
-		sstack:  make([]float64, c.depth),
-		dists:   make([]float64, len(c.dists)),
-	}
-}
-
-// Score returns the similarity the rule assigns to the pair, identical to
-// Rule.Evaluate(a, b).
-func (s *Scorer) Score(a, b *entity.Entity) float64 {
-	if s.c.opaque {
-		return s.c.rule.Evaluate(a, b)
-	}
-	return s.c.score(s.record(a), s.record(b), s.dists, s.sstack)
-}
-
-// record returns the memoized record of an entity.
-func (s *Scorer) record(e *entity.Entity) *record {
-	if r, ok := s.records[e]; ok {
-		return r
-	}
-	r := s.c.newRecord(e, s.vstack)
-	s.records[e] = r
-	return r
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"unicode/utf8"
 
-	"genlink/internal/entity"
 	"genlink/internal/similarity"
 )
 
@@ -142,8 +141,8 @@ func bounderFor(name string) distBounder {
 
 // Prefilter bounds a compiled rule's scores from value metadata. It is
 // immutable and shared like the Compiled it belongs to; callers go
-// through the scorers (Scorer.Bound, SharedScorer.Bound, Probe.Score),
-// whose per-entity records carry the metadata.
+// through a bound probe (Probe.Upper, Probe.Score) or Scorer.Bound, and
+// the entities' records carry the metadata.
 type Prefilter struct {
 	c        *Compiled
 	bounders []distBounder // per distProgram id
@@ -183,14 +182,15 @@ func newPrefilter(c *Compiled) *Prefilter {
 
 // Prefilter returns the rule's pushdown prefilter, or nil when the rule
 // admits no sound metadata-level bound (opaque rules, unknown
-// aggregators, negative weights). Without one the scorers' Bound methods
-// return +Inf: nothing caps the score.
+// aggregators, negative weights). Without one Probe.Upper and
+// Scorer.Bound return +Inf: nothing caps the score, and Probe.Score never
+// declines a candidate.
 func (c *Compiled) Prefilter() *Prefilter { return c.pf }
 
 // bound folds lower-bound distances through the similarity program from
 // the metadata of both sides' records; dists and stack are scratch of the
 // usual sizes.
-func (pf *Prefilter) bound(ra, rb *record, dists, stack []float64) float64 {
+func (pf *Prefilter) bound(ra, rb *Record, dists, stack []float64) float64 {
 	for _, d := range pf.c.dists {
 		ma, mb := ra.meta[d.a.id], rb.meta[d.b.id]
 		if ma.card == 0 || mb.card == 0 {
@@ -205,7 +205,7 @@ func (pf *Prefilter) bound(ra, rb *record, dists, stack []float64) float64 {
 // probeBound folds the one-sided bound: the A side's record is known,
 // the B side is a hypothetical best-case candidate (distance lower bound
 // 0 everywhere the probe side is non-empty).
-func (pf *Prefilter) probeBound(ra *record, dists, stack []float64) float64 {
+func (pf *Prefilter) probeBound(ra *Record, dists, stack []float64) float64 {
 	for _, d := range pf.c.dists {
 		if ra.meta[d.a.id].card == 0 {
 			dists[d.id] = math.Inf(1)
@@ -214,23 +214,4 @@ func (pf *Prefilter) probeBound(ra *record, dists, stack []float64) float64 {
 		dists[d.id] = 0
 	}
 	return pf.c.fold(dists, stack)
-}
-
-// ---------------------------------------------------------------------------
-// Scorer integration
-
-// HasPrefilter reports whether Bound can ever prune (the rule admits a
-// sound metadata-level bound).
-func (s *Scorer) HasPrefilter() bool { return s.c.pf != nil }
-
-// Bound returns an upper bound on Score(a, b), computed from the cached
-// records' value metadata without evaluating any distance. Without a
-// prefilter it returns +Inf, which prunes nothing, so every candidate is
-// scored: compiled operators score in [0, 1], but an opaque rule's
-// extension operators may score above 1.
-func (s *Scorer) Bound(a, b *entity.Entity) float64 {
-	if s.c.pf == nil {
-		return math.Inf(1)
-	}
-	return s.c.pf.bound(s.record(a), s.record(b), s.dists, s.sstack)
 }

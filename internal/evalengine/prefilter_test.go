@@ -64,10 +64,11 @@ func runPrefilterHarness(seed int64, boundOf func(s *evalengine.Scorer, a, b *en
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 120; trial++ {
 		r := randomPrefilterRule(rng)
-		s := evalengine.Compile(r).Scorer()
-		if !s.HasPrefilter() {
+		c := evalengine.Compile(r)
+		if c.Prefilter() == nil {
 			continue
 		}
+		s := c.Scorer()
 		for i := 0; i < 12; i++ {
 			a := randomEntity(rng, "a")
 			b := randomEntity(rng, "b")
@@ -106,30 +107,34 @@ func TestMetamorphicPrefilterSoundness(t *testing.T) {
 	}
 }
 
-// TestMetamorphicSharedScorerBoundsAgree pins the concurrent scorer's
-// Bound to the single-goroutine one, and a bound probe's Upper as a
-// one-sided relaxation: Upper() of probe a must dominate Bound(a, b) —
-// and therefore the score — for every candidate b, whether the probe's
-// record is cached (stored) or lives in the handle (external).
+// TestMetamorphicSharedScorerBoundsAgree pins Scorer.Bound to the bound
+// a probe declines on — Bind(Record(a)).Score(Record(b), floor) scores at
+// floor = Bound(a, b) and declines just above it — and a bound probe's
+// Upper as a one-sided relaxation: Upper() of probe a must dominate
+// Bound(a, b), and therefore the score, for every candidate b.
 func TestMetamorphicSharedScorerBoundsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 80; trial++ {
 		r := randomPrefilterRule(rng)
 		c := evalengine.Compile(r)
 		s := c.Scorer()
-		shared := c.NewSharedScorer()
 		for i := 0; i < 10; i++ {
 			a := randomEntity(rng, "a")
 			b := randomEntity(rng, "b")
 			bound := s.Bound(a, b)
-			if sb := shared.Bound(a, b); sb != bound {
-				t.Fatalf("SharedScorer.Bound %v != Scorer.Bound %v\nrule: %s", sb, bound, r.Render())
+			p := c.Bind(c.Record(a))
+			rb := c.Record(b)
+			if _, ok := p.Score(rb, bound); !ok {
+				t.Fatalf("Probe.Score declined at floor = Scorer.Bound %v\nrule: %s", bound, r.Render())
 			}
-			for _, stored := range []bool{false, true} {
-				if up := shared.Bind(a, stored).Upper(); up < bound {
-					t.Fatalf("Bind(a, %v).Upper() %v < Bound(a,b) %v: one-sided bound must be a relaxation\nrule: %s",
-						stored, up, bound, r.Render())
+			if c.Prefilter() != nil {
+				if _, ok := p.Score(rb, math.Nextafter(bound, math.Inf(1))); ok {
+					t.Fatalf("Probe.Score scored above floor = Scorer.Bound %v\nrule: %s", bound, r.Render())
 				}
+			}
+			if up := p.Upper(); up < bound {
+				t.Fatalf("Bind(Record(a)).Upper() %v < Bound(a,b) %v: one-sided bound must be a relaxation\nrule: %s",
+					up, bound, r.Render())
 			}
 		}
 	}
@@ -203,9 +208,6 @@ func TestPrefilterAbsentWhenUnsound(t *testing.T) {
 		t.Fatal("negative aggregation weight must disable the prefilter: a weighted mean is antitone in that operand")
 	}
 	s := c.Scorer()
-	if s.HasPrefilter() {
-		t.Fatal("HasPrefilter must be false without a prefilter")
-	}
 	rng := rand.New(rand.NewSource(5))
 	a, b := randomEntity(rng, "a"), randomEntity(rng, "b")
 	if got := s.Bound(a, b); !math.IsInf(got, 1) {

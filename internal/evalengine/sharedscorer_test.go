@@ -12,14 +12,14 @@ import (
 	"genlink/internal/similarity"
 )
 
-// TestSharedScorerMatchesEvaluate pins SharedScorer.Score ≡ Rule.Evaluate
-// on random rules and entities, including after invalidation and entity
-// mutation (the serving-path correctness contract).
+// TestSharedScorerMatchesEvaluate pins Scorer.Score ≡ Rule.Evaluate on
+// random rules and entities, including after invalidation and entity
+// mutation.
 func TestSharedScorerMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
 		r := randomRule(rng)
-		scorer := evalengine.Compile(r).NewSharedScorer()
+		scorer := evalengine.Compile(r).Scorer()
 		entities := make([]*entity.Entity, 8)
 		for i := range entities {
 			entities[i] = randomEntity(rng, "e")
@@ -30,7 +30,7 @@ func TestSharedScorerMatchesEvaluate(t *testing.T) {
 					got := scorer.Score(a, b)
 					want := r.Evaluate(a, b)
 					if got != want {
-						t.Fatalf("trial %d: SharedScorer.Score=%v, Evaluate=%v\nrule: %s\na: %v\nb: %v",
+						t.Fatalf("trial %d: Scorer.Score=%v, Evaluate=%v\nrule: %s\na: %v\nb: %v",
 							trial, got, want, r.Render(), a, b)
 					}
 				}
@@ -81,38 +81,43 @@ func randomProbeRule(rng *rand.Rand) *rule.Rule {
 }
 
 // TestProbeScoreMatchesEvaluate is the probe handle's differential:
-// Bind(a).Score(b, −Inf) is bit-identical to Rule.Evaluate(a, b) whether
-// the probe is stored or external, on prefilterable, prefilter-less and
-// opaque rules; and for any floor, the handle declines to score (ok ==
-// false) exactly when Bound(a, b) < floor, only candidates scoring below
-// the floor are declined, and otherwise it still returns the exact score.
-// An opaque rule may score above 1, so a rule without a prefilter must
-// never decline, whatever the floor.
+// Bind(Record(a)).Score(Record(b), −Inf) is bit-identical to
+// Rule.Evaluate(a, b) whether the probe's record is the one stored for
+// the corpus (and scored as a candidate too) or built fresh for the
+// query, on prefilterable, prefilter-less and opaque rules; and for any
+// floor, the handle declines to score (ok == false) exactly when
+// Bound(a, b) < floor, only candidates scoring below the floor are
+// declined, and otherwise it still returns the exact score. An opaque
+// rule may score above 1, so a rule without a prefilter must never
+// decline, whatever the floor.
 func TestProbeScoreMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	withoutPF, above1 := 0, 0
 	for trial := 0; trial < 150; trial++ {
 		r := randomProbeRule(rng)
 		c := evalengine.Compile(r)
-		scorer := c.NewSharedScorer()
+		scorer := c.Scorer()
 		if c.Prefilter() == nil {
 			withoutPF++
 		}
 		entities := make([]*entity.Entity, 6)
+		records := make([]*evalengine.Record, len(entities))
 		for i := range entities {
 			entities[i] = randomEntity(rng, "e")
+			records[i] = c.Record(entities[i])
 		}
-		for _, a := range entities {
-			for _, stored := range []bool{false, true} {
-				p := scorer.Bind(a, stored)
-				for _, b := range entities {
+		for i, a := range entities {
+			for _, ra := range []*evalengine.Record{records[i], c.Record(a)} {
+				stored := ra == records[i]
+				p := c.Bind(ra)
+				for j, b := range entities {
 					want := r.Evaluate(a, b)
 					if want > 1 {
 						above1++
 					}
-					got, ok := p.Score(b, math.Inf(-1))
+					got, ok := p.Score(records[j], math.Inf(-1))
 					if !ok || math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("trial %d: Bind(a, %v).Score(b, -Inf) = %v, %v; Evaluate = %v\nrule: %s\na: %v\nb: %v",
+						t.Fatalf("trial %d: Bind(a, stored=%v).Score(b, -Inf) = %v, %v; Evaluate = %v\nrule: %s\na: %v\nb: %v",
 							trial, stored, got, ok, want, r.Render(), a, b)
 					}
 					bound := scorer.Bound(a, b)
@@ -122,7 +127,7 @@ func TestProbeScoreMatchesEvaluate(t *testing.T) {
 					floors := []float64{0, bound, math.Nextafter(bound, math.Inf(1)), rng.Float64(), rule.MatchThreshold,
 						1, 1.5, 2.5, want, math.Nextafter(want, math.Inf(1)), math.Inf(1)}
 					for _, floor := range floors {
-						got, ok := p.Score(b, floor)
+						got, ok := p.Score(records[j], floor)
 						if wantOK := !(bound < floor); ok != wantOK {
 							t.Fatalf("trial %d: Score(b, %v) ok = %v with Bound(a,b) = %v\nrule: %s", trial, floor, ok, bound, r.Render())
 						}
@@ -146,54 +151,14 @@ func TestProbeScoreMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestExternalProbesLeaveCacheUnchanged pins what the shard query path
-// relies on to skip invalidation: binding and scoring external probes
-// never adds a record to the scorer's cache, while a stored probe's record
-// is cached like any candidate's.
-func TestExternalProbesLeaveCacheUnchanged(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	var r *rule.Rule
-	for r == nil || evalengine.Compile(r).Prefilter() == nil {
-		r = randomPrefilterRule(rng)
-	}
-	scorer := evalengine.Compile(r).NewSharedScorer()
-	corpus := make([]*entity.Entity, 20)
-	for i := range corpus {
-		corpus[i] = randomEntity(rng, "c")
-	}
-	for _, a := range corpus[:10] {
-		p := scorer.Bind(a, true)
-		for _, b := range corpus[10:] {
-			p.Score(b, math.Inf(-1))
-		}
-	}
-	if n := evalengine.RecordCount(scorer); n != len(corpus) {
-		t.Fatalf("after stored-probe queries the cache holds %d records, want %d", n, len(corpus))
-	}
-	for q := 0; q < 50; q++ {
-		p := scorer.Bind(randomEntity(rng, "probe"), false)
-		p.Upper()
-		for _, b := range corpus {
-			p.Score(b, math.Inf(-1))
-			p.Score(b, rule.MatchThreshold)
-		}
-	}
-	if n := evalengine.RecordCount(scorer); n != len(corpus) {
-		t.Fatalf("50 external-probe queries changed the cache from %d to %d records", len(corpus), n)
-	}
-	scorer.Invalidate(corpus[0])
-	if n := evalengine.RecordCount(scorer); n != len(corpus)-1 {
-		t.Fatalf("Invalidate left %d records, want %d", n, len(corpus)-1)
-	}
-}
-
-// TestSharedScorerConcurrent exercises concurrent Score, bound-probe
-// scoring and Invalidate calls; run with -race it pins the
-// concurrency-safety contract.
+// TestSharedScorerConcurrent exercises concurrent Score, Bound,
+// probe-handle scoring and Invalidate calls on one Scorer; run with -race
+// it pins the concurrency-safety contract.
 func TestSharedScorerConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	r := randomRule(rng)
-	scorer := evalengine.Compile(r).NewSharedScorer()
+	c := evalengine.Compile(r)
+	scorer := c.Scorer()
 	entities := make([]*entity.Entity, 32)
 	for i := range entities {
 		entities[i] = randomEntity(rng, "e")
@@ -213,10 +178,17 @@ func TestSharedScorerConcurrent(t *testing.T) {
 			for n := 0; n < 500; n++ {
 				i, j := rng.Intn(len(entities)), rng.Intn(len(entities))
 				var got float64
-				if n%2 == 0 {
+				switch n % 3 {
+				case 0:
 					got = scorer.Score(entities[i], entities[j])
-				} else {
-					got, _ = scorer.Bind(entities[i], n%4 == 1).Score(entities[j], math.Inf(-1))
+				case 1:
+					got, _ = c.Bind(c.Record(entities[i])).Score(c.Record(entities[j]), math.Inf(-1))
+				default:
+					if bound := scorer.Bound(entities[i], entities[j]); bound < want[[2]int{i, j}] {
+						t.Errorf("concurrent Bound(%d,%d)=%v below the score %v", i, j, bound, want[[2]int{i, j}])
+						return
+					}
+					got = scorer.Score(entities[i], entities[j])
 				}
 				if got != want[[2]int{i, j}] {
 					t.Errorf("concurrent Score(%d,%d)=%v, want %v", i, j, got, want[[2]int{i, j}])

@@ -18,8 +18,11 @@
 //     property tests pin the index's candidates ≡ the batch blocker on the
 //     surviving entity set under any interleaving of Add/Update/Remove.
 //   - ShardedIndex hash-partitions the corpus over N shards, each owning
-//     its own entity map, BlockIndex and evalengine.SharedScorer behind a
-//     per-shard RWMutex. Queries fan out across shards in parallel and
+//     its own record map and BlockIndex behind a per-shard RWMutex. The
+//     record map holds every stored entity next to its evalengine.Record,
+//     the scoring record built once per entity version when the version
+//     is written, so queries score stored records and never invalidate
+//     anything. Queries fan out across shards in parallel and
 //     merge per-shard bounded top-k heaps; writes lock only the shards
 //     they touch, and the Apply pipeline groups a batch of upserts and
 //     deletes per shard so block structures load through their bulk

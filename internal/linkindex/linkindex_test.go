@@ -102,9 +102,10 @@ func TestQueryIDExcludesSelf(t *testing.T) {
 	}
 }
 
-// TestUpdateInvalidatesScores pins the scorer-cache invalidation: an
-// update that changes an entity's values must change query results
-// immediately (a stale per-entity value cache would keep the old match).
+// TestUpdateInvalidatesScores pins that an update replaces the entity's
+// scoring record: an update that changes an entity's values must change
+// query results immediately (a record kept from the old version would
+// keep the old match).
 func TestUpdateInvalidatesScores(t *testing.T) {
 	for name, update := range map[string]func(ix *linkindex.Index){
 		"fresh-pointer": func(ix *linkindex.Index) {
@@ -112,7 +113,7 @@ func TestUpdateInvalidatesScores(t *testing.T) {
 		},
 		// Mutating a stored entity is only legal without concurrent
 		// queries (here: single-threaded); the index must still re-key
-		// and invalidate defensively when handed the same pointer.
+		// and rebuild the record when handed the same pointer.
 		"mutated-in-place": func(ix *linkindex.Index) {
 			stored := ix.Get("b1")
 			stored.Set("name", "zzzz qqqq")

@@ -317,9 +317,11 @@ func writeSnapshotBytes(path string, data []byte) error {
 // index is diff-applied to the snapshot's state — the ShardedIndex
 // pointer survives, so readers holding Index() keep working. Reads
 // during the reset see intermediate states (per-shard application), the
-// same eventual-consistency a tailing follower already exposes.
+// same eventual-consistency a tailing follower already exposes. The
+// snapshot is decoded and checked before anything on disk is touched,
+// but never built into an index of its own.
 func (d *DurableIndex) resetToSnapshot(data []byte, seq uint64) error {
-	restored, err := ReadSnapshot(bytes.NewReader(data), RestoreOptions{Shards: d.opts.Shards, Blocker: d.opts.Blocker})
+	snap, err := decodeSnapshot(bytes.NewReader(data), RestoreOptions{Blocker: d.opts.Blocker})
 	if err != nil {
 		return err
 	}
@@ -363,7 +365,10 @@ func (d *DurableIndex) resetToSnapshot(data []byte, seq uint64) error {
 	}
 	// Diff-apply: upsert everything the snapshot holds, delete everything
 	// it does not.
-	b := Batch{Upserts: restored.Entities()}
+	var b Batch
+	for _, sec := range snap.sections {
+		b.Upserts = append(b.Upserts, sec...)
+	}
 	want := make(map[string]bool, len(b.Upserts))
 	for _, e := range b.Upserts {
 		want[e.ID] = true

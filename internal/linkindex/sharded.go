@@ -13,8 +13,10 @@ import (
 )
 
 // ShardedIndex is the storage layer of the matching service: the entity
-// corpus is hash-partitioned over N shards, each owning its own entity
-// map, BlockIndex and evalengine.SharedScorer behind a per-shard RWMutex.
+// corpus is hash-partitioned over N shards, each owning its own record
+// map (every stored entity next to its evalengine.Record, built once per
+// entity version at write time) and BlockIndex behind a per-shard
+// RWMutex.
 // Writes touch only the shards their entity IDs hash to, so writes to
 // different shards proceed in parallel and a write never stalls queries
 // against the other N−1 shards. Queries fan out across all shards
@@ -78,12 +80,14 @@ type ShardedIndex struct {
 }
 
 // shard is one partition: a single-mutex miniature of the retired
-// monolithic index.
+// monolithic index. records maps each stored entity's ID to the scoring
+// record of its current version (Record.Entity is the entity itself), so
+// the entity and its record are installed and replaced together.
 type shard struct {
 	mu       sync.RWMutex
-	entities map[string]*entity.Entity
+	records  map[string]*evalengine.Record
 	blocks   matching.BlockIndex
-	scorer   *evalengine.SharedScorer
+	compiled *evalengine.Compiled
 	// earlyExits points at the owning index's counter.
 	earlyExits *atomic.Int64
 }
@@ -108,9 +112,9 @@ func NewSharded(r *rule.Rule, shards int, opts matching.Options) *ShardedIndex {
 	ix := &ShardedIndex{rule: r, compiled: compiled, opts: opts, shards: make([]*shard, shards)}
 	for i := range ix.shards {
 		ix.shards[i] = &shard{
-			entities:   make(map[string]*entity.Entity),
+			records:    make(map[string]*evalengine.Record),
 			blocks:     matching.NewBlockIndex(opts.Blocker),
-			scorer:     compiled.NewSharedScorer(),
+			compiled:   compiled,
 			earlyExits: &ix.streamEarlyExits,
 		}
 	}
@@ -160,10 +164,11 @@ func (ix *ShardedIndex) Add(e *entity.Entity) {
 }
 
 // Update replaces the entity with e.ID by e: the block structures are
-// re-keyed and the scorer's cached record of the old version is
-// dropped. Always pass a freshly built entity value — mutating a stored
-// entity (as returned by Get) in place is a data race against concurrent
-// queries, which read entity properties under only the read lock.
+// re-keyed and e's scoring record replaces the old version's. Always
+// pass a freshly built entity value — mutating a stored entity (as
+// returned by Get) in place is a data race against concurrent queries,
+// which read entity properties under only the read lock, and its record
+// would keep scoring the old values.
 func (ix *ShardedIndex) Update(e *entity.Entity) {
 	ix.Add(e)
 }
@@ -274,18 +279,22 @@ func SplitBatch(b Batch, parts int) map[int]Batch {
 // applyShardOps installs one shard's resolved ops under its write lock —
 // old versions leave the block structures through the bulk-remove fast
 // path, new versions enter through the BulkAdd merge path —
-// and reports the distinct upserts and deletes performed. It is the only
-// code that writes a shard's entity map, block index, scorer cache and
-// the entity count, so those four stay in lockstep by construction; its
-// callers are Apply and the replay pipeline. Callers may run it
-// concurrently for different shards; per shard it is atomic with respect
-// to queries.
+// and reports the distinct upserts and deletes performed. The fresh
+// versions' scoring records are built before the lock is taken: records
+// are pure functions of the entity, so building them needs no shard
+// state. It is the only code that writes a shard's record map, block
+// index and the entity count, so those three stay in lockstep by
+// construction; its callers are Apply and the replay pipeline. Callers
+// may run it concurrently for different shards; per shard it is atomic
+// with respect to queries.
 func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 	sh := ix.shards[g.part]
 	fresh := g.upserts[:0]
+	recs := make([]*evalengine.Record, 0, len(g.upserts))
 	for _, e := range g.upserts {
 		if e != nil {
 			fresh = append(fresh, e)
+			recs = append(recs, ix.compiled.Record(e))
 		}
 	}
 	sh.mu.Lock()
@@ -297,26 +306,23 @@ func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 			continue
 		}
 		seenDel[id] = struct{}{}
-		if old, ok := sh.entities[id]; ok {
-			olds = append(olds, old)
-			delete(sh.entities, id)
-			sh.scorer.Invalidate(old)
+		if old, ok := sh.records[id]; ok {
+			olds = append(olds, old.Entity())
+			delete(sh.records, id)
 			deleted++
 			ix.count.Add(-1)
 		}
 	}
 	for _, e := range fresh {
-		if old, ok := sh.entities[e.ID]; ok {
-			olds = append(olds, old)
-			sh.scorer.Invalidate(old)
+		if old, ok := sh.records[e.ID]; ok {
+			olds = append(olds, old.Entity())
 		} else {
 			ix.count.Add(1)
 		}
 	}
 	sh.blocks.BulkRemove(olds)
-	for _, e := range fresh {
-		sh.entities[e.ID] = e
-		sh.scorer.Invalidate(e)
+	for i, e := range fresh {
+		sh.records[e.ID] = recs[i]
 	}
 	sh.blocks.BulkAdd(fresh)
 	return len(fresh), deleted
@@ -362,7 +368,10 @@ func (ix *ShardedIndex) Get(id string) *entity.Entity {
 	sh := ix.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.entities[id]
+	if r := sh.records[id]; r != nil {
+		return r.Entity()
+	}
+	return nil
 }
 
 // Entities returns a snapshot of the corpus sorted by ID. Each shard is
@@ -371,8 +380,8 @@ func (ix *ShardedIndex) Entities() []*entity.Entity {
 	out := make([]*entity.Entity, 0, ix.Len())
 	for _, sh := range ix.shards {
 		sh.mu.RLock()
-		for _, e := range sh.entities {
-			out = append(out, e)
+		for _, r := range sh.records {
+			out = append(out, r.Entity())
 		}
 		sh.mu.RUnlock()
 	}
@@ -391,9 +400,9 @@ func (ix *ShardedIndex) Stats() Stats {
 	}
 	for i, sh := range ix.shards {
 		sh.mu.RLock()
-		st.Entities += len(sh.entities)
+		st.Entities += len(sh.records)
 		st.Keys += sh.blocks.Keys()
-		st.ShardEntities[i] = len(sh.entities)
+		st.ShardEntities[i] = len(sh.records)
 		sh.mu.RUnlock()
 	}
 	return st
@@ -425,8 +434,8 @@ func (sh *shard) effectiveMaxBlock(probe *entity.Entity, cfg int) int {
 	case cfg < 0:
 		return 0 // BlockIndex treats ≤0 as uncapped
 	default:
-		n := len(sh.entities)
-		if _, ok := sh.entities[probe.ID]; ok {
+		n := len(sh.records)
+		if _, ok := sh.records[probe.ID]; ok {
 			n--
 		}
 		return n/20 + 50
@@ -460,13 +469,15 @@ func (ix *ShardedIndex) Candidates(probe *entity.Entity) []*entity.Entity {
 // with score ≥ the threshold, ordered by descending score then candidate
 // ID (AID is always probe.ID). k ≤ 0 returns every link above the
 // threshold. The probe need not be indexed; if it is, its own record is
-// excluded. Shards are queried in parallel, each keeping a bounded top-k
-// heap, and the per-shard winners are merged.
+// excluded. The probe's scoring record is built once and shared by the
+// shards, which are queried in parallel, each keeping a bounded top-k
+// heap; the per-shard winners are merged.
 func (ix *ShardedIndex) Query(probe *entity.Entity, k int) []matching.Link {
 	cfg := ix.shardMaxBlockCfg()
+	rec := ix.compiled.Record(probe)
 	perShard := make([][]matching.Link, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
-		perShard[i] = ix.shards[i].query(probe, k, cfg, ix.opts.Threshold)
+		perShard[i] = ix.shards[i].query(rec, k, cfg, ix.opts.Threshold)
 	})
 	return MergeTopK(perShard, k)
 }
@@ -497,13 +508,14 @@ func MergeTopK(perShard [][]matching.Link, k int) []matching.Link {
 // acquisition, so the probe version always matches its own shard's
 // corpus (at N=1 this is the full lookup+query atomicity of the retired
 // monolithic index); the other shards follow the usual relaxed
-// cross-shard isolation.
+// cross-shard isolation. Every shard scores against the home shard's
+// stored record of the probe.
 func (ix *ShardedIndex) QueryID(id string, k int) ([]matching.Link, bool) {
 	cfg := ix.shardMaxBlockCfg()
 	hi := ix.ShardOf(id)
 	home := ix.shards[hi]
 	home.mu.RLock()
-	probe := home.entities[id]
+	probe := home.records[id]
 	var homeLinks []matching.Link
 	if probe != nil {
 		homeLinks = home.queryLocked(probe, k, cfg, ix.opts.Threshold)
@@ -549,31 +561,27 @@ func parallel(n int, f func(i int)) {
 
 // query answers one shard's share of a Query under the shard read lock,
 // returning its top-k links (all links above the threshold for k ≤ 0).
-func (sh *shard) query(probe *entity.Entity, k, maxBlockCfg int, threshold float64) []matching.Link {
+func (sh *shard) query(probe *evalengine.Record, k, maxBlockCfg int, threshold float64) []matching.Link {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.queryLocked(probe, k, maxBlockCfg, threshold)
 }
 
-// queryLocked is query with the shard lock already held: the probe is
-// bound to the shard's scorer once, and the block index pushes each
-// candidate (matching.BlockIndex.Each) into the bound score → heap body
-// below, which applies the compiled rule's pushdown prefilter per
-// candidate against the floor the threshold and the heap set. An
-// external probe (one this shard does not store: a POST probe, or a
-// stored entity of another shard) is evaluated into the handle only, so
-// the shard's scorer cache holds records of its own live entities and
-// nothing else, and nothing is invalidated after the query. The one early
-// exit is before the enumeration starts (probe bound < threshold); none
-// can exist inside it, because the heap floor is a Score and Score ≤
-// Bound ≤ Upper (TestMetamorphicPrefilterSoundness). Results are exactly
-// those of scoring every materialized candidate (Candidates): every skip
-// condition is strict (bound < threshold, bound < floor), so only
-// candidates the threshold or the heap would reject anyway are skipped —
-// and the per-shard top-k set is enumeration-order independent because
-// (score, BID) is a total order.
-func (sh *shard) queryLocked(probe *entity.Entity, k, maxBlockCfg int, threshold float64) []matching.Link {
-	handle := sh.scorer.Bind(probe, sh.entities[probe.ID] == probe)
+// queryLocked is query with the shard lock already held: the probe's
+// record is bound once, and the block index pushes each candidate
+// (matching.BlockIndex.Each) into the bound score → heap body below,
+// which scores the candidate's stored record and applies the compiled
+// rule's pushdown prefilter against the floor the threshold and the heap
+// set. The one early exit is before the enumeration starts (probe bound
+// < threshold); none can exist inside it, because the heap floor is a
+// Score and Score ≤ Bound ≤ Upper (TestMetamorphicPrefilterSoundness).
+// Results are exactly those of scoring every materialized candidate
+// (Candidates): every skip condition is strict (bound < threshold,
+// bound < floor), so only candidates the threshold or the heap would
+// reject anyway are skipped — and the per-shard top-k set is
+// enumeration-order independent because (score, BID) is a total order.
+func (sh *shard) queryLocked(probe *evalengine.Record, k, maxBlockCfg int, threshold float64) []matching.Link {
+	handle := sh.compiled.Bind(probe)
 	// Upper bound over every possible candidate: a probe whose value
 	// sets already cap the score below the threshold (e.g. missing
 	// the properties of high-weight comparisons) answers without
@@ -587,15 +595,16 @@ func (sh *shard) queryLocked(probe *entity.Entity, k, maxBlockCfg int, threshold
 		clear(seen)
 		seenPool.Put(seen)
 	}()
+	pe := probe.Entity()
 	// k > 0 keeps the best k in a bounded heap; k ≤ 0 keeps every link.
 	h := newTopK(k, min(max(k, 0), 16))
-	sh.blocks.Each(probe, sh.effectiveMaxBlock(probe, maxBlockCfg), seen, func(cand *entity.Entity) bool {
+	sh.blocks.Each(pe, sh.effectiveMaxBlock(pe, maxBlockCfg), seen, func(cand *entity.Entity) bool {
 		floor := threshold
 		if k > 0 && len(h.links) == k {
 			floor = max(floor, h.links[0].Score)
 		}
-		if score, ok := handle.Score(cand, floor); ok && score >= threshold {
-			l := matching.Link{AID: probe.ID, BID: cand.ID, Score: score}
+		if score, ok := handle.Score(sh.records[cand.ID], floor); ok && score >= threshold {
+			l := matching.Link{AID: pe.ID, BID: cand.ID, Score: score}
 			if k > 0 {
 				h.push(l)
 			} else {

@@ -86,9 +86,9 @@ func (ix *ShardedIndex) buildSnapshot() *snapshotCapture {
 	}
 	for i, sh := range ix.shards {
 		sh.mu.RLock()
-		ents := make([]*entity.Entity, 0, len(sh.entities))
-		for _, e := range sh.entities {
-			ents = append(ents, e)
+		ents := make([]*entity.Entity, 0, len(sh.records))
+		for _, r := range sh.records {
+			ents = append(ents, r.Entity())
 		}
 		sh.mu.RUnlock()
 		sortByID(ents)
@@ -198,10 +198,50 @@ type RestoreOptions struct {
 }
 
 // ReadSnapshot rebuilds an index from a snapshot written by
-// WriteSnapshot: the rule is recompiled, the options reconstructed, and
-// the block structures rebuilt by installing the corpus sections, which
-// are decoded and index-built in parallel.
+// WriteSnapshot: the snapshot is decoded and checked (decodeSnapshot),
+// the rule recompiled, the options reconstructed, and the block
+// structures and scoring records rebuilt by installing the corpus
+// sections in parallel.
 func ReadSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
+	snap, err := decodeSnapshot(r, o)
+	if err != nil {
+		return nil, err
+	}
+	shards := snap.header.Shards
+	if o.Shards > 0 {
+		shards = o.Shards
+	}
+	ix := NewSharded(snap.header.Rule, shards, matching.Options{
+		Threshold:    snap.header.Threshold,
+		MaxBlockSize: snap.header.MaxBlockSize,
+		Blocker:      snap.blocker,
+	})
+	// Each section installs through Apply. When the shard counts match,
+	// a section is one shard's group and Apply runs it inline;
+	// re-partitioning by ID makes shard-count overrides work
+	// transparently. A valid snapshot's sections hold disjoint ID sets,
+	// so concurrent installs into the same destination shard commute.
+	parallel(len(snap.sections), func(i int) {
+		ix.Apply(Batch{Upserts: snap.sections[i]})
+	})
+	return ix, nil
+}
+
+// decodedSnapshot is a snapshot that passed every check restoring makes:
+// the header, the resolved blocker and each section's validated corpus
+// slice, in section order.
+type decodedSnapshot struct {
+	header   snapshotHeader
+	blocker  matching.Blocker
+	sections [][]*entity.Entity
+}
+
+// decodeSnapshot reads and checks a snapshot without building an index:
+// the version, the rule's presence, the blocker's resolution (the
+// registry name, else o.Blocker), the section count and every entity's
+// ID. ReadSnapshot installs the result; a follower re-bootstrapping from
+// a leader snapshot diff-applies it into its live index instead.
+func decodeSnapshot(r io.Reader, o RestoreOptions) (*decodedSnapshot, error) {
 	dec := json.NewDecoder(r)
 	var hdr snapshotHeader
 	if err := dec.Decode(&hdr); err != nil {
@@ -220,33 +260,18 @@ func ReadSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
 	if bl == nil {
 		return nil, fmt.Errorf("linkindex: restore: blocker %q is not a registry strategy; supply RestoreOptions.Blocker", hdr.Blocker)
 	}
-	shards := hdr.Shards
-	if o.Shards > 0 {
-		shards = o.Shards
-	}
-	ix := NewSharded(hdr.Rule, shards, matching.Options{
-		Threshold:    hdr.Threshold,
-		MaxBlockSize: hdr.MaxBlockSize,
-		Blocker:      bl,
-	})
-
-	// Slurp the raw section values in order (a cheap syntactic scan),
-	// then decode and install them in parallel — entity unmarshaling and
-	// block building dominate restore time. Each section installs through
-	// Apply. When the shard counts match, a section is one shard's group
-	// and Apply runs it inline; re-partitioning by ID makes shard-count
-	// overrides work transparently. A valid snapshot's sections hold
-	// disjoint ID sets, so concurrent installs into the same destination
-	// shard commute.
 	if hdr.Sections < 0 || hdr.Sections > maxSnapshotSections {
 		return nil, fmt.Errorf("linkindex: restore: snapshot section count %d out of range", hdr.Sections)
 	}
+	// Slurp the raw section values in order (a cheap syntactic scan),
+	// then decode them in parallel — entity unmarshaling dominates.
 	raws := make([]json.RawMessage, hdr.Sections)
 	for i := range raws {
 		if err := dec.Decode(&raws[i]); err != nil {
 			return nil, fmt.Errorf("linkindex: restore: section %d: %w", i, err)
 		}
 	}
+	snap := &decodedSnapshot{header: hdr, blocker: bl, sections: make([][]*entity.Entity, len(raws))}
 	errs := make([]error, len(raws))
 	parallel(len(raws), func(i int) {
 		var sec snapshotSection
@@ -258,14 +283,14 @@ func ReadSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
 			errs[i] = fmt.Errorf("linkindex: restore: section %d: %w", i, err)
 			return
 		}
-		ix.Apply(Batch{Upserts: sec.Entities})
+		snap.sections[i] = sec.Entities
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return ix, nil
+	return snap, nil
 }
 
 // validateSnapshotEntities rejects corpus entries a valid writer can

@@ -44,12 +44,14 @@ type opaqueSim struct{ rule.SimilarityOp }
 func (o opaqueSim) CloneSim() rule.SimilarityOp { return o }
 
 // referenceQuery is the materializing oracle of the query path: score
-// every candidate blocking proposes, keep those reaching the threshold,
-// order by (score desc, BID asc), truncate to k (k ≤ 0 keeps all).
-func referenceQuery(ix *linkindex.ShardedIndex, scorer *evalengine.Scorer, probe *entity.Entity, k int) []matching.Link {
+// every candidate blocking proposes with the rule's tree-walk — no
+// compiled program and no record, so a record that outlives its entity
+// version diverges — keep those reaching the threshold, order by (score
+// desc, BID asc), truncate to k (k ≤ 0 keeps all).
+func referenceQuery(ix *linkindex.ShardedIndex, r *rule.Rule, probe *entity.Entity, k int) []matching.Link {
 	var links []matching.Link
 	for _, cand := range ix.Candidates(probe) {
-		if score := scorer.Score(probe, cand); score >= rule.MatchThreshold {
+		if score := r.Evaluate(probe, cand); score >= rule.MatchThreshold {
 			links = append(links, matching.Link{AID: probe.ID, BID: cand.ID, Score: score})
 		}
 	}
@@ -95,9 +97,8 @@ func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
 		}
 	}()
 	for _, rc := range rules {
-		compiled := evalengine.Compile(rc.r)
-		if got := compiled.Scorer().HasPrefilter(); got != rc.prefilter {
-			t.Fatalf("rule %s: HasPrefilter = %v, want %v", rc.name, got, rc.prefilter)
+		if got := evalengine.Compile(rc.r).Prefilter() != nil; got != rc.prefilter {
+			t.Fatalf("rule %s: has prefilter = %v, want %v", rc.name, got, rc.prefilter)
 		}
 		for name, bl := range diffStrategies() {
 			for _, maxBlock := range []int{-1, 0, 6} {
@@ -105,14 +106,13 @@ func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/%s/cap=%d/shards=%d", rc.name, name, maxBlock, shards), func(t *testing.T) {
 						rng := rand.New(rand.NewSource(int64(len(name))*1000 + int64(maxBlock)*10 + int64(shards)))
 						ix := linkindex.NewSharded(rc.r, shards, matching.Options{Blocker: bl, MaxBlockSize: maxBlock})
-						scorer := compiled.Scorer()
 						survivors := make(map[string]*entity.Entity)
 						nextID := 0
 
 						checkProbe := func(probe *entity.Entity) {
 							t.Helper()
 							for _, k := range []int{0, 1, 3} {
-								want := referenceQuery(ix, scorer, probe, k)
+								want := referenceQuery(ix, rc.r, probe, k)
 								got := ix.Query(probe, k)
 								if !equalLinks(got, want) {
 									t.Fatalf("probe %s k=%d: Query diverges from the materialized reference\n got: %v\nwant: %v",
@@ -127,7 +127,7 @@ func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
 							var wantL []matching.Link
 							stored := ix.Get(probe.ID)
 							if stored != nil {
-								wantL = referenceQuery(ix, scorer, stored, 3)
+								wantL = referenceQuery(ix, rc.r, stored, 3)
 							}
 							gotL, gotOK := ix.QueryID(probe.ID, 3)
 							if gotOK != (stored != nil) || !equalLinks(gotL, wantL) {
@@ -156,9 +156,8 @@ func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
 								delete(survivors, id)
 							}
 
-							if op%10 != 0 {
-								continue
-							}
+							// Every write is followed by a query, so a record
+							// that outlives its version fails on the next one.
 							ids = sortedIDsOfMap(survivors)
 							if len(ids) > 0 {
 								checkProbe(survivors[ids[rng.Intn(len(ids))]])
@@ -173,7 +172,7 @@ func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
 						// early. Either way the answer is the oracle's: empty.
 						bare := entity.New("bare-probe")
 						before := ix.Stats().StreamEarlyExits
-						if got, want := ix.Query(bare, 3), referenceQuery(ix, scorer, bare, 3); len(want) != 0 || !equalLinks(got, want) {
+						if got, want := ix.Query(bare, 3), referenceQuery(ix, rc.r, bare, 3); len(want) != 0 || !equalLinks(got, want) {
 							t.Fatalf("bare probe: Query = %v, materialized reference = %v, want both empty", got, want)
 						}
 						wantExits := int64(0)

@@ -27,13 +27,17 @@
 // Match and MatchParallel never materialize the global pair list: they
 // enumerate each A entity's candidate partners in turn and apply the
 // compiled rule's score upper bound (evalengine's prefilter) before
-// scoring, so memory is O(per-entity candidates) and pairs that cannot
-// reach the threshold cost no distance computation. CandidatePairs +
+// scoring, so memory is O(per-entity candidates) beyond B and pairs that
+// cannot reach the threshold cost no distance computation. B's scoring
+// records (evalengine.Record) are built once, when B is loaded, and
+// each A entity is bound once (Compiled.Bind) and scores its candidates'
+// records through the probe. CandidatePairs +
 // MatchPairs is the materializing form of the same computation, the
 // blocking ablation's input.
 package matching
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -116,18 +120,35 @@ func Match(r *rule.Rule, a, b *entity.Source, opts Options) []Link {
 // CandidatePairs never yields self pairs (meaningless in dedup setups) or
 // duplicates.
 //
-// The rule is compiled once (internal/evalengine) and scored through a
-// Scorer whose per-entity value-set cache pays each entity's
-// transformation chains once, however many candidate pairs blocking puts
-// it in. Scores are identical to Rule.Evaluate.
+// The rule is compiled once (internal/evalengine) and each entity's
+// scoring record is built the first time a pair holds it, so its
+// transformation chains run once however many candidate pairs blocking
+// puts it in. Scores are identical to Rule.Evaluate.
 func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
 	if opts.Threshold == 0 {
 		opts.Threshold = rule.MatchThreshold
 	}
-	scorer := evalengine.Compile(r).Scorer()
-	var links []Link
+	c := evalengine.Compile(r)
+	recs := make(map[*entity.Entity]*evalengine.Record)
+	record := func(e *entity.Entity) *evalengine.Record {
+		rec, ok := recs[e]
+		if !ok {
+			rec = c.Record(e)
+			recs[e] = rec
+		}
+		return rec
+	}
+	var (
+		links []Link
+		bound *entity.Entity // the A entity probe is bound to
+		probe *evalengine.Probe
+	)
 	for _, p := range pairs {
-		if score := scorer.Score(p.A, p.B); score >= opts.Threshold {
+		if p.A != bound {
+			// CandidatePairs groups pairs per A entity: one Bind per group.
+			bound, probe = p.A, c.Bind(record(p.A))
+		}
+		if score, _ := probe.Score(record(p.B), math.Inf(-1)); score >= opts.Threshold {
 			links = append(links, Link{AID: p.A.ID, BID: p.B.ID, Score: score})
 		}
 	}
@@ -137,20 +158,25 @@ func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
 
 // MatchCartesian executes the rule over the full cross product — exact but
 // quadratic. Used by tests and the blocking ablation. Like MatchPairs it
-// runs the compiled rule with per-entity value caching, which matters even
-// more here: every entity appears in |B| (resp. |A|) pairs. It iterates
-// the sources with repeated IDs dropped, as every blocked path does.
+// builds each entity's scoring record once, which matters even more
+// here: every entity appears in |B| (resp. |A|) pairs. It iterates the
+// sources with repeated IDs dropped, as every blocked path does.
 func MatchCartesian(r *rule.Rule, a, b *entity.Source, opts Options) []Link {
 	as, bs := uniqueEntities(a.Entities), uniqueEntities(b.Entities)
 	opts.normalize(len(bs))
-	scorer := evalengine.Compile(r).Scorer()
+	c := evalengine.Compile(r)
+	rbs := make([]*evalengine.Record, len(bs))
+	for j, eb := range bs {
+		rbs[j] = c.Record(eb)
+	}
 	var links []Link
 	for _, ea := range as {
-		for _, eb := range bs {
+		p := c.Bind(c.Record(ea))
+		for j, eb := range bs {
 			if ea.ID == eb.ID {
 				continue
 			}
-			if score := scorer.Score(ea, eb); score >= opts.Threshold {
+			if score, _ := p.Score(rbs[j], math.Inf(-1)); score >= opts.Threshold {
 				links = append(links, Link{AID: ea.ID, BID: eb.ID, Score: score})
 			}
 		}

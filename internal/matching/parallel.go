@@ -13,9 +13,10 @@ import (
 // (≤0 means GOMAXPROCS) over one shared immutable enumerator — there is
 // no materialized pair list to partition. Per-entity candidate enumeration
 // stays within one worker, so deduplication needs no cross-worker state,
-// and both enumeration and scoring run inside the fan-out. Results are
-// identical for every worker count: rule evaluation is pure and the
-// combined link list is re-sorted.
+// and both enumeration and scoring run inside the fan-out. B's scoring
+// records are built once, before the fan-out, and shared read-only by
+// the workers. Results are identical for every worker count: rule
+// evaluation is pure and the combined link list is re-sorted.
 func MatchParallel(r *rule.Rule, a, b *entity.Source, opts Options, workers int) []Link {
 	eas, ebs := uniqueEntities(a.Entities), uniqueEntities(b.Entities)
 	opts.normalize(len(ebs))
@@ -26,12 +27,13 @@ func MatchParallel(r *rule.Rule, a, b *entity.Source, opts Options, workers int)
 		workers = len(eas)
 	}
 	en := newEnumerator(opts.Blocker, eas, ebs)
-	// The rule compiles once; each worker scores its chunk through its own
-	// Scorer (per-entity value caches are not synchronized) over the
-	// shared immutable program.
 	compiled := evalengine.Compile(r)
+	rbs := make(map[*entity.Entity]*evalengine.Record, len(ebs))
+	for _, eb := range ebs {
+		rbs[eb] = compiled.Record(eb)
+	}
 	if workers <= 1 {
-		links := streamChunk(compiled.Scorer(), en, eas, opts)
+		links := streamChunk(compiled, rbs, en, eas, opts)
 		sortLinks(links)
 		return links
 	}
@@ -49,7 +51,7 @@ func MatchParallel(r *rule.Rule, a, b *entity.Source, opts Options, workers int)
 		wg.Add(1)
 		go func(chunk []*entity.Entity) {
 			defer wg.Done()
-			local := streamChunk(compiled.Scorer(), en, chunk, opts)
+			local := streamChunk(compiled, rbs, en, chunk, opts)
 			mu.Lock()
 			links = append(links, local...)
 			mu.Unlock()

@@ -102,19 +102,18 @@ func uniqueEntities(es []*entity.Entity) []*entity.Entity {
 
 // streamChunk scores one chunk of A entities against the enumerator —
 // the per-worker unit of MatchParallel, with one seen set reused across
-// the chunk. The compiled rule's prefilter rejects pairs whose score
-// upper bound cannot reach the threshold before any distance is
-// computed.
-func streamChunk(scorer *evalengine.Scorer, en enumerator, chunk []*entity.Entity, opts Options) []Link {
+// the chunk. Each A entity is bound once; rbs holds the record of every
+// B entity the enumerator can yield. The compiled rule's prefilter
+// rejects pairs whose score upper bound cannot reach the threshold
+// before any distance is computed.
+func streamChunk(c *evalengine.Compiled, rbs map[*entity.Entity]*evalengine.Record, en enumerator, chunk []*entity.Entity, opts Options) []Link {
 	var links []Link
 	seen := make(map[string]struct{})
 	for _, ea := range chunk {
 		clear(seen)
+		p := c.Bind(c.Record(ea))
 		en.Each(ea, opts.MaxBlockSize, seen, func(eb *entity.Entity) bool {
-			if scorer.Bound(ea, eb) < opts.Threshold {
-				return true // the pair cannot reach the threshold: skip scoring
-			}
-			if score := scorer.Score(ea, eb); score >= opts.Threshold {
+			if score, ok := p.Score(rbs[eb], opts.Threshold); ok && score >= opts.Threshold {
 				links = append(links, Link{AID: ea.ID, BID: eb.ID, Score: score})
 			}
 			return true

@@ -97,7 +97,9 @@ type (
 	// goroutines.
 	CompiledRule = evalengine.Compiled
 	// RuleScorer scores entity pairs against a compiled rule with
-	// per-entity value-set caching (one per goroutine).
+	// per-entity value-set caching. It is safe for concurrent use; its
+	// methods are Score, Bound and Invalidate (call Invalidate after
+	// mutating a scored entity in place).
 	RuleScorer = evalengine.Scorer
 )
 
@@ -243,8 +245,10 @@ func NewEvalEngine(refs *ReferenceLinks, opts EngineOptions) *EvalEngine {
 }
 
 // CompileRule compiles a rule into flat post-order programs. The compiled
-// form is immutable; derive one RuleScorer per goroutine with Scorer() to
-// score arbitrary entity pairs with per-entity value-set caching.
+// form is immutable; derive a RuleScorer with Scorer() to score arbitrary
+// entity pairs with per-entity value-set caching — one scorer may be
+// shared by any number of goroutines. Prefilter() reports whether the
+// rule admits a score bound (nil when RuleScorer.Bound is always +Inf).
 func CompileRule(r *Rule) *CompiledRule { return evalengine.Compile(r) }
 
 // Match executes a rule over two whole sources using the blocker selected
