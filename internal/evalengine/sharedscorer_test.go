@@ -3,6 +3,7 @@ package evalengine_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -148,6 +149,59 @@ func TestProbeScoreMatchesEvaluate(t *testing.T) {
 	}
 	if above1 == 0 {
 		t.Fatal("no pair scored above 1; floors above 1 went unexercised")
+	}
+}
+
+// TestExternalProbesLeaveCacheUnchanged pins what the shard query path
+// relies on to share stored records across queries without a lock:
+// binding and scoring external probes changes neither the stored records
+// nor a Scorer's cache, while the Scorer caches one record per entity it
+// scores and Invalidate drops exactly that entity's.
+func TestExternalProbesLeaveCacheUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var r *rule.Rule
+	for r == nil || evalengine.Compile(r).Prefilter() == nil {
+		r = randomPrefilterRule(rng)
+	}
+	c := evalengine.Compile(r)
+	scorer := c.Scorer()
+	corpus := make([]*entity.Entity, 20)
+	stored := make([]*evalengine.Record, len(corpus))
+	for i := range corpus {
+		corpus[i] = randomEntity(rng, "c")
+		stored[i] = c.Record(corpus[i])
+	}
+	for _, a := range corpus[:10] {
+		for _, b := range corpus[10:] {
+			scorer.Score(a, b)
+		}
+	}
+	if n := evalengine.RecordCount(scorer); n != len(corpus) {
+		t.Fatalf("after scoring the corpus the cache holds %d records, want %d", n, len(corpus))
+	}
+	before := make([]*evalengine.Record, len(stored))
+	for i, rec := range stored {
+		before[i] = evalengine.CloneRecord(rec)
+	}
+	for q := 0; q < 50; q++ {
+		p := c.Bind(c.Record(randomEntity(rng, "probe")))
+		p.Upper()
+		for _, rb := range stored {
+			p.Score(rb, math.Inf(-1))
+			p.Score(rb, rule.MatchThreshold)
+		}
+	}
+	for i, rec := range stored {
+		if !reflect.DeepEqual(rec, before[i]) {
+			t.Fatalf("50 external-probe queries changed the stored record of entity %d", i)
+		}
+	}
+	if n := evalengine.RecordCount(scorer); n != len(corpus) {
+		t.Fatalf("50 external-probe queries changed the cache from %d to %d records", len(corpus), n)
+	}
+	scorer.Invalidate(corpus[0])
+	if n := evalengine.RecordCount(scorer); n != len(corpus)-1 {
+		t.Fatalf("Invalidate left %d records, want %d", n, len(corpus)-1)
 	}
 }
 
