@@ -97,31 +97,23 @@ type simInstr struct {
 // Compile and safe to share across goroutines; per-query state lives in
 // Probe.
 type Compiled struct {
-	rule   *rule.Rule
 	sims   []simInstr
 	values []*valueProgram // deduplicated by signature
 	dists  []*distProgram  // deduplicated by signature
 	depth  int             // maximum similarity-stack depth
 	vdepth int             // maximum value-stack depth over all programs
-	// opaque marks rules containing operator kinds the compiler does not
-	// understand; those fall back to the interpreted tree-walk.
-	opaque bool
 	// pf is the pushdown prefilter (prefilter.go), nil when the rule
 	// admits no sound metadata-level score bound.
 	pf *Prefilter
 }
 
-// Compile translates a rule into flat post-order programs. Rules containing
-// extension operator types are marked opaque and evaluated by the original
-// tree-walk; everything else is guaranteed (and differentially tested) to
-// score identically to Rule.Evaluate.
+// Compile translates a rule into flat post-order programs. The operator
+// kinds and aggregators of package rule are a closed set, and the compiler
+// handles every one of them: every rule is guaranteed (and differentially
+// tested) to score identically to Rule.Evaluate.
 func Compile(r *rule.Rule) *Compiled {
-	c := &Compiled{rule: r}
+	c := &Compiled{}
 	if r == nil || r.Root == nil {
-		return c
-	}
-	if !r.HasOnlyCoreOps() {
-		c.opaque = true
 		return c
 	}
 	comp := compiler{c: c, valueBySig: make(map[string]*valueProgram), distBySig: make(map[string]*distProgram)}
@@ -136,10 +128,9 @@ func Compile(r *rule.Rule) *Compiled {
 	return c
 }
 
-// Rule returns the rule the program was compiled from.
-func (c *Compiled) Rule() *rule.Rule { return c.rule }
-
-// NumValuePrograms returns the number of distinct value subtrees.
+// NumValuePrograms returns the number of distinct value subtrees. It is
+// kept only because the benchmark rig's tests (benchmark/rules_test.go)
+// still call it; it goes when the rig next changes.
 func (c *Compiled) NumValuePrograms() int { return len(c.values) }
 
 // NumDistPrograms returns the number of distinct distance computations.
@@ -296,7 +287,7 @@ func (c *Compiled) fold(dists []float64, stack []float64) float64 {
 // score computes every distance program from the two sides' records and
 // folds the similarity program: the score Rule.Evaluate gives the pair
 // the records were built from. dists and stack are scratch of the usual
-// sizes. The rule must not be opaque.
+// sizes.
 func (c *Compiled) score(ra, rb *Record, dists, stack []float64) float64 {
 	for _, d := range c.dists {
 		dists[d.id] = d.measure.Distance(ra.sets[d.a.id], rb.sets[d.b.id])

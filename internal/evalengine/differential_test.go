@@ -167,32 +167,39 @@ func TestDifferentialScorerVsEvaluate(t *testing.T) {
 	}
 }
 
-func TestDifferentialOpaqueRuleFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	refs := randomRefs(rng, 10)
-	r := rule.New(&rule.AggregationOp{
-		Function: rule.Min(),
-		Operands: []rule.SimilarityOp{constSim(0.9)},
-		W:        1,
-	})
-	eng := evalengine.New(refs, evalengine.Options{})
-	got := eng.EvaluateBatch([]*rule.Rule{r})[0]
-	want := treeWalkCounts(r, refs)
-	if got != want {
-		t.Fatalf("opaque rule: engine %+v, tree-walk %+v", got, want)
-	}
-	sc := evalengine.Compile(r).Scorer()
-	a, b := randomEntity(rng, "a"), randomEntity(rng, "b")
-	if sc.Score(a, b) != r.Evaluate(a, b) {
-		t.Fatal("opaque scorer must fall back to the tree-walk")
-	}
+// negativeWeightRule wraps a random rule into a weighted mean beside a
+// negatively weighted comparison: a compiled rule without a prefilter.
+func negativeWeightRule(rng *rand.Rand) *rule.Rule {
+	neg := rule.NewComparison(randomValueOp(rng, 2), randomValueOp(rng, 2),
+		diffMeasures[rng.Intn(len(diffMeasures))], randomThreshold(rng))
+	neg.SetWeight(-1 - rng.Intn(2))
+	return rule.New(rule.NewAggregation(rule.WMean(), neg, randomRule(rng).Root))
 }
 
-// constSim is an extension operator kind the compiler cannot compile.
-type constSim float64
-
-func (c constSim) Evaluate(a, b *entity.Entity) float64 { return float64(c) }
-func (c constSim) CloneSim() rule.SimilarityOp          { return c }
-func (c constSim) Weight() int                          { return 1 }
-func (c constSim) SetWeight(int)                        {}
-func (c constSim) Count() int                           { return 1 }
+// TestDifferentialNegativeWeightRules pins the engine and the scorer to
+// the tree-walk on rules the prefilter cannot bound: a weighted mean with a
+// negatively weighted operand, whose weights may sum to zero or below.
+func TestDifferentialNegativeWeightRules(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		refs := randomRefs(rng, 30)
+		rules := make([]*rule.Rule, 8)
+		for i := range rules {
+			rules[i] = negativeWeightRule(rng)
+		}
+		got := evalengine.New(refs, evalengine.Options{}).EvaluateBatch(rules)
+		for i, r := range rules {
+			if want := treeWalkCounts(r, refs); got[i] != want {
+				t.Fatalf("trial %d rule %d: engine %+v, tree-walk %+v\nrule: %s", trial, i, got[i], want, r.Render())
+			}
+			c := evalengine.Compile(r)
+			if c.Prefilter() != nil {
+				t.Fatalf("rule with a negative weight got a prefilter\nrule: %s", r.Render())
+			}
+			a, b := randomEntity(rng, "a"), randomEntity(rng, "b")
+			if got, want := c.Scorer().Score(a, b), r.Evaluate(a, b); got != want {
+				t.Fatalf("trial %d rule %d: compiled score %v, tree-walk %v\nrule: %s", trial, i, got, want, r.Render())
+			}
+		}
+	}
+}

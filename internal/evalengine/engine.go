@@ -42,8 +42,10 @@
 // they would hold without the memo, which only removes work.
 //
 // Equivalence with the interpreted tree-walk (rule.Rule.Evaluate) is pinned
-// by a differential test over random rules and entities; rules containing
-// extension operator kinds automatically fall back to the tree-walk.
+// by a differential test over random rules and entities. The tree-walk is
+// that test's oracle and nothing else: the operator kinds and aggregators
+// of package rule are a closed set the compiler covers, so every rule is
+// compiled.
 package evalengine
 
 import (
@@ -164,8 +166,7 @@ type CacheStats struct {
 	// across all batches. RuleHits counts the rules answered from the
 	// memo instead; RuleRepeats is the part of RuleHits whose signature
 	// had occurred earlier in the same batch, the rest were scored in an
-	// earlier one. Rules with extension operators are walked, not
-	// folded, and count as neither.
+	// earlier one.
 	RulesFolded, RuleHits, RuleRepeats int64
 }
 
@@ -211,9 +212,6 @@ func (e *Engine) Stats() CacheStats {
 	}
 	return s
 }
-
-// Generation returns the number of evaluated batches.
-func (e *Engine) Generation() int { return e.gen }
 
 // Evaluate scores a single rule (one-element batch).
 func (e *Engine) Evaluate(r *rule.Rule) Counts {
@@ -322,14 +320,8 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 		entry *ruleEntry
 	}
 	var folds []foldTask
-	memo := make([]*ruleEntry, len(rules)) // nil: extension operators, walked
-	var walks []int
+	memo := make([]*ruleEntry, len(rules))
 	for i, r := range rules {
-		if !r.HasOnlyCoreOps() {
-			// Signatures do not describe extension operators.
-			walks = append(walks, i)
-			continue
-		}
 		sig := r.Signature()
 		if re, ok := e.rules[sig]; ok && e.answers(re) {
 			memo[i] = re
@@ -459,13 +451,8 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 		folds[ti].entry.counts = c
 	})
 	for i, re := range memo {
-		if re != nil {
-			out[i] = re.counts
-		}
+		out[i] = re.counts
 	}
-	parallelDo(len(walks), workers, func(wi int) {
-		out[walks[wi]] = treeWalk(rules[walks[wi]], e.refs)
-	})
 
 	e.evict()
 	return out

@@ -2,6 +2,7 @@ package evalengine
 
 import (
 	"math"
+	"slices"
 	"unicode/utf8"
 
 	"genlink/internal/similarity"
@@ -22,11 +23,12 @@ import (
 // is antitone in the distance (smaller distance never lowers the score);
 // min, max and nonnegatively-weighted mean are monotone in their
 // operands, as is clamp01 — so folding lower-bound distances through the
-// similarity program yields an upper bound on the true score. Rules the
-// argument does not cover get no prefilter (Prefilter returns nil):
-// opaque rules (extension operators could be anything), unknown
-// aggregators, and negative aggregation weights (a weighted mean is
-// antitone in a negatively-weighted operand).
+// similarity program yields an upper bound on the true score. The
+// aggregators of package rule are a closed set, so the argument covers
+// every rule but those with a negative aggregation weight (a weighted mean
+// is antitone in a negatively-weighted operand): those get no prefilter
+// (Prefilter returns nil). Decoded rules never carry one (rule.Validate
+// rejects it); rules built in code may.
 
 // valueMeta summarizes one value program's output for an entity: enough
 // to lower-bound every supported measure without looking at the values
@@ -132,7 +134,7 @@ func bounderFor(name string) distBounder {
 			return 0
 		}
 	default:
-		// numeric, geographic, date, jaro, jaroWinkler, extensions:
+		// numeric, geographic, date, jaro, jaroWinkler:
 		// value length and cardinality say nothing about their
 		// distances, so only the empty-set rule applies.
 		return zeroBound
@@ -151,26 +153,12 @@ type Prefilter struct {
 // newPrefilter derives the pushdown prefilter of a compiled rule, or nil
 // when no sound bound can be stated (see the package comment above).
 func newPrefilter(c *Compiled) *Prefilter {
-	if c.opaque || len(c.sims) == 0 {
+	if len(c.sims) == 0 {
 		return nil
 	}
-	for i := range c.sims {
-		in := &c.sims[i]
-		if in.op != sAgg {
-			continue
-		}
-		if in.agg == nil {
+	for _, in := range c.sims {
+		if slices.ContainsFunc(in.weights, func(w int) bool { return w < 0 }) {
 			return nil
-		}
-		switch in.agg.Name() {
-		case "min", "max", "wmean":
-		default:
-			return nil // unknown aggregator: monotonicity not established
-		}
-		for _, w := range in.weights {
-			if w < 0 {
-				return nil
-			}
 		}
 	}
 	pf := &Prefilter{c: c, bounders: make([]distBounder, len(c.dists))}
@@ -181,10 +169,9 @@ func newPrefilter(c *Compiled) *Prefilter {
 }
 
 // Prefilter returns the rule's pushdown prefilter, or nil when the rule
-// admits no sound metadata-level bound (opaque rules, unknown
-// aggregators, negative weights). Without one Probe.Upper and
-// Scorer.Bound return +Inf: nothing caps the score, and Probe.Score never
-// declines a candidate.
+// admits no sound metadata-level bound (an empty rule, negative weights).
+// Without one Probe.Upper and Scorer.Bound return +Inf: nothing caps the
+// score, and Probe.Score never declines a candidate.
 func (c *Compiled) Prefilter() *Prefilter { return c.pf }
 
 // bound folds lower-bound distances through the similarity program from

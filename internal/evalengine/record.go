@@ -72,9 +72,8 @@ func (p *Probe) Upper() float64 {
 	return p.c.pf.probeBound(p.rec, p.dists, p.sstack)
 }
 
-// bound is the prefilter's upper bound on the pair's score: +Inf when the
-// rule has no prefilter, because then nothing caps the score — an opaque
-// rule's extension operators may score above 1.
+// bound is the prefilter's upper bound on the pair's score, +Inf when the
+// rule has no prefilter.
 func (p *Probe) bound(rb *Record) float64 {
 	if p.c.pf == nil {
 		return math.Inf(1)
@@ -89,15 +88,10 @@ func (p *Probe) bound(rb *Record) float64 {
 // keeps only scores ≥ floor loses nothing to the skip, because the score
 // never exceeds the bound.
 func (p *Probe) Score(b *Record, floor float64) (score float64, ok bool) {
-	c := p.c
-	if c.opaque {
-		// Rule evaluation is pure; the interpreted walk is concurrency-safe.
-		return c.rule.Evaluate(p.rec.e, b.e), true
-	}
 	if p.bound(b) < floor {
 		return 0, false
 	}
-	return c.score(p.rec, b, p.dists, p.sstack), true
+	return p.c.score(p.rec, b, p.dists, p.sstack), true
 }
 
 // Scorer scores arbitrary entity pairs for callers that hold no records:
@@ -150,8 +144,7 @@ func (s *Scorer) Score(a, b *entity.Entity) float64 {
 
 // Bound returns an upper bound on Score(a, b), computed from the records'
 // value metadata without evaluating any distance. Without a prefilter it
-// returns +Inf, which prunes nothing: compiled operators score in [0, 1],
-// but an opaque rule's extension operators may score above 1.
+// returns +Inf, which prunes nothing.
 func (s *Scorer) Bound(a, b *entity.Entity) float64 {
 	if s.c.pf == nil {
 		return math.Inf(1)

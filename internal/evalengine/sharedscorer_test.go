@@ -47,30 +47,16 @@ func TestSharedScorerMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// doubledSim is an extension operator scoring twice its operand, up to 2 —
-// which no compiled operator does (comparisons score in [0, 1] and
-// aggregations clamp). A rule rooted in it is opaque.
-type doubledSim struct{ rule.SimilarityOp }
-
-func (d doubledSim) Evaluate(a, b *entity.Entity) float64 { return 2 * d.SimilarityOp.Evaluate(a, b) }
-func (d doubledSim) CloneSim() rule.SimilarityOp          { return d }
-
 // randomProbeRule draws the rules a bound probe must score exactly: half
 // prefilterable registry rules, and the rest rules without a prefilter —
-// opaque rules (an extension operator beside compiled comparisons, or one
-// at the root scoring above 1, which fall back to the tree-walk) and rules
-// with a negatively weighted operand of a weighted mean.
+// a weighted mean with a negatively weighted operand, at the root or
+// nested in another aggregation.
 func randomProbeRule(rng *rand.Rand) *rule.Rule {
 	switch rng.Intn(6) {
-	case 0:
-		return rule.New(doubledSim{randomPrefilterRule(rng).Root})
-	case 1:
+	case 0, 1:
 		aggs := rule.CoreAggregators()
-		return rule.New(&rule.AggregationOp{
-			Function: aggs[rng.Intn(len(aggs))],
-			Operands: []rule.SimilarityOp{constSim(rng.Float64()), randomPrefilterRule(rng).Root},
-			W:        1,
-		})
+		return rule.New(rule.NewAggregation(aggs[rng.Intn(len(aggs))],
+			negativeWeightRule(rng).Root, randomPrefilterRule(rng).Root))
 	case 2:
 		neg := rule.NewComparison(randomValueOp(rng, 2), randomValueOp(rng, 2),
 			similarity.Levenshtein(), randomThreshold(rng))
@@ -85,15 +71,14 @@ func randomProbeRule(rng *rand.Rand) *rule.Rule {
 // Bind(Record(a)).Score(Record(b), −Inf) is bit-identical to
 // Rule.Evaluate(a, b) whether the probe's record is the one stored for
 // the corpus (and scored as a candidate too) or built fresh for the
-// query, on prefilterable, prefilter-less and opaque rules; and for any
-// floor, the handle declines to score (ok == false) exactly when
-// Bound(a, b) < floor, only candidates scoring below the floor are
-// declined, and otherwise it still returns the exact score. An opaque
-// rule may score above 1, so a rule without a prefilter must never
-// decline, whatever the floor.
+// query, on prefilterable and prefilter-less rules; and for any floor,
+// the handle declines to score (ok == false) exactly when Bound(a, b) <
+// floor, only candidates scoring below the floor are declined, and
+// otherwise it still returns the exact score. A rule without a prefilter
+// never declines, whatever the floor.
 func TestProbeScoreMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	withoutPF, above1 := 0, 0
+	withoutPF := 0
 	for trial := 0; trial < 150; trial++ {
 		r := randomProbeRule(rng)
 		c := evalengine.Compile(r)
@@ -113,9 +98,6 @@ func TestProbeScoreMatchesEvaluate(t *testing.T) {
 				p := c.Bind(ra)
 				for j, b := range entities {
 					want := r.Evaluate(a, b)
-					if want > 1 {
-						above1++
-					}
 					got, ok := p.Score(records[j], math.Inf(-1))
 					if !ok || math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("trial %d: Bind(a, stored=%v).Score(b, -Inf) = %v, %v; Evaluate = %v\nrule: %s\na: %v\nb: %v",
@@ -145,10 +127,7 @@ func TestProbeScoreMatchesEvaluate(t *testing.T) {
 		}
 	}
 	if withoutPF < 30 {
-		t.Fatalf("only %d of 150 rules had no prefilter; the prefilter-less and opaque paths went unexercised", withoutPF)
-	}
-	if above1 == 0 {
-		t.Fatal("no pair scored above 1; floors above 1 went unexercised")
+		t.Fatalf("only %d of 150 rules had no prefilter; the prefilter-less path went unexercised", withoutPF)
 	}
 }
 

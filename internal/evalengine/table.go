@@ -111,8 +111,7 @@ func (t *entityTable) column(prop string) [][]string {
 func (t *entityTable) columnGetter(id int32) func(prop string) []string {
 	return func(prop string) []string {
 		// Columns for every property referenced by a compiled program are
-		// built before evaluation; a miss can only happen for properties
-		// introduced by opaque rules, which never reach this path.
+		// built before evaluation.
 		return t.columns[prop][id]
 	}
 }

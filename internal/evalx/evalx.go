@@ -129,16 +129,6 @@ func SplitFolds(refs *entity.ReferenceLinks, k int, rng *rand.Rand) []*entity.Re
 	return folds
 }
 
-// Merge combines several link sets into one.
-func Merge(sets ...*entity.ReferenceLinks) *entity.ReferenceLinks {
-	out := &entity.ReferenceLinks{}
-	for _, s := range sets {
-		out.Positive = append(out.Positive, s.Positive...)
-		out.Negative = append(out.Negative, s.Negative...)
-	}
-	return out
-}
-
 // Sample summarizes repeated measurements with mean and standard deviation,
 // matching the "value (σ)" cells of the paper's tables.
 type Sample struct {

@@ -72,33 +72,3 @@ func PRCurve(r *rule.Rule, refs *entity.ReferenceLinks) []PRPoint {
 	}
 	return points
 }
-
-// BestF1 returns the curve point with the highest F-measure (earliest on
-// ties), or a zero point for an empty curve.
-func BestF1(points []PRPoint) PRPoint {
-	var best PRPoint
-	for _, p := range points {
-		if p.F1 > best.F1 {
-			best = p
-		}
-	}
-	return best
-}
-
-// AveragePrecision computes the area under the precision-recall curve by
-// the standard step-wise interpolation over descending thresholds.
-func AveragePrecision(points []PRPoint) float64 {
-	if len(points) == 0 {
-		return 0
-	}
-	// Walk from the highest threshold (lowest recall) to the lowest.
-	var ap, prevRecall float64
-	for i := len(points) - 1; i >= 0; i-- {
-		p := points[i]
-		if p.Recall > prevRecall {
-			ap += (p.Recall - prevRecall) * p.Precision
-			prevRecall = p.Recall
-		}
-	}
-	return ap
-}

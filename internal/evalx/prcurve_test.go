@@ -41,7 +41,7 @@ func TestPRCurveSeparatesClasses(t *testing.T) {
 	if len(points) != 5 {
 		t.Fatalf("points = %d, want 5 distinct scores", len(points))
 	}
-	best := BestF1(points)
+	best := bestF1(points)
 	if best.F1 != 1 {
 		t.Fatalf("separable classes must reach F1 1, got %+v", best)
 	}
@@ -51,7 +51,7 @@ func TestPRCurveSeparatesClasses(t *testing.T) {
 	if math.Abs(lowest.Precision-0.6) > 1e-12 || lowest.Recall != 1 {
 		t.Fatalf("lowest threshold point = %+v", lowest)
 	}
-	if ap := AveragePrecision(points); ap < 0.99 {
+	if ap := averagePrecision(points); ap < 0.99 {
 		t.Fatalf("average precision = %v for separable data", ap)
 	}
 }
@@ -62,11 +62,11 @@ func TestPRCurveOverlapping(t *testing.T) {
 	refs.Positive = append(refs.Positive, pairWithDistance(1, true), pairWithDistance(3, true))
 	refs.Negative = append(refs.Negative, pairWithDistance(2, false), pairWithDistance(4, false))
 	points := PRCurve(scoreRule(), refs)
-	best := BestF1(points)
+	best := bestF1(points)
 	if best.F1 >= 1 {
 		t.Fatal("overlapping classes cannot reach perfect F1")
 	}
-	if ap := AveragePrecision(points); ap <= 0 || ap > 1 {
+	if ap := averagePrecision(points); ap <= 0 || ap > 1 {
 		t.Fatalf("average precision out of range: %v", ap)
 	}
 }
@@ -75,10 +75,10 @@ func TestPRCurveEmpty(t *testing.T) {
 	if PRCurve(scoreRule(), &entity.ReferenceLinks{}) != nil {
 		t.Fatal("empty links should give empty curve")
 	}
-	if BestF1(nil).F1 != 0 {
-		t.Fatal("BestF1 of empty curve")
+	if bestF1(nil).F1 != 0 {
+		t.Fatal("bestF1 of empty curve")
 	}
-	if AveragePrecision(nil) != 0 {
+	if averagePrecision(nil) != 0 {
 		t.Fatal("AP of empty curve")
 	}
 }
@@ -92,4 +92,34 @@ func TestPRCurveMonotoneThresholds(t *testing.T) {
 			t.Fatal("thresholds must be strictly ascending")
 		}
 	}
+}
+
+// bestF1 returns the curve point with the highest F-measure (earliest on
+// ties), or a zero point for an empty curve.
+func bestF1(points []PRPoint) PRPoint {
+	var best PRPoint
+	for _, p := range points {
+		if p.F1 > best.F1 {
+			best = p
+		}
+	}
+	return best
+}
+
+// averagePrecision computes the area under the precision-recall curve by
+// the standard step-wise interpolation over descending thresholds.
+func averagePrecision(points []PRPoint) float64 {
+	if len(points) == 0 {
+		return 0
+	}
+	// Walk from the highest threshold (lowest recall) to the lowest.
+	var ap, prevRecall float64
+	for i := len(points) - 1; i >= 0; i-- {
+		p := points[i]
+		if p.Recall > prevRecall {
+			ap += (p.Recall - prevRecall) * p.Precision
+			prevRecall = p.Recall
+		}
+	}
+	return ap
 }

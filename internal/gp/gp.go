@@ -26,15 +26,6 @@ type Population[G any] struct {
 	Individuals []Individual[G]
 }
 
-// NewPopulation wraps genomes into a population with zero fitness.
-func NewPopulation[G any](genomes []G) *Population[G] {
-	inds := make([]Individual[G], len(genomes))
-	for i, g := range genomes {
-		inds[i] = Individual[G]{Genome: g}
-	}
-	return &Population[G]{Individuals: inds}
-}
-
 // Len returns the population size.
 func (p *Population[G]) Len() int { return len(p.Individuals) }
 
@@ -48,18 +39,6 @@ func (p *Population[G]) Best() int {
 		}
 	}
 	return best
-}
-
-// MeanFitness returns the average fitness, or 0 for an empty population.
-func (p *Population[G]) MeanFitness() float64 {
-	if len(p.Individuals) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range p.Individuals {
-		sum += p.Individuals[i].Fitness
-	}
-	return sum / float64(len(p.Individuals))
 }
 
 // Evaluate computes the fitness of every individual with the given number

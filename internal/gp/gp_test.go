@@ -7,20 +7,17 @@ import (
 	"testing/quick"
 )
 
-func TestNewPopulation(t *testing.T) {
-	p := NewPopulation([]int{1, 2, 3})
-	if p.Len() != 3 {
-		t.Fatalf("Len = %d", p.Len())
+// newPopulation wraps genomes into a population with zero fitness.
+func newPopulation[G any](genomes []G) *Population[G] {
+	inds := make([]Individual[G], len(genomes))
+	for i, g := range genomes {
+		inds[i] = Individual[G]{Genome: g}
 	}
-	for _, ind := range p.Individuals {
-		if ind.Fitness != 0 {
-			t.Fatal("fresh individuals should have zero fitness")
-		}
-	}
+	return &Population[G]{Individuals: inds}
 }
 
 func TestBest(t *testing.T) {
-	p := NewPopulation([]int{10, 20, 30})
+	p := newPopulation([]int{10, 20, 30})
 	p.Individuals[0].Fitness = 0.1
 	p.Individuals[1].Fitness = 0.9
 	p.Individuals[2].Fitness = 0.5
@@ -33,19 +30,6 @@ func TestBest(t *testing.T) {
 	}
 }
 
-func TestMeanFitness(t *testing.T) {
-	p := NewPopulation([]int{1, 2})
-	p.Individuals[0].Fitness = 0.2
-	p.Individuals[1].Fitness = 0.8
-	if got := p.MeanFitness(); got != 0.5 {
-		t.Fatalf("MeanFitness = %v", got)
-	}
-	empty := &Population[int]{}
-	if empty.MeanFitness() != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-}
-
 func TestEvaluateSerialAndParallel(t *testing.T) {
 	genomes := make([]int, 100)
 	for i := range genomes {
@@ -53,9 +37,9 @@ func TestEvaluateSerialAndParallel(t *testing.T) {
 	}
 	fitness := func(g int) float64 { return float64(g) * 2 }
 
-	serial := NewPopulation(genomes)
+	serial := newPopulation(genomes)
 	serial.Evaluate(fitness, 1)
-	parallel := NewPopulation(genomes)
+	parallel := newPopulation(genomes)
 	parallel.Evaluate(fitness, 8)
 
 	for i := range genomes {
@@ -70,7 +54,7 @@ func TestEvaluateSerialAndParallel(t *testing.T) {
 
 func TestEvaluateAllIndividualsOnce(t *testing.T) {
 	var calls atomic.Int64
-	p := NewPopulation(make([]int, 50))
+	p := newPopulation(make([]int, 50))
 	p.Evaluate(func(int) float64 {
 		calls.Add(1)
 		return 0
@@ -86,7 +70,7 @@ func TestEvaluateEmpty(t *testing.T) {
 }
 
 func TestEvaluateDefaultWorkers(t *testing.T) {
-	p := NewPopulation([]int{1, 2, 3})
+	p := newPopulation([]int{1, 2, 3})
 	p.Evaluate(func(g int) float64 { return float64(g) }, 0)
 	if p.Individuals[2].Fitness != 3 {
 		t.Fatal("default worker evaluation failed")
@@ -94,7 +78,7 @@ func TestEvaluateDefaultWorkers(t *testing.T) {
 }
 
 func TestTournamentPrefersFitter(t *testing.T) {
-	p := NewPopulation(make([]int, 100))
+	p := newPopulation(make([]int, 100))
 	for i := range p.Individuals {
 		p.Individuals[i].Fitness = float64(i)
 	}
@@ -112,7 +96,7 @@ func TestTournamentPrefersFitter(t *testing.T) {
 }
 
 func TestTournamentK1IsUniform(t *testing.T) {
-	p := NewPopulation(make([]int, 10))
+	p := newPopulation(make([]int, 10))
 	for i := range p.Individuals {
 		p.Individuals[i].Fitness = float64(i)
 	}
@@ -129,7 +113,7 @@ func TestTournamentK1IsUniform(t *testing.T) {
 }
 
 func TestSelectPair(t *testing.T) {
-	p := NewPopulation(make([]int, 10))
+	p := newPopulation(make([]int, 10))
 	rng := rand.New(rand.NewSource(3))
 	a, b := p.SelectPair(rng, 5)
 	if a < 0 || a >= 10 || b < 0 || b >= 10 {
@@ -142,7 +126,7 @@ func TestSelectPair(t *testing.T) {
 func TestTournamentValidProperty(t *testing.T) {
 	f := func(seed int64, size, k uint8) bool {
 		n := int(size%30) + 1
-		p := NewPopulation(make([]int, n))
+		p := newPopulation(make([]int, n))
 		rng := rand.New(rand.NewSource(seed))
 		for i := range p.Individuals {
 			p.Individuals[i].Fitness = rng.Float64()

@@ -1,10 +1,6 @@
 package linkindex
 
-import (
-	"errors"
-
-	"genlink/internal/entity"
-)
+import "errors"
 
 // This file implements the bulk-backfill mode of DurableIndex:
 // corpus-scale ingest that skips the per-batch WAL append and fsync and
@@ -82,18 +78,6 @@ func (d *DurableIndex) CommitBackfill() (int, error) {
 	d.backfillPending = 0
 	d.backfilling.Store(false)
 	return committed, nil
-}
-
-// BulkBackfill is the one-shot form: Backfill every entity as one
-// batch, then CommitBackfill. It returns the number of distinct entities
-// applied. The commit covers the whole session, earlier Backfill writes
-// included; if it fails the session stays open.
-func (d *DurableIndex) BulkBackfill(entities []*entity.Entity) (int, error) {
-	res, _, err := d.Backfill(Batch{Upserts: entities})
-	if err == nil {
-		_, err = d.CommitBackfill()
-	}
-	return res.Upserted, err
 }
 
 // Backfilling reports whether a backfill session is currently open.

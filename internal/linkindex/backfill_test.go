@@ -120,24 +120,26 @@ func TestBackfillCrashContract(t *testing.T) {
 	compareIndexes(t, "post-barrier crash", r2.Index(), d.Index())
 }
 
-// TestBulkBackfillOneShot pins the convenience wrapper: load, barrier,
+// TestBackfillOneShot pins a session of one batch: load, barrier,
 // recover — nothing through the WAL.
-func TestBulkBackfillOneShot(t *testing.T) {
+func TestBackfillOneShot(t *testing.T) {
 	dir := t.TempDir()
 	d, err := linkindex.NewDurable(dir, linkindex.NewSharded(testRule(), 2, durableOpts()),
 		linkindex.DurableOptions{Fsync: linkindex.FsyncBatch, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := d.BulkBackfill(backfillEntities(30))
-	if err != nil || n != 30 {
-		t.Fatalf("BulkBackfill = %d, %v; want 30", n, err)
+	if res, _, err := d.Backfill(linkindex.Batch{Upserts: backfillEntities(30)}); err != nil || res.Upserted != 30 {
+		t.Fatalf("Backfill = %+v, %v; want 30 upserted", res, err)
+	}
+	if n, err := d.CommitBackfill(); err != nil || n != 30 {
+		t.Fatalf("CommitBackfill = %d, %v; want 30", n, err)
 	}
 	if d.Backfilling() {
-		t.Fatal("Backfilling() = true after BulkBackfill")
+		t.Fatal("Backfilling() = true after CommitBackfill")
 	}
 	if m := d.Metrics(); m.WALRecords != 0 {
-		t.Fatalf("BulkBackfill logged %d WAL records, want 0", m.WALRecords)
+		t.Fatalf("the backfill logged %d WAL records, want 0", m.WALRecords)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

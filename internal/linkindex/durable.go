@@ -211,8 +211,10 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 	}
 	var ix *ShardedIndex
 	var base durableSnapshot
+	var rerr error
 	for _, s := range snaps {
-		restored, rerr := RestoreFrom(s.path, RestoreOptions{Shards: o.Shards, Blocker: o.Blocker})
+		var restored *ShardedIndex
+		restored, rerr = RestoreFrom(s.path, RestoreOptions{Shards: o.Shards, Blocker: o.Blocker})
 		if rerr != nil {
 			// Quarantine the unreadable snapshot (keep the bytes for
 			// forensics, but take it out of the snapshot-*.snap namespace):
@@ -229,7 +231,7 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 		break
 	}
 	if ix == nil {
-		return nil, stats, fmt.Errorf("linkindex: recover: no readable snapshot in %s", dir)
+		return nil, stats, fmt.Errorf("linkindex: recover: no readable snapshot in %s; the oldest: %w", dir, rerr)
 	}
 
 	// Replay the log tail: read+CRC (replayWAL's walReader) and decode

@@ -142,16 +142,15 @@ func PartitionOf(id string, parts int) int {
 	return int(h % uint32(parts))
 }
 
-// ShardOf returns the index of the shard owning the given entity ID — a
-// pure function of (ID, shard count), exposed so operators can reason
-// about placement and tests can reconstruct per-shard partitions.
-func (ix *ShardedIndex) ShardOf(id string) int {
+// shardOf returns the index of the shard owning the given entity ID — a
+// pure function of (ID, shard count).
+func (ix *ShardedIndex) shardOf(id string) int {
 	return PartitionOf(id, len(ix.shards))
 }
 
 // shardFor routes an entity ID to its owning shard.
 func (ix *ShardedIndex) shardFor(id string) *shard {
-	return ix.shards[ix.ShardOf(id)]
+	return ix.shards[ix.shardOf(id)]
 }
 
 // Add inserts e into the corpus, replacing any entity with the same ID
@@ -512,7 +511,7 @@ func MergeTopK(perShard [][]matching.Link, k int) []matching.Link {
 // stored record of the probe.
 func (ix *ShardedIndex) QueryID(id string, k int) ([]matching.Link, bool) {
 	cfg := ix.shardMaxBlockCfg()
-	hi := ix.ShardOf(id)
+	hi := ix.shardOf(id)
 	home := ix.shards[hi]
 	home.mu.RLock()
 	probe := home.records[id]

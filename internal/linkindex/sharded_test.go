@@ -98,7 +98,7 @@ func shardedBatchCandidates(bl matching.Blocker, probe *entity.Entity, survivors
 	for s := 0; s < ix.Shards(); s++ {
 		partition := make(map[string]*entity.Entity)
 		for id, e := range survivors {
-			if ix.ShardOf(id) == s {
+			if linkindex.PartitionOf(id, ix.Shards()) == s {
 				partition[id] = e
 			}
 		}

@@ -13,8 +13,8 @@ import (
 	"genlink/internal/rule"
 )
 
-// SnapshotVersion is the one format version WriteSnapshot emits and
-// ReadSnapshot accepts; any other version is rejected instead of guessed
+// SnapshotVersion is the one format version SnapshotTo emits and
+// RestoreFrom accepts; any other version is rejected instead of guessed
 // at.
 //
 // A snapshot is a stream of JSON values separated by newlines: one
@@ -124,18 +124,14 @@ func (snap *snapshotCapture) encode(w io.Writer) error {
 	return nil
 }
 
-// WriteSnapshot writes a versioned snapshot of the index — corpus, rule,
-// and options — as newline-separated JSON values (see SnapshotVersion
-// for the layout). The blocker is recorded by its registry name
-// (matching.RegistryName); an index over a custom, non-registry blocker
-// still snapshots, but restoring it requires RestoreOptions.Blocker.
-func (ix *ShardedIndex) WriteSnapshot(w io.Writer) error {
-	return ix.buildSnapshot().encode(w)
-}
-
-// SnapshotTo writes a snapshot to path atomically: the snapshot is
-// written to a temporary file in the same directory and renamed into
-// place, so a crash mid-write never truncates the previous snapshot.
+// SnapshotTo writes a versioned snapshot of the index — corpus, rule,
+// and options — to path as newline-separated JSON values (see
+// SnapshotVersion for the layout). The blocker is recorded by its
+// registry name (matching.RegistryName); an index over a custom,
+// non-registry blocker still snapshots, but restoring it requires
+// RestoreOptions.Blocker. The snapshot is written to a temporary file in
+// the same directory and renamed into place, so a crash mid-write never
+// truncates the previous snapshot.
 func (ix *ShardedIndex) SnapshotTo(path string) error {
 	return writeSnapshotFile(path, ix.buildSnapshot().encode)
 }
@@ -197,12 +193,11 @@ type RestoreOptions struct {
 	Blocker matching.Blocker
 }
 
-// ReadSnapshot rebuilds an index from a snapshot written by
-// WriteSnapshot: the snapshot is decoded and checked (decodeSnapshot),
-// the rule recompiled, the options reconstructed, and the block
-// structures and scoring records rebuilt by installing the corpus
-// sections in parallel.
-func ReadSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
+// readSnapshot rebuilds an index from a snapshot: the snapshot is
+// decoded and checked (decodeSnapshot), the rule recompiled, the options
+// reconstructed, and the block structures and scoring records rebuilt by
+// installing the corpus sections in parallel.
+func readSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
 	snap, err := decodeSnapshot(r, o)
 	if err != nil {
 		return nil, err
@@ -237,9 +232,10 @@ type decodedSnapshot struct {
 }
 
 // decodeSnapshot reads and checks a snapshot without building an index:
-// the version, the rule's presence, the blocker's resolution (the
-// registry name, else o.Blocker), the section count and every entity's
-// ID. ReadSnapshot installs the result; a follower re-bootstrapping from
+// the version, the rule (present, and valid — decoding it ran
+// rule.Validate), the blocker's resolution (the registry name, else
+// o.Blocker), the section count and every entity's ID. readSnapshot
+// installs the result; a follower re-bootstrapping from
 // a leader snapshot diff-applies it into its live index instead.
 func decodeSnapshot(r io.Reader, o RestoreOptions) (*decodedSnapshot, error) {
 	dec := json.NewDecoder(r)
@@ -313,5 +309,5 @@ func RestoreFrom(path string, o RestoreOptions) (*ShardedIndex, error) {
 		return nil, fmt.Errorf("linkindex: restore: %w", err)
 	}
 	defer f.Close()
-	return ReadSnapshot(f, o)
+	return readSnapshot(f, o)
 }

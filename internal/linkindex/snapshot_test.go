@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -184,5 +185,62 @@ func TestSnapshotVersionAndBlockerErrors(t *testing.T) {
 	mangled := append(append(mangledHdr, '\n'), buf.Bytes()[hdrEnd+1:]...)
 	if _, err := linkindex.ReadSnapshot(bytes.NewReader(mangled), linkindex.RestoreOptions{Blocker: matching.TokenBlocking()}); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future-version restore error = %v, want version rejection", err)
+	}
+}
+
+// TestRestoreRefusesInvalidRule pins the snapshot header as a decoding
+// boundary of rule shape: a header whose rule is null, or fails
+// rule.Validate, is refused by RestoreFrom and by durable recovery, with
+// an error that names the rule.
+func TestRestoreRefusesInvalidRule(t *testing.T) {
+	cases := []struct {
+		name, rule, wantErr string
+	}{
+		{"null", `null`, "snapshot has no rule"},
+		{"negative threshold", `{"kind":"comparison","function":"levenshtein","threshold":-3,"weight":-2,"children":[
+			{"kind":"property","property":"name"},{"kind":"property","property":"name"}]}`, "rule: invalid threshold -3"},
+		{"empty wmean", `{"kind":"aggregation","function":"wmean"}`, `rule: aggregation "wmean" without operands`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ix := linkindex.NewSharded(diffRule(), 2, durableOpts())
+			ix.Add(diffEntity(rand.New(rand.NewSource(1)), "e"))
+			d, err := linkindex.NewDurable(dir, ix, linkindex.DurableOptions{SnapshotEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
+			if err != nil || len(snaps) != 1 {
+				t.Fatalf("snapshots = %v, %v; want one", snaps, err)
+			}
+			data, err := os.ReadFile(snaps[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdrEnd := bytes.IndexByte(data, '\n')
+			var raw map[string]json.RawMessage
+			if err := json.Unmarshal(data[:hdrEnd], &raw); err != nil {
+				t.Fatal(err)
+			}
+			raw["rule"] = json.RawMessage(c.rule)
+			hdr, err := json.Marshal(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(snaps[0], append(hdr, data[hdrEnd:]...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			if _, err := linkindex.RestoreFrom(snaps[0], linkindex.RestoreOptions{}); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("RestoreFrom = %v, want an error containing %q", err, c.wantErr)
+			}
+			if _, _, err := linkindex.Recover(dir, linkindex.DurableOptions{}); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("Recover = %v, want an error containing %q", err, c.wantErr)
+			}
+		})
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"genlink/internal/linkindex"
 	"genlink/internal/matching"
 	"genlink/internal/rule"
+	"genlink/internal/similarity"
 )
 
 // The stream-vs-materialize differential of the query path: after ANY
@@ -37,12 +38,6 @@ func equalLinks(a, b []matching.Link) bool {
 	return true
 }
 
-// opaqueSim is an extension operator kind the compiler cannot compile:
-// a rule rooted in it scores by the tree-walk and gets no prefilter.
-type opaqueSim struct{ rule.SimilarityOp }
-
-func (o opaqueSim) CloneSim() rule.SimilarityOp { return o }
-
 // referenceQuery is the materializing oracle of the query path: score
 // every candidate blocking proposes with the rule's tree-walk — no
 // compiled program and no record, so a record that outlives its entity
@@ -67,36 +62,40 @@ func referenceQuery(ix *linkindex.ShardedIndex, r *rule.Rule, probe *entity.Enti
 	return links
 }
 
-// doubledSim is an opaque extension operator scoring twice its operand,
-// up to 2. Once a top-k heap holds links scoring above 1, its floor is
-// above 1 too, and a query that assumed every score is ≤ 1 would skip the
-// better candidates still to come.
-type doubledSim struct{ rule.SimilarityOp }
+// negativeWeightRules are compiled rules without a pushdown bound: a
+// weighted mean with a negatively weighted operand admits none, at the
+// root or nested in another aggregation.
+func negativeWeightRules() (root, nested *rule.Rule) {
+	year := rule.NewComparison(rule.NewProperty("year"), rule.NewProperty("year"), similarity.Numeric(), 1)
+	year.SetWeight(-1)
+	whole := diffRule().Root
+	whole.SetWeight(2)
+	root = rule.New(rule.NewAggregation(rule.WMean(), year, whole))
 
-func (d doubledSim) Evaluate(a, b *entity.Entity) float64 { return 2 * d.SimilarityOp.Evaluate(a, b) }
-func (d doubledSim) CloneSim() rule.SimilarityOp          { return d }
+	year = year.CloneSim().(*rule.ComparisonOp)
+	title := rule.NewComparison(rule.NewProperty("title"), rule.NewProperty("title"), similarity.Jaccard(), 0.9)
+	title.SetWeight(2)
+	name := diffRule().Root.(*rule.AggregationOp).Operands[0]
+	nested = rule.New(rule.NewAggregation(rule.Max(), rule.NewAggregation(rule.WMean(), year, title), name))
+	return root, nested
+}
 
 func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
 	// The one query path is pinned in both regimes: with a pushdown bound
-	// (the compiled rule) and without one (opaque rules scored by the
-	// tree-walk, one of them scoring above 1, for which every candidate
-	// reaches Score).
+	// and without one (negative weights, for which every candidate reaches
+	// Score).
+	negRoot, negNested := negativeWeightRules()
 	rules := []struct {
 		name      string
 		r         *rule.Rule
 		prefilter bool
 	}{
 		{"prefilter", diffRule(), true},
-		{"opaque", rule.New(opaqueSim{diffRule().Root}), false},
-		{"over-one", rule.New(doubledSim{diffRule().Root}), false},
+		{"negative-weight", negRoot, false},
+		{"nested-negative-weight", negNested, false},
 	}
-	above1 := 0 // links scoring above 1 returned by Query
-	defer func() {
-		if !t.Failed() && above1 == 0 {
-			t.Error("no query returned a link scoring above 1; the over-one rule went unexercised")
-		}
-	}()
 	for _, rc := range rules {
+		links := 0 // links returned by Query under this rule
 		if got := evalengine.Compile(rc.r).Prefilter() != nil; got != rc.prefilter {
 			t.Fatalf("rule %s: has prefilter = %v, want %v", rc.name, got, rc.prefilter)
 		}
@@ -118,11 +117,7 @@ func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
 									t.Fatalf("probe %s k=%d: Query diverges from the materialized reference\n got: %v\nwant: %v",
 										probe.ID, k, got, want)
 								}
-								for _, l := range got {
-									if l.Score > 1 {
-										above1++
-									}
-								}
+								links += len(got)
 							}
 							var wantL []matching.Link
 							stored := ix.Get(probe.ID)
@@ -186,6 +181,9 @@ func TestDifferentialStreamQueryVsMaterializedQuery(t *testing.T) {
 					})
 				}
 			}
+		}
+		if links == 0 && !t.Failed() {
+			t.Errorf("rule %s: no query returned a link; its scoring went unexercised", rc.name)
 		}
 	}
 }

@@ -206,21 +206,15 @@ func (g QGramBlocker) q() int {
 	return g.Q
 }
 
-// QGramsOf returns the character q-grams of one token (q ≤ 0 means 3).
-// Tokens no longer than q are returned whole; empty tokens yield no grams
-// at all — indexing the empty string as a blocking key would put every
-// entity carrying any empty value into one giant block, and slicing
-// assumptions downstream must never see "" (the guard the fuzz target
-// FuzzQGramsOf pins). Grams are byte-based: a multi-byte rune may be
-// split across grams, which is harmless for blocking (both sides split
-// identically).
-func QGramsOf(tok string, q int) []string {
-	return appendQGrams(nil, tok, q)
-}
-
-// appendQGrams appends the q-grams of tok to dst, letting callers that
-// loop over many tokens reuse one buffer instead of allocating a gram
-// slice per token.
+// appendQGrams appends the character q-grams of one token (q ≤ 0 means
+// 3) to dst, letting callers that loop over many tokens reuse one buffer
+// instead of allocating a gram slice per token. Tokens no longer than q
+// are appended whole; empty tokens yield no grams at all — indexing the
+// empty string as a blocking key would put every entity carrying any
+// empty value into one giant block, and slicing assumptions downstream
+// must never see "" (the guard the fuzz target FuzzQGramsOf pins). Grams
+// are byte-based: a multi-byte rune may be split across grams, which is
+// harmless for blocking (both sides split identically).
 func appendQGrams(dst []string, tok string, q int) []string {
 	if q <= 0 {
 		q = 3

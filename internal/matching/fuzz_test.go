@@ -23,9 +23,9 @@ func FuzzQGramsOf(f *testing.F) {
 	f.Add(strings.Repeat("é", 100), 0)
 	f.Add("ab", -5)
 	f.Fuzz(func(t *testing.T, tok string, q int) {
-		grams := QGramsOf(tok, q)
+		grams := appendQGrams(nil, tok, q)
 		if tok == "" && grams != nil {
-			t.Fatalf("QGramsOf(%q, %d) = %q, want nil for empty token", tok, q, grams)
+			t.Fatalf("appendQGrams(nil, %q, %d) = %q, want nil for empty token", tok, q, grams)
 		}
 		eff := q
 		if eff <= 0 {
@@ -33,13 +33,13 @@ func FuzzQGramsOf(f *testing.F) {
 		}
 		for _, g := range grams {
 			if g == "" {
-				t.Fatalf("QGramsOf(%q, %d) emitted an empty gram", tok, q)
+				t.Fatalf("appendQGrams(nil, %q, %d) emitted an empty gram", tok, q)
 			}
 			if len(g) > eff && len(g) != len(tok) {
-				t.Fatalf("QGramsOf(%q, %d) emitted oversized gram %q", tok, q, g)
+				t.Fatalf("appendQGrams(nil, %q, %d) emitted oversized gram %q", tok, q, g)
 			}
 			if !strings.Contains(tok, g) {
-				t.Fatalf("QGramsOf(%q, %d) emitted gram %q not in token", tok, q, g)
+				t.Fatalf("appendQGrams(nil, %q, %d) emitted gram %q not in token", tok, q, g)
 			}
 		}
 		if tok != "" {
@@ -48,7 +48,7 @@ func FuzzQGramsOf(f *testing.F) {
 				want = 1
 			}
 			if len(grams) != want {
-				t.Fatalf("QGramsOf(%q, %d) returned %d grams, want %d", tok, q, len(grams), want)
+				t.Fatalf("appendQGrams(nil, %q, %d) returned %d grams, want %d", tok, q, len(grams), want)
 			}
 		}
 	})

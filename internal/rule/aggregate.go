@@ -1,17 +1,9 @@
 package rule
 
-import "sort"
-
-// aggFunc adapts a function to an Aggregator. commutative must only be
-// set for functions whose result is insensitive to operand order (with
-// weights staying attached to their scores): it feeds the canonical
-// signatures, which sort the operands of commutative aggregations — a
-// wrongly declared function would collapse behaviorally distinct rules
-// into one signature.
+// aggFunc adapts a function to an Aggregator.
 type aggFunc struct {
-	name        string
-	commutative bool
-	fn          func(scores []float64, weights []int) float64
+	name string
+	fn   func(scores []float64, weights []int) float64
 }
 
 func (a aggFunc) Name() string { return a.name }
@@ -20,13 +12,12 @@ func (a aggFunc) Combine(scores []float64, weights []int) float64 {
 	return a.fn(scores, weights)
 }
 
-// Commutative implements the rule.Commutative marker.
-func (a aggFunc) Commutative() bool { return a.commutative }
+func (aggFunc) aggregator() {}
 
 // Min returns the minimum aggregation of Table 3: all operands must exceed
 // the threshold for a link (the conjunction of a boolean classifier).
 func Min() Aggregator {
-	return aggFunc{name: "min", commutative: true, fn: func(scores []float64, _ []int) float64 {
+	return aggFunc{name: "min", fn: func(scores []float64, _ []int) float64 {
 		best := 1.0
 		for _, s := range scores {
 			if s < best {
@@ -40,7 +31,7 @@ func Min() Aggregator {
 // Max returns the maximum aggregation of Table 3: any operand exceeding the
 // threshold yields a link (disjunction).
 func Max() Aggregator {
-	return aggFunc{name: "max", commutative: true, fn: func(scores []float64, _ []int) float64 {
+	return aggFunc{name: "max", fn: func(scores []float64, _ []int) float64 {
 		best := 0.0
 		for _, s := range scores {
 			if s > best {
@@ -54,7 +45,7 @@ func Max() Aggregator {
 // WMean returns the weighted-average aggregation of Table 3:
 // Σ w_i·s_i / Σ w_i. A zero weight sum yields 0.
 func WMean() Aggregator {
-	return aggFunc{name: "wmean", commutative: true, fn: func(scores []float64, weights []int) float64 {
+	return aggFunc{name: "wmean", fn: func(scores []float64, weights []int) float64 {
 		var num, den float64
 		for i, s := range scores {
 			w := 1
@@ -84,16 +75,6 @@ func AggregatorByName(name string) Aggregator {
 		return ctor()
 	}
 	return nil
-}
-
-// AggregatorNames returns all registered aggregator names, sorted.
-func AggregatorNames() []string {
-	names := make([]string, 0, len(aggregators))
-	for n := range aggregators {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // CoreAggregators returns the three aggregation functions used in all paper

@@ -8,10 +8,10 @@ import (
 	"genlink/internal/rule"
 )
 
-// Fuzzing the serialization round trip: any input that parses must
-// re-serialize to a form that parses back to the same rule (canonical
-// signature and stable bytes), and no input — valid, truncated, deeply
-// nested, adversarial UTF-8 — may panic the decoder.
+// Fuzzing the serialization round trip: any input that parses must pass
+// Validate and re-serialize to a form that parses back to the same rule
+// (canonical signature and stable bytes), and no input — valid,
+// truncated, deeply nested, adversarial UTF-8 — may panic the decoder.
 
 // fuzzSeedRules are hand-written encodings covering every operator kind,
 // defaulted weights, degenerate thresholds and nesting.
@@ -31,6 +31,7 @@ var fuzzSeedRules = []string{
 	   {"kind":"property","property":"coord ☃"},
 	   {"kind":"property","property":"coord"}]}`,
 	`null`,
+	`{"kind":"aggregation","function":"min","children":[null]}`,
 	`{"kind":"nonsense"}`,
 	`{"kind":"comparison","function":"unknownMeasure","threshold":1,"children":[
 	   {"kind":"property","property":"x"},{"kind":"property","property":"y"}]}`,
@@ -47,6 +48,9 @@ func FuzzRuleJSONRoundTrip(f *testing.F) {
 		r, err := rule.ParseJSON(data)
 		if err != nil {
 			return // invalid inputs just need to fail cleanly
+		}
+		if err := r.Validate(); err != nil {
+			t.Fatalf("ParseJSON accepted %q, which fails Validate: %v", data, err)
 		}
 		enc, err := json.Marshal(r)
 		if err != nil {
@@ -86,6 +90,9 @@ func FuzzRuleXMLRoundTrip(f *testing.F) {
 		r, err := rule.ParseXML(data)
 		if err != nil {
 			return
+		}
+		if err := r.Validate(); err != nil {
+			t.Fatalf("ParseXML accepted %q, which fails Validate: %v", data, err)
 		}
 		enc, err := xml.Marshal(r)
 		if err != nil {

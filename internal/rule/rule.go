@@ -12,6 +12,7 @@ package rule
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"genlink/internal/entity"
 	"genlink/internal/similarity"
@@ -22,7 +23,9 @@ import (
 const MatchThreshold = 0.5
 
 // ValueOp yields a discriminative value set for a single entity
-// (a member of V := [A ∪ B → Σ] in the paper's notation).
+// (a member of V := [A ∪ B → Σ] in the paper's notation). The set of
+// value operators is closed: PropertyOp and TransformOp are its only
+// implementations.
 type ValueOp interface {
 	// Evaluate returns the operator's value set for the entity.
 	Evaluate(e *entity.Entity) []string
@@ -30,10 +33,13 @@ type ValueOp interface {
 	CloneValue() ValueOp
 	// Count returns the number of operators in the subtree.
 	Count() int
+
+	valueOp()
 }
 
 // SimilarityOp yields a similarity score in [0,1] for a pair of entities
-// (a member of S := [A × B → [0,1]]).
+// (a member of S := [A × B → [0,1]]). The set of similarity operators is
+// closed: ComparisonOp and AggregationOp are its only implementations.
 type SimilarityOp interface {
 	// Evaluate returns the similarity of the pair in [0,1].
 	Evaluate(a, b *entity.Entity) float64
@@ -45,6 +51,8 @@ type SimilarityOp interface {
 	SetWeight(w int)
 	// Count returns the number of operators in the subtree.
 	Count() int
+
+	similarityOp()
 }
 
 // PropertyOp retrieves all values of a property of an entity (Definition 5).
@@ -63,6 +71,8 @@ func (o *PropertyOp) Evaluate(e *entity.Entity) []string { return e.Values(o.Pro
 func (o *PropertyOp) CloneValue() ValueOp { c := *o; return &c }
 
 func (o *PropertyOp) Count() int { return 1 }
+
+func (*PropertyOp) valueOp() {}
 
 // TransformOp transforms the value sets of its inputs with a transformation
 // function (Definition 6). Transformations may be nested to form chains.
@@ -103,6 +113,8 @@ func (o *TransformOp) Count() int {
 	}
 	return n
 }
+
+func (*TransformOp) valueOp() {}
 
 // ComparisonOp compares the value sets of two value operators with a
 // distance measure and threshold (Definition 7):
@@ -163,13 +175,21 @@ func (o *ComparisonOp) SetWeight(w int) { o.W = w }
 
 func (o *ComparisonOp) Count() int { return 1 + o.InputA.Count() + o.InputB.Count() }
 
+func (*ComparisonOp) similarityOp() {}
+
 // Aggregator combines the similarity scores of an aggregation's operands
-// (f_a of Definition 8).
+// (f_a of Definition 8). The set of aggregators is closed: Min, Max and
+// WMean of Table 3 are the only ones. All three are monotone in every
+// non-negatively weighted operand, which the evalengine prefilter relies
+// on, and insensitive to operand order, which the canonical signatures
+// rely on.
 type Aggregator interface {
 	// Name returns the registry name, e.g. "min".
 	Name() string
 	// Combine folds operand scores and weights into one score.
 	Combine(scores []float64, weights []int) float64
+
+	aggregator()
 }
 
 // AggregationOp combines multiple similarity operators (Definition 8).
@@ -225,6 +245,8 @@ func (o *AggregationOp) Count() int {
 	}
 	return n
 }
+
+func (*AggregationOp) similarityOp() {}
 
 func clamp01(v float64) float64 {
 	if math.IsNaN(v) {
@@ -320,7 +342,9 @@ func tallyValue(v ValueOp, s *Stats) {
 // comparisons take exactly two value inputs, transformation inputs respect
 // the transformation's arity, aggregations contain only similarity
 // operators (guaranteed by construction) and at least one operand, and
-// thresholds and weights are sane.
+// thresholds and weights are sane. It is the one check of rule shape:
+// every decoded rule passes it (see UnmarshalJSON), while a rule built in
+// code is checked only if its builder calls it.
 func (r *Rule) Validate() error {
 	if r == nil || r.Root == nil {
 		return fmt.Errorf("rule: nil root")
@@ -362,6 +386,10 @@ func (r *Rule) Validate() error {
 							err = fmt.Errorf("rule: transformation %q without inputs", tr.Function.Name())
 							return
 						}
+						if slices.Contains(tr.Inputs, nil) {
+							err = fmt.Errorf("rule: transformation %q with a missing input", tr.Function.Name())
+							return
+						}
 						if a := tr.Function.Arity(); a > 0 && len(tr.Inputs) != a {
 							err = fmt.Errorf("rule: transformation %q has %d inputs, wants %d",
 								tr.Function.Name(), len(tr.Inputs), a)
@@ -380,6 +408,10 @@ func (r *Rule) Validate() error {
 			}
 			if len(o.Operands) == 0 {
 				err = fmt.Errorf("rule: aggregation %q without operands", o.Function.Name())
+				return
+			}
+			if slices.Contains(o.Operands, nil) {
+				err = fmt.Errorf("rule: aggregation %q with a missing operand", o.Function.Name())
 				return
 			}
 			if o.W < 0 {

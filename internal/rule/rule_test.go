@@ -331,10 +331,9 @@ func TestCompactNotation(t *testing.T) {
 }
 
 func TestAggregatorRegistry(t *testing.T) {
-	for _, name := range AggregatorNames() {
-		a := AggregatorByName(name)
-		if a == nil || a.Name() != name {
-			t.Fatalf("registry broken for %q", name)
+	for _, agg := range CoreAggregators() {
+		if a := AggregatorByName(agg.Name()); a == nil || a.Name() != agg.Name() {
+			t.Fatalf("registry broken for %q", agg.Name())
 		}
 	}
 	if AggregatorByName("nope") != nil {

@@ -64,7 +64,12 @@ func encodeValue(op ValueOp) *node {
 	}
 }
 
+// decodeSim and decodeValue map a null child to a nil operator, which
+// Validate rejects.
 func decodeSim(n *node) (SimilarityOp, error) {
+	if n == nil {
+		return nil, nil
+	}
 	switch n.Kind {
 	case kindComparison:
 		if len(n.Children) != 2 {
@@ -110,11 +115,11 @@ func decodeSim(n *node) (SimilarityOp, error) {
 }
 
 func decodeValue(n *node) (ValueOp, error) {
+	if n == nil {
+		return nil, nil
+	}
 	switch n.Kind {
 	case kindProperty:
-		if n.Property == "" {
-			return nil, fmt.Errorf("rule: property operator without property name")
-		}
 		return &PropertyOp{Property: n.Property}, nil
 	case kindTransform:
 		fn := transform.ByName(n.Function)
@@ -128,9 +133,6 @@ func decodeValue(n *node) (ValueOp, error) {
 				return nil, err
 			}
 			tr.Inputs = append(tr.Inputs, op)
-		}
-		if len(tr.Inputs) == 0 {
-			return nil, fmt.Errorf("rule: transformation %q without inputs", n.Function)
 		}
 		return tr, nil
 	default:
@@ -146,21 +148,32 @@ func (r *Rule) MarshalJSON() ([]byte, error) {
 	return json.Marshal(encodeSim(r.Root))
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. It refuses null and every
+// rule Validate rejects, leaving r unchanged.
 func (r *Rule) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		r.Root = nil
-		return nil
-	}
-	var n node
+	var n *node
 	if err := json.Unmarshal(data, &n); err != nil {
 		return err
 	}
-	root, err := decodeSim(&n)
-	if err != nil {
+	return r.decode(n)
+}
+
+// decode builds the rule encoded by n (nil for an empty encoding) and
+// stores it in r if it passes Validate. Every decoding path ends here, so
+// Validate is the one check of rule shape a decoded rule gets.
+func (r *Rule) decode(n *node) error {
+	var d Rule
+	if n != nil {
+		root, err := decodeSim(n)
+		if err != nil {
+			return err
+		}
+		d.Root = root
+	}
+	if err := d.Validate(); err != nil {
 		return err
 	}
-	r.Root = root
+	*r = d
 	return nil
 }
 
@@ -179,7 +192,8 @@ func (r *Rule) MarshalXML(e *xml.Encoder, start xml.StartElement) error {
 	return e.EncodeToken(start.End())
 }
 
-// UnmarshalXML decodes a <LinkageRule> element.
+// UnmarshalXML decodes a <LinkageRule> element. Like UnmarshalJSON it
+// refuses an empty element and every rule Validate rejects.
 func (r *Rule) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
 	var wrapper struct {
 		Root *node `xml:"Operator"`
@@ -187,19 +201,10 @@ func (r *Rule) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
 	if err := d.DecodeElement(&wrapper, &start); err != nil {
 		return err
 	}
-	if wrapper.Root == nil {
-		r.Root = nil
-		return nil
-	}
-	root, err := decodeSim(wrapper.Root)
-	if err != nil {
-		return err
-	}
-	r.Root = root
-	return nil
+	return r.decode(wrapper.Root)
 }
 
-// ParseJSON decodes a rule from its JSON encoding.
+// ParseJSON decodes a rule from its JSON encoding and validates it.
 func ParseJSON(data []byte) (*Rule, error) {
 	var r Rule
 	if err := json.Unmarshal(data, &r); err != nil {
@@ -208,7 +213,7 @@ func ParseJSON(data []byte) (*Rule, error) {
 	return &r, nil
 }
 
-// ParseXML decodes a rule from its XML encoding.
+// ParseXML decodes a rule from its XML encoding and validates it.
 func ParseXML(data []byte) (*Rule, error) {
 	var r Rule
 	if err := xml.Unmarshal(data, &r); err != nil {

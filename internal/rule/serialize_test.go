@@ -29,6 +29,39 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseReturnsValidateError pins decoding as the boundary of rule
+// shape: for a rule Validate rejects, ParseJSON and ParseXML of its
+// encodings fail with Validate's own error instead of serving the rule.
+func TestParseReturnsValidateError(t *testing.T) {
+	negative := NewComparison(NewProperty("a"), NewProperty("b"), similarity.Levenshtein(), -3)
+	negative.SetWeight(-2)
+	for name, r := range map[string]*Rule{
+		"empty wmean":                   New(NewAggregation(WMean())),
+		"negative threshold and weight": New(negative),
+		"null":                          {},
+	} {
+		t.Run(name, func(t *testing.T) {
+			want := r.Validate()
+			if want == nil {
+				t.Fatal("Validate accepts the rule")
+			}
+			data, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ParseJSON(data); err == nil || err.Error() != want.Error() {
+				t.Errorf("ParseJSON(%s) = %v, want %v", data, err, want)
+			}
+			if data, err = xml.Marshal(r); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ParseXML(data); err == nil || err.Error() != want.Error() {
+				t.Errorf("ParseXML(%s) = %v, want %v", data, err, want)
+			}
+		})
+	}
+}
+
 func TestJSONNull(t *testing.T) {
 	data, err := json.Marshal(&Rule{})
 	if err != nil {
@@ -36,13 +69,6 @@ func TestJSONNull(t *testing.T) {
 	}
 	if string(data) != "null" {
 		t.Fatalf("empty rule JSON = %s", data)
-	}
-	r, err := ParseJSON([]byte("null"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Root != nil {
-		t.Fatal("null should decode to empty rule")
 	}
 }
 
@@ -61,20 +87,6 @@ func TestXMLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestXMLEmptyRule(t *testing.T) {
-	data, err := xml.Marshal(&Rule{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseXML(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Root != nil {
-		t.Fatal("empty XML rule should stay empty")
-	}
-}
-
 func TestDecodeErrors(t *testing.T) {
 	bad := []string{
 		`{"kind":"comparison","function":"levenshtein","children":[{"kind":"property","property":"a"}]}`,                                                                                        // one child
@@ -85,6 +97,8 @@ func TestDecodeErrors(t *testing.T) {
 		`{"kind":"comparison","function":"levenshtein","children":[{"kind":"transform","function":"nope","children":[{"kind":"property","property":"a"}]},{"kind":"property","property":"b"}]}`, // bad transform
 		`{"kind":"comparison","function":"levenshtein","children":[{"kind":"transform","function":"lowerCase"},{"kind":"property","property":"b"}]}`,                                            // transform w/o inputs
 		`{"kind":"comparison","function":"levenshtein","children":[{"kind":"mystery"},{"kind":"property","property":"b"}]}`,                                                                     // unknown value kind
+		`{"kind":"aggregation","function":"max","children":[null]}`,                                                                                                                             // null operand
+		`{"kind":"comparison","function":"levenshtein","children":[{"kind":"transform","function":"lowerCase","children":[null]},{"kind":"property","property":"b"}]}`,                          // null transformation input
 		`not even json`,
 	}
 	for i, s := range bad {

@@ -17,31 +17,19 @@ import (
 //     significant digits, which would conflate distinct comparisons);
 //   - property names are quoted, so names containing commas or parentheses
 //     cannot collide with the surrounding syntax;
-//   - operands of commutative aggregations are sorted, so rules that only
-//     differ in operand order — a routine outcome of the crossover
-//     operators — share one signature.
+//   - aggregation operands are sorted, so rules that only differ in
+//     operand order — a routine outcome of the crossover operators —
+//     share one signature. Every aggregator (min, max, wmean) is
+//     insensitive to operand order as long as weights stay attached to
+//     their scores, up to the rounding of wmean's floating-point sums.
 //
 // The evalengine keys its cross-generation caches by signature, and the
 // learner uses Rule.Signature to deduplicate its rule committee. Like the
 // serializer, signatures identify measures, transformations and aggregators
 // by Name(), so registered names must uniquely determine behaviour.
 
-// Commutative is optionally implemented by aggregators whose Combine result
-// does not depend on operand order (given weights stay attached to their
-// scores). All built-in aggregators (min, max, wmean) are commutative.
-type Commutative interface {
-	Commutative() bool
-}
-
-// IsCommutative reports whether the aggregator declares itself commutative.
-func IsCommutative(a Aggregator) bool {
-	c, ok := a.(Commutative)
-	return ok && c.Commutative()
-}
-
 // ValueSignature returns the canonical signature of a value operator
-// subtree. Unknown operator kinds yield "?" and must not be memoized
-// (see Rule.HasOnlyCoreOps).
+// subtree.
 func ValueSignature(op ValueOp) string {
 	var b sigBuilder
 	VisitValuePostOrder(op, &b)
@@ -111,8 +99,8 @@ func (b *sigBuilder) Comparison(o *ComparisonOp) {
 }
 
 // Aggregation implements Visitor. Operand weights are recorded next to each
-// operand signature; for commutative aggregators the weighted entries are
-// sorted into canonical order.
+// operand signature, and the weighted entries are sorted into canonical
+// order.
 func (b *sigBuilder) Aggregation(o *AggregationOp) {
 	args := b.pop(len(o.Operands))
 	entries := make([]string, len(args))
@@ -123,8 +111,6 @@ func (b *sigBuilder) Aggregation(o *AggregationOp) {
 		}
 		entries[i] = strconv.Itoa(w) + "*" + a
 	}
-	if IsCommutative(o.Function) {
-		sort.Strings(entries)
-	}
+	sort.Strings(entries)
 	b.push("a:" + o.Function.Name() + "(" + strings.Join(entries, ",") + ")")
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"genlink/internal/entity"
 	"genlink/internal/similarity"
 	"genlink/internal/transform"
 )
@@ -74,9 +73,6 @@ func TestSimSignatureCommutativeSorting(t *testing.T) {
 	if SimSignature(fwd) != SimSignature(rev) {
 		t.Fatal("commutative aggregation must ignore operand order")
 	}
-	if !IsCommutative(Min()) || !IsCommutative(Max()) || !IsCommutative(WMean()) {
-		t.Fatal("built-in aggregators must be commutative")
-	}
 }
 
 func TestRuleSignatureNilSafety(t *testing.T) {
@@ -88,32 +84,6 @@ func TestRuleSignatureNilSafety(t *testing.T) {
 		t.Fatalf("empty rule signature = %q", got)
 	}
 }
-
-func TestHasOnlyCoreOps(t *testing.T) {
-	r := New(NewAggregation(Min(),
-		NewComparison(NewTransform(transform.LowerCase(), NewProperty("l")),
-			NewProperty("l"), similarity.Levenshtein(), 1)))
-	if !r.HasOnlyCoreOps() {
-		t.Fatal("core rule misdetected")
-	}
-	ext := New(NewAggregation(Min(), extensionOp{}))
-	if ext.HasOnlyCoreOps() {
-		t.Fatal("extension operator not detected")
-	}
-	if sig := SimSignature(extensionOp{}); sig != "?" {
-		t.Fatalf("extension signature = %q, want \"?\"", sig)
-	}
-}
-
-// extensionOp is a SimilarityOp kind the signature builder and the
-// evalengine compiler do not know.
-type extensionOp struct{}
-
-func (extensionOp) Evaluate(a, b *entity.Entity) float64 { return 0 }
-func (extensionOp) CloneSim() SimilarityOp               { return extensionOp{} }
-func (extensionOp) Weight() int                          { return 1 }
-func (extensionOp) SetWeight(int)                        {}
-func (extensionOp) Count() int                           { return 1 }
 
 func TestVisitPostOrderOrder(t *testing.T) {
 	r := New(NewAggregation(Min(),

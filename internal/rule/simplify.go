@@ -3,8 +3,10 @@ package rule
 // Simplify returns a semantically equivalent but structurally smaller copy
 // of the rule:
 //
-//   - aggregations with a single operand are replaced by that operand
-//     (min/max/wmean of one score is the score itself),
+//   - min and max aggregations with a single operand are replaced by that
+//     operand (the min or max of one score is the score itself), and so
+//     are single-operand weighted means whose operand has weight 1 (for
+//     any other weight w, w·s/w need not round back to s exactly),
 //   - nested aggregations with the same min/max function are flattened
 //     (min(a, min(b, c)) = min(a, b, c)); wmean is not flattened because
 //     nested weighted means weight differently,
@@ -44,25 +46,22 @@ func simplifySim(op SimilarityOp) SimilarityOp {
 		// functions). The key is the behavioural signature: exact
 		// thresholds, quoted property names, operand weights of nested
 		// aggregations — but not the sibling's own weight, which min and
-		// max ignore. An extension operator has no signature and is kept.
+		// max ignore.
 		seen := make(map[string]bool, len(flat))
 		var unique []SimilarityOp
 		for _, child := range flat {
-			if coreSim(child) {
-				key := SimSignature(child)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
+			key := SimSignature(child)
+			if seen[key] {
+				continue
 			}
+			seen[key] = true
 			unique = append(unique, child)
 		}
 		agg.Operands = unique
 	}
-	if len(agg.Operands) == 1 {
-		// A single-operand aggregation is the identity for min, max and
-		// wmean alike; hoist the child but keep the aggregation's weight
-		// so a parent weighted mean is unaffected.
+	if len(agg.Operands) == 1 && (name != "wmean" || agg.Operands[0].Weight() == 1) {
+		// Hoist the child but keep the aggregation's weight so a parent
+		// weighted mean is unaffected.
 		child := agg.Operands[0]
 		child.SetWeight(agg.W)
 		return child

@@ -22,10 +22,7 @@ type Visitor interface {
 // natural order for bottom-up consumers — a visitor that maintains a stack
 // sees every child's result on top of the stack when its parent is visited,
 // which is exactly how the evalengine compiler emits flat stack programs
-// and how canonical signatures are composed.
-//
-// Operators of unknown dynamic types are skipped; callers that must handle
-// extension operators should detect them with HasOnlyCoreOps first.
+// and how canonical signatures are composed. A nil operator is skipped.
 func VisitPostOrder(op SimilarityOp, v Visitor) {
 	switch o := op.(type) {
 	case nil:
@@ -56,45 +53,8 @@ func VisitValuePostOrder(op ValueOp, v Visitor) {
 	}
 }
 
-// HasOnlyCoreOps reports whether every operator in the rule is one of the
-// four built-in kinds (property, transformation, comparison, aggregation).
-// The evalengine compiler only understands those; rules containing
-// extension operators fall back to the interpreted tree-walk.
-func (r *Rule) HasOnlyCoreOps() bool {
-	if r == nil || r.Root == nil {
-		return true
-	}
-	return coreSim(r.Root)
-}
-
-func coreSim(op SimilarityOp) bool {
-	switch o := op.(type) {
-	case *ComparisonOp:
-		return coreValue(o.InputA) && coreValue(o.InputB)
-	case *AggregationOp:
-		for _, child := range o.Operands {
-			if !coreSim(child) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-func coreValue(op ValueOp) bool {
-	switch o := op.(type) {
-	case *PropertyOp:
-		return true
-	case *TransformOp:
-		for _, child := range o.Inputs {
-			if !coreValue(child) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
+// HasOnlyCoreOps reports true: the operator interfaces are closed, so
+// every rule is built from the four core kinds. It is kept only because
+// the benchmark rig's tests (benchmark/rules_test.go) still call it; it
+// goes when the rig next changes.
+func (r *Rule) HasOnlyCoreOps() bool { return true }

@@ -438,10 +438,12 @@ func Dataset(name string, seed int64) *DataSet {
 // DatasetNames lists the six paper datasets in Table 5 order.
 func DatasetNames() []string { return datagen.Names() }
 
-// ParseRuleJSON decodes a rule from JSON.
+// ParseRuleJSON decodes a rule from JSON and validates it: it returns
+// Rule.Validate's error for null and for any rule Validate rejects.
 func ParseRuleJSON(data []byte) (*Rule, error) { return rule.ParseJSON(data) }
 
-// ParseRuleXML decodes a rule from XML.
+// ParseRuleXML decodes a rule from XML and validates it like
+// ParseRuleJSON.
 func ParseRuleXML(data []byte) (*Rule, error) { return rule.ParseXML(data) }
 
 // ReadCSV loads a CSV document into a source.

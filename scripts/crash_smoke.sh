@@ -44,6 +44,32 @@ EOF
 
 go build -o "$BIN" ./cmd/genlinkd
 
+# A rule that rule.Validate rejects is refused where it is decoded:
+# genlinkd exits non-zero with Validate's message before it writes any
+# durable state.
+cat > "$WORK/bad_rule.json" <<'EOF'
+{
+  "kind": "comparison", "function": "levenshtein", "threshold": -3,
+  "children": [
+    {"kind": "property", "property": "name"},
+    {"kind": "property", "property": "name"}
+  ]
+}
+EOF
+echo "crash_smoke: boot with an invalid rule"
+# timeout turns a server that accepted the rule (and so never exits) into
+# exit status 124.
+status=0
+timeout 30 "$BIN" -rule "$WORK/bad_rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" 2>"$WORK/bad_rule.log" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+  fail "genlinkd did not refuse a rule with threshold -3 (exit status $status)"
+fi
+grep -q 'rule: invalid threshold -3' "$WORK/bad_rule.log" ||
+  fail "invalid rule refused without Validate's message: $(cat "$WORK/bad_rule.log")"
+if compgen -G "$WAL_DIR/wal-*.seg" >/dev/null; then
+  fail "invalid rule left a WAL segment in $WAL_DIR"
+fi
+
 echo "crash_smoke: first boot"
 "$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch 2>"$WORK/server.log" &
 PID=$!
