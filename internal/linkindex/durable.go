@@ -175,8 +175,13 @@ func HasDurableState(dir string) bool {
 // index rooted at dir. It writes a genesis snapshot of ix's current
 // state (so recovery always has a rule and a base state, even before the
 // first auto-snapshot) and opens the log. dir must not already hold
-// durable state; use Recover or OpenDurable for that.
+// durable state; use Recover or OpenDurable for that. A rule that fails
+// rule.Validate is refused before dir is touched, since recovery could
+// not read it back.
 func NewDurable(dir string, ix *ShardedIndex, o DurableOptions) (*DurableIndex, error) {
+	if err := ix.rule.Validate(); err != nil {
+		return nil, fmt.Errorf("linkindex: durable: %w", err)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("linkindex: durable: %w", err)
 	}
@@ -215,6 +220,11 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 	for _, s := range snaps {
 		var restored *ShardedIndex
 		restored, rerr = RestoreFrom(s.path, RestoreOptions{Shards: o.Shards, Blocker: o.Blocker})
+		if errors.Is(rerr, errSnapshotRule) {
+			// Every snapshot of a directory carries the same rule, and its
+			// bytes are intact: leave them for a reader that accepts it.
+			return nil, stats, fmt.Errorf("linkindex: recover: %s (left in place): %w", s.path, rerr)
+		}
 		if rerr != nil {
 			// Quarantine the unreadable snapshot (keep the bytes for
 			// forensics, but take it out of the snapshot-*.snap namespace):

@@ -2,6 +2,7 @@ package linkindex
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -33,6 +34,13 @@ const SnapshotVersion = 2
 // maxSnapshotSections rejects absurd section counts decoded from a
 // corrupt header before they turn into a giant allocation.
 const maxSnapshotSections = 1 << 20
+
+// errSnapshotRule marks a snapshot refused for its rule (null, or failing
+// rule.Validate) rather than for damaged bytes. The writers check the
+// same rule before they write (SnapshotTo, NewDurable), so such a
+// snapshot comes from a writer with a looser check; recovery leaves it in
+// place instead of quarantining it as corrupt.
+var errSnapshotRule = errors.New("snapshot rule refused")
 
 // snapshotHeader is the first JSON value of a snapshot; the corpus
 // follows in Sections per-shard section values.
@@ -131,8 +139,12 @@ func (snap *snapshotCapture) encode(w io.Writer) error {
 // non-registry blocker still snapshots, but restoring it requires
 // RestoreOptions.Blocker. The snapshot is written to a temporary file in
 // the same directory and renamed into place, so a crash mid-write never
-// truncates the previous snapshot.
+// truncates the previous snapshot. A rule that fails rule.Validate is
+// refused before anything is written: no reader would accept it.
 func (ix *ShardedIndex) SnapshotTo(path string) error {
+	if err := ix.rule.Validate(); err != nil {
+		return fmt.Errorf("linkindex: snapshot: %w", err)
+	}
 	return writeSnapshotFile(path, ix.buildSnapshot().encode)
 }
 
@@ -232,23 +244,31 @@ type decodedSnapshot struct {
 }
 
 // decodeSnapshot reads and checks a snapshot without building an index:
-// the version, the rule (present, and valid — decoding it ran
+// the version, the rule (present, and valid — rule.ParseJSON runs
 // rule.Validate), the blocker's resolution (the registry name, else
 // o.Blocker), the section count and every entity's ID. readSnapshot
 // installs the result; a follower re-bootstrapping from
 // a leader snapshot diff-applies it into its live index instead.
 func decodeSnapshot(r io.Reader, o RestoreOptions) (*decodedSnapshot, error) {
 	dec := json.NewDecoder(r)
-	var hdr snapshotHeader
-	if err := dec.Decode(&hdr); err != nil {
+	// The rule is held raw until the version is checked, so a rule error
+	// (errSnapshotRule) is told apart from a header that does not decode.
+	var raw struct {
+		snapshotHeader
+		Rule json.RawMessage `json:"rule"`
+	}
+	if err := dec.Decode(&raw); err != nil {
 		return nil, fmt.Errorf("linkindex: restore: %w", err)
 	}
+	hdr := raw.snapshotHeader
 	if hdr.Version != SnapshotVersion {
 		return nil, fmt.Errorf("linkindex: restore: snapshot version %d, this build reads version %d only", hdr.Version, SnapshotVersion)
 	}
-	if hdr.Rule == nil {
-		return nil, fmt.Errorf("linkindex: restore: snapshot has no rule")
+	rl, err := rule.ParseJSON(raw.Rule)
+	if err != nil {
+		return nil, fmt.Errorf("linkindex: restore: %w: %w", errSnapshotRule, err)
 	}
+	hdr.Rule = rl
 	bl := matching.BlockerByName(hdr.Blocker)
 	if bl == nil {
 		bl = o.Blocker

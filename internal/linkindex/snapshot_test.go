@@ -196,7 +196,7 @@ func TestRestoreRefusesInvalidRule(t *testing.T) {
 	cases := []struct {
 		name, rule, wantErr string
 	}{
-		{"null", `null`, "snapshot has no rule"},
+		{"null", `null`, "rule: nil root"},
 		{"negative threshold", `{"kind":"comparison","function":"levenshtein","threshold":-3,"weight":-2,"children":[
 			{"kind":"property","property":"name"},{"kind":"property","property":"name"}]}`, "rule: invalid threshold -3"},
 		{"empty wmean", `{"kind":"aggregation","function":"wmean"}`, `rule: aggregation "wmean" without operands`},
@@ -241,6 +241,50 @@ func TestRestoreRefusesInvalidRule(t *testing.T) {
 			if _, _, err := linkindex.Recover(dir, linkindex.DurableOptions{}); err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("Recover = %v, want an error containing %q", err, c.wantErr)
 			}
+			// The bytes are intact, so recovery must not quarantine them.
+			if _, err := os.Stat(snaps[0]); err != nil {
+				t.Errorf("snapshot after refused recovery: %v, want it left in place", err)
+			}
+			if corrupt, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(corrupt) != 0 {
+				t.Errorf("refused recovery quarantined %v", corrupt)
+			}
 		})
 	}
+}
+
+// TestWritersRefuseInvalidRule pins the write side of the same boundary:
+// an in-code rule that fails rule.Validate (here a negative weight,
+// which in-memory scoring accepts) is refused by NewDurable, OpenDurable
+// and SnapshotTo before they write anything, so no snapshot is written
+// that recovery or a follower would refuse.
+func TestWritersRefuseInvalidRule(t *testing.T) {
+	neg, _ := negativeWeightRules()
+	ix := linkindex.NewSharded(neg, 2, durableOpts())
+	ix.Add(diffEntity(rand.New(rand.NewSource(1)), "e"))
+	const want = "rule: negative weight -1"
+	assertEmpty := func(dir string) {
+		t.Helper()
+		if ents, err := os.ReadDir(dir); err == nil && len(ents) != 0 {
+			t.Errorf("%s holds %d entries after a refused write, want none", dir, len(ents))
+		}
+	}
+
+	dir := filepath.Join(t.TempDir(), "new")
+	if _, err := linkindex.NewDurable(dir, ix, linkindex.DurableOptions{SnapshotEvery: -1}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("NewDurable = %v, want an error containing %q", err, want)
+	}
+	assertEmpty(dir)
+
+	dir = t.TempDir()
+	build := func() (*linkindex.ShardedIndex, error) { return ix, nil }
+	if _, _, err := linkindex.OpenDurable(dir, build, linkindex.DurableOptions{SnapshotEvery: -1}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("OpenDurable = %v, want an error containing %q", err, want)
+	}
+	assertEmpty(dir)
+
+	dir = t.TempDir()
+	if err := ix.SnapshotTo(filepath.Join(dir, "ix.snap")); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("SnapshotTo = %v, want an error containing %q", err, want)
+	}
+	assertEmpty(dir)
 }
