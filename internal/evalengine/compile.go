@@ -2,6 +2,7 @@ package evalengine
 
 import (
 	"math"
+	"slices"
 
 	"genlink/internal/rule"
 	"genlink/internal/similarity"
@@ -76,6 +77,56 @@ type distProgram struct {
 	id      int // index within Compiled.dists
 	measure similarity.Measure
 	a, b    *valueProgram
+	// ta and tb index the typed forms of a's and b's value sets in a
+	// Record (Compiled.typed) when the measure is similarity.Prepared,
+	// and are -1 otherwise.
+	ta, tb int
+	// theta is the largest threshold among the comparisons reading this
+	// distance: every distance above it folds like +Inf.
+	theta float64
+	// rank is the distance's place in Probe.Score's order (rankOf).
+	rank int
+	// pattern marks a patterned measure, whose probe side a Probe
+	// prepares once; cutoff marks the integral one (levenshtein), which
+	// Probe.Score bounds by the largest distance that can still reach its
+	// floor.
+	pattern, cutoff bool
+}
+
+// rankParsed is the rank of the measures that parse their values.
+const rankParsed = 0
+
+// rankOf orders a rule's distances for Probe.Score, cheapest first: the
+// arithmetic over parsed numbers, dates and coordinates, then the set
+// measures (one merge of sorted tokens) and equality, then the edit
+// distances, then every measure that allocates per comparison. Scores do
+// not depend on the order; how early a candidate is declined does.
+func rankOf(m similarity.Measure) int {
+	switch m.Name() {
+	case "numeric", "date", "geographic":
+		return rankParsed
+	case "jaccard", "dice", "cosine", "equality":
+		return 1
+	case "levenshtein", "normLevenshtein":
+		return 2
+	default:
+		return 3
+	}
+}
+
+// patterned is a measure that prepares one side of its comparisons as a
+// pattern (similarity's edit distances): the function it returns is the
+// measure's Distance from the pattern side's values, exact up to the
+// bound k and above k past it.
+type patterned interface {
+	Pattern(values []string) func(text []string, k float64) float64
+}
+
+// typedForm is one value program's output in the typed form of one
+// prepared measure, kept in every Record.
+type typedForm struct {
+	value int // value program id
+	m     similarity.Prepared
 }
 
 // similarity instruction opcodes.
@@ -100,6 +151,8 @@ type Compiled struct {
 	sims   []simInstr
 	values []*valueProgram // deduplicated by signature
 	dists  []*distProgram  // deduplicated by signature
+	order  []*distProgram  // dists in Probe.Score's order (rankOf)
+	typed  []typedForm     // deduplicated by (value program, measure)
 	depth  int             // maximum similarity-stack depth
 	vdepth int             // maximum value-stack depth over all programs
 	// pf is the pushdown prefilter (prefilter.go), nil when the rule
@@ -119,6 +172,12 @@ func Compile(r *rule.Rule) *Compiled {
 	comp := compiler{c: c, valueBySig: make(map[string]*valueProgram), distBySig: make(map[string]*distProgram)}
 	comp.sim(r.Root)
 	c.depth = comp.maxDepth
+	byRank := func(x, y *distProgram) int { return x.rank - y.rank }
+	c.order = c.dists
+	if !slices.IsSortedFunc(c.order, byRank) {
+		c.order = slices.Clone(c.dists)
+		slices.SortStableFunc(c.order, byRank)
+	}
 	for _, v := range c.values {
 		if v.depth > c.vdepth {
 			c.vdepth = v.depth
@@ -158,6 +217,7 @@ func (k *compiler) sim(op rule.SimilarityOp) {
 		a := k.value(o.InputA)
 		b := k.value(o.InputB)
 		d := k.dist(o.Measure, a, b)
+		d.theta = max(d.theta, o.Threshold)
 		k.c.sims = append(k.c.sims, simInstr{op: sDist, dist: d.id, threshold: o.Threshold})
 		k.push()
 	case *rule.AggregationOp:
@@ -214,10 +274,28 @@ func (k *compiler) dist(m similarity.Measure, a, b *valueProgram) *distProgram {
 	if d, ok := k.distBySig[sig]; ok {
 		return d
 	}
-	d := &distProgram{sig: sig, id: len(k.c.dists), measure: m, a: a, b: b}
+	d := &distProgram{sig: sig, id: len(k.c.dists), measure: m, a: a, b: b,
+		ta: -1, tb: -1, theta: math.Inf(-1), rank: rankOf(m)}
+	if p, ok := m.(similarity.Prepared); ok {
+		d.ta, d.tb = k.typed(a, p), k.typed(b, p)
+	}
+	_, d.pattern = m.(patterned)
+	d.cutoff = d.pattern && m.Name() == "levenshtein"
 	k.c.dists = append(k.c.dists, d)
 	k.distBySig[sig] = d
 	return d
+}
+
+// typed interns the typed form of value program v under measure m. A
+// rule has few, so a scan finds them.
+func (k *compiler) typed(v *valueProgram, m similarity.Prepared) int {
+	for i, t := range k.c.typed {
+		if t.value == v.id && t.m.Name() == m.Name() {
+			return i
+		}
+	}
+	k.c.typed = append(k.c.typed, typedForm{value: v.id, m: m})
+	return len(k.c.typed) - 1
 }
 
 // scoreFromDist applies Definition 7 to a raw distance, replicating
@@ -282,15 +360,4 @@ func (c *Compiled) fold(dists []float64, stack []float64) float64 {
 		return 0
 	}
 	return stack[sp-1]
-}
-
-// score computes every distance program from the two sides' records and
-// folds the similarity program: the score Rule.Evaluate gives the pair
-// the records were built from. dists and stack are scratch of the usual
-// sizes.
-func (c *Compiled) score(ra, rb *Record, dists, stack []float64) float64 {
-	for _, d := range c.dists {
-		dists[d.id] = d.measure.Distance(ra.sets[d.a.id], rb.sets[d.b.id])
-	}
-	return c.fold(dists, stack)
 }

@@ -17,7 +17,7 @@
 //
 //	  - value sets     memoized per (value-subtree signature, entity)
 //	  - typed values   the value sets parsed once per (value-subtree
-//	                   signature, prepared measure, entity) — numeric,
+//	                   signature, parsing measure, entity) — numeric,
 //	                   geographic and date compare floats, coordinates
 //	                   and times, not strings (similarity.Prepared); the
 //	                   typed column lives in its value-set entry
@@ -350,7 +350,12 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 				a:     needValue(d.a, true),
 				b:     needValue(d.b, false),
 			}
-			if m, ok := d.measure.(similarity.Prepared); ok {
+			// Only the parsing measures pay for a typed column here: an
+			// entity meets few reference pairs, so sorting its tokens for
+			// a set measure costs more than the scan it would replace
+			// (BenchmarkFitnessEvaluation). A scoring record, compared
+			// with every candidate, keeps both kinds.
+			if m, ok := d.measure.(similarity.Prepared); ok && d.rank == rankParsed {
 				n.pa = needPrepared(n.a, m, true)
 				n.pb = needPrepared(n.b, m, false)
 			}

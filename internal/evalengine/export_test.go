@@ -1,11 +1,15 @@
 package evalengine
 
-import "slices"
+import (
+	"math"
+
+	"genlink/internal/entity"
+)
 
 // MetaOfValues exposes the prefilter metadata of a value set.
 func MetaOfValues(vs []string) (card, minLen, maxLen int) {
 	m := metaOfValues(vs)
-	return m.card, m.minLen, m.maxLen
+	return int(m.card), int(m.minLen), int(m.maxLen)
 }
 
 // RecordCount returns how many entity records s has cached.
@@ -18,12 +22,26 @@ func RecordCount(s *Scorer) int {
 	return n
 }
 
-// CloneRecord returns a deep copy of r, so a test can check that scoring
-// leaves r unchanged.
-func CloneRecord(r *Record) *Record {
-	sets := make([][]string, len(r.sets))
-	for i, s := range r.sets {
-		sets[i] = slices.Clone(s)
+// CloneRecord returns a deep copy of r, a record of c, so a test can
+// check that scoring leaves r unchanged: the record of r's entity built
+// afresh, as Compiled.Record built r.
+func CloneRecord(c *Compiled, r *Record) *Record { return c.Record(r.e) }
+
+// PartialBound is the upper bound Probe.Score folds for the pair once it
+// knows the exact distances of the distance programs whose bit is set in
+// known (by program id), the rest at their metadata lower bounds: with
+// nothing known it is Scorer.Bound, with everything known the score. It
+// is +Inf when the rule has no prefilter.
+func PartialBound(c *Compiled, a, b *entity.Entity, known uint64) float64 {
+	if c.pf == nil {
+		return math.Inf(1)
 	}
-	return &Record{e: r.e, sets: sets, meta: slices.Clone(r.meta)}
+	p, rb := c.Bind(c.Record(a)), c.Record(b)
+	c.pf.lower(p.rec, rb, p.dists)
+	for _, d := range c.dists {
+		if known>>(d.id%64)&1 == 1 {
+			p.dists[d.id] = p.distance(d, rb, math.Inf(1))
+		}
+	}
+	return c.fold(p.dists, p.sstack)
 }

@@ -26,9 +26,15 @@ import (
 // similarity program yields an upper bound on the true score. The
 // aggregators of package rule are a closed set, so the argument covers
 // every rule but those with a negative aggregation weight (a weighted mean
-// is antitone in a negatively-weighted operand): those get no prefilter
-// (Prefilter returns nil). Decoded rules never carry one (rule.Validate
-// rejects it); rules built in code may.
+// is antitone in a negatively-weighted operand) or a NaN threshold (whose
+// comparison scores NaN at every finite distance): those get no
+// prefilter (Prefilter returns nil). Decoded rules never carry either
+// (rule.Validate rejects them); rules built in code may.
+//
+// The same argument lets Probe.Score tighten the bound as it goes: with
+// some distances exact and the rest at their lower bounds, the fold is
+// still an upper bound on the score (TestMetamorphicPrefilterSoundness
+// checks such partial assignments too).
 
 // valueMeta summarizes one value program's output for an entity: enough
 // to lower-bound every supported measure without looking at the values
@@ -36,8 +42,8 @@ import (
 // distance (documented contract in internal/similarity); minLen/maxLen
 // are rune lengths and are meaningless when card == 0.
 type valueMeta struct {
-	card           int
-	minLen, maxLen int
+	card           int32
+	minLen, maxLen int32
 }
 
 // metaOfValues computes the metadata of a value set. The cardinality is
@@ -48,9 +54,9 @@ func metaOfValues(vs []string) valueMeta {
 	if len(vs) == 0 {
 		return valueMeta{}
 	}
-	m := valueMeta{card: similarity.Cardinality(vs), minLen: math.MaxInt}
+	m := valueMeta{card: int32(similarity.Cardinality(vs)), minLen: math.MaxInt32}
 	for _, v := range vs {
-		n := utf8.RuneCountInString(v)
+		n := int32(utf8.RuneCountInString(v))
 		m.minLen = min(m.minLen, n)
 		m.maxLen = max(m.maxLen, n)
 	}
@@ -64,7 +70,7 @@ type distBounder func(a, b valueMeta) float64
 
 // lenGap returns the gap between the two rune-length ranges: the minimum
 // |len(x)−len(y)| over any cross pairing, 0 when the ranges overlap.
-func lenGap(a, b valueMeta) int {
+func lenGap(a, b valueMeta) int32 {
 	if a.minLen > b.maxLen {
 		return a.minLen - b.maxLen
 	}
@@ -157,7 +163,7 @@ func newPrefilter(c *Compiled) *Prefilter {
 		return nil
 	}
 	for _, in := range c.sims {
-		if slices.ContainsFunc(in.weights, func(w int) bool { return w < 0 }) {
+		if slices.ContainsFunc(in.weights, func(w int) bool { return w < 0 }) || math.IsNaN(in.threshold) {
 			return nil
 		}
 	}
@@ -169,15 +175,17 @@ func newPrefilter(c *Compiled) *Prefilter {
 }
 
 // Prefilter returns the rule's pushdown prefilter, or nil when the rule
-// admits no sound metadata-level bound (an empty rule, negative weights).
+// admits no sound metadata-level bound (an empty rule, negative weights,
+// NaN thresholds).
 // Without one Probe.Upper and Scorer.Bound return +Inf: nothing caps the
 // score, and Probe.Score never declines a candidate.
 func (c *Compiled) Prefilter() *Prefilter { return c.pf }
 
-// bound folds lower-bound distances through the similarity program from
-// the metadata of both sides' records; dists and stack are scratch of the
-// usual sizes.
-func (pf *Prefilter) bound(ra, rb *Record, dists, stack []float64) float64 {
+// lower fills dists with every distance's lower bound from the metadata
+// of both sides' records. Folded through the similarity program they
+// bound the pair's score from above; an empty side's +Inf is the exact
+// distance, which every measure gives an empty set.
+func (pf *Prefilter) lower(ra, rb *Record, dists []float64) {
 	for _, d := range pf.c.dists {
 		ma, mb := ra.meta[d.a.id], rb.meta[d.b.id]
 		if ma.card == 0 || mb.card == 0 {
@@ -186,7 +194,6 @@ func (pf *Prefilter) bound(ra, rb *Record, dists, stack []float64) float64 {
 		}
 		dists[d.id] = pf.bounders[d.id](ma, mb)
 	}
-	return pf.c.fold(dists, stack)
 }
 
 // probeBound folds the one-sided bound: the A side's record is known,

@@ -57,10 +57,14 @@ func randomPrefilterRule(rng *rand.Rand) *rule.Rule {
 
 // runPrefilterHarness evaluates boundOf against the tree-walk score over
 // randomized rules and entity pairs (including identical pairs, where
-// scores peak) and reports how many pairs were checked, how many the
-// bound claims cannot reach the match threshold, and how many violate
-// soundness (bound below the actual score).
-func runPrefilterHarness(seed int64, boundOf func(s *evalengine.Scorer, a, b *entity.Entity) float64) (checked, rejected, violations int) {
+// scores peak) and reports how many bounds were checked, how many claim
+// the pair cannot reach the match threshold, and how many violate
+// soundness (bound below the actual score). Every pair is bounded under
+// several partial assignments — known has a bit set for each distance
+// program (by id) whose exact distance is known, the rest sit at their
+// metadata lower bounds — from none known (the prefilter bound) to all
+// known (the score itself): the states Probe.Score declines from.
+func runPrefilterHarness(seed int64, boundOf func(c *evalengine.Compiled, a, b *entity.Entity, known uint64) float64) (checked, rejected, violations int) {
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 120; trial++ {
 		r := randomPrefilterRule(rng)
@@ -68,21 +72,22 @@ func runPrefilterHarness(seed int64, boundOf func(s *evalengine.Scorer, a, b *en
 		if c.Prefilter() == nil {
 			continue
 		}
-		s := c.Scorer()
 		for i := 0; i < 12; i++ {
 			a := randomEntity(rng, "a")
 			b := randomEntity(rng, "b")
 			if i%4 == 0 {
 				b = a // identical pair: the score's upper range
 			}
-			bound := boundOf(s, a, b)
 			score := r.Evaluate(a, b)
-			checked++
-			if bound < rule.MatchThreshold {
-				rejected++
-			}
-			if bound < score {
-				violations++
+			for _, known := range []uint64{0, rng.Uint64(), rng.Uint64(), ^uint64(0)} {
+				bound := boundOf(c, a, b, known)
+				checked++
+				if bound < rule.MatchThreshold {
+					rejected++
+				}
+				if bound < score {
+					violations++
+				}
 			}
 		}
 	}
@@ -90,28 +95,47 @@ func runPrefilterHarness(seed int64, boundOf func(s *evalengine.Scorer, a, b *en
 }
 
 func TestMetamorphicPrefilterSoundness(t *testing.T) {
-	checked, rejected, violations := runPrefilterHarness(11, func(s *evalengine.Scorer, a, b *entity.Entity) float64 {
-		return s.Bound(a, b)
-	})
+	checked, rejected, violations := runPrefilterHarness(11, evalengine.PartialBound)
 	if violations != 0 {
-		t.Fatalf("prefilter bound fell below the tree-walk score on %d of %d pairs", violations, checked)
+		t.Fatalf("prefilter bound fell below the tree-walk score on %d of %d bounds", violations, checked)
 	}
 	// Guard against vacuity: the harness must actually exercise rules
 	// with prefilters, and the bound must actually reject some pairs
 	// (otherwise pushdown is dead weight and this test proves nothing).
-	if checked < 500 {
-		t.Fatalf("harness only checked %d pairs; generator drifted away from prefilterable rules", checked)
+	if checked < 2000 {
+		t.Fatalf("harness only checked %d bounds; generator drifted away from prefilterable rules", checked)
 	}
 	if rejected == 0 {
 		t.Fatal("prefilter never rejected a pair; the bound has no pruning power on this corpus")
 	}
+	// The partial assignments at the ends are the two bounds the code
+	// states elsewhere: none known is Scorer.Bound, all known the score.
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 40; trial++ {
+		r := randomPrefilterRule(rng)
+		c := evalengine.Compile(r)
+		if c.Prefilter() == nil {
+			continue
+		}
+		a, b := randomEntity(rng, "a"), randomEntity(rng, "b")
+		if got, want := evalengine.PartialBound(c, a, b, 0), c.Scorer().Bound(a, b); got != want {
+			t.Fatalf("bound with nothing known %v, Scorer.Bound %v\nrule: %s", got, want, r.Render())
+		}
+		if got, want := evalengine.PartialBound(c, a, b, ^uint64(0)), r.Evaluate(a, b); got != want {
+			t.Fatalf("bound with everything known %v, Evaluate %v\nrule: %s", got, want, r.Render())
+		}
+	}
 }
 
 // TestMetamorphicSharedScorerBoundsAgree pins Scorer.Bound to the bound
-// a probe declines on — Bind(Record(a)).Score(Record(b), floor) scores at
-// floor = Bound(a, b) and declines just above it — and a bound probe's
-// Upper as a one-sided relaxation: Upper() of probe a must dominate
-// Bound(a, b), and therefore the score, for every candidate b.
+// a probe starts from, through Probe.Score's contract at the floors
+// around it: above Bound(a, b) Bind(Record(a)).Score(Record(b), floor)
+// declines; at it, Score may still decline — the bound tightens as
+// distances become known — but only a candidate whose Rule.Evaluate
+// score is below the floor, and an accepted score is bit-identical to
+// Evaluate. A bound probe's Upper is a one-sided relaxation: Upper() of
+// probe a must dominate Bound(a, b), and therefore the score, for every
+// candidate b.
 func TestMetamorphicSharedScorerBoundsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 80; trial++ {
@@ -122,10 +146,13 @@ func TestMetamorphicSharedScorerBoundsAgree(t *testing.T) {
 			a := randomEntity(rng, "a")
 			b := randomEntity(rng, "b")
 			bound := s.Bound(a, b)
+			want := r.Evaluate(a, b)
 			p := c.Bind(c.Record(a))
 			rb := c.Record(b)
-			if _, ok := p.Score(rb, bound); !ok {
-				t.Fatalf("Probe.Score declined at floor = Scorer.Bound %v\nrule: %s", bound, r.Render())
+			if got, ok := p.Score(rb, bound); ok && math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Probe.Score at floor = Scorer.Bound %v scored %v, Evaluate %v\nrule: %s", bound, got, want, r.Render())
+			} else if !ok && !(want < bound) {
+				t.Fatalf("Probe.Score declined at floor = Scorer.Bound %v a pair scoring %v\nrule: %s", bound, want, r.Render())
 			}
 			if c.Prefilter() != nil {
 				if _, ok := p.Score(rb, math.Nextafter(bound, math.Inf(1))); ok {
@@ -174,8 +201,8 @@ func TestMetaOfValues(t *testing.T) {
 // bound shaved by 10%, the shape of an off-by-a-factor bug in any
 // bounder — must produce violations under the identical procedure.
 func TestMetamorphicHarnessCatchesUnsoundPrefilter(t *testing.T) {
-	_, _, violations := runPrefilterHarness(11, func(s *evalengine.Scorer, a, b *entity.Entity) float64 {
-		return 0.9 * s.Bound(a, b)
+	_, _, violations := runPrefilterHarness(11, func(c *evalengine.Compiled, a, b *entity.Entity, known uint64) float64 {
+		return 0.9 * evalengine.PartialBound(c, a, b, known)
 	})
 	if violations == 0 {
 		t.Fatal("harness failed to flag a deliberately-unsound prefilter; it could not catch a real soundness bug either")

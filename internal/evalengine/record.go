@@ -5,31 +5,58 @@ import (
 	"sync"
 
 	"genlink/internal/entity"
+	"genlink/internal/similarity"
 )
 
 // Record is everything scoring derives from one entity version, indexed
 // by value program id: the value set each program computes and, when the
-// rule has a prefilter, that set's metadata. It is built once, in one
-// pass over the value programs (Compiled.Record), by whatever code stores
-// the entity — a shard of the matching service installs it next to the
-// entity, batch matching builds B's when it loads B — and is immutable
-// afterwards, so any number of goroutines may score against it. A new
-// entity version gets a new record.
+// rule has a prefilter, that set's metadata — and, next to the value
+// sets, the typed form each prepared measure of the rule compares them
+// in (parsed dates, numbers and coordinates, sorted distinct tokens), so
+// scoring a candidate against the record parses nothing. It is built
+// once, in one pass over the value programs (Compiled.Record), by
+// whatever code stores the entity — a shard of the matching service
+// installs it next to the entity, batch matching builds B's when it
+// loads B — and is immutable afterwards, so any number of goroutines may
+// score against it. A new entity version gets a new record.
+//
+// While the rule has at most inlineSlots value programs and typed forms,
+// the record holds meta, sets and typed in its own storage: Probe.Score
+// reads a candidate's record for every candidate, so one allocation holds
+// it all, with the metadata it reads first at the front.
 type Record struct {
-	e    *entity.Entity
-	sets [][]string
-	meta []valueMeta // nil when the rule has no prefilter
+	meta     []valueMeta // nil when the rule has no prefilter
+	metaBuf  [inlineSlots]valueMeta
+	sets     [][]string
+	typed    []similarity.Column // per Compiled.typed: a one-set column
+	setsBuf  [inlineSlots][]string
+	typedBuf [inlineSlots]similarity.Column
+	e        *entity.Entity
+}
+
+// inlineSlots is the number of value programs and of typed forms a
+// record keeps inside itself; the rig's rule has three and two.
+const inlineSlots = 4
+
+// slots returns buf[:n] when n fits in it, and a new slice otherwise.
+func slots[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // Entity returns the entity version the record was built from.
 func (r *Record) Entity() *entity.Entity { return r.e }
 
-// Record evaluates every value program on e. The entity must not be
-// mutated afterwards: the record would keep the old version's values.
+// Record evaluates every value program on e and prepares the typed forms
+// of their outputs. The entity must not be mutated afterwards: the
+// record would keep the old version's values.
 func (c *Compiled) Record(e *entity.Entity) *Record {
-	r := &Record{e: e, sets: make([][]string, len(c.values))}
+	r := &Record{e: e}
+	r.sets = slots(r.setsBuf[:], len(c.values))
 	if c.pf != nil {
-		r.meta = make([]valueMeta, len(c.values))
+		r.meta = slots(r.metaBuf[:], len(c.values))
 	}
 	vstack := make([][]string, c.vdepth)
 	for i, p := range c.values {
@@ -38,21 +65,36 @@ func (c *Compiled) Record(e *entity.Entity) *Record {
 			r.meta[i] = metaOfValues(r.sets[i])
 		}
 	}
+	if len(c.typed) > 0 {
+		r.typed = slots(r.typedBuf[:], len(c.typed))
+		for i, t := range c.typed {
+			r.typed[i] = t.m.NewColumn(1)
+			r.typed[i].Prepare(0, r.sets[t.value])
+		}
+	}
 	return r
 }
 
 // Probe is a compiled rule bound to one probe record, the A side of the
-// rule, for the duration of one query. It holds its own scratch, so it
-// must be used by one goroutine at a time; any number of probes may be
-// bound to one record concurrently.
+// rule, for the duration of one query. It holds its own scratch and the
+// probe's edit-distance patterns, so it must be used by one goroutine at
+// a time; any number of probes may be bound to one record concurrently.
 type Probe struct {
 	c      *Compiled
 	rec    *Record
+	pats   []func(text []string, k float64) float64 // per distProgram id, built on second use
+	edited bool                                     // an edit distance has been computed
 	dists  []float64
 	sstack []float64
 }
 
-// Bind prepares scoring candidates against the probe record a.
+// Bind prepares scoring candidates against the probe record a. The probe
+// is always the pattern of an edit distance and a candidate the text: the
+// Myers match masks of the probe's values are built once, when a second
+// candidate reaches that distance. The first goes through the measure
+// itself, whose masks live on the stack, so a probe that scores one
+// candidate (Scorer.Score) allocates none, and a probe that Upper answers
+// or every candidate of which is declined earlier builds none.
 func (c *Compiled) Bind(a *Record) *Probe {
 	buf := make([]float64, len(c.dists)+c.depth)
 	return &Probe{c: c, rec: a, dists: buf[:len(c.dists)], sstack: buf[len(c.dists):]}
@@ -63,8 +105,8 @@ func (c *Compiled) Bind(a *Record) *Probe {
 // probe-side value sets force their comparisons to 0 whatever the
 // candidate holds, so a probe missing the properties of high-weight
 // comparisons gets a bound below threshold and its enumeration can stop
-// before scoring anything. Upper dominates the pair bound Score declines
-// on, and is +Inf when the rule has no prefilter.
+// before scoring anything. Upper dominates the pair bound Score starts
+// from, and is +Inf when the rule has no prefilter.
 func (p *Probe) Upper() float64 {
 	if p.c.pf == nil {
 		return math.Inf(1)
@@ -78,20 +120,119 @@ func (p *Probe) bound(rb *Record) float64 {
 	if p.c.pf == nil {
 		return math.Inf(1)
 	}
-	return p.c.pf.bound(p.rec, rb, p.dists, p.sstack)
+	p.c.pf.lower(p.rec, rb, p.dists)
+	return p.c.fold(p.dists, p.sstack)
 }
 
-// Score scores candidate b against the probe. It returns ok == false,
-// without scoring, exactly when the pair's prefilter bound is below
-// floor — never when the rule has no prefilter; otherwise the score is
-// identical to Rule.Evaluate on the two records' entities. A caller that
-// keeps only scores ≥ floor loses nothing to the skip, because the score
-// never exceeds the bound.
+// Score scores candidate b against the probe, computing only as much as
+// floor needs. It starts from the prefilter bound, which folds the
+// distances' metadata lower bounds, and computes the exact distances in
+// the order fixed at compile time (rankOf), re-folding after each: every
+// fold is an upper bound on the score, tightened comparison by
+// comparison, and Score declines (ok == false) as soon as one is
+// strictly below floor — before computing anything when the prefilter
+// bound already is. Before the edit distance it asks for no more than
+// the largest distance that can still reach floor (cutoff), so the
+// Levenshtein abandons a candidate that cannot. A declined candidate's
+// score is below floor; an accepted candidate's score is bit-identical
+// to Rule.Evaluate on the two records' entities. Without a prefilter, or
+// at floor −Inf, nothing is bounded and nothing declined. A caller that keeps only
+// scores ≥ floor therefore loses nothing to a decline. Score parses no
+// value and builds no mask per candidate: the typed forms come with the
+// records, and the probe's patterns are built once, by the second
+// candidate that reaches the edit distance. After that it allocates
+// nothing.
 func (p *Probe) Score(b *Record, floor float64) (score float64, ok bool) {
-	if p.bound(b) < floor {
+	c, dists := p.c, p.dists
+	if c.pf == nil || math.IsInf(floor, -1) {
+		// Nothing bounds the score, or no score is below the floor:
+		// every distance in full, one fold.
+		for _, d := range c.order {
+			dists[d.id] = p.distance(d, b, math.Inf(1))
+		}
+		return c.fold(dists, p.sstack), true
+	}
+	c.pf.lower(p.rec, b, dists)
+	bound := c.fold(dists, p.sstack)
+	for _, d := range c.order {
+		if bound < floor {
+			return 0, false
+		}
+		if math.IsInf(dists[d.id], 1) {
+			continue // an empty side: the lower bound is the distance
+		}
+		k := math.Inf(1)
+		if d.cutoff {
+			k = p.cutoff(d, b, floor)
+		}
+		dists[d.id] = p.distance(d, b, k)
+		bound = c.fold(dists, p.sstack)
+	}
+	if bound < floor {
 		return 0, false
 	}
-	return p.c.score(p.rec, b, p.dists, p.sstack), true
+	return bound, true
+}
+
+// distance computes d's distance between the probe and b: over the typed
+// forms for a prepared measure, from the probe's pattern for an edit
+// distance — exact up to k, above k past it; exact for the probe's first
+// (see Bind) — and over the value sets otherwise.
+func (p *Probe) distance(d *distProgram, b *Record, k float64) float64 {
+	switch {
+	case d.ta >= 0:
+		return p.rec.typed[d.ta].Distance(0, b.typed[d.tb], 0)
+	case d.pattern:
+		if p.pats == nil {
+			if !p.edited {
+				p.edited = true
+				return d.measure.Distance(p.rec.sets[d.a.id], b.sets[d.b.id])
+			}
+			p.pats = make([]func([]string, float64) float64, len(p.c.dists))
+		}
+		within := p.pats[d.id]
+		if within == nil {
+			within = d.measure.(patterned).Pattern(p.rec.sets[d.a.id])
+			p.pats[d.id] = within
+		}
+		return within(b.sets[d.b.id], k)
+	default:
+		return d.measure.Distance(p.rec.sets[d.a.id], b.sets[d.b.id])
+	}
+}
+
+// cutoff returns the largest edit distance k for d at which the pair can
+// still reach floor, given p.dists — exact where computed, metadata lower
+// bounds elsewhere, d's own lower bound included. It is found by
+// bisection over the integers on the fold itself, which is antitone in
+// every distance, and is conservative by construction: the fold with d
+// at k + 1 is strictly below floor, so a distance the Levenshtein reports
+// as above k declines the candidate. k never exceeds what an exact score
+// needs, the largest of d's thresholds (every distance above it folds
+// alike), nor what the distance can reach, the longest value on either
+// side; at those it stops bounding anything. p.dists is left as found.
+func (p *Probe) cutoff(d *distProgram, b *Record, floor float64) float64 {
+	dists, lb := p.dists, p.dists[d.id]
+	top := float64(max(p.rec.meta[d.a.id].maxLen, b.meta[d.b.id].maxLen))
+	if d.theta < top {
+		top = max(0, math.Floor(d.theta))
+	}
+	k := top
+	if dists[d.id] = top + 1; p.c.fold(dists, p.sstack) < floor {
+		// fold(lo) ≥ floor (Score has not declined) and fold(hi) < floor.
+		lo, hi := lb, top+1
+		for hi-lo > 1 {
+			mid := math.Floor((lo + hi) / 2)
+			if dists[d.id] = mid; p.c.fold(dists, p.sstack) < floor {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		k = lo
+	}
+	dists[d.id] = lb
+	return k
 }
 
 // Scorer scores arbitrary entity pairs for callers that hold no records:

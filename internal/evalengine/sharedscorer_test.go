@@ -72,10 +72,10 @@ func randomProbeRule(rng *rand.Rand) *rule.Rule {
 // Rule.Evaluate(a, b) whether the probe's record is the one stored for
 // the corpus (and scored as a candidate too) or built fresh for the
 // query, on prefilterable and prefilter-less rules; and for any floor,
-// the handle declines to score (ok == false) exactly when Bound(a, b) <
-// floor, only candidates scoring below the floor are declined, and
-// otherwise it still returns the exact score. A rule without a prefilter
-// never declines, whatever the floor.
+// the handle declines (ok == false) whenever Bound(a, b) < floor, it
+// declines only candidates scoring below the floor, and otherwise it
+// returns the exact score. A rule without a prefilter never declines,
+// whatever the floor.
 func TestProbeScoreMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	withoutPF := 0
@@ -111,8 +111,11 @@ func TestProbeScoreMatchesEvaluate(t *testing.T) {
 						1, 1.5, 2.5, want, math.Nextafter(want, math.Inf(1)), math.Inf(1)}
 					for _, floor := range floors {
 						got, ok := p.Score(records[j], floor)
-						if wantOK := !(bound < floor); ok != wantOK {
-							t.Fatalf("trial %d: Score(b, %v) ok = %v with Bound(a,b) = %v\nrule: %s", trial, floor, ok, bound, r.Render())
+						if ok && bound < floor {
+							t.Fatalf("trial %d: Score(b, %v) scored with Bound(a,b) = %v below the floor\nrule: %s", trial, floor, bound, r.Render())
+						}
+						if !ok && c.Prefilter() == nil {
+							t.Fatalf("trial %d: Score(b, %v) declined without a prefilter\nrule: %s", trial, floor, r.Render())
 						}
 						if !ok && !(want < floor) {
 							t.Fatalf("trial %d: Score(b, %v) declined a candidate scoring %v, which reaches the floor\nrule: %s",
@@ -160,7 +163,7 @@ func TestExternalProbesLeaveCacheUnchanged(t *testing.T) {
 	}
 	before := make([]*evalengine.Record, len(stored))
 	for i, rec := range stored {
-		before[i] = evalengine.CloneRecord(rec)
+		before[i] = evalengine.CloneRecord(c, rec)
 	}
 	for q := 0; q < 50; q++ {
 		p := c.Bind(c.Record(randomEntity(rng, "probe")))

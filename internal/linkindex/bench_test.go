@@ -1,0 +1,99 @@
+package linkindex_test
+
+import (
+	"fmt"
+	"testing"
+
+	"genlink/internal/datagen"
+	"genlink/internal/entity"
+	"genlink/internal/linkindex"
+	"genlink/internal/matching"
+	"genlink/internal/rule"
+	"genlink/internal/similarity"
+	"genlink/internal/transform"
+)
+
+// rigCoraRule is the benchmark rig's rule (benchmark/rules/cora.json) as a
+// literal — wmean of title edit distance (θ 8, weight 4), author-token
+// jaccard (θ 0.8) and date (θ 400 days) — over the given title and date
+// measures.
+func rigCoraRule(levenshtein, date similarity.Measure) *rule.Rule {
+	lower := func(p string) rule.ValueOp { return rule.NewTransform(transform.LowerCase(), rule.NewProperty(p)) }
+	title := rule.NewComparison(lower("title"), lower("title"), levenshtein, 8)
+	title.SetWeight(4)
+	authors := rule.NewComparison(
+		rule.NewTransform(transform.Tokenize(), lower("author")),
+		rule.NewTransform(transform.Tokenize(), lower("author")),
+		similarity.Jaccard(), 0.8)
+	dates := rule.NewComparison(rule.NewProperty("date"), rule.NewProperty("date"), date, 400)
+	return rule.New(rule.NewAggregation(rule.WMean(), title, authors, dates))
+}
+
+// coraChunks returns n entities of datagen Cora chunks, each chunk's IDs
+// prefixed with its number, as the rig's cora-x corpus is built.
+func coraChunks(n int) []*entity.Entity {
+	var es []*entity.Entity
+	for chunk := 0; len(es) < n; chunk++ {
+		for _, e := range datagen.Cora(1<<12 + int64(chunk)).A.Entities {
+			if len(es) == n {
+				break
+			}
+			re := e.Clone()
+			re.ID = fmt.Sprintf("s%d/%s", chunk, e.ID)
+			es = append(es, re)
+		}
+	}
+	return es
+}
+
+// BenchmarkQueryCoraRule measures the served query path without the HTTP
+// stack on the rig's shapes: 10,000 entities of Cora chunks, the rig's
+// rule, multipass blocking, 2 shards, k = 10. One op is one query: a
+// stored ID through QueryID, or, for Query, a re-keyed copy of a stored
+// entity, as an external probe. Besides ns/op and allocs/op it reports,
+// per query, from one untimed pass over the same probes on an index
+// whose rule counts its work (linkindex.Work): candidates scored to
+// completion, edit distances run and values parsed.
+func BenchmarkQueryCoraRule(b *testing.B) {
+	const n, shards, k, probes = 10000, 2, 10, 200
+	es := coraChunks(n)
+	opts := matching.Options{Blocker: matching.BlockerByName("multipass")}
+	ix := linkindex.NewSharded(rigCoraRule(similarity.Levenshtein(), similarity.Date()), shards, opts)
+	ix.BulkLoad(es)
+	var work linkindex.Work
+	counted := linkindex.NewSharded(rigCoraRule(linkindex.CountingLevenshtein(&work), linkindex.CountingDate(&work)), shards, opts)
+	counted.BulkLoad(es)
+
+	stored := make([]string, probes)
+	external := make([]*entity.Entity, probes)
+	for i := range probes {
+		e := es[i*(n/probes)]
+		stored[i] = e.ID
+		external[i] = e.Clone()
+		external[i].ID = fmt.Sprintf("probe/%d", i)
+	}
+	modes := []struct {
+		name  string
+		query func(ix *linkindex.ShardedIndex, i int)
+	}{
+		{"QueryID", func(ix *linkindex.ShardedIndex, i int) { ix.QueryID(stored[i], k) }},
+		{"Query", func(ix *linkindex.ShardedIndex, i int) { ix.Query(external[i], k) }},
+	}
+	for _, mode := range modes {
+		b.Run(mode.name, func(b *testing.B) {
+			work.Reset()
+			for i := range probes {
+				mode.query(counted, i)
+			}
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				mode.query(ix, i%probes)
+				i++
+			}
+			b.ReportMetric(float64(work.Completed.Load())/probes, "scored/query")
+			b.ReportMetric(float64(work.EditDists.Load())/probes, "editdists/query")
+			b.ReportMetric(float64(work.Parses.Load())/probes, "parses/query")
+		})
+	}
+}

@@ -1,6 +1,11 @@
 package linkindex
 
-import "io"
+import (
+	"io"
+	"sync/atomic"
+
+	"genlink/internal/similarity"
+)
 
 // ReadSnapshot is readSnapshot, for the external tests' in-memory round
 // trips.
@@ -9,4 +14,90 @@ var ReadSnapshot = readSnapshot
 // WriteSnapshot writes the snapshot SnapshotTo would write to w.
 func (ix *ShardedIndex) WriteSnapshot(w io.Writer) error {
 	return ix.buildSnapshot().encode(w)
+}
+
+// Work counts what scoring does, observed through the measures a rule is
+// built from (CountingLevenshtein, CountingDate): the hook
+// BenchmarkQueryCoraRule reads its per-query counters from, so no
+// production code counts anything.
+type Work struct {
+	// Completed counts the candidates scored to completion: edit
+	// distances that came back exact (every one, when unbounded).
+	Completed atomic.Int64
+	// EditDists counts the edit distances run, one per candidate.
+	EditDists atomic.Int64
+	// Parses counts the values a parsing measure parsed.
+	Parses atomic.Int64
+}
+
+// Reset zeroes the counters.
+func (w *Work) Reset() {
+	w.Completed.Store(0)
+	w.EditDists.Store(0)
+	w.Parses.Store(0)
+}
+
+// CountingLevenshtein is similarity.Levenshtein counting into w.
+func CountingLevenshtein(w *Work) similarity.Measure {
+	return countedEdit{Measure: similarity.Levenshtein(), w: w}
+}
+
+// CountingDate is similarity.Date counting into w.
+func CountingDate(w *Work) similarity.Measure {
+	return countedParse{Prepared: similarity.Date().(similarity.Prepared), w: w}
+}
+
+type countedEdit struct {
+	similarity.Measure
+	w *Work
+}
+
+func (m countedEdit) Distance(a, b []string) float64 {
+	m.w.EditDists.Add(1)
+	m.w.Completed.Add(1)
+	return m.Measure.Distance(a, b)
+}
+
+// Pattern wraps the edit distance's bounded form, which the scoring
+// engine finds by this method.
+func (m countedEdit) Pattern(values []string) func([]string, float64) float64 {
+	within := m.Measure.(interface {
+		Pattern([]string) func([]string, float64) float64
+	}).Pattern(values)
+	return func(text []string, k float64) float64 {
+		m.w.EditDists.Add(1)
+		d := within(text, k)
+		if d <= k {
+			m.w.Completed.Add(1)
+		}
+		return d
+	}
+}
+
+type countedParse struct {
+	similarity.Prepared
+	w *Work
+}
+
+func (m countedParse) Distance(a, b []string) float64 {
+	m.w.Parses.Add(int64(len(a) + len(b)))
+	return m.Prepared.Distance(a, b)
+}
+
+func (m countedParse) NewColumn(n int) similarity.Column {
+	return countedColumn{Column: m.Prepared.NewColumn(n), w: m.w}
+}
+
+type countedColumn struct {
+	similarity.Column
+	w *Work
+}
+
+func (c countedColumn) Prepare(i int, values []string) {
+	c.w.Parses.Add(int64(len(values)))
+	c.Column.Prepare(i, values)
+}
+
+func (c countedColumn) Distance(i int, other similarity.Column, j int) float64 {
+	return c.Column.Distance(i, other.(countedColumn).Column, j)
 }

@@ -502,12 +502,16 @@ func MergeTopK(perShard [][]matching.Link, k int) []matching.Link {
 }
 
 // QueryID matches the stored entity with the given ID against the rest
-// of the corpus. It reports false if the ID is not indexed. The lookup
-// and the home shard's portion of the query run under one lock
-// acquisition, so the probe version always matches its own shard's
-// corpus (at N=1 this is the full lookup+query atomicity of the retired
-// monolithic index); the other shards follow the usual relaxed
-// cross-shard isolation. Every shard scores against the home shard's
+// of the corpus. It reports false if the ID is not indexed. The home
+// shard's read lock is held from the lookup to the end of the home
+// shard's portion of the query, so the probe version always matches its
+// own shard's corpus (at N=1 this is the full lookup+query atomicity of
+// the retired monolithic index); the other shards follow the usual
+// relaxed cross-shard isolation. The home shard's portion runs in the
+// same fan-out as the others, so a stored-ID query waits for the slowest
+// shard, not for the home shard and then the rest. Holding the home lock
+// while the other shards take theirs cannot deadlock: writers take one
+// shard lock at a time. Every shard scores against the home shard's
 // stored record of the probe.
 func (ix *ShardedIndex) QueryID(id string, k int) ([]matching.Link, bool) {
 	cfg := ix.shardMaxBlockCfg()
@@ -515,20 +519,18 @@ func (ix *ShardedIndex) QueryID(id string, k int) ([]matching.Link, bool) {
 	home := ix.shards[hi]
 	home.mu.RLock()
 	probe := home.records[id]
-	var homeLinks []matching.Link
-	if probe != nil {
-		homeLinks = home.queryLocked(probe, k, cfg, ix.opts.Threshold)
-	}
-	home.mu.RUnlock()
 	if probe == nil {
+		home.mu.RUnlock()
 		return nil, false
 	}
 	perShard := make([][]matching.Link, len(ix.shards))
-	perShard[hi] = homeLinks
 	parallel(len(ix.shards), func(i int) {
 		if i != hi {
 			perShard[i] = ix.shards[i].query(probe, k, cfg, ix.opts.Threshold)
+			return
 		}
+		defer home.mu.RUnlock()
+		perShard[i] = home.queryLocked(probe, k, cfg, ix.opts.Threshold)
 	})
 	return MergeTopK(perShard, k), true
 }
@@ -567,18 +569,23 @@ func (sh *shard) query(probe *evalengine.Record, k, maxBlockCfg int, threshold f
 }
 
 // queryLocked is query with the shard lock already held: the probe's
-// record is bound once, and the block index pushes each candidate
-// (matching.BlockIndex.Each) into the bound score → heap body below,
-// which scores the candidate's stored record and applies the compiled
-// rule's pushdown prefilter against the floor the threshold and the heap
-// set. The one early exit is before the enumeration starts (probe bound
-// < threshold); none can exist inside it, because the heap floor is a
-// Score and Score ≤ Bound ≤ Upper (TestMetamorphicPrefilterSoundness).
-// Results are exactly those of scoring every materialized candidate
-// (Candidates): every skip condition is strict (bound < threshold,
-// bound < floor), so only candidates the threshold or the heap would
-// reject anyway are skipped — and the per-shard top-k set is
-// enumeration-order independent because (score, BID) is a total order.
+// record is bound once (which builds its edit-distance patterns), and the
+// block index pushes each candidate (matching.BlockIndex.Each) into the
+// bound score → heap body below, which scores the candidate's stored
+// record only as far as the floor needs: the threshold, raised to the
+// heap's weakest score once the heap holds k links. Probe.Score starts
+// from the pushdown prefilter's bound, tightens it comparison by
+// comparison, and bounds the edit distance by the largest one that can
+// still reach the floor. The one early exit is before the enumeration
+// starts (probe bound < threshold); none can exist inside it, because the
+// heap floor is a Score and Score ≤ Bound ≤ Upper
+// (TestMetamorphicPrefilterSoundness). Results are exactly those of
+// scoring every materialized candidate (Candidates): Score declines only
+// a candidate whose score is strictly below the floor, so only
+// candidates the threshold or the heap would reject anyway are skipped,
+// and an accepted score is bit-identical to the full one — and the
+// per-shard top-k set is enumeration-order independent because
+// (score, BID) is a total order.
 func (sh *shard) queryLocked(probe *evalengine.Record, k, maxBlockCfg int, threshold float64) []matching.Link {
 	handle := sh.compiled.Bind(probe)
 	// Upper bound over every possible candidate: a probe whose value

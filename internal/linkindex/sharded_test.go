@@ -486,3 +486,110 @@ func TestShardedConcurrentApplyQueryRace(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestQueryIDEqualsQueryOfStored pins the stored-ID query to the external
+// query of the stored entity: with the home shard's share inside the
+// same fan-out as the other shards, QueryID(id, k) must still equal
+// Query(Get(id), k) — same links, same scores, same order — for every
+// stored ID of a random corpus, every k in {0, 1, 10}, one shard and
+// several; and an unknown ID reports false.
+func TestQueryIDEqualsQueryOfStored(t *testing.T) {
+	r := diffRule()
+	for _, shards := range []int{1, 3} {
+		for _, name := range []string{"token", "multipass"} {
+			rng := rand.New(rand.NewSource(int64(41 + shards)))
+			ix := linkindex.NewSharded(r, shards, matching.Options{Blocker: diffStrategies()[name], MaxBlockSize: -1})
+			var ids []string
+			for i := 0; i < 90; i++ {
+				e := diffEntity(rng, fmt.Sprintf("e%02d", i))
+				ix.Add(e)
+				ids = append(ids, e.ID)
+			}
+			for _, id := range ids {
+				for _, k := range []int{0, 1, 10} {
+					got, ok := ix.QueryID(id, k)
+					if !ok {
+						t.Fatalf("%s/%d shards: QueryID(%s) reported unknown", name, shards, id)
+					}
+					if want := ix.Query(ix.Get(id), k); !linksEqual(got, want) {
+						t.Fatalf("%s/%d shards: QueryID(%s, %d) = %v, Query(Get) = %v", name, shards, id, k, got, want)
+					}
+				}
+			}
+			if _, ok := ix.QueryID("unknown", 10); ok {
+				t.Fatalf("%s/%d shards: QueryID(unknown) reported known", name, shards)
+			}
+		}
+	}
+}
+
+// TestQueryIDRacingWrites runs stored-ID queries against writers that
+// upsert and delete on every shard. A query holds its home shard's read
+// lock while the other shards take theirs, so under the race detector
+// this pins that the fan-out neither races nor deadlocks with writers;
+// every answer must satisfy the result invariants, and after the writers
+// stop QueryID must equal Query(Get(id)) again.
+func TestQueryIDRacingWrites(t *testing.T) {
+	r := diffRule()
+	ix := linkindex.NewSharded(r, 4, matching.Options{Blocker: matching.TokenBlocking(), MaxBlockSize: -1})
+	const n = 40
+	seed := rand.New(rand.NewSource(5))
+	for i := 0; i < n; i++ {
+		ix.Add(diffEntity(seed, fmt.Sprintf("e%02d", i)))
+	}
+	var writeWG, readWG sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writeWG.Add(1)
+		go func(w int) {
+			defer writeWG.Done()
+			rng := rand.New(rand.NewSource(int64(60 + w)))
+			for i := 0; i < 150; i++ {
+				id := fmt.Sprintf("e%02d", rng.Intn(n))
+				if rng.Intn(5) == 0 {
+					ix.Apply(linkindex.Batch{Deletes: []string{id}})
+				} else {
+					ix.Apply(linkindex.Batch{Upserts: []*entity.Entity{diffEntity(rng, id)}})
+				}
+			}
+		}(w)
+	}
+	for g := 0; g < 3; g++ {
+		readWG.Add(1)
+		go func(g int) {
+			defer readWG.Done()
+			rng := rand.New(rand.NewSource(int64(80 + g)))
+			for i := 0; i < 150; i++ {
+				id := fmt.Sprintf("e%02d", rng.Intn(n))
+				links, ok := ix.QueryID(id, 1+rng.Intn(5))
+				if !ok {
+					continue // deleted by a writer
+				}
+				seen := make(map[string]bool)
+				for j, l := range links {
+					switch {
+					case l.AID != id || l.BID == id:
+						t.Errorf("QueryID(%s) link %+v", id, l)
+					case seen[l.BID]:
+						t.Errorf("QueryID(%s) duplicate candidate %q", id, l.BID)
+					case l.Score < rule.MatchThreshold:
+						t.Errorf("QueryID(%s) sub-threshold link %+v", id, l)
+					case j > 0 && links[j-1].Score < l.Score:
+						t.Errorf("QueryID(%s) scores not descending: %v", id, links)
+					}
+					seen[l.BID] = true
+				}
+			}
+		}(g)
+	}
+	readWG.Wait()
+	writeWG.Wait()
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("e%02d", i)
+		got, ok := ix.QueryID(id, 5)
+		if e := ix.Get(id); ok != (e != nil) {
+			t.Fatalf("quiescent QueryID(%s) ok = %v, stored %v", id, ok, e)
+		} else if ok && !linksEqual(got, ix.Query(e, 5)) {
+			t.Fatalf("quiescent QueryID(%s) = %v, Query(Get) = %v", id, got, ix.Query(e, 5))
+		}
+	}
+}

@@ -123,7 +123,9 @@ func Match(r *rule.Rule, a, b *entity.Source, opts Options) []Link {
 // The rule is compiled once (internal/evalengine) and each entity's
 // scoring record is built the first time a pair holds it, so its
 // transformation chains run once however many candidate pairs blocking
-// puts it in. Scores are identical to Rule.Evaluate.
+// puts it in. Each pair is scored only as far as the threshold needs
+// (Probe.Score with the threshold as its floor); scores are identical to
+// Rule.Evaluate.
 func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
 	if opts.Threshold == 0 {
 		opts.Threshold = rule.MatchThreshold
@@ -148,7 +150,7 @@ func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
 			// CandidatePairs groups pairs per A entity: one Bind per group.
 			bound, probe = p.A, c.Bind(record(p.A))
 		}
-		if score, _ := probe.Score(record(p.B), math.Inf(-1)); score >= opts.Threshold {
+		if score, ok := probe.Score(record(p.B), opts.Threshold); ok && score >= opts.Threshold {
 			links = append(links, Link{AID: p.A.ID, BID: p.B.ID, Score: score})
 		}
 	}
@@ -160,7 +162,9 @@ func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
 // quadratic. Used by tests and the blocking ablation. Like MatchPairs it
 // builds each entity's scoring record once, which matters even more
 // here: every entity appears in |B| (resp. |A|) pairs. It iterates the
-// sources with repeated IDs dropped, as every blocked path does.
+// sources with repeated IDs dropped, as every blocked path does, and
+// scores every pair in full (floor −Inf), so it stays the unbounded
+// reference the blocking differentials compare against.
 func MatchCartesian(r *rule.Rule, a, b *entity.Source, opts Options) []Link {
 	as, bs := uniqueEntities(a.Entities), uniqueEntities(b.Entities)
 	opts.normalize(len(bs))

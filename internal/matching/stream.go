@@ -103,9 +103,9 @@ func uniqueEntities(es []*entity.Entity) []*entity.Entity {
 // streamChunk scores one chunk of A entities against the enumerator —
 // the per-worker unit of MatchParallel, with one seen set reused across
 // the chunk. Each A entity is bound once; rbs holds the record of every
-// B entity the enumerator can yield. The compiled rule's prefilter
-// rejects pairs whose score upper bound cannot reach the threshold
-// before any distance is computed.
+// B entity the enumerator can yield. Each pair is scored only as far as
+// the threshold needs: Probe.Score declines a pair as soon as its score
+// upper bound, tightened distance by distance, misses the threshold.
 func streamChunk(c *evalengine.Compiled, rbs map[*entity.Entity]*evalengine.Record, en enumerator, chunk []*entity.Entity, opts Options) []Link {
 	var links []Link
 	seen := make(map[string]struct{})

@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -42,6 +43,42 @@ func checkLevenshtein(t *testing.T, a, b string) {
 	}
 }
 
+// checkBounded fails t unless the bounded edit distance with a as the
+// pattern — whichever side is longer — agrees with the DP: the exact
+// distance for every bound k at or above it, and a lower bound on it
+// that exceeds k for every k below it. The bounds tried are every one
+// that can matter, around the distance and the length difference, plus
+// +Inf; the pattern is reused across calls, as a probe reuses it.
+func checkBounded(t *testing.T, a, b string) {
+	t.Helper()
+	want, la, lb := levenshteinDP(a, b)
+	p := newPattern(a, la, nil)
+	gap := float64(max(la-lb, lb-la))
+	for _, k := range []float64{math.Inf(1), -1, 0, 0.5, gap - 1, gap, want - 2, want - 1.5, want - 1, want, want + 0.5, want + 1, float64(max(la, lb))} {
+		got := p.within(b, lb, k)
+		switch {
+		case want <= k && got != want:
+			t.Fatalf("within(%q → %q, k=%v) = %v; DP gives %v", a, b, k, got, want)
+		case want > k && (got <= k || got > want):
+			t.Fatalf("within(%q → %q, k=%v) = %v; DP gives %v, want a bound in (k, %v]", a, b, k, got, want, want)
+		}
+	}
+	// The set form: the running best is passed down as the bound.
+	pat := Levenshtein().(editMeasure).Pattern([]string{a, a + "s"})
+	setWant := min(want, levenshteinDPDist(a+"s", b))
+	for _, k := range []float64{math.Inf(1), setWant - 1, setWant} {
+		if got := pat([]string{b}, k); setWant <= k && got != setWant || setWant > k && got <= k {
+			t.Fatalf("Pattern(%q, %q)(%q, k=%v) = %v; DP gives %v", a, a+"s", b, k, got, setWant)
+		}
+	}
+}
+
+// levenshteinDPDist is the DP's distance alone.
+func levenshteinDPDist(a, b string) float64 {
+	d, _, _ := levenshteinDP(a, b)
+	return d
+}
+
 // repeatRunes returns n runes cycled from alphabet.
 func repeatRunes(alphabet string, n int) string {
 	rs := []rune(alphabet)
@@ -53,7 +90,8 @@ func repeatRunes(alphabet string, n int) string {
 }
 
 // FuzzLevenshtein holds the bit-parallel edit distance to the DP on
-// arbitrary UTF-8 and invalid bytes. The seeds sit the shorter side on
+// arbitrary UTF-8 and invalid bytes, unbounded with the shorter side as
+// the pattern and bounded with either side as the pattern (checkBounded). The seeds sit the shorter side on
 // and around the 64-rune block boundary (63/64/65/128/129 runes), where
 // the single-block case ends and the carry between blocks starts to
 // matter, plus all-multibyte and repeated-rune patterns, whose symbols
@@ -75,13 +113,16 @@ func FuzzLevenshtein(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b string) {
 		checkLevenshtein(t, a, b)
 		checkLevenshtein(t, b, a)
+		checkBounded(t, a, b)
+		checkBounded(t, b, a)
 	})
 }
 
 // TestLevenshteinMatchesDP is the fuzz target's property over random
 // pairs on small alphabets (so many runes match) at every length up to
 // three blocks, one side derived from the other by random edits, so the
-// bit-vector carries are exercised on every run of the suite.
+// bit-vector carries — and, on every third pair, the bounded exits — are
+// exercised on every run of the suite.
 func TestLevenshteinMatchesDP(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	alphabets := [][]rune{[]rune("ab"), []rune("abcé"), []rune("xy日本�"), []rune("the quick brown fox")}
@@ -115,6 +156,9 @@ func TestLevenshteinMatchesDP(t *testing.T) {
 			b = random(al, rng.Intn(200))
 		}
 		checkLevenshtein(t, string(a), string(b))
+		if trial%3 == 0 {
+			checkBounded(t, string(a), string(b))
+		}
 	}
 }
 
@@ -125,7 +169,7 @@ func TestLevenshteinMatchesDP(t *testing.T) {
 func BenchmarkLevenshtein(b *testing.B) {
 	const source = "learning expressive linkage rules using genetic programming " +
 		"for entity matching across heterogeneous data sources on the web of data"
-	for _, n := range []int{16, 40, 63, 64, 65, 130} {
+	for _, n := range []int{6, 16, 40, 63, 64, 65, 130} {
 		x := repeatRunes(source, n)
 		y := []rune(x)
 		for i := 3; i < n; i += 9 {

@@ -17,10 +17,13 @@ import (
 // each value of each set once (not once per value pair), and a Column
 // keeps the typed form so callers that compare the same sets again and
 // again — the fitness engine's reference pairs, Algorithm 2's property
-// pairs — parse each set once for good.
+// pairs, the scoring record each stored entity carries
+// (internal/evalengine) — parse each set once for good.
 
 // Prepared is implemented by the measures whose Distance is computed over
-// a typed form of the values.
+// a typed form of the values: the parsing measures below (parsed numbers,
+// coordinates and dates) and the set measures jaccard, dice and cosine
+// (sorted distinct values).
 type Prepared interface {
 	Measure
 	// NewColumn returns a column of n value sets, all empty.
@@ -39,7 +42,11 @@ type Column interface {
 	Distance(i int, other Column, j int) float64
 }
 
-// prepared is the generic parsing measure.
+// prepared is the generic parsing measure. Its Prepare is the one
+// preparation function: Distance runs it on both sets at every call, a
+// column runs it once per set, and a scoring record keeps one-set
+// columns, so scoring a candidate against a stored entity parses
+// nothing.
 type prepared[T any] struct {
 	name  string
 	parse func(string) (T, bool)
@@ -89,26 +96,54 @@ func (m *prepared[T]) min(a, b []T) float64 {
 
 // NewColumn implements Prepared.
 func (m *prepared[T]) NewColumn(n int) Column {
-	return &column[T]{m: m, spans: make([][2]int32, n)}
+	return &column[T]{m: m, typedSets: newTypedSets[T](n)}
 }
 
 // column stores the typed values of all sets back to back.
 type column[T any] struct {
-	m     *prepared[T]
-	vals  []T
-	spans [][2]int32 // set i is vals[spans[i][0]:spans[i][1]]
+	m *prepared[T]
+	typedSets[T]
 }
 
 func (c *column[T]) Prepare(i int, values []string) {
-	start := len(c.vals)
-	c.vals = c.m.Prepare(c.vals, values)
-	c.spans[i] = [2]int32{int32(start), int32(len(c.vals))}
+	c.put(i, func(dst []T) []T { return c.m.Prepare(dst, values) })
 }
-
-func (c *column[T]) set(i int) []T { return c.vals[c.spans[i][0]:c.spans[i][1]] }
 
 func (c *column[T]) Distance(i int, other Column, j int) float64 {
 	return c.m.min(c.set(i), other.(*column[T]).set(j))
+}
+
+// typedSets stores n value sets in a typed form back to back. A store of
+// one set, which is what a scoring record keeps per typed form, has no
+// spans, so reading its set touches one allocation fewer.
+type typedSets[T any] struct {
+	vals  []T
+	spans [][2]int32 // set i is vals[spans[i][0]:spans[i][1]]; nil for one set
+}
+
+func newTypedSets[T any](n int) typedSets[T] {
+	if n == 1 {
+		return typedSets[T]{}
+	}
+	return typedSets[T]{spans: make([][2]int32, n)}
+}
+
+// put stores set i as the values add appends.
+func (s *typedSets[T]) put(i int, add func(dst []T) []T) {
+	if s.spans == nil {
+		s.vals = add(s.vals[:0])
+		return
+	}
+	start := len(s.vals)
+	s.vals = add(s.vals)
+	s.spans[i] = [2]int32{int32(start), int32(len(s.vals))}
+}
+
+func (s *typedSets[T]) set(i int) []T {
+	if s.spans == nil {
+		return s.vals
+	}
+	return s.vals[s.spans[i][0]:s.spans[i][1]]
 }
 
 // ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ import (
 
 // The oracles: the three parsing measures as they were before they became
 // one prepared measure — a closure that re-parses both strings for every
-// value pair, under Func's min-over-cross-product — and the date parser
-// that tried every layout in turn. They share no code with prepared.go;
-// FuzzParseDate and FuzzMeasures hold the new code to them bit for bit.
+// value pair, under Func's min-over-cross-product — the date parser that
+// tried every layout in turn, and the three set measures as their
+// definitions over map-built sets. They share no code with prepared.go
+// or the set columns; FuzzParseDate and FuzzMeasures hold the new code to
+// them bit for bit.
 
 var oracleDateLayouts = []string{
 	"2006-01-02",
@@ -53,8 +55,37 @@ func oracleParseCoord(s string) (lat, lon float64, ok bool) {
 	return latV, lonV, err1 == nil && err2 == nil
 }
 
-var oracles = map[string]Func{
-	"numeric": {Single: func(a, b string) float64 {
+// setOracle is a set measure by its definition: of combines the distinct
+// value counts of both sets and the size of their intersection.
+type setOracle func(ca, cb, inter float64) float64
+
+func (setOracle) Name() string { return "" }
+
+func (o setOracle) Distance(a, b []string) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return math.Inf(1)
+	}
+	setA, setB := make(map[string]bool), make(map[string]bool)
+	for _, v := range a {
+		setA[v] = true
+	}
+	for _, v := range b {
+		setB[v] = true
+	}
+	inter := 0
+	for v := range setA {
+		if setB[v] {
+			inter++
+		}
+	}
+	return o(float64(len(setA)), float64(len(setB)), float64(inter))
+}
+
+var oracles = map[string]Measure{
+	"jaccard": setOracle(func(ca, cb, inter float64) float64 { return 1 - inter/(ca+cb-inter) }),
+	"dice":    setOracle(func(ca, cb, inter float64) float64 { return 1 - 2*inter/(ca+cb) }),
+	"cosine":  setOracle(func(ca, cb, inter float64) float64 { return 1 - inter/math.Sqrt(ca*cb) }),
+	"numeric": Func{Single: func(a, b string) float64 {
 		fa, errA := strconv.ParseFloat(strings.TrimSpace(a), 64)
 		fb, errB := strconv.ParseFloat(strings.TrimSpace(b), 64)
 		if errA != nil || errB != nil {
@@ -62,7 +93,7 @@ var oracles = map[string]Func{
 		}
 		return math.Abs(fa - fb)
 	}},
-	"geographic": {Single: func(a, b string) float64 {
+	"geographic": Func{Single: func(a, b string) float64 {
 		latA, lonA, okA := oracleParseCoord(a)
 		latB, lonB, okB := oracleParseCoord(b)
 		if !okA || !okB {
@@ -70,7 +101,7 @@ var oracles = map[string]Func{
 		}
 		return Haversine(latA, lonA, latB, lonB)
 	}},
-	"date": {Single: func(a, b string) float64 {
+	"date": Func{Single: func(a, b string) float64 {
 		ta, okA := oracleParseDate(a)
 		tb, okB := oracleParseDate(b)
 		if !okA || !okB {
@@ -113,6 +144,8 @@ func TestPreparedMeasuresMatchOracle(t *testing.T) {
 		{"52.52 13.405"}, {"52.39,13.06", "garbage"}, {"POINT(13.405 52.52)"}, {"POINT(NaN NaN)"}, {"POINT(1,2 3)"},
 		{"1 2 3"}, {" 1 ,\t2 "}, {"1 2"}, {"1,,2"}, {"Berlin", "New York"},
 		{"1", "2", "3", "4", "5", "6"}, // more values than Distance keeps on the stack
+		// Duplicates and overlaps for the set measures.
+		{"rules", "linkage", "rules", "genetic"}, {"genetic", "rules", "x"},
 	}
 	for name := range oracles {
 		for _, a := range sets {
