@@ -45,8 +45,6 @@ func main() {
 		execute    = flag.Bool("execute", false, "execute the learned rule over the full sources and print links")
 		blocker    = flag.String("blocker", "token", "blocking strategy for -execute: token, sortedneighborhood, qgram or multipass")
 		workers    = flag.Int("workers", 0, "parallel match workers for -execute (0 = GOMAXPROCS)")
-		distCache  = flag.Int("engine-dist-cache", 0, "max cached distance vectors (0 = default, negative = unlimited)")
-		valueCache = flag.Int("engine-value-cache", 0, "max cached value-set columns (0 = default, negative = unlimited)")
 	)
 	flag.Parse()
 
@@ -81,10 +79,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.PopulationSize = *population
 	cfg.MaxIterations = *iterations
-	cfg.Engine = genlinkapi.EngineOptions{
-		MaxDistEntries:  *distCache,
-		MaxValueEntries: *valueCache,
-	}
 
 	res, err := genlinkapi.Learn(cfg, refs)
 	if err != nil {

@@ -86,23 +86,23 @@ func BenchmarkFitnessEvaluation(b *testing.B) {
 			}
 		}},
 	}
-	for _, mode := range []struct {
-		name string
-		opts evalengine.Options
-	}{
-		{"engine", evalengine.Options{Workers: 1}},
-		{"treewalk", evalengine.Options{Workers: 1, Disabled: true}},
-	} {
+	for _, mode := range []string{"engine", "treewalk"} {
 		for _, population := range populations {
-			b.Run(mode.name+"/"+population.name, func(b *testing.B) {
-				eng := evalengine.New(ds.Refs, mode.opts)
+			b.Run(mode+"/"+population.name, func(b *testing.B) {
+				eng := evalengine.New(ds.Refs, evalengine.Options{Workers: 1})
 				rng := rand.New(rand.NewSource(1))
 				pop := coraPopulation(rng, size)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					population.next(rng, pop)
-					eng.EvaluateBatch(pop)
+					if mode == "engine" {
+						eng.EvaluateBatch(pop)
+						continue
+					}
+					for _, r := range pop {
+						treeWalkCounts(r, ds.Refs)
+					}
 				}
 			})
 		}

@@ -33,19 +33,21 @@
 //
 // Caches are keyed by the canonical signatures of package rule and survive
 // across generations: only subtrees first seen this generation are
-// computed. Entries unused for KeepGenerations generations are evicted, and
-// hard caps bound memory on adversarial populations. One ageing rule covers
-// every layer: a typed column goes when its value-set entry goes; a
-// memoized count answers only while every distance vector its rule reads
-// is still cached, and answering refreshes those vectors exactly as
-// folding the rule would have — so the value and distance caches hold what
-// they would hold without the memo, which only removes work.
+// computed. Entries unused for keepGenerations generations are evicted,
+// and hard caps bound memory on adversarial populations; all three bounds
+// are constants. One ageing rule covers every layer: a typed column goes
+// when its value-set entry goes; a memoized count answers only while
+// every distance vector its rule reads is still cached, and answering
+// refreshes those vectors exactly as folding the rule would have — so the
+// value and distance caches hold what they would hold without the memo,
+// which only removes work.
 //
 // Equivalence with the interpreted tree-walk (rule.Rule.Evaluate) is pinned
-// by a differential test over random rules and entities. The tree-walk is
-// that test's oracle and nothing else: the operator kinds and aggregators
-// of package rule are a closed set the compiler covers, so every rule is
-// compiled.
+// by differential tests over random rules and entities, which count with
+// Rule.Matches in the test files. The tree-walk is those tests' oracle and
+// nothing else: this package has one evaluation path, the operator kinds
+// and aggregators of package rule are a closed set the compiler covers,
+// and so every rule is compiled.
 package evalengine
 
 import (
@@ -67,24 +69,8 @@ type Counts struct {
 
 // Options tunes an Engine.
 type Options struct {
-	// Disabled is the switch the engine ≡ tree-walk differentials flip
-	// (TestEngineDisabledEqualsEnabled, the learner-level identity test,
-	// BenchmarkFitnessEvaluation's baseline): evaluation falls back to
-	// the interpreted tree-walk, parallelized over rules. It is not a
-	// tuning option — no binary or flag sets it.
-	Disabled bool
 	// Workers bounds evaluation parallelism (≤0 means GOMAXPROCS).
 	Workers int
-	// MaxDistEntries caps the number of cached distance vectors
-	// (0 means 4096, negative means unlimited). One vector costs
-	// 8 bytes × number of reference pairs.
-	MaxDistEntries int
-	// MaxValueEntries caps the number of cached value-set columns
-	// (0 means 8192, negative means unlimited).
-	MaxValueEntries int
-	// KeepGenerations evicts cache entries unused for this many
-	// generations (0 means 3).
-	KeepGenerations int
 }
 
 func (o Options) workers() int {
@@ -94,25 +80,23 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-func (o Options) maxDist() int {
-	if o.MaxDistEntries == 0 {
-		return 4096
-	}
-	return o.MaxDistEntries
-}
+// The cache bounds of every Engine.
+const (
+	// maxDistEntries caps the number of cached distance vectors. One
+	// vector costs 8 bytes × number of reference pairs.
+	maxDistEntries = 4096
+	// maxValueEntries caps the number of cached value-set columns.
+	maxValueEntries = 8192
+	// keepGenerations evicts cache entries unused for this many
+	// generations.
+	keepGenerations = 3
+)
 
-func (o Options) maxValue() int {
-	if o.MaxValueEntries == 0 {
-		return 8192
-	}
-	return o.MaxValueEntries
-}
-
-func (o Options) keep() int {
-	if o.KeepGenerations <= 0 {
-		return 3
-	}
-	return o.KeepGenerations
+// limits are an engine's cache bounds: the constants above, which the
+// package's tests shrink (export_test.go) so eviction bites on small
+// populations.
+type limits struct {
+	maxDist, maxValue, keep int
 }
 
 // valueEntry caches the value sets of one value program for every interned
@@ -178,9 +162,9 @@ type CacheStats struct {
 // Engine methods must not be called concurrently with each other; the
 // parallelism lives inside EvaluateBatch.
 type Engine struct {
-	opts  Options
-	refs  *entity.ReferenceLinks
-	table *entityTable
+	opts   Options
+	limits limits
+	table  *entityTable
 
 	values map[string]*valueEntry
 	dists  map[string]*distEntry
@@ -193,7 +177,7 @@ type Engine struct {
 func New(refs *entity.ReferenceLinks, opts Options) *Engine {
 	return &Engine{
 		opts:   opts,
-		refs:   refs,
+		limits: limits{maxDist: maxDistEntries, maxValue: maxValueEntries, keep: keepGenerations},
 		table:  newEntityTable(refs),
 		values: make(map[string]*valueEntry),
 		dists:  make(map[string]*distEntry),
@@ -247,12 +231,6 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 		return out
 	}
 	workers := e.opts.workers()
-	if e.opts.Disabled {
-		parallelDo(len(rules), workers, func(i int) {
-			out[i] = treeWalk(rules[i], e.refs)
-		})
-		return out
-	}
 	e.gen++
 
 	// Look every rule up by canonical signature. Only the first rule of a
@@ -491,10 +469,10 @@ func (e *Engine) answers(re *ruleEntry) bool {
 	return true
 }
 
-// evict drops cache entries unused for KeepGenerations generations, then
+// evict drops cache entries unused for keepGenerations generations, then
 // enforces the hard caps oldest-first.
 func (e *Engine) evict() {
-	cutoff := e.gen - e.opts.keep()
+	cutoff := e.gen - e.limits.keep
 	for sig, de := range e.dists {
 		if de.lastUsed <= cutoff {
 			delete(e.dists, sig)
@@ -510,11 +488,11 @@ func (e *Engine) evict() {
 			delete(e.rules, sig)
 		}
 	}
-	if limit := e.opts.maxDist(); limit > 0 && len(e.dists) > limit {
-		evictOldest(e.dists, len(e.dists)-limit, func(d *distEntry) int { return d.lastUsed })
+	if n := len(e.dists) - e.limits.maxDist; n > 0 {
+		evictOldest(e.dists, n, func(d *distEntry) int { return d.lastUsed })
 	}
-	if limit := e.opts.maxValue(); limit > 0 && len(e.values) > limit {
-		evictOldest(e.values, len(e.values)-limit, func(v *valueEntry) int { return v.lastUsed })
+	if n := len(e.values) - e.limits.maxValue; n > 0 {
+		evictOldest(e.values, n, func(v *valueEntry) int { return v.lastUsed })
 	}
 }
 
@@ -540,30 +518,6 @@ func evictOldest[V any](m map[string]V, n int, lastUsed func(V) int) {
 	for i := 0; i < n && i < len(entries); i++ {
 		delete(m, entries[i].sig)
 	}
-}
-
-// treeWalk is the interpreted reference evaluation: classify every pair
-// with Rule.Matches and tally the confusion matrix.
-func treeWalk(r *rule.Rule, refs *entity.ReferenceLinks) Counts {
-	var c Counts
-	if refs == nil {
-		return c
-	}
-	for _, p := range refs.Positive {
-		if r.Matches(p.A, p.B) {
-			c.TP++
-		} else {
-			c.FN++
-		}
-	}
-	for _, p := range refs.Negative {
-		if r.Matches(p.A, p.B) {
-			c.FP++
-		} else {
-			c.TN++
-		}
-	}
-	return c
 }
 
 // parallelDo runs f(0..n-1) across at most workers goroutines.

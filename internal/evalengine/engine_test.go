@@ -84,7 +84,8 @@ func TestEngineThresholdVariantsShareDistances(t *testing.T) {
 
 func TestEngineEviction(t *testing.T) {
 	refs := fixtureRefs()
-	eng := evalengine.New(refs, evalengine.Options{KeepGenerations: 1})
+	eng := evalengine.New(refs, evalengine.Options{})
+	eng.SetLimits(0, 0, 1)
 	eng.EvaluateBatch([]*rule.Rule{nameRule(0.5)})
 	if eng.Stats().DistVectors != 1 {
 		t.Fatalf("dist vectors = %d, want 1", eng.Stats().DistVectors)
@@ -101,7 +102,8 @@ func TestEngineEviction(t *testing.T) {
 
 func TestEngineHardCap(t *testing.T) {
 	refs := fixtureRefs()
-	eng := evalengine.New(refs, evalengine.Options{MaxDistEntries: 2, KeepGenerations: 100})
+	eng := evalengine.New(refs, evalengine.Options{})
+	eng.SetLimits(2, 0, 100)
 	// Three distinct measures → three distance vectors, capped at two.
 	rules := []*rule.Rule{
 		nameRule(1),
@@ -111,22 +113,6 @@ func TestEngineHardCap(t *testing.T) {
 	eng.EvaluateBatch(rules)
 	if got := eng.Stats().DistVectors; got > 2 {
 		t.Fatalf("cache size %d exceeds cap 2", got)
-	}
-}
-
-func TestEngineDisabledEqualsEnabled(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	refs := randomRefs(rng, 25)
-	rules := make([]*rule.Rule, 8)
-	for i := range rules {
-		rules[i] = randomRule(rng)
-	}
-	on := evalengine.New(refs, evalengine.Options{}).EvaluateBatch(rules)
-	off := evalengine.New(refs, evalengine.Options{Disabled: true, Workers: 2}).EvaluateBatch(rules)
-	for i := range rules {
-		if on[i] != off[i] {
-			t.Fatalf("rule %d: enabled %+v, disabled %+v", i, on[i], off[i])
-		}
 	}
 }
 
@@ -177,7 +163,7 @@ func TestCompiledDeduplicatesSubtrees(t *testing.T) {
 
 // TestEngineMemoMeetsTreeWalk drives one engine through eight batches
 // that repeat signatures inside a batch, bring a signature back after it
-// sat out a batch or more, and shrink and grow — under KeepGenerations 1
+// sat out a batch or more, and shrink and grow — under keepGenerations 1
 // (whatever a batch does not use is aged out at once, memo entries and
 // vectors alike), under a distance-vector cap of 3 (vectors are evicted
 // while the memo entries that read them live on, so the memo must
@@ -206,10 +192,10 @@ func TestEngineMemoMeetsTreeWalk(t *testing.T) {
 	schedule := memoSchedule
 	for _, tc := range []struct {
 		name      string
-		opts      evalengine.Options
+		limits    [3]int // maxDist, maxValue, keep; 0 keeps the constant
 		wantCache [][4]int64
 	}{
-		{"keep1", evalengine.Options{KeepGenerations: 1, Workers: 2}, [][4]int64{
+		{"keep1", [3]int{0, 0, 1}, [][4]int64{
 			{14, 6, 14, 13},
 			{16, 8, 3, 4},
 			{20, 9, 5, 7},
@@ -219,8 +205,8 @@ func TestEngineMemoMeetsTreeWalk(t *testing.T) {
 			{49, 36, 6, 0},
 			{64, 55, 21, 14},
 		}},
-		{"cap3", evalengine.Options{MaxDistEntries: 3, Workers: 2}, nil},
-		{"defaults", evalengine.Options{Workers: 2}, [][4]int64{
+		{"cap3", [3]int{3, 0, 0}, nil},
+		{"defaults", [3]int{}, [][4]int64{
 			{14, 6, 14, 13},
 			{16, 8, 16, 15},
 			{20, 9, 20, 18},
@@ -238,7 +224,8 @@ func TestEngineMemoMeetsTreeWalk(t *testing.T) {
 			for i := range pool {
 				pool[i] = randomRule(rng)
 			}
-			eng := evalengine.New(refs, tc.opts)
+			eng := evalengine.New(refs, evalengine.Options{Workers: 2})
+			eng.SetLimits(tc.limits[0], tc.limits[1], tc.limits[2])
 			total := 0
 			for bi, picks := range schedule {
 				batch := make([]*rule.Rule, len(picks))
@@ -291,7 +278,8 @@ func TestEngineEvictionDeterministic(t *testing.T) {
 		for i := range pool {
 			pool[i] = randomRule(rng)
 		}
-		eng := evalengine.New(refs, evalengine.Options{MaxDistEntries: 3, Workers: 2})
+		eng := evalengine.New(refs, evalengine.Options{Workers: 2})
+		eng.SetLimits(3, 0, 0)
 		var stats []evalengine.CacheStats
 		for _, picks := range memoSchedule {
 			batch := make([]*rule.Rule, len(picks))

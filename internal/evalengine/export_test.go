@@ -45,3 +45,18 @@ func PartialBound(c *Compiled, a, b *entity.Entity, known uint64) float64 {
 	}
 	return c.fold(p.dists, p.sstack)
 }
+
+// SetLimits replaces e's cache bounds — the constants maxDistEntries,
+// maxValueEntries and keepGenerations — so eviction bites on a test's
+// small population. A zero argument keeps its constant.
+func (e *Engine) SetLimits(maxDist, maxValue, keep int) {
+	if maxDist != 0 {
+		e.limits.maxDist = maxDist
+	}
+	if maxValue != 0 {
+		e.limits.maxValue = maxValue
+	}
+	if keep != 0 {
+		e.limits.keep = keep
+	}
+}

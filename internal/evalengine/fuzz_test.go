@@ -145,6 +145,65 @@ func FuzzProbeScore(f *testing.F) {
 	})
 }
 
+// FuzzEngineGenerations feeds one engine a fuzzed sequence of batches
+// drawn from a pool of random rules — signatures that repeat inside a
+// batch, sit out batches and come back — under small distance and value
+// caps and keepGenerations 1, so that batches evict and the per-signature
+// memo must decline whenever a vector its rule reads was dropped. Each
+// schedule byte adds pool rule byte%8 to the current batch; a byte with
+// the high bit set also closes the batch. Every count of every batch must
+// equal the tree-walk's.
+func FuzzEngineGenerations(f *testing.F) {
+	var memo []byte
+	for _, picks := range memoSchedule {
+		for i, p := range picks {
+			b := byte(p)
+			if i == len(picks)-1 {
+				b |= 0x80
+			}
+			memo = append(memo, b)
+		}
+	}
+	f.Add(int64(23), uint8(3), uint8(4), memo)
+	f.Add(int64(1), uint8(0), uint8(0), []byte{0, 1, 0x82, 0, 0x81, 0x83, 2, 0x80})
+	f.Add(int64(7), uint8(1), uint8(7), []byte{0x80, 0x80, 1, 2, 3, 4, 5, 6, 7, 0x87})
+	// Found by fuzzing an engine that filled a cached value column for
+	// one side only and never for the other side a later batch needed.
+	f.Add(int64(-51), uint8('='), uint8('='), []byte("\x820"))
+	f.Fuzz(func(t *testing.T, seed int64, maxDist, maxValue uint8, schedule []byte) {
+		if len(schedule) > 96 {
+			schedule = schedule[:96]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		refs := randomRefs(rng, 16)
+		pool := make([]*rule.Rule, 8)
+		for i := range pool {
+			pool[i] = randomRule(rng)
+		}
+		eng := evalengine.New(refs, evalengine.Options{Workers: 2})
+		eng.SetLimits(1+int(maxDist%4), 1+int(maxValue%8), 1)
+		var batch []*rule.Rule
+		batches := 0
+		run := func() {
+			got := eng.EvaluateBatch(batch)
+			for i, r := range batch {
+				if want := treeWalkCounts(r, refs); got[i] != want {
+					t.Fatalf("batch %d rule %d: engine %+v, tree-walk %+v\nrule: %s", batches, i, got[i], want, r.Render())
+				}
+			}
+			batch = batch[:0]
+			batches++
+		}
+		for _, b := range schedule {
+			batch = append(batch, pool[b%8].Clone())
+			if b&0x80 != 0 {
+				run()
+			}
+		}
+		run()
+	})
+}
+
 // TestProbeScoreAllocationFree pins the per-candidate cost of the rig's
 // rule — title edit distance, author-token jaccard and date, under
 // wmean — on Cora-like records: once the probe has built its title

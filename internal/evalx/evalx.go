@@ -25,34 +25,12 @@ type Confusion struct {
 //
 // Evaluation is delegated to the compiled engine (internal/evalengine),
 // which deduplicates shared subtrees and evaluates value chains once per
-// entity instead of once per pair; results are identical to the
-// interpreted EvaluateTreeWalk. Callers that score many rules against the
-// same links — the learner does — should hold an evalengine.Engine
-// instead, which additionally memoizes across calls.
+// entity instead of once per pair; results are identical to classifying
+// every pair with the interpreted Rule.Matches. Callers that score many
+// rules against the same links — the learner does — should hold an
+// evalengine.Engine instead, which additionally memoizes across calls.
 func Evaluate(r *rule.Rule, refs *entity.ReferenceLinks) Confusion {
 	return Confusion(evalengine.EvaluateOnce(r, refs))
-}
-
-// EvaluateTreeWalk classifies every reference link by interpreting the
-// operator tree directly. It is the reference implementation the compiled
-// engine is differentially tested against; Evaluate is the fast path.
-func EvaluateTreeWalk(r *rule.Rule, refs *entity.ReferenceLinks) Confusion {
-	var c Confusion
-	for _, p := range refs.Positive {
-		if r.Matches(p.A, p.B) {
-			c.TP++
-		} else {
-			c.FN++
-		}
-	}
-	for _, p := range refs.Negative {
-		if r.Matches(p.A, p.B) {
-			c.FP++
-		} else {
-			c.TN++
-		}
-	}
-	return c
 }
 
 // Precision returns TP / (TP+FP), or 0 when undefined.

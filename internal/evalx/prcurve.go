@@ -1,9 +1,12 @@
 package evalx
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"genlink/internal/entity"
+	"genlink/internal/evalengine"
 	"genlink/internal/rule"
 )
 
@@ -21,54 +24,53 @@ type PRPoint struct {
 // cutoff, sorted by ascending threshold. The fixed 0.5 threshold of
 // Definition 3 is one point on this curve; the sweep shows how robust a
 // learned rule's accuracy is to the cutoff choice.
+//
+// The pairs are scored by the compiled rule and sorted once; a cutoff
+// predicts exactly the pairs at or above it, so one ascending pass moves
+// each group of equal scores from predicted-positive to predicted-negative
+// as it passes. A NaN score is below every cutoff and makes its own point,
+// at which nothing is predicted positive.
 func PRCurve(r *rule.Rule, refs *entity.ReferenceLinks) []PRPoint {
 	type scored struct {
 		score    float64
 		positive bool
 	}
+	s := evalengine.Compile(r).Scorer()
 	all := make([]scored, 0, refs.Len())
 	for _, p := range refs.Positive {
-		all = append(all, scored{score: r.Evaluate(p.A, p.B), positive: true})
+		all = append(all, scored{score: s.Score(p.A, p.B), positive: true})
 	}
 	for _, p := range refs.Negative {
-		all = append(all, scored{score: r.Evaluate(p.A, p.B), positive: false})
+		all = append(all, scored{score: s.Score(p.A, p.B), positive: false})
 	}
 	if len(all) == 0 {
 		return nil
 	}
-	// Candidate thresholds: every distinct score.
-	uniq := make(map[float64]struct{}, len(all))
-	for _, s := range all {
-		uniq[s.score] = struct{}{}
-	}
-	thresholds := make([]float64, 0, len(uniq))
-	for t := range uniq {
-		thresholds = append(thresholds, t)
-	}
-	sort.Float64s(thresholds)
+	// Stable: a group of equal scores, 0 and -0 among them, reports the
+	// one its last pair in link order got.
+	slices.SortStableFunc(all, func(a, b scored) int { return cmp.Compare(a.score, b.score) })
 
-	points := make([]PRPoint, 0, len(thresholds))
-	for _, t := range thresholds {
-		var c Confusion
-		for _, s := range all {
-			predicted := s.score >= t
-			switch {
-			case predicted && s.positive:
-				c.TP++
-			case predicted && !s.positive:
-				c.FP++
-			case !predicted && s.positive:
-				c.FN++
-			default:
-				c.TN++
+	var points []PRPoint
+	var fn, tn int // the pairs below the cutoff
+	for i := 0; i < len(all); {
+		j := i + 1
+		for j < len(all) && all[j].score == all[i].score {
+			j++
+		}
+		t := all[j-1].score
+		c := Confusion{TP: len(refs.Positive) - fn, FP: len(refs.Negative) - tn, FN: fn, TN: tn}
+		if math.IsNaN(t) {
+			c = Confusion{FN: len(refs.Positive), TN: len(refs.Negative)}
+		}
+		points = append(points, PRPoint{Threshold: t, Precision: c.Precision(), Recall: c.Recall(), F1: c.FMeasure()})
+		for _, p := range all[i:j] {
+			if p.positive {
+				fn++
+			} else {
+				tn++
 			}
 		}
-		points = append(points, PRPoint{
-			Threshold: t,
-			Precision: c.Precision(),
-			Recall:    c.Recall(),
-			F1:        c.FMeasure(),
-		})
+		i = j
 	}
 	return points
 }

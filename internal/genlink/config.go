@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/rand"
 
-	"genlink/internal/evalengine"
 	"genlink/internal/rule"
 	"genlink/internal/similarity"
 	"genlink/internal/transform"
@@ -171,13 +170,9 @@ type Config struct {
 	// Seeding selects seeded or random initialization (Table 14).
 	Seeding SeedingMode
 	// Workers bounds fitness-evaluation parallelism (≤0: GOMAXPROCS).
+	// Populations are always scored by the compiled evaluation engine
+	// (package evalengine), whose cache bounds are fixed constants.
 	Workers int
-	// Engine tunes the compiled evaluation engine that scores populations
-	// (cache sizes, generations kept, on/off). The zero value enables the
-	// engine with defaults; set Engine.Disabled to fall back to the
-	// interpreted tree-walk. Engine.Workers is derived from Workers when
-	// unset.
-	Engine evalengine.Options
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed int64
 	// Measures are the distance functions available to comparisons.

@@ -59,8 +59,7 @@ type IterationStats struct {
 	// per-signature memo — repeats inside the generation and signatures
 	// scored in an earlier generation still cached — instead of compiling
 	// and folding them. DistComputed is the number of distance vectors the
-	// engine had to compute. The three engine counters are 0 under the
-	// interpreted tree-walk.
+	// engine had to compute.
 	Evaluated, DistinctRules, MemoHits, DistComputed int
 }
 
@@ -169,10 +168,11 @@ func (l *Learner) LearnWithValidation(train, val *entity.ReferenceLinks) (*Resul
 	// One engine instance per link set, shared by every generation: the
 	// compiled programs and signature-keyed caches make the subtrees that
 	// elitism and crossover carry between generations nearly free.
-	engine := evalengine.New(train, l.engineOptions())
+	opts := evalengine.Options{Workers: l.cfg.Workers}
+	engine := evalengine.New(train, opts)
 	var valEngine *evalengine.Engine
 	if val != nil {
-		valEngine = evalengine.New(val, l.engineOptions())
+		valEngine = evalengine.New(val, opts)
 	}
 
 	result := &Result{CompatiblePairs: pairs}
@@ -248,16 +248,6 @@ func (l *Learner) LearnWithValidation(train, val *entity.ReferenceLinks) (*Resul
 		result.BestValF1 = confusion(valEngine.Evaluate(best.rule)).FMeasure()
 	}
 	return result, nil
-}
-
-// engineOptions derives the evaluation-engine options from the config,
-// defaulting the engine's parallelism to the learner's worker bound.
-func (l *Learner) engineOptions() evalengine.Options {
-	opts := l.cfg.Engine
-	if opts.Workers == 0 {
-		opts.Workers = l.cfg.Workers
-	}
-	return opts
 }
 
 // confusion converts engine counts into the evalx confusion matrix.

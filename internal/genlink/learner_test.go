@@ -373,39 +373,6 @@ func TestStatsAtBetweenCheckpoints(t *testing.T) {
 	}
 }
 
-// TestLearnerEngineMatchesTreeWalk pins the learner-level differential:
-// because the compiled engine scores identically to the interpreted
-// tree-walk, the whole evolution — selection, crossover, history — must be
-// byte-for-byte deterministic across the two evaluation paths.
-func TestLearnerEngineMatchesTreeWalk(t *testing.T) {
-	refs := toyTask(25, 9)
-	cfg := smallConfig(5)
-	cfg.MaxIterations = 6
-
-	on, err := NewLearner(cfg).Learn(refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Engine.Disabled = true
-	off, err := NewLearner(cfg).Learn(refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := on.Best.Signature(), off.Best.Signature(); got != want {
-		t.Fatalf("best rules diverge:\nengine    %s\ntree-walk %s", got, want)
-	}
-	if len(on.History) != len(off.History) {
-		t.Fatalf("history lengths diverge: %d vs %d", len(on.History), len(off.History))
-	}
-	for i := range on.History {
-		a, b := on.History[i], off.History[i]
-		if a.TrainF1 != b.TrainF1 || a.MeanF1 != b.MeanF1 || a.BestFitness != b.BestFitness {
-			t.Fatalf("iteration %d diverges: engine %+v, tree-walk %+v", i, a, b)
-		}
-	}
-}
-
 // TestEvaluateSkipsValidCandidates pins the elitism fix: candidates whose
 // measurements are already valid keep them — the batch evaluation must not
 // re-score the elite.
@@ -549,17 +516,6 @@ func TestLearnerHistoryCounters(t *testing.T) {
 		g := again.History[i]
 		if g.Evaluated != h.Evaluated || g.DistinctRules != h.DistinctRules || g.MemoHits != h.MemoHits || g.DistComputed != h.DistComputed {
 			t.Errorf("generation %d: counters %+v then %+v under one seed", i, h, g)
-		}
-	}
-
-	cfg.Engine.Disabled = true
-	walked, err := NewLearner(cfg).Learn(refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range walked.History {
-		if h.Evaluated != res.History[i].Evaluated || h.DistinctRules != 0 || h.MemoHits != 0 || h.DistComputed != 0 {
-			t.Errorf("generation %d under the tree-walk: %+v", i, h)
 		}
 	}
 }

@@ -424,7 +424,7 @@ func (ix *ShardedIndex) shardMaxBlockCfg() int {
 }
 
 // effectiveMaxBlock resolves the shard's cap for one probe under the
-// shard lock, mirroring matching.Options.normalize with the shard's
+// shard lock, as matching.Options.normalize does, with the shard's
 // partition (minus the probe's own record) as the B source.
 func (sh *shard) effectiveMaxBlock(probe *entity.Entity, cfg int) int {
 	switch {
@@ -437,7 +437,7 @@ func (sh *shard) effectiveMaxBlock(probe *entity.Entity, cfg int) int {
 		if _, ok := sh.records[probe.ID]; ok {
 			n--
 		}
-		return n/20 + 50
+		return matching.DefaultMaxBlockSize(n)
 	}
 }
 

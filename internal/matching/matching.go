@@ -70,14 +70,19 @@ type Options struct {
 	Blocker Blocker
 }
 
+// DefaultMaxBlockSize is the stop-token cap MaxBlockSize 0 stands for,
+// given the number of entities a block is drawn from: blocks of tokens
+// occurring in more than about 5% of them are skipped.
+func DefaultMaxBlockSize(sourceSize int) int { return sourceSize/20 + 50 }
+
 // normalize fills defaults: the rule match threshold, stop-token
-// suppression for tokens occurring in >5% of a source, and token blocking.
+// suppression (DefaultMaxBlockSize) and token blocking.
 func (o *Options) normalize(sourceSize int) {
 	if o.Threshold == 0 {
 		o.Threshold = rule.MatchThreshold
 	}
 	if o.MaxBlockSize == 0 {
-		o.MaxBlockSize = sourceSize/20 + 50
+		o.MaxBlockSize = DefaultMaxBlockSize(sourceSize)
 	}
 	if o.Blocker == nil {
 		o.Blocker = TokenBlocking()

@@ -338,6 +338,12 @@ func tallyValue(v ValueOp, s *Stats) {
 	}
 }
 
+// HasOnlyCoreOps reports true: the operator interfaces are closed, so
+// every rule is built from the four core kinds. It is kept only because
+// the benchmark rig's tests (benchmark/rules_test.go) still call it; it
+// goes when the rig next changes.
+func (r *Rule) HasOnlyCoreOps() bool { return true }
+
 // Validate checks the strong typing constraints of Figure 1:
 // comparisons take exactly two value inputs, transformation inputs respect
 // the transformation's arity, aggregations contain only similarity

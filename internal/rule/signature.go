@@ -29,21 +29,44 @@ import (
 // by Name(), so registered names must uniquely determine behaviour.
 
 // ValueSignature returns the canonical signature of a value operator
-// subtree.
+// subtree; a nil subtree signs as "?". Transformation input order is
+// preserved: transformations such as concatenate are order-sensitive.
 func ValueSignature(op ValueOp) string {
-	var b sigBuilder
-	VisitValuePostOrder(op, &b)
-	return b.result()
+	switch o := op.(type) {
+	case *PropertyOp:
+		return "p:" + strconv.Quote(o.Property)
+	case *TransformOp:
+		args := make([]string, len(o.Inputs))
+		for i, in := range o.Inputs {
+			args[i] = ValueSignature(in)
+		}
+		return "t:" + o.Function.Name() + "(" + strings.Join(args, ",") + ")"
+	}
+	return "?"
 }
 
 // SimSignature returns the canonical signature of a similarity operator
-// subtree. The operator's own weight is excluded — it only influences the
-// enclosing aggregation, which records it next to the operand signature —
-// so comparisons that differ only in weight share cache entries.
+// subtree; a nil root signs as "?". The operator's own weight is
+// excluded — it only influences the enclosing aggregation, which records
+// it next to the operand signature — so comparisons that differ only in
+// weight share cache entries. A comparison's threshold is formatted with
+// the shortest round-trip representation so distinct thresholds never
+// collide; an aggregation's weighted operand entries are sorted into
+// canonical order.
 func SimSignature(op SimilarityOp) string {
-	var b sigBuilder
-	VisitPostOrder(op, &b)
-	return b.result()
+	switch o := op.(type) {
+	case *ComparisonOp:
+		thr := strconv.FormatFloat(o.Threshold, 'g', -1, 64)
+		return "c:" + o.Measure.Name() + "@" + thr + "(" + ValueSignature(o.InputA) + "," + ValueSignature(o.InputB) + ")"
+	case *AggregationOp:
+		entries := make([]string, len(o.Operands))
+		for i, child := range o.Operands {
+			entries[i] = strconv.Itoa(child.Weight()) + "*" + SimSignature(child)
+		}
+		sort.Strings(entries)
+		return "a:" + o.Function.Name() + "(" + strings.Join(entries, ",") + ")"
+	}
+	return "?"
 }
 
 // Signature returns the canonical signature of the whole rule.
@@ -52,65 +75,4 @@ func (r *Rule) Signature() string {
 		return "∅"
 	}
 	return SimSignature(r.Root)
-}
-
-// sigBuilder composes signatures bottom-up over a post-order traversal:
-// every visit pops its children's signatures off the stack and pushes its
-// own.
-type sigBuilder struct {
-	stack []string
-}
-
-func (b *sigBuilder) result() string {
-	if len(b.stack) == 0 {
-		return "?"
-	}
-	return b.stack[len(b.stack)-1]
-}
-
-func (b *sigBuilder) push(s string) { b.stack = append(b.stack, s) }
-func (b *sigBuilder) pop(n int) []string {
-	if n > len(b.stack) {
-		n = len(b.stack)
-	}
-	args := b.stack[len(b.stack)-n:]
-	b.stack = b.stack[:len(b.stack)-n]
-	return args
-}
-
-// Property implements Visitor.
-func (b *sigBuilder) Property(o *PropertyOp) {
-	b.push("p:" + strconv.Quote(o.Property))
-}
-
-// Transform implements Visitor. Input order is preserved: transformations
-// such as concatenate are order-sensitive.
-func (b *sigBuilder) Transform(o *TransformOp) {
-	args := b.pop(len(o.Inputs))
-	b.push("t:" + o.Function.Name() + "(" + strings.Join(args, ",") + ")")
-}
-
-// Comparison implements Visitor. The threshold is formatted with the
-// shortest round-trip representation so distinct thresholds never collide.
-func (b *sigBuilder) Comparison(o *ComparisonOp) {
-	args := b.pop(2)
-	thr := strconv.FormatFloat(o.Threshold, 'g', -1, 64)
-	b.push("c:" + o.Measure.Name() + "@" + thr + "(" + strings.Join(args, ",") + ")")
-}
-
-// Aggregation implements Visitor. Operand weights are recorded next to each
-// operand signature, and the weighted entries are sorted into canonical
-// order.
-func (b *sigBuilder) Aggregation(o *AggregationOp) {
-	args := b.pop(len(o.Operands))
-	entries := make([]string, len(args))
-	for i, a := range args {
-		w := 1
-		if i < len(o.Operands) {
-			w = o.Operands[i].Weight()
-		}
-		entries[i] = strconv.Itoa(w) + "*" + a
-	}
-	sort.Strings(entries)
-	b.push("a:" + o.Function.Name() + "(" + strings.Join(entries, ",") + ")")
 }

@@ -1,7 +1,6 @@
 package rule
 
 import (
-	"strings"
 	"testing"
 
 	"genlink/internal/similarity"
@@ -83,32 +82,4 @@ func TestRuleSignatureNilSafety(t *testing.T) {
 	if got := (&Rule{}).Signature(); got != "∅" {
 		t.Fatalf("empty rule signature = %q", got)
 	}
-}
-
-func TestVisitPostOrderOrder(t *testing.T) {
-	r := New(NewAggregation(Min(),
-		NewComparison(
-			NewTransform(transform.LowerCase(), NewProperty("a")),
-			NewProperty("b"),
-			similarity.Levenshtein(), 1),
-		NewComparison(NewProperty("c"), NewProperty("d"), similarity.Jaccard(), 0.5)))
-	var order []string
-	VisitPostOrder(r.Root, &recordingVisitor{out: &order})
-	want := "p(a) t(lowerCase) p(b) cmp(levenshtein) p(c) p(d) cmp(jaccard) agg(min)"
-	if got := strings.Join(order, " "); got != want {
-		t.Fatalf("post-order = %q, want %q", got, want)
-	}
-}
-
-type recordingVisitor struct{ out *[]string }
-
-func (v *recordingVisitor) Property(o *PropertyOp) { *v.out = append(*v.out, "p("+o.Property+")") }
-func (v *recordingVisitor) Transform(o *TransformOp) {
-	*v.out = append(*v.out, "t("+o.Function.Name()+")")
-}
-func (v *recordingVisitor) Comparison(o *ComparisonOp) {
-	*v.out = append(*v.out, "cmp("+o.Measure.Name()+")")
-}
-func (v *recordingVisitor) Aggregation(o *AggregationOp) {
-	*v.out = append(*v.out, "agg("+o.Function.Name()+")")
 }

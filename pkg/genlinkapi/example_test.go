@@ -160,7 +160,7 @@ func ExampleDatasetNames() {
 
 // ExampleNewEvalEngine shows engine-backed learning and evaluation: the
 // learner always scores populations through the compiled evaluation
-// engine (Config.Engine tunes or disables it), and a standalone engine
+// engine (Config.Workers bounds its parallelism), and a standalone engine
 // memoizes across repeated evaluations of related rules — here the
 // learned committee — against one link set.
 func ExampleNewEvalEngine() {
@@ -170,10 +170,6 @@ func ExampleNewEvalEngine() {
 	cfg.PopulationSize = 60
 	cfg.MaxIterations = 10
 	cfg.Seed = 3
-	// Engine options ride along in the config; the zero value means
-	// "enabled with defaults". Disabled: true would fall back to the
-	// interpreted tree-walk with identical results, just slower.
-	cfg.Engine = genlinkapi.EngineOptions{KeepGenerations: 3}
 
 	result, err := genlinkapi.Learn(cfg, ds.Refs)
 	if err != nil {
@@ -193,13 +189,14 @@ func ExampleNewEvalEngine() {
 	fmt.Println("best rule F1 ≥ 0.95:", genlinkapi.Confusion(eng.Evaluate(result.Best)).FMeasure() >= 0.95)
 	fmt.Println("committee has a strong rule:", strong >= 1)
 
-	// The compiled engine and the interpreted tree-walk always agree.
-	fmt.Println("engine ≡ tree-walk:",
-		genlinkapi.Evaluate(result.Best, ds.Refs) == genlinkapi.EvaluateTreeWalk(result.Best, ds.Refs))
+	// A one-off Evaluate builds a throwaway engine; it agrees with the
+	// shared one.
+	fmt.Println("Evaluate ≡ shared engine:",
+		genlinkapi.Evaluate(result.Best, ds.Refs) == genlinkapi.Confusion(eng.Evaluate(result.Best)))
 	// Output:
 	// best rule F1 ≥ 0.95: true
 	// committee has a strong rule: true
-	// engine ≡ tree-walk: true
+	// Evaluate ≡ shared engine: true
 }
 
 // ExampleNewIndex serves a linkage rule online: entities are added,

@@ -84,8 +84,9 @@ type (
 type (
 	// Confusion is a binary confusion matrix over reference links.
 	Confusion = evalx.Confusion
-	// EngineOptions tunes the compiled evaluation engine (cache sizes,
-	// workers, on/off) — see Config.Engine and NewEvalEngine.
+	// EngineOptions tunes a compiled evaluation engine: its one field,
+	// Workers, bounds evaluation parallelism (see NewEvalEngine). Cache
+	// sizes are fixed constants of the engine.
 	EngineOptions = evalengine.Options
 	// EvalEngine batch-evaluates rules over a fixed link set with
 	// cross-generation memoization.
@@ -217,17 +218,10 @@ func LearnWithValidation(cfg Config, train, val *ReferenceLinks) (*Result, error
 }
 
 // Evaluate computes the confusion matrix of a rule over reference links.
-// Evaluation runs through the compiled engine; EvaluateTreeWalk is the
-// interpreted reference implementation.
+// Evaluation runs through the compiled engine, which classifies every
+// pair exactly as the interpreted Rule.Matches would.
 func Evaluate(r *Rule, refs *ReferenceLinks) Confusion {
 	return evalx.Evaluate(r, refs)
-}
-
-// EvaluateTreeWalk computes the confusion matrix by interpreting the rule
-// tree directly — the reference implementation the engine is
-// differentially tested against.
-func EvaluateTreeWalk(r *Rule, refs *ReferenceLinks) Confusion {
-	return evalx.EvaluateTreeWalk(r, refs)
 }
 
 // NewEvalEngine returns a compiled evaluation engine over a fixed set of
