@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"genlink/internal/entity"
+	"genlink/internal/evalengine"
 	"genlink/internal/genlink"
 	"genlink/internal/rule"
 )
@@ -106,9 +107,11 @@ func Learn(cfg Config, pool []entity.Pair, seedLinks *entity.ReferenceLinks, ora
 		if len(remaining) == 0 {
 			break
 		}
-		committee := learned.TopRules
-		if len(committee) > cfg.CommitteeSize {
-			committee = committee[:cfg.CommitteeSize]
+		// Each committee rule is compiled once per round; its scorer
+		// builds every pool entity's record once.
+		committee := make([]*evalengine.Scorer, min(len(learned.TopRules), cfg.CommitteeSize))
+		for i := range committee {
+			committee[i] = evalengine.Compile(learned.TopRules[i]).Scorer()
 		}
 
 		// Score every remaining pair by committee disagreement; break ties
@@ -170,17 +173,25 @@ func Learn(cfg Config, pool []entity.Pair, seedLinks *entity.ReferenceLinks, ora
 
 // Disagreement returns the vote-entropy-style disagreement of a committee
 // on a pair: 0 when all rules agree, 1 when the committee splits evenly.
-func Disagreement(committee []*rule.Rule, a, b *entity.Entity) float64 {
+// The committee is given as its rules' compiled scorers
+// (evalengine.Compile(r).Scorer()).
+func Disagreement(committee []*evalengine.Scorer, a, b *entity.Entity) float64 {
 	if len(committee) == 0 {
 		return 0
 	}
-	matches := 0
-	for _, r := range committee {
-		if r.Matches(a, b) {
-			matches++
-		}
-	}
-	frac := float64(matches) / float64(len(committee))
+	frac := float64(votes(committee, a, b)) / float64(len(committee))
 	// Scaled binary entropy surrogate: 4·p·(1−p) peaks at an even split.
 	return 4 * frac * (1 - frac)
+}
+
+// votes counts the committee members that link the pair. A scorer's score
+// is Rule.Evaluate's bit for bit, so each vote is Rule.Matches.
+func votes(committee []*evalengine.Scorer, a, b *entity.Entity) int {
+	n := 0
+	for _, s := range committee {
+		if s.Score(a, b) >= rule.MatchThreshold {
+			n++
+		}
+	}
+	return n
 }

@@ -59,6 +59,44 @@ func TestMultiPassBeatsTokenOnCora(t *testing.T) {
 	}
 }
 
+// TestBlockingAblationPinned pins the blocking ablation's rows on the two
+// datasets it runs on in about a second each: every row's candidate
+// count, pairs completeness, link recall and F1 are the values recorded
+// before batch matching and the served index shared one scoring loop.
+// CandidatePairs + MatchPairs build this table, so a change to either
+// that moves a link shows here; only Millis is left out.
+func TestBlockingAblationPinned(t *testing.T) {
+	type row struct {
+		dataset, blocker   string
+		candidates         int
+		pc, linkRecall, f1 float64
+	}
+	want := []row{
+		{"Restaurant", "token", 63392, 1, 0.6372549019607843, 0.6892655367231638},
+		{"Restaurant", "sortedneighborhood(w=10,key=name)", 8176, 0.5178571428571429, 0.7450980392156863, 0.5957446808510638},
+		{"Restaurant", "qgram(q=3)", 198666, 1, 0.8725490196078431, 0.6069651741293532},
+		{"Restaurant", "multipass(sortedneighborhood(w=10,key=name)+sortedneighborhood(w=10,revkey=name))", 16159, 0.9821428571428571, 0.9803921568627451, 0.5754716981132075},
+		{"LinkedMDB", "token", 130, 1, 1, 0.801980198019802},
+		{"LinkedMDB", "sortedneighborhood(w=10,key=movieTitle)", 1895, 1, 1, 0.801980198019802},
+		{"LinkedMDB", "qgram(q=3)", 34611, 1, 1, 0.801980198019802},
+		{"LinkedMDB", "multipass(sortedneighborhood(w=10,key=movieTitle)+sortedneighborhood(w=10,revkey=movieTitle))", 3435, 1, 1, 0.801980198019802},
+	}
+	var got []row
+	for _, name := range []string{"Restaurant", "LinkedMDB"} {
+		for _, r := range BlockingAblation(Dataset(name, 1)) {
+			got = append(got, row{r.Dataset, r.Blocker, r.Candidates, r.PairsCompleteness, r.LinkRecall, r.F1})
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestFormatBlockingTable(t *testing.T) {
 	rows := []BlockingRow{{
 		Dataset: "Cora", Blocker: "token", Candidates: 100,

@@ -2,7 +2,6 @@ package linkindex
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -20,8 +19,9 @@ import (
 // Writes touch only the shards their entity IDs hash to, so writes to
 // different shards proceed in parallel and a write never stalls queries
 // against the other N−1 shards. Queries fan out across all shards
-// concurrently, keep a bounded top-k heap per shard, and merge the
-// per-shard winners.
+// concurrently, score each shard's candidates through
+// matching.ScoreCandidates (the one scoring loop, with a bounded top-k
+// heap), and merge the per-shard winners.
 //
 // # Candidate semantics under sharding
 //
@@ -384,7 +384,7 @@ func (ix *ShardedIndex) Entities() []*entity.Entity {
 		}
 		sh.mu.RUnlock()
 	}
-	sortByID(out)
+	matching.SortByID(out)
 	return out
 }
 
@@ -460,7 +460,7 @@ func (ix *ShardedIndex) Candidates(probe *entity.Entity) []*entity.Entity {
 	for _, cands := range perShard {
 		out = append(out, cands...)
 	}
-	sortByID(out)
+	matching.SortByID(out)
 	return out
 }
 
@@ -469,8 +469,9 @@ func (ix *ShardedIndex) Candidates(probe *entity.Entity) []*entity.Entity {
 // ID (AID is always probe.ID). k ≤ 0 returns every link above the
 // threshold. The probe need not be indexed; if it is, its own record is
 // excluded. The probe's scoring record is built once and shared by the
-// shards, which are queried in parallel, each keeping a bounded top-k
-// heap; the per-shard winners are merged.
+// shards, which are queried in parallel; each scores its candidates
+// through matching.ScoreCandidates, the loop batch matching runs too,
+// keeping its best k, and MergeTopK merges the per-shard winners.
 func (ix *ShardedIndex) Query(probe *entity.Entity, k int) []matching.Link {
 	cfg := ix.shardMaxBlockCfg()
 	rec := ix.compiled.Record(probe)
@@ -481,20 +482,20 @@ func (ix *ShardedIndex) Query(probe *entity.Entity, k int) []matching.Link {
 	return MergeTopK(perShard, k)
 }
 
-// MergeTopK merges per-partition result lists into the final
-// deterministic order — descending score, ties broken by ascending
-// candidate ID — truncated to k when k > 0. It is the merge step of the
-// sharded Query fan-out, exported because the cross-node contract is the
-// same one: a router fanning a top-k query out to partition groups
-// merges the per-group winners with exactly this function, so routed
-// results equal one big index's (each input list need only contain that
-// partition's top k).
+// MergeTopK merges per-partition result lists into the one link order
+// (matching.SortLinks: for one probe, descending score, ties broken by
+// ascending candidate ID), truncated to k when k > 0. It is the merge
+// step of the sharded Query fan-out, exported because the cross-node
+// contract is the same one: a router fanning a top-k query out to
+// partition groups merges the per-group winners with exactly this
+// function, so routed results equal one big index's (each input list
+// need only contain that partition's top k).
 func MergeTopK(perShard [][]matching.Link, k int) []matching.Link {
 	var links []matching.Link
 	for _, ls := range perShard {
 		links = append(links, ls...)
 	}
-	sortLinks(links)
+	matching.SortLinks(links)
 	if k > 0 && len(links) > k {
 		links = links[:k:k]
 	}
@@ -568,136 +569,16 @@ func (sh *shard) query(probe *evalengine.Record, k, maxBlockCfg int, threshold f
 	return sh.queryLocked(probe, k, maxBlockCfg, threshold)
 }
 
-// queryLocked is query with the shard lock already held: the probe's
-// record is bound once (which builds its edit-distance patterns), and the
-// block index pushes each candidate (matching.BlockIndex.Each) into the
-// bound score → heap body below, which scores the candidate's stored
-// record only as far as the floor needs: the threshold, raised to the
-// heap's weakest score once the heap holds k links. Probe.Score starts
-// from the pushdown prefilter's bound, tightens it comparison by
-// comparison, and bounds the edit distance by the largest one that can
-// still reach the floor. The one early exit is before the enumeration
-// starts (probe bound < threshold); none can exist inside it, because the
-// heap floor is a Score and Score ≤ Bound ≤ Upper
-// (TestMetamorphicPrefilterSoundness). Results are exactly those of
-// scoring every materialized candidate (Candidates): Score declines only
-// a candidate whose score is strictly below the floor, so only
-// candidates the threshold or the heap would reject anyway are skipped,
-// and an accepted score is bit-identical to the full one — and the
-// per-shard top-k set is enumeration-order independent because
-// (score, BID) is a total order.
+// queryLocked is query with the shard lock already held: the shard's
+// block index and stored records go through matching.ScoreCandidates,
+// the one candidate-scoring loop, which keeps the shard's top k (every
+// link for k ≤ 0). A probe whose bound already misses the threshold
+// enumerates nothing and counts as an early exit. Results are exactly
+// those of scoring every materialized candidate (Candidates).
 func (sh *shard) queryLocked(probe *evalengine.Record, k, maxBlockCfg int, threshold float64) []matching.Link {
-	handle := sh.compiled.Bind(probe)
-	// Upper bound over every possible candidate: a probe whose value
-	// sets already cap the score below the threshold (e.g. missing
-	// the properties of high-weight comparisons) answers without
-	// enumerating a single candidate.
-	if handle.Upper() < threshold {
+	links, scored := matching.ScoreCandidates(sh.compiled, probe, sh.blocks, sh.effectiveMaxBlock(probe.Entity(), maxBlockCfg), sh.records, threshold, k)
+	if !scored {
 		sh.earlyExits.Add(1)
-		return nil
 	}
-	seen := seenPool.Get().(map[string]struct{})
-	defer func() {
-		clear(seen)
-		seenPool.Put(seen)
-	}()
-	pe := probe.Entity()
-	// k > 0 keeps the best k in a bounded heap; k ≤ 0 keeps every link.
-	h := newTopK(k, min(max(k, 0), 16))
-	sh.blocks.Each(pe, sh.effectiveMaxBlock(pe, maxBlockCfg), seen, func(cand *entity.Entity) bool {
-		floor := threshold
-		if k > 0 && len(h.links) == k {
-			floor = max(floor, h.links[0].Score)
-		}
-		if score, ok := handle.Score(sh.records[cand.ID], floor); ok && score >= threshold {
-			l := matching.Link{AID: pe.ID, BID: cand.ID, Score: score}
-			if k > 0 {
-				h.push(l)
-			} else {
-				h.links = append(h.links, l)
-			}
-		}
-		return true
-	})
-	return h.links
-}
-
-// seenPool recycles the per-query dedup sets Each is handed. A query's
-// seen set grows to the candidate count, so allocating one per query
-// would dominate the query path's allocations; pooling makes the map a
-// steady-state cost. Whoever draws a set clears it before giving it back.
-var seenPool = sync.Pool{New: func() any { return make(map[string]struct{}) }}
-
-// sortByID orders entities by ID (deterministic candidate output).
-func sortByID(es []*entity.Entity) {
-	sort.Slice(es, func(i, j int) bool { return es[i].ID < es[j].ID })
-}
-
-// sortLinks orders links by descending score, then ascending candidate
-// ID — the deterministic result order of Query. Defined through weaker
-// so the per-shard heap's eviction order and the final merge order are
-// one definition and cannot drift apart.
-func sortLinks(links []matching.Link) {
-	sort.Slice(links, func(i, j int) bool {
-		return weaker(links[j], links[i])
-	})
-}
-
-// topK is a bounded min-heap of links: the root is the weakest link held
-// (lowest score, ties broken toward the lexicographically larger BID, the
-// inverse of the result order), so a shard scoring any number of
-// candidates keeps at most k links in memory.
-type topK struct {
-	k     int
-	links []matching.Link
-}
-
-func newTopK(k, capHint int) *topK {
-	return &topK{k: k, links: make([]matching.Link, 0, capHint)}
-}
-
-// weaker reports whether a loses to b in the final result order.
-func weaker(a, b matching.Link) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.BID > b.BID
-}
-
-func (h *topK) push(l matching.Link) {
-	if len(h.links) < h.k {
-		h.links = append(h.links, l)
-		// Sift up.
-		i := len(h.links) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !weaker(h.links[i], h.links[parent]) {
-				break
-			}
-			h.links[i], h.links[parent] = h.links[parent], h.links[i]
-			i = parent
-		}
-		return
-	}
-	if !weaker(h.links[0], l) {
-		return // l loses to the weakest held link
-	}
-	// Replace the root and sift down.
-	h.links[0] = l
-	i := 0
-	for {
-		left, right := 2*i+1, 2*i+2
-		weakest := i
-		if left < len(h.links) && weaker(h.links[left], h.links[weakest]) {
-			weakest = left
-		}
-		if right < len(h.links) && weaker(h.links[right], h.links[weakest]) {
-			weakest = right
-		}
-		if weakest == i {
-			return
-		}
-		h.links[i], h.links[weakest] = h.links[weakest], h.links[i]
-		i = weakest
-	}
+	return links
 }

@@ -99,7 +99,7 @@ func (ix *ShardedIndex) buildSnapshot() *snapshotCapture {
 			ents = append(ents, r.Entity())
 		}
 		sh.mu.RUnlock()
-		sortByID(ents)
+		matching.SortByID(ents)
 		snap.sections[i] = snapshotSection{Shard: i, Entities: ents}
 	}
 	return snap

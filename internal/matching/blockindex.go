@@ -177,7 +177,7 @@ func (x *keyedIndex) Candidates(probe *entity.Entity, maxBlock int) []*entity.En
 		out = append(out, e)
 		return true
 	})
-	sortByID(out)
+	SortByID(out)
 	return out
 }
 
@@ -432,7 +432,7 @@ func (x *SortedNeighborhoodIndex) Candidates(probe *entity.Entity, _ int) []*ent
 		}
 		out = append(out, x.recs[full].e)
 	}
-	sortByID(out)
+	SortByID(out)
 	return out
 }
 
@@ -537,7 +537,7 @@ func (x *MultiIndex) Candidates(probe *entity.Entity, maxBlock int) []*entity.En
 			out = append(out, cand)
 		}
 	}
-	sortByID(out)
+	SortByID(out)
 	return out
 }
 
@@ -563,17 +563,11 @@ func (x *MultiIndex) Keys() int {
 	return total
 }
 
-// enumerator is the Each half of BlockIndex — all batch matching needs
-// of a pass (stream.go).
-type enumerator interface {
-	Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool
-}
-
 // eachUnion enumerates the members in order sharing seen, so later
 // members skip what earlier members already yielded and each candidate
 // is yielded exactly once however many members propose it — the
 // multi-pass union of both the index and the batch enumeration.
-func eachUnion[E enumerator](members []E, probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+func eachUnion[E Enumerator](members []E, probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
 	for _, m := range members {
 		if !m.Each(probe, maxBlock, seen, yield) {
 			return false
@@ -582,7 +576,8 @@ func eachUnion[E enumerator](members []E, probe *entity.Entity, maxBlock int, se
 	return true
 }
 
-// sortByID orders entities by ID (deterministic candidate output).
-func sortByID(es []*entity.Entity) {
+// SortByID orders entities by ID: the deterministic order of every
+// candidate list and of the service's entity listing.
+func SortByID(es []*entity.Entity) {
 	sort.Slice(es, func(i, j int) bool { return es[i].ID < es[j].ID })
 }

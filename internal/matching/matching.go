@@ -22,24 +22,29 @@
 // matching loads B into one and probes it with every A entity
 // (stream.go). The one exception is sorted neighborhood, whose batch
 // window runs over the merged A∪B order — a different definition from the
-// index's per-probe window, kept on purpose (snStreamer says why).
+// index's per-probe window, kept on purpose as the blocking ablation's
+// definition (snStreamer says why).
 //
-// Match and MatchParallel never materialize the global pair list: they
-// enumerate each A entity's candidate partners in turn and apply the
-// compiled rule's score upper bound (evalengine's prefilter) before
-// scoring, so memory is O(per-entity candidates) beyond B and pairs that
-// cannot reach the threshold cost no distance computation. B's scoring
-// records (evalengine.Record) are built once, when B is loaded, and
-// each A entity is bound once (Compiled.Bind) and scores its candidates'
-// records through the probe. CandidatePairs +
-// MatchPairs is the materializing form of the same computation, the
-// blocking ablation's input.
+// Candidates are scored by one loop, ScoreCandidates (score.go), for
+// every caller: each A entity of Match and MatchParallel, each per-A
+// group of MatchPairs, and each shard's share of a service query. It
+// binds the probe's record once (Compiled.Bind), enumerates nothing when
+// the probe's bound (Probe.Upper) is below the threshold, deduplicates
+// the candidates through one seen set, scores each one's record
+// (evalengine.Record, built once per B entity and looked up by ID) only
+// as far as the threshold or the k-th best link needs, and keeps the
+// links in one bounded heap. So batch matching never materializes the
+// global pair list — memory is O(per-entity candidates) beyond B — and
+// pairs that cannot reach the threshold cost no distance computation.
+// Every result is sorted into one link order (SortLinks). CandidatePairs
+// + MatchPairs is the materializing form of the same computation, the
+// blocking ablation's input; MatchCartesian is the unbounded reference,
+// scoring every pair at floor −∞.
 package matching
 
 import (
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"genlink/internal/entity"
@@ -125,41 +130,69 @@ func Match(r *rule.Rule, a, b *entity.Source, opts Options) []Link {
 // CandidatePairs never yields self pairs (meaningless in dedup setups) or
 // duplicates.
 //
-// The rule is compiled once (internal/evalengine) and each entity's
-// scoring record is built the first time a pair holds it, so its
-// transformation chains run once however many candidate pairs blocking
-// puts it in. Each pair is scored only as far as the threshold needs
-// (Probe.Score with the threshold as its floor); scores are identical to
-// Rule.Evaluate.
+// Each run of pairs with the same A entity (CandidatePairs groups them
+// so) is one probe of ScoreCandidates, the loop Match runs, over that
+// run's B sides; a B ID repeated within a run is scored once. The rule
+// is compiled once and every B entity's scoring record is built once,
+// keyed by ID as everywhere: one version per ID.
 func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
 	if opts.Threshold == 0 {
 		opts.Threshold = rule.MatchThreshold
 	}
 	c := evalengine.Compile(r)
-	recs := make(map[*entity.Entity]*evalengine.Record)
-	record := func(e *entity.Entity) *evalengine.Record {
-		rec, ok := recs[e]
-		if !ok {
-			rec = c.Record(e)
-			recs[e] = rec
+	rbs := make(map[string]*evalengine.Record)
+	for _, p := range pairs {
+		if _, ok := rbs[p.B.ID]; !ok {
+			rbs[p.B.ID] = c.Record(p.B)
 		}
+	}
+	var perA [][]Link
+	for lo := 0; lo < len(pairs); {
+		hi := lo + 1
+		for hi < len(pairs) && pairs[hi].A == pairs[lo].A {
+			hi++
+		}
+		links, _ := ScoreCandidates(c, probeRecord(c, rbs, pairs[lo].A), pairGroup(pairs[lo:hi]), 0, rbs, opts.Threshold, 0)
+		perA = append(perA, links)
+		lo = hi
+	}
+	return merged(perA)
+}
+
+// pairGroup is one A entity's run of MatchPairs' pairs, enumerated as
+// the candidates of that A entity.
+type pairGroup []Pair
+
+func (g pairGroup) Each(_ *entity.Entity, _ int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+	for _, p := range g {
+		if _, dup := seen[p.B.ID]; dup {
+			continue
+		}
+		seen[p.B.ID] = struct{}{}
+		if !yield(p.B) {
+			return false
+		}
+	}
+	return true
+}
+
+// probeRecord returns the record an A entity probes with: its B record
+// when the entity is itself in B (a self-join), as QueryID probes with
+// the stored record, and a fresh one otherwise.
+func probeRecord(c *evalengine.Compiled, rbs map[string]*evalengine.Record, ea *entity.Entity) *evalengine.Record {
+	if rec := rbs[ea.ID]; rec != nil && rec.Entity() == ea {
 		return rec
 	}
-	var (
-		links []Link
-		bound *entity.Entity // the A entity probe is bound to
-		probe *evalengine.Probe
-	)
-	for _, p := range pairs {
-		if p.A != bound {
-			// CandidatePairs groups pairs per A entity: one Bind per group.
-			bound, probe = p.A, c.Bind(record(p.A))
-		}
-		if score, ok := probe.Score(record(p.B), opts.Threshold); ok && score >= opts.Threshold {
-			links = append(links, Link{AID: p.A.ID, BID: p.B.ID, Score: score})
-		}
+	return c.Record(ea)
+}
+
+// merged concatenates per-probe links into one list in the link order.
+func merged(perA [][]Link) []Link {
+	var links []Link
+	for _, ls := range perA {
+		links = append(links, ls...)
 	}
-	sortLinks(links)
+	SortLinks(links)
 	return links
 }
 
@@ -190,18 +223,6 @@ func MatchCartesian(r *rule.Rule, a, b *entity.Source, opts Options) []Link {
 			}
 		}
 	}
-	sortLinks(links)
+	SortLinks(links)
 	return links
-}
-
-func sortLinks(links []Link) {
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].Score != links[j].Score {
-			return links[i].Score > links[j].Score
-		}
-		if links[i].AID != links[j].AID {
-			return links[i].AID < links[j].AID
-		}
-		return links[i].BID < links[j].BID
-	})
 }

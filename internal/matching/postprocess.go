@@ -1,7 +1,6 @@
 package matching
 
 import (
-	"fmt"
 	"io"
 	"sort"
 
@@ -15,7 +14,7 @@ import (
 // RDF datasets are, Section 6.1).
 func FilterOneToOne(links []Link) []Link {
 	sorted := append([]Link(nil), links...)
-	sortLinks(sorted)
+	SortLinks(sorted)
 	usedA := make(map[string]bool)
 	usedB := make(map[string]bool)
 	out := make([]Link, 0, len(sorted))
@@ -37,7 +36,7 @@ func TopKPerSource(links []Link, k int) []Link {
 		return append([]Link(nil), links...)
 	}
 	sorted := append([]Link(nil), links...)
-	sortLinks(sorted)
+	SortLinks(sorted)
 	count := make(map[string]int)
 	out := make([]Link, 0, len(sorted))
 	for _, l := range sorted {
@@ -72,19 +71,4 @@ func WriteSameAs(w io.Writer, links []Link) error {
 		})
 	}
 	return rdf.Write(w, triples)
-}
-
-// WriteCSV serializes links as "idA,idB,score" rows.
-func WriteCSV(w io.Writer, links []Link) error {
-	if _, err := fmt.Fprintln(w, "idA,idB,score"); err != nil {
-		return err
-	}
-	sorted := append([]Link(nil), links...)
-	sortLinks(sorted)
-	for _, l := range sorted {
-		if _, err := fmt.Fprintf(w, "%s,%s,%.6f\n", l.AID, l.BID, l.Score); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package matching
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -96,17 +95,6 @@ func TestWriteSameAs(t *testing.T) {
 	want := "<http://a/1> <http://www.w3.org/2002/07/owl#sameAs> <http://b/1> .\n"
 	if buf.String() != want {
 		t.Fatalf("sameAs output = %q", buf.String())
-	}
-}
-
-func TestWriteCSVLinks(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteCSV(&buf, []Link{{AID: "a1", BID: "b1", Score: 0.75}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "a1,b1,0.750000") {
-		t.Fatalf("csv output = %q", buf.String())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"genlink/internal/entity"
-	"genlink/internal/evalengine"
 )
 
 // The enumeration Match, MatchParallel, StreamPairs and CandidatePairs
@@ -27,7 +26,7 @@ import (
 // (uniqueEntities): the index keys entities by ID.
 // The enumerator is immutable once built and safe for concurrent Each
 // calls, which is what lets MatchParallel partition A across workers.
-func newEnumerator(bl Blocker, as, bs []*entity.Entity) enumerator {
+func newEnumerator(bl Blocker, as, bs []*entity.Entity) Enumerator {
 	switch blk := bl.(type) {
 	case SortedNeighborhoodBlocker:
 		return newSNStreamer(blk, as, bs)
@@ -44,7 +43,7 @@ func newEnumerator(bl Blocker, as, bs []*entity.Entity) enumerator {
 }
 
 // passes is the batch enumerator of a multi-pass composite.
-type passes []enumerator
+type passes []Enumerator
 
 func (ps passes) Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
 	return eachUnion(ps, probe, maxBlock, seen, yield)
@@ -98,28 +97,6 @@ func uniqueEntities(es []*entity.Entity) []*entity.Entity {
 		return es
 	}
 	return out
-}
-
-// streamChunk scores one chunk of A entities against the enumerator —
-// the per-worker unit of MatchParallel, with one seen set reused across
-// the chunk. Each A entity is bound once; rbs holds the record of every
-// B entity the enumerator can yield. Each pair is scored only as far as
-// the threshold needs: Probe.Score declines a pair as soon as its score
-// upper bound, tightened distance by distance, misses the threshold.
-func streamChunk(c *evalengine.Compiled, rbs map[*entity.Entity]*evalengine.Record, en enumerator, chunk []*entity.Entity, opts Options) []Link {
-	var links []Link
-	seen := make(map[string]struct{})
-	for _, ea := range chunk {
-		clear(seen)
-		p := c.Bind(c.Record(ea))
-		en.Each(ea, opts.MaxBlockSize, seen, func(eb *entity.Entity) bool {
-			if score, ok := p.Score(rbs[eb], opts.Threshold); ok && score >= opts.Threshold {
-				links = append(links, Link{AID: ea.ID, BID: eb.ID, Score: score})
-			}
-			return true
-		})
-	}
-	return links
 }
 
 // ---------------------------------------------------------------------------
