@@ -234,6 +234,9 @@ func TestDifferentialIndexVsBatchBlocker(t *testing.T) {
 						ix.Remove(id)
 						delete(survivors, id)
 					}
+					if err := ix.CheckShardCounts(); err != nil {
+						t.Fatal(err)
+					}
 
 					if op%6 != 0 {
 						continue

@@ -143,7 +143,9 @@ type durableSnapshot struct {
 }
 
 // listSnapshots returns dir's snapshot files in descending seq order
-// (newest first).
+// (newest first). A name counts only if it is exactly snapName(seq): a
+// quarantined "….snap.corrupt" or a crash-leftover "….snap.tmp-*" is not
+// a snapshot.
 func listSnapshots(dir string) ([]durableSnapshot, error) {
 	names, err := os.ReadDir(dir)
 	if err != nil {
@@ -152,7 +154,7 @@ func listSnapshots(dir string) ([]durableSnapshot, error) {
 	var snaps []durableSnapshot
 	for _, de := range names {
 		var seq uint64
-		if n, err := fmt.Sscanf(de.Name(), "snapshot-%016d.snap", &seq); n == 1 && err == nil {
+		if n, err := fmt.Sscanf(de.Name(), "snapshot-%016d.snap", &seq); n == 1 && err == nil && de.Name() == snapName(seq) {
 			snaps = append(snaps, durableSnapshot{path: filepath.Join(dir, de.Name()), seq: seq})
 		}
 	}

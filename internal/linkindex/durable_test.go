@@ -406,41 +406,7 @@ func TestOpenDurableBuildsOnlyWhenFresh(t *testing.T) {
 // recovery must fall back to the previous one and replay the longer log
 // tail — which compaction must therefore have retained.
 func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	d, err := linkindex.NewDurable(dir, linkindex.NewSharded(testRule(), 2, durableOpts()),
-		linkindex.DurableOptions{Fsync: linkindex.FsyncIntervalPolicy, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := testBatches(18, 4)
-	apply := func(from, to int) {
-		for _, b := range batches[from:to] {
-			if _, err := d.Apply(cloneBatch(b)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	apply(0, 10)
-	if err := d.Snapshot(); err != nil { // covers 10
-		t.Fatal(err)
-	}
-	apply(10, 15)
-	if err := d.Snapshot(); err != nil { // covers 15; retained: {10, 15}
-		t.Fatal(err)
-	}
-	apply(15, 18)
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
-	if err != nil || len(snaps) != 2 {
-		t.Fatalf("snapshots = %v, %v; want 2", snaps, err)
-	}
-	sort.Strings(snaps)
-	if err := os.WriteFile(snaps[1], []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir, batches, snaps := corruptNewestSnapshot(t)
 
 	r, stats, err := linkindex.Recover(dir, linkindex.DurableOptions{})
 	if err != nil {
@@ -480,6 +446,91 @@ func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {
 		t.Fatalf("post-fallback re-recovery stats = %+v, want clean empty tail", stats2)
 	}
 	compareIndexes(t, "post-fallback re-recovery", r2.Index(), referenceIndex(batches, 18, 2))
+}
+
+// corruptNewestSnapshot builds a closed durable directory over 18
+// batches with snapshots covering 10 and 15 and a log tail to 18, then
+// overwrites the newest snapshot with garbage. It returns the directory,
+// the batches and the two snapshot paths, oldest first.
+func corruptNewestSnapshot(t *testing.T) (dir string, batches []linkindex.Batch, snaps []string) {
+	t.Helper()
+	dir = t.TempDir()
+	d, err := linkindex.NewDurable(dir, linkindex.NewSharded(testRule(), 2, durableOpts()),
+		linkindex.DurableOptions{Fsync: linkindex.FsyncIntervalPolicy, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches = testBatches(18, 4)
+	apply := func(from, to int) {
+		for _, b := range batches[from:to] {
+			if _, err := d.Apply(cloneBatch(b)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	apply(0, 10)
+	if err := d.Snapshot(); err != nil { // covers 10
+		t.Fatal(err)
+	}
+	apply(10, 15)
+	if err := d.Snapshot(); err != nil { // covers 15; retained: {10, 15}
+		t.Fatal(err)
+	}
+	apply(15, 18)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snaps, err = filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("snapshots = %v, %v; want 2", snaps, err)
+	}
+	sort.Strings(snaps)
+	if err := os.WriteFile(snaps[1], []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, batches, snaps
+}
+
+// TestDurableNamesMatchExactly pins that only exact snapshot and segment
+// names are durable state. A quarantined snapshot must not take a
+// retention slot: after fallback recovery and one more snapshot, the
+// readable fallback survives compaction next to the new snapshot. And a
+// directory holding only leftovers of an interrupted snapshot write or
+// other near-miss names holds no durable state.
+func TestDurableNamesMatchExactly(t *testing.T) {
+	t.Run("quarantine then compaction", func(t *testing.T) {
+		dir, _, snaps := corruptNewestSnapshot(t)
+		r, _, err := linkindex.Recover(dir, linkindex.DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if err := r.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(snaps[0]); err != nil {
+			t.Fatalf("fallback snapshot %s compacted away next to the quarantined one: %v", snaps[0], err)
+		}
+		if _, err := os.Stat(snaps[1] + ".corrupt"); err != nil {
+			t.Fatalf("quarantined snapshot removed by compaction: %v", err)
+		}
+	})
+	t.Run("leftovers only", func(t *testing.T) {
+		dir := t.TempDir()
+		for _, name := range []string{
+			"snapshot-0000000000000007.snap.tmp-123",
+			"snapshot-0000000000000003.snap.corrupt",
+			"wal-0000000000000001.seg.old",
+		} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if linkindex.HasDurableState(dir) {
+			t.Fatal("leftover files counted as durable state")
+		}
+	})
 }
 
 // TestDurableConcurrentMutations races writers (Apply/Add/Remove) with

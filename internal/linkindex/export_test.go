@@ -1,6 +1,7 @@
 package linkindex
 
 import (
+	"fmt"
 	"io"
 	"sync/atomic"
 
@@ -14,6 +15,26 @@ var ReadSnapshot = readSnapshot
 // WriteSnapshot writes the snapshot SnapshotTo would write to w.
 func (ix *ShardedIndex) WriteSnapshot(w io.Writer) error {
 	return ix.buildSnapshot().encode(w)
+}
+
+// CheckShardCounts reports a shard whose record map and block index
+// hold different numbers of entities, or per-shard counts that do not
+// add up to Len: the lockstep applyShardOps keeps them in.
+func (ix *ShardedIndex) CheckShardCounts() error {
+	total := 0
+	for i, sh := range ix.shards {
+		sh.mu.RLock()
+		records, indexed := len(sh.records), sh.blocks.Len()
+		sh.mu.RUnlock()
+		if records != indexed {
+			return fmt.Errorf("shard %d: %d records, %d entities in the block index", i, records, indexed)
+		}
+		total += records
+	}
+	if total != ix.Len() {
+		return fmt.Errorf("shards hold %d entities, Len() = %d", total, ix.Len())
+	}
+	return nil
 }
 
 // Work counts what scoring does, observed through the measures a rule is

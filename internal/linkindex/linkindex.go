@@ -12,9 +12,10 @@
 // around it:
 //
 //   - Candidates come from the blocker's own matching.BlockIndex — the
-//     same index batch matching enumerates through: slot posting lists for
+//     same index batch matching enumerates through: one entity table and
+//     one slot-keyed pass per strategy of the blocker (posting lists for
 //     token and q-gram blocking, an order-maintained sorted list for
-//     sorted-neighborhood, a union composite for multi-pass. Differential
+//     sorted-neighborhood), unioned for multi-pass. Differential
 //     property tests pin the index's candidates ≡ the batch blocker on the
 //     surviving entity set under any interleaving of Add/Update/Remove.
 //   - ShardedIndex hash-partitions the corpus over N shards, each owning

@@ -222,6 +222,11 @@ func TestDifferentialShardedVsSingleShard(t *testing.T) {
 						if single.Len() != sharded.Len() {
 							t.Fatalf("Len diverges: single %d, sharded %d", single.Len(), sharded.Len())
 						}
+						for _, ix := range []*linkindex.ShardedIndex{single, sharded} {
+							if err := ix.CheckShardCounts(); err != nil {
+								t.Fatal(err)
+							}
+						}
 
 						if op%8 != 0 {
 							continue

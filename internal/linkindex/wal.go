@@ -473,7 +473,7 @@ type walSegment struct {
 }
 
 // listSegments returns the segment files of dir in ascending first-seq
-// order. Files that do not parse as segment names are ignored.
+// order. Files whose name is not exactly segName(first) are ignored.
 func listSegments(dir string) ([]walSegment, error) {
 	names, err := os.ReadDir(dir)
 	if err != nil {
@@ -482,7 +482,7 @@ func listSegments(dir string) ([]walSegment, error) {
 	var segs []walSegment
 	for _, de := range names {
 		var first uint64
-		if n, err := fmt.Sscanf(de.Name(), "wal-%016d.seg", &first); n == 1 && err == nil {
+		if n, err := fmt.Sscanf(de.Name(), "wal-%016d.seg", &first); n == 1 && err == nil && de.Name() == segName(first) {
 			segs = append(segs, walSegment{path: filepath.Join(dir, de.Name()), firstSeq: first})
 		}
 	}

@@ -2,6 +2,7 @@ package matching
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"genlink/internal/datagen"
@@ -27,7 +28,8 @@ func coraCorpus(n int) []*entity.Entity {
 
 // BenchmarkBlockIndexWrite measures every strategy's index on the write
 // path at 10,000 entities. load bulk-loads the corpus into an empty index
-// (what snapshot restore and recovery pay per shard). update64 replaces
+// (what snapshot restore and recovery pay per shard) and reports the heap
+// the loaded index retains per entity (heap-B/entity). update64 replaces
 // 64 indexed entities per op with other versions through BulkRemove +
 // BulkAdd (one Apply batch), at that size.
 func BenchmarkBlockIndexWrite(b *testing.B) {
@@ -48,6 +50,7 @@ func BenchmarkBlockIndexWrite(b *testing.B) {
 			for b.Loop() {
 				NewBlockIndex(bl).BulkAdd(live)
 			}
+			b.ReportMetric(heapPerEntity(bl, live), "heap-B/entity")
 		})
 		b.Run(name+"/update64", func(b *testing.B) {
 			bi := NewBlockIndex(bl)
@@ -68,4 +71,20 @@ func BenchmarkBlockIndexWrite(b *testing.B) {
 			}
 		})
 	}
+}
+
+// heapPerEntity is the heap an index of bl retains per entity once es is
+// loaded: the live heap after GC with the index kept alive, minus the
+// live heap before it was built. The entities themselves are live
+// throughout, so only the index's own structures and keys count.
+func heapPerEntity(bl Blocker, es []*entity.Entity) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	bi := NewBlockIndex(bl)
+	bi.BulkAdd(es)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(bi)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(es))
 }

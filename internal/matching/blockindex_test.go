@@ -11,12 +11,15 @@ import (
 )
 
 // The index differential: after ANY interleaving of Add/Update/Remove,
-// BlockIndex.Each must yield exactly the materialized Candidates slice —
-// and the reference materializer's candidates for the probe as the only
-// A entity against the surviving entities minus the probe's own record —
-// as a set, with no duplicates and regardless of an earlier enumeration
-// having been stopped half-way, for every strategy and cap. The
-// ShardedIndex-level differentials (internal/linkindex) build on this.
+// BlockIndex.Each must yield exactly the reference materializer's
+// candidates for the probe as the only A entity against the surviving
+// entities minus the probe's own record, as a set, with no duplicates
+// and regardless of an earlier enumeration having been stopped
+// half-way, for every strategy and cap; Candidates must return the same
+// set sorted by ID. The reference shares no code with the index, so it
+// stays an independent oracle although Candidates is Each collected.
+// The ShardedIndex-level differentials (internal/linkindex) build on
+// this.
 
 // diffVocab is deliberately tiny so entities share tokens (big blocks,
 // cap-skip paths) and sort keys collide (window tie-breaking paths).
@@ -166,15 +169,14 @@ func TestDifferentialStreamVsMaterialize(t *testing.T) {
 
 				checkProbe := func(probe *entity.Entity) {
 					t.Helper()
-					want := idsOf(bi.Candidates(probe, maxBlock))
-					got := eachIDs(t, bi, probe, maxBlock, -1)
-					if !slicesEqual(got, want) {
-						t.Fatalf("probe %s: enumerated candidates diverge from materialized\n got: %v\nwant: %v",
+					want := referenceCandidates(bl, probe, survivors, maxBlock)
+					if got := eachIDs(t, bi, probe, maxBlock, -1); !slicesEqual(got, want) {
+						t.Fatalf("probe %s: enumerated candidates diverge from the reference materializer\n got: %v\nwant: %v",
 							probe.ID, got, want)
 					}
-					if ref := referenceCandidates(bl, probe, survivors, maxBlock); !slicesEqual(got, ref) {
-						t.Fatalf("probe %s: enumerated candidates diverge from the reference materializer\n got: %v\nwant: %v",
-							probe.ID, got, ref)
+					if got := materialized(t, bi, probe, maxBlock); !slicesEqual(got, want) {
+						t.Fatalf("probe %s: materialized candidates diverge from the reference materializer\n got: %v\nwant: %v",
+							probe.ID, got, want)
 					}
 					// yield returns false after ⌊n/2⌋ candidates: exactly that
 					// many yields, Each reports false, nothing afterwards
@@ -231,80 +233,77 @@ func TestDifferentialStreamVsMaterialize(t *testing.T) {
 	}
 }
 
-// checkIndexInvariants asserts the structure of bi (and of each member of
-// a MultiIndex) after a write, with live entities indexed. Posting lists:
-// every live slot's recorded keys are sorted and unique, and
-// postings[keys[i]][pos[i]] is the slot itself; every list entry is such
-// a position of a live slot, so no slot appears twice in one list and no
-// list is empty; free slots hold no entity and no keys. Sorted
-// neighborhood: recs is strictly sorted by (key, ID) and keyOf records
-// exactly the listed records' keys.
+// checkIndexInvariants asserts the structure of bi after a write, with
+// live entities indexed. The table: its ID → slot and slot → entity maps
+// are inverse, and the free list holds exactly the slots without an
+// entity, once each. A free slot holds no keys in any pass, and no list
+// entry of any pass is a free slot. Posting lists: every live slot's
+// recorded keys are sorted and unique, and postings[keys[i]][pos[i]] is
+// the slot itself; every list entry is such a position of a live slot,
+// so no slot appears twice in one list and no list is empty. Sorted
+// neighborhood: the list holds exactly the live slots, each under the
+// key recorded for it, in strict (key, ID) order.
 func checkIndexInvariants(t *testing.T, bi BlockIndex, live int) {
 	t.Helper()
 	if bi.Len() != live {
-		t.Fatalf("%T: Len() = %d, want %d", bi, bi.Len(), live)
+		t.Fatalf("Len() = %d, want %d", bi.Len(), live)
 	}
-	switch x := bi.(type) {
-	case *MultiIndex:
-		for _, m := range x.members {
-			checkIndexInvariants(t, m, live)
-		}
-	case TokenIndex:
-		checkKeyedInvariants(t, x.keyedIndex, live)
-	case QGramIndex:
-		checkKeyedInvariants(t, x.keyedIndex, live)
-	case *SortedNeighborhoodIndex:
-		if len(x.keyOf) != len(x.recs) {
-			t.Fatalf("sorted neighborhood: %d recorded keys for %d records", len(x.keyOf), len(x.recs))
-		}
-		for i, r := range x.recs {
-			if k, ok := x.keyOf[r.e.ID]; !ok || k != r.key {
-				t.Fatalf("sorted neighborhood: record %s has key %q, recorded %q (%v)", r.e.ID, r.key, k, ok)
-			}
-			if i > 0 && !recLess(x.recs[i-1], r) {
-				t.Fatalf("sorted neighborhood: records %s and %s out of (key, ID) order", x.recs[i-1].e.ID, r.e.ID)
-			}
-		}
-	default:
-		t.Fatalf("no invariant check for %T", bi)
-	}
-}
-
-func checkKeyedInvariants(t *testing.T, x *keyedIndex, live int) {
-	t.Helper()
-	if len(x.slotOf) != live || len(x.slots) != live+len(x.free) {
-		t.Fatalf("keyed: %d IDs, %d slots, %d free, want %d live", len(x.slotOf), len(x.slots), len(x.free), live)
+	x := bi.(*blockIndex)
+	if len(x.slotOf) != live || len(x.ents) != live+len(x.free) {
+		t.Fatalf("table: %d IDs, %d slots, %d free, want %d live", len(x.slotOf), len(x.ents), len(x.free), live)
 	}
 	free := make(map[int32]bool, len(x.free))
 	for _, s := range x.free {
-		sl := x.slots[s]
-		if free[s] || sl.e != nil || len(sl.keys) != 0 || len(sl.pos) != 0 {
-			t.Fatalf("keyed: free slot %d is listed twice or holds %v with keys %v", s, sl.e, sl.keys)
+		if free[s] || x.ents[s] != nil {
+			t.Fatalf("table: free slot %d is listed twice or holds %v", s, x.ents[s])
 		}
 		free[s] = true
 	}
-	entries := 0
-	for s, sl := range x.slots {
-		if free[int32(s)] {
-			continue
+	for s, e := range x.ents {
+		if !free[int32(s)] && (e == nil || x.slotOf[e.ID] != int32(s)) {
+			t.Fatalf("table: live slot %d holds %v, not its ID's slot", s, e)
 		}
-		if sl.e == nil || x.slotOf[sl.e.ID] != int32(s) {
-			t.Fatalf("keyed: live slot %d holds %v, not its ID's slot", s, sl.e)
+	}
+	for _, p := range x.passes {
+		switch p := p.(type) {
+		case *keyedPass:
+			checkKeyedInvariants(t, x, p, free)
+		case *snPass:
+			checkSNInvariants(t, x, p, free)
+		default:
+			t.Fatalf("no invariant check for %T", p)
+		}
+	}
+}
+
+func checkKeyedInvariants(t *testing.T, x *blockIndex, p *keyedPass, free map[int32]bool) {
+	t.Helper()
+	if len(p.slots) != len(x.ents) {
+		t.Fatalf("keyed: %d slots for a table of %d", len(p.slots), len(x.ents))
+	}
+	entries := 0
+	for s, sl := range p.slots {
+		if free[int32(s)] {
+			if len(sl.keys) != 0 || len(sl.pos) != 0 {
+				t.Fatalf("keyed: free slot %d holds keys %v", s, sl.keys)
+			}
+			continue
 		}
 		if !slices.IsSorted(sl.keys) || len(slices.Compact(slices.Clone(sl.keys))) != len(sl.keys) || len(sl.pos) != len(sl.keys) {
 			t.Fatalf("keyed: slot %d keys %v are not sorted and unique, or have %d positions", s, sl.keys, len(sl.pos))
 		}
 		for i, k := range sl.keys {
-			if list := x.postings[k]; int(sl.pos[i]) >= len(list) || list[sl.pos[i]] != int32(s) {
+			if list := p.postings[k]; int(sl.pos[i]) >= len(list) || list[sl.pos[i]] != int32(s) {
 				t.Fatalf("keyed: slot %d is not at position %d of %q's list %v", s, sl.pos[i], k, list)
 			}
 		}
 		entries += len(sl.keys)
 	}
 	// Every live slot's keys are found at their recorded positions, so the
-	// lists hold nothing else iff their lengths add up to the same count.
+	// lists hold nothing else (no free slot, no repeat) iff their lengths
+	// add up to the same count.
 	total := 0
-	for k, list := range x.postings {
+	for k, list := range p.postings {
 		if len(list) == 0 {
 			t.Fatalf("keyed: key %q has an empty list", k)
 		}
@@ -313,6 +312,45 @@ func checkKeyedInvariants(t *testing.T, x *keyedIndex, live int) {
 	if total != entries {
 		t.Fatalf("keyed: posting lists hold %d entries, live slots record %d keys", total, entries)
 	}
+}
+
+func checkSNInvariants(t *testing.T, x *blockIndex, p *snPass, free map[int32]bool) {
+	t.Helper()
+	for s, k := range p.keyOf {
+		if free[int32(s)] && k != "" {
+			t.Fatalf("sorted neighborhood: free slot %d keeps key %q", s, k)
+		}
+	}
+	if len(p.recs) != len(x.slotOf) {
+		t.Fatalf("sorted neighborhood: %d records for %d live slots", len(p.recs), len(x.slotOf))
+	}
+	// Strict order makes every listed slot distinct, so with as many
+	// records as live slots the list holds each live slot exactly once.
+	for i, r := range p.recs {
+		if int(r.s) >= len(x.ents) || free[r.s] {
+			t.Fatalf("sorted neighborhood: record %d lists slot %d, which is not live", i, r.s)
+		}
+		if r.key != p.keyOf[r.s] {
+			t.Fatalf("sorted neighborhood: slot %d listed under key %q, recorded %q", r.s, r.key, p.keyOf[r.s])
+		}
+		if i > 0 && !p.less(x, p.recs[i-1], r) {
+			t.Fatalf("sorted neighborhood: records %s and %s out of (key, ID) order", x.ents[p.recs[i-1].s].ID, x.ents[r.s].ID)
+		}
+	}
+}
+
+// materialized returns the IDs of bi.Candidates(probe, maxBlock) in the
+// order given, failing unless they are strictly sorted by ID.
+func materialized(t *testing.T, bi BlockIndex, probe *entity.Entity, maxBlock int) []string {
+	t.Helper()
+	cands := bi.Candidates(probe, maxBlock)
+	ids := make([]string, len(cands))
+	for i, e := range cands {
+		if ids[i] = e.ID; i > 0 && ids[i-1] >= ids[i] {
+			t.Fatalf("probe %s: Candidates not strictly sorted by ID at %s, %s", probe.ID, ids[i-1], ids[i])
+		}
+	}
+	return ids
 }
 
 // TestRemoveAfterMutation pins Remove's contract: it unindexes the keys

@@ -22,13 +22,14 @@ type Pair struct {
 // The strategy set is closed: the four Blockers of this package —
 // TokenBlocker, SortedNeighborhoodBlocker, QGramBlocker and
 // MultiPassBlocker, in any parameterization and composition — are the
-// only implementations, each building its own BlockIndex. Strategies are
-// registered in BlockerByName for CLI and bench wiring.
+// only implementations, each contributing its passes to a BlockIndex.
+// Strategies are registered in BlockerByName for CLI and bench wiring.
 type Blocker interface {
 	// Name identifies the strategy in benches, tables and CLI flags.
 	Name() string
-	// newIndex returns an empty index of the strategy (NewBlockIndex).
-	newIndex() BlockIndex
+	// appendPasses appends the strategy's empty passes to ps
+	// (NewBlockIndex): one per strategy, a composite's in member order.
+	appendPasses(ps []pass) []pass
 }
 
 // CandidatePairs runs a blocker and returns its candidate pairs with
@@ -85,7 +86,7 @@ func TokenBlocking() Blocker { return TokenBlocker{} }
 // Name implements Blocker.
 func (TokenBlocker) Name() string { return "token" }
 
-func (TokenBlocker) newIndex() BlockIndex { return NewTokenIndex() }
+func (TokenBlocker) appendPasses(ps []pass) []pass { return append(ps, newKeyedPass(Tokens)) }
 
 // ---------------------------------------------------------------------------
 // Sorted neighborhood
@@ -97,9 +98,9 @@ func (TokenBlocker) newIndex() BlockIndex { return NewTokenIndex() }
 // regardless of value frequency skew, so it generates far fewer pairs
 // than token blocking on text-heavy sources — at the price of missing
 // matches whose keys sort far apart. Run several passes with different
-// keys via MultiPass to recover them (the MultiBlock idea). Its index,
-// SortedNeighborhoodIndex, windows over the indexed entities alone; the
-// two definitions agree only when A holds one entity (snStreamer has the
+// keys via MultiPass to recover them (the MultiBlock idea). Its
+// BlockIndex pass windows over the indexed entities alone; the two
+// definitions agree only when A holds one entity (snStreamer has the
 // numbers).
 type SortedNeighborhoodBlocker struct {
 	// Window is how far apart two entities may sit in the sorted order
@@ -131,6 +132,13 @@ func (s SortedNeighborhoodBlocker) window() int {
 		return 10
 	}
 	return s.Window
+}
+
+func (s SortedNeighborhoodBlocker) sortKey() func(*entity.Entity) string {
+	if s.Key == nil {
+		return DefaultSortKey
+	}
+	return s.Key
 }
 
 // DefaultSortKey is the sort key used when SortedNeighborhoodBlocker.Key
@@ -174,8 +182,8 @@ func ReversedKey(key func(*entity.Entity) string) func(*entity.Entity) string {
 	}
 }
 
-func (s SortedNeighborhoodBlocker) newIndex() BlockIndex {
-	return NewSortedNeighborhoodIndex(s.Window, s.Key)
+func (s SortedNeighborhoodBlocker) appendPasses(ps []pass) []pass {
+	return append(ps, &snPass{window: s.window(), keyFn: s.sortKey()})
 }
 
 // ---------------------------------------------------------------------------
@@ -246,7 +254,9 @@ func QGramKeys(e *entity.Entity, q int) []string {
 	return sortedUnique(grams)
 }
 
-func (g QGramBlocker) newIndex() BlockIndex { return NewQGramIndex(g.Q) }
+func (g QGramBlocker) appendPasses(ps []pass) []pass {
+	return append(ps, newKeyedPass(func(e *entity.Entity) []string { return QGramKeys(e, g.Q) }))
+}
 
 // ---------------------------------------------------------------------------
 // Multi-pass composite
@@ -279,12 +289,11 @@ func (m MultiPassBlocker) Name() string {
 	return "multipass(" + strings.Join(names, "+") + ")"
 }
 
-func (m MultiPassBlocker) newIndex() BlockIndex {
-	members := make([]BlockIndex, len(m.Passes))
-	for i, p := range m.Passes {
-		members[i] = p.newIndex()
+func (m MultiPassBlocker) appendPasses(ps []pass) []pass {
+	for _, p := range m.Passes {
+		ps = p.appendPasses(ps)
 	}
-	return NewMultiIndex(members...)
+	return ps
 }
 
 // ---------------------------------------------------------------------------

@@ -99,10 +99,10 @@ func FuzzBlockingKeys(f *testing.F) {
 // yields the same candidate ID twice, nothing is yielded after yield
 // returned false, the completion flag is false exactly when yield
 // returned false (eachIDs checks those three), a stopped enumeration
-// yields min(n, |Candidates|) members of Candidates, and a full one
-// yields exactly the materialized Candidates set, which is the reference
-// materializer's. Each runs to completion inside one call, so no
-// enumeration state outlives a write.
+// yields min(n, |want|) members of want, a full one yields exactly want,
+// and Candidates returns want sorted by ID — where want is the reference
+// materializer's set, which shares no code with the index. Each runs to
+// completion inside one call, so no enumeration state outlives a write.
 func FuzzCandidateStream(f *testing.F) {
 	f.Add([]byte{0, 7, 13, 2, 19, 3, 22, 4, 9, 5, 1, 3, 17}, uint8(0), uint8(1))
 	f.Add([]byte{6, 6, 6, 3, 2, 4, 4, 4, 0, 3, 4, 5, 4}, uint8(3), uint8(2))
@@ -121,16 +121,28 @@ func FuzzCandidateStream(f *testing.F) {
 	// e5, e0}, replace {e5, e0} and add e3, BulkRemove {e2, e5, e0},
 	// BulkAdd {e2, e5}.
 	f.Add([]byte{6, 2, 6, 5, 3, 5, 7, 2, 3, 3, 6, 10, 3, 2}, uint8(3), uint8(3))
+	// Slot reuse across the passes of one multipass index: add e0, e2, e4
+	// (slots 0–2), remove e2, add e3 into its freed slot 1, then probe the
+	// old ID e2 and another version of e3 — in full and stopped.
+	f.Add([]byte{0, 0, 0, 2, 0, 4, 2, 2, 0, 3, 3, 2, 3, 11, 4, 11}, uint8(3), uint8(0))
+	f.Add([]byte{0, 0, 0, 2, 0, 4, 2, 2, 0, 3, 3, 2, 3, 11, 4, 11}, uint8(3), uint8(2))
+	// The same through groups: BulkAdd {e2, e5, e0}, BulkRemove {e5, e0},
+	// add e7 into a freed slot, probe the old ID e5 and another version
+	// of e7.
+	f.Add([]byte{6, 2, 7, 5, 0, 7, 3, 5, 3, 15, 5, 15}, uint8(3), uint8(0))
 	f.Fuzz(func(t *testing.T, script []byte, stratSel, capSel uint8) {
 		bl := fuzzStrategies()[int(stratSel)%len(fuzzStrategies())]
 		maxBlock := []int{-1, 0, 2, 5}[int(capSel)%4]
 		bi := NewBlockIndex(bl)
 		survivors := make(map[string]*entity.Entity)
 
-		// enumerate checks one Each against Candidates; budget < 0 runs it
-		// to completion.
-		enumerate := func(probe *entity.Entity, budget int) []string {
-			want := idsOf(bi.Candidates(probe, maxBlock))
+		// enumerate checks one Each, and Candidates, against the reference
+		// materializer; budget < 0 runs Each to completion.
+		enumerate := func(probe *entity.Entity, budget int) {
+			want := referenceCandidates(bl, probe, survivors, maxBlock)
+			if got := materialized(t, bi, probe, maxBlock); !slicesEqual(got, want) {
+				t.Fatalf("probe %s: Candidates %v != reference materializer %v", probe.ID, got, want)
+			}
 			got := eachIDs(t, bi, probe, maxBlock, budget)
 			if budget < 0 || budget > len(want) {
 				budget = len(want)
@@ -144,10 +156,9 @@ func FuzzCandidateStream(f *testing.F) {
 			}
 			for _, id := range got {
 				if _, ok := in[id]; !ok {
-					t.Fatalf("probe %s: enumerated %s, not among the materialized %v", probe.ID, id, want)
+					t.Fatalf("probe %s: enumerated %s, not among the reference's %v", probe.ID, id, want)
 				}
 			}
-			return got
 		}
 
 		if len(script) > 300 {
@@ -216,19 +227,11 @@ func FuzzCandidateStream(f *testing.F) {
 			}
 			checkIndexInvariants(t, bi, len(survivors))
 		}
-		// Final corpus: a full enumeration is the materialized set (checked
-		// by enumerate) and the reference materializer's.
-		probes := make([]*entity.Entity, 0, len(survivors)+1)
+		// Final corpus: every survivor and an external probe, in full.
 		for _, e := range survivors {
-			probes = append(probes, e)
+			enumerate(e, -1)
 		}
-		probes = append(probes, fuzzEntity("external", 5))
-		for _, probe := range probes {
-			got := enumerate(probe, -1)
-			if want := referenceCandidates(bl, probe, survivors, maxBlock); !slicesEqual(got, want) {
-				t.Fatalf("probe %s: enumerated %v != reference materializer %v", probe.ID, got, want)
-			}
-		}
+		enumerate(fuzzEntity("external", 5), -1)
 	})
 }
 

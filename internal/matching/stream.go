@@ -22,8 +22,8 @@ import (
 // one implementation. Sorted neighborhood keeps the merged-order window
 // of snStreamer, a different definition (see there). A multi-pass
 // composite unions its members' enumerators through one ID-keyed seen
-// set, exactly as MultiIndex.Each does. as and bs hold one entity per ID
-// (uniqueEntities): the index keys entities by ID.
+// set, exactly as the BlockIndex unions its passes. as and bs hold one
+// entity per ID (uniqueEntities): the index keys entities by ID.
 // The enumerator is immutable once built and safe for concurrent Each
 // calls, which is what lets MatchParallel partition A across workers.
 func newEnumerator(bl Blocker, as, bs []*entity.Entity) Enumerator {
@@ -37,16 +37,23 @@ func newEnumerator(bl Blocker, as, bs []*entity.Entity) Enumerator {
 		}
 		return members
 	}
-	bi := bl.newIndex()
+	bi := NewBlockIndex(bl)
 	bi.BulkAdd(bs)
 	return bi
 }
 
-// passes is the batch enumerator of a multi-pass composite.
+// passes is the batch enumerator of a multi-pass composite: the members
+// in order, sharing seen, so each candidate is yielded once however many
+// members propose it.
 type passes []Enumerator
 
 func (ps passes) Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
-	return eachUnion(ps, probe, maxBlock, seen, yield)
+	for _, p := range ps {
+		if !p.Each(probe, maxBlock, seen, yield) {
+			return false
+		}
+	}
+	return true
 }
 
 // StreamPairs pushes the blocker's candidate pairs for A×B to yield
@@ -118,10 +125,10 @@ type snStreamRec struct {
 //
 // Sorted neighborhood has two definitions in this package, and they are
 // equal only when A holds one entity. Here the other A records take up
-// window slots. SortedNeighborhoodIndex, which the matching service
-// queries, windows over the indexed entities alone. Loading B into the
-// index and probing it with every A entity would therefore change batch
-// results (seed 1, window 10):
+// window slots. The BlockIndex's sorted-neighborhood pass, which the
+// matching service queries, windows over the indexed entities alone.
+// Loading B into the index and probing it with every A entity would
+// therefore change batch results (seed 1, window 10):
 //   - Cora: the blocking ablation's sorted-neighborhood pass goes from
 //     17,826 to 37,470 candidates, and its two-pass multi-pass from
 //     33,212 to 72,162. That breaks TestMultiPassBeatsTokenOnCora's bound
@@ -140,10 +147,7 @@ type snStreamer struct {
 }
 
 func newSNStreamer(blk SortedNeighborhoodBlocker, as, bs []*entity.Entity) *snStreamer {
-	key := blk.Key
-	if key == nil {
-		key = DefaultSortKey
-	}
+	key := blk.sortKey()
 	recs := make([]snStreamRec, 0, len(as)+len(bs))
 	for _, e := range as {
 		recs = append(recs, snStreamRec{key: key(e), e: e, isA: true})
