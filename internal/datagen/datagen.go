@@ -12,7 +12,10 @@
 //     sparse redundant identifiers — the regime where non-linear
 //     aggregation and seeding matter (§6.3).
 //   - NYT: many low-coverage properties with name qualifiers and
-//     coordinate jitter — the hardest learning curve (Table 10).
+//     coordinate jitter — the regime of the paper's hardest learning
+//     curve (Table 10). This generator does not reproduce that
+//     difficulty: validation F1 is 1.000 from iteration 0, so its
+//     curve is saturated today.
 //   - LinkedMDB: same-title/different-year corner cases that defeat
 //     label-only rules (§6.2).
 //

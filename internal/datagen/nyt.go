@@ -15,10 +15,14 @@ import (
 // (1920 links over 1819 targets), as in the curated original.
 //
 // The matching signal is a place name with editorial qualifiers
-// ("Berlin (Germany)" vs "Berlin") plus jittered coordinates — names alone
-// are ambiguous, which is what makes this the hardest dataset of the
-// evaluation (Table 10) and the one where non-linear rules and specialized
-// crossover help most (Tables 13/15).
+// ("Berlin (Germany)" vs "Berlin") plus jittered coordinates. In the
+// paper names alone are ambiguous, which makes NYT the hardest dataset
+// of the evaluation (Table 10) and the one where non-linear rules and
+// specialized crossover help most (Tables 13/15). This generator models
+// the qualifiers, the jitter, the sparse coverage and a few homonyms (one
+// place in 20 takes another's name), but its negatives are cross pairs
+// of positives, which rarely land on a homonym: validation F1 is 1.000
+// from iteration 0, so the learning curve is saturated today.
 func NYT(seed int64) *entity.Dataset {
 	rng := rand.New(rand.NewSource(seed ^ 0x4E17))
 	a := entity.NewSource("nyt")

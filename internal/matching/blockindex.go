@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -22,9 +23,9 @@ import (
 // therefore never candidates, and an indexed probe does not inflate its
 // own block sizes or occupy a slot of its own sorted-neighborhood window.
 //
-// Keys are sorted: Tokens and QGramKeys return each entity's keys sorted
-// and unique, which is what lets a keyed pass tell by one merge walk
-// which of a probe's blocks hold its own record.
+// Keys are sorted: Tokens and qgramCodes return each entity's keys
+// sorted and unique, which is what lets a keyed pass tell by one merge
+// walk which of a probe's blocks hold its own record.
 //
 // The index is NOT synchronized: writes need the caller's lock, and
 // Candidates/Each may run concurrently only with each other.
@@ -81,7 +82,9 @@ func NewBlockIndex(bl Blocker) BlockIndex {
 // slot, so a write hashes the entity ID once however many passes there
 // are, and the table is the only record of which entities are indexed.
 // A candidate is yielded by the first pass that proposes it; later
-// passes skip it through seen (the multi-pass union).
+// passes skip it through seen (the multi-pass union). A write tokenizes
+// each entity once and a query its probe once, and every pass reads that
+// one slice.
 type blockIndex struct {
 	slotOf map[string]int32
 	ents   []*entity.Entity
@@ -93,13 +96,15 @@ type blockIndex struct {
 // slot posting lists for token and q-gram blocking (keyedPass), a
 // (key, slot) sorted list for sorted-neighborhood (snPass).
 type pass interface {
-	// add indexes the entities at slots, just taken in the table.
-	add(x *blockIndex, slots []int32)
+	// add indexes the entities at slots, just taken in the table;
+	// toks[i] is the Tokens of the entity at slots[i].
+	add(x *blockIndex, slots []int32, toks [][]string)
 	// remove unindexes slots; their entities are still in the table.
 	remove(x *blockIndex, slots []int32)
-	// each is Each for this pass; self is the slot of the probe's own
-	// record, or -1 when probe.ID is not indexed.
-	each(x *blockIndex, probe *entity.Entity, self int32, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool
+	// each is Each for this pass; toks is the probe's Tokens and self is
+	// the slot of the probe's own record, or -1 when probe.ID is not
+	// indexed.
+	each(x *blockIndex, probe *entity.Entity, toks []string, self int32, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool
 	// keys counts the key entries held.
 	keys() int
 }
@@ -110,8 +115,8 @@ func (x *blockIndex) Add(e *entity.Entity) { x.BulkAdd([]*entity.Entity{e}) }
 // Remove implements BlockIndex.
 func (x *blockIndex) Remove(e *entity.Entity) { x.BulkRemove([]*entity.Entity{e}) }
 
-// BulkAdd implements BlockIndex: every entity takes a slot, then every
-// pass indexes the new slots at once.
+// BulkAdd implements BlockIndex: every entity takes a slot and is
+// tokenized once, then every pass indexes the new slots at once.
 func (x *blockIndex) BulkAdd(es []*entity.Entity) {
 	slots := make([]int32, len(es))
 	for i, e := range es {
@@ -124,8 +129,12 @@ func (x *blockIndex) BulkAdd(es []*entity.Entity) {
 		}
 		x.slotOf[e.ID] = slots[i]
 	}
+	toks := make([][]string, len(es))
+	for i, e := range es {
+		toks[i] = Tokens(e)
+	}
 	for _, p := range x.passes {
-		p.add(x, slots)
+		p.add(x, slots, toks)
 	}
 }
 
@@ -160,15 +169,17 @@ func (x *blockIndex) Candidates(probe *entity.Entity, maxBlock int) []*entity.En
 	return out
 }
 
-// Each implements BlockIndex: the passes in order, sharing seen, so each
-// candidate is yielded once however many passes propose it.
+// Each implements BlockIndex: the probe tokenized once, then the passes
+// in order, sharing seen, so each candidate is yielded once however many
+// passes propose it.
 func (x *blockIndex) Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
 	self := int32(-1)
 	if s, ok := x.slotOf[probe.ID]; ok {
 		self = s
 	}
+	toks := Tokens(probe)
 	for _, p := range x.passes {
-		if !p.each(x, probe, self, maxBlock, seen, yield) {
+		if !p.each(x, probe, toks, self, maxBlock, seen, yield) {
 			return false
 		}
 	}
@@ -208,35 +219,37 @@ func grown[T any](s []T, n int) []T {
 // ---------------------------------------------------------------------------
 // Slot posting lists (token, q-gram)
 
-// keyedPass is the pass of TokenBlocker and QGramBlocker: every key maps
-// to the posting list of the slots whose entity carries it. The lists
-// hold no pointers, so the garbage collector never scans them. add
-// appends the slot to one list per key; remove swap-removes it from
-// each, fixing the moved slot's position by binary search in that
-// slot's sorted keys — O(keys · log keys), whatever the block sizes.
-type keyedPass struct {
-	keyFn    func(*entity.Entity) []string // sorted, unique
-	postings map[string][]int32
-	slots    []keyedSlot // by table slot
+// keyedPass is the pass of TokenBlocker (string keys: the tokens) and
+// QGramBlocker (uint64 keys: the packed q-grams, packGram): every key
+// maps to the posting list of the slots whose entity carries it. The
+// lists hold no pointers, so the garbage collector never scans them, and
+// neither do a q-gram slot's keys. add appends the slot to one list per
+// key; remove swap-removes it from each, fixing the moved slot's
+// position by binary search in that slot's sorted keys — O(keys · log
+// keys), whatever the block sizes.
+type keyedPass[K cmp.Ordered] struct {
+	keyFn    func(toks []string) []K // from the entity's Tokens; sorted, unique
+	postings map[K][]int32
+	slots    []keyedSlot[K] // by table slot
 }
 
 // keyedSlot is one slot's keys, recorded at add time so remove never
 // re-derives keys from a possibly mutated entity. pos[i] is the slot's
 // position in postings[keys[i]]. A free slot has no keys.
-type keyedSlot struct {
-	keys []string
+type keyedSlot[K cmp.Ordered] struct {
+	keys []K
 	pos  []int32
 }
 
-func newKeyedPass(keyFn func(*entity.Entity) []string) *keyedPass {
-	return &keyedPass{keyFn: keyFn, postings: make(map[string][]int32)}
+func newKeyedPass[K cmp.Ordered](keyFn func(toks []string) []K) *keyedPass[K] {
+	return &keyedPass[K]{keyFn: keyFn, postings: make(map[K][]int32)}
 }
 
-func (p *keyedPass) add(x *blockIndex, slots []int32) {
+func (p *keyedPass[K]) add(x *blockIndex, slots []int32, toks [][]string) {
 	p.slots = grown(p.slots, len(x.ents))
-	for _, s := range slots {
+	for i, s := range slots {
 		sl := &p.slots[s]
-		sl.keys = p.keyFn(x.ents[s])
+		sl.keys = p.keyFn(toks[i])
 		sl.pos = slices.Grow(sl.pos, len(sl.keys))
 		for _, k := range sl.keys {
 			list := p.postings[k]
@@ -246,7 +259,7 @@ func (p *keyedPass) add(x *blockIndex, slots []int32) {
 	}
 }
 
-func (p *keyedPass) remove(_ *blockIndex, slots []int32) {
+func (p *keyedPass[K]) remove(_ *blockIndex, slots []int32) {
 	for _, s := range slots {
 		sl := &p.slots[s]
 		for i, k := range sl.keys {
@@ -264,7 +277,7 @@ func (p *keyedPass) remove(_ *blockIndex, slots []int32) {
 			}
 			p.postings[k] = list[:last]
 		}
-		*sl = keyedSlot{pos: sl.pos[:0]}
+		*sl = keyedSlot[K]{pos: sl.pos[:0]}
 	}
 }
 
@@ -273,12 +286,12 @@ func (p *keyedPass) remove(_ *blockIndex, slots []int32) {
 // CapAllows policy): both the probe's keys and the keys recorded for
 // its slot are sorted, so one merge walk tells which blocks hold that
 // record, and the record itself is skipped by its slot.
-func (p *keyedPass) each(x *blockIndex, probe *entity.Entity, self int32, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
-	var selfKeys []string
+func (p *keyedPass[K]) each(x *blockIndex, _ *entity.Entity, toks []string, self int32, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+	var selfKeys []K
 	if self >= 0 {
 		selfKeys = p.slots[self].keys
 	}
-	for _, k := range p.keyFn(probe) {
+	for _, k := range p.keyFn(toks) {
 		list := p.postings[k]
 		size := len(list)
 		for len(selfKeys) > 0 && selfKeys[0] < k {
@@ -299,7 +312,7 @@ func (p *keyedPass) each(x *blockIndex, probe *entity.Entity, self int32, maxBlo
 	return true
 }
 
-func (p *keyedPass) keys() int { return len(p.postings) }
+func (p *keyedPass[K]) keys() int { return len(p.postings) }
 
 // ---------------------------------------------------------------------------
 // Sorted neighborhood
@@ -316,7 +329,7 @@ func (p *keyedPass) keys() int { return len(p.postings) }
 // entities keeps its own merged-order window).
 type snPass struct {
 	window int
-	keyFn  func(*entity.Entity) string
+	keyFn  func(*entity.Entity) string // nil: the joined Tokens (DefaultSortKey)
 	recs   []snRec
 	keyOf  []string // by table slot: the key recorded at add time
 }
@@ -325,6 +338,14 @@ type snPass struct {
 type snRec struct {
 	key string
 	s   int32
+}
+
+// sortKey is the sort key of e, whose Tokens are toks.
+func (p *snPass) sortKey(e *entity.Entity, toks []string) string {
+	if p.keyFn == nil {
+		return joinTokens(toks)
+	}
+	return p.keyFn(e)
 }
 
 // less is the sorted-list order: (sort key, entity ID).
@@ -350,14 +371,14 @@ func (p *snPass) lowerBound(x *blockIndex, key, id string) int {
 // add sorts the m new records, then merges them into the list with one
 // backward pass — O(n + m·log m) instead of m memmoves, and never a full
 // re-sort of the n existing records.
-func (p *snPass) add(x *blockIndex, slots []int32) {
+func (p *snPass) add(x *blockIndex, slots []int32, toks [][]string) {
 	if len(slots) == 0 {
 		return
 	}
 	p.keyOf = grown(p.keyOf, len(x.ents))
 	add := make([]snRec, 0, len(slots))
-	for _, s := range slots {
-		k := p.keyFn(x.ents[s])
+	for i, s := range slots {
+		k := p.sortKey(x.ents[s], toks[i])
 		p.keyOf[s] = k
 		add = append(add, snRec{key: k, s: s})
 	}
@@ -407,8 +428,8 @@ func (p *snPass) remove(x *blockIndex, slots []int32) {
 // computed on the list without it (found by the key recorded for its
 // slot, not the probe's), so the probe neither pairs with itself nor
 // eats one of its own 2·w window slots.
-func (p *snPass) each(x *blockIndex, probe *entity.Entity, self int32, _ int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
-	pos := p.lowerBound(x, p.keyFn(probe), probe.ID)
+func (p *snPass) each(x *blockIndex, probe *entity.Entity, toks []string, self int32, _ int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+	pos := p.lowerBound(x, p.sortKey(probe, toks), probe.ID)
 	selfPos, m := -1, len(p.recs)
 	if self >= 0 {
 		selfPos, m = p.lowerBound(x, p.keyOf[self], probe.ID), m-1

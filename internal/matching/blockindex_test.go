@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -266,7 +267,9 @@ func checkIndexInvariants(t *testing.T, bi BlockIndex, live int) {
 	}
 	for _, p := range x.passes {
 		switch p := p.(type) {
-		case *keyedPass:
+		case *keyedPass[string]:
+			checkKeyedInvariants(t, x, p, free)
+		case *keyedPass[uint64]:
 			checkKeyedInvariants(t, x, p, free)
 		case *snPass:
 			checkSNInvariants(t, x, p, free)
@@ -276,7 +279,7 @@ func checkIndexInvariants(t *testing.T, bi BlockIndex, live int) {
 	}
 }
 
-func checkKeyedInvariants(t *testing.T, x *blockIndex, p *keyedPass, free map[int32]bool) {
+func checkKeyedInvariants[K cmp.Ordered](t *testing.T, x *blockIndex, p *keyedPass[K], free map[int32]bool) {
 	t.Helper()
 	if len(p.slots) != len(x.ents) {
 		t.Fatalf("keyed: %d slots for a table of %d", len(p.slots), len(x.ents))
@@ -294,7 +297,7 @@ func checkKeyedInvariants(t *testing.T, x *blockIndex, p *keyedPass, free map[in
 		}
 		for i, k := range sl.keys {
 			if list := p.postings[k]; int(sl.pos[i]) >= len(list) || list[sl.pos[i]] != int32(s) {
-				t.Fatalf("keyed: slot %d is not at position %d of %q's list %v", s, sl.pos[i], k, list)
+				t.Fatalf("keyed: slot %d is not at position %d of %v's list %v", s, sl.pos[i], k, list)
 			}
 		}
 		entries += len(sl.keys)
@@ -305,7 +308,7 @@ func checkKeyedInvariants(t *testing.T, x *blockIndex, p *keyedPass, free map[in
 	total := 0
 	for k, list := range p.postings {
 		if len(list) == 0 {
-			t.Fatalf("keyed: key %q has an empty list", k)
+			t.Fatalf("keyed: key %v has an empty list", k)
 		}
 		total += len(list)
 	}
@@ -351,6 +354,39 @@ func materialized(t *testing.T, bi BlockIndex, probe *entity.Entity, maxBlock in
 		}
 	}
 	return ids
+}
+
+// TestBulkAddKeysPerEntity pins the shared tokenization of a write: after
+// one BulkAdd of many entities into the default multipass index, every
+// pass has recorded each entity's own keys (its Tokens, their packed
+// q-grams, their joined sort key).
+func TestBulkAddKeysPerEntity(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	es := make([]*entity.Entity, 40)
+	for i := range es {
+		es[i] = diffEntity(rng, fmt.Sprintf("e%d", i))
+	}
+	x := NewBlockIndex(MultiPass()).(*blockIndex)
+	x.BulkAdd(es)
+	for _, e := range es {
+		s, toks := x.slotOf[e.ID], Tokens(e)
+		for _, p := range x.passes {
+			switch p := p.(type) {
+			case *keyedPass[string]:
+				if got := p.slots[s].keys; !slices.Equal(got, toks) {
+					t.Fatalf("%s: token keys %q, want %q", e.ID, got, toks)
+				}
+			case *keyedPass[uint64]:
+				if got, want := p.slots[s].keys, qgramCodes(toks, 3); !slices.Equal(got, want) {
+					t.Fatalf("%s: q-gram codes %x, want %x", e.ID, got, want)
+				}
+			case *snPass:
+				if got, want := p.keyOf[s], DefaultSortKey(e); got != want {
+					t.Fatalf("%s: sort key %q, want %q", e.ID, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestRemoveAfterMutation pins Remove's contract: it unindexes the keys
@@ -400,9 +436,10 @@ func slicesEqual(a, b []string) bool {
 // TestEachAllocsIndependentOfBlockSize pins the hand-off's cost model:
 // with a warm seen set and a no-op yield, a full Each over the built-in
 // multipass index allocates exactly what extracting the probe's keys
-// allocates (tokens, q-grams, sort key) — the same number of objects
-// whether the probe's blocks hold 200 candidates or 2,000. A per-block
-// copy or a per-candidate cursor object fails it.
+// allocates (one Tokens call, and from those tokens the packed q-grams
+// and the joined sort key) — the same number of objects whether the
+// probe's blocks hold 200 candidates or 2,000. A per-block copy, a
+// per-candidate cursor object or a second tokenization fails it.
 func TestEachAllocsIndependentOfBlockSize(t *testing.T) {
 	probe := entity.New("probe")
 	probe.Add("name", "shared network analysis")
@@ -425,7 +462,8 @@ func TestEachAllocsIndependentOfBlockSize(t *testing.T) {
 	}
 	var sink int
 	keys := testing.AllocsPerRun(10, func() {
-		sink += len(Tokens(probe)) + len(QGramKeys(probe, 0)) + len(DefaultSortKey(probe))
+		toks := Tokens(probe)
+		sink += len(toks) + len(qgramCodes(toks, 3)) + len(joinTokens(toks))
 	})
 	small, ySmall := allocs(200)
 	large, yLarge := allocs(2000)

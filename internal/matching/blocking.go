@@ -2,6 +2,7 @@ package matching
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"genlink/internal/entity"
@@ -86,7 +87,9 @@ func TokenBlocking() Blocker { return TokenBlocker{} }
 // Name implements Blocker.
 func (TokenBlocker) Name() string { return "token" }
 
-func (TokenBlocker) appendPasses(ps []pass) []pass { return append(ps, newKeyedPass(Tokens)) }
+func (TokenBlocker) appendPasses(ps []pass) []pass {
+	return append(ps, newKeyedPass(func(toks []string) []string { return toks }))
+}
 
 // ---------------------------------------------------------------------------
 // Sorted neighborhood
@@ -134,6 +137,8 @@ func (s SortedNeighborhoodBlocker) window() int {
 	return s.Window
 }
 
+// sortKey is the sort key the batch streamer reads; the index's pass
+// derives the default key from the tokens it already holds.
 func (s SortedNeighborhoodBlocker) sortKey() func(*entity.Entity) string {
 	if s.Key == nil {
 		return DefaultSortKey
@@ -147,9 +152,10 @@ func (s SortedNeighborhoodBlocker) sortKey() func(*entity.Entity) string {
 // values in schema order) keeps the key comparable across sources with
 // different property names — matching entities get near-identical keys no
 // matter how their values are split into properties.
-func DefaultSortKey(e *entity.Entity) string {
-	return strings.Join(Tokens(e), " ")
-}
+func DefaultSortKey(e *entity.Entity) string { return joinTokens(Tokens(e)) }
+
+// joinTokens is DefaultSortKey over an entity's Tokens.
+func joinTokens(toks []string) string { return strings.Join(toks, " ") }
 
 // PropertySortKey returns a sort key reading the first value of the first
 // set property among props, lowercased with whitespace collapsed. Keying a
@@ -183,7 +189,7 @@ func ReversedKey(key func(*entity.Entity) string) func(*entity.Entity) string {
 }
 
 func (s SortedNeighborhoodBlocker) appendPasses(ps []pass) []pass {
-	return append(ps, &snPass{window: s.window(), keyFn: s.sortKey()})
+	return append(ps, &snPass{window: s.window(), keyFn: s.Key})
 }
 
 // ---------------------------------------------------------------------------
@@ -197,11 +203,19 @@ func (s SortedNeighborhoodBlocker) appendPasses(ps []pass) []pass {
 // q-grams are shared far more widely than whole tokens.
 type QGramBlocker struct {
 	// Q is the gram length (≤0 means the default of 3). Tokens shorter
-	// than Q are indexed whole.
+	// than Q are indexed whole. Q is at most 7: the index packs every
+	// gram into one uint64 key (packGram), and a longer gram does not
+	// fit. Building an index of a larger Q panics.
 	Q int
 }
 
+// maxQ is the longest gram a packed uint64 key holds: 7 bytes, above the
+// 3 bits of its length.
+const maxQ = 7
+
 // QGramBlocking returns a q-gram blocker with gram length q (≤0 means 3).
+// q must be at most 7: building an index of a larger q panics (see
+// QGramBlocker.Q).
 func QGramBlocking(q int) Blocker { return QGramBlocker{Q: q} }
 
 // Name implements Blocker.
@@ -239,23 +253,45 @@ func appendQGrams(dst []string, tok string, q int) []string {
 	return dst
 }
 
-// QGramKeys returns the q-grams of every token of e, sorted and unique —
-// the blocking keys of QGramBlocker's index.
-func QGramKeys(e *entity.Entity, q int) []string {
-	toks := Tokens(e)
+// packGram packs a gram of 1 to maxQ bytes into its uint64 key: the
+// gram's bytes from the top byte down, its length in the low 3 bits.
+// The packing is a bijection, and it keeps the string order: codes
+// compare byte by byte as the strings do, and where the bytes tie (the
+// zero padding of a shorter gram against zero bytes of a longer one) the
+// shorter gram sorts first, as a string prefix does.
+func packGram(g string) uint64 {
+	c := uint64(len(g))
+	for i := 0; i < len(g); i++ {
+		c |= uint64(g[i]) << (56 - 8*i)
+	}
+	return c
+}
+
+// qgramCodes returns the packed q-grams (appendQGrams, packGram) of
+// toks, an entity's Tokens, sorted and unique: the blocking keys of
+// QGramBlocker's index.
+func qgramCodes(toks []string, q int) []uint64 {
 	n := 0
 	for _, tok := range toks {
-		n += len(tok) // ≥ the token's gram count
+		n += max(len(tok)-q+1, 1) // the token's gram count
 	}
-	grams := make([]string, 0, n)
+	codes := make([]uint64, 0, n)
+	var buf [32]string // one token's grams, on the stack unless it is long
 	for _, tok := range toks {
-		grams = appendQGrams(grams, tok, q)
+		for _, g := range appendQGrams(buf[:0], tok, q) {
+			codes = append(codes, packGram(g))
+		}
 	}
-	return sortedUnique(grams)
+	slices.Sort(codes)
+	return slices.Compact(codes)
 }
 
 func (g QGramBlocker) appendPasses(ps []pass) []pass {
-	return append(ps, newKeyedPass(func(e *entity.Entity) []string { return QGramKeys(e, g.Q) }))
+	q := g.q()
+	if q > maxQ {
+		panic(fmt.Sprintf("matching: q-gram length %d is above %d, the longest gram a packed uint64 key holds", q, maxQ))
+	}
+	return append(ps, newKeyedPass(func(toks []string) []uint64 { return qgramCodes(toks, q) }))
 }
 
 // ---------------------------------------------------------------------------

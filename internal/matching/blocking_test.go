@@ -3,6 +3,7 @@ package matching
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"genlink/internal/entity"
@@ -131,6 +132,29 @@ func TestQGramShortTokensIndexedWhole(t *testing.T) {
 	b.Add(eb)
 	if pairs := CandidatePairs(QGramBlocking(3), a, b, Options{MaxBlockSize: -1}); len(pairs) != 1 {
 		t.Fatalf("short-token pairs = %d, want 1", len(pairs))
+	}
+}
+
+// TestQGramLengthLimit pins the packing limit: q up to 7 builds an
+// index, and above it building the index panics with a message naming
+// the limit, alone or inside a union.
+func TestQGramLengthLimit(t *testing.T) {
+	for q := -1; q <= maxQ; q++ {
+		NewBlockIndex(QGramBlocking(q)).Add(entity.New("e"))
+	}
+	for name, build := range map[string]func(){
+		"NewBlockIndex":  func() { NewBlockIndex(QGramBlocker{Q: maxQ + 1}) },
+		"inside a union": func() { NewBlockIndex(MultiPass(TokenBlocking(), QGramBlocker{Q: 64})) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "above 7") {
+					t.Errorf("%s: panic %q, want one naming the limit of 7", name, msg)
+				}
+			}()
+			build()
+		}()
 	}
 }
 

@@ -54,6 +54,48 @@ func FuzzQGramsOf(f *testing.F) {
 	})
 }
 
+// FuzzQGramCodes pins the packed q-gram keys to the string grams: for
+// any entity and any q in 1..7, the keys the q-gram pass records for
+// the entity are, in order, exactly its packed QGramKeys (so packing
+// keeps the string order), and unpacking each code gives back its gram.
+func FuzzQGramCodes(f *testing.F) {
+	f.Add("Scalable Analysis of Networks", "graph", 3)
+	f.Add("", "", 1)
+	f.Add("a ab abc abcd", "abcdefg abcdefgh", 7)
+	f.Add("a\x00b \x00 \xff\xff", "a a\x00", 2)
+	f.Add("héllo wörld", "日本語のテキスト", 5)
+	f.Fuzz(func(t *testing.T, v1, v2 string, q int) {
+		q = 1 + int(uint(q)%maxQ)
+		e := entity.New("e")
+		e.Add("p", v1)
+		e.Add("r", v2)
+		x := NewBlockIndex(QGramBlocking(q)).(*blockIndex)
+		x.Add(e)
+		got := x.passes[0].(*keyedPass[uint64]).slots[x.slotOf[e.ID]].keys
+		want := QGramKeys(e, q)
+		if len(got) != len(want) {
+			t.Fatalf("q=%d: the pass recorded %d codes for %d grams %q", q, len(got), len(want), want)
+		}
+		for i, g := range want {
+			if got[i] != packGram(g) {
+				t.Fatalf("q=%d: code %d is %#x, want %#x, the packed gram %q", q, i, got[i], packGram(g), g)
+			}
+			if u := unpackGram(got[i]); u != g {
+				t.Fatalf("q=%d: code %#x unpacks to %q, want %q", q, got[i], u, g)
+			}
+		}
+	})
+}
+
+// unpackGram inverts packGram.
+func unpackGram(c uint64) string {
+	b := make([]byte, c&7)
+	for i := range b {
+		b[i] = byte(c >> (56 - 8*i))
+	}
+	return string(b)
+}
+
 // FuzzBlockingKeys runs every key-extraction helper the blockers share
 // over an adversarial single-property entity: tokenization, q-gram keys
 // and the sorted-neighborhood sort keys must not panic and must stay

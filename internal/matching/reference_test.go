@@ -151,6 +151,22 @@ func (s SortedNeighborhoodBlocker) Pairs(a, b *entity.Source, opts Options) []Pa
 	return out
 }
 
+// QGramKeys returns the q-grams of every token of e as strings, sorted
+// and unique: the keys of the reference q-gram index, which the index's
+// packed codes must equal gram for gram (FuzzQGramCodes).
+func QGramKeys(e *entity.Entity, q int) []string {
+	toks := Tokens(e)
+	n := 0
+	for _, tok := range toks {
+		n += len(tok) // ≥ the token's gram count
+	}
+	grams := make([]string, 0, n)
+	for _, tok := range toks {
+		grams = appendQGrams(grams, tok, q)
+	}
+	return sortedUnique(grams)
+}
+
 // Pairs implements referenceBlocker via an inverted q-gram index over B.
 func (g QGramBlocker) Pairs(a, b *entity.Source, opts Options) []Pair {
 	byGram := make(map[string][]*entity.Entity)

@@ -381,7 +381,9 @@ func TokenBlocking() Blocker { return matching.TokenBlocking() }
 func SortedNeighborhood(window int) Blocker { return matching.SortedNeighborhood(window) }
 
 // QGramBlocking returns a q-gram blocker (q ≤ 0 means 3): candidates
-// share a character q-gram, so single typos do not break blocking.
+// share a character q-gram, so single typos do not break blocking. q must
+// be at most 7, the longest gram a packed index key holds: matching or
+// building an index with a larger q panics.
 func QGramBlocking(q int) Blocker { return matching.QGramBlocking(q) }
 
 // MultiPass unions the candidates of several blockers — the MultiBlock
