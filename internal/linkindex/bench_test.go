@@ -2,6 +2,7 @@ package linkindex_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"genlink/internal/datagen"
@@ -50,16 +51,25 @@ func coraChunks(n int) []*entity.Entity {
 // stack on the rig's shapes: 10,000 entities of Cora chunks, the rig's
 // rule, multipass blocking, 2 shards, k = 10. One op is one query: a
 // stored ID through QueryID, or, for Query, a re-keyed copy of a stored
-// entity, as an external probe. Besides ns/op and allocs/op it reports,
-// per query, from one untimed pass over the same probes on an index
-// whose rule counts its work (linkindex.Work): candidates scored to
-// completion, edit distances run and values parsed.
+// entity, as an external probe. Besides ns/op and allocs/op it reports
+// the heap the loaded index retains per entity (heap-B/entity: block
+// indexes, records and the shards' tables, as BenchmarkBlockIndexWrite's
+// load reports it for one block index) and, per query, from one untimed
+// pass over the same probes on an index whose rule counts its work
+// (linkindex.Work): candidates scored to completion, edit distances run
+// and values parsed.
 func BenchmarkQueryCoraRule(b *testing.B) {
 	const n, shards, k, probes = 10000, 2, 10, 200
 	es := coraChunks(n)
 	opts := matching.Options{Blocker: matching.BlockerByName("multipass")}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	ix := linkindex.NewSharded(rigCoraRule(similarity.Levenshtein(), similarity.Date()), shards, opts)
 	ix.BulkLoad(es)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heapPerEntity := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
 	var work linkindex.Work
 	counted := linkindex.NewSharded(rigCoraRule(linkindex.CountingLevenshtein(&work), linkindex.CountingDate(&work)), shards, opts)
 	counted.BulkLoad(es)
@@ -91,6 +101,7 @@ func BenchmarkQueryCoraRule(b *testing.B) {
 				mode.query(ix, i%probes)
 				i++
 			}
+			b.ReportMetric(heapPerEntity, "heap-B/entity")
 			b.ReportMetric(float64(work.Completed.Load())/probes, "scored/query")
 			b.ReportMetric(float64(work.EditDists.Load())/probes, "editdists/query")
 			b.ReportMetric(float64(work.Parses.Load())/probes, "parses/query")

@@ -17,22 +17,52 @@ func (ix *ShardedIndex) WriteSnapshot(w io.Writer) error {
 	return ix.buildSnapshot().encode(w)
 }
 
-// CheckShardCounts reports a shard whose record map and block index
-// hold different numbers of entities, or per-shard counts that do not
-// add up to Len: the lockstep applyShardOps keeps them in.
+// CheckShardCounts reports a shard whose records and block index are
+// out of the lockstep applyShardOps keeps them in, or per-shard counts
+// that do not add up to Len: every live slot of the block index must
+// hold exactly one record, whose entity has that slot's ID, and every
+// free slot none. A record left at a freed slot would leak a deleted
+// entity into Entities and into snapshots.
 func (ix *ShardedIndex) CheckShardCounts() error {
 	total := 0
 	for i, sh := range ix.shards {
 		sh.mu.RLock()
-		records, indexed := len(sh.records), sh.blocks.Len()
+		err := sh.checkRecords()
+		indexed := sh.blocks.Len()
 		sh.mu.RUnlock()
-		if records != indexed {
-			return fmt.Errorf("shard %d: %d records, %d entities in the block index", i, records, indexed)
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		total += records
+		total += indexed
 	}
 	if total != ix.Len() {
 		return fmt.Errorf("shards hold %d entities, Len() = %d", total, ix.Len())
+	}
+	return nil
+}
+
+// checkRecords is CheckShardCounts for one shard, under its lock. A
+// record at slot s whose ID the index places at s occupies a distinct
+// live slot, so when every record passes and they number Len(), the
+// live slots are exactly the ones holding records.
+func (sh *shard) checkRecords() error {
+	records := 0
+	for s, r := range sh.records {
+		if r == nil {
+			continue
+		}
+		records++
+		id := r.Entity().ID
+		at, ok := sh.blocks.Slot(id)
+		if !ok {
+			return fmt.Errorf("slot %d holds the record of %q, which is not indexed", s, id)
+		}
+		if at != int32(s) {
+			return fmt.Errorf("slot %d holds the record of %q, which the block index has at slot %d", s, id, at)
+		}
+	}
+	if indexed := sh.blocks.Len(); records != indexed {
+		return fmt.Errorf("%d records, %d entities in the block index", records, indexed)
 	}
 	return nil
 }

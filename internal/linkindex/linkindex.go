@@ -19,20 +19,21 @@
 //     property tests pin the index's candidates ≡ the batch blocker on the
 //     surviving entity set under any interleaving of Add/Update/Remove.
 //   - ShardedIndex hash-partitions the corpus over N shards, each owning
-//     its own record map and BlockIndex behind a per-shard RWMutex. The
-//     record map holds every stored entity next to its evalengine.Record,
-//     the scoring record built once per entity version when the version
-//     is written, so queries score stored records and never invalidate
-//     anything. Queries fan out across shards in parallel and
-//     merge per-shard bounded top-k heaps; writes lock only the shards
-//     they touch, and the Apply pipeline groups a batch of upserts and
-//     deletes per shard so block structures load through their bulk
-//     fast paths. Index is the N=1 case of the same code path (the
-//     original single-mutex monolith is retired). See the ShardedIndex
-//     documentation for the sharded candidate semantics — identical to
-//     single-shard for partition-invariant strategies, a recall-preserving
-//     superset for sorted-neighborhood windows and capped blocks — and
-//     the per-shard isolation contract.
+//     a BlockIndex and its records behind a per-shard RWMutex. The block
+//     index's entity table is the shard's one ID table, and the records
+//     slice holds, by that table's slot, every stored entity's
+//     evalengine.Record, the scoring record built once per entity
+//     version when the version is written, so queries score stored
+//     records and never invalidate anything. Queries fan out across
+//     shards in parallel and merge per-shard bounded top-k heaps; writes
+//     lock only the shards they touch, and the Apply pipeline groups a
+//     batch of upserts and deletes per shard so block structures load
+//     through their bulk fast paths. Index is the N=1 case of the same
+//     code path (the original single-mutex monolith is retired). See the
+//     ShardedIndex documentation for the sharded candidate semantics —
+//     identical to single-shard for partition-invariant strategies, a
+//     recall-preserving superset for sorted-neighborhood windows and
+//     capped blocks — and the per-shard isolation contract.
 //   - Snapshot persistence: SnapshotTo writes a versioned snapshot of the
 //     corpus, rule and options to disk; RestoreFrom rebuilds the block
 //     structures from it, so a service restart does not lose the index.

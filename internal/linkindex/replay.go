@@ -14,7 +14,7 @@ import "sync"
 // that shard flow through that shard's single channel in log order, and
 // one worker drains the channel in order — so per-ID apply order is
 // exactly log order, while different shards (disjoint ID sets) apply
-// concurrently. partitionBatch is the same batch-resolution step Apply
+// concurrently. partitionOps is the same batch-resolution step Apply
 // uses, so within-record semantics (last upsert wins, delete beats
 // upsert) are shared, not reimplemented. The recovery-equivalence
 // differential test pins the pipeline against plain sequential Apply of
@@ -60,7 +60,7 @@ func startReplayer(ix *ShardedIndex) *parallelReplayer {
 // apply partitions one decoded record and enqueues its per-shard ops.
 // Records must be fed in log order from one goroutine.
 func (r *parallelReplayer) apply(b Batch) {
-	for _, g := range r.ix.partitionBatch(b) {
+	for _, g := range partitionOps(b, len(r.ix.shards)) {
 		r.chs[g.part] <- g
 	}
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // ShardedIndex is the storage layer of the matching service: the entity
-// corpus is hash-partitioned over N shards, each owning its own record
-// map (every stored entity next to its evalengine.Record, built once per
-// entity version at write time) and BlockIndex behind a per-shard
-// RWMutex.
+// corpus is hash-partitioned over N shards, each owning a BlockIndex and
+// the scoring record of every stored entity (an evalengine.Record, built
+// once per entity version at write time) by the index's slot, behind a
+// per-shard RWMutex.
 // Writes touch only the shards their entity IDs hash to, so writes to
 // different shards proceed in parallel and a write never stalls queries
 // against the other N−1 shards. Queries fan out across all shards
@@ -80,16 +80,15 @@ type ShardedIndex struct {
 }
 
 // shard is one partition: a single-mutex miniature of the retired
-// monolithic index. records maps each stored entity's ID to the scoring
-// record of its current version (Record.Entity is the entity itself), so
-// the entity and its record are installed and replaced together.
+// monolithic index. The block index's entity table is the shard's only
+// map from ID to slot; records holds, at each live slot, the scoring
+// record of the entity there (Record.Entity is the entity itself) and
+// nil at each free slot, so the entity and its record are installed and
+// replaced together.
 type shard struct {
-	mu       sync.RWMutex
-	records  map[string]*evalengine.Record
-	blocks   matching.BlockIndex
-	compiled *evalengine.Compiled
-	// earlyExits points at the owning index's counter.
-	earlyExits *atomic.Int64
+	mu      sync.RWMutex
+	blocks  matching.BlockIndex
+	records []*evalengine.Record
 }
 
 // NewSharded returns an empty index with the given shard count (≤ 0 means
@@ -108,15 +107,9 @@ func NewSharded(r *rule.Rule, shards int, opts matching.Options) *ShardedIndex {
 	if opts.Blocker == nil {
 		opts.Blocker = matching.TokenBlocking()
 	}
-	compiled := evalengine.Compile(r)
-	ix := &ShardedIndex{rule: r, compiled: compiled, opts: opts, shards: make([]*shard, shards)}
+	ix := &ShardedIndex{rule: r, compiled: evalengine.Compile(r), opts: opts, shards: make([]*shard, shards)}
 	for i := range ix.shards {
-		ix.shards[i] = &shard{
-			records:    make(map[string]*evalengine.Record),
-			blocks:     matching.NewBlockIndex(opts.Blocker),
-			compiled:   compiled,
-			earlyExits: &ix.streamEarlyExits,
-		}
+		ix.shards[i] = &shard{blocks: matching.NewBlockIndex(opts.Blocker)}
 	}
 	return ix
 }
@@ -146,11 +139,6 @@ func PartitionOf(id string, parts int) int {
 // pure function of (ID, shard count).
 func (ix *ShardedIndex) shardOf(id string) int {
 	return PartitionOf(id, len(ix.shards))
-}
-
-// shardFor routes an entity ID to its owning shard.
-func (ix *ShardedIndex) shardFor(id string) *shard {
-	return ix.shards[ix.shardOf(id)]
 }
 
 // Add inserts e into the corpus, replacing any entity with the same ID
@@ -208,17 +196,11 @@ type shardOps struct {
 	deletes []string
 }
 
-// partitionBatch resolves a batch to one final op per ID — later upsert
+// partitionOps resolves a batch to one final op per ID — later upsert
 // occurrences win, a delete beats an upsert of the same ID — grouped by
-// the owning shard. Apply and the replay pipeline both start from it, so
-// every write shares one batch semantics.
-func (ix *ShardedIndex) partitionBatch(b Batch) []*shardOps {
-	return partitionOps(b, len(ix.shards))
-}
-
-// partitionOps is partitionBatch for an arbitrary partition count —
-// shared with SplitBatch so in-process sharding and cross-node routing
-// resolve a batch identically. Only touched partitions get a group, in
+// PartitionOf(id, parts). Apply, the replay pipeline and SplitBatch all
+// start from it, so every write, in-process or routed across nodes,
+// shares one batch semantics. Only touched partitions get a group, in
 // first-touch order.
 func partitionOps(b Batch, parts int) []*shardOps {
 	byPart := make([]*shardOps, parts)
@@ -281,11 +263,12 @@ func SplitBatch(b Batch, parts int) map[int]Batch {
 // and reports the distinct upserts and deletes performed. The fresh
 // versions' scoring records are built before the lock is taken: records
 // are pure functions of the entity, so building them needs no shard
-// state. It is the only code that writes a shard's record map, block
-// index and the entity count, so those three stay in lockstep by
-// construction; its callers are Apply and the replay pipeline. Callers
-// may run it concurrently for different shards; per shard it is atomic
-// with respect to queries.
+// state. It is the only code that writes a shard's records, block index
+// and the entity count, so those three stay in lockstep by construction:
+// a freed slot's record is dropped and a taken slot's installed in the
+// same critical section. Its callers are Apply and the replay pipeline.
+// Callers may run it concurrently for different shards; per shard it is
+// atomic with respect to queries.
 func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 	sh := ix.shards[g.part]
 	fresh := g.upserts[:0]
@@ -298,32 +281,28 @@ func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var olds []*entity.Entity
-	seenDel := make(map[string]struct{}, len(g.deletes))
-	for _, id := range g.deletes {
-		if _, dup := seenDel[id]; dup {
-			continue
-		}
-		seenDel[id] = struct{}{}
-		if old, ok := sh.records[id]; ok {
-			olds = append(olds, old.Entity())
-			delete(sh.records, id)
-			deleted++
-			ix.count.Add(-1)
-		}
-	}
+	// Deleted and replaced versions leave in one BulkRemove; the two ID
+	// sets are disjoint, because a delete beats an upsert of the same ID.
+	gone := append(make([]string, 0, len(g.deletes)+len(fresh)), g.deletes...)
+	replaced := 0
 	for _, e := range fresh {
-		if old, ok := sh.records[e.ID]; ok {
-			olds = append(olds, old.Entity())
-		} else {
-			ix.count.Add(1)
+		if _, ok := sh.blocks.Slot(e.ID); ok {
+			gone = append(gone, e.ID)
+			replaced++
 		}
 	}
-	sh.blocks.BulkRemove(olds)
-	for i, e := range fresh {
-		sh.records[e.ID] = recs[i]
+	freed := sh.blocks.BulkRemove(gone)
+	for _, s := range freed {
+		sh.records[s] = nil
 	}
-	sh.blocks.BulkAdd(fresh)
+	for i, s := range sh.blocks.BulkAdd(fresh) {
+		for int(s) >= len(sh.records) {
+			sh.records = append(sh.records, nil)
+		}
+		sh.records[s] = recs[i]
+	}
+	deleted = len(freed) - replaced
+	ix.count.Add(int64(len(fresh) - replaced - deleted))
 	return len(fresh), deleted
 }
 
@@ -339,7 +318,7 @@ func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 // there is no barrier, so a racing query may see it in some shards first
 // (see the isolation notes on ShardedIndex).
 func (ix *ShardedIndex) Apply(b Batch) ApplyResult {
-	groups := ix.partitionBatch(b)
+	groups := partitionOps(b, len(ix.shards))
 	var upserted, deleted atomic.Int64
 	parallel(len(groups), func(i int) {
 		u, d := ix.applyShardOps(groups[i])
@@ -364,13 +343,27 @@ func (ix *ShardedIndex) Len() int { return int(ix.count.Load()) }
 // Get returns the stored entity with the given ID, or nil. The returned
 // entity must not be mutated (use Update with a fresh value).
 func (ix *ShardedIndex) Get(id string) *entity.Entity {
-	sh := ix.shardFor(id)
+	sh := ix.shards[ix.shardOf(id)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if r := sh.records[id]; r != nil {
-		return r.Entity()
+	if s, ok := sh.blocks.Slot(id); ok {
+		return sh.records[s].Entity()
 	}
 	return nil
+}
+
+// entities returns the shard's stored entities in slot order, read under
+// its read lock.
+func (sh *shard) entities() []*entity.Entity {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	out := make([]*entity.Entity, 0, sh.blocks.Len())
+	for _, r := range sh.records {
+		if r != nil {
+			out = append(out, r.Entity())
+		}
+	}
+	return out
 }
 
 // Entities returns a snapshot of the corpus sorted by ID. Each shard is
@@ -378,11 +371,7 @@ func (ix *ShardedIndex) Get(id string) *entity.Entity {
 func (ix *ShardedIndex) Entities() []*entity.Entity {
 	out := make([]*entity.Entity, 0, ix.Len())
 	for _, sh := range ix.shards {
-		sh.mu.RLock()
-		for _, r := range sh.records {
-			out = append(out, r.Entity())
-		}
-		sh.mu.RUnlock()
+		out = append(out, sh.entities()...)
 	}
 	matching.SortByID(out)
 	return out
@@ -399,46 +388,34 @@ func (ix *ShardedIndex) Stats() Stats {
 	}
 	for i, sh := range ix.shards {
 		sh.mu.RLock()
-		st.Entities += len(sh.records)
+		st.Entities += sh.blocks.Len()
 		st.Keys += sh.blocks.Keys()
-		st.ShardEntities[i] = len(sh.records)
+		st.ShardEntities[i] = sh.blocks.Len()
 		sh.mu.RUnlock()
 	}
 	return st
 }
 
-// shardMaxBlockCfg translates Options.MaxBlockSize into the per-shard
-// cap configuration: an explicit cap M > 0 becomes ⌈M/N⌉ per shard (a
-// key over-represented in the corpus is over-represented in each ~1/N
-// partition, so proportional caps preserve stop-token suppression
-// instead of letting every global stop block slip under the cap in all N
-// shards), 0 stays 0 (each shard derives its cap from its own partition
-// size, exactly like a single-shard index over that partition), and
-// negative stays negative (uncapped).
-func (ix *ShardedIndex) shardMaxBlockCfg() int {
-	m := ix.opts.MaxBlockSize
-	if m <= 0 {
-		return m
-	}
-	return (m + len(ix.shards) - 1) / len(ix.shards)
-}
-
-// effectiveMaxBlock resolves the shard's cap for one probe under the
-// shard lock, as matching.Options.normalize does, with the shard's
-// partition (minus the probe's own record) as the B source.
-func (sh *shard) effectiveMaxBlock(probe *entity.Entity, cfg int) int {
-	switch {
-	case cfg > 0:
-		return cfg
-	case cfg < 0:
+// maxBlock resolves Options.MaxBlockSize into shard sh's cap for one
+// probe, under the shard lock. An explicit cap M > 0 becomes ⌈M/N⌉ per
+// shard (a key over-represented in the corpus is over-represented in
+// each ~1/N partition, so proportional caps preserve stop-token
+// suppression instead of letting every global stop block slip under the
+// cap in all N shards). 0 derives the cap as matching.Options.normalize
+// does, from the shard's partition minus the probe's own record: exactly
+// like a single-shard index over that partition. Negative is uncapped.
+func (ix *ShardedIndex) maxBlock(sh *shard, probe *entity.Entity) int {
+	switch m := ix.opts.MaxBlockSize; {
+	case m > 0:
+		return (m + len(ix.shards) - 1) / len(ix.shards)
+	case m < 0:
 		return 0 // BlockIndex treats ≤0 as uncapped
-	default:
-		n := len(sh.records)
-		if _, ok := sh.records[probe.ID]; ok {
-			n--
-		}
-		return matching.DefaultMaxBlockSize(n)
 	}
+	n := sh.blocks.Len()
+	if _, ok := sh.blocks.Slot(probe.ID); ok {
+		n--
+	}
+	return matching.DefaultMaxBlockSize(n)
 }
 
 // Candidates returns the indexed entities blocking proposes for the
@@ -448,13 +425,12 @@ func (sh *shard) effectiveMaxBlock(probe *entity.Entity, cfg int) int {
 // than one shard the result is the union of the per-shard candidate sets
 // (see the candidate-semantics notes on ShardedIndex).
 func (ix *ShardedIndex) Candidates(probe *entity.Entity) []*entity.Entity {
-	cfg := ix.shardMaxBlockCfg()
 	perShard := make([][]*entity.Entity, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
 		sh := ix.shards[i]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		perShard[i] = sh.blocks.Candidates(probe, sh.effectiveMaxBlock(probe, cfg))
+		perShard[i] = sh.blocks.Candidates(probe, ix.maxBlock(sh, probe))
 	})
 	var out []*entity.Entity
 	for _, cands := range perShard {
@@ -473,11 +449,10 @@ func (ix *ShardedIndex) Candidates(probe *entity.Entity) []*entity.Entity {
 // through matching.ScoreCandidates, the loop batch matching runs too,
 // keeping its best k, and MergeTopK merges the per-shard winners.
 func (ix *ShardedIndex) Query(probe *entity.Entity, k int) []matching.Link {
-	cfg := ix.shardMaxBlockCfg()
 	rec := ix.compiled.Record(probe)
 	perShard := make([][]matching.Link, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
-		perShard[i] = ix.shards[i].query(rec, k, cfg, ix.opts.Threshold)
+		perShard[i] = ix.query(ix.shards[i], rec, k)
 	})
 	return MergeTopK(perShard, k)
 }
@@ -515,23 +490,23 @@ func MergeTopK(perShard [][]matching.Link, k int) []matching.Link {
 // shard lock at a time. Every shard scores against the home shard's
 // stored record of the probe.
 func (ix *ShardedIndex) QueryID(id string, k int) ([]matching.Link, bool) {
-	cfg := ix.shardMaxBlockCfg()
 	hi := ix.shardOf(id)
 	home := ix.shards[hi]
 	home.mu.RLock()
-	probe := home.records[id]
-	if probe == nil {
+	s, ok := home.blocks.Slot(id)
+	if !ok {
 		home.mu.RUnlock()
 		return nil, false
 	}
+	probe := home.records[s]
 	perShard := make([][]matching.Link, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
 		if i != hi {
-			perShard[i] = ix.shards[i].query(probe, k, cfg, ix.opts.Threshold)
+			perShard[i] = ix.query(ix.shards[i], probe, k)
 			return
 		}
 		defer home.mu.RUnlock()
-		perShard[i] = home.queryLocked(probe, k, cfg, ix.opts.Threshold)
+		perShard[i] = ix.queryLocked(home, probe, k)
 	})
 	return MergeTopK(perShard, k), true
 }
@@ -561,24 +536,24 @@ func parallel(n int, f func(i int)) {
 	wg.Wait()
 }
 
-// query answers one shard's share of a Query under the shard read lock,
+// query answers shard sh's share of a Query under its read lock,
 // returning its top-k links (all links above the threshold for k ≤ 0).
-func (sh *shard) query(probe *evalengine.Record, k, maxBlockCfg int, threshold float64) []matching.Link {
+func (ix *ShardedIndex) query(sh *shard, probe *evalengine.Record, k int) []matching.Link {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.queryLocked(probe, k, maxBlockCfg, threshold)
+	return ix.queryLocked(sh, probe, k)
 }
 
 // queryLocked is query with the shard lock already held: the shard's
-// block index and stored records go through matching.ScoreCandidates,
-// the one candidate-scoring loop, which keeps the shard's top k (every
-// link for k ≤ 0). A probe whose bound already misses the threshold
-// enumerates nothing and counts as an early exit. Results are exactly
-// those of scoring every materialized candidate (Candidates).
-func (sh *shard) queryLocked(probe *evalengine.Record, k, maxBlockCfg int, threshold float64) []matching.Link {
-	links, scored := matching.ScoreCandidates(sh.compiled, probe, sh.blocks, sh.effectiveMaxBlock(probe.Entity(), maxBlockCfg), sh.records, threshold, k)
+// block index and records go through matching.ScoreCandidates, the one
+// candidate-scoring loop, which keeps the shard's top k (every link for
+// k ≤ 0). A probe whose bound already misses the threshold enumerates
+// nothing and counts as an early exit. Results are exactly those of
+// scoring every materialized candidate (Candidates).
+func (ix *ShardedIndex) queryLocked(sh *shard, probe *evalengine.Record, k int) []matching.Link {
+	links, scored := matching.ScoreCandidates(ix.compiled, probe, sh.blocks, ix.maxBlock(sh, probe.Entity()), sh.records, ix.opts.Threshold, k)
 	if !scored {
-		sh.earlyExits.Add(1)
+		ix.streamEarlyExits.Add(1)
 	}
 	return links
 }

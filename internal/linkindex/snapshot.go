@@ -93,12 +93,7 @@ func (ix *ShardedIndex) buildSnapshot() *snapshotCapture {
 		sections: make([]snapshotSection, len(ix.shards)),
 	}
 	for i, sh := range ix.shards {
-		sh.mu.RLock()
-		ents := make([]*entity.Entity, 0, len(sh.records))
-		for _, r := range sh.records {
-			ents = append(ents, r.Entity())
-		}
-		sh.mu.RUnlock()
+		ents := sh.entities()
 		matching.SortByID(ents)
 		snap.sections[i] = snapshotSection{Shard: i, Entities: ents}
 	}

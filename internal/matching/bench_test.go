@@ -57,10 +57,14 @@ func BenchmarkBlockIndexWrite(b *testing.B) {
 			cur, next := append([]*entity.Entity(nil), live...), append([]*entity.Entity(nil), alt...)
 			bi.BulkAdd(cur)
 			off := 0
+			ids := make([]string, batch)
 			b.ReportAllocs()
 			for b.Loop() {
 				olds, news := cur[off:off+batch], next[off:off+batch]
-				bi.BulkRemove(olds)
+				for i, e := range olds {
+					ids[i] = e.ID
+				}
+				bi.BulkRemove(ids)
 				bi.BulkAdd(news)
 				for i := range olds {
 					olds[i], news[i] = news[i], olds[i]

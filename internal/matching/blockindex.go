@@ -10,7 +10,7 @@ import (
 
 // BlockIndex is the mutable form of a Blocker: instead of proposing
 // candidate pairs for two fixed sources, it maintains per-entity index
-// structures under Add/Remove and answers Candidates for one probe entity
+// structures under writes and answers Candidates for one probe entity
 // at a time. Every Blocker builds one (NewBlockIndex); batch matching
 // bulk-loads B into one and probes it with every A entity, and
 // internal/linkindex keeps one per shard.
@@ -23,6 +23,10 @@ import (
 // therefore never candidates, and an indexed probe does not inflate its
 // own block sizes or occupy a slot of its own sorted-neighborhood window.
 //
+// Each indexed entity holds an int32 slot of the index's one entity
+// table: Each yields candidates as slots, and a caller keeping per-entity
+// data (a shard's scoring records) keeps it in a slice indexed by slot.
+//
 // Keys are sorted: Tokens and qgramCodes return each entity's keys
 // sorted and unique, which is what lets a keyed pass tell by one merge
 // walk which of a probe's blocks hold its own record.
@@ -32,28 +36,18 @@ import (
 type BlockIndex interface {
 	// Add indexes e. The caller guarantees e.ID is not currently indexed.
 	Add(e *entity.Entity)
-	// Remove unindexes e. e must be the same entity value that was added
-	// (the index records its keys at Add time, so an entity mutated after
-	// Add is still removed cleanly).
-	Remove(e *entity.Entity)
 	BulkAdder
-	// BulkRemove has Remove's contract for every element, in one pass
-	// where the structure allows it.
-	BulkRemove(es []*entity.Entity)
+	// BulkRemove unindexes the entities with the given IDs and returns
+	// the slots it freed; IDs not indexed, or listed twice, are skipped.
+	BulkRemove(ids []string) []int32
+	// Slot returns the slot of the indexed entity with the given ID.
+	Slot(id string) (int32, bool)
 	// Candidates returns the indexed entities the strategy pairs with
 	// probe, excluding the probe's own record, sorted by ID. maxBlock > 0
 	// caps key-block sizes (stop-token suppression); ≤ 0 means unlimited.
 	Candidates(probe *entity.Entity, maxBlock int) []*entity.Entity
-	// Each enumerates Candidates(probe, maxBlock) without materializing
-	// it: the structures are read in place, yield is called once per
-	// candidate, in unspecified order, until it returns false; Each
-	// reports whether it ran to completion. IDs already in seen are
-	// skipped and every yielded ID is recorded in it, so a caller passing
-	// one (initially empty) set to several indexes gets their
-	// deduplicated union. yield must not write to the index. Nothing is
-	// copied per block or allocated per candidate
-	// (TestEachAllocsIndependentOfBlockSize).
-	Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool
+	// Enumerator's Each enumerates Candidates(probe, maxBlock) as slots.
+	Enumerator
 	// Len returns the number of indexed entities.
 	Len() int
 	// Keys returns the number of key entries held (diagnostic: tokens,
@@ -63,9 +57,11 @@ type BlockIndex interface {
 
 // BulkAdder is the batch-load half of BlockIndex. BulkAdd has Add's
 // contract for every element (no ID currently indexed, and IDs unique
-// within the batch).
+// within the batch) and returns the slot each took. Freed slots are
+// reused, and new ones are numbered in order: a fresh index loaded in
+// one BulkAdd gives each entity its position in es.
 type BulkAdder interface {
-	BulkAdd(es []*entity.Entity)
+	BulkAdd(es []*entity.Entity) []int32
 }
 
 // NewBlockIndex returns an empty incremental index of the blocker's
@@ -82,9 +78,9 @@ func NewBlockIndex(bl Blocker) BlockIndex {
 // slot, so a write hashes the entity ID once however many passes there
 // are, and the table is the only record of which entities are indexed.
 // A candidate is yielded by the first pass that proposes it; later
-// passes skip it through seen (the multi-pass union). A write tokenizes
-// each entity once and a query its probe once, and every pass reads that
-// one slice.
+// passes skip its slot through seen (the multi-pass union). A write
+// tokenizes each entity once and a query its probe once, and every pass
+// reads that one slice.
 type blockIndex struct {
 	slotOf map[string]int32
 	ents   []*entity.Entity
@@ -104,7 +100,7 @@ type pass interface {
 	// each is Each for this pass; toks is the probe's Tokens and self is
 	// the slot of the probe's own record, or -1 when probe.ID is not
 	// indexed.
-	each(x *blockIndex, probe *entity.Entity, toks []string, self int32, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool
+	each(x *blockIndex, probe *entity.Entity, toks []string, self int32, maxBlock int, seen *SlotSet, yield func(slot int32) bool) bool
 	// keys counts the key entries held.
 	keys() int
 }
@@ -112,12 +108,9 @@ type pass interface {
 // Add implements BlockIndex.
 func (x *blockIndex) Add(e *entity.Entity) { x.BulkAdd([]*entity.Entity{e}) }
 
-// Remove implements BlockIndex.
-func (x *blockIndex) Remove(e *entity.Entity) { x.BulkRemove([]*entity.Entity{e}) }
-
 // BulkAdd implements BlockIndex: every entity takes a slot and is
 // tokenized once, then every pass indexes the new slots at once.
-func (x *blockIndex) BulkAdd(es []*entity.Entity) {
+func (x *blockIndex) BulkAdd(es []*entity.Entity) []int32 {
 	slots := make([]int32, len(es))
 	for i, e := range es {
 		if n := len(x.free); n > 0 {
@@ -136,16 +129,16 @@ func (x *blockIndex) BulkAdd(es []*entity.Entity) {
 	for _, p := range x.passes {
 		p.add(x, slots, toks)
 	}
+	return slots
 }
 
 // BulkRemove implements BlockIndex: every pass unindexes the entities'
-// slots at once, then the table frees them. IDs not indexed (or listed
-// twice) are skipped.
-func (x *blockIndex) BulkRemove(es []*entity.Entity) {
-	slots := make([]int32, 0, len(es))
-	for _, e := range es {
-		if s, ok := x.slotOf[e.ID]; ok {
-			delete(x.slotOf, e.ID)
+// slots at once, then the table frees them.
+func (x *blockIndex) BulkRemove(ids []string) []int32 {
+	slots := make([]int32, 0, len(ids))
+	for _, id := range ids {
+		if s, ok := x.slotOf[id]; ok {
+			delete(x.slotOf, id)
 			slots = append(slots, s)
 		}
 	}
@@ -156,13 +149,20 @@ func (x *blockIndex) BulkRemove(es []*entity.Entity) {
 		x.ents[s] = nil
 	}
 	x.free = append(x.free, slots...)
+	return slots
+}
+
+// Slot implements BlockIndex.
+func (x *blockIndex) Slot(id string) (int32, bool) {
+	s, ok := x.slotOf[id]
+	return s, ok
 }
 
 // Candidates implements BlockIndex: Each, collected and sorted.
 func (x *blockIndex) Candidates(probe *entity.Entity, maxBlock int) []*entity.Entity {
 	var out []*entity.Entity
-	x.Each(probe, maxBlock, make(map[string]struct{}), func(e *entity.Entity) bool {
-		out = append(out, e)
+	x.Each(probe, maxBlock, new(SlotSet), func(s int32) bool {
+		out = append(out, x.ents[s])
 		return true
 	})
 	SortByID(out)
@@ -172,7 +172,7 @@ func (x *blockIndex) Candidates(probe *entity.Entity, maxBlock int) []*entity.En
 // Each implements BlockIndex: the probe tokenized once, then the passes
 // in order, sharing seen, so each candidate is yielded once however many
 // passes propose it.
-func (x *blockIndex) Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+func (x *blockIndex) Each(probe *entity.Entity, maxBlock int, seen *SlotSet, yield func(slot int32) bool) bool {
 	self := int32(-1)
 	if s, ok := x.slotOf[probe.ID]; ok {
 		self = s
@@ -198,14 +198,33 @@ func (x *blockIndex) Keys() int {
 	return n
 }
 
-// visit is the tail of every pass's each: skip a candidate already in
-// seen, record and yield the others. It reports whether to go on.
-func visit(e *entity.Entity, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
-	if _, dup := seen[e.ID]; dup {
-		return true
+// SlotSet is the seen set Each deduplicates candidates through: a bitset
+// over slots that also lists the slots it holds, so Clear zeroes only
+// the words they set, O(members) however many slots the table has. The
+// zero value is an empty set.
+type SlotSet struct {
+	bits    []uint64
+	members []int32
+}
+
+// Add inserts slot s and reports whether it was not yet in the set.
+func (ss *SlotSet) Add(s int32) bool {
+	w, bit := int(s>>6), uint64(1)<<(s&63)
+	ss.bits = grown(ss.bits, w+1)
+	if ss.bits[w]&bit != 0 {
+		return false
 	}
-	seen[e.ID] = struct{}{}
-	return yield(e)
+	ss.bits[w] |= bit
+	ss.members = append(ss.members, s)
+	return true
+}
+
+// Clear empties the set.
+func (ss *SlotSet) Clear() {
+	for _, s := range ss.members {
+		ss.bits[s>>6] = 0
+	}
+	ss.members = ss.members[:0]
 }
 
 // grown extends s with zero values to length n.
@@ -286,7 +305,7 @@ func (p *keyedPass[K]) remove(_ *blockIndex, slots []int32) {
 // CapAllows policy): both the probe's keys and the keys recorded for
 // its slot are sorted, so one merge walk tells which blocks hold that
 // record, and the record itself is skipped by its slot.
-func (p *keyedPass[K]) each(x *blockIndex, _ *entity.Entity, toks []string, self int32, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+func (p *keyedPass[K]) each(_ *blockIndex, _ *entity.Entity, toks []string, self int32, maxBlock int, seen *SlotSet, yield func(slot int32) bool) bool {
 	var selfKeys []K
 	if self >= 0 {
 		selfKeys = p.slots[self].keys
@@ -304,7 +323,7 @@ func (p *keyedPass[K]) each(x *blockIndex, _ *entity.Entity, toks []string, self
 			continue
 		}
 		for _, s := range list {
-			if s != self && !visit(x.ents[s], seen, yield) {
+			if s != self && seen.Add(s) && !yield(s) {
 				return false
 			}
 		}
@@ -428,7 +447,7 @@ func (p *snPass) remove(x *blockIndex, slots []int32) {
 // computed on the list without it (found by the key recorded for its
 // slot, not the probe's), so the probe neither pairs with itself nor
 // eats one of its own 2·w window slots.
-func (p *snPass) each(x *blockIndex, probe *entity.Entity, toks []string, self int32, _ int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+func (p *snPass) each(x *blockIndex, probe *entity.Entity, toks []string, self int32, _ int, seen *SlotSet, yield func(slot int32) bool) bool {
 	pos := p.lowerBound(x, p.sortKey(probe, toks), probe.ID)
 	selfPos, m := -1, len(p.recs)
 	if self >= 0 {
@@ -442,7 +461,7 @@ func (p *snPass) each(x *blockIndex, probe *entity.Entity, toks []string, self i
 		if selfPos >= 0 && i >= selfPos {
 			full++
 		}
-		if !visit(x.ents[p.recs[full].s], seen, yield) {
+		if s := p.recs[full].s; seen.Add(s) && !yield(s) {
 			return false
 		}
 	}

@@ -142,7 +142,8 @@ func eachIDs(t *testing.T, bi BlockIndex, probe *entity.Entity, maxBlock, stopAf
 	t.Helper()
 	got := make(map[string]struct{})
 	stopped := false
-	done := bi.Each(probe, maxBlock, make(map[string]struct{}), func(e *entity.Entity) bool {
+	done := bi.Each(probe, maxBlock, new(SlotSet), func(s int32) bool {
+		e := bi.(*blockIndex).ents[s]
 		if stopped {
 			t.Fatalf("probe %s: Each yielded %s after yield returned false", probe.ID, e.ID)
 		}
@@ -204,14 +205,13 @@ func TestDifferentialStreamVsMaterialize(t *testing.T) {
 						survivors[id] = e
 					case rng.Float64() < 0.5:
 						id := ids[rng.Intn(len(ids))]
-						old := survivors[id]
 						e := diffEntity(rng, id)
-						bi.Remove(old)
+						bi.BulkRemove([]string{id})
 						bi.Add(e)
 						survivors[id] = e
 					default:
 						id := ids[rng.Intn(len(ids))]
-						bi.Remove(survivors[id])
+						bi.BulkRemove([]string{id})
 						delete(survivors, id)
 					}
 					checkIndexInvariants(t, bi, len(survivors))
@@ -389,7 +389,7 @@ func TestBulkAddKeysPerEntity(t *testing.T) {
 	}
 }
 
-// TestRemoveAfterMutation pins Remove's contract: it unindexes the keys
+// TestRemoveAfterMutation pins BulkRemove's contract: it unindexes the keys
 // recorded at Add time, so an entity whose properties were mutated in
 // place after Add still leaves no trace — no entity, no key, and no
 // candidate for a probe carrying the old values.
@@ -409,7 +409,7 @@ func TestRemoveAfterMutation(t *testing.T) {
 			}
 			e.Set("name", "kernel query")
 			delete(e.Properties, "title")
-			bi.Remove(e)
+			bi.BulkRemove([]string{e.ID})
 			if bi.Len() != 0 || bi.Keys() != 0 {
 				t.Fatalf("after removal: Len() = %d, Keys() = %d, want 0 and 0", bi.Len(), bi.Keys())
 			}
@@ -451,10 +451,10 @@ func TestEachAllocsIndependentOfBlockSize(t *testing.T) {
 			e.Add("name", "shared network analysis")
 			bi.Add(e)
 		}
-		seen := make(map[string]struct{})
-		yield := func(*entity.Entity) bool { yielded++; return true }
+		seen := new(SlotSet)
+		yield := func(int32) bool { yielded++; return true }
 		perRun = testing.AllocsPerRun(10, func() {
-			clear(seen)
+			seen.Clear()
 			yielded = 0
 			bi.Each(probe, -1, seen, yield)
 		})

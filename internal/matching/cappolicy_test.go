@@ -196,8 +196,8 @@ func candidateIDs(es []*entity.Entity) []string {
 
 func eachIDSet(bi BlockIndex, probe *entity.Entity, maxBlock int) []string {
 	var out []string
-	bi.Each(probe, maxBlock, make(map[string]struct{}), func(e *entity.Entity) bool {
-		out = append(out, e.ID)
+	bi.Each(probe, maxBlock, new(SlotSet), func(s int32) bool {
+		out = append(out, bi.(*blockIndex).ents[s].ID)
 		return true
 	})
 	sort.Strings(out)

@@ -222,23 +222,24 @@ func FuzzCandidateStream(f *testing.F) {
 			}
 			switch op % 8 {
 			case 0, 1: // add or replace
-				if old, ok := survivors[id]; ok {
-					bi.Remove(old)
+				if _, ok := survivors[id]; ok {
+					bi.BulkRemove([]string{id})
 				}
 				e := fuzzEntity(id, arg)
 				bi.Add(e)
 				survivors[id] = e
 			case 2: // remove
-				if old, ok := survivors[id]; ok {
-					bi.Remove(old)
+				if _, ok := survivors[id]; ok {
+					bi.BulkRemove([]string{id})
 					delete(survivors, id)
 				}
 			case 6: // BulkAdd a group of new or replaced IDs, as Apply does
-				var olds, news []*entity.Entity
+				var olds []string
+				var news []*entity.Entity
 				for _, sel := range group {
 					e := fuzzEntity(fmt.Sprintf("e%d", int(sel)%8), sel)
-					if old, ok := survivors[e.ID]; ok {
-						olds = append(olds, old)
+					if _, ok := survivors[e.ID]; ok {
+						olds = append(olds, e.ID)
 					}
 					news = append(news, e)
 					survivors[e.ID] = e
@@ -246,11 +247,11 @@ func FuzzCandidateStream(f *testing.F) {
 				bi.BulkRemove(olds)
 				bi.BulkAdd(news)
 			case 7: // BulkRemove a group
-				var olds []*entity.Entity
+				var olds []string
 				for _, sel := range group {
 					gid := fmt.Sprintf("e%d", int(sel)%8)
-					if old, ok := survivors[gid]; ok {
-						olds = append(olds, old)
+					if _, ok := survivors[gid]; ok {
+						olds = append(olds, gid)
 						delete(survivors, gid)
 					}
 				}

@@ -30,8 +30,8 @@
 // group of MatchPairs, and each shard's share of a service query. It
 // binds the probe's record once (Compiled.Bind), enumerates nothing when
 // the probe's bound (Probe.Upper) is below the threshold, deduplicates
-// the candidates through one seen set, scores each one's record
-// (evalengine.Record, built once per B entity and looked up by ID) only
+// the candidates by slot through one pooled bitset, scores each one's
+// record (evalengine.Record, built once per B entity, held by slot) only
 // as far as the threshold or the k-th best link needs, and keeps the
 // links in one bounded heap. So batch matching never materializes the
 // global pair list — memory is O(per-entity candidates) beyond B — and
@@ -133,18 +133,25 @@ func Match(r *rule.Rule, a, b *entity.Source, opts Options) []Link {
 // Each run of pairs with the same A entity (CandidatePairs groups them
 // so) is one probe of ScoreCandidates, the loop Match runs, over that
 // run's B sides; a B ID repeated within a run is scored once. The rule
-// is compiled once and every B entity's scoring record is built once,
-// keyed by ID as everywhere: one version per ID.
+// is compiled once and every B ID gets one slot, numbered in first-seen
+// order, holding the scoring record of its first-seen version: one
+// version per ID, as everywhere.
 func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
 	if opts.Threshold == 0 {
 		opts.Threshold = rule.MatchThreshold
 	}
 	c := evalengine.Compile(r)
-	rbs := make(map[string]*evalengine.Record)
-	for _, p := range pairs {
-		if _, ok := rbs[p.B.ID]; !ok {
-			rbs[p.B.ID] = c.Record(p.B)
+	slotOf := make(map[string]int32)
+	var rbs []*evalengine.Record
+	slots := make(pairGroup, len(pairs)) // slots[i] is pairs[i].B's
+	for i, p := range pairs {
+		s, ok := slotOf[p.B.ID]
+		if !ok {
+			s = int32(len(rbs))
+			slotOf[p.B.ID] = s
+			rbs = append(rbs, c.Record(p.B))
 		}
+		slots[i] = s
 	}
 	var perA [][]Link
 	for lo := 0; lo < len(pairs); {
@@ -152,7 +159,7 @@ func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
 		for hi < len(pairs) && pairs[hi].A == pairs[lo].A {
 			hi++
 		}
-		links, _ := ScoreCandidates(c, probeRecord(c, rbs, pairs[lo].A), pairGroup(pairs[lo:hi]), 0, rbs, opts.Threshold, 0)
+		links, _ := ScoreCandidates(c, probeRecord(c, rbs, slotOf, pairs[lo].A), slots[lo:hi], 0, rbs, opts.Threshold, 0)
 		perA = append(perA, links)
 		lo = hi
 	}
@@ -160,16 +167,12 @@ func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
 }
 
 // pairGroup is one A entity's run of MatchPairs' pairs, enumerated as
-// the candidates of that A entity.
-type pairGroup []Pair
+// the candidates of that A entity: the slots of the pairs' B sides.
+type pairGroup []int32
 
-func (g pairGroup) Each(_ *entity.Entity, _ int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
-	for _, p := range g {
-		if _, dup := seen[p.B.ID]; dup {
-			continue
-		}
-		seen[p.B.ID] = struct{}{}
-		if !yield(p.B) {
+func (g pairGroup) Each(_ *entity.Entity, _ int, seen *SlotSet, yield func(slot int32) bool) bool {
+	for _, s := range g {
+		if seen.Add(s) && !yield(s) {
 			return false
 		}
 	}
@@ -178,10 +181,11 @@ func (g pairGroup) Each(_ *entity.Entity, _ int, seen map[string]struct{}, yield
 
 // probeRecord returns the record an A entity probes with: its B record
 // when the entity is itself in B (a self-join), as QueryID probes with
-// the stored record, and a fresh one otherwise.
-func probeRecord(c *evalengine.Compiled, rbs map[string]*evalengine.Record, ea *entity.Entity) *evalengine.Record {
-	if rec := rbs[ea.ID]; rec != nil && rec.Entity() == ea {
-		return rec
+// the stored record, and a fresh one otherwise. slotOf maps B's IDs to
+// their slots in rbs.
+func probeRecord(c *evalengine.Compiled, rbs []*evalengine.Record, slotOf map[string]int32, ea *entity.Entity) *evalengine.Record {
+	if s, ok := slotOf[ea.ID]; ok && rbs[s].Entity() == ea {
+		return rbs[s]
 	}
 	return c.Record(ea)
 }
@@ -204,7 +208,8 @@ func merged(perA [][]Link) []Link {
 // scores every pair in full (floor −Inf), so it stays the unbounded
 // reference the blocking differentials compare against.
 func MatchCartesian(r *rule.Rule, a, b *entity.Source, opts Options) []Link {
-	as, bs := uniqueEntities(a.Entities), uniqueEntities(b.Entities)
+	as, _ := uniqueEntities(a.Entities)
+	bs, _ := uniqueEntities(b.Entities)
 	opts.normalize(len(bs))
 	c := evalengine.Compile(r)
 	rbs := make([]*evalengine.Record, len(bs))

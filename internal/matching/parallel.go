@@ -14,12 +14,13 @@ import (
 // no materialized pair list to partition. Each A entity is one probe of
 // ScoreCandidates, so its candidate enumeration and deduplication stay
 // within one worker and need no cross-worker state. B's scoring records
-// are built once, before the fan-out, keyed by ID, and shared read-only
-// by the workers (probeRecord). Results are identical for every worker
-// count: rule evaluation is pure and the per-entity links are merged in
-// A's order and sorted.
+// are built once, before the fan-out, by the slots the enumerator yields
+// (positions in B), and shared read-only by the workers (probeRecord).
+// Results are identical for every worker count: rule evaluation is pure
+// and the per-entity links are merged in A's order and sorted.
 func MatchParallel(r *rule.Rule, a, b *entity.Source, opts Options, workers int) []Link {
-	eas, ebs := uniqueEntities(a.Entities), uniqueEntities(b.Entities)
+	eas, _ := uniqueEntities(a.Entities)
+	ebs, slotOf := uniqueEntities(b.Entities)
 	opts.normalize(len(ebs))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -27,9 +28,9 @@ func MatchParallel(r *rule.Rule, a, b *entity.Source, opts Options, workers int)
 	workers = max(min(workers, len(eas)), 1)
 	en := newEnumerator(opts.Blocker, eas, ebs)
 	c := evalengine.Compile(r)
-	rbs := make(map[string]*evalengine.Record, len(ebs))
-	for _, eb := range ebs {
-		rbs[eb.ID] = c.Record(eb)
+	rbs := make([]*evalengine.Record, len(ebs))
+	for s, eb := range ebs {
+		rbs[s] = c.Record(eb)
 	}
 	perA := make([][]Link, len(eas))
 	chunk := (len(eas) + workers - 1) / workers
@@ -39,7 +40,7 @@ func MatchParallel(r *rule.Rule, a, b *entity.Source, opts Options, workers int)
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				perA[i], _ = ScoreCandidates(c, probeRecord(c, rbs, eas[i]), en, opts.MaxBlockSize, rbs, opts.Threshold, 0)
+				perA[i], _ = ScoreCandidates(c, probeRecord(c, rbs, slotOf, eas[i]), en, opts.MaxBlockSize, rbs, opts.Threshold, 0)
 			}
 		}(lo, min(lo+chunk, len(eas)))
 	}

@@ -8,13 +8,19 @@ import (
 	"genlink/internal/evalengine"
 )
 
-// Enumerator is the Each half of BlockIndex: it pushes a probe's
-// candidates out of whatever structure holds them. Every BlockIndex is
-// one; batch matching adds the merged-order sorted-neighborhood window
-// (snStreamer), its multi-pass union (passes) and MatchPairs' per-A pair
-// groups.
+// Enumerator pushes a probe's candidates out of whatever structure holds
+// them, as slots: a BlockIndex's table slots, or positions in B for batch
+// matching's snStreamer, passes and MatchPairs' per-A pair groups.
 type Enumerator interface {
-	Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool
+	// Each reads the structures in place and calls yield once per
+	// candidate slot, in unspecified order, until yield returns false; it
+	// reports whether it ran to completion. maxBlock > 0 caps key-block
+	// sizes. Slots in seen are skipped and yielded ones added, so one set
+	// passed to several enumerators over the same slots yields their
+	// union once. yield must not write to the index. Nothing is copied
+	// per block or allocated per candidate
+	// (TestEachAllocsIndependentOfBlockSize).
+	Each(probe *entity.Entity, maxBlock int, seen *SlotSet, yield func(slot int32) bool) bool
 }
 
 // ScoreCandidates is the one candidate-scoring loop of rule execution:
@@ -24,50 +30,50 @@ type Enumerator interface {
 // builds its edit-distance patterns) and returns the links of the
 // probe's candidates scoring ≥ threshold: the best k of them when
 // k > 0, every one otherwise, in no particular order. records holds the
-// scoring record of every entity cands can yield, keyed by ID.
+// scoring record of every entity cands can yield, indexed by its slot.
 //
 // The one early exit is before the enumeration starts: a probe whose
 // Upper() bound is below the threshold (it misses the properties of
 // high-weight comparisons) enumerates nothing and reports scored ==
 // false. None can exist inside the enumeration, because the floor is a
 // score and Score ≤ bound ≤ Upper (TestMetamorphicPrefilterSoundness).
-// Each candidate is deduplicated through one seen set and scored only as
-// far as its floor needs: the threshold, raised to the weakest held
-// link's score once k links are held. Probe.Score declines only a
+// Each candidate is deduplicated through one pooled slot set and scored
+// only as far as its floor needs: the threshold, raised to the weakest
+// held link's score once k links are held. Probe.Score declines only a
 // candidate strictly below the floor, and an accepted score is
 // bit-identical to Rule.Evaluate, so the result equals scoring every
 // candidate in full; with k > 0 it is the same set whatever the
 // enumeration order, because the link order is total (SortLinks).
-func ScoreCandidates(c *evalengine.Compiled, probe *evalengine.Record, cands Enumerator, maxBlock int, records map[string]*evalengine.Record, threshold float64, k int) (links []Link, scored bool) {
+func ScoreCandidates(c *evalengine.Compiled, probe *evalengine.Record, cands Enumerator, maxBlock int, records []*evalengine.Record, threshold float64, k int) (links []Link, scored bool) {
 	p := c.Bind(probe)
 	if p.Upper() < threshold {
 		return nil, false
 	}
-	seen := seenPool.Get().(map[string]struct{})
+	seen := slotSets.Get().(*SlotSet)
 	defer func() {
-		clear(seen)
-		seenPool.Put(seen)
+		seen.Clear()
+		slotSets.Put(seen)
 	}()
 	pe := probe.Entity()
 	h := topK{k: k, links: make([]Link, 0, min(max(k, 0), 16))}
-	cands.Each(pe, maxBlock, seen, func(cand *entity.Entity) bool {
+	cands.Each(pe, maxBlock, seen, func(s int32) bool {
 		floor := threshold
 		if k > 0 && len(h.links) == k {
 			floor = max(floor, h.links[0].Score)
 		}
-		if score, ok := p.Score(records[cand.ID], floor); ok && score >= threshold {
-			h.push(Link{AID: pe.ID, BID: cand.ID, Score: score})
+		rec := records[s]
+		if score, ok := p.Score(rec, floor); ok && score >= threshold {
+			h.push(Link{AID: pe.ID, BID: rec.Entity().ID, Score: score})
 		}
 		return true
 	})
 	return h.links, true
 }
 
-// seenPool recycles the per-probe dedup sets Each is handed. A probe's
-// seen set grows to its candidate count, so allocating one per probe
-// would dominate the query path's allocations; pooling makes the map a
+// slotSets recycles the per-probe slot sets Each is handed: a set grows
+// to its probe's candidate count and highest slot, so pooling makes it a
 // steady-state cost. Whoever draws a set clears it before giving it back.
-var seenPool = sync.Pool{New: func() any { return make(map[string]struct{}) }}
+var slotSets = sync.Pool{New: func() any { return new(SlotSet) }}
 
 // weaker reports whether a comes after b in the one link order every
 // result is sorted by: descending score, then ascending AID, then

@@ -40,7 +40,7 @@ type countingEnumerator struct {
 	calls int
 }
 
-func (c *countingEnumerator) Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+func (c *countingEnumerator) Each(probe *entity.Entity, maxBlock int, seen *SlotSet, yield func(slot int32) bool) bool {
 	c.calls++
 	return c.Enumerator.Each(probe, maxBlock, seen, yield)
 }
@@ -81,9 +81,9 @@ func TestBatchProbeBelowThresholdComputesNothing(t *testing.T) {
 		t.Fatalf("untitled probe: %d links, %d edit distances; want none", len(links), edits)
 	}
 	opts.normalize(b.Len())
-	records := make(map[string]*evalengine.Record, b.Len())
-	for _, e := range b.Entities {
-		records[e.ID] = c.Record(e)
+	records := make([]*evalengine.Record, b.Len())
+	for s, e := range b.Entities {
+		records[s] = c.Record(e)
 	}
 	en := &countingEnumerator{Enumerator: newEnumerator(opts.Blocker, a.Entities, b.Entities)}
 	if links, scored := ScoreCandidates(c, c.Record(untitled), en, 0, records, opts.Threshold, 0); scored || len(links) != 0 || en.calls != 0 || edits != 0 {

@@ -21,11 +21,11 @@ import (
 // matching service keeps per shard, so batch and online candidates are
 // one implementation. Sorted neighborhood keeps the merged-order window
 // of snStreamer, a different definition (see there). A multi-pass
-// composite unions its members' enumerators through one ID-keyed seen
-// set, exactly as the BlockIndex unions its passes. as and bs hold one
-// entity per ID (uniqueEntities): the index keys entities by ID.
-// The enumerator is immutable once built and safe for concurrent Each
-// calls, which is what lets MatchParallel partition A across workers.
+// composite unions its members' enumerators through one slot set,
+// exactly as the BlockIndex unions its passes. Every enumerator yields a
+// B entity as its position in bs, which holds one entity per ID
+// (uniqueEntities). It is immutable once built and safe for concurrent
+// Each calls, which is what lets MatchParallel partition A across workers.
 func newEnumerator(bl Blocker, as, bs []*entity.Entity) Enumerator {
 	switch blk := bl.(type) {
 	case SortedNeighborhoodBlocker:
@@ -47,7 +47,7 @@ func newEnumerator(bl Blocker, as, bs []*entity.Entity) Enumerator {
 // members propose it.
 type passes []Enumerator
 
-func (ps passes) Each(probe *entity.Entity, maxBlock int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+func (ps passes) Each(probe *entity.Entity, maxBlock int, seen *SlotSet, yield func(slot int32) bool) bool {
 	for _, p := range ps {
 		if !p.Each(probe, maxBlock, seen, yield) {
 			return false
@@ -64,14 +64,15 @@ func (ps passes) Each(probe *entity.Entity, maxBlock int, seen map[string]struct
 // version.
 // CandidatePairs collects exactly this enumeration.
 func StreamPairs(bl Blocker, a, b *entity.Source, opts Options, yield func(Pair)) {
-	as, bs := uniqueEntities(a.Entities), uniqueEntities(b.Entities)
+	as, _ := uniqueEntities(a.Entities)
+	bs, _ := uniqueEntities(b.Entities)
 	opts.normalize(len(bs))
 	en := newEnumerator(bl, as, bs)
-	seen := make(map[string]struct{})
+	seen := new(SlotSet)
 	for _, ea := range as {
-		clear(seen)
-		en.Each(ea, opts.MaxBlockSize, seen, func(eb *entity.Entity) bool {
-			yield(Pair{A: ea, B: eb})
+		seen.Clear()
+		en.Each(ea, opts.MaxBlockSize, seen, func(s int32) bool {
+			yield(Pair{A: ea, B: bs[s]})
 			return true
 		})
 	}
@@ -83,10 +84,9 @@ func StreamPairs(bl Blocker, a, b *entity.Source, opts Options, yield func(Pair)
 // and MatchCartesian link against the same version, a repeat never
 // produces its pairs twice, never counts twice toward a block size and
 // never takes a second sorted-neighborhood window slot. The copy is only
-// taken when a repeat actually exists.
-func uniqueEntities(es []*entity.Entity) []*entity.Entity {
-	at := make(map[string]int, len(es)) // ID → position in the result
-	var out []*entity.Entity            // nil until the first repeat
+// taken when a repeat exists; at maps each ID to its position in out.
+func uniqueEntities(es []*entity.Entity) (out []*entity.Entity, at map[string]int32) {
+	at = make(map[string]int32, len(es)) // out stays nil until the first repeat
 	for i, e := range es {
 		if j, dup := at[e.ID]; dup {
 			if out == nil {
@@ -95,26 +95,27 @@ func uniqueEntities(es []*entity.Entity) []*entity.Entity {
 			out[j] = e
 			continue
 		}
-		at[e.ID] = len(at)
+		at[e.ID] = int32(len(at))
 		if out != nil {
 			out = append(out, e)
 		}
 	}
 	if out == nil {
-		return es
+		return es, at
 	}
-	return out
+	return out, at
 }
 
 // ---------------------------------------------------------------------------
 // Sorted neighborhood over the merged order
 
 // snStreamRec is one record of the sorted-neighborhood streamer's merged
-// order: both sources interleaved, sorted by (key, entity ID).
+// order: both sources interleaved, sorted by (key, entity ID). s is a B
+// record's slot (its position in B) and −1 for an A record.
 type snStreamRec struct {
 	key string
 	e   *entity.Entity
-	isA bool
+	s   int32
 }
 
 // snStreamer is batch sorted-neighborhood: one scan over the merged A∪B
@@ -150,10 +151,10 @@ func newSNStreamer(blk SortedNeighborhoodBlocker, as, bs []*entity.Entity) *snSt
 	key := blk.sortKey()
 	recs := make([]snStreamRec, 0, len(as)+len(bs))
 	for _, e := range as {
-		recs = append(recs, snStreamRec{key: key(e), e: e, isA: true})
+		recs = append(recs, snStreamRec{key: key(e), e: e, s: -1})
 	}
-	for _, e := range bs {
-		recs = append(recs, snStreamRec{key: key(e), e: e, isA: false})
+	for j, e := range bs {
+		recs = append(recs, snStreamRec{key: key(e), e: e, s: int32(j)})
 	}
 	sort.Slice(recs, func(i, j int) bool {
 		if recs[i].key != recs[j].key {
@@ -163,7 +164,7 @@ func newSNStreamer(blk SortedNeighborhoodBlocker, as, bs []*entity.Entity) *snSt
 	})
 	pos := make(map[*entity.Entity]int, len(as))
 	for i, r := range recs {
-		if r.isA {
+		if r.s < 0 {
 			pos[r.e] = i
 		}
 	}
@@ -172,21 +173,17 @@ func newSNStreamer(blk SortedNeighborhoodBlocker, as, bs []*entity.Entity) *snSt
 
 // Each has BlockIndex.Each's contract for an A entity of the merged
 // order; there is no block cap to apply.
-func (s *snStreamer) Each(ea *entity.Entity, _ int, seen map[string]struct{}, yield func(*entity.Entity) bool) bool {
+func (s *snStreamer) Each(ea *entity.Entity, _ int, seen *SlotSet, yield func(slot int32) bool) bool {
 	p, ok := s.posOfA[ea]
 	if !ok {
 		return true
 	}
 	for q := max(p-s.window, 0); q <= min(p+s.window, len(s.recs)-1); q++ {
 		r := s.recs[q]
-		if q == p || r.isA || r.e.ID == ea.ID {
+		if q == p || r.s < 0 || r.e.ID == ea.ID {
 			continue
 		}
-		if _, dup := seen[r.e.ID]; dup {
-			continue
-		}
-		seen[r.e.ID] = struct{}{}
-		if !yield(r.e) {
+		if seen.Add(r.s) && !yield(r.s) {
 			return false
 		}
 	}

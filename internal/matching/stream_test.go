@@ -221,7 +221,8 @@ func pairSet(t *testing.T, ps []Pair) map[Pair]struct{} {
 // uniqueSource is s without repeated entity pointers.
 func uniqueSource(s *entity.Source) *entity.Source {
 	out := entity.NewSource(s.Name)
-	for _, e := range uniqueEntities(s.Entities) {
+	es, _ := uniqueEntities(s.Entities)
+	for _, e := range es {
 		out.Add(e)
 	}
 	return out
