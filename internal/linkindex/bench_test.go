@@ -108,3 +108,75 @@ func BenchmarkQueryCoraRule(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkApplyCoraRule measures the served write path without the HTTP
+// stack or the log, on BenchmarkQueryCoraRule's shapes: the rig's rule,
+// multipass blocking, 2 shards, Cora chunks. load fills an empty index
+// with 10,000 entities in 64-entity Apply batches (one op is the whole
+// load) and reports the heap the loaded index retains per entity
+// (heap-B/entity). update64 replaces 64 stored entities per op with
+// other versions, in one Apply batch, at that size. addremove is one
+// single-op Add and one single-op Remove of an entity not otherwise
+// stored: the in-package half of a single-op write.
+func BenchmarkApplyCoraRule(b *testing.B) {
+	const n, shards, batch = 10000, 2, 64
+	es := coraChunks(n + batch)
+	live, extra := es[:n], es[n:]
+	// alt[i] is a second version of live[i]: another record's values
+	// under live[i]'s ID.
+	alt := make([]*entity.Entity, n)
+	for i, e := range live {
+		v := live[(i+n/2)%n].Clone()
+		v.ID = e.ID
+		alt[i] = v
+	}
+	r := rigCoraRule(similarity.Levenshtein(), similarity.Date())
+	opts := matching.Options{Blocker: matching.BlockerByName("multipass")}
+	load := func() *linkindex.ShardedIndex {
+		ix := linkindex.NewSharded(r, shards, opts)
+		for i := 0; i < n; i += batch {
+			ix.Apply(linkindex.Batch{Upserts: live[i:min(i+batch, n)]})
+		}
+		return ix
+	}
+	b.Run("load", func(b *testing.B) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ix := load()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(ix)
+		b.ReportAllocs()
+		for b.Loop() {
+			load()
+		}
+		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/n, "heap-B/entity")
+	})
+	b.Run("update64", func(b *testing.B) {
+		ix := load()
+		cur, next := append([]*entity.Entity(nil), live...), alt
+		off := 0
+		b.ReportAllocs()
+		for b.Loop() {
+			ix.Apply(linkindex.Batch{Upserts: next[off : off+batch]})
+			for i := off; i < off+batch; i++ {
+				cur[i], next[i] = next[i], cur[i]
+			}
+			if off += batch; off+batch > n {
+				off = 0
+			}
+		}
+	})
+	b.Run("addremove", func(b *testing.B) {
+		ix := load()
+		i := 0
+		b.ReportAllocs()
+		for b.Loop() {
+			e := extra[i%len(extra)]
+			ix.Add(e)
+			ix.Remove(e.ID)
+			i++
+		}
+	})
+}

@@ -164,11 +164,42 @@ func diffRule() *rule.Rule {
 	return rule.New(rule.NewAggregation(rule.Max(), name, title, year))
 }
 
+// diffWMeanRule is diffRule's comparisons under a weighted mean, the name
+// weighted 3: (3·(1 − d/4) + 2)/5 ≥ 0.5 needs a name edit distance
+// d ≤ 3, so the index keeps an edit filter (diffRule, a max, has none)
+// and every query of the differentials below goes through it.
+func diffWMeanRule() *rule.Rule {
+	name := rule.NewComparison(
+		rule.NewTransform(transform.LowerCase(), rule.NewProperty("name")),
+		rule.NewTransform(transform.LowerCase(), rule.NewProperty("name")),
+		similarity.Levenshtein(), 4)
+	name.SetWeight(3)
+	title := rule.NewComparison(
+		rule.NewProperty("title"), rule.NewProperty("title"),
+		similarity.Jaccard(), 0.9)
+	year := rule.NewComparison(
+		rule.NewProperty("year"), rule.NewProperty("year"),
+		similarity.Numeric(), 2)
+	return rule.New(rule.NewAggregation(rule.WMean(), name, title, year))
+}
+
+// diffRules are the rules the differentials run: diffRule, without an
+// edit filter, under its subtests' plain names, and diffWMeanRule, with
+// one, under "wmean/".
+func diffRules() map[string]*rule.Rule {
+	return map[string]*rule.Rule{"": diffRule(), "wmean/": diffWMeanRule()}
+}
+
 func TestDifferentialIndexVsBatchBlocker(t *testing.T) {
-	r := diffRule()
+	for prefix, r := range diffRules() {
+		testDifferentialIndexVsBatchBlocker(t, prefix, r)
+	}
+}
+
+func testDifferentialIndexVsBatchBlocker(t *testing.T, prefix string, r *rule.Rule) {
 	for name, bl := range diffStrategies() {
 		for _, maxBlock := range []int{0, 6} {
-			t.Run(fmt.Sprintf("%s/cap=%d", name, maxBlock), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s%s/cap=%d", prefix, name, maxBlock), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(len(name))*1000 + int64(maxBlock)))
 				ix := linkindex.New(r, matching.Options{Blocker: bl, MaxBlockSize: maxBlock})
 				survivors := make(map[string]*entity.Entity)
@@ -269,14 +300,19 @@ func sortedIDsOfMap(m map[string]*entity.Entity) []string {
 // against batch blocking + interpreted scoring on a larger corpus in one
 // final state, for every strategy.
 func TestDifferentialQueryIDVsBatch(t *testing.T) {
-	r := diffRule()
+	for prefix, r := range diffRules() {
+		testDifferentialQueryIDVsBatch(t, prefix, r)
+	}
+}
+
+func testDifferentialQueryIDVsBatch(t *testing.T, prefix string, r *rule.Rule) {
 	rng := rand.New(rand.NewSource(99))
 	var corpus []*entity.Entity
 	for i := 0; i < 120; i++ {
 		corpus = append(corpus, diffEntity(rng, fmt.Sprintf("c%d", i)))
 	}
 	for name, bl := range diffStrategies() {
-		t.Run(name, func(t *testing.T) {
+		t.Run(prefix+name, func(t *testing.T) {
 			ix := linkindex.New(r, matching.Options{Blocker: bl})
 			ix.BulkLoad(corpus)
 			survivors := make(map[string]*entity.Entity, len(corpus))

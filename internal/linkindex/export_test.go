@@ -3,6 +3,8 @@ package linkindex
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"genlink/internal/similarity"
@@ -17,17 +19,23 @@ func (ix *ShardedIndex) WriteSnapshot(w io.Writer) error {
 	return ix.buildSnapshot().encode(w)
 }
 
-// CheckShardCounts reports a shard whose records and block index are
-// out of the lockstep applyShardOps keeps them in, or per-shard counts
-// that do not add up to Len: every live slot of the block index must
-// hold exactly one record, whose entity has that slot's ID, and every
-// free slot none. A record left at a freed slot would leak a deleted
-// entity into Entities and into snapshots.
+// CheckShardCounts reports a shard whose records, block index and edit
+// filter are out of the lockstep applyShardOps keeps them in, or
+// per-shard counts that do not add up to Len: every live slot of the
+// block index must hold exactly one record, whose entity has that slot's
+// ID, and every free slot none; and the edit filter, when the index has
+// one, must hold exactly the keys of each live slot's record and none of
+// a free slot. A record left at a freed slot would leak a deleted entity
+// into Entities and into snapshots; keys left there would make a later
+// entity at the slot a candidate for its predecessor's probes.
 func (ix *ShardedIndex) CheckShardCounts() error {
 	total := 0
 	for i, sh := range ix.shards {
 		sh.mu.RLock()
 		err := sh.checkRecords()
+		if err == nil {
+			err = ix.checkEdits(sh)
+		}
 		indexed := sh.blocks.Len()
 		sh.mu.RUnlock()
 		if err != nil {
@@ -151,4 +159,67 @@ func (c countedColumn) Prepare(i int, values []string) {
 
 func (c countedColumn) Distance(i int, other similarity.Column, j int) float64 {
 	return c.Column.Distance(i, other.(countedColumn).Column, j)
+}
+
+// checkEdits is CheckShardCounts' edit-filter check for one shard, under
+// its lock: the filter must hold exactly the postings of the live
+// records' keys, re-derived afresh.
+func (ix *ShardedIndex) checkEdits(sh *shard) error {
+	if sh.edits == nil {
+		return nil
+	}
+	want := make(map[uint64][]int32)
+	for s, r := range sh.records {
+		if r != nil {
+			for _, key := range ix.storedKeys(nil, r) {
+				want[key] = append(want[key], int32(s))
+			}
+		}
+	}
+	return sh.edits.check(want)
+}
+
+// check reports where the filter departs from want, each key's slots:
+// the chains, read back key by key, must hold exactly those slots; every
+// key must sit where its probe sequence finds it, and the count of keys
+// held must be right; and every arena entry must be on exactly one chain
+// or on the free list.
+func (f *editFilter) check(want map[uint64][]int32) error {
+	want = maps.Clone(want)
+	reached, used := 0, 0
+	for i, h := range f.heads {
+		if h.head < 0 {
+			continue
+		}
+		used++
+		if at := f.find(h.key); at != i {
+			return fmt.Errorf("edit filter: key %#x is in cell %d, its probe sequence stops at %d", h.key, i, at)
+		}
+		var got []int32
+		for e := h.head; e >= 0 && reached <= len(f.entries); e = f.entries[e].next {
+			got = append(got, f.entries[e].slot)
+			reached++
+		}
+		slices.Sort(got)
+		exp := slices.Sorted(slices.Values(want[h.key]))
+		if !slices.Equal(got, exp) {
+			return fmt.Errorf("edit filter: key %#x is held by slots %v, want %v", h.key, got, exp)
+		}
+		delete(want, h.key)
+	}
+	for key, slots := range want {
+		if len(slots) > 0 {
+			return fmt.Errorf("edit filter: key %#x of slots %v is missing", key, slots)
+		}
+	}
+	if used != f.used {
+		return fmt.Errorf("edit filter: %d keys in the table, %d counted", used, f.used)
+	}
+	for e := f.free; e >= 0 && reached <= len(f.entries); e = f.entries[e].next {
+		reached++
+	}
+	if reached != len(f.entries) {
+		return fmt.Errorf("edit filter: %d of %d entries on a chain or the free list", reached, len(f.entries))
+	}
+	return nil
 }

@@ -34,6 +34,19 @@
 //     identical to single-shard for partition-invariant strategies, a
 //     recall-preserving superset for sorted-neighborhood windows and
 //     capped blocks — and the per-shard isolation contract.
+//   - A lossless filter from the served rule (editfilter.go): when the
+//     rule makes a levenshtein comparison necessary at the threshold —
+//     every link has an edit distance of at most K, which
+//     evalengine.Compiled.EditBound derives from the rule itself — each
+//     shard also indexes its records by the PassJoin segment keys of
+//     their compared values (internal/similarity), and a query scores
+//     only the blocker's candidates that share a key with the probe. A
+//     dropped candidate is further than K and could never reach the
+//     threshold, so no answer changes; the blocker's candidates stay
+//     what they were. Rules with no such comparison (a max, a
+//     normalized Levenshtein, …) score every candidate, as before. The
+//     filter is not persisted: Apply maintains it, and recovery, restore
+//     and followers rebuild it through Apply.
 //   - Snapshot persistence: SnapshotTo writes a versioned snapshot of the
 //     corpus, rule and options to disk; RestoreFrom rebuilds the block
 //     structures from it, so a service restart does not lose the index.

@@ -73,7 +73,11 @@ type ShardedIndex struct {
 	compiled *evalengine.Compiled
 	opts     matching.Options
 	shards   []*shard
-	count    atomic.Int64 // total entities across shards
+	// edit is the rule's necessary edit-distance bound at the threshold,
+	// nil when it has none (or none tight enough to pay): with it, every
+	// shard keeps an edit filter (editfilter.go).
+	edit  *evalengine.EditBound
+	count atomic.Int64 // total entities across shards
 	// streamEarlyExits counts per-shard queries answered without
 	// enumerating a candidate (probe bound below threshold).
 	streamEarlyExits atomic.Int64
@@ -84,11 +88,13 @@ type ShardedIndex struct {
 // map from ID to slot; records holds, at each live slot, the scoring
 // record of the entity there (Record.Entity is the entity itself) and
 // nil at each free slot, so the entity and its record are installed and
-// replaced together.
+// replaced together. edits, when the index filters, holds the segment
+// keys of the record at every live slot.
 type shard struct {
 	mu      sync.RWMutex
 	blocks  matching.BlockIndex
 	records []*evalengine.Record
+	edits   *editFilter
 }
 
 // NewSharded returns an empty index with the given shard count (≤ 0 means
@@ -108,8 +114,14 @@ func NewSharded(r *rule.Rule, shards int, opts matching.Options) *ShardedIndex {
 		opts.Blocker = matching.TokenBlocking()
 	}
 	ix := &ShardedIndex{rule: r, compiled: evalengine.Compile(r), opts: opts, shards: make([]*shard, shards)}
+	if eb, ok := ix.compiled.EditBound(opts.Threshold, maxEditBound); ok {
+		ix.edit = &eb
+	}
 	for i := range ix.shards {
 		ix.shards[i] = &shard{blocks: matching.NewBlockIndex(opts.Blocker)}
+		if ix.edit != nil {
+			ix.shards[i].edits = newEditFilter()
+		}
 	}
 	return ix
 }
@@ -261,22 +273,36 @@ func SplitBatch(b Batch, parts int) map[int]Batch {
 // old versions leave the block structures through the bulk-remove fast
 // path, new versions enter through the BulkAdd merge path —
 // and reports the distinct upserts and deletes performed. The fresh
-// versions' scoring records are built before the lock is taken: records
-// are pure functions of the entity, so building them needs no shard
-// state. It is the only code that writes a shard's records, block index
-// and the entity count, so those three stay in lockstep by construction:
-// a freed slot's record is dropped and a taken slot's installed in the
-// same critical section. Its callers are Apply and the replay pipeline.
-// Callers may run it concurrently for different shards; per shard it is
-// atomic with respect to queries.
+// versions' scoring records, and their edit-filter keys, are built
+// before the lock is taken: both are pure functions of the entity, so
+// building them needs no shard state. It is the only code that writes a
+// shard's records, block index, edit filter and the entity count, so
+// they stay in lockstep by construction: a freed slot's record and keys
+// are dropped and a taken slot's installed in the same critical section.
+// Its callers are Apply and the replay pipeline. Callers may run it
+// concurrently for different shards; per shard it is atomic with respect
+// to queries.
 func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 	sh := ix.shards[g.part]
 	fresh := g.upserts[:0]
 	recs := make([]*evalengine.Record, 0, len(g.upserts))
+	// The edit-filter keys of recs[i] are keys[ends[i]:ends[i+1]]; a
+	// record of one value has K + 1 of them.
+	var keys, old []uint64
+	var ends []int
+	if sh.edits != nil {
+		keys = make([]uint64, 0, len(g.upserts)*(ix.edit.K+1))
+		old = make([]uint64, 0, ix.edit.K+1)
+		ends = append(make([]int, 0, len(g.upserts)+1), 0)
+	}
 	for _, e := range g.upserts {
 		if e != nil {
 			fresh = append(fresh, e)
 			recs = append(recs, ix.compiled.Record(e))
+			if sh.edits != nil {
+				keys = ix.storedKeys(keys, recs[len(recs)-1])
+				ends = append(ends, len(keys))
+			}
 		}
 	}
 	sh.mu.Lock()
@@ -293,6 +319,11 @@ func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 	}
 	freed := sh.blocks.BulkRemove(gone)
 	for _, s := range freed {
+		if sh.edits != nil {
+			// The record at s is the one whose keys add recorded.
+			old = ix.storedKeys(old[:0], sh.records[s])
+			sh.edits.remove(old, s)
+		}
 		sh.records[s] = nil
 	}
 	for i, s := range sh.blocks.BulkAdd(fresh) {
@@ -300,6 +331,9 @@ func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 			sh.records = append(sh.records, nil)
 		}
 		sh.records[s] = recs[i]
+		if sh.edits != nil {
+			sh.edits.add(keys[ends[i]:ends[i+1]], s)
+		}
 	}
 	deleted = len(freed) - replaced
 	ix.count.Add(int64(len(fresh) - replaced - deleted))
@@ -450,9 +484,10 @@ func (ix *ShardedIndex) Candidates(probe *entity.Entity) []*entity.Entity {
 // keeping its best k, and MergeTopK merges the per-shard winners.
 func (ix *ShardedIndex) Query(probe *entity.Entity, k int) []matching.Link {
 	rec := ix.compiled.Record(probe)
+	keys := ix.probeKeys(rec)
 	perShard := make([][]matching.Link, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
-		perShard[i] = ix.query(ix.shards[i], rec, k)
+		perShard[i] = ix.query(ix.shards[i], rec, keys, k)
 	})
 	return MergeTopK(perShard, k)
 }
@@ -499,14 +534,15 @@ func (ix *ShardedIndex) QueryID(id string, k int) ([]matching.Link, bool) {
 		return nil, false
 	}
 	probe := home.records[s]
+	keys := ix.probeKeys(probe)
 	perShard := make([][]matching.Link, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
 		if i != hi {
-			perShard[i] = ix.query(ix.shards[i], probe, k)
+			perShard[i] = ix.query(ix.shards[i], probe, keys, k)
 			return
 		}
 		defer home.mu.RUnlock()
-		perShard[i] = ix.queryLocked(home, probe, k)
+		perShard[i] = ix.queryLocked(home, probe, keys, k)
 	})
 	return MergeTopK(perShard, k), true
 }
@@ -538,20 +574,33 @@ func parallel(n int, f func(i int)) {
 
 // query answers shard sh's share of a Query under its read lock,
 // returning its top-k links (all links above the threshold for k ≤ 0).
-func (ix *ShardedIndex) query(sh *shard, probe *evalengine.Record, k int) []matching.Link {
+// keys are the probe's edit-filter keys (probeKeys).
+func (ix *ShardedIndex) query(sh *shard, probe *evalengine.Record, keys []uint64, k int) []matching.Link {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return ix.queryLocked(sh, probe, k)
+	return ix.queryLocked(sh, probe, keys, k)
 }
 
 // queryLocked is query with the shard lock already held: the shard's
 // block index and records go through matching.ScoreCandidates, the one
 // candidate-scoring loop, which keeps the shard's top k (every link for
-// k ≤ 0). A probe whose bound already misses the threshold enumerates
-// nothing and counts as an early exit. Results are exactly those of
-// scoring every materialized candidate (Candidates).
-func (ix *ShardedIndex) queryLocked(sh *shard, probe *evalengine.Record, k int) []matching.Link {
-	links, scored := matching.ScoreCandidates(ix.compiled, probe, sh.blocks, ix.maxBlock(sh, probe.Entity()), sh.records, ix.opts.Threshold, k)
+// k ≤ 0). With an edit filter it scores only the blocker's candidates
+// that share a filter key with the probe; the others could not reach
+// the threshold. A probe whose bound already misses the threshold
+// enumerates nothing and counts as an early exit. Results are exactly
+// those of scoring every materialized candidate (Candidates).
+func (ix *ShardedIndex) queryLocked(sh *shard, probe *evalengine.Record, keys []uint64, k int) []matching.Link {
+	var cands matching.Enumerator = sh.blocks
+	if sh.edits != nil {
+		keep := keepSets.Get().(*matching.SlotSet)
+		defer func() {
+			keep.Clear()
+			keepSets.Put(keep)
+		}()
+		sh.edits.collect(keys, keep)
+		cands = &filtered{blocks: sh.blocks, keep: keep}
+	}
+	links, scored := matching.ScoreCandidates(ix.compiled, probe, cands, ix.maxBlock(sh, probe.Entity()), sh.records, ix.opts.Threshold, k)
 	if !scored {
 		ix.streamEarlyExits.Add(1)
 	}

@@ -357,8 +357,17 @@ func TestApplyBatchSemantics(t *testing.T) {
 // quiescing, the sharded index must answer exactly like a fresh
 // single-shard index over the final corpus (token blocking uncapped is
 // partition-invariant, so equality is exact).
+//
+// It runs once per diffRules rule, so under the wmean rule the shards'
+// edit filters are written and read concurrently too, and must end up
+// holding exactly the final corpus's keys.
 func TestShardedConcurrentApplyQueryRace(t *testing.T) {
-	r := diffRule()
+	for prefix, r := range diffRules() {
+		t.Run(prefix+"rule", func(t *testing.T) { testShardedConcurrentApplyQueryRace(t, r) })
+	}
+}
+
+func testShardedConcurrentApplyQueryRace(t *testing.T, r *rule.Rule) {
 	opts := matching.Options{Blocker: matching.TokenBlocking(), MaxBlockSize: -1}
 	ix := linkindex.NewSharded(r, 4, opts)
 
@@ -470,6 +479,9 @@ func TestShardedConcurrentApplyQueryRace(t *testing.T) {
 	}
 	if ix.Len() != len(corpus) {
 		t.Fatalf("final Len = %d, want %d", ix.Len(), len(corpus))
+	}
+	if err := ix.CheckShardCounts(); err != nil {
+		t.Fatal(err)
 	}
 	single := linkindex.New(r, opts)
 	for _, e := range corpus {

@@ -219,6 +219,12 @@ func (ss *SlotSet) Add(s int32) bool {
 	return true
 }
 
+// Has reports whether slot s is in the set.
+func (ss *SlotSet) Has(s int32) bool {
+	w := int(s >> 6)
+	return w < len(ss.bits) && ss.bits[w]&(uint64(1)<<(s&63)) != 0
+}
+
 // Clear empties the set.
 func (ss *SlotSet) Clear() {
 	for _, s := range ss.members {

@@ -40,6 +40,13 @@
 // + MatchPairs is the materializing form of the same computation, the
 // blocking ablation's input; MatchCartesian is the unbounded reference,
 // scoring every pair at floor −∞.
+//
+// ScoreCandidates scores whatever its Enumerator yields. Batch matching
+// hands it the blocker's candidates as they are; the service hands it,
+// when the rule bounds an edit distance (evalengine.EditBound), only
+// those that also share a PassJoin segment key with the probe, checked
+// through SlotSet.Has — the others could not reach the threshold, so both
+// produce the links of scoring every blocker candidate.
 package matching
 
 import (
