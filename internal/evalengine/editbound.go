@@ -15,9 +15,21 @@ type EditBound struct {
 	a, b int // value program ids of the distance's two sides
 }
 
+// maxEditBound is the loosest bound EditBound reports: the benchmark
+// rule's K = 6, measured to pay. BenchmarkQueryCoraRule's stored-ID
+// query (cora-x, 10⁴ entities, 2 shards, GOMAXPROCS=1, 2-core Xeon,
+// medians of 3 runs), with the rule's title θ loosened to give each K,
+// filtered against unfiltered: K = 6 0.22 against 1.06 ms, K = 8 0.34
+// against 1.12, K = 12 1.00 against 1.45, and K = 15 2.34 against 1.65.
+// A looser bound has O(K³) probe keys per value over shorter segments
+// that more stored values share, until the filter costs more than it
+// saves. Raise the cap only with that benchmark on both sides of the new
+// value, at 10⁵ entities too.
+const maxEditBound = 6
+
 // EditBound derives the rule's necessary edit-distance bound at
-// threshold, considering bounds up to maxK, and reports false when there
-// is none. A levenshtein distance program d bounds the rule at k when
+// threshold and reports false when there is none, or none within
+// maxEditBound. A levenshtein distance program d bounds the rule at k when
 // the fold with d at k + 1 and every other distance at 0, its best case,
 // is below the threshold: every distance is non-negative and the fold is
 // antitone in each (the prefilter's soundness argument, prefilter.go),
@@ -29,9 +41,9 @@ type EditBound struct {
 // threshold is not reached without any edit-distance evidence, where
 // Probe.Upper already answers. It is derived on demand, not in Compile:
 // the learner compiles thousands of rules a generation and matches none.
-func (c *Compiled) EditBound(threshold float64, maxK int) (EditBound, bool) {
+func (c *Compiled) EditBound(threshold float64) (EditBound, bool) {
 	best := EditBound{K: -1}
-	if c.pf == nil || maxK < 0 {
+	if c.pf == nil {
 		return best, false
 	}
 	buf := make([]float64, len(c.dists)+c.depth)
@@ -45,7 +57,7 @@ func (c *Compiled) EditBound(threshold float64, maxK int) (EditBound, bool) {
 			continue
 		}
 		// fold(lo) ≥ threshold and fold(hi) < threshold throughout.
-		lo, hi := 0.0, float64(maxK)+1
+		lo, hi := 0.0, float64(maxEditBound)+1
 		if foldAt(d, lo) < threshold || foldAt(d, hi) >= threshold {
 			dists[d.id] = 0
 			continue

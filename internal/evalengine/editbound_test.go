@@ -38,14 +38,16 @@ func TestEditBoundKnownRules(t *testing.T) {
 		{"max", rule.New(rule.NewAggregation(rule.Max(), lev(2), jac)), 0.5, -1},
 		{"normLevenshtein", rule.New(rule.NewComparison(lower("title"), lower("title"), similarity.NormalizedLevenshtein(), 0.3)), 0.5, -1},
 		{"negative weight", rule.New(rule.NewAggregation(rule.WMean(), negative, jac)), 0.5, -1},
-		// Past maxK the bound is not reported.
-		{"loose", rule.New(lev(100)), 0.5, -1},
+		// Past maxEditBound the bound is not reported: 1 − d/12 ≥ 0.5 ⇔ d ≤ 6
+		// is, 1 − d/14 ≥ 0.5 ⇔ d ≤ 7 is not.
+		{"cap", rule.New(lev(12)), 0.5, 6},
+		{"past cap", rule.New(lev(14)), 0.5, -1},
 		// Unreachable without edit-distance evidence: Upper answers.
 		{"unreachable", rigRule(), 1.5, -1},
 		{"T=0", rigRule(), 0, -1},
 	}
 	for _, tc := range cases {
-		eb, ok := evalengine.Compile(tc.r).EditBound(tc.threshold, 16)
+		eb, ok := evalengine.Compile(tc.r).EditBound(tc.threshold)
 		if ok != (tc.k >= 0) || ok && eb.K != tc.k {
 			t.Errorf("%s: EditBound = %d, %v; want %d", tc.name, eb.K, ok, tc.k)
 		}
@@ -65,7 +67,7 @@ func TestEditBoundSound(t *testing.T) {
 		r := fuzzRule(rng)
 		c := evalengine.Compile(r)
 		threshold := []float64{0.5, 0.2, 0.8, rng.Float64()}[rng.Intn(4)]
-		eb, ok := c.EditBound(threshold, 16)
+		eb, ok := c.EditBound(threshold)
 		if !ok {
 			continue
 		}

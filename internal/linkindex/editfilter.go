@@ -1,7 +1,6 @@
 package linkindex
 
 import (
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -23,35 +22,16 @@ import (
 // the filter changes no answer: the blocker's candidates (Candidates)
 // are what they were, and the links are those of scoring every one.
 
-// maxEditBound is the loosest bound the filter engages at: a probe
-// value has O(K³) keys — about 3,300 at 16 — while its segments shrink
-// to a rune or two, which most stored values share.
-const maxEditBound = 16
-
 // editFilter is one shard's segment-key index: for each key, the slots
 // of the stored entities holding it, as a chain of entries in one arena,
-// and an open-addressing table of the chains' heads. A write costs one
-// probe sequence per key and allocates nothing per key — the table and
-// the arena grow by doubling, and freed entries are reused — and neither
-// holds a pointer, so the garbage collector never scans them. (Chain
-// heads in a map[uint64]int32 cost two map operations per key, a lookup
-// and a store: that version left the rig's ingest-durable recovery 16 %
-// and its write throughput 13 % behind the unfiltered index over 4
-// alternating pairs, this table 6 % and 5 % over 10.) It is written only
-// by applyShardOps, under the shard's write lock.
+// and a map from each key to its chain's head. The arena grows by
+// doubling and reuses freed entries, so a write allocates nothing per
+// key, and it holds no pointer, so the garbage collector never scans it.
+// It is written only by applyShardOps, under the shard's write lock.
 type editFilter struct {
-	heads   []editHead // linear probing; a power of two long, at most 3/4 full
-	shift   uint       // 64 − log2(len(heads))
-	used    int        // cells holding a key
+	heads   map[uint64]int32
 	entries []editEntry
 	free    int32 // the first free entry, chained through next; −1: none
-}
-
-// editHead is one table cell: a key and the first entry of its chain,
-// or an empty cell (head −1).
-type editHead struct {
-	key  uint64
-	head int32
 }
 
 // editEntry is one (key, slot) posting: the slot, and the next entry of
@@ -61,82 +41,38 @@ type editEntry struct {
 }
 
 func newEditFilter() *editFilter {
-	f := &editFilter{free: -1}
-	f.resize(64)
-	return f
+	return &editFilter{heads: make(map[uint64]int32), free: -1}
 }
 
-// home is the cell key's probe sequence starts at: the top bits of the
-// key times 2⁶⁴/φ, which spreads any run of keys over the table.
-func (f *editFilter) home(key uint64) int {
-	return int((key * 0x9e3779b97f4a7c15) >> f.shift)
-}
-
-// find returns the cell holding key, or the empty cell that ends its
-// probe sequence, where it would go.
-func (f *editFilter) find(key uint64) int {
-	mask := len(f.heads) - 1
-	i := f.home(key)
-	for f.heads[i].head >= 0 && f.heads[i].key != key {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// resize rebuilds the table with n cells.
-func (f *editFilter) resize(n int) {
-	old := f.heads
-	f.heads = make([]editHead, n)
-	for i := range f.heads {
-		f.heads[i].head = -1
-	}
-	f.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	for _, h := range old {
-		if h.head >= 0 {
-			f.heads[f.find(h.key)] = h
-		}
-	}
-}
-
-// add records that slot s holds keys. The table first grows, at once, to
-// hold every key as a new one — the first batch of a restore or a
-// recovery sizes it in one step.
+// add records that slot s holds keys.
 func (f *editFilter) add(keys []uint64, s int32) {
-	n := len(f.heads)
-	for (f.used+len(keys))*4 > n*3 {
-		n *= 2
-	}
-	if n > len(f.heads) {
-		f.resize(n)
-	}
 	if need := len(f.entries) + len(keys); need > cap(f.entries) {
 		// Double, where append would grow a long arena by a quarter.
 		f.entries = slices.Grow(f.entries, max(need, 2*cap(f.entries))-len(f.entries))
 	}
 	for _, key := range keys {
-		h := &f.heads[f.find(key)]
-		if h.head < 0 {
-			h.key = key
-			f.used++
+		head, ok := f.heads[key]
+		if !ok {
+			head = -1
 		}
-		entry := editEntry{slot: s, next: h.head}
-		if e := f.free; e >= 0 {
+		entry := editEntry{slot: s, next: head}
+		e := f.free
+		if e >= 0 {
 			f.free = f.entries[e].next
 			f.entries[e] = entry
-			h.head = e
 		} else {
+			e = int32(len(f.entries))
 			f.entries = append(f.entries, entry)
-			h.head = int32(len(f.entries) - 1)
 		}
+		f.heads[key] = e
 	}
 }
 
 // remove drops slot s from the chains of keys, the keys add recorded for
-// it, and frees its entries; a key whose chain empties leaves the table.
+// it, and frees its entries; a key whose chain empties leaves the map.
 func (f *editFilter) remove(keys []uint64, s int32) {
 	for _, key := range keys {
-		i := f.find(key)
-		prev, e := int32(-1), f.heads[i].head
+		prev, e := int32(-1), f.heads[key]
 		for f.entries[e].slot != s {
 			prev, e = e, f.entries[e].next
 		}
@@ -144,35 +80,22 @@ func (f *editFilter) remove(keys []uint64, s int32) {
 		case prev >= 0:
 			f.entries[prev].next = next
 		case next >= 0:
-			f.heads[i].head = next
+			f.heads[key] = next
 		default:
-			f.vacate(i)
+			delete(f.heads, key)
 		}
 		f.entries[e] = editEntry{slot: -1, next: f.free}
 		f.free = e
 	}
 }
 
-// vacate empties cell i without a tombstone: each later cell of the run
-// whose probe sequence passes through the hole moves into it, and leaves
-// a hole of its own, until the run ends.
-func (f *editFilter) vacate(i int) {
-	mask := len(f.heads) - 1
-	for j := (i + 1) & mask; f.heads[j].head >= 0; j = (j + 1) & mask {
-		if k := f.home(f.heads[j].key); (j-k)&mask >= (j-i)&mask {
-			f.heads[i] = f.heads[j]
-			i = j
-		}
-	}
-	f.heads[i].head = -1
-	f.used--
-}
-
 // collect adds to keep every slot holding one of keys.
 func (f *editFilter) collect(keys []uint64, keep *matching.SlotSet) {
 	for _, key := range keys {
-		for e := f.heads[f.find(key)].head; e >= 0; e = f.entries[e].next {
-			keep.Add(f.entries[e].slot)
+		if head, ok := f.heads[key]; ok {
+			for e := head; e >= 0; e = f.entries[e].next {
+				keep.Add(f.entries[e].slot)
+			}
 		}
 	}
 }
@@ -187,9 +110,11 @@ func (ix *ShardedIndex) storedKeys(dst []uint64, r *evalengine.Record) []uint64 
 }
 
 // probeKeys returns the filter keys of a probe record, nil when the
-// index has no filter.
+// index has no filter or when the probe's bound already misses the
+// threshold: then every shard's ScoreCandidates returns before it
+// enumerates, and collect over no keys costs nothing.
 func (ix *ShardedIndex) probeKeys(r *evalengine.Record) []uint64 {
-	if ix.edit == nil {
+	if ix.edit == nil || ix.compiled.Bind(r).Upper() < ix.opts.Threshold {
 		return nil
 	}
 	values, k := ix.edit.Probe(r), ix.edit.K

@@ -114,7 +114,7 @@ func NewSharded(r *rule.Rule, shards int, opts matching.Options) *ShardedIndex {
 		opts.Blocker = matching.TokenBlocking()
 	}
 	ix := &ShardedIndex{rule: r, compiled: evalengine.Compile(r), opts: opts, shards: make([]*shard, shards)}
-	if eb, ok := ix.compiled.EditBound(opts.Threshold, maxEditBound); ok {
+	if eb, ok := ix.compiled.EditBound(opts.Threshold); ok {
 		ix.edit = &eb
 	}
 	for i := range ix.shards {
