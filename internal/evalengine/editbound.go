@@ -1,6 +1,10 @@
 package evalengine
 
-import "math"
+import (
+	"math"
+
+	"genlink/internal/entity"
+)
 
 // EditBound is a necessary condition a compiled rule places on a pair at
 // a score threshold T: one of its levenshtein distances, between the
@@ -12,7 +16,7 @@ import "math"
 type EditBound struct {
 	// K is the largest edit distance at which a pair can still reach T.
 	K    int
-	a, b int // value program ids of the distance's two sides
+	a, b *valueProgram // the distance's two sides
 }
 
 // maxEditBound is the loosest bound EditBound reports: the benchmark
@@ -72,7 +76,7 @@ func (c *Compiled) EditBound(threshold float64) (EditBound, bool) {
 		}
 		dists[d.id] = 0
 		if k := int(lo); best.K < 0 || k < best.K {
-			best = EditBound{K: k, a: d.a.id, b: d.b.id}
+			best = EditBound{K: k, a: d.a, b: d.b}
 		}
 	}
 	return best, best.K >= 0
@@ -80,8 +84,12 @@ func (c *Compiled) EditBound(threshold float64) (EditBound, bool) {
 
 // Probe returns the value set of r the bound's distance reads on the
 // A side: the probe's side of a query.
-func (eb EditBound) Probe(r *Record) []string { return r.sets[eb.a] }
+func (eb EditBound) Probe(r *Record) []string { return r.sets[eb.a.id] }
 
-// Stored returns the value set of r the bound's distance reads on the
-// B side: the side of the entities a query's candidates are.
-func (eb EditBound) Stored(r *Record) []string { return r.sets[eb.b] }
+// Stored returns the value set of e the bound's distance reads on the B
+// side, the side of the entities a query's candidates are: the set
+// Compiled.Record holds for it, from the one value program that computes
+// it, so a writer keys a stored entity without building its record.
+func (eb EditBound) Stored(e *entity.Entity) []string {
+	return eb.b.eval(e.Values, make([][]string, eb.b.depth))
+}

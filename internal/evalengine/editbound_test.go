@@ -2,6 +2,7 @@ package evalengine_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"genlink/internal/evalengine"
@@ -58,7 +59,8 @@ func TestEditBoundKnownRules(t *testing.T) {
 // pairs of entities whose titles and names are edits of each other, and
 // checks the bound's claim on every pair that reaches the threshold: its
 // levenshtein distance is at most K, and so the probe side's segment
-// keys meet the stored side's.
+// keys meet the stored side's; and that Stored, which evaluates one value
+// program, reads the set the pair's record holds.
 func TestEditBoundSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	lev := similarity.Levenshtein()
@@ -86,12 +88,15 @@ func TestEditBoundSound(t *testing.T) {
 			}
 			reached++
 			ra, rb := c.Record(a), c.Record(b)
-			if d := lev.Distance(eb.Probe(ra), eb.Stored(rb)); d > float64(eb.K) {
+			if got, want := eb.Stored(b), evalengine.StoredSet(eb, rb); !slices.Equal(got, want) {
+				t.Fatalf("rule %s: Stored(b) = %q, the record holds %q", r, got, want)
+			}
+			if d := lev.Distance(eb.Probe(ra), eb.Stored(b)); d > float64(eb.K) {
 				t.Fatalf("rule %s scores %v ≥ %v at edit distance %v > K = %d",
 					r, r.Evaluate(a, b), threshold, d, eb.K)
 			}
 			stored := make(map[uint64]bool)
-			for _, k := range similarity.EditSegmentKeys(nil, eb.Stored(rb), eb.K) {
+			for _, k := range similarity.EditSegmentKeys(nil, eb.Stored(b), eb.K) {
 				stored[k] = true
 			}
 			shared := false

@@ -166,8 +166,9 @@ func diffRule() *rule.Rule {
 
 // diffWMeanRule is diffRule's comparisons under a weighted mean, the name
 // weighted 3: (3·(1 − d/4) + 2)/5 ≥ 0.5 needs a name edit distance
-// d ≤ 3, so the index keeps an edit filter (diffRule, a max, has none)
-// and every query of the differentials below goes through it.
+// d ≤ 3, so the index keeps an edit filter, a rule pass of segment keys
+// in each shard's block index (diffRule, a max, has none), and every
+// query of the differentials below goes through it.
 func diffWMeanRule() *rule.Rule {
 	name := rule.NewComparison(
 		rule.NewTransform(transform.LowerCase(), rule.NewProperty("name")),

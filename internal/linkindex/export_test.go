@@ -3,8 +3,6 @@ package linkindex
 import (
 	"fmt"
 	"io"
-	"maps"
-	"slices"
 	"sync/atomic"
 
 	"genlink/internal/similarity"
@@ -19,23 +17,18 @@ func (ix *ShardedIndex) WriteSnapshot(w io.Writer) error {
 	return ix.buildSnapshot().encode(w)
 }
 
-// CheckShardCounts reports a shard whose records, block index and edit
-// filter are out of the lockstep applyShardOps keeps them in, or
-// per-shard counts that do not add up to Len: every live slot of the
-// block index must hold exactly one record, whose entity has that slot's
-// ID, and every free slot none; and the edit filter, when the index has
-// one, must hold exactly the keys of each live slot's record and none of
-// a free slot. A record left at a freed slot would leak a deleted entity
-// into Entities and into snapshots; keys left there would make a later
-// entity at the slot a candidate for its predecessor's probes.
+// CheckShardCounts reports a shard whose records and block index are
+// out of the lockstep applyShardOps keeps them in, or per-shard counts
+// that do not add up to Len: every live slot of the block index must
+// hold exactly one record, whose entity has that slot's ID, and every
+// free slot none. A record left at a freed slot would leak a deleted
+// entity into Entities and into snapshots. The block index's own
+// structure, its rule pass included, is matching's to check.
 func (ix *ShardedIndex) CheckShardCounts() error {
 	total := 0
 	for i, sh := range ix.shards {
 		sh.mu.RLock()
 		err := sh.checkRecords()
-		if err == nil {
-			err = ix.checkEdits(sh)
-		}
 		indexed := sh.blocks.Len()
 		sh.mu.RUnlock()
 		if err != nil {
@@ -159,56 +152,4 @@ func (c countedColumn) Prepare(i int, values []string) {
 
 func (c countedColumn) Distance(i int, other similarity.Column, j int) float64 {
 	return c.Column.Distance(i, other.(countedColumn).Column, j)
-}
-
-// checkEdits is CheckShardCounts' edit-filter check for one shard, under
-// its lock: the filter must hold exactly the postings of the live
-// records' keys, re-derived afresh.
-func (ix *ShardedIndex) checkEdits(sh *shard) error {
-	if sh.edits == nil {
-		return nil
-	}
-	want := make(map[uint64][]int32)
-	for s, r := range sh.records {
-		if r != nil {
-			for _, key := range ix.storedKeys(nil, r) {
-				want[key] = append(want[key], int32(s))
-			}
-		}
-	}
-	return sh.edits.check(want)
-}
-
-// check reports where the filter departs from want, each key's slots:
-// the chains, read back key by key, must hold exactly those slots, no
-// key may map to an empty chain, and every arena entry must be on
-// exactly one chain or on the free list.
-func (f *editFilter) check(want map[uint64][]int32) error {
-	want = maps.Clone(want)
-	reached := 0
-	for key, head := range f.heads {
-		var got []int32
-		for e := head; e >= 0 && reached <= len(f.entries); e = f.entries[e].next {
-			got = append(got, f.entries[e].slot)
-			reached++
-		}
-		slices.Sort(got)
-		exp := slices.Sorted(slices.Values(want[key]))
-		if !slices.Equal(got, exp) {
-			return fmt.Errorf("edit filter: key %#x is held by slots %v, want %v", key, got, exp)
-		}
-		delete(want, key)
-	}
-	for key, slots := range want {
-		if len(slots) > 0 {
-			return fmt.Errorf("edit filter: key %#x of slots %v is missing", key, slots)
-		}
-	}
-	for e := f.free; e >= 0 && reached <= len(f.entries); e = f.entries[e].next {
-		reached++
-	}
-	if reached != len(f.entries) {
-		return fmt.Errorf("edit filter: %d of %d entries on a chain or the free list", reached, len(f.entries))
-	}
-	return nil
 }

@@ -34,13 +34,14 @@
 //     identical to single-shard for partition-invariant strategies, a
 //     recall-preserving superset for sorted-neighborhood windows and
 //     capped blocks — and the per-shard isolation contract.
-//   - A lossless filter from the served rule (editfilter.go): when the
-//     rule makes a levenshtein comparison necessary at the threshold —
-//     every link has an edit distance of at most K, which
-//     evalengine.Compiled.EditBound derives from the rule itself — each
-//     shard also indexes its records by the PassJoin segment keys of
-//     their compared values (internal/similarity), and a query scores
-//     only the blocker's candidates that share a key with the probe. A
+//   - A lossless filter from the served rule (the edit filter, in
+//     sharded.go): when the rule makes a levenshtein comparison
+//     necessary at the threshold — every link has an edit distance of at
+//     most K, which evalengine.Compiled.EditBound derives from the rule
+//     itself — each shard's block index also keeps a rule pass, posting
+//     lists of the PassJoin segment keys of its entities' compared
+//     values (internal/similarity), and a query scores only the
+//     blocker's candidates that share a key with the probe. A
 //     dropped candidate is further than K and could never reach the
 //     threshold, so no answer changes; the blocker's candidates stay
 //     what they were. Rules with no such comparison (a max, a
@@ -80,8 +81,9 @@ type (
 	BulkAdder = matching.BulkAdder
 )
 
-// NewBlockIndex is matching.NewBlockIndex.
-func NewBlockIndex(bl matching.Blocker) BlockIndex { return matching.NewBlockIndex(bl) }
+// NewBlockIndex is matching.NewBlockIndex without a rule pass: the rig's
+// block indexes serve no rule.
+func NewBlockIndex(bl matching.Blocker) BlockIndex { return matching.NewBlockIndex(bl, nil) }
 
 // Index is a mutable matching service over one entity corpus: entities
 // are added, updated and removed individually, and Query matches a probe
@@ -99,7 +101,10 @@ type Index = ShardedIndex
 type Stats struct {
 	// Entities is the current corpus size.
 	Entities int
-	// Keys is the number of key entries across the block structures.
+	// Keys sums BlockIndex.Keys over the shards: the distinct keys of
+	// each shard's token and q-gram passes and the records of its
+	// sorted-neighborhood pass. The edit filter's rule pass is not
+	// counted.
 	Keys int
 	// Blocker names the wrapped blocking strategy.
 	Blocker string

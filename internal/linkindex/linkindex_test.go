@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"genlink/internal/entity"
+	"genlink/internal/evalengine"
 	"genlink/internal/linkindex"
 	"genlink/internal/matching"
 	"genlink/internal/rule"
@@ -171,6 +172,34 @@ func TestBulkLoadAndStats(t *testing.T) {
 		if got[i-1].ID >= got[i].ID {
 			t.Fatalf("Entities() not sorted: %q before %q", got[i-1].ID, got[i].ID)
 		}
+	}
+}
+
+// TestStatsKeysExcludeRulePass pins what Stats.Keys counts: the
+// blocker's keys alone. On one corpus and blocker, an index whose rule
+// has an edit bound, and so keeps a rule pass of segment keys in every
+// shard's block index, reports the Keys of one whose rule has none.
+func TestStatsKeysExcludeRulePass(t *testing.T) {
+	bounded := rule.New(rule.NewComparison(
+		rule.NewTransform(transform.LowerCase(), rule.NewProperty("name")),
+		rule.NewTransform(transform.LowerCase(), rule.NewProperty("name")),
+		similarity.Levenshtein(), 2))
+	for r, want := range map[*rule.Rule]bool{bounded: true, testRule(): false} {
+		if _, ok := evalengine.Compile(r).EditBound(rule.MatchThreshold); ok != want {
+			t.Fatalf("rule %s: EditBound reported %v, want %v", r, ok, want)
+		}
+	}
+	var es []*entity.Entity
+	for i := 0; i < 40; i++ {
+		es = append(es, ent(fmt.Sprintf("e%d", i), fmt.Sprintf("name %d", i%7), "shared title"))
+	}
+	keys := func(r *rule.Rule) int {
+		ix := linkindex.NewSharded(r, 2, matching.Options{Blocker: matching.MultiPass()})
+		ix.BulkLoad(es)
+		return ix.Stats().Keys
+	}
+	if with, without := keys(bounded), keys(testRule()); with != without || with == 0 {
+		t.Fatalf("Stats.Keys = %d with a rule pass, %d without; want the same, above 0", with, without)
 	}
 }
 

@@ -2,6 +2,7 @@ package linkindex
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -9,6 +10,7 @@ import (
 	"genlink/internal/evalengine"
 	"genlink/internal/matching"
 	"genlink/internal/rule"
+	"genlink/internal/similarity"
 )
 
 // ShardedIndex is the storage layer of the matching service: the entity
@@ -75,7 +77,8 @@ type ShardedIndex struct {
 	shards   []*shard
 	// edit is the rule's necessary edit-distance bound at the threshold,
 	// nil when it has none (or none tight enough to pay): with it, every
-	// shard keeps an edit filter (editfilter.go).
+	// shard's block index keeps a rule pass of segment keys, and queries
+	// go through the edit filter (see queryLocked).
 	edit  *evalengine.EditBound
 	count atomic.Int64 // total entities across shards
 	// streamEarlyExits counts per-shard queries answered without
@@ -88,13 +91,12 @@ type ShardedIndex struct {
 // map from ID to slot; records holds, at each live slot, the scoring
 // record of the entity there (Record.Entity is the entity itself) and
 // nil at each free slot, so the entity and its record are installed and
-// replaced together. edits, when the index filters, holds the segment
-// keys of the record at every live slot.
+// replaced together. When the index filters, the block index's rule pass
+// holds the segment keys of the entity at every live slot.
 type shard struct {
 	mu      sync.RWMutex
 	blocks  matching.BlockIndex
 	records []*evalengine.Record
-	edits   *editFilter
 }
 
 // NewSharded returns an empty index with the given shard count (≤ 0 means
@@ -114,14 +116,13 @@ func NewSharded(r *rule.Rule, shards int, opts matching.Options) *ShardedIndex {
 		opts.Blocker = matching.TokenBlocking()
 	}
 	ix := &ShardedIndex{rule: r, compiled: evalengine.Compile(r), opts: opts, shards: make([]*shard, shards)}
+	var ruleKeys func(*entity.Entity) []uint64
 	if eb, ok := ix.compiled.EditBound(opts.Threshold); ok {
 		ix.edit = &eb
+		ruleKeys = segmentKeys(eb)
 	}
 	for i := range ix.shards {
-		ix.shards[i] = &shard{blocks: matching.NewBlockIndex(opts.Blocker)}
-		if ix.edit != nil {
-			ix.shards[i].edits = newEditFilter()
-		}
+		ix.shards[i] = &shard{blocks: matching.NewBlockIndex(opts.Blocker, ruleKeys)}
 	}
 	return ix
 }
@@ -273,36 +274,22 @@ func SplitBatch(b Batch, parts int) map[int]Batch {
 // old versions leave the block structures through the bulk-remove fast
 // path, new versions enter through the BulkAdd merge path —
 // and reports the distinct upserts and deletes performed. The fresh
-// versions' scoring records, and their edit-filter keys, are built
-// before the lock is taken: both are pure functions of the entity, so
-// building them needs no shard state. It is the only code that writes a
-// shard's records, block index, edit filter and the entity count, so
-// they stay in lockstep by construction: a freed slot's record and keys
-// are dropped and a taken slot's installed in the same critical section.
-// Its callers are Apply and the replay pipeline. Callers may run it
-// concurrently for different shards; per shard it is atomic with respect
-// to queries.
+// versions' scoring records are built before the lock is taken: records
+// are pure functions of the entity, so building them needs no shard
+// state. It is the only code that writes a shard's records, block index
+// (the rule pass included) and the entity count, so those three stay in
+// lockstep by construction: a freed slot's record is dropped and a taken
+// slot's installed in the same critical section. Its callers are Apply
+// and the replay pipeline. Callers may run it concurrently for different
+// shards; per shard it is atomic with respect to queries.
 func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 	sh := ix.shards[g.part]
 	fresh := g.upserts[:0]
 	recs := make([]*evalengine.Record, 0, len(g.upserts))
-	// The edit-filter keys of recs[i] are keys[ends[i]:ends[i+1]]; a
-	// record of one value has K + 1 of them.
-	var keys, old []uint64
-	var ends []int
-	if sh.edits != nil {
-		keys = make([]uint64, 0, len(g.upserts)*(ix.edit.K+1))
-		old = make([]uint64, 0, ix.edit.K+1)
-		ends = append(make([]int, 0, len(g.upserts)+1), 0)
-	}
 	for _, e := range g.upserts {
 		if e != nil {
 			fresh = append(fresh, e)
 			recs = append(recs, ix.compiled.Record(e))
-			if sh.edits != nil {
-				keys = ix.storedKeys(keys, recs[len(recs)-1])
-				ends = append(ends, len(keys))
-			}
 		}
 	}
 	sh.mu.Lock()
@@ -319,11 +306,6 @@ func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 	}
 	freed := sh.blocks.BulkRemove(gone)
 	for _, s := range freed {
-		if sh.edits != nil {
-			// The record at s is the one whose keys add recorded.
-			old = ix.storedKeys(old[:0], sh.records[s])
-			sh.edits.remove(old, s)
-		}
 		sh.records[s] = nil
 	}
 	for i, s := range sh.blocks.BulkAdd(fresh) {
@@ -331,9 +313,6 @@ func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 			sh.records = append(sh.records, nil)
 		}
 		sh.records[s] = recs[i]
-		if sh.edits != nil {
-			sh.edits.add(keys[ends[i]:ends[i+1]], s)
-		}
 	}
 	deleted = len(freed) - replaced
 	ix.count.Add(int64(len(fresh) - replaced - deleted))
@@ -574,7 +553,7 @@ func parallel(n int, f func(i int)) {
 
 // query answers shard sh's share of a Query under its read lock,
 // returning its top-k links (all links above the threshold for k ≤ 0).
-// keys are the probe's edit-filter keys (probeKeys).
+// keys are the probe's segment keys (probeKeys).
 func (ix *ShardedIndex) query(sh *shard, probe *evalengine.Record, keys []uint64, k int) []matching.Link {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -585,19 +564,20 @@ func (ix *ShardedIndex) query(sh *shard, probe *evalengine.Record, keys []uint64
 // block index and records go through matching.ScoreCandidates, the one
 // candidate-scoring loop, which keeps the shard's top k (every link for
 // k ≤ 0). With an edit filter it scores only the blocker's candidates
-// that share a filter key with the probe; the others could not reach
-// the threshold. A probe whose bound already misses the threshold
-// enumerates nothing and counts as an early exit. Results are exactly
-// those of scoring every materialized candidate (Candidates).
+// whose segment keys in the block index's rule pass meet the probe's;
+// the others could not reach the threshold. A probe whose bound already
+// misses the threshold enumerates nothing and counts as an early exit.
+// Results are exactly those of scoring every materialized candidate
+// (Candidates).
 func (ix *ShardedIndex) queryLocked(sh *shard, probe *evalengine.Record, keys []uint64, k int) []matching.Link {
 	var cands matching.Enumerator = sh.blocks
-	if sh.edits != nil {
+	if ix.edit != nil {
 		keep := keepSets.Get().(*matching.SlotSet)
 		defer func() {
 			keep.Clear()
 			keepSets.Put(keep)
 		}()
-		sh.edits.collect(keys, keep)
+		sh.blocks.RuleSlots(keys, keep)
 		cands = &filtered{blocks: sh.blocks, keep: keep}
 	}
 	links, scored := matching.ScoreCandidates(ix.compiled, probe, cands, ix.maxBlock(sh, probe.Entity()), sh.records, ix.opts.Threshold, k)
@@ -606,3 +586,65 @@ func (ix *ShardedIndex) queryLocked(sh *shard, probe *evalengine.Record, keys []
 	}
 	return links
 }
+
+// The edit filter: a lossless filter from the served rule. When the rule
+// has a necessary levenshtein comparison at the index threshold
+// (evalengine.Compiled.EditBound: every link has a distance of at most
+// K between the probe's A-side values and the candidate's B-side
+// values), each shard's block index keeps a rule pass of the PassJoin
+// segment keys of its entities' B-side values
+// (similarity.EditSegmentKeys), and a query scores only the blocker's
+// candidates whose keys meet the probe's (similarity.EditProbeKeys). A
+// candidate that shares none is further than K from the probe and could
+// never reach the threshold, so the filter changes no answer: the
+// blocker's candidates (Candidates) are what they were, and the links
+// are those of scoring every one.
+
+// segmentKeys is the rule pass's key function under eb: the segment keys
+// of an entity's B-side values, sorted and unique, as
+// matching.NewBlockIndex takes them. The block index records them when
+// it adds the entity and removes exactly those, so they are derived once
+// per entity version.
+func segmentKeys(eb evalengine.EditBound) func(*entity.Entity) []uint64 {
+	return func(e *entity.Entity) []uint64 {
+		values := eb.Stored(e)
+		// A value has K + 1 keys, or one when it is no longer than K.
+		keys := similarity.EditSegmentKeys(make([]uint64, 0, len(values)*(eb.K+1)), values, eb.K)
+		slices.Sort(keys)
+		return slices.Compact(keys)
+	}
+}
+
+// probeKeys returns the filter keys of a probe record, nil when the
+// index has no filter or when the probe's bound already misses the
+// threshold: then every shard's ScoreCandidates returns before it
+// enumerates, and RuleSlots over no keys costs nothing.
+func (ix *ShardedIndex) probeKeys(r *evalengine.Record) []uint64 {
+	if ix.edit == nil || ix.compiled.Bind(r).Upper() < ix.opts.Threshold {
+		return nil
+	}
+	values, k := ix.edit.Probe(r), ix.edit.K
+	// A value has at most (2K + 1)(K²/2 + K + 1) keys, one batch of them
+	// per length within K of its own.
+	keys := make([]uint64, 0, len(values)*(2*k+1)*(k*k/2+k+1))
+	// A key repeats only where two of the windows hold equal
+	// substrings; RuleSlots adds its slots once all the same.
+	return similarity.EditProbeKeys(keys, values, k)
+}
+
+// filtered is the enumerator a filtered query scores: the blocker's
+// candidates that are also in keep.
+type filtered struct {
+	blocks matching.Enumerator
+	keep   *matching.SlotSet
+}
+
+func (f *filtered) Each(probe *entity.Entity, maxBlock int, seen *matching.SlotSet, yield func(slot int32) bool) bool {
+	return f.blocks.Each(probe, maxBlock, seen, func(s int32) bool {
+		return !f.keep.Has(s) || yield(s)
+	})
+}
+
+// keepSets recycles the per-shard query's filter sets, as matching's
+// pool recycles its seen sets.
+var keepSets = sync.Pool{New: func() any { return new(matching.SlotSet) }}

@@ -3,10 +3,13 @@ package matching
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"genlink/internal/datagen"
 	"genlink/internal/entity"
+	"genlink/internal/similarity"
 )
 
 // coraCorpus returns n Cora-style citation records: datagen.Cora chunks
@@ -26,12 +29,28 @@ func coraCorpus(n int) []*entity.Entity {
 	return out
 }
 
+// titleSegmentKeys is the rule pass the service keeps for the benchmark
+// rig's rule, whose title comparison is necessary within K = 6
+// (evalengine's TestEditBoundKnownRules): the sorted, unique PassJoin
+// segment keys of the entity's lowercased titles.
+func titleSegmentKeys(e *entity.Entity) []uint64 {
+	titles := e.Values("title")
+	lower := make([]string, len(titles))
+	for i, t := range titles {
+		lower[i] = strings.ToLower(t)
+	}
+	keys := similarity.EditSegmentKeys(nil, lower, 6)
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
 // BenchmarkBlockIndexWrite measures every strategy's index on the write
-// path at 10,000 entities. load bulk-loads the corpus into an empty index
-// (what snapshot restore and recovery pay per shard) and reports the heap
-// the loaded index retains per entity (heap-B/entity). update64 replaces
-// 64 indexed entities per op with other versions through BulkRemove +
-// BulkAdd (one Apply batch), at that size.
+// path at 10,000 entities, and, as the rulekey row, an index holding only
+// the rule pass of titleSegmentKeys. load bulk-loads the corpus into an
+// empty index (what snapshot restore and recovery pay per shard) and
+// reports the heap the loaded index retains per entity (heap-B/entity).
+// update64 replaces 64 indexed entities per op with other versions
+// through BulkRemove + BulkAdd (one Apply batch), at that size.
 func BenchmarkBlockIndexWrite(b *testing.B) {
 	const n, batch = 10_000, 64
 	live := coraCorpus(n)
@@ -43,17 +62,27 @@ func BenchmarkBlockIndexWrite(b *testing.B) {
 		v.ID = e.ID
 		alt[i] = v
 	}
+	type row struct {
+		name     string
+		newIndex func() BlockIndex
+	}
+	var rows []row
 	for _, name := range BlockerNames() {
 		bl := BlockerByName(name)
-		b.Run(name+"/load", func(b *testing.B) {
+		rows = append(rows, row{name, func() BlockIndex { return NewBlockIndex(bl, nil) }})
+	}
+	// A composite of no strategies has no pass of its own.
+	rows = append(rows, row{"rulekey", func() BlockIndex { return NewBlockIndex(MultiPassBlocker{}, titleSegmentKeys) }})
+	for _, r := range rows {
+		b.Run(r.name+"/load", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				NewBlockIndex(bl).BulkAdd(live)
+				r.newIndex().BulkAdd(live)
 			}
-			b.ReportMetric(heapPerEntity(bl, live), "heap-B/entity")
+			b.ReportMetric(heapPerEntity(r.newIndex, live), "heap-B/entity")
 		})
-		b.Run(name+"/update64", func(b *testing.B) {
-			bi := NewBlockIndex(bl)
+		b.Run(r.name+"/update64", func(b *testing.B) {
+			bi := r.newIndex()
 			cur, next := append([]*entity.Entity(nil), live...), append([]*entity.Entity(nil), alt...)
 			bi.BulkAdd(cur)
 			off := 0
@@ -77,15 +106,15 @@ func BenchmarkBlockIndexWrite(b *testing.B) {
 	}
 }
 
-// heapPerEntity is the heap an index of bl retains per entity once es is
-// loaded: the live heap after GC with the index kept alive, minus the
-// live heap before it was built. The entities themselves are live
-// throughout, so only the index's own structures and keys count.
-func heapPerEntity(bl Blocker, es []*entity.Entity) float64 {
+// heapPerEntity is the heap an index from newIndex retains per entity
+// once es is loaded: the live heap after GC with the index kept alive,
+// minus the live heap before it was built. The entities themselves are
+// live throughout, so only the index's own structures and keys count.
+func heapPerEntity(newIndex func() BlockIndex, es []*entity.Entity) float64 {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	bi := NewBlockIndex(bl)
+	bi := newIndex()
 	bi.BulkAdd(es)
 	runtime.GC()
 	runtime.ReadMemStats(&after)

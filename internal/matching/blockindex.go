@@ -31,6 +31,11 @@ import (
 // sorted and unique, which is what lets a keyed pass tell by one merge
 // walk which of a probe's blocks hold its own record.
 //
+// An index may also keep a rule pass (NewBlockIndex's ruleKeys): posting
+// lists of keys a served rule derives from each stored entity, beside
+// the blocker's passes and not among them. Each, Candidates and Keys are
+// the blocker's alone; RuleSlots reads the rule pass.
+//
 // The index is NOT synchronized: writes need the caller's lock, and
 // Candidates/Each may run concurrently only with each other.
 type BlockIndex interface {
@@ -48,10 +53,14 @@ type BlockIndex interface {
 	Candidates(probe *entity.Entity, maxBlock int) []*entity.Entity
 	// Enumerator's Each enumerates Candidates(probe, maxBlock) as slots.
 	Enumerator
+	// RuleSlots adds to keep every slot whose rule keys include one of
+	// keys; an index without a rule pass adds none.
+	RuleSlots(keys []uint64, keep *SlotSet)
 	// Len returns the number of indexed entities.
 	Len() int
-	// Keys returns the number of key entries held (diagnostic: tokens,
-	// q-grams, sorted-list records... summed over the passes).
+	// Keys returns the size of the blocker's passes, summed (diagnostic):
+	// a token or q-gram pass counts its distinct keys, a
+	// sorted-neighborhood pass its records. The rule pass is not counted.
 	Keys() int
 }
 
@@ -66,9 +75,15 @@ type BulkAdder interface {
 
 // NewBlockIndex returns an empty incremental index of the blocker's
 // strategy: one entity table and one pass per strategy of the blocker
-// (a multi-pass composite's members, in order).
-func NewBlockIndex(bl Blocker) BlockIndex {
-	return &blockIndex{slotOf: make(map[string]int32), passes: bl.appendPasses(nil)}
+// (a multi-pass composite's members, in order). A non-nil ruleKeys adds
+// the rule pass, keyed by ruleKeys(e) for every entity e added; it must
+// return each entity's keys sorted and unique.
+func NewBlockIndex(bl Blocker, ruleKeys func(*entity.Entity) []uint64) BlockIndex {
+	x := &blockIndex{slotOf: make(map[string]int32), passes: bl.appendPasses(nil)}
+	if ruleKeys != nil {
+		x.rule = newKeyedPass(func(e *entity.Entity, _ []string) []uint64 { return ruleKeys(e) })
+	}
+	return x
 }
 
 // blockIndex is the one BlockIndex: an entity table and the blocker's
@@ -80,12 +95,14 @@ func NewBlockIndex(bl Blocker) BlockIndex {
 // A candidate is yielded by the first pass that proposes it; later
 // passes skip its slot through seen (the multi-pass union). A write
 // tokenizes each entity once and a query its probe once, and every pass
-// reads that one slice.
+// reads that one slice. rule, when set, is written with the passes but
+// never enumerated by Each.
 type blockIndex struct {
 	slotOf map[string]int32
 	ents   []*entity.Entity
 	free   []int32
 	passes []pass
+	rule   *keyedPass[uint64]
 }
 
 // pass is one blocking strategy's structure over the table's slots:
@@ -101,7 +118,7 @@ type pass interface {
 	// the slot of the probe's own record, or -1 when probe.ID is not
 	// indexed.
 	each(x *blockIndex, probe *entity.Entity, toks []string, self int32, maxBlock int, seen *SlotSet, yield func(slot int32) bool) bool
-	// keys counts the key entries held.
+	// keys is the pass's share of Keys.
 	keys() int
 }
 
@@ -109,7 +126,8 @@ type pass interface {
 func (x *blockIndex) Add(e *entity.Entity) { x.BulkAdd([]*entity.Entity{e}) }
 
 // BulkAdd implements BlockIndex: every entity takes a slot and is
-// tokenized once, then every pass indexes the new slots at once.
+// tokenized once, then every pass, and the rule pass, indexes the new
+// slots at once.
 func (x *blockIndex) BulkAdd(es []*entity.Entity) []int32 {
 	slots := make([]int32, len(es))
 	for i, e := range es {
@@ -129,11 +147,14 @@ func (x *blockIndex) BulkAdd(es []*entity.Entity) []int32 {
 	for _, p := range x.passes {
 		p.add(x, slots, toks)
 	}
+	if x.rule != nil {
+		x.rule.add(x, slots, toks)
+	}
 	return slots
 }
 
-// BulkRemove implements BlockIndex: every pass unindexes the entities'
-// slots at once, then the table frees them.
+// BulkRemove implements BlockIndex: every pass, and the rule pass,
+// unindexes the entities' slots at once, then the table frees them.
 func (x *blockIndex) BulkRemove(ids []string) []int32 {
 	slots := make([]int32, 0, len(ids))
 	for _, id := range ids {
@@ -144,6 +165,9 @@ func (x *blockIndex) BulkRemove(ids []string) []int32 {
 	}
 	for _, p := range x.passes {
 		p.remove(x, slots)
+	}
+	if x.rule != nil {
+		x.rule.remove(x, slots)
 	}
 	for _, s := range slots {
 		x.ents[s] = nil
@@ -184,6 +208,18 @@ func (x *blockIndex) Each(probe *entity.Entity, maxBlock int, seen *SlotSet, yie
 		}
 	}
 	return true
+}
+
+// RuleSlots implements BlockIndex.
+func (x *blockIndex) RuleSlots(keys []uint64, keep *SlotSet) {
+	if x.rule == nil {
+		return
+	}
+	for _, k := range keys {
+		for _, s := range x.rule.postings[k] {
+			keep.Add(s)
+		}
+	}
 }
 
 // Len implements BlockIndex.
@@ -242,10 +278,11 @@ func grown[T any](s []T, n int) []T {
 }
 
 // ---------------------------------------------------------------------------
-// Slot posting lists (token, q-gram)
+// Slot posting lists (token, q-gram, rule)
 
 // keyedPass is the pass of TokenBlocker (string keys: the tokens) and
-// QGramBlocker (uint64 keys: the packed q-grams, packGram): every key
+// QGramBlocker (uint64 keys: the packed q-grams, packGram), and the rule
+// pass (uint64 keys a served rule derives from the entity): every key
 // maps to the posting list of the slots whose entity carries it. The
 // lists hold no pointers, so the garbage collector never scans them, and
 // neither do a q-gram slot's keys. add appends the slot to one list per
@@ -253,7 +290,7 @@ func grown[T any](s []T, n int) []T {
 // position by binary search in that slot's sorted keys — O(keys · log
 // keys), whatever the block sizes.
 type keyedPass[K cmp.Ordered] struct {
-	keyFn    func(toks []string) []K // from the entity's Tokens; sorted, unique
+	keyFn    func(e *entity.Entity, toks []string) []K // toks: e's Tokens; sorted, unique
 	postings map[K][]int32
 	slots    []keyedSlot[K] // by table slot
 }
@@ -266,7 +303,7 @@ type keyedSlot[K cmp.Ordered] struct {
 	pos  []int32
 }
 
-func newKeyedPass[K cmp.Ordered](keyFn func(toks []string) []K) *keyedPass[K] {
+func newKeyedPass[K cmp.Ordered](keyFn func(e *entity.Entity, toks []string) []K) *keyedPass[K] {
 	return &keyedPass[K]{keyFn: keyFn, postings: make(map[K][]int32)}
 }
 
@@ -274,7 +311,7 @@ func (p *keyedPass[K]) add(x *blockIndex, slots []int32, toks [][]string) {
 	p.slots = grown(p.slots, len(x.ents))
 	for i, s := range slots {
 		sl := &p.slots[s]
-		sl.keys = p.keyFn(toks[i])
+		sl.keys = p.keyFn(x.ents[s], toks[i])
 		sl.pos = slices.Grow(sl.pos, len(sl.keys))
 		for _, k := range sl.keys {
 			list := p.postings[k]
@@ -311,12 +348,12 @@ func (p *keyedPass[K]) remove(_ *blockIndex, slots []int32) {
 // CapAllows policy): both the probe's keys and the keys recorded for
 // its slot are sorted, so one merge walk tells which blocks hold that
 // record, and the record itself is skipped by its slot.
-func (p *keyedPass[K]) each(_ *blockIndex, _ *entity.Entity, toks []string, self int32, maxBlock int, seen *SlotSet, yield func(slot int32) bool) bool {
+func (p *keyedPass[K]) each(_ *blockIndex, probe *entity.Entity, toks []string, self int32, maxBlock int, seen *SlotSet, yield func(slot int32) bool) bool {
 	var selfKeys []K
 	if self >= 0 {
 		selfKeys = p.slots[self].keys
 	}
-	for _, k := range p.keyFn(toks) {
+	for _, k := range p.keyFn(probe, toks) {
 		list := p.postings[k]
 		size := len(list)
 		for len(selfKeys) > 0 && selfKeys[0] < k {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"genlink/internal/entity"
+	"genlink/internal/similarity"
 )
 
 // The index differential: after ANY interleaving of Add/Update/Remove,
@@ -19,8 +20,10 @@ import (
 // half-way, for every strategy and cap; Candidates must return the same
 // set sorted by ID. The reference shares no code with the index, so it
 // stays an independent oracle although Candidates is Each collected.
-// The ShardedIndex-level differentials (internal/linkindex) build on
-// this.
+// Every index also keeps a rule pass (diffRuleKeys), written with the
+// blocker's passes and held to its own reference: RuleSlots must add
+// exactly the survivors that hold one of the probe's keys. The
+// ShardedIndex-level differentials (internal/linkindex) build on this.
 
 // diffVocab is deliberately tiny so entities share tokens (big blocks,
 // cap-skip paths) and sort keys collide (window tie-breaking paths).
@@ -63,6 +66,47 @@ func diffEntity(rng *rand.Rand, id string) *entity.Entity {
 		}
 	}
 	return e
+}
+
+// diffRuleK is the edit bound of the differentials' rule pass: loose
+// enough that diffVocab's words split into segments of one or two runes,
+// which many values share, and an empty value has only its length key,
+// so postings are shared, empty out and refill.
+const diffRuleK = 3
+
+// diffRuleKeys is the differentials' rule pass, keyed as a served rule
+// with a levenshtein bound keys its stored entities: the sorted, unique
+// PassJoin segment keys of the entity's names.
+func diffRuleKeys(e *entity.Entity) []uint64 {
+	keys := similarity.EditSegmentKeys(nil, e.Values("name"), diffRuleK)
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// referenceRuleSlots is the ground truth of RuleSlots for a probe: the
+// IDs of the survivors whose rule keys meet the probe's PassJoin probe
+// keys, the probe's own record included.
+func referenceRuleSlots(probe *entity.Entity, survivors map[string]*entity.Entity) []string {
+	probeKeys := similarity.EditProbeKeys(nil, probe.Values("name"), diffRuleK)
+	ids := make(map[string]struct{})
+	for id, e := range survivors {
+		if slices.ContainsFunc(diffRuleKeys(e), func(k uint64) bool { return slices.Contains(probeKeys, k) }) {
+			ids[id] = struct{}{}
+		}
+	}
+	return sortedIDs(ids)
+}
+
+// ruleSlotIDs returns the sorted IDs of the slots RuleSlots adds for the
+// probe's PassJoin probe keys.
+func ruleSlotIDs(bi BlockIndex, probe *entity.Entity) []string {
+	var keep SlotSet
+	bi.RuleSlots(similarity.EditProbeKeys(nil, probe.Values("name"), diffRuleK), &keep)
+	ids := make(map[string]struct{})
+	for _, s := range keep.members {
+		ids[bi.(*blockIndex).ents[s].ID] = struct{}{}
+	}
+	return sortedIDs(ids)
 }
 
 func diffStrategies() map[string]Blocker {
@@ -165,7 +209,7 @@ func TestDifferentialStreamVsMaterialize(t *testing.T) {
 		for _, maxBlock := range []int{-1, 0, 6} {
 			t.Run(fmt.Sprintf("%s/cap=%d", name, maxBlock), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(len(name))*100 + int64(maxBlock)))
-				bi := NewBlockIndex(bl)
+				bi := NewBlockIndex(bl, diffRuleKeys)
 				survivors := make(map[string]*entity.Entity)
 				nextID := 0
 
@@ -191,6 +235,10 @@ func TestDifferentialStreamVsMaterialize(t *testing.T) {
 					if again := eachIDs(t, bi, probe, maxBlock, -1); !slicesEqual(again, want) {
 						t.Fatalf("probe %s: enumeration after a stopped one diverges\n got: %v\nwant: %v",
 							probe.ID, again, want)
+					}
+					if got, want := ruleSlotIDs(bi, probe), referenceRuleSlots(probe, survivors); !slicesEqual(got, want) {
+						t.Fatalf("probe %s: rule slots diverge from the survivors holding its keys\n got: %v\nwant: %v",
+							probe.ID, got, want)
 					}
 				}
 
@@ -238,12 +286,13 @@ func TestDifferentialStreamVsMaterialize(t *testing.T) {
 // live entities indexed. The table: its ID → slot and slot → entity maps
 // are inverse, and the free list holds exactly the slots without an
 // entity, once each. A free slot holds no keys in any pass, and no list
-// entry of any pass is a free slot. Posting lists: every live slot's
-// recorded keys are sorted and unique, and postings[keys[i]][pos[i]] is
-// the slot itself; every list entry is such a position of a live slot,
-// so no slot appears twice in one list and no list is empty. Sorted
-// neighborhood: the list holds exactly the live slots, each under the
-// key recorded for it, in strict (key, ID) order.
+// entry of any pass is a free slot. Posting lists, the rule pass's too:
+// every live slot's recorded keys are its entity's keys, sorted and
+// unique, and postings[keys[i]][pos[i]] is the slot itself; every list
+// entry is such a position of a live slot, so no slot appears twice in
+// one list and no list is empty. Sorted neighborhood: the list holds
+// exactly the live slots, each under the key recorded for it, in strict
+// (key, ID) order.
 func checkIndexInvariants(t *testing.T, bi BlockIndex, live int) {
 	t.Helper()
 	if bi.Len() != live {
@@ -277,6 +326,9 @@ func checkIndexInvariants(t *testing.T, bi BlockIndex, live int) {
 			t.Fatalf("no invariant check for %T", p)
 		}
 	}
+	if x.rule != nil {
+		checkKeyedInvariants(t, x, x.rule, free)
+	}
 }
 
 func checkKeyedInvariants[K cmp.Ordered](t *testing.T, x *blockIndex, p *keyedPass[K], free map[int32]bool) {
@@ -294,6 +346,9 @@ func checkKeyedInvariants[K cmp.Ordered](t *testing.T, x *blockIndex, p *keyedPa
 		}
 		if !slices.IsSorted(sl.keys) || len(slices.Compact(slices.Clone(sl.keys))) != len(sl.keys) || len(sl.pos) != len(sl.keys) {
 			t.Fatalf("keyed: slot %d keys %v are not sorted and unique, or have %d positions", s, sl.keys, len(sl.pos))
+		}
+		if e := x.ents[s]; !slices.Equal(sl.keys, p.keyFn(e, Tokens(e))) {
+			t.Fatalf("keyed: slot %d holds keys %v, its entity %s has %v", s, sl.keys, e.ID, p.keyFn(e, Tokens(e)))
 		}
 		for i, k := range sl.keys {
 			if list := p.postings[k]; int(sl.pos[i]) >= len(list) || list[sl.pos[i]] != int32(s) {
@@ -366,7 +421,7 @@ func TestBulkAddKeysPerEntity(t *testing.T) {
 	for i := range es {
 		es[i] = diffEntity(rng, fmt.Sprintf("e%d", i))
 	}
-	x := NewBlockIndex(MultiPass()).(*blockIndex)
+	x := NewBlockIndex(MultiPass(), nil).(*blockIndex)
 	x.BulkAdd(es)
 	for _, e := range es {
 		s, toks := x.slotOf[e.ID], Tokens(e)
@@ -391,12 +446,13 @@ func TestBulkAddKeysPerEntity(t *testing.T) {
 
 // TestRemoveAfterMutation pins BulkRemove's contract: it unindexes the keys
 // recorded at Add time, so an entity whose properties were mutated in
-// place after Add still leaves no trace — no entity, no key, and no
-// candidate for a probe carrying the old values.
+// place after Add still leaves no trace — no entity, no key of the
+// blocker's passes or of the rule pass, and no candidate or rule slot
+// for a probe carrying the old values.
 func TestRemoveAfterMutation(t *testing.T) {
 	for _, name := range sortedKeys(diffStrategies()) {
 		t.Run(name, func(t *testing.T) {
-			bi := NewBlockIndex(diffStrategies()[name])
+			bi := NewBlockIndex(diffStrategies()[name], diffRuleKeys)
 			e := entity.New("e")
 			e.Add("name", "graph learning")
 			e.Add("title", "parallel systems")
@@ -407,6 +463,9 @@ func TestRemoveAfterMutation(t *testing.T) {
 			if got := bi.Candidates(probe, -1); len(got) != 1 {
 				t.Fatalf("before removal: %d candidates, want e", len(got))
 			}
+			if got := ruleSlotIDs(bi, probe); len(got) != 1 {
+				t.Fatalf("before removal: rule slots of %v, want e", got)
+			}
 			e.Set("name", "kernel query")
 			delete(e.Properties, "title")
 			bi.BulkRemove([]string{e.ID})
@@ -415,6 +474,12 @@ func TestRemoveAfterMutation(t *testing.T) {
 			}
 			if got := bi.Candidates(probe, -1); len(got) != 0 {
 				t.Fatalf("after removal: candidates %v for the old values", idsOf(got))
+			}
+			if rule := bi.(*blockIndex).rule.postings; len(rule) != 0 {
+				t.Fatalf("after removal: the rule pass keeps %d keys", len(rule))
+			}
+			if got := ruleSlotIDs(bi, probe); len(got) != 0 {
+				t.Fatalf("after removal: rule slots of %v for the old values", got)
 			}
 			checkIndexInvariants(t, bi, 0)
 		})
@@ -445,7 +510,7 @@ func TestEachAllocsIndependentOfBlockSize(t *testing.T) {
 	probe.Add("name", "shared network analysis")
 	allocs := func(n int) (perRun float64, yielded int) {
 		bi := NewBlockIndex(MultiPass(
-			TokenBlocking(), SortedNeighborhood(3), QGramBlocking(0)))
+			TokenBlocking(), SortedNeighborhood(3), QGramBlocking(0)), nil)
 		for i := 0; i < n; i++ {
 			e := entity.New(fmt.Sprintf("e%d", i))
 			e.Add("name", "shared network analysis")

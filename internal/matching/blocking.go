@@ -88,7 +88,7 @@ func TokenBlocking() Blocker { return TokenBlocker{} }
 func (TokenBlocker) Name() string { return "token" }
 
 func (TokenBlocker) appendPasses(ps []pass) []pass {
-	return append(ps, newKeyedPass(func(toks []string) []string { return toks }))
+	return append(ps, newKeyedPass(func(_ *entity.Entity, toks []string) []string { return toks }))
 }
 
 // ---------------------------------------------------------------------------
@@ -291,7 +291,7 @@ func (g QGramBlocker) appendPasses(ps []pass) []pass {
 	if q > maxQ {
 		panic(fmt.Sprintf("matching: q-gram length %d is above %d, the longest gram a packed uint64 key holds", q, maxQ))
 	}
-	return append(ps, newKeyedPass(func(toks []string) []uint64 { return qgramCodes(toks, q) }))
+	return append(ps, newKeyedPass(func(_ *entity.Entity, toks []string) []uint64 { return qgramCodes(toks, q) }))
 }
 
 // ---------------------------------------------------------------------------

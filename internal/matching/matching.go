@@ -44,8 +44,9 @@
 // ScoreCandidates scores whatever its Enumerator yields. Batch matching
 // hands it the blocker's candidates as they are; the service hands it,
 // when the rule bounds an edit distance (evalengine.EditBound), only
-// those that also share a PassJoin segment key with the probe, checked
-// through SlotSet.Has — the others could not reach the threshold, so both
+// those that also share a PassJoin segment key with the probe in the
+// block index's rule pass (BlockIndex.RuleSlots), checked through
+// SlotSet.Has — the others could not reach the threshold, so both
 // produce the links of scoring every blocker candidate.
 package matching
 

@@ -37,7 +37,7 @@ func newEnumerator(bl Blocker, as, bs []*entity.Entity) Enumerator {
 		}
 		return members
 	}
-	bi := NewBlockIndex(bl)
+	bi := NewBlockIndex(bl, nil)
 	bi.BulkAdd(bs)
 	return bi
 }
