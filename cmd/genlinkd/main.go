@@ -17,7 +17,11 @@
 //
 // The corpus is hash-partitioned over -shards partitions (0 means one
 // per CPU), so writes stall only the shard they touch and queries fan
-// out in parallel. Without -wal-dir the index lives in memory only.
+// out in parallel. Without -wal-dir the index lives in memory only. A
+// rule with a necessary levenshtein comparison is served from each
+// shard's rule index, and its answers equal scoring every stored entity;
+// -blocker picks the candidates of any other rule. The "serving on" log
+// line names which one serves.
 //
 // -wal-dir is the one persistence mode, and it is crash-safe: every
 // write is appended to a segmented, CRC-checked write-ahead log before
@@ -136,7 +140,7 @@ func main() {
 		population = flag.Int("population", 100, "population size for -dataset startup learning")
 		iterations = flag.Int("iterations", 10, "iterations for -dataset startup learning")
 		seed       = flag.Int64("seed", 1, "random seed for -dataset startup learning")
-		blocker    = flag.String("blocker", "multipass", "blocking strategy: token, sortedneighborhood, qgram or multipass")
+		blocker    = flag.String("blocker", "multipass", "blocking strategy for a rule without an edit bound: token, sortedneighborhood, qgram or multipass (a rule with a necessary levenshtein comparison is served from its rule index instead)")
 		threshold  = flag.Float64("threshold", 0, "minimum link score (0 = rule match threshold)")
 		k          = flag.Int("k", 10, "default number of matches per query (k= overrides per request)")
 		shards     = flag.Int("shards", 0, "index shard count (0 = one per CPU)")
@@ -240,7 +244,7 @@ func main() {
 		}()
 	}
 	st := ix.Stats()
-	log.Printf("serving on %s (blocker %s, %d shards, %d entities)", *addr, st.Blocker, st.Shards, st.Entities)
+	log.Printf("serving on %s (candidates from %s, %d shards, %d entities)", *addr, ix.CandidateSource(), st.Shards, st.Entities)
 	linkserver.Serve(*addr, srv.Handler(), func() {
 		if err := srv.Shutdown(); err != nil {
 			log.Printf("final snapshot: %v", err)

@@ -115,11 +115,13 @@ func rankOf(m similarity.Measure) int {
 }
 
 // patterned is a measure that prepares one side of its comparisons as a
-// pattern (similarity's edit distances): the function it returns is the
-// measure's Distance from the pattern side's values, exact up to the
-// bound k and above k past it.
+// pattern (similarity's edit distances): the function Pattern returns is
+// the measure's Distance from the pattern side's values, exact up to the
+// bound k and above k past it, and Within is one such call without a
+// pattern to keep.
 type patterned interface {
 	Pattern(values []string) func(text []string, k float64) float64
+	Within(a, b []string, k float64) float64
 }
 
 // typedForm is one value program's output in the typed form of one

@@ -3,7 +3,7 @@ package evalengine
 import (
 	"math"
 
-	"genlink/internal/entity"
+	"genlink/internal/similarity"
 )
 
 // EditBound is a necessary condition a compiled rule places on a pair at
@@ -86,10 +86,24 @@ func (c *Compiled) EditBound(threshold float64) (EditBound, bool) {
 // A side: the probe's side of a query.
 func (eb EditBound) Probe(r *Record) []string { return r.sets[eb.a.id] }
 
-// Stored returns the value set of e the bound's distance reads on the B
-// side, the side of the entities a query's candidates are: the set
-// Compiled.Record holds for it, from the one value program that computes
-// it, so a writer keys a stored entity without building its record.
-func (eb EditBound) Stored(e *entity.Entity) []string {
-	return eb.b.eval(e.Values, make([][]string, eb.b.depth))
+// Indexed returns the value set of r the bound's distance reads on the B
+// side, the side of the stored entities a query's candidates are: the
+// set a writer keys a stored entity's record by, and the one Within
+// checks.
+func (eb EditBound) Indexed(r *Record) []string { return r.sets[eb.b.id] }
+
+// Within returns the bound's check for the probe record r: whether a
+// stored entity whose Indexed values are the argument is within K edits
+// of r's Probe values, the necessary condition for the pair to reach the
+// threshold. It is the levenshtein measure's own bounded distance, from
+// Myers patterns of r's values built here, once: it abandons a value pair
+// as soon as it is further than K. It keeps those patterns' state, so it
+// must be used by one goroutine at a time.
+func (eb EditBound) Within(r *Record) func(indexed []string) bool {
+	within := levenshtein.Pattern(eb.Probe(r))
+	k := float64(eb.K)
+	return func(indexed []string) bool { return within(indexed, k) <= k }
 }
+
+// levenshtein is the measure EditBound bounds, as Within runs it.
+var levenshtein = similarity.Levenshtein().(patterned)

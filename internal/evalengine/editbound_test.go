@@ -2,7 +2,6 @@ package evalengine_test
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"genlink/internal/evalengine"
@@ -59,8 +58,9 @@ func TestEditBoundKnownRules(t *testing.T) {
 // pairs of entities whose titles and names are edits of each other, and
 // checks the bound's claim on every pair that reaches the threshold: its
 // levenshtein distance is at most K, and so the probe side's segment
-// keys meet the stored side's; and that Stored, which evaluates one value
-// program, reads the set the pair's record holds.
+// keys meet the stored side's; and that Within, the check a query runs
+// before scoring a candidate, answers exactly whether the distance is at
+// most K, on every pair drawn.
 func TestEditBoundSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	lev := similarity.Levenshtein()
@@ -83,20 +83,21 @@ func TestEditBoundSound(t *testing.T) {
 				b = a.Clone() // an identical pair: the score's upper range
 				b.ID = "b"
 			}
+			ra, rb := c.Record(a), c.Record(b)
+			d := lev.Distance(eb.Probe(ra), eb.Indexed(rb))
+			if got, want := eb.Within(ra)(eb.Indexed(rb)), d <= float64(eb.K); got != want {
+				t.Fatalf("rule %s: Within = %v at edit distance %v, K = %d", r, got, d, eb.K)
+			}
 			if r.Evaluate(a, b) < threshold {
 				continue
 			}
 			reached++
-			ra, rb := c.Record(a), c.Record(b)
-			if got, want := eb.Stored(b), evalengine.StoredSet(eb, rb); !slices.Equal(got, want) {
-				t.Fatalf("rule %s: Stored(b) = %q, the record holds %q", r, got, want)
-			}
-			if d := lev.Distance(eb.Probe(ra), eb.Stored(b)); d > float64(eb.K) {
+			if d > float64(eb.K) {
 				t.Fatalf("rule %s scores %v ≥ %v at edit distance %v > K = %d",
 					r, r.Evaluate(a, b), threshold, d, eb.K)
 			}
 			stored := make(map[uint64]bool)
-			for _, k := range similarity.EditSegmentKeys(nil, eb.Stored(b), eb.K) {
+			for _, k := range similarity.EditSegmentKeys(nil, eb.Indexed(rb), eb.K) {
 				stored[k] = true
 			}
 			shared := false

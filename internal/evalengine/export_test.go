@@ -27,10 +27,6 @@ func RecordCount(s *Scorer) int {
 // afresh, as Compiled.Record built r.
 func CloneRecord(c *Compiled, r *Record) *Record { return c.Record(r.e) }
 
-// StoredSet is the value set of r the bound's distance reads on the B
-// side, as Compiled.Record computed it.
-func StoredSet(eb EditBound, r *Record) []string { return r.sets[eb.b.id] }
-
 // PartialBound is the upper bound Probe.Score folds for the pair once it
 // knows the exact distances of the distance programs whose bit is set in
 // known (by program id), the rest at their metadata lower bounds: with

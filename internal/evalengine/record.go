@@ -91,8 +91,8 @@ type Probe struct {
 // Bind prepares scoring candidates against the probe record a. The probe
 // is always the pattern of an edit distance and a candidate the text: the
 // Myers match masks of the probe's values are built once, when a second
-// candidate reaches that distance. The first goes through the measure
-// itself, whose masks live on the stack, so a probe that scores one
+// candidate reaches that distance. The first goes through the measure's
+// Within, whose masks live on the stack, so a probe that scores one
 // candidate (Scorer.Score) allocates none, and a probe that Upper answers
 // or every candidate of which is declined earlier builds none.
 func (c *Compiled) Bind(a *Record) *Probe {
@@ -175,9 +175,9 @@ func (p *Probe) Score(b *Record, floor float64) (score float64, ok bool) {
 }
 
 // distance computes d's distance between the probe and b: over the typed
-// forms for a prepared measure, from the probe's pattern for an edit
-// distance — exact up to k, above k past it; exact for the probe's first
-// (see Bind) — and over the value sets otherwise.
+// forms for a prepared measure, for an edit distance from the probe's
+// pattern — or, for the probe's first, through Within (see Bind) — exact
+// up to k and above k past it, and over the value sets otherwise.
 func (p *Probe) distance(d *distProgram, b *Record, k float64) float64 {
 	switch {
 	case d.ta >= 0:
@@ -186,7 +186,7 @@ func (p *Probe) distance(d *distProgram, b *Record, k float64) float64 {
 		if p.pats == nil {
 			if !p.edited {
 				p.edited = true
-				return d.measure.Distance(p.rec.sets[d.a.id], b.sets[d.b.id])
+				return d.measure.(patterned).Within(p.rec.sets[d.a.id], b.sets[d.b.id], k)
 			}
 			p.pats = make([]func([]string, float64) float64, len(p.c.dists))
 		}

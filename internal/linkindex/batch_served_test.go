@@ -5,23 +5,34 @@ import (
 	"testing"
 
 	"genlink/internal/entity"
+	"genlink/internal/evalengine"
 	"genlink/internal/experiments"
 	"genlink/internal/linkindex"
 	"genlink/internal/matching"
+	"genlink/internal/rule"
+	"genlink/internal/similarity"
 )
 
 // TestBatchMatchEqualsServedQueries pins that batch matching and the
-// served index are one matcher: on every paper dataset (seed 1, the
-// blocking ablation's probe rule), for the strategies whose batch and
-// index candidates are one definition (token, q-gram and their
-// multi-pass union), MatchParallel over two workers (Match is its
-// one-worker case) returns exactly the links of a single-shard index loaded with B and queried with every A entity at
-// k = 0. A is every s-th entity of the dataset's A side, at most
-// maxProbes of them: B, and so every block and cap, is the whole B side,
-// while the q-gram passes over NYT's and DBpedia's full A sides would
-// take minutes under -race. The queries run from several goroutines at
-// once, so under -race the shard's shared records and block index are
-// read concurrently, as MatchParallel's workers read B's.
+// served index are one matcher: on every paper dataset (seed 1), a
+// single-shard index loaded with B and queried with every A entity at
+// k = 0 returns exactly the links of batch matching A against B.
+//
+//   - The blocking ablation's probe rule has an edit bound (K = 1), so
+//     the index serves it from its rule index, whatever the blocker, and
+//     batch matching's equal is MatchCartesian, which scores every pair.
+//   - The same comparison over normLevenshtein has no bound, so the index
+//     serves it from the blocker's block index. For the strategies whose
+//     batch and index candidates are one definition (token, q-gram and
+//     their multi-pass union), its equal is MatchParallel over two
+//     workers (Match is its one-worker case).
+//
+// A is every s-th entity of the dataset's A side, at most maxProbes of
+// them: B, and so every block and cap, is the whole B side, while the
+// q-gram passes over NYT's and DBpedia's full A sides would take minutes
+// under -race. The queries run from several goroutines at once, so under
+// -race the shard's shared records and index are read concurrently, as
+// MatchParallel's workers read B's.
 func TestBatchMatchEqualsServedQueries(t *testing.T) {
 	blockers := []matching.Blocker{
 		matching.TokenBlocking(),
@@ -31,40 +42,68 @@ func TestBatchMatchEqualsServedQueries(t *testing.T) {
 	const maxProbes = 300
 	for _, name := range experiments.DatasetNames() {
 		ds := experiments.Dataset(name, 1)
-		r := experiments.ProbeRule(name)
 		a := entity.NewSource(ds.A.Name)
 		for i, stride := 0, (ds.A.Len()+maxProbes-1)/maxProbes; i < ds.A.Len(); i += stride {
 			a.Add(ds.A.Entities[i])
 		}
+		bounded := experiments.ProbeRule(name)
+		if _, ok := evalengine.Compile(bounded).EditBound(rule.MatchThreshold); !ok {
+			t.Fatalf("%s: the probe rule %s has no edit bound", name, bounded)
+		}
+		served := serveAll(t, bounded, matching.Options{}, a, ds.B)
+		if cartesian := matching.MatchCartesian(bounded, a, ds.B, matching.Options{}); !linksEqual(cartesian, served) {
+			t.Errorf("%s/rule index: cartesian %d links, served %d", name, len(cartesian), len(served))
+		}
+		unbounded := normalizedProbeRule(bounded)
 		for _, bl := range blockers {
 			opts := matching.Options{Blocker: bl}
-			ix := linkindex.NewSharded(r, 1, opts)
-			ix.BulkLoad(ds.B.Entities)
-			as := a.Entities
-			perA := make([][]matching.Link, len(as))
-			const goroutines = 4
-			var wg sync.WaitGroup
-			for g := range goroutines {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := g; i < len(as); i += goroutines {
-						perA[i] = ix.Query(as[i], 0)
-					}
-				}()
-			}
-			wg.Wait()
-			var served []matching.Link
-			for _, ls := range perA {
-				served = append(served, ls...)
-			}
-			matching.SortLinks(served)
-			if len(served) == 0 {
-				t.Fatalf("%s/%s: no links served", name, bl.Name())
-			}
-			if batch := matching.MatchParallel(r, a, ds.B, opts, 2); !linksEqual(batch, served) {
+			served := serveAll(t, unbounded, opts, a, ds.B)
+			if batch := matching.MatchParallel(unbounded, a, ds.B, opts, 2); !linksEqual(batch, served) {
 				t.Errorf("%s/%s: batch %d links, served %d", name, bl.Name(), len(batch), len(served))
 			}
 		}
 	}
+}
+
+// normalizedProbeRule is the probe rule's comparison over
+// normLevenshtein at θ 0.2, which has no edit bound.
+func normalizedProbeRule(probe *rule.Rule) *rule.Rule {
+	c := probe.Root.(*rule.ComparisonOp)
+	r := rule.New(rule.NewComparison(c.InputA, c.InputB, similarity.NormalizedLevenshtein(), 0.2))
+	if _, ok := evalengine.Compile(r).EditBound(rule.MatchThreshold); ok {
+		panic("normLevenshtein has an edit bound")
+	}
+	return r
+}
+
+// serveAll loads b into a single-shard index serving r under opts,
+// queries it with every entity of a at k = 0 from four goroutines, and
+// returns the links sorted; it fails t when there are none.
+func serveAll(t *testing.T, r *rule.Rule, opts matching.Options, a, b *entity.Source) []matching.Link {
+	t.Helper()
+	ix := linkindex.NewSharded(r, 1, opts)
+	ix.BulkLoad(b.Entities)
+	as := a.Entities
+	perA := make([][]matching.Link, len(as))
+	const goroutines = 4
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(as); i += goroutines {
+				perA[i] = ix.Query(as[i], 0)
+			}
+		}()
+	}
+	wg.Wait()
+	var served []matching.Link
+	for _, ls := range perA {
+		served = append(served, ls...)
+	}
+	matching.SortLinks(served)
+	if len(served) == 0 {
+		t.Fatalf("%s: no links served", r)
+	}
+	return served
 }

@@ -1,8 +1,10 @@
 package linkindex_test
 
 import (
+	"flag"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"genlink/internal/datagen"
@@ -30,6 +32,11 @@ func rigCoraRule(levenshtein, date similarity.Measure) *rule.Rule {
 	return rule.New(rule.NewAggregation(rule.WMean(), title, authors, dates))
 }
 
+// coraN is the corpus size of BenchmarkQueryCoraRule and
+// BenchmarkApplyCoraRule: go test -bench CoraRule -cora-n 100000 runs
+// them at 10⁵.
+var coraN = flag.Int("cora-n", 10000, "entities in the Cora-rule benchmarks' corpus")
+
 // coraChunks returns n entities of datagen Cora chunks, each chunk's IDs
 // prefixed with its number, as the rig's cora-x corpus is built.
 func coraChunks(n int) []*entity.Entity {
@@ -48,18 +55,21 @@ func coraChunks(n int) []*entity.Entity {
 }
 
 // BenchmarkQueryCoraRule measures the served query path without the HTTP
-// stack on the rig's shapes: 10,000 entities of Cora chunks, the rig's
-// rule, multipass blocking, 2 shards, k = 10. One op is one query: a
-// stored ID through QueryID, or, for Query, a re-keyed copy of a stored
-// entity, as an external probe. Besides ns/op and allocs/op it reports
-// the heap the loaded index retains per entity (heap-B/entity: block
-// indexes, records and the shards' tables, as BenchmarkBlockIndexWrite's
-// load reports it for one block index) and, per query, from one untimed
-// pass over the same probes on an index whose rule counts its work
-// (linkindex.Work): candidates scored to completion, edit distances run
-// and values parsed.
+// stack on the rig's shapes: 10,000 entities of Cora chunks (100,000
+// with -cora-n), the rig's rule, multipass configured as the rig does,
+// 2 shards, k = 10. The rule's title comparison bounds the edit distance
+// (K = 6), so the shards serve it from their rule indexes and the
+// blocker goes unused. One op is one query: a stored ID through QueryID,
+// or, for Query, a re-keyed copy of a stored entity, as an external
+// probe. Besides ns/op and allocs/op it reports the heap the loaded
+// index retains per entity (heap-B/entity: rule indexes, records and the
+// shards' tables) and, per query, from one untimed pass over the same
+// probes on an index whose rule counts its work (linkindex.Work):
+// candidates verified against the edit bound (Proposed), candidates
+// scored to completion, edit distances scoring ran and values parsed.
 func BenchmarkQueryCoraRule(b *testing.B) {
-	const n, shards, k, probes = 10000, 2, 10, 200
+	const shards, k, probes = 2, 10, 200
+	n := *coraN
 	es := coraChunks(n)
 	opts := matching.Options{Blocker: matching.BlockerByName("multipass")}
 	var before, after runtime.MemStats
@@ -69,7 +79,7 @@ func BenchmarkQueryCoraRule(b *testing.B) {
 	ix.BulkLoad(es)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	heapPerEntity := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	heapPerEntity := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
 	var work linkindex.Work
 	counted := linkindex.NewSharded(rigCoraRule(linkindex.CountingLevenshtein(&work), linkindex.CountingDate(&work)), shards, opts)
 	counted.BulkLoad(es)
@@ -85,12 +95,17 @@ func BenchmarkQueryCoraRule(b *testing.B) {
 	modes := []struct {
 		name  string
 		query func(ix *linkindex.ShardedIndex, i int)
+		probe func(i int) *entity.Entity
 	}{
-		{"QueryID", func(ix *linkindex.ShardedIndex, i int) { ix.QueryID(stored[i], k) }},
-		{"Query", func(ix *linkindex.ShardedIndex, i int) { ix.Query(external[i], k) }},
+		{"QueryID", func(ix *linkindex.ShardedIndex, i int) { ix.QueryID(stored[i], k) }, func(i int) *entity.Entity { return ix.Get(stored[i]) }},
+		{"Query", func(ix *linkindex.ShardedIndex, i int) { ix.Query(external[i], k) }, func(i int) *entity.Entity { return external[i] }},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
+			verified := 0
+			for i := range probes {
+				verified += counted.Proposed(mode.probe(i))
+			}
 			work.Reset()
 			for i := range probes {
 				mode.query(counted, i)
@@ -102,6 +117,7 @@ func BenchmarkQueryCoraRule(b *testing.B) {
 				i++
 			}
 			b.ReportMetric(heapPerEntity, "heap-B/entity")
+			b.ReportMetric(float64(verified)/probes, "verified/query")
 			b.ReportMetric(float64(work.Completed.Load())/probes, "scored/query")
 			b.ReportMetric(float64(work.EditDists.Load())/probes, "editdists/query")
 			b.ReportMetric(float64(work.Parses.Load())/probes, "parses/query")
@@ -111,15 +127,16 @@ func BenchmarkQueryCoraRule(b *testing.B) {
 
 // BenchmarkApplyCoraRule measures the served write path without the HTTP
 // stack or the log, on BenchmarkQueryCoraRule's shapes: the rig's rule,
-// multipass blocking, 2 shards, Cora chunks. load fills an empty index
-// with 10,000 entities in 64-entity Apply batches (one op is the whole
-// load) and reports the heap the loaded index retains per entity
-// (heap-B/entity). update64 replaces 64 stored entities per op with
-// other versions, in one Apply batch, at that size. addremove is one
-// single-op Add and one single-op Remove of an entity not otherwise
-// stored: the in-package half of a single-op write.
+// served from the rule indexes, 2 shards, Cora chunks. load fills an
+// empty index with 10,000 entities (-cora-n) in 64-entity Apply batches
+// (one op is the whole load) and reports the heap the loaded index
+// retains per entity (heap-B/entity). update64 replaces 64 stored
+// entities per op with other versions, in one Apply batch, at that
+// size. addremove is one single-op Add and one single-op Remove of an
+// entity not otherwise stored: the in-package half of a single-op write.
 func BenchmarkApplyCoraRule(b *testing.B) {
-	const n, shards, batch = 10000, 2, 64
+	const shards, batch = 2, 64
+	n := *coraN
 	es := coraChunks(n + batch)
 	live, extra := es[:n], es[n:]
 	// alt[i] is a second version of live[i]: another record's values
@@ -151,7 +168,7 @@ func BenchmarkApplyCoraRule(b *testing.B) {
 		for b.Loop() {
 			load()
 		}
-		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/n, "heap-B/entity")
+		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(n), "heap-B/entity")
 	})
 	b.Run("update64", func(b *testing.B) {
 		ix := load()
@@ -179,4 +196,42 @@ func BenchmarkApplyCoraRule(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// TestWorkIndependentOfOrder pins that the per-query counters
+// BenchmarkQueryCoraRule reports depend on the corpus and the probes, not
+// on the order candidates are enumerated in: one corpus loaded forward
+// and reversed takes other slots, so every posting list runs in another
+// order, yet every counter is equal. k = 0 keeps every link, so no
+// probe's floor rises with the links it has seen.
+func TestWorkIndependentOfOrder(t *testing.T) {
+	const n, shards, probes = 2000, 2, 100
+	es := coraChunks(n)
+	reversed := slices.Clone(es)
+	slices.Reverse(reversed)
+	count := func(load []*entity.Entity) [4]int64 {
+		var work linkindex.Work
+		ix := linkindex.NewSharded(rigCoraRule(linkindex.CountingLevenshtein(&work), linkindex.CountingDate(&work)), shards, matching.Options{})
+		ix.BulkLoad(load)
+		verified := 0
+		for i := range probes {
+			verified += ix.Proposed(es[i*(n/probes)])
+		}
+		work.Reset()
+		for i := range probes {
+			e := es[i*(n/probes)]
+			ix.QueryID(e.ID, 0)
+			external := e.Clone()
+			external.ID = fmt.Sprintf("probe/%d", i)
+			ix.Query(external, 0)
+		}
+		return [4]int64{int64(verified), work.Completed.Load(), work.EditDists.Load(), work.Parses.Load()}
+	}
+	forward, backward := count(es), count(reversed)
+	if forward != backward {
+		t.Fatalf("verified, completed, edit distances, parses: %v loaded forward, %v reversed", forward, backward)
+	}
+	if forward[1] == 0 || forward[1] == forward[2] {
+		t.Fatalf("counts %v: no candidate scored to completion, or none declined by its bound", forward)
+	}
 }

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"genlink/internal/entity"
+	"genlink/internal/evalengine"
 	"genlink/internal/linkindex"
 	"genlink/internal/matching"
 	"genlink/internal/rule"
@@ -23,6 +25,14 @@ import (
 // explicit stop-token caps. Query results must likewise equal
 // batch-scoring those candidates with the interpreted rule. Run under
 // -race in CI alongside concurrent-access tests.
+//
+// A rule with an edit bound is served from the rule index, whatever the
+// blocker, so for it (the "wmean/" subtests) the references are
+// stronger: the candidates are exactly the survivors within K edits of
+// the probe on the bounded comparison's values (withinBound), and the
+// links exactly those of scoring every survivor with the interpreted
+// rule. Its subtests still run per strategy and cap, which only seed
+// different write histories.
 //
 // The batch side is matching.CandidatePairs over a freshly built source:
 // a one-shot BulkAdd of the survivors (the sorted-neighborhood scan of
@@ -166,9 +176,9 @@ func diffRule() *rule.Rule {
 
 // diffWMeanRule is diffRule's comparisons under a weighted mean, the name
 // weighted 3: (3·(1 − d/4) + 2)/5 ≥ 0.5 needs a name edit distance
-// d ≤ 3, so the index keeps an edit filter, a rule pass of segment keys
-// in each shard's block index (diffRule, a max, has none), and every
-// query of the differentials below goes through it.
+// d ≤ 3, so each shard keeps a rule index in place of a block index
+// (diffRule, a max, has no bound), and every query of the differentials
+// below is served from it.
 func diffWMeanRule() *rule.Rule {
 	name := rule.NewComparison(
 		rule.NewTransform(transform.LowerCase(), rule.NewProperty("name")),
@@ -185,10 +195,56 @@ func diffWMeanRule() *rule.Rule {
 }
 
 // diffRules are the rules the differentials run: diffRule, without an
-// edit filter, under its subtests' plain names, and diffWMeanRule, with
+// edit bound, under its subtests' plain names, and diffWMeanRule, with
 // one, under "wmean/".
 func diffRules() map[string]*rule.Rule {
 	return map[string]*rule.Rule{"": diffRule(), "wmean/": diffWMeanRule()}
+}
+
+// diffBound returns the edit bound K the index derives for the
+// differential rule under prefix at the match threshold, and whether it
+// has one: diffWMeanRule's is 3, on its lowercased names, and diffRule
+// has none.
+func diffBound(t *testing.T, prefix string, r *rule.Rule) (int, bool) {
+	t.Helper()
+	eb, ok := evalengine.Compile(r).EditBound(rule.MatchThreshold)
+	if want := prefix == "wmean/"; ok != want || ok && eb.K != 3 {
+		t.Fatalf("rule %s: EditBound K = %d, %v", r, eb.K, ok)
+	}
+	return eb.K, ok
+}
+
+// withinBound is the ground truth of Candidates under diffWMeanRule's
+// edit bound k: the sorted IDs of the survivors, but the probe's own ID,
+// whose lowercased names are within k edits of the probe's, computed
+// with the plain measure over every survivor.
+func withinBound(probe *entity.Entity, survivors map[string]*entity.Entity, k int) []string {
+	lower := func(e *entity.Entity) []string {
+		var out []string
+		for _, v := range e.Values("name") {
+			out = append(out, strings.ToLower(v))
+		}
+		return out
+	}
+	lev := similarity.Levenshtein()
+	ids := make(map[string]struct{})
+	for id, e := range survivors {
+		if id != probe.ID && lev.Distance(lower(probe), lower(e)) <= float64(k) {
+			ids[id] = struct{}{}
+		}
+	}
+	return sortedIDs(ids)
+}
+
+// othersThan returns the sorted IDs of the survivors but id.
+func othersThan(id string, survivors map[string]*entity.Entity) []string {
+	ids := make(map[string]struct{}, len(survivors))
+	for other := range survivors {
+		if other != id {
+			ids[other] = struct{}{}
+		}
+	}
+	return sortedIDs(ids)
 }
 
 func TestDifferentialIndexVsBatchBlocker(t *testing.T) {
@@ -198,6 +254,7 @@ func TestDifferentialIndexVsBatchBlocker(t *testing.T) {
 }
 
 func testDifferentialIndexVsBatchBlocker(t *testing.T, prefix string, r *rule.Rule) {
+	k, bounded := diffBound(t, prefix, r)
 	for name, bl := range diffStrategies() {
 		for _, maxBlock := range []int{0, 6} {
 			t.Run(fmt.Sprintf("%s%s/cap=%d", prefix, name, maxBlock), func(t *testing.T) {
@@ -209,10 +266,15 @@ func testDifferentialIndexVsBatchBlocker(t *testing.T, prefix string, r *rule.Ru
 				checkProbe := func(probe *entity.Entity) {
 					t.Helper()
 					got := idsOf(ix.Candidates(probe))
-					want := batchCandidates(bl, probe, survivors, maxBlock)
+					// Under the edit bound every survivor is scored.
+					want, scoredIDs := withinBound(probe, survivors, k), othersThan(probe.ID, survivors)
+					if !bounded {
+						want = batchCandidates(bl, probe, survivors, maxBlock)
+						scoredIDs = want
+					}
 					if !equalIDs(got, want) {
-						t.Fatalf("probe %s: incremental candidates diverge from batch blocker\n got: %v\nwant: %v\ncorpus: %d entities",
-							probe.ID, got, want, len(survivors))
+						t.Fatalf("probe %s: incremental candidates diverge from the reference (edit bound: %v)\n got: %v\nwant: %v\ncorpus: %d entities",
+							probe.ID, bounded, got, want, len(survivors))
 					}
 					// Query must equal batch-scoring the same candidates with
 					// the interpreted rule.
@@ -222,7 +284,7 @@ func testDifferentialIndexVsBatchBlocker(t *testing.T, prefix string, r *rule.Ru
 						score float64
 					}
 					var wantScored []scored
-					for _, id := range want {
+					for _, id := range scoredIDs {
 						if s := r.Evaluate(probe, survivors[id]); s >= rule.MatchThreshold {
 							wantScored = append(wantScored, scored{id, s})
 						}
@@ -299,7 +361,8 @@ func sortedIDsOfMap(m map[string]*entity.Entity) []string {
 
 // TestDifferentialQueryIDVsBatch pins the QueryID path (stored probe)
 // against batch blocking + interpreted scoring on a larger corpus in one
-// final state, for every strategy.
+// final state, for every strategy; under an edit bound, against
+// interpreted scoring of every other stored entity.
 func TestDifferentialQueryIDVsBatch(t *testing.T) {
 	for prefix, r := range diffRules() {
 		testDifferentialQueryIDVsBatch(t, prefix, r)
@@ -307,6 +370,7 @@ func TestDifferentialQueryIDVsBatch(t *testing.T) {
 }
 
 func testDifferentialQueryIDVsBatch(t *testing.T, prefix string, r *rule.Rule) {
+	_, bounded := diffBound(t, prefix, r)
 	rng := rand.New(rand.NewSource(99))
 	var corpus []*entity.Entity
 	for i := 0; i < 120; i++ {
@@ -326,7 +390,10 @@ func testDifferentialQueryIDVsBatch(t *testing.T, prefix string, r *rule.Rule) {
 				if !ok {
 					t.Fatalf("QueryID(%s) reported unknown", probe.ID)
 				}
-				want := batchCandidates(bl, probe, survivors, 0)
+				want := othersThan(probe.ID, survivors)
+				if !bounded {
+					want = batchCandidates(bl, probe, survivors, 0)
+				}
 				matched := make(map[string]struct{})
 				for _, id := range want {
 					if r.Evaluate(probe, survivors[id]) >= rule.MatchThreshold {

@@ -3,8 +3,11 @@ package linkindex
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 
+	"genlink/internal/entity"
+	"genlink/internal/matching"
 	"genlink/internal/similarity"
 )
 
@@ -17,19 +20,21 @@ func (ix *ShardedIndex) WriteSnapshot(w io.Writer) error {
 	return ix.buildSnapshot().encode(w)
 }
 
-// CheckShardCounts reports a shard whose records and block index are
-// out of the lockstep applyShardOps keeps them in, or per-shard counts
-// that do not add up to Len: every live slot of the block index must
-// hold exactly one record, whose entity has that slot's ID, and every
-// free slot none. A record left at a freed slot would leak a deleted
-// entity into Entities and into snapshots. The block index's own
-// structure, its rule pass included, is matching's to check.
+// CheckShardCounts reports a shard whose records and index are out of
+// the lockstep applyShardOps keeps them in, or per-shard counts that do
+// not add up to Len: every live slot of the index must hold exactly one
+// record, whose entity has that slot's ID, and every free slot none;
+// with a rule index, every live slot's indexed values must be its
+// record's. A record left at a freed slot would leak a deleted entity
+// into Entities and into snapshots, and stale indexed values would be
+// verified in place of the record's. The index's own structure is
+// matching's to check.
 func (ix *ShardedIndex) CheckShardCounts() error {
 	total := 0
 	for i, sh := range ix.shards {
 		sh.mu.RLock()
-		err := sh.checkRecords()
-		indexed := sh.blocks.Len()
+		err := ix.checkRecords(sh)
+		indexed := sh.table().Len()
 		sh.mu.RUnlock()
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
@@ -46,15 +51,20 @@ func (ix *ShardedIndex) CheckShardCounts() error {
 // record at slot s whose ID the index places at s occupies a distinct
 // live slot, so when every record passes and they number Len(), the
 // live slots are exactly the ones holding records.
-func (sh *shard) checkRecords() error {
+func (ix *ShardedIndex) checkRecords(sh *shard) error {
 	records := 0
 	for s, r := range sh.records {
+		if sh.rules != nil && r != nil {
+			if got, want := sh.indexed.at(int32(s)), ix.edit.Indexed(r); !slices.Equal(got, want) {
+				return fmt.Errorf("slot %d holds indexed values %q, its record %q", s, got, want)
+			}
+		}
 		if r == nil {
 			continue
 		}
 		records++
 		id := r.Entity().ID
-		at, ok := sh.blocks.Slot(id)
+		at, ok := sh.table().Slot(id)
 		if !ok {
 			return fmt.Errorf("slot %d holds the record of %q, which is not indexed", s, id)
 		}
@@ -62,21 +72,48 @@ func (sh *shard) checkRecords() error {
 			return fmt.Errorf("slot %d holds the record of %q, which the block index has at slot %d", s, id, at)
 		}
 	}
-	if indexed := sh.blocks.Len(); records != indexed {
+	if sh.rules != nil && (len(sh.indexed.one) != len(sh.records) || len(sh.indexed.many) != len(sh.records)) {
+		return fmt.Errorf("%d and %d indexed value sets for %d record slots", len(sh.indexed.one), len(sh.indexed.many), len(sh.records))
+	}
+	if indexed := sh.table().Len(); records != indexed {
 		return fmt.Errorf("%d records, %d entities in the block index", records, indexed)
 	}
 	return nil
 }
 
+// Proposed returns how many stored entities the rule index proposes for
+// the probe, over every shard: the slots holding one of its keys, but
+// its own. A query verifies each against the edit bound before scoring
+// it, so it is the count of those checks; 0 when the index has no edit
+// bound or the probe's bound already misses the threshold.
+func (ix *ShardedIndex) Proposed(probe *entity.Entity) int {
+	keys := ix.queryKeys(ix.compiled.Record(probe))
+	n := 0
+	for _, sh := range ix.shards {
+		sh.mu.RLock()
+		if sh.rules != nil {
+			sh.rules.Each(probe.ID, keys, new(matching.SlotSet), func(int32) bool {
+				n++
+				return true
+			})
+		}
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
 // Work counts what scoring does, observed through the measures a rule is
 // built from (CountingLevenshtein, CountingDate): the hook
 // BenchmarkQueryCoraRule reads its per-query counters from, so no
-// production code counts anything.
+// production code counts anything. The rule index's checks against the
+// edit bound run the plain measure, so they are not counted here
+// (Proposed counts them).
 type Work struct {
 	// Completed counts the candidates scored to completion: edit
-	// distances that came back exact (every one, when unbounded).
+	// distances that came back exact, at most the bound scoring asked
+	// for.
 	Completed atomic.Int64
-	// EditDists counts the edit distances run, one per candidate.
+	// EditDists counts the edit distances scoring ran, one per candidate.
 	EditDists atomic.Int64
 	// Parses counts the values a parsing measure parsed.
 	Parses atomic.Int64
@@ -104,10 +141,17 @@ type countedEdit struct {
 	w *Work
 }
 
-func (m countedEdit) Distance(a, b []string) float64 {
+// Within wraps the edit distance's bounded form for one pair of value
+// sets, which the scoring engine runs for a probe's first candidate.
+func (m countedEdit) Within(a, b []string, k float64) float64 {
 	m.w.EditDists.Add(1)
-	m.w.Completed.Add(1)
-	return m.Measure.Distance(a, b)
+	d := m.Measure.(interface {
+		Within(a, b []string, k float64) float64
+	}).Within(a, b, k)
+	if d <= k {
+		m.w.Completed.Add(1)
+	}
+	return d
 }
 
 // Pattern wraps the edit distance's bounded form, which the scoring

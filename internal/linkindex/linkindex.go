@@ -7,20 +7,34 @@
 // fixed sources. A production linkage service sees the opposite regime:
 // entities arrive, change and disappear continuously, and each query
 // ("which indexed entities match this one?") must be answered online. The
-// package keeps the blocking subsystem of internal/matching as the single
-// source of candidate-generation semantics and adds the storage layer
-// around it:
+// package keeps internal/matching as the single source of
+// candidate-generation semantics and adds the storage layer around it:
 //
-//   - Candidates come from the blocker's own matching.BlockIndex — the
-//     same index batch matching enumerates through: one entity table and
-//     one slot-keyed pass per strategy of the blocker (posting lists for
-//     token and q-gram blocking, an order-maintained sorted list for
+//   - Candidates come from the served rule when it allows (the rule
+//     index, in sharded.go): when the rule makes a levenshtein
+//     comparison necessary at the threshold — every link has an edit
+//     distance of at most K, which evalengine.Compiled.EditBound derives
+//     from the rule itself — each shard keeps a matching.RuleIndex of
+//     the PassJoin segment keys of its entities' compared values
+//     (internal/similarity), and nothing of the blocker. A query
+//     enumerates the postings of the probe's keys and checks each
+//     stored entity against the bound before scoring it; an entity that
+//     shares no key or fails the check is further than K and could never
+//     reach the threshold, so the links are exactly those of scoring
+//     every stored entity (TestServedEqualsBruteForce). The rule index is
+//     not persisted: Apply maintains it, and recovery, restore and
+//     followers rebuild it through Apply.
+//   - Otherwise (a max, a normalized Levenshtein, a bound past the cap,
+//     …) candidates come from the blocker's own matching.BlockIndex —
+//     the same index batch matching enumerates through: one entity table
+//     and one slot-keyed pass per strategy of the blocker (posting lists
+//     for token and q-gram blocking, an order-maintained sorted list for
 //     sorted-neighborhood), unioned for multi-pass. Differential
 //     property tests pin the index's candidates ≡ the batch blocker on the
 //     surviving entity set under any interleaving of Add/Update/Remove.
 //   - ShardedIndex hash-partitions the corpus over N shards, each owning
-//     a BlockIndex and its records behind a per-shard RWMutex. The block
-//     index's entity table is the shard's one ID table, and the records
+//     a rule or block index and its records behind a per-shard RWMutex.
+//     The index's entity table is the shard's one ID table, and the records
 //     slice holds, by that table's slot, every stored entity's
 //     evalengine.Record, the scoring record built once per entity
 //     version when the version is written, so queries score stored
@@ -34,20 +48,6 @@
 //     identical to single-shard for partition-invariant strategies, a
 //     recall-preserving superset for sorted-neighborhood windows and
 //     capped blocks — and the per-shard isolation contract.
-//   - A lossless filter from the served rule (the edit filter, in
-//     sharded.go): when the rule makes a levenshtein comparison
-//     necessary at the threshold — every link has an edit distance of at
-//     most K, which evalengine.Compiled.EditBound derives from the rule
-//     itself — each shard's block index also keeps a rule pass, posting
-//     lists of the PassJoin segment keys of its entities' compared
-//     values (internal/similarity), and a query scores only the
-//     blocker's candidates that share a key with the probe. A
-//     dropped candidate is further than K and could never reach the
-//     threshold, so no answer changes; the blocker's candidates stay
-//     what they were. Rules with no such comparison (a max, a
-//     normalized Levenshtein, …) score every candidate, as before. The
-//     filter is not persisted: Apply maintains it, and recovery, restore
-//     and followers rebuild it through Apply.
 //   - Snapshot persistence: SnapshotTo writes a versioned snapshot of the
 //     corpus, rule and options to disk; RestoreFrom rebuilds the block
 //     structures from it, so a service restart does not lose the index.
@@ -81,9 +81,8 @@ type (
 	BulkAdder = matching.BulkAdder
 )
 
-// NewBlockIndex is matching.NewBlockIndex without a rule pass: the rig's
-// block indexes serve no rule.
-func NewBlockIndex(bl matching.Blocker) BlockIndex { return matching.NewBlockIndex(bl, nil) }
+// NewBlockIndex is matching.NewBlockIndex.
+func NewBlockIndex(bl matching.Blocker) BlockIndex { return matching.NewBlockIndex(bl) }
 
 // Index is a mutable matching service over one entity corpus: entities
 // are added, updated and removed individually, and Query matches a probe
@@ -101,12 +100,14 @@ type Index = ShardedIndex
 type Stats struct {
 	// Entities is the current corpus size.
 	Entities int
-	// Keys sums BlockIndex.Keys over the shards: the distinct keys of
-	// each shard's token and q-gram passes and the records of its
-	// sorted-neighborhood pass. The edit filter's rule pass is not
-	// counted.
+	// Keys sums the shards' index sizes: under an edit bound, the
+	// distinct keys of each shard's rule index (RuleIndex.Keys);
+	// otherwise the distinct keys of each shard's token and q-gram passes
+	// and the records of its sorted-neighborhood pass (BlockIndex.Keys).
 	Keys int
-	// Blocker names the wrapped blocking strategy.
+	// Blocker names the configured blocking strategy, which serves the
+	// candidates only of a rule without an edit bound
+	// (ShardedIndex.CandidateSource names what serves them).
 	Blocker string
 	// Threshold is the minimum score Query emits.
 	Threshold float64

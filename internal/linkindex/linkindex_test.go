@@ -3,6 +3,7 @@ package linkindex_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -175,31 +176,54 @@ func TestBulkLoadAndStats(t *testing.T) {
 	}
 }
 
-// TestStatsKeysExcludeRulePass pins what Stats.Keys counts: the
-// blocker's keys alone. On one corpus and blocker, an index whose rule
-// has an edit bound, and so keeps a rule pass of segment keys in every
-// shard's block index, reports the Keys of one whose rule has none.
-func TestStatsKeysExcludeRulePass(t *testing.T) {
+// TestStatsKeysCountServedIndex pins what Stats.Keys counts: the
+// distinct keys of the index each shard serves from, summed. On one
+// corpus, a rule without an edit bound reports the keys of the
+// blocker's block index over each shard's entities, and a rule with one
+// (a single levenshtein comparison, K = 1) those of its rule index: the
+// distinct PassJoin segment keys of each shard's lowercased names.
+func TestStatsKeysCountServedIndex(t *testing.T) {
+	const shards = 2
 	bounded := rule.New(rule.NewComparison(
 		rule.NewTransform(transform.LowerCase(), rule.NewProperty("name")),
 		rule.NewTransform(transform.LowerCase(), rule.NewProperty("name")),
 		similarity.Levenshtein(), 2))
-	for r, want := range map[*rule.Rule]bool{bounded: true, testRule(): false} {
-		if _, ok := evalengine.Compile(r).EditBound(rule.MatchThreshold); ok != want {
-			t.Fatalf("rule %s: EditBound reported %v, want %v", r, ok, want)
-		}
+	eb, ok := evalengine.Compile(bounded).EditBound(rule.MatchThreshold)
+	if !ok || eb.K != 1 {
+		t.Fatalf("rule %s: EditBound K = %d, %v; want 1", bounded, eb.K, ok)
+	}
+	if _, ok := evalengine.Compile(testRule()).EditBound(rule.MatchThreshold); ok {
+		t.Fatalf("rule %s has an edit bound", testRule())
 	}
 	var es []*entity.Entity
 	for i := 0; i < 40; i++ {
-		es = append(es, ent(fmt.Sprintf("e%d", i), fmt.Sprintf("name %d", i%7), "shared title"))
+		es = append(es, ent(fmt.Sprintf("e%d", i), fmt.Sprintf("Name %d", i%7), "shared title"))
+	}
+	blockKeys, segmentKeys := 0, 0
+	for part := range shards {
+		bi := matching.NewBlockIndex(matching.MultiPass())
+		distinct := make(map[uint64]bool)
+		for _, e := range es {
+			if linkindex.PartitionOf(e.ID, shards) == part {
+				bi.Add(e)
+				for _, k := range similarity.EditSegmentKeys(nil, []string{strings.ToLower(e.Values("name")[0])}, eb.K) {
+					distinct[k] = true
+				}
+			}
+		}
+		blockKeys += bi.Keys()
+		segmentKeys += len(distinct)
 	}
 	keys := func(r *rule.Rule) int {
-		ix := linkindex.NewSharded(r, 2, matching.Options{Blocker: matching.MultiPass()})
+		ix := linkindex.NewSharded(r, shards, matching.Options{Blocker: matching.MultiPass()})
 		ix.BulkLoad(es)
 		return ix.Stats().Keys
 	}
-	if with, without := keys(bounded), keys(testRule()); with != without || with == 0 {
-		t.Fatalf("Stats.Keys = %d with a rule pass, %d without; want the same, above 0", with, without)
+	if got := keys(testRule()); got != blockKeys || got == 0 {
+		t.Errorf("without an edit bound: Stats.Keys = %d, the block indexes hold %d", got, blockKeys)
+	}
+	if got := keys(bounded); got != segmentKeys || got == 0 {
+		t.Errorf("with an edit bound: Stats.Keys = %d, the shards' names have %d distinct segment keys", got, segmentKeys)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // TestProbeKeysSkipEarlyExit pins that a probe whose bound already
-// misses the threshold gets no filter keys: no shard enumerates for it,
-// so none are derived or collected. The rule is a min over the name's
+// misses the threshold gets no rule-index keys: no shard enumerates for
+// it, so none are derived. The rule is a min over the name's
 // edit distance and the titles' overlap, so a probe without a title has
 // a bound of 0 however close a stored name is to its own.
 func TestProbeKeysSkipEarlyExit(t *testing.T) {
@@ -20,16 +20,16 @@ func TestProbeKeysSkipEarlyExit(t *testing.T) {
 		rule.NewComparison(rule.NewProperty("title"), rule.NewProperty("title"), similarity.Jaccard(), 0.5)))
 	ix := NewSharded(r, 2, matching.Options{Threshold: 0.5})
 	if ix.edit == nil {
-		t.Fatal("min(levenshtein θ 2, …) at T = 0.5 engages no filter")
+		t.Fatal("min(levenshtein θ 2, …) at T = 0.5 has no edit bound")
 	}
 	titled, untitled := entity.New("a"), entity.New("b")
 	titled.Set("name", "alice")
 	titled.Set("title", "x")
 	untitled.Set("name", "alice")
-	if keys := ix.probeKeys(ix.compiled.Record(titled)); len(keys) == 0 {
+	if keys := ix.queryKeys(ix.compiled.Record(titled)); len(keys) == 0 {
 		t.Error("a probe that can reach the threshold got no keys")
 	}
-	if keys := ix.probeKeys(ix.compiled.Record(untitled)); keys != nil {
+	if keys := ix.queryKeys(ix.compiled.Record(untitled)); keys != nil {
 		t.Errorf("an early-exit probe got %d keys", len(keys))
 	}
 }

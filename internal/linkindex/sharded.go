@@ -1,6 +1,7 @@
 package linkindex
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -60,6 +61,12 @@ import (
 // TestShardedSupersetOfSingleShard pins the sorted-neighborhood window
 // superset.
 //
+// All of this is about rules without an edit bound. A rule with one is
+// served from each shard's rule index, whose candidates are a pure
+// function of the probe and the stored entities, so the union over
+// shards is exactly the single-shard set, and the links are exactly
+// those of scoring every stored entity (TestServedEqualsBruteForce).
+//
 // # Isolation semantics
 //
 // Every method is safe for concurrent use. Writes and queries are
@@ -77,8 +84,8 @@ type ShardedIndex struct {
 	shards   []*shard
 	// edit is the rule's necessary edit-distance bound at the threshold,
 	// nil when it has none (or none tight enough to pay): with it, every
-	// shard's block index keeps a rule pass of segment keys, and queries
-	// go through the edit filter (see queryLocked).
+	// shard keeps a rule index in place of a block index, and queries
+	// score its verified candidates (see queryLocked).
 	edit  *evalengine.EditBound
 	count atomic.Int64 // total entities across shards
 	// streamEarlyExits counts per-shard queries answered without
@@ -87,16 +94,73 @@ type ShardedIndex struct {
 }
 
 // shard is one partition: a single-mutex miniature of the retired
-// monolithic index. The block index's entity table is the shard's only
-// map from ID to slot; records holds, at each live slot, the scoring
-// record of the entity there (Record.Entity is the entity itself) and
-// nil at each free slot, so the entity and its record are installed and
-// replaced together. When the index filters, the block index's rule pass
-// holds the segment keys of the entity at every live slot.
+// monolithic index. Exactly one of blocks and rules is set: the rule
+// index when the index has an edit bound, the blocker's block index
+// otherwise. Its entity table is the shard's only map from ID to slot;
+// records holds, at each live slot, the scoring record of the entity
+// there (Record.Entity is the entity itself) and nil at each free slot,
+// so the entity and its record are installed and replaced together.
+// With a rule index, indexed holds at each live slot the bound's B-side
+// values of that record (EditBound.Indexed), the ones a query verifies.
 type shard struct {
 	mu      sync.RWMutex
 	blocks  matching.BlockIndex
+	rules   *matching.RuleIndex
 	records []*evalengine.Record
+	indexed indexedValues
+}
+
+// indexedValues holds a value set per slot in two slot-indexed arrays,
+// so a query verifying a candidate reads them, and then the values'
+// bytes, without touching its record: one holds a set of exactly one
+// value — the common case, read with no pointer to follow — and many
+// any other set (nil at a slot of one value). A free slot's entries are
+// never read.
+type indexedValues struct {
+	one  []string
+	many [][]string
+}
+
+// noValues is the empty set as many holds it, set apart from nil.
+var noValues = []string{}
+
+// set records values at slot s, growing the arrays to reach it.
+func (iv *indexedValues) set(s int32, values []string) {
+	for int(s) >= len(iv.one) {
+		iv.one, iv.many = append(iv.one, ""), append(iv.many, nil)
+	}
+	switch len(values) {
+	case 1:
+		iv.one[s], iv.many[s] = values[0], nil
+	case 0:
+		iv.one[s], iv.many[s] = "", noValues
+	default:
+		iv.one[s], iv.many[s] = "", values
+	}
+}
+
+// at returns the values recorded at slot s.
+func (iv *indexedValues) at(s int32) []string {
+	if vs := iv.many[s]; vs != nil {
+		return vs
+	}
+	return iv.one[s : s+1]
+}
+
+// slotTable is what a shard reads of its entity table, whichever index
+// holds it.
+type slotTable interface {
+	Slot(id string) (int32, bool)
+	Len() int
+	Keys() int
+}
+
+// table returns the shard's entity table.
+func (sh *shard) table() slotTable {
+	if sh.rules != nil {
+		return sh.rules
+	}
+	return sh.blocks
 }
 
 // NewSharded returns an empty index with the given shard count (≤ 0 means
@@ -104,7 +168,9 @@ type shard struct {
 // matching.Options semantics: zero Threshold means rule.MatchThreshold,
 // nil Blocker means token blocking, zero MaxBlockSize derives the
 // stop-token cap from the current total corpus size, negative means
-// uncapped. New(r, opts) is the single-shard special case.
+// uncapped. Blocker and MaxBlockSize apply only to a rule without an
+// edit bound at the threshold: a rule with one is served from its rule
+// index. New(r, opts) is the single-shard special case.
 func NewSharded(r *rule.Rule, shards int, opts matching.Options) *ShardedIndex {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -116,15 +182,26 @@ func NewSharded(r *rule.Rule, shards int, opts matching.Options) *ShardedIndex {
 		opts.Blocker = matching.TokenBlocking()
 	}
 	ix := &ShardedIndex{rule: r, compiled: evalengine.Compile(r), opts: opts, shards: make([]*shard, shards)}
-	var ruleKeys func(*entity.Entity) []uint64
 	if eb, ok := ix.compiled.EditBound(opts.Threshold); ok {
 		ix.edit = &eb
-		ruleKeys = segmentKeys(eb)
 	}
 	for i := range ix.shards {
-		ix.shards[i] = &shard{blocks: matching.NewBlockIndex(opts.Blocker, ruleKeys)}
+		if ix.edit != nil {
+			ix.shards[i] = &shard{rules: matching.NewRuleIndex()}
+		} else {
+			ix.shards[i] = &shard{blocks: matching.NewBlockIndex(opts.Blocker)}
+		}
 	}
 	return ix
+}
+
+// CandidateSource names what serves the rule's candidates: the rule
+// index under its edit bound, or the blocker.
+func (ix *ShardedIndex) CandidateSource() string {
+	if ix.edit != nil {
+		return fmt.Sprintf("rule index (levenshtein ≤ %d, verified)", ix.edit.K)
+	}
+	return "blocker " + ix.opts.Blocker.Name()
 }
 
 // Rule returns the linkage rule the index scores with.
@@ -271,17 +348,18 @@ func SplitBatch(b Batch, parts int) map[int]Batch {
 }
 
 // applyShardOps installs one shard's resolved ops under its write lock —
-// old versions leave the block structures through the bulk-remove fast
-// path, new versions enter through the BulkAdd merge path —
-// and reports the distinct upserts and deletes performed. The fresh
-// versions' scoring records are built before the lock is taken: records
-// are pure functions of the entity, so building them needs no shard
-// state. It is the only code that writes a shard's records, block index
-// (the rule pass included) and the entity count, so those three stay in
-// lockstep by construction: a freed slot's record is dropped and a taken
-// slot's installed in the same critical section. Its callers are Apply
-// and the replay pipeline. Callers may run it concurrently for different
-// shards; per shard it is atomic with respect to queries.
+// old versions leave the index through the bulk-remove fast path, new
+// versions enter through BulkAdd — and reports the distinct upserts and
+// deletes performed. The fresh versions' scoring records, and with a
+// rule index their keys, are built before the lock is taken: both are
+// pure functions of the entity, so building them needs no shard state,
+// and the keys come from the record's values, so no value program runs
+// twice. It is the only code that writes a shard's records, its index,
+// the indexed values and the entity count, so they stay in lockstep by
+// construction: a freed slot's record is dropped and a taken slot's
+// installed in the same critical section. Its callers are Apply and the
+// replay pipeline. Callers may run it concurrently for different shards;
+// per shard it is atomic with respect to queries.
 func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 	sh := ix.shards[g.part]
 	fresh := g.upserts[:0]
@@ -292,6 +370,13 @@ func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 			recs = append(recs, ix.compiled.Record(e))
 		}
 	}
+	var keys [][]uint64
+	if sh.rules != nil {
+		keys = make([][]uint64, len(recs))
+		for i, r := range recs {
+			keys[i] = storedKeys(ix.edit.Indexed(r), ix.edit.K)
+		}
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	// Deleted and replaced versions leave in one BulkRemove; the two ID
@@ -299,20 +384,33 @@ func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 	gone := append(make([]string, 0, len(g.deletes)+len(fresh)), g.deletes...)
 	replaced := 0
 	for _, e := range fresh {
-		if _, ok := sh.blocks.Slot(e.ID); ok {
+		if _, ok := sh.table().Slot(e.ID); ok {
 			gone = append(gone, e.ID)
 			replaced++
 		}
 	}
-	freed := sh.blocks.BulkRemove(gone)
+	var freed, taken []int32
+	if sh.rules != nil {
+		freed = sh.rules.BulkRemove(gone)
+		taken = sh.rules.BulkAdd(fresh, keys)
+	} else {
+		freed = sh.blocks.BulkRemove(gone)
+		taken = sh.blocks.BulkAdd(fresh)
+	}
 	for _, s := range freed {
 		sh.records[s] = nil
+		if sh.rules != nil {
+			sh.indexed.set(s, nil)
+		}
 	}
-	for i, s := range sh.blocks.BulkAdd(fresh) {
+	for i, s := range taken {
 		for int(s) >= len(sh.records) {
 			sh.records = append(sh.records, nil)
 		}
 		sh.records[s] = recs[i]
+		if sh.rules != nil {
+			sh.indexed.set(s, ix.edit.Indexed(recs[i]))
+		}
 	}
 	deleted = len(freed) - replaced
 	ix.count.Add(int64(len(fresh) - replaced - deleted))
@@ -324,8 +422,8 @@ func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 // Writes are grouped per shard, shards are written in parallel, and each
 // shard takes its write lock exactly once — old versions leave the block
 // structures through the bulk-remove fast path and new versions enter
-// through the BulkAdd merge path, so a batched upsert never pays the
-// per-record sorted-neighborhood memmove. The batch semantics are
+// through BulkAdd, so a batched upsert never pays the per-record
+// sorted-neighborhood memmove. The batch semantics are
 // Batch's: the last upsert of an ID wins and a delete beats an upsert.
 // Per shard the batch is atomic with respect to queries; across shards
 // there is no barrier, so a racing query may see it in some shards first
@@ -359,7 +457,7 @@ func (ix *ShardedIndex) Get(id string) *entity.Entity {
 	sh := ix.shards[ix.shardOf(id)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if s, ok := sh.blocks.Slot(id); ok {
+	if s, ok := sh.table().Slot(id); ok {
 		return sh.records[s].Entity()
 	}
 	return nil
@@ -370,7 +468,7 @@ func (ix *ShardedIndex) Get(id string) *entity.Entity {
 func (sh *shard) entities() []*entity.Entity {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	out := make([]*entity.Entity, 0, sh.blocks.Len())
+	out := make([]*entity.Entity, 0, sh.table().Len())
 	for _, r := range sh.records {
 		if r != nil {
 			out = append(out, r.Entity())
@@ -401,9 +499,10 @@ func (ix *ShardedIndex) Stats() Stats {
 	}
 	for i, sh := range ix.shards {
 		sh.mu.RLock()
-		st.Entities += sh.blocks.Len()
-		st.Keys += sh.blocks.Keys()
-		st.ShardEntities[i] = sh.blocks.Len()
+		tb := sh.table()
+		st.Entities += tb.Len()
+		st.Keys += tb.Keys()
+		st.ShardEntities[i] = tb.Len()
 		sh.mu.RUnlock()
 	}
 	return st
@@ -417,6 +516,7 @@ func (ix *ShardedIndex) Stats() Stats {
 // cap in all N shards). 0 derives the cap as matching.Options.normalize
 // does, from the shard's partition minus the probe's own record: exactly
 // like a single-shard index over that partition. Negative is uncapped.
+// Only a block index reads it: a rule index caps nothing.
 func (ix *ShardedIndex) maxBlock(sh *shard, probe *entity.Entity) int {
 	switch m := ix.opts.MaxBlockSize; {
 	case m > 0:
@@ -431,19 +531,35 @@ func (ix *ShardedIndex) maxBlock(sh *shard, probe *entity.Entity) int {
 	return matching.DefaultMaxBlockSize(n)
 }
 
-// Candidates returns the indexed entities blocking proposes for the
-// probe, sorted by ID — the pre-scoring half of Query, exposed so
-// blocking quality is observable (and differentially testable) on its
-// own. The probe's own record (same ID) is never a candidate. With more
-// than one shard the result is the union of the per-shard candidate sets
-// (see the candidate-semantics notes on ShardedIndex).
+// Candidates returns the indexed entities a query scores for the probe,
+// sorted by ID — the pre-scoring half of Query, exposed so candidate
+// generation is observable (and differentially testable) on its own:
+// under an edit bound, the rule index's verified candidates (every
+// stored entity within K edits of the probe on the bound's values);
+// otherwise the ones blocking proposes. The probe's own record (same ID)
+// is never a candidate. With more than one shard the result is the
+// union of the per-shard candidate sets (see the candidate-semantics
+// notes on ShardedIndex).
 func (ix *ShardedIndex) Candidates(probe *entity.Entity) []*entity.Entity {
+	var rec *evalengine.Record
+	var keys []uint64
+	if ix.edit != nil {
+		rec = ix.compiled.Record(probe)
+		keys = probeKeys(ix.edit.Probe(rec), ix.edit.K)
+	}
 	perShard := make([][]*entity.Entity, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
 		sh := ix.shards[i]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		perShard[i] = sh.blocks.Candidates(probe, ix.maxBlock(sh, probe))
+		if sh.rules == nil {
+			perShard[i] = sh.blocks.Candidates(probe, ix.maxBlock(sh, probe))
+			return
+		}
+		ix.ruleCandidates(sh, rec, keys).Each(probe, 0, new(matching.SlotSet), func(s int32) bool {
+			perShard[i] = append(perShard[i], sh.records[s].Entity())
+			return true
+		})
 	})
 	var out []*entity.Entity
 	for _, cands := range perShard {
@@ -463,7 +579,7 @@ func (ix *ShardedIndex) Candidates(probe *entity.Entity) []*entity.Entity {
 // keeping its best k, and MergeTopK merges the per-shard winners.
 func (ix *ShardedIndex) Query(probe *entity.Entity, k int) []matching.Link {
 	rec := ix.compiled.Record(probe)
-	keys := ix.probeKeys(rec)
+	keys := ix.queryKeys(rec)
 	perShard := make([][]matching.Link, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
 		perShard[i] = ix.query(ix.shards[i], rec, keys, k)
@@ -507,13 +623,13 @@ func (ix *ShardedIndex) QueryID(id string, k int) ([]matching.Link, bool) {
 	hi := ix.shardOf(id)
 	home := ix.shards[hi]
 	home.mu.RLock()
-	s, ok := home.blocks.Slot(id)
+	s, ok := home.table().Slot(id)
 	if !ok {
 		home.mu.RUnlock()
 		return nil, false
 	}
 	probe := home.records[s]
-	keys := ix.probeKeys(probe)
+	keys := ix.queryKeys(probe)
 	perShard := make([][]matching.Link, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
 		if i != hi {
@@ -553,7 +669,7 @@ func parallel(n int, f func(i int)) {
 
 // query answers shard sh's share of a Query under its read lock,
 // returning its top-k links (all links above the threshold for k ≤ 0).
-// keys are the probe's segment keys (probeKeys).
+// keys are the probe's rule-index keys (queryKeys).
 func (ix *ShardedIndex) query(sh *shard, probe *evalengine.Record, keys []uint64, k int) []matching.Link {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -561,90 +677,101 @@ func (ix *ShardedIndex) query(sh *shard, probe *evalengine.Record, keys []uint64
 }
 
 // queryLocked is query with the shard lock already held: the shard's
-// block index and records go through matching.ScoreCandidates, the one
+// candidates and records go through matching.ScoreCandidates, the one
 // candidate-scoring loop, which keeps the shard's top k (every link for
-// k ≤ 0). With an edit filter it scores only the blocker's candidates
-// whose segment keys in the block index's rule pass meet the probe's;
-// the others could not reach the threshold. A probe whose bound already
-// misses the threshold enumerates nothing and counts as an early exit.
-// Results are exactly those of scoring every materialized candidate
-// (Candidates).
+// k ≤ 0). Under an edit bound the candidates are the rule index's
+// verified ones (verified), with no block-size cap; otherwise the block
+// index's, capped by maxBlock. A probe whose bound already misses the
+// threshold enumerates nothing and counts as an early exit. Results are
+// exactly those of scoring every candidate Candidates returns.
 func (ix *ShardedIndex) queryLocked(sh *shard, probe *evalengine.Record, keys []uint64, k int) []matching.Link {
 	var cands matching.Enumerator = sh.blocks
-	if ix.edit != nil {
-		keep := keepSets.Get().(*matching.SlotSet)
-		defer func() {
-			keep.Clear()
-			keepSets.Put(keep)
-		}()
-		sh.blocks.RuleSlots(keys, keep)
-		cands = &filtered{blocks: sh.blocks, keep: keep}
+	maxBlock := 0
+	if sh.rules != nil {
+		cands = ix.ruleCandidates(sh, probe, keys)
+	} else {
+		maxBlock = ix.maxBlock(sh, probe.Entity())
 	}
-	links, scored := matching.ScoreCandidates(ix.compiled, probe, cands, ix.maxBlock(sh, probe.Entity()), sh.records, ix.opts.Threshold, k)
+	links, scored := matching.ScoreCandidates(ix.compiled, probe, cands, maxBlock, sh.records, ix.opts.Threshold, k)
 	if !scored {
 		ix.streamEarlyExits.Add(1)
 	}
 	return links
 }
 
-// The edit filter: a lossless filter from the served rule. When the rule
-// has a necessary levenshtein comparison at the index threshold
+// The rule index: candidates from the served rule. When the rule has a
+// necessary levenshtein comparison at the index threshold
 // (evalengine.Compiled.EditBound: every link has a distance of at most
 // K between the probe's A-side values and the candidate's B-side
-// values), each shard's block index keeps a rule pass of the PassJoin
-// segment keys of its entities' B-side values
-// (similarity.EditSegmentKeys), and a query scores only the blocker's
-// candidates whose keys meet the probe's (similarity.EditProbeKeys). A
-// candidate that shares none is further than K from the probe and could
-// never reach the threshold, so the filter changes no answer: the
-// blocker's candidates (Candidates) are what they were, and the links
-// are those of scoring every one.
+// values), each shard keeps, in place of the blocker's block index, a
+// matching.RuleIndex of the PassJoin segment keys of its entities'
+// B-side values (similarity.EditSegmentKeys). A query enumerates the
+// postings of the probe's keys (similarity.EditProbeKeys) — every stored
+// entity within K shares one — and verifies each against the bound
+// (EditBound.Within) before scoring it. An entity that shares no key, or
+// fails the check, is further than K and could never reach the
+// threshold, so the links are exactly those of scoring every stored
+// entity.
 
-// segmentKeys is the rule pass's key function under eb: the segment keys
-// of an entity's B-side values, sorted and unique, as
-// matching.NewBlockIndex takes them. The block index records them when
-// it adds the entity and removes exactly those, so they are derived once
-// per entity version.
-func segmentKeys(eb evalengine.EditBound) func(*entity.Entity) []uint64 {
-	return func(e *entity.Entity) []uint64 {
-		values := eb.Stored(e)
-		// A value has K + 1 keys, or one when it is no longer than K.
-		keys := similarity.EditSegmentKeys(make([]uint64, 0, len(values)*(eb.K+1)), values, eb.K)
-		slices.Sort(keys)
-		return slices.Compact(keys)
-	}
+// storedKeys returns the rule index's keys of a stored entity's B-side
+// values under bound k: their segment keys, sorted and unique, as
+// matching.RuleIndex takes them. The index records them when it adds the
+// entity and removes exactly those, so they are derived once per entity
+// version.
+func storedKeys(values []string, k int) []uint64 {
+	// A value has K + 1 keys, or one when it is no longer than K.
+	keys := similarity.EditSegmentKeys(make([]uint64, 0, len(values)*(k+1)), values, k)
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
-// probeKeys returns the filter keys of a probe record, nil when the
-// index has no filter or when the probe's bound already misses the
-// threshold: then every shard's ScoreCandidates returns before it
-// enumerates, and RuleSlots over no keys costs nothing.
-func (ix *ShardedIndex) probeKeys(r *evalengine.Record) []uint64 {
-	if ix.edit == nil || ix.compiled.Bind(r).Upper() < ix.opts.Threshold {
-		return nil
-	}
-	values, k := ix.edit.Probe(r), ix.edit.K
+// probeKeys returns the rule index's keys of a probe's A-side values
+// under bound k.
+func probeKeys(values []string, k int) []uint64 {
 	// A value has at most (2K + 1)(K²/2 + K + 1) keys, one batch of them
 	// per length within K of its own.
 	keys := make([]uint64, 0, len(values)*(2*k+1)*(k*k/2+k+1))
 	// A key repeats only where two of the windows hold equal
-	// substrings; RuleSlots adds its slots once all the same.
+	// substrings; RuleIndex.Each yields its slots once all the same.
 	return similarity.EditProbeKeys(keys, values, k)
 }
 
-// filtered is the enumerator a filtered query scores: the blocker's
-// candidates that are also in keep.
-type filtered struct {
-	blocks matching.Enumerator
-	keep   *matching.SlotSet
+// queryKeys returns the rule-index keys a query of the probe record
+// enumerates, nil when the index has no edit bound or when the probe's
+// bound already misses the threshold: then every shard's
+// ScoreCandidates returns before it enumerates, so no key is needed.
+func (ix *ShardedIndex) queryKeys(r *evalengine.Record) []uint64 {
+	if ix.edit == nil || ix.compiled.Bind(r).Upper() < ix.opts.Threshold {
+		return nil
+	}
+	return probeKeys(ix.edit.Probe(r), ix.edit.K)
 }
 
-func (f *filtered) Each(probe *entity.Entity, maxBlock int, seen *matching.SlotSet, yield func(slot int32) bool) bool {
-	return f.blocks.Each(probe, maxBlock, seen, func(s int32) bool {
-		return !f.keep.Has(s) || yield(s)
+// ruleCandidates returns the enumerator of shard sh's candidates for the probe
+// record under the edit bound, the probe's keys being keys.
+func (ix *ShardedIndex) ruleCandidates(sh *shard, probe *evalengine.Record, keys []uint64) verified {
+	return verified{rules: sh.rules, indexed: &sh.indexed, edit: ix.edit, probe: probe, keys: keys}
+}
+
+// verified enumerates a shard's rule index for one probe: the slots
+// holding one of the probe's keys, each once, but the probe's own, and of
+// those only the ones whose indexed values are within K of the probe's.
+// The check's patterns are built when the enumeration starts, so a probe
+// that exits early builds none.
+type verified struct {
+	rules   *matching.RuleIndex
+	indexed *indexedValues
+	edit    *evalengine.EditBound
+	probe   *evalengine.Record
+	keys    []uint64
+}
+
+func (v verified) Each(_ *entity.Entity, _ int, seen *matching.SlotSet, yield func(slot int32) bool) bool {
+	if len(v.keys) == 0 {
+		return true
+	}
+	within := v.edit.Within(v.probe)
+	return v.rules.Each(v.probe.Entity().ID, v.keys, seen, func(s int32) bool {
+		return !within(v.indexed.at(s)) || yield(s)
 	})
 }
-
-// keepSets recycles the per-shard query's filter sets, as matching's
-// pool recycles its seen sets.
-var keepSets = sync.Pool{New: func() any { return new(matching.SlotSet) }}

@@ -358,10 +358,10 @@ func TestApplyBatchSemantics(t *testing.T) {
 // single-shard index over the final corpus (token blocking uncapped is
 // partition-invariant, so equality is exact).
 //
-// It runs once per diffRules rule, so under the wmean rule the rule
-// passes of the shards' block indexes (the edit filter's keys) are
-// written and read concurrently too, and the quiescent answers, filtered
-// through them, must still equal the fresh index's.
+// It runs once per diffRules rule, so under the wmean rule the shards'
+// rule indexes and indexed values are written and read concurrently
+// too, and the quiescent answers served from them must still equal the
+// fresh index's.
 func TestShardedConcurrentApplyQueryRace(t *testing.T) {
 	for prefix, r := range diffRules() {
 		t.Run(prefix+"rule", func(t *testing.T) { testShardedConcurrentApplyQueryRace(t, r) })

@@ -29,10 +29,10 @@ func coraCorpus(n int) []*entity.Entity {
 	return out
 }
 
-// titleSegmentKeys is the rule pass the service keeps for the benchmark
-// rig's rule, whose title comparison is necessary within K = 6
-// (evalengine's TestEditBoundKnownRules): the sorted, unique PassJoin
-// segment keys of the entity's lowercased titles.
+// titleSegmentKeys is the rule index's key function the service keeps
+// for the benchmark rig's rule, whose title comparison is necessary
+// within K = 6 (evalengine's TestEditBoundKnownRules): the sorted, unique
+// PassJoin segment keys of the entity's lowercased titles.
 func titleSegmentKeys(e *entity.Entity) []uint64 {
 	titles := e.Values("title")
 	lower := make([]string, len(titles))
@@ -44,9 +44,27 @@ func titleSegmentKeys(e *entity.Entity) []uint64 {
 	return slices.Compact(keys)
 }
 
+// titleKeyed is a RuleIndex keyed by titleSegmentKeys, written the way
+// a BlockIndex is: its BulkAdd derives the keys.
+type titleKeyed struct{ *RuleIndex }
+
+func (x titleKeyed) BulkAdd(es []*entity.Entity) []int32 {
+	keys := make([][]uint64, len(es))
+	for i, e := range es {
+		keys[i] = titleSegmentKeys(e)
+	}
+	return x.RuleIndex.BulkAdd(es, keys)
+}
+
+// writeIndex is the write half BenchmarkBlockIndexWrite drives.
+type writeIndex interface {
+	BulkAdd(es []*entity.Entity) []int32
+	BulkRemove(ids []string) []int32
+}
+
 // BenchmarkBlockIndexWrite measures every strategy's index on the write
-// path at 10,000 entities, and, as the rulekey row, an index holding only
-// the rule pass of titleSegmentKeys. load bulk-loads the corpus into an
+// path at 10,000 entities, and, as the rulekey row, a RuleIndex keyed by
+// titleSegmentKeys (key derivation included). load bulk-loads the corpus into an
 // empty index (what snapshot restore and recovery pay per shard) and
 // reports the heap the loaded index retains per entity (heap-B/entity).
 // update64 replaces 64 indexed entities per op with other versions
@@ -64,15 +82,14 @@ func BenchmarkBlockIndexWrite(b *testing.B) {
 	}
 	type row struct {
 		name     string
-		newIndex func() BlockIndex
+		newIndex func() writeIndex
 	}
 	var rows []row
 	for _, name := range BlockerNames() {
 		bl := BlockerByName(name)
-		rows = append(rows, row{name, func() BlockIndex { return NewBlockIndex(bl, nil) }})
+		rows = append(rows, row{name, func() writeIndex { return NewBlockIndex(bl) }})
 	}
-	// A composite of no strategies has no pass of its own.
-	rows = append(rows, row{"rulekey", func() BlockIndex { return NewBlockIndex(MultiPassBlocker{}, titleSegmentKeys) }})
+	rows = append(rows, row{"rulekey", func() writeIndex { return titleKeyed{NewRuleIndex()} }})
 	for _, r := range rows {
 		b.Run(r.name+"/load", func(b *testing.B) {
 			b.ReportAllocs()
@@ -110,7 +127,7 @@ func BenchmarkBlockIndexWrite(b *testing.B) {
 // once es is loaded: the live heap after GC with the index kept alive,
 // minus the live heap before it was built. The entities themselves are
 // live throughout, so only the index's own structures and keys count.
-func heapPerEntity(newIndex func() BlockIndex, es []*entity.Entity) float64 {
+func heapPerEntity(newIndex func() writeIndex, es []*entity.Entity) float64 {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

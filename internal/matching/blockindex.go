@@ -31,11 +31,6 @@ import (
 // sorted and unique, which is what lets a keyed pass tell by one merge
 // walk which of a probe's blocks hold its own record.
 //
-// An index may also keep a rule pass (NewBlockIndex's ruleKeys): posting
-// lists of keys a served rule derives from each stored entity, beside
-// the blocker's passes and not among them. Each, Candidates and Keys are
-// the blocker's alone; RuleSlots reads the rule pass.
-//
 // The index is NOT synchronized: writes need the caller's lock, and
 // Candidates/Each may run concurrently only with each other.
 type BlockIndex interface {
@@ -53,14 +48,11 @@ type BlockIndex interface {
 	Candidates(probe *entity.Entity, maxBlock int) []*entity.Entity
 	// Enumerator's Each enumerates Candidates(probe, maxBlock) as slots.
 	Enumerator
-	// RuleSlots adds to keep every slot whose rule keys include one of
-	// keys; an index without a rule pass adds none.
-	RuleSlots(keys []uint64, keep *SlotSet)
 	// Len returns the number of indexed entities.
 	Len() int
 	// Keys returns the size of the blocker's passes, summed (diagnostic):
 	// a token or q-gram pass counts its distinct keys, a
-	// sorted-neighborhood pass its records. The rule pass is not counted.
+	// sorted-neighborhood pass its records.
 	Keys() int
 }
 
@@ -75,34 +67,75 @@ type BulkAdder interface {
 
 // NewBlockIndex returns an empty incremental index of the blocker's
 // strategy: one entity table and one pass per strategy of the blocker
-// (a multi-pass composite's members, in order). A non-nil ruleKeys adds
-// the rule pass, keyed by ruleKeys(e) for every entity e added; it must
-// return each entity's keys sorted and unique.
-func NewBlockIndex(bl Blocker, ruleKeys func(*entity.Entity) []uint64) BlockIndex {
-	x := &blockIndex{slotOf: make(map[string]int32), passes: bl.appendPasses(nil)}
-	if ruleKeys != nil {
-		x.rule = newKeyedPass(func(e *entity.Entity, _ []string) []uint64 { return ruleKeys(e) })
-	}
-	return x
+// (a multi-pass composite's members, in order).
+func NewBlockIndex(bl Blocker) BlockIndex {
+	return &blockIndex{table: newTable(), passes: bl.appendPasses(nil)}
 }
 
-// blockIndex is the one BlockIndex: an entity table and the blocker's
-// passes over it. The table gives every indexed entity an int32 slot
-// (freed slots are reused): slotOf maps the entity ID to its slot, ents
-// holds the entity at each slot (nil when free). Every pass keys by
-// slot, so a write hashes the entity ID once however many passes there
-// are, and the table is the only record of which entities are indexed.
-// A candidate is yielded by the first pass that proposes it; later
-// passes skip its slot through seen (the multi-pass union). A write
-// tokenizes each entity once and a query its probe once, and every pass
-// reads that one slice. rule, when set, is written with the passes but
-// never enumerated by Each.
-type blockIndex struct {
+// table is an index's entity table: it gives every indexed entity an
+// int32 slot, and reuses freed slots. slotOf maps the entity ID to its
+// slot; slots counts the slots ever taken, so new ones are numbered in
+// order. Every pass keys by slot, so a write hashes the entity ID once
+// however many passes there are, and the table is the only record of
+// which entities are indexed.
+type table struct {
 	slotOf map[string]int32
-	ents   []*entity.Entity
 	free   []int32
+	slots  int32
+}
+
+func newTable() table { return table{slotOf: make(map[string]int32)} }
+
+// take gives id a slot, the last freed one if any.
+func (t *table) take(id string) int32 {
+	s := t.slots
+	if n := len(t.free); n > 0 {
+		s, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		t.slots++
+	}
+	t.slotOf[id] = s
+	return s
+}
+
+// drop unindexes the IDs and returns their slots, skipping IDs not
+// indexed or listed twice. The slots are not free until release: the
+// passes read them first.
+func (t *table) drop(ids []string) []int32 {
+	slots := make([]int32, 0, len(ids))
+	for _, id := range ids {
+		if s, ok := t.slotOf[id]; ok {
+			delete(t.slotOf, id)
+			slots = append(slots, s)
+		}
+	}
+	return slots
+}
+
+// release frees the slots drop returned.
+func (t *table) release(slots []int32) { t.free = append(t.free, slots...) }
+
+// Slot returns the slot of the indexed entity with the given ID
+// (BlockIndex.Slot, and RuleIndex's).
+func (t *table) Slot(id string) (int32, bool) {
+	s, ok := t.slotOf[id]
+	return s, ok
+}
+
+// Len returns the number of indexed entities (BlockIndex.Len, and
+// RuleIndex's).
+func (t *table) Len() int { return len(t.slotOf) }
+
+// blockIndex is the one BlockIndex: an entity table and the blocker's
+// passes over it, with ents holding the entity at each slot (nil when
+// free). A candidate is yielded by the first pass that proposes it;
+// later passes skip its slot through seen (the multi-pass union). A
+// write tokenizes each entity once and a query its probe once, and every
+// pass reads that one slice.
+type blockIndex struct {
+	table
+	ents   []*entity.Entity
 	passes []pass
-	rule   *keyedPass[uint64]
 }
 
 // pass is one blocking strategy's structure over the table's slots:
@@ -126,60 +159,34 @@ type pass interface {
 func (x *blockIndex) Add(e *entity.Entity) { x.BulkAdd([]*entity.Entity{e}) }
 
 // BulkAdd implements BlockIndex: every entity takes a slot and is
-// tokenized once, then every pass, and the rule pass, indexes the new
-// slots at once.
+// tokenized once, then every pass indexes the new slots at once.
 func (x *blockIndex) BulkAdd(es []*entity.Entity) []int32 {
 	slots := make([]int32, len(es))
-	for i, e := range es {
-		if n := len(x.free); n > 0 {
-			slots[i], x.free = x.free[n-1], x.free[:n-1]
-			x.ents[slots[i]] = e
-		} else {
-			slots[i] = int32(len(x.ents))
-			x.ents = append(x.ents, e)
-		}
-		x.slotOf[e.ID] = slots[i]
-	}
 	toks := make([][]string, len(es))
 	for i, e := range es {
+		slots[i] = x.take(e.ID)
+		x.ents = grown(x.ents, int(x.slots))
+		x.ents[slots[i]] = e
 		toks[i] = Tokens(e)
 	}
 	for _, p := range x.passes {
 		p.add(x, slots, toks)
 	}
-	if x.rule != nil {
-		x.rule.add(x, slots, toks)
-	}
 	return slots
 }
 
-// BulkRemove implements BlockIndex: every pass, and the rule pass,
-// unindexes the entities' slots at once, then the table frees them.
+// BulkRemove implements BlockIndex: every pass unindexes the entities'
+// slots at once, then the table frees them.
 func (x *blockIndex) BulkRemove(ids []string) []int32 {
-	slots := make([]int32, 0, len(ids))
-	for _, id := range ids {
-		if s, ok := x.slotOf[id]; ok {
-			delete(x.slotOf, id)
-			slots = append(slots, s)
-		}
-	}
+	slots := x.drop(ids)
 	for _, p := range x.passes {
 		p.remove(x, slots)
-	}
-	if x.rule != nil {
-		x.rule.remove(x, slots)
 	}
 	for _, s := range slots {
 		x.ents[s] = nil
 	}
-	x.free = append(x.free, slots...)
+	x.release(slots)
 	return slots
-}
-
-// Slot implements BlockIndex.
-func (x *blockIndex) Slot(id string) (int32, bool) {
-	s, ok := x.slotOf[id]
-	return s, ok
 }
 
 // Candidates implements BlockIndex: Each, collected and sorted.
@@ -209,21 +216,6 @@ func (x *blockIndex) Each(probe *entity.Entity, maxBlock int, seen *SlotSet, yie
 	}
 	return true
 }
-
-// RuleSlots implements BlockIndex.
-func (x *blockIndex) RuleSlots(keys []uint64, keep *SlotSet) {
-	if x.rule == nil {
-		return
-	}
-	for _, k := range keys {
-		for _, s := range x.rule.postings[k] {
-			keep.Add(s)
-		}
-	}
-}
-
-// Len implements BlockIndex.
-func (x *blockIndex) Len() int { return len(x.slotOf) }
 
 // Keys implements BlockIndex.
 func (x *blockIndex) Keys() int {
@@ -255,12 +247,6 @@ func (ss *SlotSet) Add(s int32) bool {
 	return true
 }
 
-// Has reports whether slot s is in the set.
-func (ss *SlotSet) Has(s int32) bool {
-	w := int(s >> 6)
-	return w < len(ss.bits) && ss.bits[w]&(uint64(1)<<(s&63)) != 0
-}
-
 // Clear empties the set.
 func (ss *SlotSet) Clear() {
 	for _, s := range ss.members {
@@ -281,16 +267,17 @@ func grown[T any](s []T, n int) []T {
 // Slot posting lists (token, q-gram, rule)
 
 // keyedPass is the pass of TokenBlocker (string keys: the tokens) and
-// QGramBlocker (uint64 keys: the packed q-grams, packGram), and the rule
-// pass (uint64 keys a served rule derives from the entity): every key
-// maps to the posting list of the slots whose entity carries it. The
+// QGramBlocker (uint64 keys: the packed q-grams, packGram), and
+// RuleIndex's one pass (uint64 keys a served rule derives from the
+// entity): every key maps to the posting list of the slots whose entity
+// carries it. The
 // lists hold no pointers, so the garbage collector never scans them, and
 // neither do a q-gram slot's keys. add appends the slot to one list per
 // key; remove swap-removes it from each, fixing the moved slot's
 // position by binary search in that slot's sorted keys — O(keys · log
 // keys), whatever the block sizes.
 type keyedPass[K cmp.Ordered] struct {
-	keyFn    func(e *entity.Entity, toks []string) []K // toks: e's Tokens; sorted, unique
+	keyFn    func(e *entity.Entity, toks []string) []K // toks: e's Tokens; sorted, unique; nil in RuleIndex
 	postings map[K][]int32
 	slots    []keyedSlot[K] // by table slot
 }
@@ -310,14 +297,19 @@ func newKeyedPass[K cmp.Ordered](keyFn func(e *entity.Entity, toks []string) []K
 func (p *keyedPass[K]) add(x *blockIndex, slots []int32, toks [][]string) {
 	p.slots = grown(p.slots, len(x.ents))
 	for i, s := range slots {
-		sl := &p.slots[s]
-		sl.keys = p.keyFn(x.ents[s], toks[i])
-		sl.pos = slices.Grow(sl.pos, len(sl.keys))
-		for _, k := range sl.keys {
-			list := p.postings[k]
-			sl.pos = append(sl.pos, int32(len(list)))
-			p.postings[k] = append(list, s)
-		}
+		p.put(s, p.keyFn(x.ents[s], toks[i]))
+	}
+}
+
+// put indexes slot s, below len(p.slots), under keys, sorted and unique.
+func (p *keyedPass[K]) put(s int32, keys []K) {
+	sl := &p.slots[s]
+	sl.keys = keys
+	sl.pos = slices.Grow(sl.pos, len(keys))
+	for _, k := range keys {
+		list := p.postings[k]
+		sl.pos = append(sl.pos, int32(len(list)))
+		p.postings[k] = append(list, s)
 	}
 }
 
@@ -375,6 +367,75 @@ func (p *keyedPass[K]) each(_ *blockIndex, probe *entity.Entity, toks []string, 
 }
 
 func (p *keyedPass[K]) keys() int { return len(p.postings) }
+
+// ---------------------------------------------------------------------------
+// Rule index
+
+// RuleIndex is the candidate index of a served rule that bounds one of
+// its distances: an entity table like a BlockIndex's with, in place of a
+// blocker's passes, one rule pass — posting lists of the uint64 keys the
+// rule derives from each stored entity (for an edit bound, the PassJoin
+// segment keys of the compared values: similarity.EditSegmentKeys), which
+// the writer hands over with the entity. Each yields the slots holding
+// any of a probe's keys (similarity.EditProbeKeys), each once: all of
+// them, with no block-size cap, because a cap would drop candidates the
+// bound admits. The index derives no key itself and tokenizes nothing.
+// Like BlockIndex it is NOT synchronized.
+type RuleIndex struct {
+	table
+	pass *keyedPass[uint64]
+}
+
+// NewRuleIndex returns an empty rule index.
+func NewRuleIndex() *RuleIndex {
+	return &RuleIndex{table: newTable(), pass: newKeyedPass[uint64](nil)}
+}
+
+// BulkAdd indexes every entity under its keys (keys[i], sorted and
+// unique, for es[i]) and returns the slot each took, as
+// BlockIndex.BulkAdd does: no ID may be indexed already or repeat within
+// the batch, freed slots are reused and new ones numbered in order.
+func (x *RuleIndex) BulkAdd(es []*entity.Entity, keys [][]uint64) []int32 {
+	slots := make([]int32, len(es))
+	for i, e := range es {
+		slots[i] = x.take(e.ID)
+		x.pass.slots = grown(x.pass.slots, int(x.slots))
+		x.pass.put(slots[i], keys[i])
+	}
+	return slots
+}
+
+// BulkRemove unindexes the entities with the given IDs, dropping the
+// keys recorded when they were added, and returns the slots it freed, as
+// BlockIndex.BulkRemove does.
+func (x *RuleIndex) BulkRemove(ids []string) []int32 {
+	slots := x.drop(ids)
+	x.pass.remove(nil, slots)
+	x.release(slots)
+	return slots
+}
+
+// Each calls yield once per slot holding one of keys, but the slot of
+// the entity with ID self, if indexed, in unspecified order, until
+// yield returns false; it reports whether it ran to completion. Slots in
+// seen are skipped and yielded ones added, as Enumerator's Each does.
+func (x *RuleIndex) Each(self string, keys []uint64, seen *SlotSet, yield func(slot int32) bool) bool {
+	own, ok := x.slotOf[self]
+	if !ok {
+		own = -1
+	}
+	for _, k := range keys {
+		for _, s := range x.pass.postings[k] {
+			if s != own && seen.Add(s) && !yield(s) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Keys returns the number of distinct keys indexed (diagnostic).
+func (x *RuleIndex) Keys() int { return x.pass.keys() }
 
 // ---------------------------------------------------------------------------
 // Sorted neighborhood

@@ -20,10 +20,9 @@ import (
 // half-way, for every strategy and cap; Candidates must return the same
 // set sorted by ID. The reference shares no code with the index, so it
 // stays an independent oracle although Candidates is Each collected.
-// Every index also keeps a rule pass (diffRuleKeys), written with the
-// blocker's passes and held to its own reference: RuleSlots must add
-// exactly the survivors that hold one of the probe's keys. The
-// ShardedIndex-level differentials (internal/linkindex) build on this.
+// The ShardedIndex-level differentials (internal/linkindex) build on
+// this. TestRuleIndexDifferential holds the rule index to its own
+// reference the same way.
 
 // diffVocab is deliberately tiny so entities share tokens (big blocks,
 // cap-skip paths) and sort keys collide (window tie-breaking paths).
@@ -66,47 +65,6 @@ func diffEntity(rng *rand.Rand, id string) *entity.Entity {
 		}
 	}
 	return e
-}
-
-// diffRuleK is the edit bound of the differentials' rule pass: loose
-// enough that diffVocab's words split into segments of one or two runes,
-// which many values share, and an empty value has only its length key,
-// so postings are shared, empty out and refill.
-const diffRuleK = 3
-
-// diffRuleKeys is the differentials' rule pass, keyed as a served rule
-// with a levenshtein bound keys its stored entities: the sorted, unique
-// PassJoin segment keys of the entity's names.
-func diffRuleKeys(e *entity.Entity) []uint64 {
-	keys := similarity.EditSegmentKeys(nil, e.Values("name"), diffRuleK)
-	slices.Sort(keys)
-	return slices.Compact(keys)
-}
-
-// referenceRuleSlots is the ground truth of RuleSlots for a probe: the
-// IDs of the survivors whose rule keys meet the probe's PassJoin probe
-// keys, the probe's own record included.
-func referenceRuleSlots(probe *entity.Entity, survivors map[string]*entity.Entity) []string {
-	probeKeys := similarity.EditProbeKeys(nil, probe.Values("name"), diffRuleK)
-	ids := make(map[string]struct{})
-	for id, e := range survivors {
-		if slices.ContainsFunc(diffRuleKeys(e), func(k uint64) bool { return slices.Contains(probeKeys, k) }) {
-			ids[id] = struct{}{}
-		}
-	}
-	return sortedIDs(ids)
-}
-
-// ruleSlotIDs returns the sorted IDs of the slots RuleSlots adds for the
-// probe's PassJoin probe keys.
-func ruleSlotIDs(bi BlockIndex, probe *entity.Entity) []string {
-	var keep SlotSet
-	bi.RuleSlots(similarity.EditProbeKeys(nil, probe.Values("name"), diffRuleK), &keep)
-	ids := make(map[string]struct{})
-	for _, s := range keep.members {
-		ids[bi.(*blockIndex).ents[s].ID] = struct{}{}
-	}
-	return sortedIDs(ids)
 }
 
 func diffStrategies() map[string]Blocker {
@@ -209,7 +167,7 @@ func TestDifferentialStreamVsMaterialize(t *testing.T) {
 		for _, maxBlock := range []int{-1, 0, 6} {
 			t.Run(fmt.Sprintf("%s/cap=%d", name, maxBlock), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(len(name))*100 + int64(maxBlock)))
-				bi := NewBlockIndex(bl, diffRuleKeys)
+				bi := NewBlockIndex(bl)
 				survivors := make(map[string]*entity.Entity)
 				nextID := 0
 
@@ -235,10 +193,6 @@ func TestDifferentialStreamVsMaterialize(t *testing.T) {
 					if again := eachIDs(t, bi, probe, maxBlock, -1); !slicesEqual(again, want) {
 						t.Fatalf("probe %s: enumeration after a stopped one diverges\n got: %v\nwant: %v",
 							probe.ID, again, want)
-					}
-					if got, want := ruleSlotIDs(bi, probe), referenceRuleSlots(probe, survivors); !slicesEqual(got, want) {
-						t.Fatalf("probe %s: rule slots diverge from the survivors holding its keys\n got: %v\nwant: %v",
-							probe.ID, got, want)
 					}
 				}
 
@@ -286,55 +240,73 @@ func TestDifferentialStreamVsMaterialize(t *testing.T) {
 // live entities indexed. The table: its ID → slot and slot → entity maps
 // are inverse, and the free list holds exactly the slots without an
 // entity, once each. A free slot holds no keys in any pass, and no list
-// entry of any pass is a free slot. Posting lists, the rule pass's too:
-// every live slot's recorded keys are its entity's keys, sorted and
-// unique, and postings[keys[i]][pos[i]] is the slot itself; every list
-// entry is such a position of a live slot, so no slot appears twice in
-// one list and no list is empty. Sorted neighborhood: the list holds
-// exactly the live slots, each under the key recorded for it, in strict
-// (key, ID) order.
+// entry of any pass is a free slot. Posting lists: every live slot's
+// recorded keys are its entity's keys, sorted and unique, and
+// postings[keys[i]][pos[i]] is the slot itself; every list entry is such
+// a position of a live slot, so no slot appears twice in one list and no
+// list is empty. Sorted neighborhood: the list holds exactly the live
+// slots, each under the key recorded for it, in strict (key, ID) order.
 func checkIndexInvariants(t *testing.T, bi BlockIndex, live int) {
 	t.Helper()
 	if bi.Len() != live {
 		t.Fatalf("Len() = %d, want %d", bi.Len(), live)
 	}
 	x := bi.(*blockIndex)
-	if len(x.slotOf) != live || len(x.ents) != live+len(x.free) {
-		t.Fatalf("table: %d IDs, %d slots, %d free, want %d live", len(x.slotOf), len(x.ents), len(x.free), live)
+	if len(x.ents) != int(x.slots) {
+		t.Fatalf("table: %d entity slots for %d slots taken", len(x.ents), x.slots)
 	}
-	free := make(map[int32]bool, len(x.free))
-	for _, s := range x.free {
-		if free[s] || x.ents[s] != nil {
-			t.Fatalf("table: free slot %d is listed twice or holds %v", s, x.ents[s])
+	free := checkTableInvariants(t, &x.table, live, func(s int32) string {
+		if e := x.ents[s]; e != nil {
+			return e.ID
 		}
-		free[s] = true
-	}
-	for s, e := range x.ents {
-		if !free[int32(s)] && (e == nil || x.slotOf[e.ID] != int32(s)) {
-			t.Fatalf("table: live slot %d holds %v, not its ID's slot", s, e)
-		}
-	}
+		return ""
+	})
 	for _, p := range x.passes {
 		switch p := p.(type) {
 		case *keyedPass[string]:
-			checkKeyedInvariants(t, x, p, free)
+			checkKeyedInvariants(t, p, x.slots, free, func(s int32) []string { return p.keyFn(x.ents[s], Tokens(x.ents[s])) })
 		case *keyedPass[uint64]:
-			checkKeyedInvariants(t, x, p, free)
+			checkKeyedInvariants(t, p, x.slots, free, func(s int32) []uint64 { return p.keyFn(x.ents[s], Tokens(x.ents[s])) })
 		case *snPass:
 			checkSNInvariants(t, x, p, free)
 		default:
 			t.Fatalf("no invariant check for %T", p)
 		}
 	}
-	if x.rule != nil {
-		checkKeyedInvariants(t, x, x.rule, free)
-	}
 }
 
-func checkKeyedInvariants[K cmp.Ordered](t *testing.T, x *blockIndex, p *keyedPass[K], free map[int32]bool) {
+// checkTableInvariants asserts an entity table with live entities
+// indexed, where idAt(s) is the ID of the entity at slot s, "" for a
+// free slot: the ID → slot map and idAt are inverse, and the free list
+// holds exactly the slots without an entity, once each. It returns the
+// free slots.
+func checkTableInvariants(t *testing.T, x *table, live int, idAt func(s int32) string) map[int32]bool {
 	t.Helper()
-	if len(p.slots) != len(x.ents) {
-		t.Fatalf("keyed: %d slots for a table of %d", len(p.slots), len(x.ents))
+	if len(x.slotOf) != live || int(x.slots) != live+len(x.free) {
+		t.Fatalf("table: %d IDs, %d slots, %d free, want %d live", len(x.slotOf), x.slots, len(x.free), live)
+	}
+	free := make(map[int32]bool, len(x.free))
+	for _, s := range x.free {
+		if free[s] || idAt(s) != "" {
+			t.Fatalf("table: free slot %d is listed twice or holds %q", s, idAt(s))
+		}
+		free[s] = true
+	}
+	for s := range x.slots {
+		if id := idAt(s); !free[s] && (id == "" || x.slotOf[id] != s) {
+			t.Fatalf("table: live slot %d holds %q, not its ID's slot", s, id)
+		}
+	}
+	return free
+}
+
+// checkKeyedInvariants asserts a keyed pass over a table of slots
+// slots, free of them free, where want(s) is the keys of the entity at
+// live slot s.
+func checkKeyedInvariants[K cmp.Ordered](t *testing.T, p *keyedPass[K], slots int32, free map[int32]bool, want func(s int32) []K) {
+	t.Helper()
+	if len(p.slots) != int(slots) {
+		t.Fatalf("keyed: %d slots for a table of %d", len(p.slots), slots)
 	}
 	entries := 0
 	for s, sl := range p.slots {
@@ -347,8 +319,8 @@ func checkKeyedInvariants[K cmp.Ordered](t *testing.T, x *blockIndex, p *keyedPa
 		if !slices.IsSorted(sl.keys) || len(slices.Compact(slices.Clone(sl.keys))) != len(sl.keys) || len(sl.pos) != len(sl.keys) {
 			t.Fatalf("keyed: slot %d keys %v are not sorted and unique, or have %d positions", s, sl.keys, len(sl.pos))
 		}
-		if e := x.ents[s]; !slices.Equal(sl.keys, p.keyFn(e, Tokens(e))) {
-			t.Fatalf("keyed: slot %d holds keys %v, its entity %s has %v", s, sl.keys, e.ID, p.keyFn(e, Tokens(e)))
+		if w := want(int32(s)); !slices.Equal(sl.keys, w) {
+			t.Fatalf("keyed: slot %d holds keys %v, its entity has %v", s, sl.keys, w)
 		}
 		for i, k := range sl.keys {
 			if list := p.postings[k]; int(sl.pos[i]) >= len(list) || list[sl.pos[i]] != int32(s) {
@@ -421,7 +393,7 @@ func TestBulkAddKeysPerEntity(t *testing.T) {
 	for i := range es {
 		es[i] = diffEntity(rng, fmt.Sprintf("e%d", i))
 	}
-	x := NewBlockIndex(MultiPass(), nil).(*blockIndex)
+	x := NewBlockIndex(MultiPass()).(*blockIndex)
 	x.BulkAdd(es)
 	for _, e := range es {
 		s, toks := x.slotOf[e.ID], Tokens(e)
@@ -446,13 +418,12 @@ func TestBulkAddKeysPerEntity(t *testing.T) {
 
 // TestRemoveAfterMutation pins BulkRemove's contract: it unindexes the keys
 // recorded at Add time, so an entity whose properties were mutated in
-// place after Add still leaves no trace — no entity, no key of the
-// blocker's passes or of the rule pass, and no candidate or rule slot
-// for a probe carrying the old values.
+// place after Add still leaves no trace — no entity, no key, and no
+// candidate for a probe carrying the old values.
 func TestRemoveAfterMutation(t *testing.T) {
 	for _, name := range sortedKeys(diffStrategies()) {
 		t.Run(name, func(t *testing.T) {
-			bi := NewBlockIndex(diffStrategies()[name], diffRuleKeys)
+			bi := NewBlockIndex(diffStrategies()[name])
 			e := entity.New("e")
 			e.Add("name", "graph learning")
 			e.Add("title", "parallel systems")
@@ -463,9 +434,6 @@ func TestRemoveAfterMutation(t *testing.T) {
 			if got := bi.Candidates(probe, -1); len(got) != 1 {
 				t.Fatalf("before removal: %d candidates, want e", len(got))
 			}
-			if got := ruleSlotIDs(bi, probe); len(got) != 1 {
-				t.Fatalf("before removal: rule slots of %v, want e", got)
-			}
 			e.Set("name", "kernel query")
 			delete(e.Properties, "title")
 			bi.BulkRemove([]string{e.ID})
@@ -475,14 +443,132 @@ func TestRemoveAfterMutation(t *testing.T) {
 			if got := bi.Candidates(probe, -1); len(got) != 0 {
 				t.Fatalf("after removal: candidates %v for the old values", idsOf(got))
 			}
-			if rule := bi.(*blockIndex).rule.postings; len(rule) != 0 {
-				t.Fatalf("after removal: the rule pass keeps %d keys", len(rule))
-			}
-			if got := ruleSlotIDs(bi, probe); len(got) != 0 {
-				t.Fatalf("after removal: rule slots of %v for the old values", got)
-			}
 			checkIndexInvariants(t, bi, 0)
 		})
+	}
+}
+
+// diffRuleK is the edit bound of the rule-index differential: loose
+// enough that diffVocab's words split into segments of one or two runes,
+// which many values share, and an empty value has only its length key,
+// so postings are shared, empty out and refill.
+const diffRuleK = 3
+
+// diffRuleKeys keys an entity as a served rule with a levenshtein bound
+// keys its stored entities: the sorted, unique PassJoin segment keys of
+// its names.
+func diffRuleKeys(e *entity.Entity) []uint64 {
+	keys := similarity.EditSegmentKeys(nil, e.Values("name"), diffRuleK)
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// TestRuleIndexDifferential is the index differential for RuleIndex:
+// after any interleaving of batched adds, replacements and removals,
+// Each yields for a probe's PassJoin probe keys exactly the survivors
+// that hold one of them, but the probe's own ID, once each, and a stopped
+// enumeration neither yields after its stop nor harms the next one. After
+// every write the table and the pass hold their structure
+// (checkTableInvariants, checkKeyedInvariants: every live slot keeps the
+// keys it was added with), and removing every entity leaves no key.
+func TestRuleIndexDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x := NewRuleIndex()
+	survivors := make(map[string]*entity.Entity)
+	idAt := make(map[int32]string) // slot → ID, from BulkAdd's slots
+	add := func(es []*entity.Entity) {
+		keys := make([][]uint64, len(es))
+		for i, e := range es {
+			keys[i] = diffRuleKeys(e)
+			survivors[e.ID] = e
+		}
+		for i, s := range x.BulkAdd(es, keys) {
+			idAt[s] = es[i].ID
+		}
+	}
+	remove := func(ids []string) {
+		for _, id := range ids {
+			delete(survivors, id)
+		}
+		for _, s := range x.BulkRemove(ids) {
+			delete(idAt, s)
+		}
+	}
+	check := func() {
+		t.Helper()
+		if x.Len() != len(survivors) {
+			t.Fatalf("Len() = %d, want %d", x.Len(), len(survivors))
+		}
+		free := checkTableInvariants(t, &x.table, len(survivors), func(s int32) string { return idAt[s] })
+		checkKeyedInvariants(t, x.pass, x.slots, free, func(s int32) []uint64 { return diffRuleKeys(survivors[idAt[s]]) })
+	}
+	each := func(probe *entity.Entity, stopAfter int) []string {
+		t.Helper()
+		keys := similarity.EditProbeKeys(nil, probe.Values("name"), diffRuleK)
+		got := make(map[string]struct{})
+		stopped := false
+		done := x.Each(probe.ID, keys, new(SlotSet), func(s int32) bool {
+			id := idAt[s]
+			if _, dup := got[id]; stopped || dup {
+				t.Fatalf("probe %s: Each yielded %s again or after a stop", probe.ID, id)
+			}
+			got[id] = struct{}{}
+			stopped = len(got) == stopAfter
+			return !stopped
+		})
+		if done == stopped {
+			t.Fatalf("probe %s: Each reported completion = %v after %d yields (stop after %d)", probe.ID, done, len(got), stopAfter)
+		}
+		return sortedIDs(got)
+	}
+	checkProbe := func(probe *entity.Entity) {
+		t.Helper()
+		keys := similarity.EditProbeKeys(nil, probe.Values("name"), diffRuleK)
+		want := make(map[string]struct{})
+		for id, e := range survivors {
+			if id != probe.ID && slices.ContainsFunc(diffRuleKeys(e), func(k uint64) bool { return slices.Contains(keys, k) }) {
+				want[id] = struct{}{}
+			}
+		}
+		if got := each(probe, -1); !slicesEqual(got, sortedIDs(want)) {
+			t.Fatalf("probe %s: Each diverges from the survivors holding its keys\n got: %v\nwant: %v", probe.ID, got, sortedIDs(want))
+		}
+		if half := len(want) / 2; half > 0 && len(each(probe, half)) != half {
+			t.Fatalf("probe %s: a stopped enumeration yielded other than %d", probe.ID, half)
+		}
+	}
+	nextID := 0
+	for op := 0; op < 150; op++ {
+		ids := sortedIDsOfMap(survivors)
+		var batch []*entity.Entity
+		switch {
+		case len(ids) == 0 || rng.Float64() < 0.45:
+			for range 1 + rng.Intn(4) {
+				batch = append(batch, diffEntity(rng, fmt.Sprintf("e%d", nextID)))
+				nextID++
+			}
+			add(batch)
+		case rng.Float64() < 0.5:
+			id := ids[rng.Intn(len(ids))]
+			remove([]string{id, id, "unknown"}) // a repeat and an unknown ID are skipped
+			add([]*entity.Entity{diffEntity(rng, id)})
+		default:
+			remove([]string{ids[rng.Intn(len(ids))]})
+		}
+		check()
+		if op%5 != 0 {
+			continue
+		}
+		if ids = sortedIDsOfMap(survivors); len(ids) > 0 {
+			checkProbe(survivors[ids[rng.Intn(len(ids))]])
+			checkProbe(diffEntity(rng, ids[rng.Intn(len(ids))]))
+		}
+		checkProbe(diffEntity(rng, "external-probe"))
+	}
+	remove(sortedIDsOfMap(survivors))
+	check()
+	if x.Keys() != 0 {
+		t.Fatalf("after removing every entity: Keys() = %d", x.Keys())
 	}
 }
 
@@ -510,7 +596,7 @@ func TestEachAllocsIndependentOfBlockSize(t *testing.T) {
 	probe.Add("name", "shared network analysis")
 	allocs := func(n int) (perRun float64, yielded int) {
 		bi := NewBlockIndex(MultiPass(
-			TokenBlocking(), SortedNeighborhood(3), QGramBlocking(0)), nil)
+			TokenBlocking(), SortedNeighborhood(3), QGramBlocking(0)))
 		for i := 0; i < n; i++ {
 			e := entity.New(fmt.Sprintf("e%d", i))
 			e.Add("name", "shared network analysis")

@@ -140,11 +140,11 @@ func TestQGramShortTokensIndexedWhole(t *testing.T) {
 // the limit, alone or inside a union.
 func TestQGramLengthLimit(t *testing.T) {
 	for q := -1; q <= maxQ; q++ {
-		NewBlockIndex(QGramBlocking(q), nil).Add(entity.New("e"))
+		NewBlockIndex(QGramBlocking(q)).Add(entity.New("e"))
 	}
 	for name, build := range map[string]func(){
-		"NewBlockIndex":  func() { NewBlockIndex(QGramBlocker{Q: maxQ + 1}, nil) },
-		"inside a union": func() { NewBlockIndex(MultiPass(TokenBlocking(), QGramBlocker{Q: 64}), nil) },
+		"NewBlockIndex":  func() { NewBlockIndex(QGramBlocker{Q: maxQ + 1}) },
+		"inside a union": func() { NewBlockIndex(MultiPass(TokenBlocking(), QGramBlocker{Q: 64})) },
 	} {
 		func() {
 			defer func() {

@@ -116,7 +116,7 @@ func TestCapPolicySharedSurvivors(t *testing.T) {
 				t.Fatalf("external streamed run: cap+1 others must be skipped, got %d pairs", len(got))
 			}
 
-			bi := NewBlockIndex(bl, nil)
+			bi := NewBlockIndex(bl)
 			for _, e := range members {
 				bi.Add(e)
 			}

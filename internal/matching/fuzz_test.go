@@ -69,7 +69,7 @@ func FuzzQGramCodes(f *testing.F) {
 		e := entity.New("e")
 		e.Add("p", v1)
 		e.Add("r", v2)
-		x := NewBlockIndex(QGramBlocking(q), nil).(*blockIndex)
+		x := NewBlockIndex(QGramBlocking(q)).(*blockIndex)
 		x.Add(e)
 		got := x.passes[0].(*keyedPass[uint64]).slots[x.slotOf[e.ID]].keys
 		want := QGramKeys(e, q)
@@ -175,7 +175,7 @@ func FuzzCandidateStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte, stratSel, capSel uint8) {
 		bl := fuzzStrategies()[int(stratSel)%len(fuzzStrategies())]
 		maxBlock := []int{-1, 0, 2, 5}[int(capSel)%4]
-		bi := NewBlockIndex(bl, nil)
+		bi := NewBlockIndex(bl)
 		survivors := make(map[string]*entity.Entity)
 
 		// enumerate checks one Each, and Candidates, against the reference

@@ -42,12 +42,12 @@
 // scoring every pair at floor −∞.
 //
 // ScoreCandidates scores whatever its Enumerator yields. Batch matching
-// hands it the blocker's candidates as they are; the service hands it,
-// when the rule bounds an edit distance (evalengine.EditBound), only
-// those that also share a PassJoin segment key with the probe in the
-// block index's rule pass (BlockIndex.RuleSlots), checked through
-// SlotSet.Has — the others could not reach the threshold, so both
-// produce the links of scoring every blocker candidate.
+// hands it the blocker's candidates. The service hands it the same when
+// the rule bounds no edit distance; when it does (evalengine.EditBound),
+// it keeps a RuleIndex of PassJoin segment keys in place of a block
+// index and hands over the stored entities that share a key with the
+// probe and pass the bound's check — every entity that can reach the
+// threshold, so its links are those of scoring every stored entity.
 package matching
 
 import (
@@ -77,9 +77,13 @@ type Options struct {
 	// many entities (stop-token suppression; 0 means a source-size
 	// derived default, negative means no limit). Very frequent tokens
 	// generate quadratically many candidates while carrying no signal.
+	// The service (internal/linkindex) applies it only to a rule without
+	// an edit bound: a rule index caps nothing, because any cap would
+	// drop links.
 	MaxBlockSize int
 	// Blocker selects the candidate-generation strategy
-	// (default: TokenBlocking).
+	// (default: TokenBlocking). The service serves a rule with an edit
+	// bound from its rule index instead, whatever the blocker.
 	Blocker Blocker
 }
 

@@ -81,7 +81,7 @@ func TestIndexCandidates(t *testing.T) {
 	src.Add(e1)
 	src.Add(e2)
 	src.Add(e3)
-	idx := NewBlockIndex(TokenBlocking(), nil)
+	idx := NewBlockIndex(TokenBlocking())
 	idx.BulkAdd(src.Entities)
 	if idx.Keys() != 4 { // berlin, mitte, spandau, hamburg
 		t.Fatalf("tokens = %d", idx.Keys())
@@ -101,7 +101,7 @@ func TestIndexStopTokenSuppression(t *testing.T) {
 		e.Add("label", fmt.Sprintf("the item%d", i)) // "the" is shared by all
 		src.Add(e)
 	}
-	idx := NewBlockIndex(TokenBlocking(), nil)
+	idx := NewBlockIndex(TokenBlocking())
 	idx.BulkAdd(src.Entities)
 	probe := entity.New("p")
 	probe.Add("label", "the item5")

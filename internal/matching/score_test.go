@@ -11,7 +11,7 @@ import (
 )
 
 // countingEdit is similarity.Levenshtein counting every edit distance it
-// runs, through either form the scoring engine calls.
+// runs, through any form the scoring engine calls.
 type countingEdit struct {
 	similarity.Measure
 	n *int
@@ -20,6 +20,15 @@ type countingEdit struct {
 func (m countingEdit) Distance(a, b []string) float64 {
 	*m.n++
 	return m.Measure.Distance(a, b)
+}
+
+// Within wraps the edit distance's bounded form for one pair of value
+// sets, which the scoring engine runs for a probe's first candidate.
+func (m countingEdit) Within(a, b []string, k float64) float64 {
+	*m.n++
+	return m.Measure.(interface {
+		Within(a, b []string, k float64) float64
+	}).Within(a, b, k)
 }
 
 // Pattern wraps the edit distance's bounded form, which the scoring

@@ -37,7 +37,7 @@ func newEnumerator(bl Blocker, as, bs []*entity.Entity) Enumerator {
 		}
 		return members
 	}
-	bi := NewBlockIndex(bl, nil)
+	bi := NewBlockIndex(bl)
 	bi.BulkAdd(bs)
 	return bi
 }

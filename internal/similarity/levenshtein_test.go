@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // levenshteinDP is the oracle levenshteinLen is held to: the classic
@@ -36,7 +37,7 @@ func levenshteinDP(a, b string) (dist float64, la, lb int) {
 // distance and both rune lengths.
 func checkLevenshtein(t *testing.T, a, b string) {
 	t.Helper()
-	d, la, lb := levenshteinLen(a, b)
+	d, la, lb := levenshteinLen(a, b, math.Inf(1))
 	wd, wla, wlb := levenshteinDP(a, b)
 	if d != wd || la != wla || lb != wlb {
 		t.Fatalf("levenshteinLen(%q, %q) = %v, %d, %d; DP gives %v, %d, %d", a, b, d, la, lb, wd, wla, wlb)
@@ -69,6 +70,10 @@ func checkBounded(t *testing.T, a, b string) {
 	for _, k := range []float64{math.Inf(1), setWant - 1, setWant} {
 		if got := pat([]string{b}, k); setWant <= k && got != setWant || setWant > k && got <= k {
 			t.Fatalf("Pattern(%q, %q)(%q, k=%v) = %v; DP gives %v", a, a+"s", b, k, got, setWant)
+		}
+		// Within, the stack form, bounds alike.
+		if got := Levenshtein().(editMeasure).Within([]string{a, a + "s"}, []string{b}, k); setWant <= k && got != setWant || setWant > k && got <= k {
+			t.Fatalf("Within(%q, %q; %q, k=%v) = %v; DP gives %v", a, a+"s", b, k, got, setWant)
 		}
 	}
 }
@@ -183,5 +188,19 @@ func BenchmarkLevenshtein(b *testing.B) {
 				levenshtein(x, ys)
 			}
 		})
+	}
+}
+
+// TestRuneCount holds runeCount's ASCII fast path to the rune decoder on
+// strings whose first non-ASCII byte, valid or not, falls before, on and
+// after each eight-byte boundary.
+func TestRuneCount(t *testing.T) {
+	for _, tail := range []string{"", "é", "\xff", "日本", "a\x80b"} {
+		for n := 0; n <= 17; n++ {
+			s := strings.Repeat("x", n) + tail + strings.Repeat("y", n%5)
+			if got, want := runeCount(s), utf8.RuneCountInString(s); got != want {
+				t.Fatalf("runeCount(%q) = %d, want %d", s, got, want)
+			}
+		}
 	}
 }

@@ -61,7 +61,7 @@ func (f Func) Distance(a, b []string) float64 {
 
 // editMeasure is an edit-distance measure: Func's min over the cross
 // product for Distance, plus Pattern for a caller that compares one value
-// set against many.
+// set against many and Within for one bounded comparison.
 type editMeasure struct {
 	Func
 	normalized bool
@@ -91,12 +91,12 @@ func NormalizedLevenshtein() Measure {
 func (m editMeasure) Pattern(values []string) func(text []string, k float64) float64 {
 	pats := make([]pattern, len(values))
 	for i, v := range values {
-		pats[i] = newPattern(v, utf8.RuneCountInString(v), nil)
+		pats[i] = newPattern(v, runeCount(v), nil)
 	}
 	return func(text []string, k float64) float64 {
 		best := math.Inf(1)
 		for _, t := range text {
-			n := utf8.RuneCountInString(t)
+			n := runeCount(t)
 			for i := range pats {
 				p := &pats[i]
 				var d float64
@@ -119,6 +119,29 @@ func (m editMeasure) Pattern(values []string) func(text []string, k float64) flo
 	}
 }
 
+// Within is Distance bounded by k, as Pattern's function is: exact when
+// at most k, otherwise a lower bound on it that exceeds k, with the
+// running minimum over the cross product passed down as the bound of the
+// value pairs after it. Every pair's masks live on the stack, so a
+// caller comparing one pair of value sets allocates nothing and builds
+// no pattern to keep. normLevenshtein ignores k.
+func (m editMeasure) Within(a, b []string, k float64) float64 {
+	if m.normalized {
+		return m.Distance(a, b)
+	}
+	best := math.Inf(1)
+	for _, va := range a {
+		for _, vb := range b {
+			if d, _, _ := levenshteinLen(va, vb, min(k, best)); d < best {
+				if best = d; best == 0 {
+					return 0
+				}
+			}
+		}
+	}
+	return best
+}
+
 // levenshtein is the exact edit distance over runes (insertions,
 // deletions and substitutions of one rune each cost 1), so multi-byte
 // input is handled and an invalid byte counts as one rune. It is the
@@ -131,21 +154,22 @@ func (m editMeasure) Pattern(values []string) func(text []string, k float64) flo
 // fitness engine calls it; the query path prepares its probe once
 // (Pattern) and bounds every call.
 func levenshtein(a, b string) float64 {
-	d, _, _ := levenshteinLen(a, b)
+	d, _, _ := levenshteinLen(a, b, math.Inf(1))
 	return d
 }
 
-// levenshteinLen is levenshtein returning also the rune lengths of both
-// inputs, so normalized variants get them from the same pass.
-func levenshteinLen(a, b string) (dist float64, la, lb int) {
-	la, lb = utf8.RuneCountInString(a), utf8.RuneCountInString(b)
+// levenshteinLen is the edit distance bounded by k, as pattern.within
+// bounds it, returning also the rune lengths of both inputs, so
+// normalized variants get them from the same pass.
+func levenshteinLen(a, b string, k float64) (dist float64, la, lb int) {
+	la, lb = runeCount(a), runeCount(b)
 	pat, text, m, n := a, b, la, lb
 	if la > lb {
 		pat, text, m, n = b, a, lb, la
 	}
 	var st patternStack
 	p := newPattern(pat, m, &st)
-	return p.within(text, n, math.Inf(1)), la, lb
+	return p.within(text, n, k), la, lb
 }
 
 // normalizedLevenshtein gets the rune lengths from the same pass that
@@ -155,8 +179,27 @@ func normalizedLevenshtein(a, b string) float64 {
 	if a == b {
 		return 0 // covers the both-empty case where the length is 0
 	}
-	d, la, lb := levenshteinLen(a, b)
+	d, la, lb := levenshteinLen(a, b, math.Inf(1))
 	return d / float64(maxInt(la, lb)) // a != b ⇒ the longer is non-empty
+}
+
+// runeCount is utf8.RuneCountInString with utf8.Valid's fast path: eight
+// ASCII bytes at a time, as two combined loads, up to the first eight
+// that hold a non-ASCII byte. Every edit distance counts its text's
+// runes first, so the names and titles it compares cost a pass at a
+// fraction of a rune decode per byte.
+func runeCount(s string) int {
+	n := 0
+	for len(s) >= 8 {
+		first32 := uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
+		second32 := uint32(s[4]) | uint32(s[5])<<8 | uint32(s[6])<<16 | uint32(s[7])<<24
+		if (first32|second32)&0x80808080 != 0 {
+			break
+		}
+		n += 8
+		s = s[8:]
+	}
+	return n + utf8.RuneCountInString(s)
 }
 
 // wordBits is the width of one bit-vector block of a pattern.

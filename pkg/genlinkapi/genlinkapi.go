@@ -278,7 +278,9 @@ func MatchCartesian(r *Rule, a, b *Source, opts MatchOptions) []MatchedLink {
 // changes latency, not semantics, for token, q-gram and multi-pass
 // composites of them; a sorted-neighborhood pass differs when A holds
 // more than one entity, because batch windows run over the merged A∪B
-// order and the index windows over the corpus alone.
+// order and the index windows over the corpus alone. A rule with a
+// necessary levenshtein comparison is served from a rule index instead
+// of the blocker, and its links equal MatchCartesian's.
 func NewIndex(r *Rule, opts MatchOptions) *Index {
 	return linkindex.New(r, opts)
 }
