@@ -43,7 +43,7 @@ func main() {
 		outJSON    = flag.String("out-json", "", "write the learned rule as JSON to this file")
 		outXML     = flag.String("out-xml", "", "write the learned rule as XML to this file")
 		execute    = flag.Bool("execute", false, "execute the learned rule over the full sources and print links")
-		blocker    = flag.String("blocker", "token", "blocking strategy for -execute: token, sortedneighborhood, qgram or multipass")
+		blocker    = flag.String("blocker", "token", "blocking strategy of -execute for a rule without an edit bound: token, sortedneighborhood, qgram or multipass (a rule with a necessary levenshtein comparison is served from its rule index instead)")
 		workers    = flag.Int("workers", 0, "parallel match workers for -execute (0 = GOMAXPROCS)")
 	)
 	flag.Parse()

@@ -21,7 +21,7 @@
 // rule with a necessary levenshtein comparison is served from each
 // shard's rule index, and its answers equal scoring every stored entity;
 // -blocker picks the candidates of any other rule. The "serving on" log
-// line names which one serves.
+// line and /stats "candidates" name which one serves.
 //
 // -wal-dir is the one persistence mode, and it is crash-safe: every
 // write is appended to a segmented, CRC-checked write-ahead log before
@@ -99,8 +99,9 @@
 //	GET    /wal/snapshot    newest snapshot file, seq in X-Snapshot-Seq
 //	POST   /promote         flip a -follow replica to leader (409 on
 //	                        non-replicas)
-//	GET    /stats           corpus size, index keys, blocker, threshold,
-//	                        shard count and per-shard sizes
+//	GET    /stats           corpus size, index keys, blocker, candidate
+//	                        source, threshold, shard count and
+//	                        per-shard sizes
 //	GET    /metrics         counters and gauges, every key always present
 //	                        (linkserver.NodeMetrics): entities, keys,
 //	                        shards, shard_entities, queries, writes,

@@ -15,8 +15,12 @@ import (
 	"genlink/pkg/genlinkapi"
 )
 
+// ruleJSON compares titles to names by normalized Levenshtein, which
+// bounds no edit distance, so each blocker's candidates decide its links.
+// Match serves a rule that has an edit bound (a plain levenshtein) from
+// its rule index instead, and every row would read the same.
 const ruleJSON = `{
-  "kind": "comparison", "function": "levenshtein", "threshold": 2,
+  "kind": "comparison", "function": "normLevenshtein", "threshold": 0.2,
   "children": [
     {"kind": "transform", "function": "lowerCase",
      "children": [{"kind": "property", "property": "title"}]},

@@ -19,13 +19,15 @@ import (
 // k = 0 returns exactly the links of batch matching A against B.
 //
 //   - The blocking ablation's probe rule has an edit bound (K = 1), so
-//     the index serves it from its rule index, whatever the blocker, and
-//     batch matching's equal is MatchCartesian, which scores every pair.
-//   - The same comparison over normLevenshtein has no bound, so the index
-//     serves it from the blocker's block index. For the strategies whose
-//     batch and index candidates are one definition (token, q-gram and
-//     their multi-pass union), its equal is MatchParallel over two
-//     workers (Match is its one-worker case).
+//     the index and batch matching both serve it from the rule index,
+//     whatever the blocker: its served links equal Match's with zero
+//     Options (token blocking) and MatchParallel's over two workers under
+//     every blocker.
+//   - The same comparison over normLevenshtein has no bound, so both
+//     serve it from the blocker. For the strategies whose batch and index
+//     candidates are one definition (token, q-gram and their multi-pass
+//     union), its served links equal MatchParallel's over two workers
+//     (Match is its one-worker case).
 //
 // A is every s-th entity of the dataset's A side, at most maxProbes of
 // them: B, and so every block and cap, is the whole B side, while the
@@ -50,13 +52,16 @@ func TestBatchMatchEqualsServedQueries(t *testing.T) {
 		if _, ok := evalengine.Compile(bounded).EditBound(rule.MatchThreshold); !ok {
 			t.Fatalf("%s: the probe rule %s has no edit bound", name, bounded)
 		}
-		served := serveAll(t, bounded, matching.Options{}, a, ds.B)
-		if cartesian := matching.MatchCartesian(bounded, a, ds.B, matching.Options{}); !linksEqual(cartesian, served) {
-			t.Errorf("%s/rule index: cartesian %d links, served %d", name, len(cartesian), len(served))
+		bounds := serveAll(t, bounded, matching.Options{}, a, ds.B)
+		if batch := matching.Match(bounded, a, ds.B, matching.Options{}); !linksEqual(batch, bounds) {
+			t.Errorf("%s/rule index: Match %d links, served %d", name, len(batch), len(bounds))
 		}
 		unbounded := normalizedProbeRule(bounded)
 		for _, bl := range blockers {
 			opts := matching.Options{Blocker: bl}
+			if batch := matching.MatchParallel(bounded, a, ds.B, opts, 2); !linksEqual(batch, bounds) {
+				t.Errorf("%s/rule index/%s: batch %d links, served %d", name, bl.Name(), len(batch), len(bounds))
+			}
 			served := serveAll(t, unbounded, opts, a, ds.B)
 			if batch := matching.MatchParallel(unbounded, a, ds.B, opts, 2); !linksEqual(batch, served) {
 				t.Errorf("%s/%s: batch %d links, served %d", name, bl.Name(), len(batch), len(served))

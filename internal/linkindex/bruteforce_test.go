@@ -235,7 +235,7 @@ func checkChurn(t *testing.T, r *rule.Rule, rng *rand.Rand, shards, rounds int) 
 // FuzzServedEqualsBruteForce draws a random rule over the registry's
 // measures until it has an edit bound at the match threshold, then holds
 // the index serving it to brute force through random write batches
-// (checkChurn).
+// (checkChurn), and batch matching too (checkBatch).
 func FuzzServedEqualsBruteForce(f *testing.F) {
 	for seed := range int64(8) {
 		f.Add(seed)
@@ -244,7 +244,36 @@ func FuzzServedEqualsBruteForce(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		r := boundedRule(rng)
 		checkChurn(t, r, rng, 1+rng.Intn(3), 12)
+		checkBatch(t, r, rng)
 	})
+}
+
+// checkBatch holds MatchParallel of r, under a random blocker and cap,
+// to the interpreted rule: B is a random corpus and A the same corpus
+// (a self-join) plus a few external probes.
+func checkBatch(t *testing.T, r *rule.Rule, rng *rand.Rand) {
+	t.Helper()
+	a, b := entity.NewSource("a"), entity.NewSource("b")
+	corpus := make(map[string]*entity.Entity)
+	for i := range 30 {
+		e := diffEntity(rng, fmt.Sprintf("e%d", i))
+		corpus[e.ID] = e
+		a.Add(e)
+		b.Add(e)
+	}
+	for i := range 5 {
+		a.Add(diffEntity(rng, fmt.Sprintf("external-%d", i)))
+	}
+	var want []matching.Link
+	for _, p := range a.Entities {
+		want = append(want, interpreted(r, p, corpus, 0)...)
+	}
+	matching.SortLinks(want)
+	names := matching.BlockerNames()
+	opts := matching.Options{Blocker: matching.BlockerByName(names[rng.Intn(len(names))]), MaxBlockSize: rng.Intn(3)}
+	if got := matching.MatchParallel(r, a, b, opts, 2); !linksEqual(got, want) {
+		t.Fatalf("rule %s, blocker %s: batch %d links, brute force %d", r, opts.Blocker.Name(), len(got), len(want))
+	}
 }
 
 // boundedRule draws random rules of one to three comparisons under a

@@ -10,30 +10,20 @@
 // package keeps internal/matching as the single source of
 // candidate-generation semantics and adds the storage layer around it:
 //
-//   - Candidates come from the served rule when it allows (the rule
-//     index, in sharded.go): when the rule makes a levenshtein
-//     comparison necessary at the threshold — every link has an edit
-//     distance of at most K, which evalengine.Compiled.EditBound derives
-//     from the rule itself — each shard keeps a matching.RuleIndex of
-//     the PassJoin segment keys of its entities' compared values
-//     (internal/similarity), and nothing of the blocker. A query
-//     enumerates the postings of the probe's keys and checks each
-//     stored entity against the bound before scoring it; an entity that
-//     shares no key or fails the check is further than K and could never
-//     reach the threshold, so the links are exactly those of scoring
-//     every stored entity (TestServedEqualsBruteForce). The rule index is
-//     not persisted: Apply maintains it, and recovery, restore and
-//     followers rebuild it through Apply.
-//   - Otherwise (a max, a normalized Levenshtein, a bound past the cap,
-//     …) candidates come from the blocker's own matching.BlockIndex —
-//     the same index batch matching enumerates through: one entity table
-//     and one slot-keyed pass per strategy of the blocker (posting lists
-//     for token and q-gram blocking, an order-maintained sorted list for
-//     sorted-neighborhood), unioned for multi-pass. Differential
+//   - Candidates come from the rule's matching.CandidateSource, which
+//     batch matching loads B into too: when the rule makes a levenshtein
+//     comparison necessary at the threshold (evalengine.EditBound), a
+//     rule index whose links are exactly those of scoring every stored
+//     entity (TestServedEqualsBruteForce); otherwise (a max, a normalized
+//     Levenshtein, a bound past the cap, …) the blocker's own
+//     matching.BlockIndex: one entity table and one slot-keyed pass per
+//     strategy of the blocker, unioned for multi-pass. Differential
 //     property tests pin the index's candidates ≡ the batch blocker on the
 //     surviving entity set under any interleaving of Add/Update/Remove.
+//     No index is persisted: Apply maintains it, and recovery, restore
+//     and followers rebuild it through Apply.
 //   - ShardedIndex hash-partitions the corpus over N shards, each owning
-//     a rule or block index and its records behind a per-shard RWMutex.
+//     a candidate index and its records behind a per-shard RWMutex.
 //     The index's entity table is the shard's one ID table, and the records
 //     slice holds, by that table's slot, every stored entity's
 //     evalengine.Record, the scoring record built once per entity
@@ -100,15 +90,13 @@ type Index = ShardedIndex
 type Stats struct {
 	// Entities is the current corpus size.
 	Entities int
-	// Keys sums the shards' index sizes: under an edit bound, the
-	// distinct keys of each shard's rule index (RuleIndex.Keys);
-	// otherwise the distinct keys of each shard's token and q-gram passes
-	// and the records of its sorted-neighborhood pass (BlockIndex.Keys).
+	// Keys sums the shards' index sizes (matching.CandidateIndex.Keys).
 	Keys int
 	// Blocker names the configured blocking strategy, which serves the
-	// candidates only of a rule without an edit bound
-	// (ShardedIndex.CandidateSource names what serves them).
+	// candidates only of a rule without an edit bound.
 	Blocker string
+	// Candidates names what serves them: ShardedIndex.CandidateSource.
+	Candidates string
 	// Threshold is the minimum score Query emits.
 	Threshold float64
 	// Shards is the number of hash partitions (1 for New).

@@ -1,6 +1,7 @@
 package linkindex
 
 import (
+	"strings"
 	"testing"
 
 	"genlink/internal/entity"
@@ -19,17 +20,17 @@ func TestProbeKeysSkipEarlyExit(t *testing.T) {
 		rule.NewComparison(rule.NewProperty("name"), rule.NewProperty("name"), similarity.Levenshtein(), 2),
 		rule.NewComparison(rule.NewProperty("title"), rule.NewProperty("title"), similarity.Jaccard(), 0.5)))
 	ix := NewSharded(r, 2, matching.Options{Threshold: 0.5})
-	if ix.edit == nil {
-		t.Fatal("min(levenshtein θ 2, …) at T = 0.5 has no edit bound")
+	if !strings.HasPrefix(ix.CandidateSource(), "rule index") {
+		t.Fatalf("min(levenshtein θ 2, …) at T = 0.5 is served from %s", ix.CandidateSource())
 	}
 	titled, untitled := entity.New("a"), entity.New("b")
 	titled.Set("name", "alice")
 	titled.Set("title", "x")
 	untitled.Set("name", "alice")
-	if keys := ix.queryKeys(ix.compiled.Record(titled)); len(keys) == 0 {
+	if keys := ix.source.ProbeKeys(ix.compiled.Record(titled)); len(keys) == 0 {
 		t.Error("a probe that can reach the threshold got no keys")
 	}
-	if keys := ix.queryKeys(ix.compiled.Record(untitled)); keys != nil {
+	if keys := ix.source.ProbeKeys(ix.compiled.Record(untitled)); keys != nil {
 		t.Errorf("an early-exit probe got %d keys", len(keys))
 	}
 }

@@ -1,9 +1,7 @@
 package linkindex
 
 import (
-	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,15 +9,13 @@ import (
 	"genlink/internal/evalengine"
 	"genlink/internal/matching"
 	"genlink/internal/rule"
-	"genlink/internal/similarity"
 )
 
 // ShardedIndex is the storage layer of the matching service: the entity
-// corpus is hash-partitioned over N shards, each owning a BlockIndex and
-// the scoring record of every stored entity (an evalengine.Record, built
-// once per entity version at write time) by the index's slot, behind a
-// per-shard RWMutex.
-// Writes touch only the shards their entity IDs hash to, so writes to
+// corpus is hash-partitioned over N shards, each owning an index of the
+// rule's matching.CandidateSource and, by the index's slot, the scoring
+// record of every stored entity (an evalengine.Record, built once per
+// entity version at write time), behind a per-shard RWMutex. Writes touch only the shards their entity IDs hash to, so writes to
 // different shards proceed in parallel and a write never stalls queries
 // against the other N−1 shards. Queries fan out across all shards
 // concurrently, score each shard's candidates through
@@ -59,13 +55,10 @@ import (
 // truth) for every strategy and cap, plus literal sharded ≡ single-shard
 // equality for the partition-invariant strategies;
 // TestShardedSupersetOfSingleShard pins the sorted-neighborhood window
-// superset.
-//
-// All of this is about rules without an edit bound. A rule with one is
-// served from each shard's rule index, whose candidates are a pure
-// function of the probe and the stored entities, so the union over
-// shards is exactly the single-shard set, and the links are exactly
-// those of scoring every stored entity (TestServedEqualsBruteForce).
+// superset. All of this is about rules without an edit bound: a rule
+// index's candidates are a pure function of the probe and the stored
+// entities, so its links are exactly those of scoring every stored
+// entity (TestServedEqualsBruteForce), as batch matching's are.
 //
 // # Isolation semantics
 //
@@ -82,95 +75,32 @@ type ShardedIndex struct {
 	compiled *evalengine.Compiled
 	opts     matching.Options
 	shards   []*shard
-	// edit is the rule's necessary edit-distance bound at the threshold,
-	// nil when it has none (or none tight enough to pay): with it, every
-	// shard keeps a rule index in place of a block index, and queries
-	// score its verified candidates (see queryLocked).
-	edit  *evalengine.EditBound
-	count atomic.Int64 // total entities across shards
+	// source serves the rule's candidates: every shard keeps one of its
+	// indexes.
+	source matching.CandidateSource
+	count  atomic.Int64 // total entities across shards
 	// streamEarlyExits counts per-shard queries answered without
 	// enumerating a candidate (probe bound below threshold).
 	streamEarlyExits atomic.Int64
 }
 
 // shard is one partition: a single-mutex miniature of the retired
-// monolithic index. Exactly one of blocks and rules is set: the rule
-// index when the index has an edit bound, the blocker's block index
-// otherwise. Its entity table is the shard's only map from ID to slot;
-// records holds, at each live slot, the scoring record of the entity
-// there (Record.Entity is the entity itself) and nil at each free slot,
-// so the entity and its record are installed and replaced together.
-// With a rule index, indexed holds at each live slot the bound's B-side
-// values of that record (EditBound.Indexed), the ones a query verifies.
+// monolithic index. Its candidate index's entity table is the shard's
+// only map from ID to slot; records holds, at each live slot, the
+// scoring record of the entity there (Record.Entity is the entity
+// itself) and nil at each free slot, so the entity and its record are
+// installed and replaced together.
 type shard struct {
 	mu      sync.RWMutex
-	blocks  matching.BlockIndex
-	rules   *matching.RuleIndex
+	index   matching.CandidateIndex
 	records []*evalengine.Record
-	indexed indexedValues
-}
-
-// indexedValues holds a value set per slot in two slot-indexed arrays,
-// so a query verifying a candidate reads them, and then the values'
-// bytes, without touching its record: one holds a set of exactly one
-// value — the common case, read with no pointer to follow — and many
-// any other set (nil at a slot of one value). A free slot's entries are
-// never read.
-type indexedValues struct {
-	one  []string
-	many [][]string
-}
-
-// noValues is the empty set as many holds it, set apart from nil.
-var noValues = []string{}
-
-// set records values at slot s, growing the arrays to reach it.
-func (iv *indexedValues) set(s int32, values []string) {
-	for int(s) >= len(iv.one) {
-		iv.one, iv.many = append(iv.one, ""), append(iv.many, nil)
-	}
-	switch len(values) {
-	case 1:
-		iv.one[s], iv.many[s] = values[0], nil
-	case 0:
-		iv.one[s], iv.many[s] = "", noValues
-	default:
-		iv.one[s], iv.many[s] = "", values
-	}
-}
-
-// at returns the values recorded at slot s.
-func (iv *indexedValues) at(s int32) []string {
-	if vs := iv.many[s]; vs != nil {
-		return vs
-	}
-	return iv.one[s : s+1]
-}
-
-// slotTable is what a shard reads of its entity table, whichever index
-// holds it.
-type slotTable interface {
-	Slot(id string) (int32, bool)
-	Len() int
-	Keys() int
-}
-
-// table returns the shard's entity table.
-func (sh *shard) table() slotTable {
-	if sh.rules != nil {
-		return sh.rules
-	}
-	return sh.blocks
 }
 
 // NewSharded returns an empty index with the given shard count (≤ 0 means
-// runtime.GOMAXPROCS(0)) serving the given rule. opts follows
-// matching.Options semantics: zero Threshold means rule.MatchThreshold,
-// nil Blocker means token blocking, zero MaxBlockSize derives the
-// stop-token cap from the current total corpus size, negative means
-// uncapped. Blocker and MaxBlockSize apply only to a rule without an
-// edit bound at the threshold: a rule with one is served from its rule
-// index. New(r, opts) is the single-shard special case.
+// runtime.GOMAXPROCS(0)) serving the given rule from its
+// matching.CandidateSource. opts follows matching.Options semantics, but
+// a zero MaxBlockSize derives the stop-token cap from the current corpus
+// size. New(r, opts) is the single-shard special case.
 func NewSharded(r *rule.Rule, shards int, opts matching.Options) *ShardedIndex {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -181,28 +111,17 @@ func NewSharded(r *rule.Rule, shards int, opts matching.Options) *ShardedIndex {
 	if opts.Blocker == nil {
 		opts.Blocker = matching.TokenBlocking()
 	}
-	ix := &ShardedIndex{rule: r, compiled: evalengine.Compile(r), opts: opts, shards: make([]*shard, shards)}
-	if eb, ok := ix.compiled.EditBound(opts.Threshold); ok {
-		ix.edit = &eb
-	}
+	c := evalengine.Compile(r)
+	ix := &ShardedIndex{rule: r, compiled: c, opts: opts, shards: make([]*shard, shards), source: matching.NewCandidateSource(c, opts)}
 	for i := range ix.shards {
-		if ix.edit != nil {
-			ix.shards[i] = &shard{rules: matching.NewRuleIndex()}
-		} else {
-			ix.shards[i] = &shard{blocks: matching.NewBlockIndex(opts.Blocker)}
-		}
+		ix.shards[i] = &shard{index: ix.source.NewIndex()}
 	}
 	return ix
 }
 
 // CandidateSource names what serves the rule's candidates: the rule
 // index under its edit bound, or the blocker.
-func (ix *ShardedIndex) CandidateSource() string {
-	if ix.edit != nil {
-		return fmt.Sprintf("rule index (levenshtein ≤ %d, verified)", ix.edit.K)
-	}
-	return "blocker " + ix.opts.Blocker.Name()
-}
+func (ix *ShardedIndex) CandidateSource() string { return ix.source.String() }
 
 // Rule returns the linkage rule the index scores with.
 func (ix *ShardedIndex) Rule() *rule.Rule { return ix.rule }
@@ -348,17 +267,14 @@ func SplitBatch(b Batch, parts int) map[int]Batch {
 }
 
 // applyShardOps installs one shard's resolved ops under its write lock —
-// old versions leave the index through the bulk-remove fast path, new
-// versions enter through BulkAdd — and reports the distinct upserts and
-// deletes performed. The fresh versions' scoring records, and with a
-// rule index their keys, are built before the lock is taken: both are
-// pure functions of the entity, so building them needs no shard state,
-// and the keys come from the record's values, so no value program runs
-// twice. It is the only code that writes a shard's records, its index,
-// the indexed values and the entity count, so they stay in lockstep by
-// construction: a freed slot's record is dropped and a taken slot's
-// installed in the same critical section. Its callers are Apply and the
-// replay pipeline. Callers may run it concurrently for different shards;
+// old versions leave the index through BulkRemove, new versions enter
+// through BulkAdd — and reports the distinct upserts and deletes
+// performed. The fresh versions' records and index keys
+// (CandidateSource.StoredKeys, from the records' values) are pure
+// functions of the entity, built before the lock is taken. It is the
+// only code that writes a shard's records, its index and the entity
+// count, so they stay in lockstep by construction. Its callers, Apply
+// and the replay pipeline, may run it concurrently for different shards;
 // per shard it is atomic with respect to queries.
 func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 	sh := ix.shards[g.part]
@@ -370,13 +286,7 @@ func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 			recs = append(recs, ix.compiled.Record(e))
 		}
 	}
-	var keys [][]uint64
-	if sh.rules != nil {
-		keys = make([][]uint64, len(recs))
-		for i, r := range recs {
-			keys[i] = storedKeys(ix.edit.Indexed(r), ix.edit.K)
-		}
-	}
+	keys := ix.source.StoredKeys(recs)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	// Deleted and replaced versions leave in one BulkRemove; the two ID
@@ -384,33 +294,21 @@ func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
 	gone := append(make([]string, 0, len(g.deletes)+len(fresh)), g.deletes...)
 	replaced := 0
 	for _, e := range fresh {
-		if _, ok := sh.table().Slot(e.ID); ok {
+		if _, ok := sh.index.Slot(e.ID); ok {
 			gone = append(gone, e.ID)
 			replaced++
 		}
 	}
-	var freed, taken []int32
-	if sh.rules != nil {
-		freed = sh.rules.BulkRemove(gone)
-		taken = sh.rules.BulkAdd(fresh, keys)
-	} else {
-		freed = sh.blocks.BulkRemove(gone)
-		taken = sh.blocks.BulkAdd(fresh)
-	}
+	freed := sh.index.BulkRemove(gone)
+	taken := sh.index.BulkAdd(recs, keys)
 	for _, s := range freed {
 		sh.records[s] = nil
-		if sh.rules != nil {
-			sh.indexed.set(s, nil)
-		}
 	}
 	for i, s := range taken {
 		for int(s) >= len(sh.records) {
 			sh.records = append(sh.records, nil)
 		}
 		sh.records[s] = recs[i]
-		if sh.rules != nil {
-			sh.indexed.set(s, ix.edit.Indexed(recs[i]))
-		}
 	}
 	deleted = len(freed) - replaced
 	ix.count.Add(int64(len(fresh) - replaced - deleted))
@@ -457,7 +355,7 @@ func (ix *ShardedIndex) Get(id string) *entity.Entity {
 	sh := ix.shards[ix.shardOf(id)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if s, ok := sh.table().Slot(id); ok {
+	if s, ok := sh.index.Slot(id); ok {
 		return sh.records[s].Entity()
 	}
 	return nil
@@ -468,7 +366,7 @@ func (ix *ShardedIndex) Get(id string) *entity.Entity {
 func (sh *shard) entities() []*entity.Entity {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	out := make([]*entity.Entity, 0, sh.table().Len())
+	out := make([]*entity.Entity, 0, sh.index.Len())
 	for _, r := range sh.records {
 		if r != nil {
 			out = append(out, r.Entity())
@@ -492,6 +390,7 @@ func (ix *ShardedIndex) Entities() []*entity.Entity {
 func (ix *ShardedIndex) Stats() Stats {
 	st := Stats{
 		Blocker:          ix.opts.Blocker.Name(),
+		Candidates:       ix.source.String(),
 		Threshold:        ix.opts.Threshold,
 		Shards:           len(ix.shards),
 		ShardEntities:    make([]int, len(ix.shards)),
@@ -499,10 +398,9 @@ func (ix *ShardedIndex) Stats() Stats {
 	}
 	for i, sh := range ix.shards {
 		sh.mu.RLock()
-		tb := sh.table()
-		st.Entities += tb.Len()
-		st.Keys += tb.Keys()
-		st.ShardEntities[i] = tb.Len()
+		st.Entities += sh.index.Len()
+		st.Keys += sh.index.Keys()
+		st.ShardEntities[i] = sh.index.Len()
 		sh.mu.RUnlock()
 	}
 	return st
@@ -510,13 +408,10 @@ func (ix *ShardedIndex) Stats() Stats {
 
 // maxBlock resolves Options.MaxBlockSize into shard sh's cap for one
 // probe, under the shard lock. An explicit cap M > 0 becomes ⌈M/N⌉ per
-// shard (a key over-represented in the corpus is over-represented in
-// each ~1/N partition, so proportional caps preserve stop-token
-// suppression instead of letting every global stop block slip under the
-// cap in all N shards). 0 derives the cap as matching.Options.normalize
-// does, from the shard's partition minus the probe's own record: exactly
-// like a single-shard index over that partition. Negative is uncapped.
-// Only a block index reads it: a rule index caps nothing.
+// shard: a key over-represented in the corpus is over-represented in
+// each ~1/N partition (see ShardedIndex). 0 derives the cap as
+// matching.Options.normalize does, from the shard's partition minus the
+// probe's own record. Negative is uncapped. A rule index caps nothing.
 func (ix *ShardedIndex) maxBlock(sh *shard, probe *entity.Entity) int {
 	switch m := ix.opts.MaxBlockSize; {
 	case m > 0:
@@ -524,8 +419,8 @@ func (ix *ShardedIndex) maxBlock(sh *shard, probe *entity.Entity) int {
 	case m < 0:
 		return 0 // BlockIndex treats ≤0 as uncapped
 	}
-	n := sh.blocks.Len()
-	if _, ok := sh.blocks.Slot(probe.ID); ok {
+	n := sh.index.Len()
+	if _, ok := sh.index.Slot(probe.ID); ok {
 		n--
 	}
 	return matching.DefaultMaxBlockSize(n)
@@ -534,29 +429,19 @@ func (ix *ShardedIndex) maxBlock(sh *shard, probe *entity.Entity) int {
 // Candidates returns the indexed entities a query scores for the probe,
 // sorted by ID — the pre-scoring half of Query, exposed so candidate
 // generation is observable (and differentially testable) on its own:
-// under an edit bound, the rule index's verified candidates (every
-// stored entity within K edits of the probe on the bound's values);
-// otherwise the ones blocking proposes. The probe's own record (same ID)
-// is never a candidate. With more than one shard the result is the
-// union of the per-shard candidate sets (see the candidate-semantics
-// notes on ShardedIndex).
+// under an edit bound, every stored entity within K edits of the probe
+// on the bound's values (none when its bound misses the threshold);
+// otherwise the ones blocking proposes, unioned over the shards (see
+// ShardedIndex). The probe's own record (same ID) is never one.
 func (ix *ShardedIndex) Candidates(probe *entity.Entity) []*entity.Entity {
-	var rec *evalengine.Record
-	var keys []uint64
-	if ix.edit != nil {
-		rec = ix.compiled.Record(probe)
-		keys = probeKeys(ix.edit.Probe(rec), ix.edit.K)
-	}
+	rec := ix.compiled.Record(probe)
+	keys := ix.source.ProbeKeys(rec)
 	perShard := make([][]*entity.Entity, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
 		sh := ix.shards[i]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		if sh.rules == nil {
-			perShard[i] = sh.blocks.Candidates(probe, ix.maxBlock(sh, probe))
-			return
-		}
-		ix.ruleCandidates(sh, rec, keys).Each(probe, 0, new(matching.SlotSet), func(s int32) bool {
+		sh.index.For(rec, keys).Each(probe, ix.maxBlock(sh, probe), new(matching.SlotSet), func(s int32) bool {
 			perShard[i] = append(perShard[i], sh.records[s].Entity())
 			return true
 		})
@@ -579,7 +464,7 @@ func (ix *ShardedIndex) Candidates(probe *entity.Entity) []*entity.Entity {
 // keeping its best k, and MergeTopK merges the per-shard winners.
 func (ix *ShardedIndex) Query(probe *entity.Entity, k int) []matching.Link {
 	rec := ix.compiled.Record(probe)
-	keys := ix.queryKeys(rec)
+	keys := ix.source.ProbeKeys(rec)
 	perShard := make([][]matching.Link, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
 		perShard[i] = ix.query(ix.shards[i], rec, keys, k)
@@ -623,13 +508,13 @@ func (ix *ShardedIndex) QueryID(id string, k int) ([]matching.Link, bool) {
 	hi := ix.shardOf(id)
 	home := ix.shards[hi]
 	home.mu.RLock()
-	s, ok := home.table().Slot(id)
+	s, ok := home.index.Slot(id)
 	if !ok {
 		home.mu.RUnlock()
 		return nil, false
 	}
 	probe := home.records[s]
-	keys := ix.queryKeys(probe)
+	keys := ix.source.ProbeKeys(probe)
 	perShard := make([][]matching.Link, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
 		if i != hi {
@@ -669,7 +554,7 @@ func parallel(n int, f func(i int)) {
 
 // query answers shard sh's share of a Query under its read lock,
 // returning its top-k links (all links above the threshold for k ≤ 0).
-// keys are the probe's rule-index keys (queryKeys).
+// keys are the probe's index keys (CandidateSource.ProbeKeys).
 func (ix *ShardedIndex) query(sh *shard, probe *evalengine.Record, keys []uint64, k int) []matching.Link {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -677,101 +562,16 @@ func (ix *ShardedIndex) query(sh *shard, probe *evalengine.Record, keys []uint64
 }
 
 // queryLocked is query with the shard lock already held: the shard's
-// candidates and records go through matching.ScoreCandidates, the one
-// candidate-scoring loop, which keeps the shard's top k (every link for
-// k ≤ 0). Under an edit bound the candidates are the rule index's
-// verified ones (verified), with no block-size cap; otherwise the block
-// index's, capped by maxBlock. A probe whose bound already misses the
-// threshold enumerates nothing and counts as an early exit. Results are
-// exactly those of scoring every candidate Candidates returns.
+// index enumerates the probe's candidates into matching.ScoreCandidates,
+// the one candidate-scoring loop, which keeps the shard's top k (every
+// link for k ≤ 0), exactly those of scoring every candidate Candidates
+// returns. A probe whose bound already misses the threshold enumerates
+// nothing and counts as an early exit.
 func (ix *ShardedIndex) queryLocked(sh *shard, probe *evalengine.Record, keys []uint64, k int) []matching.Link {
-	var cands matching.Enumerator = sh.blocks
-	maxBlock := 0
-	if sh.rules != nil {
-		cands = ix.ruleCandidates(sh, probe, keys)
-	} else {
-		maxBlock = ix.maxBlock(sh, probe.Entity())
-	}
-	links, scored := matching.ScoreCandidates(ix.compiled, probe, cands, maxBlock, sh.records, ix.opts.Threshold, k)
+	cands := sh.index.For(probe, keys)
+	links, scored := matching.ScoreCandidates(ix.compiled, probe, cands, ix.maxBlock(sh, probe.Entity()), sh.records, ix.opts.Threshold, k)
 	if !scored {
 		ix.streamEarlyExits.Add(1)
 	}
 	return links
-}
-
-// The rule index: candidates from the served rule. When the rule has a
-// necessary levenshtein comparison at the index threshold
-// (evalengine.Compiled.EditBound: every link has a distance of at most
-// K between the probe's A-side values and the candidate's B-side
-// values), each shard keeps, in place of the blocker's block index, a
-// matching.RuleIndex of the PassJoin segment keys of its entities'
-// B-side values (similarity.EditSegmentKeys). A query enumerates the
-// postings of the probe's keys (similarity.EditProbeKeys) — every stored
-// entity within K shares one — and verifies each against the bound
-// (EditBound.Within) before scoring it. An entity that shares no key, or
-// fails the check, is further than K and could never reach the
-// threshold, so the links are exactly those of scoring every stored
-// entity.
-
-// storedKeys returns the rule index's keys of a stored entity's B-side
-// values under bound k: their segment keys, sorted and unique, as
-// matching.RuleIndex takes them. The index records them when it adds the
-// entity and removes exactly those, so they are derived once per entity
-// version.
-func storedKeys(values []string, k int) []uint64 {
-	// A value has K + 1 keys, or one when it is no longer than K.
-	keys := similarity.EditSegmentKeys(make([]uint64, 0, len(values)*(k+1)), values, k)
-	slices.Sort(keys)
-	return slices.Compact(keys)
-}
-
-// probeKeys returns the rule index's keys of a probe's A-side values
-// under bound k.
-func probeKeys(values []string, k int) []uint64 {
-	// A value has at most (2K + 1)(K²/2 + K + 1) keys, one batch of them
-	// per length within K of its own.
-	keys := make([]uint64, 0, len(values)*(2*k+1)*(k*k/2+k+1))
-	// A key repeats only where two of the windows hold equal
-	// substrings; RuleIndex.Each yields its slots once all the same.
-	return similarity.EditProbeKeys(keys, values, k)
-}
-
-// queryKeys returns the rule-index keys a query of the probe record
-// enumerates, nil when the index has no edit bound or when the probe's
-// bound already misses the threshold: then every shard's
-// ScoreCandidates returns before it enumerates, so no key is needed.
-func (ix *ShardedIndex) queryKeys(r *evalengine.Record) []uint64 {
-	if ix.edit == nil || ix.compiled.Bind(r).Upper() < ix.opts.Threshold {
-		return nil
-	}
-	return probeKeys(ix.edit.Probe(r), ix.edit.K)
-}
-
-// ruleCandidates returns the enumerator of shard sh's candidates for the probe
-// record under the edit bound, the probe's keys being keys.
-func (ix *ShardedIndex) ruleCandidates(sh *shard, probe *evalengine.Record, keys []uint64) verified {
-	return verified{rules: sh.rules, indexed: &sh.indexed, edit: ix.edit, probe: probe, keys: keys}
-}
-
-// verified enumerates a shard's rule index for one probe: the slots
-// holding one of the probe's keys, each once, but the probe's own, and of
-// those only the ones whose indexed values are within K of the probe's.
-// The check's patterns are built when the enumeration starts, so a probe
-// that exits early builds none.
-type verified struct {
-	rules   *matching.RuleIndex
-	indexed *indexedValues
-	edit    *evalengine.EditBound
-	probe   *evalengine.Record
-	keys    []uint64
-}
-
-func (v verified) Each(_ *entity.Entity, _ int, seen *matching.SlotSet, yield func(slot int32) bool) bool {
-	if len(v.keys) == 0 {
-		return true
-	}
-	within := v.edit.Within(v.probe)
-	return v.rules.Each(v.probe.Entity().ID, v.keys, seen, func(s int32) bool {
-		return !within(v.indexed.at(s)) || yield(s)
-	})
 }

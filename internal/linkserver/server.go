@@ -449,6 +449,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"entities":       st.Entities,
 		"keys":           st.Keys,
 		"blocker":        st.Blocker,
+		"candidates":     st.Candidates,
 		"threshold":      st.Threshold,
 		"shards":         st.Shards,
 		"shard_entities": st.ShardEntities,

@@ -87,6 +87,39 @@ func doJSON(t *testing.T, client *http.Client, method, url string, body []byte, 
 	return resp.StatusCode
 }
 
+// TestStatsNamesCandidateSource pins that Stats and /stats name what
+// serves the candidates beside the configured blocker: the blocker for
+// serveRule (a max, which has no edit bound), and the rule index for a
+// lone levenshtein comparison, whatever the blocker.
+func TestStatsNamesCandidateSource(t *testing.T) {
+	bounded, err := genlinkapi.ParseRuleJSON([]byte(`{"kind": "comparison", "function": "levenshtein", "threshold": 2, "children": [
+	  {"kind": "property", "property": "name"},
+	  {"kind": "property", "property": "name"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker := genlinkapi.MultiPass().Name()
+	for _, tc := range []struct {
+		r    *genlinkapi.Rule
+		want string
+	}{
+		{serveRule(t), "blocker " + blocker},
+		{bounded, "rule index (levenshtein ≤ 1, verified)"},
+	} {
+		ix := genlinkapi.NewShardedIndex(tc.r, 2, genlinkapi.MatchOptions{Blocker: genlinkapi.MultiPass()})
+		if got := ix.Stats().Candidates; got != tc.want || ix.CandidateSource() != tc.want {
+			t.Errorf("rule %s: Stats().Candidates = %q, CandidateSource() = %q, want %q", tc.r, got, ix.CandidateSource(), tc.want)
+		}
+		ts := httptest.NewServer(linkserver.New(linkserver.Config{Index: ix}).Handler())
+		var stats map[string]any
+		code := doJSON(t, ts.Client(), "GET", ts.URL+"/stats", nil, &stats)
+		ts.Close()
+		if code != 200 || stats["candidates"] != tc.want || stats["blocker"] != blocker {
+			t.Errorf("rule %s: /stats %d %v, want candidates %q and blocker %q", tc.r, code, stats, tc.want, blocker)
+		}
+	}
+}
+
 func TestServerEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t)
 	c := ts.Client()

@@ -49,11 +49,11 @@ func titleSegmentKeys(e *entity.Entity) []uint64 {
 type titleKeyed struct{ *RuleIndex }
 
 func (x titleKeyed) BulkAdd(es []*entity.Entity) []int32 {
-	keys := make([][]uint64, len(es))
+	slots := make([]int32, len(es))
 	for i, e := range es {
-		keys[i] = titleSegmentKeys(e)
+		slots[i] = x.Add(e.ID, titleSegmentKeys(e))
 	}
-	return x.RuleIndex.BulkAdd(es, keys)
+	return slots
 }
 
 // writeIndex is the write half BenchmarkBlockIndexWrite drives.
@@ -89,7 +89,7 @@ func BenchmarkBlockIndexWrite(b *testing.B) {
 		bl := BlockerByName(name)
 		rows = append(rows, row{name, func() writeIndex { return NewBlockIndex(bl) }})
 	}
-	rows = append(rows, row{"rulekey", func() writeIndex { return titleKeyed{NewRuleIndex()} }})
+	rows = append(rows, row{"rulekey", func() writeIndex { return titleKeyed{NewRuleIndex(nil)} }})
 	for _, r := range rows {
 		b.Run(r.name+"/load", func(b *testing.B) {
 			b.ReportAllocs()

@@ -369,75 +369,6 @@ func (p *keyedPass[K]) each(_ *blockIndex, probe *entity.Entity, toks []string, 
 func (p *keyedPass[K]) keys() int { return len(p.postings) }
 
 // ---------------------------------------------------------------------------
-// Rule index
-
-// RuleIndex is the candidate index of a served rule that bounds one of
-// its distances: an entity table like a BlockIndex's with, in place of a
-// blocker's passes, one rule pass — posting lists of the uint64 keys the
-// rule derives from each stored entity (for an edit bound, the PassJoin
-// segment keys of the compared values: similarity.EditSegmentKeys), which
-// the writer hands over with the entity. Each yields the slots holding
-// any of a probe's keys (similarity.EditProbeKeys), each once: all of
-// them, with no block-size cap, because a cap would drop candidates the
-// bound admits. The index derives no key itself and tokenizes nothing.
-// Like BlockIndex it is NOT synchronized.
-type RuleIndex struct {
-	table
-	pass *keyedPass[uint64]
-}
-
-// NewRuleIndex returns an empty rule index.
-func NewRuleIndex() *RuleIndex {
-	return &RuleIndex{table: newTable(), pass: newKeyedPass[uint64](nil)}
-}
-
-// BulkAdd indexes every entity under its keys (keys[i], sorted and
-// unique, for es[i]) and returns the slot each took, as
-// BlockIndex.BulkAdd does: no ID may be indexed already or repeat within
-// the batch, freed slots are reused and new ones numbered in order.
-func (x *RuleIndex) BulkAdd(es []*entity.Entity, keys [][]uint64) []int32 {
-	slots := make([]int32, len(es))
-	for i, e := range es {
-		slots[i] = x.take(e.ID)
-		x.pass.slots = grown(x.pass.slots, int(x.slots))
-		x.pass.put(slots[i], keys[i])
-	}
-	return slots
-}
-
-// BulkRemove unindexes the entities with the given IDs, dropping the
-// keys recorded when they were added, and returns the slots it freed, as
-// BlockIndex.BulkRemove does.
-func (x *RuleIndex) BulkRemove(ids []string) []int32 {
-	slots := x.drop(ids)
-	x.pass.remove(nil, slots)
-	x.release(slots)
-	return slots
-}
-
-// Each calls yield once per slot holding one of keys, but the slot of
-// the entity with ID self, if indexed, in unspecified order, until
-// yield returns false; it reports whether it ran to completion. Slots in
-// seen are skipped and yielded ones added, as Enumerator's Each does.
-func (x *RuleIndex) Each(self string, keys []uint64, seen *SlotSet, yield func(slot int32) bool) bool {
-	own, ok := x.slotOf[self]
-	if !ok {
-		own = -1
-	}
-	for _, k := range keys {
-		for _, s := range x.pass.postings[k] {
-			if s != own && seen.Add(s) && !yield(s) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Keys returns the number of distinct keys indexed (diagnostic).
-func (x *RuleIndex) Keys() int { return x.pass.keys() }
-
-// ---------------------------------------------------------------------------
 // Sorted neighborhood
 
 // snPass is the pass of SortedNeighborhoodBlocker: an order-maintained

@@ -473,17 +473,13 @@ func diffRuleKeys(e *entity.Entity) []uint64 {
 // keys it was added with), and removing every entity leaves no key.
 func TestRuleIndexDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	x := NewRuleIndex()
+	x := NewRuleIndex(nil)
 	survivors := make(map[string]*entity.Entity)
-	idAt := make(map[int32]string) // slot → ID, from BulkAdd's slots
+	idAt := make(map[int32]string) // slot → ID, from Add's slots
 	add := func(es []*entity.Entity) {
-		keys := make([][]uint64, len(es))
-		for i, e := range es {
-			keys[i] = diffRuleKeys(e)
+		for _, e := range es {
 			survivors[e.ID] = e
-		}
-		for i, s := range x.BulkAdd(es, keys) {
-			idAt[s] = es[i].ID
+			idAt[x.Add(e.ID, diffRuleKeys(e))] = e.ID
 		}
 	}
 	remove := func(ids []string) {

@@ -7,9 +7,6 @@ import (
 	"testing"
 
 	"genlink/internal/entity"
-	"genlink/internal/rule"
-	"genlink/internal/similarity"
-	"genlink/internal/transform"
 )
 
 func allBlockers() []Blocker {
@@ -21,18 +18,27 @@ func allBlockers() []Blocker {
 	}
 }
 
+// blockerOptions is one Options per blocker of allBlockers.
+func blockerOptions() []Options {
+	var out []Options
+	for _, bl := range allBlockers() {
+		out = append(out, Options{Blocker: bl})
+	}
+	return out
+}
+
 // Every strategy's links must be a subset of the cartesian links at the
 // same threshold: blocking may only drop pairs, never invent or rescore.
 func TestBlockerLinksSubsetOfCartesian(t *testing.T) {
 	a, b := citySources(40)
-	exact := MatchCartesian(labelRule(), a, b, Options{})
+	exact := MatchCartesian(normLabelRule(), a, b, Options{})
 	inExact := make(map[Link]bool, len(exact))
 	for _, l := range exact {
 		inExact[l] = true
 	}
 	for _, bl := range allBlockers() {
 		t.Run(bl.Name(), func(t *testing.T) {
-			links := Match(labelRule(), a, b, Options{Blocker: bl})
+			links := Match(normLabelRule(), a, b, Options{Blocker: bl})
 			for _, l := range links {
 				if !inExact[l] {
 					t.Fatalf("blocker invented link %v absent from cartesian", l)
@@ -220,8 +226,8 @@ func TestMatchWithEachBlockerIsDeterministic(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			opts := Options{Blocker: BlockerByName(name)}
-			l1 := Match(labelRule(), a, b, opts)
-			l2 := Match(labelRule(), a, b, opts)
+			l1 := Match(normLabelRule(), a, b, opts)
+			l2 := Match(normLabelRule(), a, b, opts)
 			if !reflect.DeepEqual(l1, l2) {
 				t.Fatal("match output not deterministic")
 			}
@@ -243,10 +249,7 @@ func TestMatchParallelPartitionsPairsEvenly(t *testing.T) {
 		eb.Add("label", fmt.Sprintf("shared item%02d", i))
 		b.Add(eb)
 	}
-	r := rule.New(rule.NewComparison(
-		rule.NewTransform(transform.LowerCase(), rule.NewProperty("label")),
-		rule.NewTransform(transform.LowerCase(), rule.NewProperty("label")),
-		similarity.Levenshtein(), 0.5))
+	r := normLabelRule()
 	opts := Options{MaxBlockSize: -1}
 	serial := Match(r, a, b, opts)
 	for _, workers := range []int{2, 4, 7} {

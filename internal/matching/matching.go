@@ -15,6 +15,11 @@
 // Blocking only affects wall-clock cost and pairs-completeness (which true
 // matches get scored at all), never rule semantics; MatchCartesian scores
 // every pair and anchors exactness tests and the blocking-ablation bench.
+// A rule that bounds an edit distance (evalengine.EditBound) needs no
+// blocker at all: NewCandidateSource (ruleindex.go), the one place that
+// decides what serves a rule's candidates, serves it from a rule index
+// whose links are exactly MatchCartesian's, in batch matching as in the
+// service.
 //
 // Each strategy is implemented once, as a BlockIndex (blockindex.go): a
 // mutable index a probe entity's candidates are pushed out of with Each.
@@ -37,17 +42,9 @@
 // global pair list — memory is O(per-entity candidates) beyond B — and
 // pairs that cannot reach the threshold cost no distance computation.
 // Every result is sorted into one link order (SortLinks). CandidatePairs
-// + MatchPairs is the materializing form of the same computation, the
-// blocking ablation's input; MatchCartesian is the unbounded reference,
-// scoring every pair at floor −∞.
-//
-// ScoreCandidates scores whatever its Enumerator yields. Batch matching
-// hands it the blocker's candidates. The service hands it the same when
-// the rule bounds no edit distance; when it does (evalengine.EditBound),
-// it keeps a RuleIndex of PassJoin segment keys in place of a block
-// index and hands over the stored entities that share a key with the
-// probe and pass the bound's check — every entity that can reach the
-// threshold, so its links are those of scoring every stored entity.
+// + MatchPairs is the materializing form of the blocker's computation,
+// the blocking ablation's input; MatchCartesian is the unbounded
+// reference, scoring every pair at floor −∞.
 package matching
 
 import (
@@ -77,13 +74,13 @@ type Options struct {
 	// many entities (stop-token suppression; 0 means a source-size
 	// derived default, negative means no limit). Very frequent tokens
 	// generate quadratically many candidates while carrying no signal.
-	// The service (internal/linkindex) applies it only to a rule without
-	// an edit bound: a rule index caps nothing, because any cap would
-	// drop links.
+	// Like Blocker it applies only to a rule without an edit bound: a
+	// rule index caps nothing, because any cap would drop links.
 	MaxBlockSize int
-	// Blocker selects the candidate-generation strategy
-	// (default: TokenBlocking). The service serves a rule with an edit
-	// bound from its rule index instead, whatever the blocker.
+	// Blocker selects the candidate-generation strategy of a rule
+	// without an edit bound (default: TokenBlocking). A rule with one is
+	// served from its rule index, whatever the blocker
+	// (NewCandidateSource).
 	Blocker Blocker
 }
 
@@ -127,10 +124,11 @@ func sortedUnique(keys []string) []string {
 	return slices.Compact(keys)
 }
 
-// Match executes the rule over A×B using the blocker selected in opts
-// (token blocking by default) and returns all links with score ≥
-// threshold, sorted by descending score then IDs. It is the one-worker
-// case of MatchParallel.
+// Match executes the rule over A×B and returns all links with score ≥
+// threshold, sorted by descending score then IDs: MatchCartesian's links
+// for a rule with an edit bound, and otherwise those of the pairs the
+// blocker selected in opts (token blocking by default) proposes. It is
+// the one-worker case of MatchParallel.
 func Match(r *rule.Rule, a, b *entity.Source, opts Options) []Link {
 	return MatchParallel(r, a, b, opts, 1)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"genlink/internal/entity"
+	"genlink/internal/evalengine"
 	"genlink/internal/rule"
 	"genlink/internal/similarity"
 	"genlink/internal/transform"
@@ -29,11 +30,28 @@ func citySources(n int) (*entity.Source, *entity.Source) {
 	return a, b
 }
 
+// labelRule compares lowercased labels by levenshtein at θ 0.5, which
+// has an edit bound (K = 0): Match serves it from the rule index,
+// whatever the blocker.
 func labelRule() *rule.Rule {
 	return rule.New(rule.NewComparison(
 		rule.NewTransform(transform.LowerCase(), rule.NewProperty("label")),
 		rule.NewTransform(transform.LowerCase(), rule.NewProperty("label")),
 		similarity.Levenshtein(), 0.5))
+}
+
+// normLabelRule is labelRule's comparison over normLevenshtein at θ 0.2,
+// which has no edit bound: Match serves it from the blocker, so the
+// tests of a blocker's enumeration run it.
+func normLabelRule() *rule.Rule {
+	r := rule.New(rule.NewComparison(
+		rule.NewTransform(transform.LowerCase(), rule.NewProperty("label")),
+		rule.NewTransform(transform.LowerCase(), rule.NewProperty("label")),
+		similarity.NormalizedLevenshtein(), 0.2))
+	if _, ok := evalengine.Compile(r).EditBound(rule.MatchThreshold); ok {
+		panic("normLevenshtein has an edit bound")
+	}
+	return r
 }
 
 func TestMatchFindsAllPairs(t *testing.T) {
@@ -52,12 +70,16 @@ func TestMatchFindsAllPairs(t *testing.T) {
 	}
 }
 
+// TestMatchAgainstCartesian pins that Match of a rule with an edit bound
+// returns exactly MatchCartesian's links, under the default options and
+// under every blocker: the rule index serves it, whatever the blocker.
 func TestMatchAgainstCartesian(t *testing.T) {
 	a, b := citySources(25)
-	blocked := Match(labelRule(), a, b, Options{})
 	exact := MatchCartesian(labelRule(), a, b, Options{})
-	if !reflect.DeepEqual(blocked, exact) {
-		t.Fatalf("blocking changed results: %d vs %d links", len(blocked), len(exact))
+	for _, opts := range append([]Options{{}}, blockerOptions()...) {
+		if blocked := Match(labelRule(), a, b, opts); !reflect.DeepEqual(blocked, exact) {
+			t.Fatalf("blocker %v changed results: %d vs %d links", opts.Blocker, len(blocked), len(exact))
+		}
 	}
 }
 

@@ -10,14 +10,15 @@ import (
 )
 
 // MatchParallel is Match with the A entities partitioned across workers
-// (≤0 means GOMAXPROCS) over one shared immutable enumerator — there is
-// no materialized pair list to partition. Each A entity is one probe of
-// ScoreCandidates, so its candidate enumeration and deduplication stay
-// within one worker and need no cross-worker state. B's scoring records
-// are built once, before the fan-out, by the slots the enumerator yields
-// (positions in B), and shared read-only by the workers (probeRecord).
-// Results are identical for every worker count: rule evaluation is pure
-// and the per-entity links are merged in A's order and sorted.
+// (≤0 means GOMAXPROCS) over one shared immutable enumeration of B,
+// loaded once into the rule's CandidateSource, the one the service keeps
+// per shard. Each A entity is one probe of ScoreCandidates, so its
+// candidate enumeration and deduplication stay within one worker. B's
+// scoring records are built once, before the fan-out, by the slots the
+// enumeration yields (positions in B), and shared read-only by the
+// workers (probeRecord). Results are identical for every worker count:
+// rule evaluation is pure and the per-entity links are merged in A's
+// order and sorted.
 func MatchParallel(r *rule.Rule, a, b *entity.Source, opts Options, workers int) []Link {
 	eas, _ := uniqueEntities(a.Entities)
 	ebs, slotOf := uniqueEntities(b.Entities)
@@ -26,12 +27,12 @@ func MatchParallel(r *rule.Rule, a, b *entity.Source, opts Options, workers int)
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(min(workers, len(eas)), 1)
-	en := newEnumerator(opts.Blocker, eas, ebs)
 	c := evalengine.Compile(r)
 	rbs := make([]*evalengine.Record, len(ebs))
 	for s, eb := range ebs {
 		rbs[s] = c.Record(eb)
 	}
+	cands := NewCandidateSource(c, opts).batch(eas, ebs, rbs)
 	perA := make([][]Link, len(eas))
 	chunk := (len(eas) + workers - 1) / workers
 	var wg sync.WaitGroup
@@ -40,7 +41,8 @@ func MatchParallel(r *rule.Rule, a, b *entity.Source, opts Options, workers int)
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				perA[i], _ = ScoreCandidates(c, probeRecord(c, rbs, slotOf, eas[i]), en, opts.MaxBlockSize, rbs, opts.Threshold, 0)
+				probe := probeRecord(c, rbs, slotOf, eas[i])
+				perA[i], _ = ScoreCandidates(c, probe, cands(probe), opts.MaxBlockSize, rbs, opts.Threshold, 0)
 			}
 		}(lo, min(lo+chunk, len(eas)))
 	}

@@ -1,0 +1,280 @@
+package matching
+
+import (
+	"fmt"
+	"slices"
+
+	"genlink/internal/entity"
+	"genlink/internal/evalengine"
+	"genlink/internal/similarity"
+)
+
+// CandidateSource is what serves a compiled rule's candidates at a
+// threshold, as NewCandidateSource decides it: each shard of the
+// matching service (internal/linkindex) keeps one of its indexes, and
+// batch matching (MatchParallel) loads B into one. When the rule has a
+// necessary levenshtein comparison at the threshold
+// (evalengine.Compiled.EditBound: every link is within K edits between
+// the probe's A-side and the candidate's B-side values), it is the rule
+// index: a RuleIndex of the PassJoin segment keys of the stored records'
+// B-side values (similarity.EditSegmentKeys). A probe enumerates the
+// postings of its keys (similarity.EditProbeKeys), one of which every
+// stored entity within K holds, and checks each candidate against the
+// bound (EditBound.Within): the links are exactly those of scoring every
+// stored entity. Otherwise it is the blocker's.
+type CandidateSource interface {
+	// String names the source: the rule index and its K, or the blocker.
+	String() string
+	// NewIndex returns an empty index of the source.
+	NewIndex() CandidateIndex
+	// StoredKeys returns the index keys of recs, by position (nil for a
+	// blocker): a pure function of the records, which a writer derives
+	// before it takes its lock.
+	StoredKeys(recs []*evalengine.Record) [][]uint64
+	// ProbeKeys returns the keys a query of the probe enumerates, derived
+	// once however many indexes it reads: nil for a blocker and for a
+	// probe whose bound (Probe.Upper) misses the threshold.
+	ProbeKeys(probe *evalengine.Record) []uint64
+	// batch loads bs, whose records are rbs, to be probed with as; the
+	// enumerators it returns yield positions in bs.
+	batch(as, bs []*entity.Entity, rbs []*evalengine.Record) func(probe *evalengine.Record) Enumerator
+}
+
+// CandidateIndex is a CandidateSource's mutable index: Slot, Len, Keys,
+// BulkAdd and BulkRemove have BlockIndex's contracts, BulkAdd taking the
+// records' StoredKeys, and For returns the enumerator of a probe's
+// candidates, keys being its ProbeKeys. Like BlockIndex it is NOT
+// synchronized.
+type CandidateIndex interface {
+	Slot(id string) (int32, bool)
+	Len() int
+	Keys() int
+	BulkAdd(recs []*evalengine.Record, keys [][]uint64) []int32
+	BulkRemove(ids []string) []int32
+	For(probe *evalengine.Record, keys []uint64) Enumerator
+}
+
+// NewCandidateSource decides what serves the compiled rule c under
+// opts: the rule index when c has an edit bound at opts.Threshold, and
+// opts.Blocker otherwise. opts must be normalized: a nonzero threshold
+// and a blocker.
+func NewCandidateSource(c *evalengine.Compiled, opts Options) CandidateSource {
+	if eb, ok := c.EditBound(opts.Threshold); ok {
+		return &ruleSource{c: c, threshold: opts.Threshold, edit: eb}
+	}
+	return blockerSource{opts.Blocker}
+}
+
+// blockerSource is the source of a rule without an edit bound.
+type blockerSource struct{ bl Blocker }
+
+func (s blockerSource) String() string                           { return "blocker " + s.bl.Name() }
+func (s blockerSource) NewIndex() CandidateIndex                 { return blocks{NewBlockIndex(s.bl)} }
+func (blockerSource) StoredKeys([]*evalengine.Record) [][]uint64 { return nil }
+func (blockerSource) ProbeKeys(*evalengine.Record) []uint64      { return nil }
+func (s blockerSource) batch(as, bs []*entity.Entity, _ []*evalengine.Record) func(*evalengine.Record) Enumerator {
+	en := newEnumerator(s.bl, as, bs)
+	return func(*evalengine.Record) Enumerator { return en }
+}
+
+// blocks is a BlockIndex as a CandidateIndex.
+type blocks struct{ BlockIndex }
+
+func (x blocks) BulkAdd(recs []*evalengine.Record, _ [][]uint64) []int32 {
+	es := make([]*entity.Entity, len(recs))
+	for i, r := range recs {
+		es[i] = r.Entity()
+	}
+	return x.BlockIndex.BulkAdd(es)
+}
+
+func (x blocks) For(*evalengine.Record, []uint64) Enumerator { return x.BlockIndex }
+
+// ruleSource is the source of a rule with an edit bound.
+type ruleSource struct {
+	c         *evalengine.Compiled
+	threshold float64
+	edit      evalengine.EditBound
+}
+
+func (s *ruleSource) String() string {
+	return fmt.Sprintf("rule index (levenshtein ≤ %d, verified)", s.edit.K)
+}
+
+func (s *ruleSource) NewIndex() CandidateIndex { return NewRuleIndex(&s.edit) }
+
+// StoredKeys implements CandidateSource: the segment keys of each
+// record's B-side values, sorted and unique, derived once per entity
+// version.
+func (s *ruleSource) StoredKeys(recs []*evalengine.Record) [][]uint64 {
+	k := s.edit.K
+	keys := make([][]uint64, len(recs))
+	for i, r := range recs {
+		values := s.edit.Indexed(r)
+		// A value has K + 1 keys, or one when it is no longer than K.
+		ks := similarity.EditSegmentKeys(make([]uint64, 0, len(values)*(k+1)), values, k)
+		slices.Sort(ks)
+		keys[i] = slices.Compact(ks)
+	}
+	return keys
+}
+
+// ProbeKeys implements CandidateSource: the keys of the A-side values.
+func (s *ruleSource) ProbeKeys(r *evalengine.Record) []uint64 {
+	if s.c.Bind(r).Upper() < s.threshold {
+		return nil
+	}
+	values, k := s.edit.Probe(r), s.edit.K
+	// A value has at most (2K + 1)(K²/2 + K + 1) keys, one batch of them
+	// per length within K of its own. A key repeats only where two of the
+	// windows hold equal substrings; RuleIndex.Each yields its slots once
+	// all the same.
+	return similarity.EditProbeKeys(make([]uint64, 0, len(values)*(2*k+1)*(k*k/2+k+1)), values, k)
+}
+
+func (s *ruleSource) batch(_, _ []*entity.Entity, rbs []*evalengine.Record) func(*evalengine.Record) Enumerator {
+	x := s.NewIndex()
+	x.BulkAdd(rbs, s.StoredKeys(rbs))
+	return func(probe *evalengine.Record) Enumerator { return x.For(probe, s.ProbeKeys(probe)) }
+}
+
+// RuleIndex is the index of a rule with an edit bound: an entity table
+// like a BlockIndex's with, in place of a blocker's passes, one pass of
+// posting lists of uint64 keys (StoredKeys), and at each live slot the
+// bound's B-side values of the record there (EditBound.Indexed), which
+// For's enumerator checks. Each yields the slots holding any of a
+// probe's keys, each once: all of them, with no block-size cap, because
+// a cap would drop candidates the bound admits. The index derives no key
+// itself and tokenizes nothing. Like BlockIndex it is NOT synchronized.
+type RuleIndex struct {
+	table
+	pass    *keyedPass[uint64]
+	edit    *evalengine.EditBound
+	indexed indexedValues
+}
+
+// NewRuleIndex returns an empty rule index whose For checks candidates
+// against eb. An index that Add and Each alone read needs none (nil).
+func NewRuleIndex(eb *evalengine.EditBound) *RuleIndex {
+	return &RuleIndex{table: newTable(), pass: newKeyedPass[uint64](nil), edit: eb}
+}
+
+// Add indexes the entity with the given ID under keys, sorted and
+// unique, and returns the slot it took, as BlockIndex.BulkAdd does: the
+// ID must not be indexed already, freed slots are reused and new ones
+// numbered in order.
+func (x *RuleIndex) Add(id string, keys []uint64) int32 {
+	s := x.take(id)
+	x.pass.slots = grown(x.pass.slots, int(x.slots))
+	x.pass.put(s, keys)
+	return s
+}
+
+// BulkAdd implements CandidateIndex: Add of each record's entity, whose
+// indexed values it records.
+func (x *RuleIndex) BulkAdd(recs []*evalengine.Record, keys [][]uint64) []int32 {
+	slots := make([]int32, len(recs))
+	for i, r := range recs {
+		slots[i] = x.Add(r.Entity().ID, keys[i])
+		x.indexed.set(slots[i], x.edit.Indexed(r))
+	}
+	return slots
+}
+
+// BulkRemove unindexes the entities with the given IDs, dropping the
+// keys recorded when they were added, and returns the slots it freed, as
+// BlockIndex.BulkRemove does.
+func (x *RuleIndex) BulkRemove(ids []string) []int32 {
+	slots := x.drop(ids)
+	x.pass.remove(nil, slots)
+	for _, s := range slots {
+		x.indexed.set(s, nil)
+	}
+	x.release(slots)
+	return slots
+}
+
+// Each calls yield once per slot holding one of keys, but the slot of
+// the entity with ID self, if indexed, in unspecified order, until
+// yield returns false; it reports whether it ran to completion. Slots in
+// seen are skipped and yielded ones added, as Enumerator's Each does.
+func (x *RuleIndex) Each(self string, keys []uint64, seen *SlotSet, yield func(slot int32) bool) bool {
+	own, ok := x.slotOf[self]
+	if !ok {
+		own = -1
+	}
+	for _, k := range keys {
+		for _, s := range x.pass.postings[k] {
+			if s != own && seen.Add(s) && !yield(s) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Keys returns the number of distinct keys indexed (diagnostic).
+func (x *RuleIndex) Keys() int { return x.pass.keys() }
+
+// For implements CandidateIndex.
+func (x *RuleIndex) For(probe *evalengine.Record, keys []uint64) Enumerator {
+	return verified{x, probe, keys}
+}
+
+// verified enumerates a RuleIndex for one probe: the slots holding one
+// of the probe's keys, each once, but the probe's own, and of those only
+// the ones whose indexed values are within K of the probe's. The check's
+// patterns are built when the enumeration starts, so a probe that exits
+// early builds none.
+type verified struct {
+	x     *RuleIndex
+	probe *evalengine.Record
+	keys  []uint64
+}
+
+func (v verified) Each(_ *entity.Entity, _ int, seen *SlotSet, yield func(slot int32) bool) bool {
+	if len(v.keys) == 0 {
+		return true
+	}
+	within := v.x.edit.Within(v.probe)
+	return v.x.Each(v.probe.Entity().ID, v.keys, seen, func(s int32) bool {
+		return !within(v.x.indexed.at(s)) || yield(s)
+	})
+}
+
+// indexedValues holds a value set per slot in two slot-indexed arrays,
+// so an enumeration checking a candidate reads them, and then the
+// values' bytes, without touching its record: one holds a set of exactly
+// one value — the common case, read with no pointer to follow — and many
+// any other set (nil at a slot of one value). A free slot holds the
+// empty set.
+type indexedValues struct {
+	one  []string
+	many [][]string
+}
+
+// noValues is the empty set as many holds it, set apart from nil.
+var noValues = []string{}
+
+// set records values at slot s, growing the arrays to reach it.
+func (iv *indexedValues) set(s int32, values []string) {
+	for int(s) >= len(iv.one) {
+		iv.one, iv.many = append(iv.one, ""), append(iv.many, nil)
+	}
+	switch len(values) {
+	case 1:
+		iv.one[s], iv.many[s] = values[0], nil
+	case 0:
+		iv.one[s], iv.many[s] = "", noValues
+	default:
+		iv.one[s], iv.many[s] = "", values
+	}
+}
+
+// at returns the values recorded at slot s.
+func (iv *indexedValues) at(s int32) []string {
+	if vs := iv.many[s]; vs != nil {
+		return vs
+	}
+	return iv.one[s : s+1]
+}

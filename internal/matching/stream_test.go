@@ -82,9 +82,9 @@ func TestStreamPairsEqualCandidatePairs(t *testing.T) {
 // pushdown bound as a pure execution strategy: Match and MatchParallel
 // (one worker and several) must return link slices byte-identical to
 // scoring the reference materializer's candidate list, for every strategy
-// and cap.
+// and cap. The rule has no edit bound, so the blocker serves it.
 func TestMatchStreamModeEquivalence(t *testing.T) {
-	r := labelRule()
+	r := normLabelRule()
 	for _, bl := range allBlockers() {
 		for _, maxBlock := range []int{-1, 3} {
 			t.Run(fmt.Sprintf("%s/cap=%d", bl.Name(), maxBlock), func(t *testing.T) {
@@ -114,7 +114,11 @@ func TestMatchStreamModeEquivalence(t *testing.T) {
 // must link exactly like the source holding only the last versions —
 // never the first version under the ID Source.Get resolves to the last.
 func TestRepeatedIDLinksLastVersion(t *testing.T) {
+	// r has an edit bound, so Match serves it from the rule index (the
+	// ruleindex row); the strategies serve norm, its comparison over
+	// normLevenshtein, which has none.
 	r := rule.New(rule.NewComparison(rule.NewProperty("label"), rule.NewProperty("label"), similarity.Levenshtein(), 2))
+	norm := rule.New(rule.NewComparison(rule.NewProperty("label"), rule.NewProperty("label"), similarity.NormalizedLevenshtein(), 0.2))
 	labeled := func(id, label string) *entity.Entity {
 		e := entity.New(id)
 		e.Add("label", label)
@@ -151,14 +155,17 @@ func TestRepeatedIDLinksLastVersion(t *testing.T) {
 	}
 
 	strategies := diffStrategies()
-	names := append(sortedKeys(strategies), "cartesian")
+	names := append(sortedKeys(strategies), "cartesian", "ruleindex")
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			match := func(a, b *entity.Source) []Link {
-				if name == "cartesian" {
+				switch name {
+				case "cartesian":
 					return MatchCartesian(r, a, b, Options{})
+				case "ruleindex":
+					return Match(r, a, b, Options{})
 				}
-				return Match(r, a, b, Options{Blocker: strategies[name], MaxBlockSize: -1})
+				return Match(norm, a, b, Options{Blocker: strategies[name], MaxBlockSize: -1})
 			}
 			want := []Link{{AID: "a2", BID: "b1", Score: 1}}
 			if got := match(a, b); !reflect.DeepEqual(got, want) {

@@ -245,14 +245,17 @@ func NewEvalEngine(refs *ReferenceLinks, opts EngineOptions) *EvalEngine {
 // rule admits a score bound (nil when RuleScorer.Bound is always +Inf).
 func CompileRule(r *Rule) *CompiledRule { return evalengine.Compile(r) }
 
-// Match executes a rule over two whole sources using the blocker selected
-// in opts (token blocking by default).
+// Match executes a rule over two whole sources. A rule with a necessary
+// levenshtein comparison is served from a rule index, whatever the
+// blocker, and its links equal MatchCartesian's; any other rule uses the
+// blocker selected in opts (token blocking by default), and MaxBlockSize
+// applies to it alone. The served Index makes the same choice.
 func Match(r *Rule, a, b *Source, opts MatchOptions) []MatchedLink {
 	return matching.Match(r, a, b, opts)
 }
 
-// MatchParallel is Match with the candidate pairs partitioned across
-// workers (≤0 means GOMAXPROCS). Results are identical to Match.
+// MatchParallel is Match with the A entities partitioned across workers
+// (≤0 means GOMAXPROCS). Results are identical to Match.
 func MatchParallel(r *Rule, a, b *Source, opts MatchOptions, workers int) []MatchedLink {
 	return matching.MatchParallel(r, a, b, opts, workers)
 }
@@ -272,15 +275,17 @@ func MatchCartesian(r *Rule, a, b *Source, opts MatchOptions) []MatchedLink {
 // blocking). All Index methods are safe for concurrent use; queries run
 // concurrently and serialize only against writes.
 //
-// Incremental candidates are differentially tested to be identical to
-// running the batch Blocker with the probe as the only A entity against
-// the same surviving corpus. Switching a pipeline from Match to an Index
-// changes latency, not semantics, for token, q-gram and multi-pass
-// composites of them; a sorted-neighborhood pass differs when A holds
-// more than one entity, because batch windows run over the merged A∪B
-// order and the index windows over the corpus alone. A rule with a
-// necessary levenshtein comparison is served from a rule index instead
-// of the blocker, and its links equal MatchCartesian's.
+// Match and an Index take their candidates from the same source: a rule
+// with a necessary levenshtein comparison is served from a rule index,
+// whose links equal MatchCartesian's, in both. For any other rule the
+// blocker's incremental candidates are differentially tested to be
+// identical to running the batch Blocker with the probe as the only A
+// entity against the same surviving corpus. Switching a pipeline from
+// Match to an Index therefore changes latency, not semantics, for a rule
+// index and for token, q-gram and multi-pass composites of them; a
+// sorted-neighborhood pass differs when A holds more than one entity,
+// because batch windows run over the merged A∪B order and the index
+// windows over the corpus alone.
 func NewIndex(r *Rule, opts MatchOptions) *Index {
 	return linkindex.New(r, opts)
 }
