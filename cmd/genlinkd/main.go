@@ -16,8 +16,11 @@
 //	genlinkd -route "l1:8080,f1:8081;l2:8080,f2:8081"           # stateless routing tier over partition groups
 //
 // The corpus is hash-partitioned over -shards partitions (0 means one
-// per CPU), so writes stall only the shard they touch and queries fan
-// out in parallel. Without -wal-dir the index lives in memory only. A
+// per two CPUs, at least one), so writes stall only the shard they touch
+// and queries fan out in parallel. Each shard costs every query a probe
+// pass of its own, while batched writes, snapshots and recovery build
+// records on every core whatever the count, so the default keeps shards
+// few. Without -wal-dir the index lives in memory only. A
 // rule with a necessary levenshtein comparison is served from each
 // shard's rule index, and its answers equal scoring every stored entity;
 // -blocker picks the candidates of any other rule. The "serving on" log
@@ -144,7 +147,7 @@ func main() {
 		blocker    = flag.String("blocker", "multipass", "blocking strategy for a rule without an edit bound: token, sortedneighborhood, qgram or multipass (a rule with a necessary levenshtein comparison is served from its rule index instead)")
 		threshold  = flag.Float64("threshold", 0, "minimum link score (0 = rule match threshold)")
 		k          = flag.Int("k", 10, "default number of matches per query (k= overrides per request)")
-		shards     = flag.Int("shards", 0, "index shard count (0 = one per CPU)")
+		shards     = flag.Int("shards", 0, "index shard count (0 = one per two CPUs, at least one)")
 		walDir     = flag.String("wal-dir", "", "durability directory: write-ahead log + auto-snapshots, recovered at startup")
 		fsync      = flag.String("fsync", "batch", "WAL fsync policy: batch|interval (fsync per write, or group-commit every 100ms)")
 		autoSnap   = flag.Int("auto-snapshot", 10000, "auto-snapshot after this many WAL records (negative disables)")

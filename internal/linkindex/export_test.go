@@ -14,13 +14,17 @@ import (
 // trips.
 var ReadSnapshot = readSnapshot
 
+// RecordChunk is recordChunk, so a test can size a batch to build its
+// records in several chunks.
+const RecordChunk = recordChunk
+
 // WriteSnapshot writes the snapshot SnapshotTo would write to w.
 func (ix *ShardedIndex) WriteSnapshot(w io.Writer) error {
 	return ix.buildSnapshot().encode(w)
 }
 
 // CheckShardCounts reports a shard whose records and index are out of
-// the lockstep applyShardOps keeps them in, or per-shard counts that do
+// the lockstep installShardOps keeps them in, or per-shard counts that do
 // not add up to Len: every live slot of the index must hold exactly one
 // record, whose entity has that slot's ID, and every free slot none. A
 // record left at a freed slot would leak a deleted entity into Entities

@@ -5,16 +5,20 @@ import "sync"
 // This file implements the shard-parallel WAL replay pipeline Recover
 // feeds every log tail through: the read+CRC work (replayWAL's
 // walReader) and the decode (replayWAL's callback) stay in the
-// recovering goroutine, which hands the partitioned per-shard ops to one
-// apply worker per shard over bounded channels, so decoding runs ahead
-// of index building.
+// recovering goroutine, which hands the partitioned per-shard ops to
+// each shard's apply stages over bounded channels, so decoding runs
+// ahead of index building. A shard has two stages, each its own
+// goroutine: buildRecords builds a group's records on every core (in
+// chunks of recordChunk) while installShardOps installs the previous
+// group under the shard lock. So a one-shard index replays on every core
+// too, although only one goroutine at a time holds its lock.
 //
 // Soundness: recovery correctness requires apply order ≡ log order per
 // entity ID. An ID hashes to exactly one shard, every record's ops for
-// that shard flow through that shard's single channel in log order, and
-// one worker drains the channel in order — so per-ID apply order is
-// exactly log order, while different shards (disjoint ID sets) apply
-// concurrently. partitionOps is the same batch-resolution step Apply
+// that shard flow through that shard's channels in log order, and one
+// builder and then one installer drain them in order — so per-ID install
+// order is exactly log order, while different shards (disjoint ID sets)
+// apply concurrently. partitionOps is the same batch-resolution step Apply
 // uses, so within-record semantics (last upsert wins, delete beats
 // upsert) are shared, not reimplemented. The recovery-equivalence
 // differential test pins the pipeline against plain sequential Apply of
@@ -29,12 +33,13 @@ import "sync"
 
 // replayQueueDepth bounds each shard's decoded-but-unapplied backlog so
 // the decode-ahead reader cannot buffer an arbitrarily long log tail in
-// memory when one shard's apply worker falls behind.
+// memory when one shard's apply stages fall behind.
 const replayQueueDepth = 64
 
 // parallelReplayer fans decoded WAL batches out to per-shard apply
-// workers. Feed it from a single goroutine via apply; wait closes the
-// queues and blocks until every queued op is installed.
+// stages: a builder and an installer goroutine per shard. Feed it from a
+// single goroutine via apply; wait closes the queues and blocks until
+// every queued op is installed.
 type parallelReplayer struct {
 	ix  *ShardedIndex
 	chs []chan *shardOps
@@ -45,12 +50,21 @@ func startReplayer(ix *ShardedIndex) *parallelReplayer {
 	r := &parallelReplayer{ix: ix, chs: make([]chan *shardOps, ix.Shards())}
 	for si := range r.chs {
 		ch := make(chan *shardOps, replayQueueDepth)
+		built := make(chan *shardOps, 1)
 		r.chs[si] = ch
-		r.wg.Add(1)
+		r.wg.Add(2)
 		go func() {
 			defer r.wg.Done()
+			defer close(built)
 			for g := range ch {
-				r.ix.applyShardOps(g)
+				r.ix.buildRecords(g)
+				built <- g
+			}
+		}()
+		go func() {
+			defer r.wg.Done()
+			for g := range built {
+				r.ix.installShardOps(g)
 			}
 		}()
 	}

@@ -97,13 +97,17 @@ type shard struct {
 }
 
 // NewSharded returns an empty index with the given shard count (≤ 0 means
-// runtime.GOMAXPROCS(0)) serving the given rule from its
-// matching.CandidateSource. opts follows matching.Options semantics, but
+// one shard per two CPUs: max(1, runtime.GOMAXPROCS(0)/2)) serving the
+// given rule from its matching.CandidateSource. Every query pays its
+// fixed costs — the probe's index-key lookups, a pattern build, a
+// goroutine and a merge — once per shard, while writes, snapshots and
+// recovery build records on every core whatever the shard count, so the
+// default keeps shards few. opts follows matching.Options semantics, but
 // a zero MaxBlockSize derives the stop-token cap from the current corpus
 // size. New(r, opts) is the single-shard special case.
 func NewSharded(r *rule.Rule, shards int, opts matching.Options) *ShardedIndex {
 	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
+		shards = max(1, runtime.GOMAXPROCS(0)/2)
 	}
 	if opts.Threshold == 0 {
 		opts.Threshold = rule.MatchThreshold
@@ -197,12 +201,16 @@ type ApplyResult struct {
 
 // shardOps is one partition's resolved slice of a Batch: the final op
 // per ID in first-seen upsert order (a nil upsert slot marks an ID a
-// later delete won over).
+// later delete won over). buildRecords drops the nil slots and sets recs
+// and keys, the fresh versions' scoring records and index keys by
+// position.
 type shardOps struct {
 	part    int
 	upserts []*entity.Entity
 	pos     map[string]int
 	deletes []string
+	recs    []*evalengine.Record
+	keys    [][]uint64
 }
 
 // partitionOps resolves a batch to one final op per ID — later upsert
@@ -266,27 +274,52 @@ func SplitBatch(b Batch, parts int) map[int]Batch {
 	return out
 }
 
-// applyShardOps installs one shard's resolved ops under its write lock —
-// old versions leave the index through BulkRemove, new versions enter
-// through BulkAdd — and reports the distinct upserts and deletes
-// performed. The fresh versions' records and index keys
-// (CandidateSource.StoredKeys, from the records' values) are pure
-// functions of the entity, built before the lock is taken. It is the
-// only code that writes a shard's records, its index and the entity
-// count, so they stay in lockstep by construction. Its callers, Apply
-// and the replay pipeline, may run it concurrently for different shards;
-// per shard it is atomic with respect to queries.
-func (ix *ShardedIndex) applyShardOps(g *shardOps) (upserted, deleted int) {
-	sh := ix.shards[g.part]
+// recordChunk is the fewest fresh versions buildRecords builds records
+// for on one goroutine. A record and its index keys take microseconds per
+// entity, a goroutine's spawn and join about one, so a chunk of 16 keeps
+// the fork cost a few percent of the work: a routed write of a few
+// entities builds inline, and a 64-entity batch splits across the cores.
+const recordChunk = 16
+
+// buildRecords builds the records and index keys
+// (CandidateSource.StoredKeys, from the records' values) of g's fresh
+// versions: pure functions of the entities, built without a lock, in
+// chunks of at least recordChunk versions on up to GOMAXPROCS
+// goroutines, so a batch, a snapshot section or a replayed record builds
+// on every core however few shards there are. Apply runs it and then
+// installShardOps for each touched shard; the replay pipeline runs the
+// two on a goroutine each per shard, so one record's build overlaps the
+// previous record's install.
+func (ix *ShardedIndex) buildRecords(g *shardOps) {
 	fresh := g.upserts[:0]
-	recs := make([]*evalengine.Record, 0, len(g.upserts))
 	for _, e := range g.upserts {
 		if e != nil {
 			fresh = append(fresh, e)
-			recs = append(recs, ix.compiled.Record(e))
 		}
 	}
-	keys := ix.source.StoredKeys(recs)
+	g.upserts = fresh
+	g.recs = make([]*evalengine.Record, len(fresh))
+	g.keys = make([][]uint64, len(fresh))
+	chunks := max(1, min(runtime.GOMAXPROCS(0), len(fresh)/recordChunk))
+	parallel(chunks, func(c int) {
+		lo, hi := c*len(fresh)/chunks, (c+1)*len(fresh)/chunks
+		for i := lo; i < hi; i++ {
+			g.recs[i] = ix.compiled.Record(fresh[i])
+		}
+		copy(g.keys[lo:hi], ix.source.StoredKeys(g.recs[lo:hi]))
+	})
+}
+
+// installShardOps installs one shard's built ops (buildRecords) under
+// its write lock — old versions leave the index through BulkRemove, new
+// versions enter through BulkAdd — and reports the distinct upserts and
+// deletes performed. It is the only code that writes a shard's records,
+// its index and the entity count, so they stay in lockstep by
+// construction. It may run concurrently for different shards; per shard
+// it is atomic with respect to queries.
+func (ix *ShardedIndex) installShardOps(g *shardOps) (upserted, deleted int) {
+	sh := ix.shards[g.part]
+	fresh, recs, keys := g.upserts, g.recs, g.keys
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	// Deleted and replaced versions leave in one BulkRemove; the two ID
@@ -330,7 +363,8 @@ func (ix *ShardedIndex) Apply(b Batch) ApplyResult {
 	groups := partitionOps(b, len(ix.shards))
 	var upserted, deleted atomic.Int64
 	parallel(len(groups), func(i int) {
-		u, d := ix.applyShardOps(groups[i])
+		ix.buildRecords(groups[i])
+		u, d := ix.installShardOps(groups[i])
 		upserted.Add(int64(u))
 		deleted.Add(int64(d))
 	})
@@ -530,10 +564,12 @@ func (ix *ShardedIndex) QueryID(id string, k int) ([]matching.Link, bool) {
 // parallel runs f(0), …, f(n-1) and returns when all have returned:
 // one goroutine per item when there is more than one item and the
 // runtime can run goroutines in parallel, inline otherwise. A
-// single-shard query or a one-shard write spawns nothing, and on a
+// single-shard query or a one-chunk write spawns nothing, and on a
 // GOMAXPROCS=1 runtime sequential calls do the same work without the
-// spawn/join overhead. Query fan-out, Apply's per-shard writes and the
-// sectioned snapshot encode and restore all go through it.
+// spawn/join overhead. Query fan-out and Apply run one item per shard;
+// buildRecords and the sectioned snapshot encode and restore size their
+// items by GOMAXPROCS, so the write side's parallelism follows the
+// cores, not the shard count.
 func parallel(n int, f func(i int)) {
 	if n <= 1 || runtime.GOMAXPROCS(0) == 1 {
 		for i := range n {

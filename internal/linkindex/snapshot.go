@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"genlink/internal/entity"
@@ -20,8 +21,11 @@ import (
 //
 // A snapshot is a stream of JSON values separated by newlines: one
 // header (version, shard count, blocker, threshold, rule, and the number
-// of sections that follow) and then one section per shard, each holding
-// that shard's slice of the corpus sorted by ID. Sections are
+// of sections that follow) and then the sections, each holding a
+// contiguous run of one shard's slice of the corpus sorted by ID. A
+// writer splits each shard into max(1, GOMAXPROCS/shards) sections, so a
+// one-shard index still decodes and installs on every core; a reader
+// takes any count, including one section per shard. Sections are
 // independently decodable, so both sides of the round trip parallelize:
 // writing marshals every section concurrently and restoring decodes and
 // index-builds sections concurrently. Block structures are NOT
@@ -43,7 +47,7 @@ const maxSnapshotSections = 1 << 20
 var errSnapshotRule = errors.New("snapshot rule refused")
 
 // snapshotHeader is the first JSON value of a snapshot; the corpus
-// follows in Sections per-shard section values.
+// follows in Sections section values.
 type snapshotHeader struct {
 	Version      int        `json:"version"`
 	Created      string     `json:"created,omitempty"`
@@ -52,14 +56,14 @@ type snapshotHeader struct {
 	Threshold    float64    `json:"threshold"`
 	MaxBlockSize int        `json:"max_block_size"`
 	Rule         *rule.Rule `json:"rule"`
-	// Sections counts the per-shard section values following the header.
+	// Sections counts the section values following the header.
 	Sections int `json:"sections,omitempty"`
 }
 
-// snapshotSection is one shard's slice of the corpus. Shard records the
-// writer's shard assignment for humans and tools; restore re-partitions
-// by ID anyway (the shard count may be overridden), so readers do not
-// trust it.
+// snapshotSection is a run of one shard's slice of the corpus. Shard
+// records the writer's shard assignment for humans and tools; restore
+// re-partitions by ID anyway (the shard count may be overridden), so
+// readers do not trust it.
 type snapshotSection struct {
 	Shard    int              `json:"shard"`
 	Entities []*entity.Entity `json:"entities"`
@@ -74,11 +78,13 @@ type snapshotCapture struct {
 
 // buildSnapshot captures the snapshot state: per shard, the corpus slice
 // (entity pointers — immutable once stored, so the capture stays
-// consistent while it is serialized later) sorted by ID, plus the rule
+// consistent while it is serialized later) sorted by ID and cut into
+// max(1, GOMAXPROCS/shards) sections of near-equal size, plus the rule
 // and the options. Each shard is read under its lock; see the isolation
 // notes on ShardedIndex for cross-shard semantics under concurrent
 // writes.
 func (ix *ShardedIndex) buildSnapshot() *snapshotCapture {
+	per := max(1, runtime.GOMAXPROCS(0)/len(ix.shards))
 	snap := &snapshotCapture{
 		header: snapshotHeader{
 			Version:      SnapshotVersion,
@@ -88,14 +94,16 @@ func (ix *ShardedIndex) buildSnapshot() *snapshotCapture {
 			Threshold:    ix.opts.Threshold,
 			MaxBlockSize: ix.opts.MaxBlockSize,
 			Rule:         ix.rule,
-			Sections:     len(ix.shards),
+			Sections:     per * len(ix.shards),
 		},
-		sections: make([]snapshotSection, len(ix.shards)),
+		sections: make([]snapshotSection, 0, per*len(ix.shards)),
 	}
 	for i, sh := range ix.shards {
 		ents := sh.entities()
 		matching.SortByID(ents)
-		snap.sections[i] = snapshotSection{Shard: i, Entities: ents}
+		for j := range per {
+			snap.sections = append(snap.sections, snapshotSection{Shard: i, Entities: ents[j*len(ents)/per : (j+1)*len(ents)/per]})
+		}
 	}
 	return snap
 }
@@ -219,7 +227,7 @@ func readSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
 		Blocker:      snap.blocker,
 	})
 	// Each section installs through Apply. When the shard counts match,
-	// a section is one shard's group and Apply runs it inline;
+	// a section falls in one shard, so its Apply is one group;
 	// re-partitioning by ID makes shard-count overrides work
 	// transparently. A valid snapshot's sections hold disjoint ID sets,
 	// so concurrent installs into the same destination shard commute.

@@ -352,13 +352,16 @@ func (rt *Router) doMatch(ctx context.Context, url string, probe []byte) ([]matc
 
 // handleStats sums /stats across the partition groups (each leg
 // lag-aware). Per-group figures ride along so an imbalanced partition
-// shows up directly.
+// shows up directly, and so do each group's shard count and candidate
+// source, which a node derives from its own cores and rule.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	type groupStats struct {
-		Leader   string `json:"leader"`
-		Entities int    `json:"entities"`
-		Keys     int    `json:"keys"`
-		Err      string `json:"error,omitempty"`
+		Leader     string `json:"leader"`
+		Entities   int    `json:"entities"`
+		Keys       int    `json:"keys"`
+		Shards     int    `json:"shards"`
+		Candidates string `json:"candidates"`
+		Err        string `json:"error,omitempty"`
 	}
 	out := make([]groupStats, len(rt.groups))
 	var wg sync.WaitGroup
@@ -379,16 +382,12 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 				out[gi].Err = fmt.Sprintf("status %d", status)
 				return
 			}
-			var st struct {
-				Entities int `json:"entities"`
-				Keys     int `json:"keys"`
-			}
-			if err := json.Unmarshal(data, &st); err != nil {
+			// A node's /stats has no leader or error field, so decoding
+			// it in place fills only the figures the node reports.
+			if err := json.Unmarshal(data, &out[gi]); err != nil {
 				out[gi].Err = err.Error()
 				return
 			}
-			out[gi].Entities = st.Entities
-			out[gi].Keys = st.Keys
 		}(gi)
 	}
 	wg.Wait()

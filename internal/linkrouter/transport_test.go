@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,7 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"genlink/internal/entity"
+	"genlink/internal/linkindex"
 	"genlink/internal/linkserver"
+	"genlink/internal/matching"
+	"genlink/internal/rule"
 )
 
 // The router's decisions — 403 retarget, write failover, lag-gated
@@ -344,5 +349,71 @@ func TestRouterHedgedMatchLeg(t *testing.T) {
 				t.Fatalf("metrics %+v, want %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestRouterStatsForwardsShardsAndCandidates pins that the routed /stats
+// reports, per group, the shard count and candidate source its leader's
+// own /stats names, next to the summed corpus. Each group is a real
+// linkserver handler answering in process: one node serves a lone
+// levenshtein from a one-shard rule index, the other a jaccard rule from
+// its blocker over three shards.
+func TestRouterStatsForwardsShardsAndCandidates(t *testing.T) {
+	node := func(ruleJSON string, shards int) *fakeNode {
+		r, err := rule.ParseJSON([]byte(ruleJSON))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := linkindex.NewSharded(r, shards, matching.Options{Blocker: matching.TokenBlocking()})
+		ix.Apply(linkindex.Batch{Upserts: []*entity.Entity{
+			{ID: "a", Properties: map[string][]string{"name": {"Grace Hopper"}}},
+			{ID: "b", Properties: map[string][]string{"name": {"Alan Turing"}}},
+		}})
+		h := linkserver.New(linkserver.Config{Index: ix}).Handler()
+		return &fakeNode{role: "leader", serve: func(r *http.Request) (int, any, error) {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			return w.Code, json.RawMessage(w.Body.Bytes()), nil
+		}}
+	}
+	const comparison = `{"kind": "comparison", "function": %q, "threshold": %s,
+		"children": [{"kind": "property", "property": "name"}, {"kind": "property", "property": "name"}]}`
+	net := &fakeNet{nodes: map[string]*fakeNode{
+		"l0": node(fmt.Sprintf(comparison, "levenshtein", "2"), 1),
+		"l1": node(fmt.Sprintf(comparison, "jaccard", "0.5"), 3),
+	}}
+	rt, err := New(Options{
+		Groups:       [][]string{{"l0"}, {"l1"}},
+		Client:       &http.Client{Transport: net, Timeout: time.Minute},
+		PollInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+
+	w := serve(rt, http.MethodGet, "/stats", "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET /stats = %d: %s", w.Code, w.Body)
+	}
+	type group struct {
+		Leader     string `json:"leader"`
+		Entities   int    `json:"entities"`
+		Shards     int    `json:"shards"`
+		Candidates string `json:"candidates"`
+	}
+	var got struct {
+		Entities int     `json:"entities"`
+		Groups   []group `json:"groups"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	want := []group{
+		{Leader: "http://l0", Entities: 2, Shards: 1, Candidates: "rule index (levenshtein ≤ 1, verified)"},
+		{Leader: "http://l1", Entities: 2, Shards: 3, Candidates: "blocker token"},
+	}
+	if got.Entities != 4 || !reflect.DeepEqual(got.Groups, want) {
+		t.Fatalf("/stats entities %d, groups %+v; want 4, %+v", got.Entities, got.Groups, want)
 	}
 }

@@ -292,10 +292,13 @@ func NewIndex(r *Rule, opts MatchOptions) *Index {
 
 // NewShardedIndex returns an empty incremental matching index whose
 // corpus is hash-partitioned over the given number of shards (≤ 0 means
-// runtime.GOMAXPROCS(0)). Each shard holds its own block structures and
-// scorer behind its own lock: writes to different shards proceed in
-// parallel and never stall queries against the other shards, and queries
-// fan out across shards concurrently, merging per-shard top-k results.
+// one per two CPUs: max(1, runtime.GOMAXPROCS(0)/2)). Each shard holds
+// its own block structures and scorer behind its own lock: writes to
+// different shards proceed in parallel and never stall queries against
+// the other shards, and queries fan out across shards concurrently,
+// merging per-shard top-k results. A batched write builds its records
+// on every core however many shards there are, so more shards buy write
+// isolation, not write throughput, and cost each query a pass per shard.
 // NewIndex is the single-shard case of the same code path.
 //
 // Candidate semantics under sharding: identical to a single-shard Index

@@ -3,7 +3,10 @@
 # server, write entities over HTTP, SIGKILL it mid-flight (no graceful
 # shutdown, no final snapshot), restart it on the same WAL directory and
 # assert the acknowledged state — corpus size and a match answer —
-# survived. Run from the repository root; CI runs it on every push.
+# survived. The server runs two shards explicitly: the default is one
+# shard per two CPUs, so on a small runner no other smoke script kills a
+# multi-shard process. Run from the repository root; CI runs it on every
+# push.
 set -euo pipefail
 
 ADDR="${GENLINKD_SMOKE_ADDR:-127.0.0.1:18099}"
@@ -71,7 +74,7 @@ if compgen -G "$WAL_DIR/wal-*.seg" >/dev/null; then
 fi
 
 echo "crash_smoke: first boot"
-"$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch 2>"$WORK/server.log" &
+"$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch -shards 2 2>"$WORK/server.log" &
 PID=$!
 wait_healthy
 
@@ -85,6 +88,8 @@ curl -fsS -X DELETE "$BASE/entities/d" >/dev/null
 
 entities=$(curl -fsS "$BASE/stats" | jq -r .entities)
 [ "$entities" = "3" ] || fail "pre-crash corpus = $entities, want 3"
+shards=$(curl -fsS "$BASE/stats" | jq -r .shards)
+[ "$shards" = "2" ] || fail "pre-crash shards = $shards, want 2"
 match=$(curl -fsS "$BASE/match?id=a&k=5" | jq -r '.links[0].id')
 [ "$match" = "b" ] || fail "pre-crash match of a = $match, want b"
 records=$(curl -fsS "$BASE/metrics" | jq -r .wal_records)
@@ -96,7 +101,7 @@ wait "$PID" 2>/dev/null || true
 PID=""
 
 echo "crash_smoke: restart on the same -wal-dir"
-"$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch 2>"$WORK/server.log" &
+"$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch -shards 2 2>"$WORK/server.log" &
 PID=$!
 wait_healthy
 
@@ -107,6 +112,8 @@ grep -q 'torn tail discarded: false' "$WORK/server.log" ||
 
 entities=$(curl -fsS "$BASE/stats" | jq -r .entities)
 [ "$entities" = "3" ] || fail "post-crash corpus = $entities, want 3 (a,b,c)"
+shards=$(curl -fsS "$BASE/stats" | jq -r .shards)
+[ "$shards" = "2" ] || fail "post-crash shards = $shards, want 2"
 match=$(curl -fsS "$BASE/match?id=a&k=5" | jq -r '.links[0].id')
 [ "$match" = "b" ] || fail "post-crash match of a = $match, want b"
 code=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/entities/d")
