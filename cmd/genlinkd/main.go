@@ -9,22 +9,24 @@
 //
 // Usage:
 //
-//	genlinkd -rule rule.json [-addr :8080] [-blocker multipass] [-threshold 0.5] [-shards 0]
+//	genlinkd -rule rule.json [-addr :8080] [-blocker multipass] [-threshold 0.5]
 //	genlinkd -dataset Cora [-population 100] [-iterations 10]   # learn at startup, bulk-load side B
 //	genlinkd -rule rule.json -wal-dir /var/lib/genlink          # crash-safe: WAL + auto-snapshots
 //	genlinkd -follow leader:8080 -wal-dir /var/lib/replica      # read replica: tail the leader's WAL
 //	genlinkd -route "l1:8080,f1:8081;l2:8080,f2:8081"           # stateless routing tier over partition groups
 //
-// The corpus is hash-partitioned over -shards partitions (0 means one
-// per two CPUs, at least one), so writes stall only the shard they touch
-// and queries fan out in parallel. Each shard costs every query a probe
-// pass of its own, while batched writes, snapshots and recovery build
-// records on every core whatever the count, so the default keeps shards
-// few. Without -wal-dir the index lives in memory only. A
-// rule with a necessary levenshtein comparison is served from each
-// shard's rule index, and its answers equal scoring every stored entity;
-// -blocker picks the candidates of any other rule. The "serving on" log
-// line and /stats "candidates" name which one serves.
+// The corpus is hash-partitioned over one shard per two CPUs (at least
+// one), so writes stall only the shard they touch and queries fan out in
+// parallel. Each shard costs every query a probe pass of its own, while
+// batched writes, snapshots and recovery build records on every core
+// whatever the count, so shards stay few. The count is fixed when the
+// corpus is created: a -wal-dir restart and a -follow replica keep the
+// snapshot's, so a blocker's answers never move with the host's cores.
+// Resharding is a fresh load. Without -wal-dir the index lives in
+// memory only. A rule with a necessary levenshtein comparison is served
+// from each shard's rule index, and its answers equal scoring every
+// stored entity; -blocker picks the candidates of any other rule. The
+// "serving on" log line and /stats "candidates" name which one serves.
 //
 // -wal-dir is the one persistence mode, and it is crash-safe: every
 // write is appended to a segmented, CRC-checked write-ahead log before
@@ -147,7 +149,6 @@ func main() {
 		blocker    = flag.String("blocker", "multipass", "blocking strategy for a rule without an edit bound: token, sortedneighborhood, qgram or multipass (a rule with a necessary levenshtein comparison is served from its rule index instead)")
 		threshold  = flag.Float64("threshold", 0, "minimum link score (0 = rule match threshold)")
 		k          = flag.Int("k", 10, "default number of matches per query (k= overrides per request)")
-		shards     = flag.Int("shards", 0, "index shard count (0 = one per two CPUs, at least one)")
 		walDir     = flag.String("wal-dir", "", "durability directory: write-ahead log + auto-snapshots, recovered at startup")
 		fsync      = flag.String("fsync", "batch", "WAL fsync policy: batch|interval (fsync per write, or group-commit every 100ms)")
 		autoSnap   = flag.Int("auto-snapshot", 10000, "auto-snapshot after this many WAL records (negative disables)")
@@ -182,7 +183,6 @@ func main() {
 	durable := genlinkapi.DurableIndexOptions{
 		Fsync:         policy,
 		SnapshotEvery: *autoSnap,
-		Shards:        *shards,
 		Logf:          log.Printf,
 	}
 
@@ -210,7 +210,7 @@ func main() {
 		log.Printf("following %s from applied seq %d (%d entities)", fol.Leader(), fol.Status().AppliedSeq, ix.Len())
 	case *walDir != "":
 		dix, recovery, err = genlinkapi.OpenDurableIndex(*walDir, func() (*genlinkapi.Index, error) {
-			return freshIndex(*ruleFile, *dataset, *population, *iterations, *seed, *shards, *threshold, bl)
+			return freshIndex(*ruleFile, *dataset, *population, *iterations, *seed, *threshold, bl)
 		}, durable)
 		if err != nil {
 			log.Fatal(err)
@@ -225,7 +225,7 @@ func main() {
 				*walDir, policy, *autoSnap)
 		}
 	default:
-		ix, err = freshIndex(*ruleFile, *dataset, *population, *iterations, *seed, *shards, *threshold, bl)
+		ix, err = freshIndex(*ruleFile, *dataset, *population, *iterations, *seed, *threshold, bl)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func runRouter(addr, spec string, maxLag uint64, hedgeAfter, poll time.Duration,
 
 // freshIndex builds a brand-new index from -rule or -dataset — the
 // startup path when there is no durable state to recover.
-func freshIndex(ruleFile, dataset string, population, iterations int, seed int64, shards int, threshold float64, bl genlinkapi.Blocker) (*genlinkapi.Index, error) {
+func freshIndex(ruleFile, dataset string, population, iterations int, seed int64, threshold float64, bl genlinkapi.Blocker) (*genlinkapi.Index, error) {
 	var (
 		r            *genlinkapi.Rule
 		seedEntities []*genlinkapi.Entity
@@ -334,7 +334,7 @@ func freshIndex(ruleFile, dataset string, population, iterations int, seed int64
 		return nil, errors.New("one of -rule, -dataset or existing durable state in -wal-dir is required")
 	}
 
-	ix := genlinkapi.NewShardedIndex(r, shards, genlinkapi.MatchOptions{Blocker: bl, Threshold: threshold})
+	ix := genlinkapi.NewShardedIndex(r, genlinkapi.MatchOptions{Blocker: bl, Threshold: threshold})
 	if len(seedEntities) > 0 {
 		log.Printf("bulk-loaded %d entities", ix.BulkLoad(seedEntities))
 	}

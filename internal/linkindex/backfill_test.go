@@ -66,7 +66,7 @@ func TestBackfillCrashContract(t *testing.T) {
 	if got := d.Metrics().WALRecords; got != walBefore {
 		t.Fatalf("backfill wrote %d WAL records, want 0", got-walBefore)
 	}
-	if d.Get("bf0") == nil {
+	if d.Index().Get("bf0") == nil {
 		t.Fatal("backfilled entity not visible in memory")
 	}
 
@@ -81,10 +81,10 @@ func TestBackfillCrashContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Get("bf0") != nil || r.Get("bf49") != nil {
+	if r.Index().Get("bf0") != nil || r.Index().Get("bf49") != nil {
 		t.Fatal("pre-barrier crash recovered backfilled entities")
 	}
-	if r.Get("live1") == nil {
+	if r.Index().Get("live1") == nil {
 		t.Fatal("pre-barrier crash lost an acknowledged logged write")
 	}
 	want := referenceIndex(logged, len(logged), shards)
@@ -234,7 +234,7 @@ func TestBackfillCommitRacesWrites(t *testing.T) {
 	}
 	for w := range writers {
 		for _, id := range acked[w] {
-			if r.Get(id) == nil {
+			if r.Index().Get(id) == nil {
 				t.Fatalf("acknowledged backfill write %s lost across a racing CommitBackfill", id)
 			}
 		}

@@ -64,7 +64,7 @@ func TestCommitRefusals(t *testing.T) {
 			if err := w.write(); !errors.Is(err, errWALClosed) {
 				t.Errorf("%s after Close: error %v, want errWALClosed", w.name, err)
 			}
-			if d.Len() != lenBefore || d.AppliedSeq() != seqBefore || d.Get("x") != nil || d.Get("e0") == nil {
+			if d.Len() != lenBefore || d.AppliedSeq() != seqBefore || d.Index().Get("x") != nil || d.Index().Get("e0") == nil {
 				t.Fatalf("%s after Close changed state: Len %d → %d, AppliedSeq %d → %d",
 					w.name, lenBefore, d.Len(), seqBefore, d.AppliedSeq())
 			}
@@ -94,14 +94,14 @@ func TestCommitRefusals(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "out-of-order record") {
 				t.Fatalf("applyReplicated(%d) at seq 2: error %v, want out-of-order", seq, err)
 			}
-			if d.AppliedSeq() != 2 || d.Len() != 2 || d.Get("e3") != nil {
+			if d.AppliedSeq() != 2 || d.Len() != 2 || d.Index().Get("e3") != nil {
 				t.Fatalf("refused record %d changed state: AppliedSeq %d, Len %d", seq, d.AppliedSeq(), d.Len())
 			}
 		}
 		if err := d.applyReplicated(3, records[2]); err != nil {
 			t.Fatalf("the next record after refusals: %v", err)
 		}
-		if d.AppliedSeq() != 3 || d.Get("e2") == nil {
+		if d.AppliedSeq() != 3 || d.Index().Get("e2") == nil {
 			t.Fatalf("record 3 not logged and applied: AppliedSeq %d", d.AppliedSeq())
 		}
 	})

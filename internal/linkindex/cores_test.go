@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"genlink/internal/datagen"
 	"genlink/internal/entity"
 	"genlink/internal/linkindex"
 	"genlink/internal/matching"
@@ -176,8 +178,8 @@ func sameAnswers(t *testing.T, got, want *linkindex.ShardedIndex) {
 
 // TestSnapshotSectionsFollowCores pins that a one-shard index written at
 // GOMAXPROCS 4 snapshots in four sections, and that the snapshot
-// restores to the same entities and answers into one shard and, by
-// RestoreOptions.Shards, into three.
+// restores to one shard, the same entities and the same answers at any
+// GOMAXPROCS: at 6 the default would be three shards.
 func TestSnapshotSectionsFollowCores(t *testing.T) {
 	ix := applyChunked(t, 4, "wmean/")
 	var buf bytes.Buffer
@@ -187,15 +189,75 @@ func TestSnapshotSectionsFollowCores(t *testing.T) {
 	if got := snapshotSections(t, buf.Bytes()); got != 4 {
 		t.Fatalf("a one-shard snapshot at GOMAXPROCS 4 has %d sections, want 4", got)
 	}
-	for _, shards := range []int{1, 3} {
-		restored, err := linkindex.ReadSnapshot(bytes.NewReader(buf.Bytes()), linkindex.RestoreOptions{Shards: shards})
+	for _, procs := range []int{1, 6} {
+		setProcs(t, procs)
+		restored, err := linkindex.ReadSnapshot(bytes.NewReader(buf.Bytes()), linkindex.RestoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if restored.Shards() != shards {
-			t.Fatalf("restored %d shards, want %d", restored.Shards(), shards)
+		if restored.Shards() != 1 {
+			t.Fatalf("restored %d shards at GOMAXPROCS %d, want the snapshot's 1", restored.Shards(), procs)
 		}
 		sameAnswers(t, restored, ix)
+	}
+}
+
+// shardSensitive returns a one-shard multipass index over the first 400
+// entities of Cora's B source under coraRule, a max of three comparisons
+// with no edit bound, so the blocker serves it. Its answers depend on
+// the shard count (the derived block cap and the sorted-neighborhood
+// window apply per shard), which the test pins against a 3-shard load of
+// the same corpus: only then can a restore into another count show.
+func shardSensitive(t *testing.T) *linkindex.ShardedIndex {
+	t.Helper()
+	es := datagen.ByName("Cora")(1).B.Entities[:400]
+	ix := linkindex.NewSharded(coraRule(), 1, matching.Options{Blocker: matching.MultiPass()})
+	ix.BulkLoad(es)
+	three := linkindex.NewSharded(coraRule(), 3, matching.Options{Blocker: matching.MultiPass()})
+	three.BulkLoad(es)
+	for _, e := range es {
+		a, _ := ix.QueryID(e.ID, 0)
+		b, _ := three.QueryID(e.ID, 0)
+		if !linksEqual(a, b) {
+			return ix
+		}
+	}
+	t.Fatal("a 3-shard load answers every QueryID as the 1-shard one: the corpus cannot show a moved shard count")
+	return nil
+}
+
+// TestRestoreKeepsShardCount pins that a corpus keeps the shard count it
+// was created with: a one-shard snapshot restores through RestoreFrom and
+// Recover at GOMAXPROCS 6, where a fresh index would take three shards,
+// into one shard with the same answer to every stored ID's QueryID.
+func TestRestoreKeepsShardCount(t *testing.T) {
+	want := shardSensitive(t)
+	dir := t.TempDir()
+	d, err := linkindex.NewDurable(dir, want, linkindex.DurableOptions{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	setProcs(t, 6)
+	if got := linkindex.NewSharded(coraRule(), 0, matching.Options{}).Shards(); got != 3 {
+		t.Fatalf("a fresh index at GOMAXPROCS 6 has %d shards, want 3", got)
+	}
+	restored, err := linkindex.RestoreFrom(filepath.Join(dir, "snapshot-0000000000000000.snap"), linkindex.RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := linkindex.Recover(dir, linkindex.DurableOptions{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	for name, got := range map[string]*linkindex.ShardedIndex{"RestoreFrom": restored, "Recover": rec.Index()} {
+		if got.Shards() != 1 {
+			t.Fatalf("%s rebuilt %d shards, want the snapshot's 1", name, got.Shards())
+		}
+		sameAnswers(t, got, want)
 	}
 }
 

@@ -73,9 +73,6 @@ type DurableOptions struct {
 	// SnapshotEvery auto-snapshots after this many log records
 	// (default 10000; negative disables).
 	SnapshotEvery int
-	// Shards overrides the snapshot's shard count on recovery when > 0
-	// (see RestoreOptions.Shards).
-	Shards int
 	// Blocker is used on recovery when the snapshot's blocker name is
 	// not a registry strategy (see RestoreOptions.Blocker).
 	Blocker matching.Blocker
@@ -221,7 +218,7 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 	var rerr error
 	for _, s := range snaps {
 		var restored *ShardedIndex
-		restored, rerr = RestoreFrom(s.path, RestoreOptions{Shards: o.Shards, Blocker: o.Blocker})
+		restored, rerr = RestoreFrom(s.path, RestoreOptions{Blocker: o.Blocker})
 		if errors.Is(rerr, errSnapshotRule) {
 			// Every snapshot of a directory carries the same rule, and its
 			// bytes are intact: leave them for a reader that accepts it.
@@ -506,24 +503,8 @@ func (d *DurableIndex) Close() error {
 // DurableIndex.
 func (d *DurableIndex) Index() *ShardedIndex { return d.ix }
 
-// Query delegates to the underlying index.
-func (d *DurableIndex) Query(probe *entity.Entity, k int) []matching.Link {
-	return d.ix.Query(probe, k)
-}
-
-// QueryID delegates to the underlying index.
-func (d *DurableIndex) QueryID(id string, k int) ([]matching.Link, bool) {
-	return d.ix.QueryID(id, k)
-}
-
-// Get delegates to the underlying index.
-func (d *DurableIndex) Get(id string) *entity.Entity { return d.ix.Get(id) }
-
 // Len delegates to the underlying index.
 func (d *DurableIndex) Len() int { return d.ix.Len() }
-
-// Stats delegates to the underlying index.
-func (d *DurableIndex) Stats() Stats { return d.ix.Stats() }
 
 // Dir returns the durable directory (log segments + snapshots).
 func (d *DurableIndex) Dir() string { return d.dir }

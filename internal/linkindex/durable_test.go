@@ -392,7 +392,7 @@ func TestOpenDurableBuildsOnlyWhenFresh(t *testing.T) {
 	if !stats.Recovered || stats.RecordsReplayed != 1 {
 		t.Fatalf("stats = %+v, want recovery replaying 1 record", stats)
 	}
-	if d2.Len() != 1 || d2.Get("a") == nil {
+	if d2.Len() != 1 || d2.Index().Get("a") == nil {
 		t.Fatalf("recovered corpus lost the entity: len=%d", d2.Len())
 	}
 
@@ -448,11 +448,22 @@ func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {
 	compareIndexes(t, "post-fallback re-recovery", r2.Index(), referenceIndex(batches, 18, 2))
 }
 
-// corruptNewestSnapshot builds a closed durable directory over 18
-// batches with snapshots covering 10 and 15 and a log tail to 18, then
-// overwrites the newest snapshot with garbage. It returns the directory,
-// the batches and the two snapshot paths, oldest first.
+// corruptNewestSnapshot builds twoSnapshotDir and overwrites the newest
+// snapshot with garbage.
 func corruptNewestSnapshot(t *testing.T) (dir string, batches []linkindex.Batch, snaps []string) {
+	t.Helper()
+	dir, batches, snaps = twoSnapshotDir(t)
+	if err := os.WriteFile(snaps[1], []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, batches, snaps
+}
+
+// twoSnapshotDir builds a closed durable directory of a 2-shard index
+// over 18 batches with snapshots covering 10 and 15 and a log tail to
+// 18. It returns the directory, the batches and the two snapshot paths,
+// oldest first.
+func twoSnapshotDir(t *testing.T) (dir string, batches []linkindex.Batch, snaps []string) {
 	t.Helper()
 	dir = t.TempDir()
 	d, err := linkindex.NewDurable(dir, linkindex.NewSharded(testRule(), 2, durableOpts()),
@@ -486,9 +497,6 @@ func corruptNewestSnapshot(t *testing.T) (dir string, batches []linkindex.Batch,
 		t.Fatalf("snapshots = %v, %v; want 2", snaps, err)
 	}
 	sort.Strings(snaps)
-	if err := os.WriteFile(snaps[1], []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	return dir, batches, snaps
 }
 
@@ -569,7 +577,7 @@ func TestDurableConcurrentMutations(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
-				d.Query(ent("probe", "Grace Hopper", "compilers"), 5)
+				d.Index().Query(ent("probe", "Grace Hopper", "compilers"), 5)
 				d.Len()
 			}
 		}(g)

@@ -20,8 +20,9 @@
 //     strategy of the blocker, unioned for multi-pass. Differential
 //     property tests pin the index's candidates ≡ the batch blocker on the
 //     surviving entity set under any interleaving of Add/Update/Remove.
-//     No index is persisted: Apply maintains it, and recovery, restore
-//     and followers rebuild it through Apply.
+//     No index is persisted: Apply maintains it, and restore and
+//     followers rebuild it through Apply, WAL replay through the same
+//     build and install steps.
 //   - ShardedIndex hash-partitions the corpus over N shards, each owning
 //     a candidate index and its records behind a per-shard RWMutex.
 //     The index's entity table is the shard's one ID table, and the records
@@ -39,8 +40,9 @@
 //     recall-preserving superset for sorted-neighborhood windows and
 //     capped blocks — and the per-shard isolation contract.
 //   - Snapshot persistence: SnapshotTo writes a versioned snapshot of the
-//     corpus, rule and options to disk; RestoreFrom rebuilds the block
-//     structures from it, so a service restart does not lose the index.
+//     corpus, rule, options and shard count to disk; RestoreFrom
+//     rebuilds the block structures from it in that shard count, so a
+//     service restart does not lose the index or move its answers.
 //   - Durability: DurableIndex wraps a ShardedIndex with a segmented,
 //     CRC-checked write-ahead log — every mutation is logged before it is
 //     applied (fsync per batch or interval group-commit), snapshots are

@@ -319,11 +319,15 @@ func writeSnapshotBytes(path string, data []byte) error {
 // during the reset see intermediate states (per-shard application), the
 // same eventual-consistency a tailing follower already exposes. The
 // snapshot is decoded and checked before anything on disk is touched,
-// but never built into an index of its own.
+// but never built into an index of its own, so a snapshot of another
+// shard count, whose answers would differ, is refused.
 func (d *DurableIndex) resetToSnapshot(data []byte, seq uint64) error {
 	snap, err := decodeSnapshot(bytes.NewReader(data), RestoreOptions{Blocker: d.opts.Blocker})
 	if err != nil {
 		return err
+	}
+	if snap.header.Shards != len(d.ix.shards) {
+		return fmt.Errorf("linkindex: replication: leader snapshot has %d shards, this follower %d; re-create the follower's directory", snap.header.Shards, len(d.ix.shards))
 	}
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()

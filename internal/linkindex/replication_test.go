@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"genlink/internal/datagen"
 	"genlink/internal/linkindex"
 )
 
@@ -129,6 +131,112 @@ func TestFollowerDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFollowerKeepsLeaderShardCount pins follower ≡ leader for a
+// corpus whose answers depend on the shard count: a follower
+// bootstrapped at GOMAXPROCS 6, where a fresh index would take three
+// shards, from a one-shard leader rebuilds one shard, and answers every
+// stored ID's QueryID as the leader does, after the bootstrap, after a
+// live tail and after a restart from its own directory.
+func TestFollowerKeepsLeaderShardCount(t *testing.T) {
+	leader, err := linkindex.NewDurable(t.TempDir(), shardSensitive(t), linkindex.DurableOptions{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	ts := leaderServer(t, leader)
+	setProcs(t, 6)
+	folDir := t.TempDir()
+	check := func(label string) *linkindex.Follower {
+		t.Helper()
+		fol, err := linkindex.OpenFollower(followerOpts(ts.URL, folDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitApplied(t, fol, leader.AppliedSeq())
+		if got := fol.Index().Shards(); got != 1 {
+			t.Fatalf("%s: follower has %d shards, want the leader's 1", label, got)
+		}
+		compareIndexes(t, label, fol.Index(), leader.Index())
+		return fol
+	}
+	fol := check("bootstrap")
+	extra := datagen.ByName("Cora")(1).B.Entities[400:420]
+	if _, err := leader.Apply(linkindex.Batch{Upserts: extra, Deletes: []string{extra[0].ID}}); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, fol, leader.AppliedSeq())
+	compareIndexes(t, "live tail", fol.Index(), leader.Index())
+	fol.Stop()
+	if err := fol.Durable().Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("restart").Stop()
+}
+
+// TestFollowerRefusesRebootstrapIntoOtherShardCount pins the
+// re-bootstrap side of the same contract: a follower diff-applies a
+// leader snapshot into its live index, so when the leader's corpus was
+// re-created with another shard count, the follower refuses the
+// snapshot, names the counts in its status and keeps serving its own
+// state rather than the leader's corpus under its old count.
+func TestFollowerRefusesRebootstrapIntoOtherShardCount(t *testing.T) {
+	batches := testBatches(30, 9)
+	old, err := linkindex.NewDurable(t.TempDir(), linkindex.NewSharded(testRule(), 1, durableOpts()), linkindex.DurableOptions{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches[:5] {
+		if _, err := old.Apply(cloneBatch(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	folDir := t.TempDir()
+	fol, err := linkindex.OpenFollower(followerOpts(leaderServer(t, old).URL, folDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, fol, old.AppliedSeq())
+	fol.Stop()
+	if err := fol.Durable().Close(); err != nil {
+		t.Fatal(err)
+	}
+	old.Close()
+
+	// The corpus re-created in three shards, its early log compacted
+	// away, so the follower's next record is gone and it re-bootstraps.
+	leader, err := linkindex.NewDurable(t.TempDir(), linkindex.NewSharded(testRule(), 3, durableOpts()), linkindex.DurableOptions{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	for i, b := range batches {
+		if _, err := leader.Apply(cloneBatch(b)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 19 || i == 29 {
+			if err := leader.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fol, err = linkindex.OpenFollower(followerOpts(leaderServer(t, leader).URL, folDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Stop()
+	deadline := time.Now().Add(20 * time.Second)
+	for !strings.Contains(fol.Status().LastError, "leader snapshot has 3 shards, this follower 1") {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower status %+v, want the refused re-bootstrap", fol.Status())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if fol.Index().Shards() != 1 || fol.Status().AppliedSeq != 5 {
+		t.Fatalf("follower moved: %d shards at applied seq %d, want 1 at 5", fol.Index().Shards(), fol.Status().AppliedSeq)
+	}
+	compareIndexes(t, "refused re-bootstrap", fol.Index(), referenceIndex(batches, 5, 1))
 }
 
 // tearNewestSegment chops bytes off the newest WAL segment holding data,

@@ -151,7 +151,7 @@ func TestMutatedStreamAppliesPrefixOnly(t *testing.T) {
 			t.Fatalf("pos %d: follower holds %d entities, prefix reference holds %d", pos, gl, wl)
 		}
 		for _, e := range want.Entities() {
-			if d.Get(e.ID) == nil {
+			if d.Index().Get(e.ID) == nil {
 				t.Fatalf("pos %d: entity %s missing from follower", pos, e.ID)
 			}
 		}

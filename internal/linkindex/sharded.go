@@ -98,7 +98,8 @@ type shard struct {
 
 // NewSharded returns an empty index with the given shard count (≤ 0 means
 // one shard per two CPUs: max(1, runtime.GOMAXPROCS(0)/2)) serving the
-// given rule from its matching.CandidateSource. Every query pays its
+// given rule from its matching.CandidateSource; snapshots and every
+// restore keep the count (SnapshotVersion). Every query pays its
 // fixed costs — the probe's index-key lookups, a pattern build, a
 // goroutine and a merge — once per shard, while writes, snapshots and
 // recovery build records on every core whatever the shard count, so the
@@ -348,13 +349,15 @@ func (ix *ShardedIndex) installShardOps(g *shardOps) (upserted, deleted int) {
 	return len(fresh), deleted
 }
 
-// Apply is the one way into a shard: Add, Update, Remove, BulkLoad, the
-// durable layer, backfill and snapshot restore all write through it.
-// Writes are grouped per shard, shards are written in parallel, and each
-// shard takes its write lock exactly once — old versions leave the block
-// structures through the bulk-remove fast path and new versions enter
-// through BulkAdd, so a batched upsert never pays the per-record
-// sorted-neighborhood memmove. The batch semantics are
+// Apply is the write path of Add, Update, Remove, BulkLoad, the durable
+// layer's commit step (logged writes, shipped records, backfill), a
+// follower's re-bootstrap and snapshot restore; WAL replay alone runs
+// the same two steps, buildRecords and then installShardOps, through
+// its own per-shard pipeline (replay.go). Writes are grouped per
+// shard, shards are written in parallel, each group's records are built
+// on every core before the lock, and each shard takes its write lock
+// exactly once, where installShardOps removes old versions in one
+// BulkRemove and adds new ones in one BulkAdd. The batch semantics are
 // Batch's: the last upsert of an ID wins and a delete beats an upsert.
 // Per shard the batch is atomic with respect to queries; across shards
 // there is no barrier, so a racing query may see it in some shards first

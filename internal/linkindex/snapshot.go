@@ -25,14 +25,15 @@ import (
 // contiguous run of one shard's slice of the corpus sorted by ID. A
 // writer splits each shard into max(1, GOMAXPROCS/shards) sections, so a
 // one-shard index still decodes and installs on every core; a reader
-// takes any count, including one section per shard. Sections are
-// independently decodable, so both sides of the round trip parallelize:
-// writing marshals every section concurrently and restoring decodes and
-// index-builds sections concurrently. Block structures are NOT
-// persisted; they are deterministic functions of (blocker, corpus) and
-// are rebuilt through the bulk-load path on restore, which is both
-// simpler and robust against block-structure layout changes between
-// versions.
+// takes any count from one section per shard up. Every restore rebuilds
+// the header's shard count: a blocker's answers depend on it. Sections
+// are independently decodable, so both sides of the round trip
+// parallelize: writing marshals every section concurrently and restoring
+// decodes and index-builds sections concurrently. Block structures are
+// NOT persisted; they are deterministic functions of (blocker, corpus,
+// shard count) and are rebuilt through the bulk-load path on restore,
+// which is both simpler and robust against block-structure layout
+// changes between versions.
 const SnapshotVersion = 2
 
 // maxSnapshotSections rejects absurd section counts decoded from a
@@ -60,12 +61,8 @@ type snapshotHeader struct {
 	Sections int `json:"sections,omitempty"`
 }
 
-// snapshotSection is a run of one shard's slice of the corpus. Shard
-// records the writer's shard assignment for humans and tools; restore
-// re-partitions by ID anyway (the shard count may be overridden), so
-// readers do not trust it.
+// snapshotSection is a run of one shard's slice of the corpus.
 type snapshotSection struct {
-	Shard    int              `json:"shard"`
 	Entities []*entity.Entity `json:"entities"`
 }
 
@@ -98,11 +95,11 @@ func (ix *ShardedIndex) buildSnapshot() *snapshotCapture {
 		},
 		sections: make([]snapshotSection, 0, per*len(ix.shards)),
 	}
-	for i, sh := range ix.shards {
+	for _, sh := range ix.shards {
 		ents := sh.entities()
 		matching.SortByID(ents)
 		for j := range per {
-			snap.sections = append(snap.sections, snapshotSection{Shard: i, Entities: ents[j*len(ents)/per : (j+1)*len(ents)/per]})
+			snap.sections = append(snap.sections, snapshotSection{Entities: ents[j*len(ents)/per : (j+1)*len(ents)/per]})
 		}
 	}
 	return snap
@@ -195,12 +192,8 @@ func writeSnapshotFile(path string, encode func(io.Writer) error) error {
 	return nil
 }
 
-// RestoreOptions tunes snapshot restoration.
+// RestoreOptions tunes snapshot restoration; the shard count is the header's.
 type RestoreOptions struct {
-	// Shards overrides the snapshot's shard count when > 0 — a corpus
-	// snapshotted with one shard count restores cleanly into any other,
-	// since shard assignment is a pure function of entity ID.
-	Shards int
 	// Blocker is used when the snapshot's blocker name does not resolve
 	// through matching.BlockerByName (a custom strategy). When the
 	// snapshot's name resolves, the snapshot wins: restoring with a
@@ -210,27 +203,22 @@ type RestoreOptions struct {
 
 // readSnapshot rebuilds an index from a snapshot: the snapshot is
 // decoded and checked (decodeSnapshot), the rule recompiled, the options
-// reconstructed, and the block structures and scoring records rebuilt by
-// installing the corpus sections in parallel.
+// and shard count reconstructed, and the block structures and scoring
+// records rebuilt by installing the corpus sections in parallel.
 func readSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
 	snap, err := decodeSnapshot(r, o)
 	if err != nil {
 		return nil, err
 	}
-	shards := snap.header.Shards
-	if o.Shards > 0 {
-		shards = o.Shards
-	}
-	ix := NewSharded(snap.header.Rule, shards, matching.Options{
+	ix := NewSharded(snap.header.Rule, snap.header.Shards, matching.Options{
 		Threshold:    snap.header.Threshold,
 		MaxBlockSize: snap.header.MaxBlockSize,
 		Blocker:      snap.blocker,
 	})
-	// Each section installs through Apply. When the shard counts match,
-	// a section falls in one shard, so its Apply is one group;
-	// re-partitioning by ID makes shard-count overrides work
-	// transparently. A valid snapshot's sections hold disjoint ID sets,
-	// so concurrent installs into the same destination shard commute.
+	// Each section installs through Apply. A section holds one shard's
+	// entities, so its Apply is one group. A valid snapshot's sections
+	// hold disjoint ID sets, so concurrent installs into the same shard
+	// commute.
 	parallel(len(snap.sections), func(i int) {
 		ix.Apply(Batch{Upserts: snap.sections[i]})
 	})
@@ -249,9 +237,9 @@ type decodedSnapshot struct {
 // decodeSnapshot reads and checks a snapshot without building an index:
 // the version, the rule (present, and valid — rule.ParseJSON runs
 // rule.Validate), the blocker's resolution (the registry name, else
-// o.Blocker), the section count and every entity's ID. readSnapshot
-// installs the result; a follower re-bootstrapping from
-// a leader snapshot diff-applies it into its live index instead.
+// o.Blocker), the section and shard counts and every entity's ID.
+// readSnapshot installs the result; a follower re-bootstrapping from a
+// leader snapshot diff-applies it into its live index instead.
 func decodeSnapshot(r io.Reader, o RestoreOptions) (*decodedSnapshot, error) {
 	dec := json.NewDecoder(r)
 	// The rule is held raw until the version is checked, so a rule error
@@ -281,6 +269,11 @@ func decodeSnapshot(r io.Reader, o RestoreOptions) (*decodedSnapshot, error) {
 	}
 	if hdr.Sections < 0 || hdr.Sections > maxSnapshotSections {
 		return nil, fmt.Errorf("linkindex: restore: snapshot section count %d out of range", hdr.Sections)
+	}
+	// Every writer cuts at least one section per shard, so a count
+	// outside 1..Sections is damage, refused before it sizes an index.
+	if hdr.Shards < 1 || hdr.Shards > hdr.Sections {
+		return nil, fmt.Errorf("linkindex: restore: snapshot shard count %d out of range for %d sections", hdr.Shards, hdr.Sections)
 	}
 	// Slurp the raw section values in order (a cheap syntactic scan),
 	// then decode them in parallel — entity unmarshaling dominates.

@@ -76,14 +76,13 @@ func coraRule() *rule.Rule {
 	return rule.New(rule.NewAggregation(rule.Max(), title, author, date))
 }
 
-// TestSnapshotShardCountOverride pins that a snapshot restores cleanly
-// into a different shard count (shard assignment is a pure function of
-// entity ID): with a partition-invariant strategy the answers are
-// identical regardless of partitioning.
-func TestSnapshotShardCountOverride(t *testing.T) {
+// TestSnapshotKeepsShardCount pins that a snapshot restores into the
+// shard count it was written with, whatever GOMAXPROCS makes the default
+// (1 at GOMAXPROCS 2, 4 at 8), and answers as the snapshotted index does.
+func TestSnapshotKeepsShardCount(t *testing.T) {
 	r := diffRule()
 	rng := rand.New(rand.NewSource(3))
-	ix := linkindex.NewSharded(r, 4, matching.Options{Blocker: matching.TokenBlocking(), MaxBlockSize: -1})
+	ix := linkindex.NewSharded(r, 3, matching.Options{Blocker: matching.TokenBlocking(), MaxBlockSize: -1})
 	for i := 0; i < 80; i++ {
 		ix.Add(diffEntity(rng, fmt.Sprintf("o%d", i)))
 	}
@@ -91,22 +90,25 @@ func TestSnapshotShardCountOverride(t *testing.T) {
 	if err := ix.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := linkindex.ReadSnapshot(bytes.NewReader(buf.Bytes()), linkindex.RestoreOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Shards() != 2 {
-		t.Fatalf("restored Shards = %d, want override 2", restored.Shards())
-	}
-	if restored.Len() != ix.Len() {
-		t.Fatalf("restored Len = %d, want %d", restored.Len(), ix.Len())
-	}
-	for i := 0; i < 80; i += 9 {
-		id := fmt.Sprintf("o%d", i)
-		want, _ := ix.QueryID(id, 0)
-		got, ok := restored.QueryID(id, 0)
-		if !ok || !linksEqual(got, want) {
-			t.Fatalf("QueryID(%s) after reshard: got %v, want %v", id, got, want)
+	for _, procs := range []int{2, 8} {
+		setProcs(t, procs)
+		restored, err := linkindex.ReadSnapshot(bytes.NewReader(buf.Bytes()), linkindex.RestoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored.Shards() != 3 {
+			t.Fatalf("restored Shards = %d at GOMAXPROCS %d, want the snapshot's 3", restored.Shards(), procs)
+		}
+		if restored.Len() != ix.Len() {
+			t.Fatalf("restored Len = %d, want %d", restored.Len(), ix.Len())
+		}
+		for i := 0; i < 80; i += 9 {
+			id := fmt.Sprintf("o%d", i)
+			want, _ := ix.QueryID(id, 0)
+			got, ok := restored.QueryID(id, 0)
+			if !ok || !linksEqual(got, want) {
+				t.Fatalf("QueryID(%s) after restore: got %v, want %v", id, got, want)
+			}
 		}
 	}
 }
@@ -217,23 +219,7 @@ func TestRestoreRefusesInvalidRule(t *testing.T) {
 			if err != nil || len(snaps) != 1 {
 				t.Fatalf("snapshots = %v, %v; want one", snaps, err)
 			}
-			data, err := os.ReadFile(snaps[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			hdrEnd := bytes.IndexByte(data, '\n')
-			var raw map[string]json.RawMessage
-			if err := json.Unmarshal(data[:hdrEnd], &raw); err != nil {
-				t.Fatal(err)
-			}
-			raw["rule"] = json.RawMessage(c.rule)
-			hdr, err := json.Marshal(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(snaps[0], append(hdr, data[hdrEnd:]...), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			rewriteHeader(t, snaps[0], func(raw map[string]json.RawMessage) { raw["rule"] = json.RawMessage(c.rule) })
 
 			if _, err := linkindex.RestoreFrom(snaps[0], linkindex.RestoreOptions{}); err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("RestoreFrom = %v, want an error containing %q", err, c.wantErr)
@@ -248,6 +234,73 @@ func TestRestoreRefusesInvalidRule(t *testing.T) {
 			if corrupt, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(corrupt) != 0 {
 				t.Errorf("refused recovery quarantined %v", corrupt)
 			}
+		})
+	}
+}
+
+// rewriteHeader rewrites the header of the snapshot file at path through
+// edit, keeping the section values behind it intact.
+func rewriteHeader(t *testing.T, path string, edit func(raw map[string]json.RawMessage)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrEnd := bytes.IndexByte(data, '\n')
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data[:hdrEnd], &raw); err != nil {
+		t.Fatal(err)
+	}
+	edit(raw)
+	hdr, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(hdr, data[hdrEnd:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreRefusesHeaderShardCount pins the header's shard count as a
+// decoding boundary: every writer cuts at least one section per shard,
+// so a count below 1 or above the section count is damage. RestoreFrom
+// refuses it, and recovery quarantines the snapshot and falls back to
+// the older one instead of sizing an index by it.
+func TestRestoreRefusesHeaderShardCount(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		count func(sections int) int
+	}{
+		{"zero", func(int) int { return 0 }},
+		{"sections+1", func(sections int) int { return sections + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, batches, snaps := twoSnapshotDir(t)
+			rewriteHeader(t, snaps[1], func(raw map[string]json.RawMessage) {
+				var sections int
+				if err := json.Unmarshal(raw["sections"], &sections); err != nil {
+					t.Fatal(err)
+				}
+				raw["shards"] = json.RawMessage(fmt.Sprint(tc.count(sections)))
+			})
+			if _, err := linkindex.RestoreFrom(snaps[1], linkindex.RestoreOptions{}); err == nil || !strings.Contains(err.Error(), "shard count") {
+				t.Fatalf("RestoreFrom = %v, want an error naming the shard count", err)
+			}
+			r, stats, err := linkindex.Recover(dir, linkindex.DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if stats.SnapshotSeq != 10 || stats.RecordsReplayed != 8 {
+				t.Fatalf("stats = %+v, want fallback to snapshot 10 replaying 8 records", stats)
+			}
+			if _, err := os.Stat(snaps[1] + ".corrupt"); err != nil {
+				t.Fatalf("refused snapshot not quarantined: %v", err)
+			}
+			if r.Index().Shards() != 2 {
+				t.Fatalf("recovered %d shards, want the older snapshot's 2", r.Index().Shards())
+			}
+			compareIndexes(t, "fallback recovery", r.Index(), referenceIndex(batches, 18, 2))
 		})
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"genlink/internal/linkindex"
 	"genlink/internal/linkrouter"
 	"genlink/internal/linkserver"
 	"genlink/pkg/genlinkapi"
@@ -51,7 +52,7 @@ func routerTestCorpus() []*genlinkapi.Entity {
 // uncapped blocks.
 func newRouterBackend(t *testing.T, shards int) (*httptest.Server, *genlinkapi.Index) {
 	t.Helper()
-	ix := genlinkapi.NewShardedIndex(serveRule(t), shards, genlinkapi.MatchOptions{
+	ix := linkindex.NewSharded(serveRule(t), shards, genlinkapi.MatchOptions{
 		Blocker: genlinkapi.TokenBlocking(), MaxBlockSize: -1,
 	})
 	ts := httptest.NewServer(linkserver.New(linkserver.Config{Index: ix}).Handler())
@@ -103,7 +104,7 @@ func TestRouterDifferentialVsSingleIndex(t *testing.T) {
 	corpus := routerTestCorpus()
 	for _, parts := range []int{2, 3} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-			big := genlinkapi.NewShardedIndex(serveRule(t), 4, genlinkapi.MatchOptions{
+			big := linkindex.NewSharded(serveRule(t), 4, genlinkapi.MatchOptions{
 				Blocker: genlinkapi.TokenBlocking(), MaxBlockSize: -1,
 			})
 			big.Apply(genlinkapi.IndexBatch{Upserts: corpus})
@@ -405,7 +406,7 @@ func TestRouterConcurrent(t *testing.T) {
 // leg to the leader and the fast answer wins — correct links, hedge
 // counters incremented, and latency far under the stall.
 func TestRouterHedgedQuery(t *testing.T) {
-	ix := genlinkapi.NewShardedIndex(serveRule(t), 2, genlinkapi.MatchOptions{
+	ix := linkindex.NewSharded(serveRule(t), 2, genlinkapi.MatchOptions{
 		Blocker: genlinkapi.TokenBlocking(), MaxBlockSize: -1,
 	})
 	ix.Apply(genlinkapi.IndexBatch{Upserts: routerTestCorpus()})

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"genlink/internal/linkindex"
 	"genlink/internal/linkserver"
 	"genlink/pkg/genlinkapi"
 )
@@ -45,7 +46,7 @@ func serveRule(t *testing.T) *genlinkapi.Rule {
 // newTestServer builds an in-memory test server over a sharded index.
 func newTestServer(t *testing.T) (*httptest.Server, *genlinkapi.Index) {
 	t.Helper()
-	ix := genlinkapi.NewShardedIndex(serveRule(t), 4, genlinkapi.MatchOptions{
+	ix := linkindex.NewSharded(serveRule(t), 4, genlinkapi.MatchOptions{
 		Blocker: genlinkapi.MultiPass(),
 	})
 	ts := httptest.NewServer(linkserver.New(linkserver.Config{Index: ix}).Handler())
@@ -106,7 +107,7 @@ func TestStatsNamesCandidateSource(t *testing.T) {
 		{serveRule(t), "blocker " + blocker},
 		{bounded, "rule index (levenshtein ≤ 1, verified)"},
 	} {
-		ix := genlinkapi.NewShardedIndex(tc.r, 2, genlinkapi.MatchOptions{Blocker: genlinkapi.MultiPass()})
+		ix := linkindex.NewSharded(tc.r, 2, genlinkapi.MatchOptions{Blocker: genlinkapi.MultiPass()})
 		if got := ix.Stats().Candidates; got != tc.want || ix.CandidateSource() != tc.want {
 			t.Errorf("rule %s: Stats().Candidates = %q, CandidateSource() = %q, want %q", tc.r, got, ix.CandidateSource(), tc.want)
 		}
@@ -351,7 +352,7 @@ func TestShutdownFlushesSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	opts := genlinkapi.DurableIndexOptions{Fsync: genlinkapi.FsyncBatch, SnapshotEvery: -1}
 	dix, _, err := genlinkapi.OpenDurableIndex(dir, func() (*genlinkapi.Index, error) {
-		return genlinkapi.NewShardedIndex(serveRule(t), 2, genlinkapi.MatchOptions{Blocker: genlinkapi.MultiPass()}), nil
+		return linkindex.NewSharded(serveRule(t), 2, genlinkapi.MatchOptions{Blocker: genlinkapi.MultiPass()}), nil
 	}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +387,7 @@ func TestShutdownFlushesSnapshot(t *testing.T) {
 	if stats.SnapshotSeq != 1 || stats.RecordsReplayed != 0 {
 		t.Fatalf("recovery stats = %+v, want the final snapshot at seq 1 and an empty replay tail", stats)
 	}
-	if reopened.Len() != 1 || reopened.Get("a") == nil {
+	if reopened.Len() != 1 || reopened.Index().Get("a") == nil {
 		t.Fatalf("recovered corpus = %d entities, want the 1 written before shutdown", reopened.Len())
 	}
 }
@@ -399,7 +400,7 @@ func TestShutdownFlushesSnapshot(t *testing.T) {
 // server must answer exactly like the batch matcher on the final corpus
 // (no stale pairs survive).
 func TestServerConcurrentQueriesDuringUpdates(t *testing.T) {
-	ix := genlinkapi.NewShardedIndex(serveRule(t), 4, genlinkapi.MatchOptions{Blocker: genlinkapi.MultiPass()})
+	ix := linkindex.NewSharded(serveRule(t), 4, genlinkapi.MatchOptions{Blocker: genlinkapi.MultiPass()})
 	ts := httptest.NewServer(linkserver.New(linkserver.Config{Index: ix}).Handler())
 	t.Cleanup(ts.Close)
 	c := ts.Client()
@@ -552,7 +553,7 @@ func TestServerConcurrentQueriesDuringUpdates(t *testing.T) {
 func newDurableTestServer(t *testing.T, dir string, opts genlinkapi.DurableIndexOptions) (*httptest.Server, *genlinkapi.DurableIndex) {
 	t.Helper()
 	dix, _, err := genlinkapi.OpenDurableIndex(dir, func() (*genlinkapi.Index, error) {
-		return genlinkapi.NewShardedIndex(serveRule(t), 3, genlinkapi.MatchOptions{
+		return linkindex.NewSharded(serveRule(t), 3, genlinkapi.MatchOptions{
 			Blocker: genlinkapi.MultiPass(),
 		}), nil
 	}, opts)
@@ -781,10 +782,10 @@ func TestBackfillEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Get("bf1") != nil || r.Get("bf3") != nil {
+	if r.Index().Get("bf1") != nil || r.Index().Get("bf3") != nil {
 		t.Fatal("pre-commit crash recovered backfilled entities")
 	}
-	if r.Get("logged1") == nil {
+	if r.Index().Get("logged1") == nil {
 		t.Fatal("pre-commit crash lost the acknowledged logged write")
 	}
 	r.Close()
@@ -817,7 +818,7 @@ func TestBackfillEndpoints(t *testing.T) {
 		t.Fatalf("post-commit recovery replayed %d records, want 0", stats.RecordsReplayed)
 	}
 	for _, id := range []string{"logged1", "bf1", "bf2", "bf3"} {
-		if r2.Get(id) == nil {
+		if r2.Index().Get(id) == nil {
 			t.Fatalf("post-commit recovery lost %s", id)
 		}
 	}
@@ -1009,7 +1010,7 @@ func TestFollowerShutdownOrdering(t *testing.T) {
 		t.Fatalf("restart replayed %d records, want 0 — the final snapshot missed applied state", stats.RecordsReplayed)
 	}
 	for _, id := range []string{"a", "b", "c", "d"} {
-		if restored.Get(id) == nil {
+		if restored.Index().Get(id) == nil {
 			t.Fatalf("restart lost entity %s", id)
 		}
 	}

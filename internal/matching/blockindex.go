@@ -11,9 +11,11 @@ import (
 // BlockIndex is the mutable form of a Blocker: instead of proposing
 // candidate pairs for two fixed sources, it maintains per-entity index
 // structures under writes and answers Candidates for one probe entity
-// at a time. Every Blocker builds one (NewBlockIndex); batch matching
-// bulk-loads B into one and probes it with every A entity, and
-// internal/linkindex keeps one per shard.
+// at a time. Every Blocker builds one (NewBlockIndex). It serves a rule
+// without an edit bound: batch matching bulk-loads B into one and probes
+// it with every A entity, and each shard of internal/linkindex keeps one
+// as its CandidateIndex (a rule with an edit bound gets a RuleIndex
+// there instead).
 //
 // The contract the differential tests pin: for every probe,
 // Candidates(probe, maxBlock) returns exactly the B-side entities the

@@ -23,12 +23,14 @@
 //
 // Each strategy is implemented once, as a BlockIndex (blockindex.go): a
 // mutable index a probe entity's candidates are pushed out of with Each.
-// The matching service (internal/linkindex) keeps one per shard; batch
-// matching loads B into one and probes it with every A entity
-// (stream.go). The one exception is sorted neighborhood, whose batch
-// window runs over the merged A∪B order — a different definition from the
-// index's per-probe window, kept on purpose as the blocking ablation's
-// definition (snStreamer says why).
+// It serves a rule without an edit bound (NewCandidateSource decides):
+// each shard of the matching service (internal/linkindex) keeps one
+// CandidateIndex, a BlockIndex for such a rule and a RuleIndex
+// otherwise, and batch matching loads B into one and probes it with
+// every A entity (stream.go). The one exception is sorted neighborhood,
+// whose batch window runs over the merged A∪B order — a different
+// definition from the index's per-probe window, kept on purpose as the
+// blocking ablation's definition (snStreamer says why).
 //
 // Candidates are scored by one loop, ScoreCandidates (score.go), for
 // every caller: each A entity of Match and MatchParallel, each per-A

@@ -257,9 +257,10 @@ func ExampleNewIndex() {
 }
 
 // ExampleNewShardedIndex scales the online index: the corpus is
-// hash-partitioned over shards that are written and queried
-// independently, writes arrive in batches through Apply, and the whole
-// index snapshots to disk and restores across restarts.
+// hash-partitioned over shards (one per two CPUs) that are written and
+// queried independently, writes arrive in batches through Apply, and the
+// whole index snapshots to disk and restores across restarts into the
+// shard count it was created with.
 func ExampleNewShardedIndex() {
 	ruleJSON := `{
 	  "kind": "comparison", "function": "levenshtein", "threshold": 2,
@@ -275,9 +276,9 @@ func ExampleNewShardedIndex() {
 		panic(err)
 	}
 
-	// Four hash partitions; token blocking is partition-invariant, so
-	// queries answer exactly like a single-shard index.
-	ix := genlinkapi.NewShardedIndex(r, 4, genlinkapi.MatchOptions{
+	// Token blocking is partition-invariant, so queries answer exactly
+	// like a single-shard index whatever the host's shard count.
+	ix := genlinkapi.NewShardedIndex(r, genlinkapi.MatchOptions{
 		Blocker: genlinkapi.TokenBlocking(),
 	})
 
@@ -295,15 +296,16 @@ func ExampleNewShardedIndex() {
 			ent("p3", "Alan Turing"),
 		},
 	})
-	fmt.Printf("applied %d upserts, %d deletes; %d entities in %d shards\n",
-		res.Upserted, res.Deleted, ix.Len(), ix.Stats().Shards)
+	fmt.Printf("applied %d upserts, %d deletes; %d entities\n",
+		res.Upserted, res.Deleted, ix.Len())
 
 	links, _ := ix.QueryID("p1", 3)
 	for _, l := range links {
 		fmt.Printf("%s matches %s (score %.2f)\n", l.AID, l.BID, l.Score)
 	}
 
-	// Persist and restore: the restored index answers identically.
+	// Persist and restore: the restored index keeps the shard count and
+	// answers identically.
 	path := filepath.Join(os.TempDir(), "genlink-example.snap")
 	defer os.Remove(path)
 	if err := ix.SnapshotTo(path); err != nil {
@@ -314,12 +316,12 @@ func ExampleNewShardedIndex() {
 		panic(err)
 	}
 	again, _ := restored.QueryID("p1", 3)
-	fmt.Printf("restored: %d entities, same top match %s (score %.2f)\n",
-		restored.Len(), again[0].BID, again[0].Score)
+	fmt.Printf("restored: %d entities, same shard count %v, same top match %s (score %.2f)\n",
+		restored.Len(), restored.Stats().Shards == ix.Stats().Shards, again[0].BID, again[0].Score)
 	// Output:
-	// applied 3 upserts, 0 deletes; 3 entities in 4 shards
+	// applied 3 upserts, 0 deletes; 3 entities
 	// p1 matches p2 (score 1.00)
-	// restored: 3 entities, same top match p2 (score 1.00)
+	// restored: 3 entities, same shard count true, same top match p2 (score 1.00)
 }
 
 // ExampleOpenDurableIndex makes the index crash-safe: every mutation is
@@ -347,7 +349,7 @@ func ExampleOpenDurableIndex() {
 	defer os.RemoveAll(dir)
 
 	build := func() (*genlinkapi.Index, error) {
-		return genlinkapi.NewShardedIndex(r, 2, genlinkapi.MatchOptions{
+		return genlinkapi.NewShardedIndex(r, genlinkapi.MatchOptions{
 			Blocker: genlinkapi.TokenBlocking(),
 		}), nil
 	}
@@ -388,7 +390,7 @@ func ExampleOpenDurableIndex() {
 	defer d.Close()
 	fmt.Printf("restart recovered: %v (%d log records replayed)\n",
 		stats.Recovered, stats.RecordsReplayed)
-	links, _ := d.QueryID("p1", 3)
+	links, _ := d.Index().QueryID("p1", 3)
 	fmt.Printf("%d entities survive; p1 matches %s (score %.2f)\n",
 		d.Len(), links[0].BID, links[0].Score)
 	// Output:

@@ -136,8 +136,8 @@ type (
 	// IndexApplyResult counts the distinct upserts and deletes an
 	// Index.Apply call performed.
 	IndexApplyResult = linkindex.ApplyResult
-	// IndexRestoreOptions tunes RestoreIndex (shard-count override, the
-	// blocker to use when the snapshot's strategy is not a registry name).
+	// IndexRestoreOptions tunes RestoreIndex: the blocker to use when the
+	// snapshot's strategy is not a registry name.
 	IndexRestoreOptions = linkindex.RestoreOptions
 	// DurableIndex wraps an Index with a segmented write-ahead log and
 	// auto-snapshot compaction — the one persistence mode: every mutation
@@ -147,7 +147,7 @@ type (
 	// after a crash.
 	DurableIndex = linkindex.DurableIndex
 	// DurableIndexOptions tunes the log (fsync policy, segment size), the
-	// records-based auto-snapshot trigger and the recovered index.
+	// records-based auto-snapshot trigger and recovery's custom blocker.
 	DurableIndexOptions = linkindex.DurableOptions
 	// DurableIndexMetrics is a point-in-time summary of the durability
 	// subsystem (log records/segments, snapshot coverage).
@@ -291,25 +291,27 @@ func NewIndex(r *Rule, opts MatchOptions) *Index {
 }
 
 // NewShardedIndex returns an empty incremental matching index whose
-// corpus is hash-partitioned over the given number of shards (≤ 0 means
-// one per two CPUs: max(1, runtime.GOMAXPROCS(0)/2)). Each shard holds
-// its own block structures and scorer behind its own lock: writes to
-// different shards proceed in parallel and never stall queries against
-// the other shards, and queries fan out across shards concurrently,
-// merging per-shard top-k results. A batched write builds its records
-// on every core however many shards there are, so more shards buy write
-// isolation, not write throughput, and cost each query a pass per shard.
-// NewIndex is the single-shard case of the same code path.
+// corpus is hash-partitioned over one shard per two CPUs
+// (max(1, runtime.GOMAXPROCS(0)/2)), decided once: snapshots record the
+// count and every restore, recovery and follower keeps it on any host.
+// Each shard holds its own candidate index and scoring records behind
+// its own lock: writes to different shards proceed in
+// parallel and never stall queries against the other shards, and
+// queries fan out across shards concurrently, merging per-shard top-k
+// results. A batched write builds its records on every core however
+// many shards there are, so more shards buy write isolation, not write
+// throughput, and cost each query a pass per shard. NewIndex is the
+// single-shard case of the same code path.
 //
 // Candidate semantics under sharding: identical to a single-shard Index
-// for token and q-gram blocking without block-size caps; for
-// sorted-neighborhood passes each shard applies the window to its own
-// partition, which yields a superset of the single-shard candidates
-// (recall never drops — a per-shard window of size w contains every
-// in-shard entity of the global window). See the linkindex.ShardedIndex
-// documentation for the full contract.
-func NewShardedIndex(r *Rule, shards int, opts MatchOptions) *Index {
-	return linkindex.NewSharded(r, shards, opts)
+// for a rule index and for token and q-gram blocking without block-size
+// caps; for sorted-neighborhood passes each shard applies the window to
+// its own partition, which yields a superset of the single-shard
+// candidates (recall never drops — a per-shard window of size w contains
+// every in-shard entity of the global window). See the
+// linkindex.ShardedIndex documentation for the full contract.
+func NewShardedIndex(r *Rule, opts MatchOptions) *Index {
+	return linkindex.NewSharded(r, 0, opts)
 }
 
 // RestoreIndex rebuilds an index from a snapshot file written by
@@ -318,7 +320,8 @@ func NewShardedIndex(r *Rule, shards int, opts MatchOptions) *Index {
 // restored index answer exactly like the snapshotted one. There is one
 // snapshot format (version 2); any other version is rejected. To carry a
 // standalone snapshot file into a durable directory, return
-// RestoreIndex(file, …) from OpenDurableIndex's build func.
+// RestoreIndex(file, …) from OpenDurableIndex's build func; to reshard,
+// BulkLoad its Entities into a fresh NewShardedIndex.
 func RestoreIndex(path string, o IndexRestoreOptions) (*Index, error) {
 	return linkindex.RestoreFrom(path, o)
 }

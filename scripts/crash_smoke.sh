@@ -3,10 +3,11 @@
 # server, write entities over HTTP, SIGKILL it mid-flight (no graceful
 # shutdown, no final snapshot), restart it on the same WAL directory and
 # assert the acknowledged state — corpus size and a match answer —
-# survived. The server runs two shards explicitly: the default is one
-# shard per two CPUs, so on a small runner no other smoke script kills a
-# multi-shard process. Run from the repository root; CI runs it on every
-# push.
+# survived. The first boot runs at GOMAXPROCS=4, so the corpus is created
+# with two shards (one per two CPUs) and a multi-shard process is killed
+# even on a small runner; the restart runs at GOMAXPROCS=2, where a fresh
+# index would take one shard, and must keep the two the corpus was
+# created with. Run from the repository root; CI runs it on every push.
 set -euo pipefail
 
 ADDR="${GENLINKD_SMOKE_ADDR:-127.0.0.1:18099}"
@@ -74,7 +75,7 @@ if compgen -G "$WAL_DIR/wal-*.seg" >/dev/null; then
 fi
 
 echo "crash_smoke: first boot"
-"$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch -shards 2 2>"$WORK/server.log" &
+GOMAXPROCS=4 "$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch 2>"$WORK/server.log" &
 PID=$!
 wait_healthy
 
@@ -100,8 +101,8 @@ kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
 
-echo "crash_smoke: restart on the same -wal-dir"
-"$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch -shards 2 2>"$WORK/server.log" &
+echo "crash_smoke: restart on the same -wal-dir at GOMAXPROCS=2"
+GOMAXPROCS=2 "$BIN" -rule "$WORK/rule.json" -addr "$ADDR" -wal-dir "$WAL_DIR" -fsync batch 2>"$WORK/server.log" &
 PID=$!
 wait_healthy
 
@@ -113,7 +114,7 @@ grep -q 'torn tail discarded: false' "$WORK/server.log" ||
 entities=$(curl -fsS "$BASE/stats" | jq -r .entities)
 [ "$entities" = "3" ] || fail "post-crash corpus = $entities, want 3 (a,b,c)"
 shards=$(curl -fsS "$BASE/stats" | jq -r .shards)
-[ "$shards" = "2" ] || fail "post-crash shards = $shards, want 2"
+[ "$shards" = "2" ] || fail "post-crash shards = $shards, want the corpus's 2"
 match=$(curl -fsS "$BASE/match?id=a&k=5" | jq -r '.links[0].id')
 [ "$match" = "b" ] || fail "post-crash match of a = $match, want b"
 code=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/entities/d")
