@@ -56,9 +56,11 @@
 // re-tails from the last applied seq), then streams the leader's WAL
 // records into its own crash-safe log. Replicas serve every read
 // endpoint and reject writes with 403 + the leader's address;
-// GET /metrics reports applied_seq, replica_lag_records and
-// replica_lag_ms. POST /promote flips a replica to a leader: tailing
-// stops, a snapshot is cut at the promote point, writes are accepted.
+// GET /metrics reports applied_seq, replica_lag_records,
+// replica_lag_ms and last_error, the replica's most recent tailing
+// error (say, a refused re-bootstrap). POST /promote flips a replica to
+// a leader: tailing stops, a snapshot is cut at the promote point,
+// writes are accepted.
 // When a replica falls behind the leader's log compaction it re-
 // bootstraps from the leader's snapshot automatically.
 //
@@ -115,9 +117,12 @@
 //	                        wal_records, wal_segments, wal_snapshot_seq,
 //	                        backfill_active, backfilled, role, leader,
 //	                        applied_seq, replica_lag_records,
-//	                        replica_lag_ms
+//	                        replica_lag_ms, last_error (a replica's most
+//	                        recent tailing error; empty on a leader)
 //	GET    /healthz         liveness; ?max_lag=N gates on freshness:
-//	                        503 while replica_lag_records exceeds N
+//	                        503 while replica_lag_records exceeds N; its
+//	                        body carries role, replica_lag_records and
+//	                        last_error
 package main
 
 import (

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"genlink/internal/entity"
 	"genlink/internal/matching"
 )
 
@@ -39,7 +40,7 @@ func TestDurableAutoSnapshotCoversRecordsLoggedDuringWrite(t *testing.T) {
 	logRecords := func(d *DurableIndex, from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
-			if err := d.Add(wireEnt(fmt.Sprintf("e%d", i), fmt.Sprintf("name %d", i))); err != nil {
+			if _, err := d.Apply(Batch{Upserts: []*entity.Entity{wireEnt(fmt.Sprintf("e%d", i), fmt.Sprintf("name %d", i))}}); err != nil {
 				t.Fatal(err)
 			}
 			checkCoverage(t, fmt.Sprintf("after record %d", i+1), d)

@@ -71,7 +71,7 @@ func TestBackfillCrashContract(t *testing.T) {
 	}
 
 	// A logged write during the session keeps its own durability.
-	if err := d.Add(ent("live1", "Grace Hopper", "compilers")); err != nil {
+	if _, err := d.Apply(linkindex.Batch{Upserts: []*entity.Entity{ent("live1", "Grace Hopper", "compilers")}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -10,8 +10,7 @@ import (
 )
 
 // TestCommitRefusals pins the refusals of the durable commit step. After
-// Close every write path — logged, single-op, bulk, shipped and backfill
-// — answers errWALClosed and changes neither the index, the log nor the
+// Close every write path — logged, shipped and backfill — answers errWALClosed and changes neither the index, the log nor the
 // backfill session's pending count, and CommitBackfill cannot close the
 // session it can no longer snapshot. On an open index a shipped record
 // that is not the log's next sequence number is refused before it is
@@ -23,7 +22,7 @@ func TestCommitRefusals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Add(wireEnt("e0", "name 0")); err != nil {
+		if _, err := d.Apply(Batch{Upserts: []*entity.Entity{wireEnt("e0", "name 0")}}); err != nil {
 			t.Fatal(err)
 		}
 		if _, pending, err := d.Backfill(Batch{Upserts: []*entity.Entity{wireEnt("b0", "name b0")}}); err != nil || pending != 1 {
@@ -40,15 +39,6 @@ func TestCommitRefusals(t *testing.T) {
 		}{
 			{"Apply", func() error {
 				_, err := d.Apply(Batch{Upserts: []*entity.Entity{wireEnt("x", "x")}})
-				return err
-			}},
-			{"Add", func() error { return d.Add(wireEnt("x", "x")) }},
-			{"Remove", func() error {
-				_, err := d.Remove("e0")
-				return err
-			}},
-			{"BulkLoad", func() error {
-				_, err := d.BulkLoad([]*entity.Entity{wireEnt("x", "x"), wireEnt("y", "y")})
 				return err
 			}},
 			{"applyReplicated", func() error { return d.applyReplicated(seqBefore+1, payload) }},

@@ -32,15 +32,15 @@ import (
 //     power cut can lose up to one period of acknowledged writes, a
 //     process crash loses nothing the OS had accepted.
 //
-// Every mutation — Apply/Add/Update/Remove/BulkLoad, a follower's shipped
-// record, a Backfill write — goes through one commit step serialized by
-// one mutex, so the log order always equals the apply order: recovery
-// replays the same batches in log order and lands on the same state. A
-// Backfill write is not logged, so recovery does not see it until
-// CommitBackfill. Queries read the underlying index directly
-// and are never blocked by the log. Do not mutate the underlying index
-// behind the wrapper's back (via Index()): those writes would be
-// invisible to the log and silently lost on recovery.
+// Apply is the one write method for callers. Every mutation — an Apply,
+// a follower's shipped record, a Backfill write — goes through one
+// commit step serialized by one mutex, so the log order always equals
+// the apply order: recovery replays the same batches in log order and
+// lands on the same state. A Backfill write is not logged, so recovery
+// does not see it until CommitBackfill. Queries read the underlying
+// index directly and are never blocked by the log. Do not mutate the
+// underlying index behind the wrapper's back (via Index()): those writes
+// would be invisible to the log and silently lost on recovery.
 type DurableIndex struct {
 	dir  string
 	ix   *ShardedIndex
@@ -73,9 +73,6 @@ type DurableOptions struct {
 	// SnapshotEvery auto-snapshots after this many log records
 	// (default 10000; negative disables).
 	SnapshotEvery int
-	// Blocker is used on recovery when the snapshot's blocker name is
-	// not a registry strategy (see RestoreOptions.Blocker).
-	Blocker matching.Blocker
 	// Logf, when set, receives diagnostics from background snapshots
 	// and recovery fallbacks (e.g. log.Printf).
 	Logf func(format string, args ...any)
@@ -175,11 +172,15 @@ func HasDurableState(dir string) bool {
 // state (so recovery always has a rule and a base state, even before the
 // first auto-snapshot) and opens the log. dir must not already hold
 // durable state; use Recover or OpenDurable for that. A rule that fails
-// rule.Validate is refused before dir is touched, since recovery could
-// not read it back.
+// rule.Validate, or a blocker matching.RegistryName cannot name, is
+// refused before dir is touched: recovery rebuilds both from the
+// snapshot alone, so it could not read them back.
 func NewDurable(dir string, ix *ShardedIndex, o DurableOptions) (*DurableIndex, error) {
 	if err := ix.rule.Validate(); err != nil {
 		return nil, fmt.Errorf("linkindex: durable: %w", err)
+	}
+	if matching.RegistryName(ix.opts.Blocker) == "" {
+		return nil, fmt.Errorf("linkindex: durable: blocker %q is not a registry strategy (%v); recovery could not rebuild it", ix.opts.Blocker.Name(), matching.BlockerNames())
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("linkindex: durable: %w", err)
@@ -218,10 +219,11 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 	var rerr error
 	for _, s := range snaps {
 		var restored *ShardedIndex
-		restored, rerr = RestoreFrom(s.path, RestoreOptions{Blocker: o.Blocker})
+		restored, rerr = RestoreFrom(s.path, RestoreOptions{})
 		if errors.Is(rerr, errSnapshotRule) {
-			// Every snapshot of a directory carries the same rule, and its
-			// bytes are intact: leave them for a reader that accepts it.
+			// Every snapshot of a directory carries the same rule and
+			// blocker, and its bytes are intact: leave them for a reader
+			// that accepts them.
 			return nil, stats, fmt.Errorf("linkindex: recover: %s (left in place): %w", s.path, rerr)
 		}
 		if rerr != nil {
@@ -385,29 +387,6 @@ func (d *DurableIndex) autoSnapshot(uncovered uint64) {
 	}()
 }
 
-// Add logs and applies a single upsert (an existing ID is replaced).
-func (d *DurableIndex) Add(e *entity.Entity) error {
-	_, err := d.Apply(Batch{Upserts: []*entity.Entity{e}})
-	return err
-}
-
-// Update is Add: the entity with e.ID is replaced by e.
-func (d *DurableIndex) Update(e *entity.Entity) error { return d.Add(e) }
-
-// Remove logs and applies a delete. It reports whether the entity was
-// present.
-func (d *DurableIndex) Remove(id string) (bool, error) {
-	res, err := d.Apply(Batch{Deletes: []string{id}})
-	return res.Deleted > 0, err
-}
-
-// BulkLoad logs and applies every entity as one batch, returning the
-// number of distinct entities applied.
-func (d *DurableIndex) BulkLoad(entities []*entity.Entity) (int, error) {
-	res, err := d.Apply(Batch{Upserts: entities})
-	return res.Upserted, err
-}
-
 // Snapshot writes a snapshot of the current state into the log
 // directory, rotates the active segment, and compacts: log segments
 // fully covered by the snapshot are deleted, and only the two newest
@@ -499,8 +478,7 @@ func (d *DurableIndex) Close() error {
 
 // Index returns the underlying sharded index for reads (Query, QueryID,
 // Get, Stats, Entities). Mutating it directly bypasses the log — those
-// writes would be lost on recovery; always mutate through the
-// DurableIndex.
+// writes would be lost on recovery; always mutate through Apply.
 func (d *DurableIndex) Index() *ShardedIndex { return d.ix }
 
 // Len delegates to the underlying index.

@@ -116,14 +116,14 @@ func TestDurableApplyCloseRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Add(ent("x1", "Grace Hopper", "compilers")); err != nil {
+	if _, err := d.Apply(linkindex.Batch{Upserts: []*entity.Entity{ent("x1", "Grace Hopper", "compilers")}}); err != nil {
 		t.Fatal(err)
 	}
-	if present, err := d.Remove("x1"); err != nil || !present {
-		t.Fatalf("Remove(x1) = %v, %v; want present", present, err)
+	if res, err := d.Apply(linkindex.Batch{Deletes: []string{"x1"}}); err != nil || res.Deleted != 1 {
+		t.Fatalf("delete x1 = %+v, %v; want it present", res, err)
 	}
-	if present, err := d.Remove("nope"); err != nil || present {
-		t.Fatalf("Remove(nope) = %v, %v; want absent", present, err)
+	if res, err := d.Apply(linkindex.Batch{Deletes: []string{"nope"}}); err != nil || res.Deleted != 0 {
+		t.Fatalf("delete nope = %+v, %v; want it absent", res, err)
 	}
 	m := d.Metrics()
 	if m.WALRecords != 15 { // 12 batches + add + 2 removes... the absent remove still logs
@@ -374,7 +374,7 @@ func TestOpenDurableBuildsOnlyWhenFresh(t *testing.T) {
 	if built != 1 || stats.Recovered {
 		t.Fatalf("fresh open: built=%d recovered=%v, want build once, no recovery", built, stats.Recovered)
 	}
-	if err := d.Add(ent("a", "Grace Hopper", "compilers")); err != nil {
+	if _, err := d.Apply(linkindex.Batch{Upserts: []*entity.Entity{ent("a", "Grace Hopper", "compilers")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -564,7 +564,7 @@ func TestDurableConcurrentMutations(t *testing.T) {
 					return
 				}
 				if i%5 == 0 {
-					if _, err := d.Remove(fmt.Sprintf("p%d", i%20)); err != nil {
+					if _, err := d.Apply(linkindex.Batch{Deletes: []string{fmt.Sprintf("p%d", i%20)}}); err != nil {
 						t.Errorf("writer %d remove: %v", w, err)
 						return
 					}

@@ -11,14 +11,15 @@ import (
 )
 
 // ReadSnapshot is readSnapshot, for the external tests' in-memory round
-// trips.
-var ReadSnapshot = readSnapshot
+// trips. It takes RestoreOptions as RestoreFrom does.
+func ReadSnapshot(r io.Reader, _ RestoreOptions) (*ShardedIndex, error) { return readSnapshot(r) }
 
 // RecordChunk is recordChunk, so a test can size a batch to build its
 // records in several chunks.
 const RecordChunk = recordChunk
 
-// WriteSnapshot writes the snapshot SnapshotTo would write to w.
+// WriteSnapshot writes to w the snapshot DurableIndex.Snapshot would
+// write of the index.
 func (ix *ShardedIndex) WriteSnapshot(w io.Writer) error {
 	return ix.buildSnapshot().encode(w)
 }

@@ -37,20 +37,25 @@
 //     code path (the original single-mutex monolith is retired). See the
 //     ShardedIndex documentation for the sharded candidate semantics —
 //     identical to single-shard for partition-invariant strategies, a
-//     recall-preserving superset for sorted-neighborhood windows and
-//     capped blocks — and the per-shard isolation contract.
-//   - Snapshot persistence: SnapshotTo writes a versioned snapshot of the
-//     corpus, rule, options and shard count to disk; RestoreFrom
-//     rebuilds the block structures from it in that shard count, so a
-//     service restart does not lose the index or move its answers.
+//     recall-preserving superset for sorted-neighborhood windows, and
+//     per-shard block caps that admit blocks a single shard suppresses —
+//     and the per-shard isolation contract.
 //   - Durability: DurableIndex wraps a ShardedIndex with a segmented,
-//     CRC-checked write-ahead log — every mutation is logged before it is
+//     CRC-checked write-ahead log — every Apply is logged before it is
 //     applied (fsync per batch or interval group-commit), snapshots are
 //     taken automatically on policy, and the log segments a snapshot
 //     covers are compacted away. Recover loads the newest
 //     valid snapshot and replays the log tail, stopping cleanly at a
 //     torn final record, so a crash loses at most the unacknowledged
 //     write in flight.
+//   - Snapshots: a durable directory is the one writer of snapshot files
+//     (NewDurable's genesis snapshot, DurableIndex.Snapshot, a follower's
+//     verbatim copy of its leader's). A snapshot records the corpus, rule,
+//     options and shard count, and RestoreFrom, Recover and a follower
+//     rebuild the index from it alone, so a restart does not lose the
+//     index or move its answers. NewDurable refuses what no reader could
+//     rebuild: a rule that fails rule.Validate, or a blocker with no
+//     registry name.
 //
 // cmd/genlinkd serves a ShardedIndex over HTTP; pkg/genlinkapi re-exports
 // the package as NewIndex/NewShardedIndex/RestoreIndex/OpenDurableIndex.

@@ -322,7 +322,7 @@ func writeSnapshotBytes(path string, data []byte) error {
 // but never built into an index of its own, so a snapshot of another
 // shard count, whose answers would differ, is refused.
 func (d *DurableIndex) resetToSnapshot(data []byte, seq uint64) error {
-	snap, err := decodeSnapshot(bytes.NewReader(data), RestoreOptions{Blocker: d.opts.Blocker})
+	snap, err := decodeSnapshot(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}

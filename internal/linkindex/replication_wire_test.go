@@ -180,7 +180,7 @@ func TestWALStreamPoisonedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"e0", "e1"} {
-		if err := d.Add(wireEnt(id, "name "+id)); err != nil {
+		if _, err := d.Apply(Batch{Upserts: []*entity.Entity{wireEnt(id, "name "+id)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestWALStreamPoisonedLog(t *testing.T) {
 	}
 
 	fail.Store(true)
-	if err := d.Add(wireEnt("e2", "name e2")); err == nil {
+	if _, err := d.Apply(Batch{Upserts: []*entity.Entity{wireEnt("e2", "name e2")}}); err == nil {
 		t.Fatal("an append whose fsync failed was acknowledged")
 	}
 	for {

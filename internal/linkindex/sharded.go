@@ -40,15 +40,19 @@ import (
 //     its shard's list: the per-shard windows are a superset of the
 //     global window's in-shard pairs. Recall never drops; up to
 //     2·w·(N−1) extra candidates may appear.
-//   - Block-size caps (stop-token suppression): caps apply per shard. An
-//     explicit cap M becomes ⌈M/N⌉ per shard and a derived cap derives
-//     from the partition size, because a stop token over-represented in
-//     the corpus is over-represented in every ~1/N partition — applying
-//     the global cap per shard would let every stop block slip under it
-//     and multiply query cost by N. Under hash imbalance a capped
-//     sharded index may therefore keep or skip a borderline block
-//     differently than a single-shard index; suppression strength is
-//     preserved, membership of borderline blocks is not guaranteed.
+//   - Block-size caps (stop-token suppression) apply per shard. An
+//     explicit cap M becomes ⌈M/N⌉ per shard. A derived cap (zero
+//     MaxBlockSize) is matching.DefaultMaxBlockSize of the shard's own
+//     partition, n_s/20 + 50: its n/20 part divides across the shards,
+//     its +50 floor does not, so N shards together admit key blocks of
+//     up to about n/20 + 50·N entities where one shard stops at
+//     n/20 + 50. A sharded index therefore scores blocks a single-shard
+//     index suppresses, and answers differ: over 400 Cora entities under
+//     a max of three comparisons, 114 (multipass), 146 (token) and 161
+//     (q-gram) of 400 QueryID answers differ between 1 and 3 shards, and
+//     none with MaxBlockSize -1. That is one reason a corpus keeps the
+//     shard count it was created with; ROADMAP item 26 plans to remove
+//     the served cap.
 //
 // TestDifferentialShardedVsSingleShard pins the union-of-independent-
 // partitions contract exactly (per-partition batch blocking as ground
@@ -448,7 +452,8 @@ func (ix *ShardedIndex) Stats() Stats {
 // shard: a key over-represented in the corpus is over-represented in
 // each ~1/N partition (see ShardedIndex). 0 derives the cap as
 // matching.Options.normalize does, from the shard's partition minus the
-// probe's own record. Negative is uncapped. A rule index caps nothing.
+// probe's own record, so its +50 floor is per shard. Negative is
+// uncapped. A rule index caps nothing.
 func (ix *ShardedIndex) maxBlock(sh *shard, probe *entity.Entity) int {
 	switch m := ix.opts.MaxBlockSize; {
 	case m > 0:

@@ -15,7 +15,7 @@ import (
 	"genlink/internal/rule"
 )
 
-// SnapshotVersion is the one format version SnapshotTo emits and
+// SnapshotVersion is the one format version a durable index writes and
 // RestoreFrom accepts; any other version is rejected instead of guessed
 // at.
 //
@@ -41,11 +41,12 @@ const SnapshotVersion = 2
 const maxSnapshotSections = 1 << 20
 
 // errSnapshotRule marks a snapshot refused for its rule (null, or failing
-// rule.Validate) rather than for damaged bytes. The writers check the
-// same rule before they write (SnapshotTo, NewDurable), so such a
-// snapshot comes from a writer with a looser check; recovery leaves it in
-// place instead of quarantining it as corrupt.
-var errSnapshotRule = errors.New("snapshot rule refused")
+// rule.Validate) or for a blocker no registry name resolves, rather than
+// for damaged bytes. NewDurable checks both before it writes, so such a
+// snapshot comes from a writer with a looser check; recovery and a
+// follower's bootstrap leave it in place instead of quarantining it as
+// corrupt.
+var errSnapshotRule = errors.New("snapshot refused")
 
 // snapshotHeader is the first JSON value of a snapshot; the corpus
 // follows in Sections section values.
@@ -132,22 +133,6 @@ func (snap *snapshotCapture) encode(w io.Writer) error {
 	return nil
 }
 
-// SnapshotTo writes a versioned snapshot of the index — corpus, rule,
-// and options — to path as newline-separated JSON values (see
-// SnapshotVersion for the layout). The blocker is recorded by its
-// registry name (matching.RegistryName); an index over a custom,
-// non-registry blocker still snapshots, but restoring it requires
-// RestoreOptions.Blocker. The snapshot is written to a temporary file in
-// the same directory and renamed into place, so a crash mid-write never
-// truncates the previous snapshot. A rule that fails rule.Validate is
-// refused before anything is written: no reader would accept it.
-func (ix *ShardedIndex) SnapshotTo(path string) error {
-	if err := ix.rule.Validate(); err != nil {
-		return fmt.Errorf("linkindex: snapshot: %w", err)
-	}
-	return writeSnapshotFile(path, ix.buildSnapshot().encode)
-}
-
 // snapshotWriteHook, when a test sets it, runs before writeSnapshotFile
 // touches the disk — tests block in it to hold a snapshot write open
 // while more records are logged.
@@ -192,21 +177,19 @@ func writeSnapshotFile(path string, encode func(io.Writer) error) error {
 	return nil
 }
 
-// RestoreOptions tunes snapshot restoration; the shard count is the header's.
-type RestoreOptions struct {
-	// Blocker is used when the snapshot's blocker name does not resolve
-	// through matching.BlockerByName (a custom strategy). When the
-	// snapshot's name resolves, the snapshot wins: restoring with a
-	// different blocker would silently change candidate semantics.
-	Blocker matching.Blocker
-}
+// RestoreOptions has no fields: a snapshot restores from its own header
+// alone (shard count, blocker, threshold, cap and rule). The type stays
+// only because the benchmark rig (benchmark/layers.go) calls
+// RestoreFrom(path, RestoreOptions{}), and the rig is kept unchanged so
+// its runs stay comparable across commits.
+type RestoreOptions struct{}
 
 // readSnapshot rebuilds an index from a snapshot: the snapshot is
 // decoded and checked (decodeSnapshot), the rule recompiled, the options
 // and shard count reconstructed, and the block structures and scoring
 // records rebuilt by installing the corpus sections in parallel.
-func readSnapshot(r io.Reader, o RestoreOptions) (*ShardedIndex, error) {
-	snap, err := decodeSnapshot(r, o)
+func readSnapshot(r io.Reader) (*ShardedIndex, error) {
+	snap, err := decodeSnapshot(r)
 	if err != nil {
 		return nil, err
 	}
@@ -236,11 +219,12 @@ type decodedSnapshot struct {
 
 // decodeSnapshot reads and checks a snapshot without building an index:
 // the version, the rule (present, and valid — rule.ParseJSON runs
-// rule.Validate), the blocker's resolution (the registry name, else
-// o.Blocker), the section and shard counts and every entity's ID.
-// readSnapshot installs the result; a follower re-bootstrapping from a
-// leader snapshot diff-applies it into its live index instead.
-func decodeSnapshot(r io.Reader, o RestoreOptions) (*decodedSnapshot, error) {
+// rule.Validate), the blocker's registry name, the section and shard
+// counts and every entity's ID. A rule or blocker it cannot rebuild is
+// an errSnapshotRule refusal. readSnapshot installs the result; a
+// follower re-bootstrapping from a leader snapshot diff-applies it into
+// its live index instead.
+func decodeSnapshot(r io.Reader) (*decodedSnapshot, error) {
 	dec := json.NewDecoder(r)
 	// The rule is held raw until the version is checked, so a rule error
 	// (errSnapshotRule) is told apart from a header that does not decode.
@@ -262,10 +246,7 @@ func decodeSnapshot(r io.Reader, o RestoreOptions) (*decodedSnapshot, error) {
 	hdr.Rule = rl
 	bl := matching.BlockerByName(hdr.Blocker)
 	if bl == nil {
-		bl = o.Blocker
-	}
-	if bl == nil {
-		return nil, fmt.Errorf("linkindex: restore: blocker %q is not a registry strategy; supply RestoreOptions.Blocker", hdr.Blocker)
+		return nil, fmt.Errorf("linkindex: restore: %w: blocker %q is not a registry strategy", errSnapshotRule, hdr.Blocker)
 	}
 	if hdr.Sections < 0 || hdr.Sections > maxSnapshotSections {
 		return nil, fmt.Errorf("linkindex: restore: snapshot section count %d out of range", hdr.Sections)
@@ -317,13 +298,15 @@ func validateSnapshotEntities(ents []*entity.Entity) error {
 	return nil
 }
 
-// RestoreFrom rebuilds an index from a snapshot file written by
-// SnapshotTo.
-func RestoreFrom(path string, o RestoreOptions) (*ShardedIndex, error) {
+// RestoreFrom rebuilds an index from a snapshot file a durable index
+// wrote (NewDurable's genesis snapshot, DurableIndex.Snapshot, or a
+// follower's copy of its leader's), in the header's shard count and
+// blocker.
+func RestoreFrom(path string, _ RestoreOptions) (*ShardedIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("linkindex: restore: %w", err)
 	}
 	defer f.Close()
-	return readSnapshot(f, o)
+	return readSnapshot(f)
 }

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"genlink/internal/datagen"
+	"genlink/internal/entity"
 	"genlink/internal/linkindex"
 	"genlink/internal/matching"
 	"genlink/internal/rule"
@@ -20,7 +23,8 @@ import (
 
 // TestSnapshotRoundTripCora is the acceptance round-trip on the paper's
 // hardest dataset: bulk-load Cora's B source into a 4-shard multipass
-// index, snapshot to disk, restore, and require identical Stats and
+// index, snapshot it to disk through a durable directory's genesis
+// snapshot, restore that file, and require identical Stats and
 // identical top-k answers for probes drawn from Cora's A source — the
 // "save → restart → restore" contract of the persistence subsystem.
 func TestSnapshotRoundTripCora(t *testing.T) {
@@ -29,11 +33,15 @@ func TestSnapshotRoundTripCora(t *testing.T) {
 	ix := linkindex.NewSharded(r, 4, matching.Options{Blocker: matching.MultiPass()})
 	ix.BulkLoad(ds.B.Entities)
 
-	path := filepath.Join(t.TempDir(), "cora.snap")
-	if err := ix.SnapshotTo(path); err != nil {
+	dir := t.TempDir()
+	d, err := linkindex.NewDurable(dir, ix, linkindex.DurableOptions{SnapshotEvery: -1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := linkindex.RestoreFrom(path, linkindex.RestoreOptions{})
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := linkindex.RestoreFrom(filepath.Join(dir, "snapshot-0000000000000000.snap"), linkindex.RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,49 +151,48 @@ func TestSnapshotV1Rejected(t *testing.T) {
 }
 
 // TestSnapshotVersionAndBlockerErrors pins the failure modes: a future
-// format version is rejected rather than misread, and a snapshot of a
-// non-registry blocker restores only when RestoreOptions.Blocker names
-// the strategy to rebuild with.
+// format version is rejected rather than misread, and a snapshot whose
+// blocker no registry name resolves (SortedNeighborhood(4) records "")
+// is refused with an error naming the blocker: a restore reads the
+// snapshot alone, and nothing else says how to rebuild its candidates.
 func TestSnapshotVersionAndBlockerErrors(t *testing.T) {
 	r := diffRule()
-	ix := linkindex.NewSharded(r, 2, matching.Options{Blocker: matching.SortedNeighborhood(4)})
 	rng := rand.New(rand.NewSource(4))
+	var ents []*entity.Entity
 	for i := 0; i < 10; i++ {
-		ix.Add(diffEntity(rng, fmt.Sprintf("v%d", i)))
+		ents = append(ents, diffEntity(rng, fmt.Sprintf("v%d", i)))
 	}
-	var buf bytes.Buffer
-	if err := ix.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	snapshot := func(bl matching.Blocker) []byte {
+		ix := linkindex.NewSharded(r, 2, matching.Options{Blocker: bl})
+		ix.Apply(linkindex.Batch{Upserts: ents})
+		var buf bytes.Buffer
+		if err := ix.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
 
-	// SortedNeighborhood(4) is not a registry default: restoring without
-	// an explicit blocker must fail loudly, with one succeed.
-	if _, err := linkindex.ReadSnapshot(bytes.NewReader(buf.Bytes()), linkindex.RestoreOptions{}); err == nil {
-		t.Fatal("restore of non-registry blocker without RestoreOptions.Blocker succeeded")
-	}
-	restored, err := linkindex.ReadSnapshot(bytes.NewReader(buf.Bytes()), linkindex.RestoreOptions{Blocker: matching.SortedNeighborhood(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != ix.Len() {
-		t.Fatalf("restored Len = %d, want %d", restored.Len(), ix.Len())
+	custom := snapshot(matching.SortedNeighborhood(4))
+	if _, err := linkindex.ReadSnapshot(bytes.NewReader(custom), linkindex.RestoreOptions{}); err == nil || !strings.Contains(err.Error(), `blocker "" is not a registry strategy`) {
+		t.Fatalf("restore of a non-registry blocker = %v, want an error naming the blocker", err)
 	}
 
 	// Version bump: reject. A v2 snapshot is newline-separated JSON
 	// values with the header first; mangle only the header line and keep
 	// the section values behind it intact.
-	hdrEnd := bytes.IndexByte(buf.Bytes(), '\n')
+	snap := snapshot(matching.TokenBlocking())
+	hdrEnd := bytes.IndexByte(snap, '\n')
 	if hdrEnd < 0 {
 		t.Fatal("snapshot has no header line")
 	}
 	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes()[:hdrEnd], &raw); err != nil {
+	if err := json.Unmarshal(snap[:hdrEnd], &raw); err != nil {
 		t.Fatal(err)
 	}
 	raw["version"] = json.RawMessage("999")
 	mangledHdr, _ := json.Marshal(raw)
-	mangled := append(append(mangledHdr, '\n'), buf.Bytes()[hdrEnd+1:]...)
-	if _, err := linkindex.ReadSnapshot(bytes.NewReader(mangled), linkindex.RestoreOptions{Blocker: matching.TokenBlocking()}); err == nil || !strings.Contains(err.Error(), "version") {
+	mangled := append(append(mangledHdr, '\n'), snap[hdrEnd+1:]...)
+	if _, err := linkindex.ReadSnapshot(bytes.NewReader(mangled), linkindex.RestoreOptions{}); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future-version restore error = %v, want version rejection", err)
 	}
 }
@@ -307,8 +314,8 @@ func TestRestoreRefusesHeaderShardCount(t *testing.T) {
 
 // TestWritersRefuseInvalidRule pins the write side of the same boundary:
 // an in-code rule that fails rule.Validate (here a negative weight,
-// which in-memory scoring accepts) is refused by NewDurable, OpenDurable
-// and SnapshotTo before they write anything, so no snapshot is written
+// which in-memory scoring accepts) is refused by NewDurable and
+// OpenDurable before they write anything, so no snapshot is written
 // that recovery or a follower would refuse.
 func TestWritersRefuseInvalidRule(t *testing.T) {
 	neg, _ := negativeWeightRules()
@@ -334,10 +341,131 @@ func TestWritersRefuseInvalidRule(t *testing.T) {
 		t.Errorf("OpenDurable = %v, want an error containing %q", err, want)
 	}
 	assertEmpty(dir)
+}
 
-	dir = t.TempDir()
-	if err := ix.SnapshotTo(filepath.Join(dir, "ix.snap")); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("SnapshotTo = %v, want an error containing %q", err, want)
+// TestWritersRefuseCustomBlocker pins the blocker half of the write-side
+// boundary: an index whose blocker matching.RegistryName cannot name is
+// refused by NewDurable and OpenDurable with an error naming it, before
+// they create anything, because recovery rebuilds the blocker from the
+// snapshot's name alone. A default window over a custom sort key is one:
+// recovery would rebuild the default key, and on 400 Cora entities 329
+// stored-ID answers moved when NewDurable accepted it.
+func TestWritersRefuseCustomBlocker(t *testing.T) {
+	for _, bl := range []matching.Blocker{
+		matching.SortedNeighborhood(4),
+		matching.SortedNeighborhoodBlocker{Key: matching.ReversedKey(matching.DefaultSortKey)},
+		matching.MultiPass(matching.TokenBlocking(), matching.SortedNeighborhoodBlocker{Key: matching.ReversedKey(matching.DefaultSortKey)}, matching.QGramBlocking(0)),
+	} {
+		t.Run(bl.Name(), func(t *testing.T) {
+			ix := linkindex.NewSharded(diffRule(), 1, matching.Options{Blocker: bl})
+			ix.Apply(linkindex.Batch{Upserts: sectionPerShardCorpus()})
+			want := fmt.Sprintf("blocker %q is not a registry strategy", bl.Name())
+
+			dir := filepath.Join(t.TempDir(), "new")
+			if _, err := linkindex.NewDurable(dir, ix, linkindex.DurableOptions{SnapshotEvery: -1}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("NewDurable = %v, want an error containing %q", err, want)
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("refused NewDurable created %s (%v)", dir, err)
+			}
+
+			dir = t.TempDir()
+			build := func() (*linkindex.ShardedIndex, error) { return ix, nil }
+			if _, _, err := linkindex.OpenDurable(dir, build, linkindex.DurableOptions{SnapshotEvery: -1}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("OpenDurable = %v, want an error containing %q", err, want)
+			}
+			if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+				t.Errorf("%s holds %d entries after a refused OpenDurable (%v), want none", dir, len(ents), err)
+			}
+		})
 	}
-	assertEmpty(dir)
+}
+
+// TestUnresolvedBlockerSnapshotLeftInPlace pins the read side of the same
+// boundary on the bytes older writers left: testdata/custom_blocker.snap
+// is the genesis snapshot NewDurable wrote over a SortedNeighborhood(4)
+// index of sectionPerShardCorpus before it refused such an index, so its
+// header names blocker "". RestoreFrom, Recover and a follower's
+// bootstrap refuse it with an error naming the blocker, and leave every
+// snapshot file byte for byte where it was: the file is intact, so it is
+// never quarantined as corrupt, and a later reader may still accept it.
+func TestUnresolvedBlockerSnapshotLeftInPlace(t *testing.T) {
+	const want = `blocker "" is not a registry strategy`
+	fixture, err := os.ReadFile("testdata/custom_blocker.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// assertKept checks each snapshot file still holds its bytes and that
+	// nothing in dir was quarantined.
+	assertKept := func(dir string, files map[string][]byte) {
+		t.Helper()
+		for path, data := range files {
+			got, err := os.ReadFile(path)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Errorf("%s after the refusal: %d bytes, %v; want it unchanged", path, len(got), err)
+			}
+		}
+		if corrupt, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(corrupt) != 0 {
+			t.Errorf("the refusal quarantined %v", corrupt)
+		}
+	}
+
+	t.Run("RestoreFrom", func(t *testing.T) {
+		if _, err := linkindex.RestoreFrom("testdata/custom_blocker.snap", linkindex.RestoreOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("RestoreFrom = %v, want an error containing %q", err, want)
+		}
+		assertKept("testdata", map[string][]byte{"testdata/custom_blocker.snap": fixture})
+	})
+
+	t.Run("Recover", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "snapshot-0000000000000000.snap")
+		if err := os.WriteFile(path, fixture, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// A retry answers the same: the first refusal moved nothing.
+		for range 2 {
+			if _, _, err := linkindex.Recover(dir, linkindex.DurableOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Recover = %v, want an error containing %q", err, want)
+			}
+			assertKept(dir, map[string][]byte{path: fixture})
+		}
+	})
+
+	t.Run("Recover two snapshots", func(t *testing.T) {
+		dir, _, snaps := twoSnapshotDir(t)
+		files := map[string][]byte{}
+		for _, path := range snaps {
+			rewriteHeader(t, path, func(raw map[string]json.RawMessage) { delete(raw, "blocker") })
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[path] = data
+		}
+		if _, _, err := linkindex.Recover(dir, linkindex.DurableOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Recover = %v, want an error containing %q", err, want)
+		}
+		assertKept(dir, files)
+	})
+
+	t.Run("follower bootstrap", func(t *testing.T) {
+		leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/wal/snapshot" {
+				http.NotFound(w, r)
+				return
+			}
+			w.Header().Set("X-Snapshot-Seq", "0")
+			_, _ = w.Write(fixture)
+		}))
+		defer leader.Close()
+		dir := t.TempDir()
+		if fol, err := linkindex.OpenFollower(followerOpts(leader.URL, dir)); err == nil || !strings.Contains(err.Error(), want) {
+			if err == nil {
+				fol.Stop()
+			}
+			t.Fatalf("OpenFollower = %v, want an error containing %q", err, want)
+		}
+		assertKept(dir, map[string][]byte{filepath.Join(dir, "snapshot-0000000000000000.snap"): fixture})
+	})
 }

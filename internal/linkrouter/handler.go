@@ -435,6 +435,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 				"healthy":             st.healthy,
 				"applied_seq":         st.appliedSeq,
 				"replica_lag_records": st.lag,
+				"last_error":          st.lastErr,
 			}
 		}
 		groups[gi] = map[string]any{"leader": g.leader, "nodes": nodes}

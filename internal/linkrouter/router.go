@@ -41,7 +41,8 @@
 // (role, applied_seq, replica_lag_records); a node that stops answering
 // is excluded from reads until it answers again. The router itself
 // serves GET /metrics with per-partition latency buckets, hedge and
-// retarget counters and the replica-read ratio.
+// retarget counters, the replica-read ratio and each node's polled
+// standing, its last_error included.
 package linkrouter
 
 import (
@@ -103,6 +104,7 @@ type nodeState struct {
 	role       string
 	lag        uint64
 	appliedSeq uint64
+	lastErr    string // the node's polled last_error
 	healthy    bool
 }
 
@@ -408,7 +410,7 @@ func (rt *Router) pollNode(addr string) (nodeState, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nodeState{}, err
 	}
-	return nodeState{role: m.Role, lag: m.ReplicaLagRecords, appliedSeq: m.AppliedSeq, healthy: true}, nil
+	return nodeState{role: m.Role, lag: m.ReplicaLagRecords, appliedSeq: m.AppliedSeq, lastErr: m.LastError, healthy: true}, nil
 }
 
 // do issues one proxied request with the router's per-leg deadline and

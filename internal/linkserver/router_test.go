@@ -568,3 +568,91 @@ func TestHealthzMaxLag(t *testing.T) {
 		t.Fatalf("plain healthz on a lagging follower = %d, want 200 (pure liveness)", code)
 	}
 }
+
+// TestFollowerLastErrorServed pins that a follower's tailing error is
+// served, not only logged: a 1-shard follower whose leader was
+// re-created with 3 shards refuses to re-bootstrap from it, and the
+// refusal shows as last_error on the follower's own GET /metrics and
+// GET /healthz?max_lag= and in the router's polled view of the node. A
+// leader reports the key empty.
+func TestFollowerLastErrorServed(t *testing.T) {
+	durableServer := func(shards int) *httptest.Server {
+		dix, err := linkindex.NewDurable(t.TempDir(), linkindex.NewSharded(serveRule(t), shards, genlinkapi.MatchOptions{
+			Blocker: genlinkapi.MultiPass(),
+		}), genlinkapi.DurableIndexOptions{SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dix.Close() })
+		ts := httptest.NewServer(linkserver.New(linkserver.Config{Index: dix.Index(), Durable: dix}).Handler())
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	write := func(ts *httptest.Server, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if code := doJSON(t, ts.Client(), "POST", ts.URL+"/entities", entityJSON(fmt.Sprintf("e%d", i), "Grace Hopper", "compilers"), nil); code != 200 {
+				t.Fatalf("write %d = %d", i, code)
+			}
+		}
+	}
+
+	old := durableServer(1)
+	write(old, 0, 3)
+	dir := t.TempDir()
+	ft, fol, _ := newFollowerTestServer(t, old.URL, dir)
+	waitFollowerApplied(t, fol, 3)
+	fol.Stop()
+	ft.Close()
+	if err := fol.Durable().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The corpus re-created in 3 shards, its early log compacted away, so
+	// the follower's next record is gone and it has to re-bootstrap.
+	leader := durableServer(3)
+	for _, to := range []int{10, 20} {
+		write(leader, to-10, to)
+		if code := doJSON(t, leader.Client(), "POST", leader.URL+"/snapshot", nil, nil); code != 200 {
+			t.Fatalf("snapshot = %d", code)
+		}
+	}
+	ft, fol, _ = newFollowerTestServer(t, leader.URL, dir)
+	t.Cleanup(fol.Stop)
+
+	const want = "leader snapshot has 3 shards, this follower 1"
+	var m struct {
+		LastError string `json:"last_error"`
+	}
+	for deadline := time.Now().Add(20 * time.Second); !strings.Contains(m.LastError, want); {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower /metrics last_error = %q, want it to contain %q", m.LastError, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+		doJSON(t, ft.Client(), "GET", ft.URL+"/metrics", nil, &m)
+	}
+	m.LastError = ""
+	doJSON(t, ft.Client(), "GET", ft.URL+"/healthz?max_lag=1000", nil, &m)
+	if !strings.Contains(m.LastError, want) {
+		t.Errorf("follower /healthz?max_lag last_error = %q, want it to contain %q", m.LastError, want)
+	}
+
+	rts, _ := newTestRouter(t, linkrouter.Options{
+		Groups: [][]string{{leader.URL, ft.URL}}, DefaultK: 10, PollInterval: 25 * time.Millisecond,
+	})
+	var rm struct {
+		Groups []struct {
+			Nodes map[string]map[string]any `json:"nodes"`
+		} `json:"groups"`
+	}
+	if code := doJSON(t, rts.Client(), "GET", rts.URL+"/metrics", nil, &rm); code != 200 || len(rm.Groups) != 1 {
+		t.Fatalf("router /metrics = %d, %+v", code, rm)
+	}
+	nodes := rm.Groups[0].Nodes
+	if got, _ := nodes[ft.URL]["last_error"].(string); !strings.Contains(got, want) {
+		t.Errorf("router's view of the follower: last_error %q, want it to contain %q", got, want)
+	}
+	if got, ok := nodes[leader.URL]["last_error"].(string); !ok || got != "" {
+		t.Errorf("router's view of the leader: last_error %v, want present and empty", nodes[leader.URL]["last_error"])
+	}
+}

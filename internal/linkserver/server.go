@@ -165,7 +165,9 @@ func (s *Server) Handler() http.Handler {
 // exceeds N, so a router or load balancer can stop sending reads to a
 // replica that has fallen behind. Leaders (and promoted replicas) have
 // zero lag by definition and always pass the gate; without max_lag the
-// endpoint is plain liveness.
+// endpoint is plain liveness. The gated body also carries a follower's
+// last_error (empty on a leader), so a replica stuck retrying, say a
+// refused re-bootstrap, says why.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.Query().Get("max_lag")
 	if raw == "" {
@@ -177,16 +179,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid max_lag %q (want a non-negative integer)", raw))
 		return
 	}
-	role, lag := "leader", uint64(0)
+	role, lag, lastErr := "leader", uint64(0), ""
 	if s.fol != nil {
 		st := s.fol.Status()
-		role, lag = st.Role, st.LagRecords
+		role, lag, lastErr = st.Role, st.LagRecords, st.LastError
 	}
 	out := map[string]any{
 		"status":              "ok",
 		"role":                role,
 		"replica_lag_records": lag,
 		"max_lag":             maxLag,
+		"last_error":          lastErr,
 	}
 	if lag > maxLag {
 		out["status"] = "lagging"
@@ -482,12 +485,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		out.BackfillActive = s.dix.Backfilling()
 	}
 	// Replication gauges, same always-present convention: a non-replica
-	// reports role "leader", its own applied seq and zero lag.
+	// reports role "leader", its own applied seq, zero lag and no error.
 	out.Role, out.AppliedSeq = "leader", out.WALRecords
 	if s.fol != nil {
 		rs := s.fol.Status()
 		out.Role, out.Leader, out.AppliedSeq = rs.Role, rs.Leader, rs.AppliedSeq
-		out.ReplicaLagRecords, out.ReplicaLagMs = rs.LagRecords, rs.LagMs
+		out.ReplicaLagRecords, out.ReplicaLagMs, out.LastError = rs.LagRecords, rs.LagMs, rs.LastError
 	}
 	WriteJSON(w, http.StatusOK, out)
 }

@@ -60,7 +60,8 @@ type ErrorBody struct {
 
 // NodeMetrics is the body of a node's GET /metrics: monotonic counters
 // plus point-in-time gauges. Every key is always present — zero without
-// -wal-dir; role "leader" and zero lag on a non-replica — so dashboards
+// -wal-dir; role "leader", zero lag and an empty last_error on a
+// non-replica — so dashboards
 // and the router's membership poll can rely on them. Fields are in the
 // byte order of their keys, the order the endpoint has always emitted.
 type NodeMetrics struct {
@@ -70,6 +71,7 @@ type NodeMetrics struct {
 	Deletes             int64            `json:"deletes"`
 	Entities            int              `json:"entities"`
 	Keys                int              `json:"keys"`
+	LastError           string           `json:"last_error"` // a follower's most recent tailing error, "" once it tails again
 	LastRecoveryMs      float64          `json:"last_recovery_ms"`
 	Leader              string           `json:"leader"` // upstream address while Role is "follower"
 	Queries             int64            `json:"queries"`

@@ -78,8 +78,8 @@ func TestNodeMetricsKeyOrder(t *testing.T) {
 	if got := bytes.TrimSpace(raw); !bytes.Equal(got, sorted) {
 		t.Fatalf("GET /metrics is not in sorted-key order:\n got %s\nwant %s", got, sorted)
 	}
-	if len(asMap) != 21 {
-		t.Fatalf("GET /metrics has %d keys, want the 21 of NodeMetrics: %s", len(asMap), sorted)
+	if len(asMap) != 22 {
+		t.Fatalf("GET /metrics has %d keys, want the 22 of NodeMetrics: %s", len(asMap), sorted)
 	}
 }
 

@@ -112,7 +112,8 @@ type SortedNeighborhoodBlocker struct {
 	// Key derives the sort key of an entity (default DefaultSortKey).
 	// PropertySortKey builds keys over specific similarity dimensions.
 	Key func(*entity.Entity) string
-	// Label, when set, replaces the key description in Name().
+	// Label, when set, replaces the key description in Name(). Without
+	// it a non-nil Key is described as "custom key".
 	Label string
 }
 
@@ -124,8 +125,11 @@ func SortedNeighborhood(window int) Blocker {
 
 // Name implements Blocker.
 func (s SortedNeighborhoodBlocker) Name() string {
-	if s.Label != "" {
+	switch {
+	case s.Label != "":
 		return fmt.Sprintf("sortedneighborhood(w=%d,%s)", s.window(), s.Label)
+	case s.Key != nil:
+		return fmt.Sprintf("sortedneighborhood(w=%d,custom key)", s.window())
 	}
 	return fmt.Sprintf("sortedneighborhood(w=%d)", s.window())
 }
@@ -345,8 +349,8 @@ func BlockerNames() []string {
 // default-parameter strategies (custom windows, keys or compositions
 // cannot be rebuilt from a name). Strategy names are compared via
 // Blocker.Name, which encodes the distinguishing parameters, so e.g.
-// SortedNeighborhood(4) correctly reports "" while SortedNeighborhood(0)
-// reports "sortedneighborhood". Snapshot persistence (internal/linkindex)
+// SortedNeighborhood(4), or a window of 10 over a custom Key, correctly
+// reports "" while SortedNeighborhood(0) reports "sortedneighborhood". Snapshot persistence (internal/linkindex)
 // records this name so a restored index blocks identically.
 func RegistryName(bl Blocker) string {
 	if bl == nil {

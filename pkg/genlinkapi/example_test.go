@@ -3,7 +3,6 @@ package genlinkapi_test
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"genlink/pkg/genlinkapi"
 )
@@ -258,9 +257,8 @@ func ExampleNewIndex() {
 
 // ExampleNewShardedIndex scales the online index: the corpus is
 // hash-partitioned over shards (one per two CPUs) that are written and
-// queried independently, writes arrive in batches through Apply, and the
-// whole index snapshots to disk and restores across restarts into the
-// shard count it was created with.
+// queried independently, and writes arrive in batches through Apply.
+// ExampleOpenDurableIndex shows how the index persists.
 func ExampleNewShardedIndex() {
 	ruleJSON := `{
 	  "kind": "comparison", "function": "levenshtein", "threshold": 2,
@@ -304,24 +302,9 @@ func ExampleNewShardedIndex() {
 		fmt.Printf("%s matches %s (score %.2f)\n", l.AID, l.BID, l.Score)
 	}
 
-	// Persist and restore: the restored index keeps the shard count and
-	// answers identically.
-	path := filepath.Join(os.TempDir(), "genlink-example.snap")
-	defer os.Remove(path)
-	if err := ix.SnapshotTo(path); err != nil {
-		panic(err)
-	}
-	restored, err := genlinkapi.RestoreIndex(path, genlinkapi.IndexRestoreOptions{})
-	if err != nil {
-		panic(err)
-	}
-	again, _ := restored.QueryID("p1", 3)
-	fmt.Printf("restored: %d entities, same shard count %v, same top match %s (score %.2f)\n",
-		restored.Len(), restored.Stats().Shards == ix.Stats().Shards, again[0].BID, again[0].Score)
 	// Output:
 	// applied 3 upserts, 0 deletes; 3 entities
 	// p1 matches p2 (score 1.00)
-	// restored: 3 entities, same shard count true, same top match p2 (score 1.00)
 }
 
 // ExampleOpenDurableIndex makes the index crash-safe: every mutation is
@@ -375,7 +358,7 @@ func ExampleOpenDurableIndex() {
 	}}); err != nil {
 		panic(err)
 	}
-	if _, err := d.Remove("p3"); err != nil {
+	if _, err := d.Apply(genlinkapi.IndexBatch{Deletes: []string{"p3"}}); err != nil {
 		panic(err)
 	}
 	if err := d.Close(); err != nil {

@@ -136,9 +136,6 @@ type (
 	// IndexApplyResult counts the distinct upserts and deletes an
 	// Index.Apply call performed.
 	IndexApplyResult = linkindex.ApplyResult
-	// IndexRestoreOptions tunes RestoreIndex: the blocker to use when the
-	// snapshot's strategy is not a registry name.
-	IndexRestoreOptions = linkindex.RestoreOptions
 	// DurableIndex wraps an Index with a segmented write-ahead log and
 	// auto-snapshot compaction — the one persistence mode: every mutation
 	// is logged before it is applied, a snapshot is taken whenever
@@ -146,8 +143,9 @@ type (
 	// replays snapshot + log tail (through the shard-parallel pipeline)
 	// after a crash.
 	DurableIndex = linkindex.DurableIndex
-	// DurableIndexOptions tunes the log (fsync policy, segment size), the
-	// records-based auto-snapshot trigger and recovery's custom blocker.
+	// DurableIndexOptions tunes the log (fsync policy, segment size) and
+	// the records-based auto-snapshot trigger. Recovery takes everything
+	// else (rule, blocker, threshold, cap, shard count) from the snapshot.
 	DurableIndexOptions = linkindex.DurableOptions
 	// DurableIndexMetrics is a point-in-time summary of the durability
 	// subsystem (log records/segments, snapshot coverage).
@@ -305,25 +303,31 @@ func NewIndex(r *Rule, opts MatchOptions) *Index {
 //
 // Candidate semantics under sharding: identical to a single-shard Index
 // for a rule index and for token and q-gram blocking without block-size
-// caps; for sorted-neighborhood passes each shard applies the window to
-// its own partition, which yields a superset of the single-shard
-// candidates (recall never drops — a per-shard window of size w contains
-// every in-shard entity of the global window). See the
+// caps (MaxBlockSize -1); for sorted-neighborhood passes each shard
+// applies the window to its own partition, which yields a superset of
+// the single-shard candidates (recall never drops — a per-shard window
+// of size w contains every in-shard entity of the global window). Caps
+// apply per shard, and the default cap (MaxBlockSize 0) is derived from
+// each shard's partition as n_s/20 + 50, whose +50 floor does not divide
+// by the shard count: a sharded index scores blocks a single-shard one
+// suppresses, so its answers differ from a single shard's. See the
 // linkindex.ShardedIndex documentation for the full contract.
 func NewShardedIndex(r *Rule, opts MatchOptions) *Index {
 	return linkindex.NewSharded(r, 0, opts)
 }
 
-// RestoreIndex rebuilds an index from a snapshot file written by
-// Index.SnapshotTo: the corpus, rule, options and shard count are
-// restored and the block structures rebuilt, so queries against the
-// restored index answer exactly like the snapshotted one. There is one
-// snapshot format (version 2); any other version is rejected. To carry a
-// standalone snapshot file into a durable directory, return
-// RestoreIndex(file, …) from OpenDurableIndex's build func; to reshard,
+// RestoreIndex rebuilds an index from a snapshot file a durable index
+// wrote (a snapshot-*.snap of an OpenDurableIndex directory), or from a
+// standalone snapshot file of the same format: the corpus, rule,
+// options and shard count come from the file alone and the candidate
+// index is rebuilt, so queries against the restored index answer exactly
+// like the snapshotted one. There is one snapshot format (version 2); any
+// other version, and a blocker no registry name resolves, is refused. To
+// carry a standalone snapshot file into a durable directory, return
+// RestoreIndex(file) from OpenDurableIndex's build func; to reshard,
 // BulkLoad its Entities into a fresh NewShardedIndex.
-func RestoreIndex(path string, o IndexRestoreOptions) (*Index, error) {
-	return linkindex.RestoreFrom(path, o)
+func RestoreIndex(path string) (*Index, error) {
+	return linkindex.RestoreFrom(path, linkindex.RestoreOptions{})
 }
 
 // OpenDurableIndex opens dir as a crash-safe index. When dir already

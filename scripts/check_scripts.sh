@@ -3,7 +3,10 @@
 # script must parse (bash -n), be executable, and fail fast with
 # `set -euo pipefail` — a smoke script that shrugs off a failed curl or
 # a dead pipeline reports green on a broken service, which is worse
-# than no smoke test at all.
+# than no smoke test at all. It also checks that every native fuzz
+# target (func Fuzz… in a _test.go file) is listed, with its package, in
+# the fuzz-smoke step of .github/workflows/ci.yml: a target missing
+# there never runs in CI.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -23,4 +26,15 @@ for f in scripts/*.sh; do
     fail=1
   fi
 done
+
+ci=.github/workflows/ci.yml
+while IFS=: read -r file decl; do
+  name=${decl#func }
+  name=${name%%(*}
+  pkg=./$(dirname "${file#./}")
+  if ! grep -F -- "-fuzz='^${name}\$'" "$ci" | grep -F -- "go test ${pkg} " >/dev/null; then
+    echo "$file: fuzz target $name of $pkg is missing from the fuzz-smoke step of $ci" >&2
+    fail=1
+  fi
+done < <(grep -r --include='*_test.go' --exclude-dir=testdata -E '^func Fuzz[A-Za-z0-9_]+\(' .)
 exit "$fail"
