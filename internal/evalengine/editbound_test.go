@@ -85,7 +85,7 @@ func TestEditBoundSound(t *testing.T) {
 			}
 			ra, rb := c.Record(a), c.Record(b)
 			d := lev.Distance(eb.Probe(ra), eb.Indexed(rb))
-			if got, want := eb.Within(ra)(eb.Indexed(rb)), d <= float64(eb.K); got != want {
+			if got, want := eb.Within(ra)(similarity.NewEditSet(eb.Indexed(rb))), d <= float64(eb.K); got != want {
 				t.Fatalf("rule %s: Within = %v at edit distance %v, K = %d", r, got, d, eb.K)
 			}
 			if r.Evaluate(a, b) < threshold {

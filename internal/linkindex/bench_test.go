@@ -64,9 +64,11 @@ func coraChunks(n int) []*entity.Entity {
 // probe. Besides ns/op and allocs/op it reports the heap the loaded
 // index retains per entity (heap-B/entity: rule indexes, records and the
 // shards' tables) and, per query, from one untimed pass over the same
-// probes on an index whose rule counts its work (linkindex.Work):
-// candidates verified against the edit bound (Proposed), candidates
-// scored to completion, edit distances scoring ran and values parsed.
+// probes on an index whose rule counts its work: the edit-bound check's
+// funnel (linkindex.Funnel) — candidates proposed, of those the ones the
+// letter-count sketch rejected, and the bounded edit distances the check
+// ran (myers) — and then scoring's (linkindex.Work): candidates scored
+// to completion, edit distances scoring ran and values parsed.
 func BenchmarkQueryCoraRule(b *testing.B) {
 	const shards, k, probes = 2, 10, 200
 	n := *coraN
@@ -102,9 +104,16 @@ func BenchmarkQueryCoraRule(b *testing.B) {
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
-			verified := 0
+			var funnel linkindex.Funnel
 			for i := range probes {
-				verified += counted.Proposed(mode.probe(i))
+				f := counted.Funnel(mode.probe(i))
+				funnel.Proposed += f.Proposed
+				funnel.SketchRejected += f.SketchRejected
+				funnel.Checked += f.Checked
+				funnel.Mismatched += f.Mismatched
+			}
+			if funnel.Mismatched != 0 {
+				b.Fatalf("the funnel's replay disagrees with the edit-bound check on %d candidates", funnel.Mismatched)
 			}
 			work.Reset()
 			for i := range probes {
@@ -117,7 +126,9 @@ func BenchmarkQueryCoraRule(b *testing.B) {
 				i++
 			}
 			b.ReportMetric(heapPerEntity, "heap-B/entity")
-			b.ReportMetric(float64(verified)/probes, "verified/query")
+			b.ReportMetric(float64(funnel.Proposed)/probes, "proposed/query")
+			b.ReportMetric(float64(funnel.SketchRejected)/probes, "sketch-rejected/query")
+			b.ReportMetric(float64(funnel.Checked)/probes, "myers/query")
 			b.ReportMetric(float64(work.Completed.Load())/probes, "scored/query")
 			b.ReportMetric(float64(work.EditDists.Load())/probes, "editdists/query")
 			b.ReportMetric(float64(work.Parses.Load())/probes, "parses/query")
@@ -198,6 +209,36 @@ func BenchmarkApplyCoraRule(b *testing.B) {
 	})
 }
 
+// TestFunnelReplaysCheck holds the funnel BenchmarkQueryCoraRule
+// reports to the check it counts: on every candidate of stored and
+// external probes, the replay's verdict is EditBound.Within's, and the
+// counts are not trivially zero, so the sketch both rejects and admits.
+func TestFunnelReplaysCheck(t *testing.T) {
+	const n, shards, probes = 2000, 2, 100
+	es := coraChunks(n)
+	ix := linkindex.NewSharded(rigCoraRule(similarity.Levenshtein(), similarity.Date()), shards, matching.Options{})
+	ix.BulkLoad(es)
+	var sum linkindex.Funnel
+	for i := range probes {
+		e := es[i*(n/probes)]
+		external := e.Clone()
+		external.ID = fmt.Sprintf("probe/%d", i)
+		for _, p := range []*entity.Entity{ix.Get(e.ID), external} {
+			f := ix.Funnel(p)
+			sum.Proposed += f.Proposed
+			sum.SketchRejected += f.SketchRejected
+			sum.Checked += f.Checked
+			sum.Mismatched += f.Mismatched
+		}
+	}
+	if sum.Mismatched != 0 {
+		t.Fatalf("funnel %+v: the replay disagrees with EditBound.Within on %d candidates", sum, sum.Mismatched)
+	}
+	if sum.SketchRejected == 0 || sum.SketchRejected == sum.Proposed || sum.Checked == 0 {
+		t.Fatalf("funnel %+v: the sketch rejected no candidate, or every one, or no distance ran", sum)
+	}
+}
+
 // TestWorkIndependentOfOrder pins that the per-query counters
 // BenchmarkQueryCoraRule reports depend on the corpus and the probes, not
 // on the order candidates are enumerated in: one corpus loaded forward
@@ -213,9 +254,9 @@ func TestWorkIndependentOfOrder(t *testing.T) {
 		var work linkindex.Work
 		ix := linkindex.NewSharded(rigCoraRule(linkindex.CountingLevenshtein(&work), linkindex.CountingDate(&work)), shards, matching.Options{})
 		ix.BulkLoad(load)
-		verified := 0
+		proposed := 0
 		for i := range probes {
-			verified += ix.Proposed(es[i*(n/probes)])
+			proposed += ix.Funnel(es[i*(n/probes)]).Proposed
 		}
 		work.Reset()
 		for i := range probes {
@@ -225,11 +266,11 @@ func TestWorkIndependentOfOrder(t *testing.T) {
 			external.ID = fmt.Sprintf("probe/%d", i)
 			ix.Query(external, 0)
 		}
-		return [4]int64{int64(verified), work.Completed.Load(), work.EditDists.Load(), work.Parses.Load()}
+		return [4]int64{int64(proposed), work.Completed.Load(), work.EditDists.Load(), work.Parses.Load()}
 	}
 	forward, backward := count(es), count(reversed)
 	if forward != backward {
-		t.Fatalf("verified, completed, edit distances, parses: %v loaded forward, %v reversed", forward, backward)
+		t.Fatalf("proposed, completed, edit distances, parses: %v loaded forward, %v reversed", forward, backward)
 	}
 	if forward[1] == 0 || forward[1] == forward[2] {
 		t.Fatalf("counts %v: no candidate scored to completion, or none declined by its bound", forward)

@@ -265,12 +265,10 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 	if err := scan.discardTornTail(); err != nil {
 		return nil, stats, err
 	}
-	w, err := openWAL(dir, scan.LastSeq, o.wal())
+	d, err := openRestored(dir, ix, base.seq, scan.LastSeq, o)
 	if err != nil {
 		return nil, stats, err
 	}
-	d := &DurableIndex{dir: dir, ix: ix, wal: w, opts: o}
-	d.lastSnapSeq.Store(base.seq)
 	stats = RecoveryStats{
 		Recovered:       true,
 		SnapshotPath:    base.path,
@@ -280,6 +278,19 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 		Duration:        time.Since(t0),
 	}
 	return d, stats, nil
+}
+
+// openRestored wraps ix, restored from dir's snapshot at snapSeq with
+// the log replayed through lastSeq, in a durable index rooted at dir
+// whose log appends after lastSeq.
+func openRestored(dir string, ix *ShardedIndex, snapSeq, lastSeq uint64, o DurableOptions) (*DurableIndex, error) {
+	w, err := openWAL(dir, lastSeq, o.wal())
+	if err != nil {
+		return nil, err
+	}
+	d := &DurableIndex{dir: dir, ix: ix, wal: w, opts: o}
+	d.lastSnapSeq.Store(snapSeq)
+	return d, nil
 }
 
 // OpenDurable opens dir as a durable index: recovering the existing

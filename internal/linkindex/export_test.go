@@ -75,28 +75,81 @@ func (ix *ShardedIndex) checkRecords(sh *shard) error {
 	return nil
 }
 
-// Proposed returns how many stored entities the rule index proposes for
-// the probe, over every shard: the slots holding one of its keys, but
-// its own. A query verifies each against the edit bound before scoring
-// it, so it is the count of those checks; 0 when the index has no edit
-// bound or the probe's bound already misses the threshold.
-func (ix *ShardedIndex) Proposed(probe *entity.Entity) int {
-	keys := ix.source.ProbeKeys(ix.compiled.Record(probe))
-	n := 0
+// Funnel counts the rule index's check of one probe's candidates
+// (EditBound.Within), over every shard.
+type Funnel struct {
+	// Proposed counts the slots holding one of the probe's keys, but its
+	// own: the candidates the check reads.
+	Proposed int
+	// SketchRejected counts the proposed slots every value pair of which
+	// the letter-count sketch puts further than K apart
+	// (similarity.SketchBound), rejected without reading a value.
+	SketchRejected int
+	// Checked counts the value pairs the bounded distance ran on: those
+	// the sketch admits, of rune lengths within K, up to a slot's first
+	// pair within K.
+	Checked int
+	// Mismatched counts the proposed slots on which the replay's verdict
+	// differs from the check's own; anything but 0 means the replay no
+	// longer describes the check.
+	Mismatched int
+}
+
+// Funnel returns the check's counts for the probe, replaying
+// similarity.EditWithin's order on the probe's candidates, and holds the
+// replay's verdict on each to EditBound.Within's: all zero when the
+// index has no edit bound or the probe's bound already misses the
+// threshold.
+func (ix *ShardedIndex) Funnel(probe *entity.Entity) Funnel {
+	var f Funnel
+	eb, ok := ix.compiled.EditBound(ix.opts.Threshold)
+	if !ok {
+		return f
+	}
+	rec := ix.compiled.Record(probe)
+	keys := ix.source.ProbeKeys(rec)
+	probeValues := eb.Probe(rec)
+	within := eb.Within(rec)
+	lev := similarity.Levenshtein()
 	for _, sh := range ix.shards {
 		sh.mu.RLock()
 		// A rule index's enumeration before the check is its RuleIndex's.
-		if rules, ok := sh.index.(interface {
+		rules := sh.index.(interface {
 			Each(self string, keys []uint64, seen *matching.SlotSet, yield func(int32) bool) bool
-		}); ok {
-			rules.Each(probe.ID, keys, new(matching.SlotSet), func(int32) bool {
-				n++
-				return true
-			})
-		}
+		})
+		rules.Each(probe.ID, keys, new(matching.SlotSet), func(s int32) bool {
+			f.Proposed++
+			stored := eb.Indexed(sh.records[s])
+			admitted, found := false, false
+		pairs:
+			for _, b := range stored {
+				for _, a := range probeValues {
+					sa, sb := similarity.NewEditShape(a), similarity.NewEditShape(b)
+					if similarity.SketchBound(sa.Sketch, sb.Sketch) > eb.K {
+						continue
+					}
+					admitted = true
+					if gap := sa.Runes - sb.Runes; max(gap, -gap) > int32(eb.K) {
+						continue
+					}
+					f.Checked++
+					if lev.Distance([]string{a}, []string{b}) <= float64(eb.K) {
+						found = true
+						break pairs
+					}
+				}
+			}
+			if !admitted {
+				f.SketchRejected++
+			}
+			if found != within(similarity.NewEditSet(stored)) {
+				f.Mismatched++
+			}
+			return true
+		})
 		sh.mu.RUnlock()
 	}
-	return n
+	return f
 }
 
 // Work counts what scoring does, observed through the measures a rule is
@@ -104,7 +157,7 @@ func (ix *ShardedIndex) Proposed(probe *entity.Entity) int {
 // BenchmarkQueryCoraRule reads its per-query counters from, so no
 // production code counts anything. The rule index's checks against the
 // edit bound run the plain measure, so they are not counted here
-// (Proposed counts them).
+// (Funnel counts them).
 type Work struct {
 	// Completed counts the candidates scored to completion: edit
 	// distances that came back exact, at most the bound scoring asked

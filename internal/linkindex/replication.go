@@ -506,13 +506,20 @@ func OpenFollower(opts FollowerOptions) (*Follower, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Restore first, write after: a snapshot this build refuses is
+		// never stored, so the next start fetches afresh instead of
+		// refusing the same file through Recover forever.
+		ix, err := readSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("linkindex: replication: %w", err)
 		}
 		if err := writeSnapshotBytes(filepath.Join(opts.Dir, snapName(seq)), data); err != nil {
 			return nil, err
 		}
-		d, _, err := Recover(opts.Dir, opts.Durable)
+		d, err := openRestored(opts.Dir, ix, seq, seq, opts.Durable)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"genlink/internal/datagen"
@@ -386,9 +387,12 @@ func TestWritersRefuseCustomBlocker(t *testing.T) {
 // is the genesis snapshot NewDurable wrote over a SortedNeighborhood(4)
 // index of sectionPerShardCorpus before it refused such an index, so its
 // header names blocker "". RestoreFrom, Recover and a follower's
-// bootstrap refuse it with an error naming the blocker, and leave every
-// snapshot file byte for byte where it was: the file is intact, so it is
-// never quarantined as corrupt, and a later reader may still accept it.
+// bootstrap refuse it with an error naming the blocker. RestoreFrom and
+// Recover leave every snapshot file byte for byte where it was: the file
+// is intact, so it is never quarantined as corrupt, and a later reader
+// may still accept it. A follower's bootstrap stores nothing it refuses,
+// so its next start, against a leader serving a valid snapshot, fetches
+// that one and succeeds.
 func TestUnresolvedBlockerSnapshotLeftInPlace(t *testing.T) {
 	const want = `blocker "" is not a registry strategy`
 	fixture, err := os.ReadFile("testdata/custom_blocker.snap")
@@ -450,13 +454,16 @@ func TestUnresolvedBlockerSnapshotLeftInPlace(t *testing.T) {
 	})
 
 	t.Run("follower bootstrap", func(t *testing.T) {
+		// The leader serves the fixture, then a snapshot this build reads.
+		var served atomic.Pointer[[]byte]
+		served.Store(&fixture)
 		leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path != "/wal/snapshot" {
 				http.NotFound(w, r)
 				return
 			}
 			w.Header().Set("X-Snapshot-Seq", "0")
-			_, _ = w.Write(fixture)
+			_, _ = w.Write(*served.Load())
 		}))
 		defer leader.Close()
 		dir := t.TempDir()
@@ -466,6 +473,32 @@ func TestUnresolvedBlockerSnapshotLeftInPlace(t *testing.T) {
 			}
 			t.Fatalf("OpenFollower = %v, want an error containing %q", err, want)
 		}
-		assertKept(dir, map[string][]byte{filepath.Join(dir, "snapshot-0000000000000000.snap"): fixture})
+		// A refused bootstrap stores nothing, so the next start fetches
+		// afresh.
+		if linkindex.HasDurableState(dir) {
+			t.Fatalf("the refused bootstrap left durable state in %s", dir)
+		}
+		ix := linkindex.NewSharded(diffRule(), 1, matching.Options{Blocker: matching.TokenBlocking()})
+		ix.Apply(linkindex.Batch{Upserts: sectionPerShardCorpus()})
+		var valid bytes.Buffer
+		if err := ix.WriteSnapshot(&valid); err != nil {
+			t.Fatal(err)
+		}
+		validBytes := valid.Bytes()
+		served.Store(&validBytes)
+		fol, err := linkindex.OpenFollower(followerOpts(leader.URL, dir))
+		if err != nil {
+			t.Fatalf("OpenFollower against a valid snapshot = %v", err)
+		}
+		fol.Stop()
+		if got, want := fol.Index().Len(), ix.Len(); got != want {
+			t.Errorf("bootstrapped follower holds %d entities, the leader's snapshot %d", got, want)
+		}
+		if err := fol.Durable().Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !linkindex.HasDurableState(dir) {
+			t.Errorf("the accepted bootstrap left no durable state in %s", dir)
+		}
 	})
 }

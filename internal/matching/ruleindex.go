@@ -20,8 +20,12 @@ import (
 // B-side values (similarity.EditSegmentKeys). A probe enumerates the
 // postings of its keys (similarity.EditProbeKeys), one of which every
 // stored entity within K holds, and checks each candidate against the
-// bound (EditBound.Within): the links are exactly those of scoring every
-// stored entity. Otherwise it is the blocker's.
+// bound (EditBound.Within) in two steps: the values' letter-count
+// sketches (similarity.SketchBound), a lower bound that rejects most
+// candidates without reading their values, and then Myers' bounded
+// distance on the survivors. Keys, sketch and Myers each drop only
+// entities further than K, so the links are exactly those of scoring
+// every stored entity. Otherwise it is the blocker's.
 type CandidateSource interface {
 	// String names the source: the rule index and its K, or the blocker.
 	String() string
@@ -141,8 +145,9 @@ func (s *ruleSource) batch(_, _ []*entity.Entity, rbs []*evalengine.Record) func
 // RuleIndex is the index of a rule with an edit bound: an entity table
 // like a BlockIndex's with, in place of a blocker's passes, one pass of
 // posting lists of uint64 keys (StoredKeys), and at each live slot the
-// bound's B-side values of the record there (EditBound.Indexed), which
-// For's enumerator checks. Each yields the slots holding any of a
+// bound's B-side values of the record there (EditBound.Indexed) with
+// each value's sketch and rune count, derived as the slot is filled,
+// which For's enumerator checks. Each yields the slots holding any of a
 // probe's keys, each once: all of them, with no block-size cap, because
 // a cap would drop candidates the bound admits. The index derives no key
 // itself and tokenizes nothing. Like BlockIndex it is NOT synchronized.
@@ -171,7 +176,7 @@ func (x *RuleIndex) Add(id string, keys []uint64) int32 {
 }
 
 // BulkAdd implements CandidateIndex: Add of each record's entity, whose
-// indexed values it records.
+// indexed values it records with their sketches and rune counts.
 func (x *RuleIndex) BulkAdd(recs []*evalengine.Record, keys [][]uint64) []int32 {
 	slots := make([]int32, len(recs))
 	for i, r := range recs {
@@ -223,9 +228,11 @@ func (x *RuleIndex) For(probe *evalengine.Record, keys []uint64) Enumerator {
 
 // verified enumerates a RuleIndex for one probe: the slots holding one
 // of the probe's keys, each once, but the probe's own, and of those only
-// the ones whose indexed values are within K of the probe's. The check's
-// patterns are built when the enumeration starts, so a probe that exits
-// early builds none.
+// the ones whose indexed values are within K of the probe's. A slot is
+// checked on its values' sketches first, and only one the sketches admit
+// reads its values, for Myers' distance given their stored rune counts
+// (EditBound.Within). The probe's sketches and Myers patterns are built
+// when the enumeration starts, so a probe that exits early builds none.
 type verified struct {
 	x     *RuleIndex
 	probe *evalengine.Record
@@ -238,43 +245,50 @@ func (v verified) Each(_ *entity.Entity, _ int, seen *SlotSet, yield func(slot i
 	}
 	within := v.x.edit.Within(v.probe)
 	return v.x.Each(v.probe.Entity().ID, v.keys, seen, func(s int32) bool {
-		return !within(v.x.indexed.at(s)) || yield(s)
+		return !within(v.x.indexed.edit(s)) || yield(s)
 	})
 }
 
-// indexedValues holds a value set per slot in two slot-indexed arrays,
-// so an enumeration checking a candidate reads them, and then the
-// values' bytes, without touching its record: one holds a set of exactly
-// one value — the common case, read with no pointer to follow — and many
-// any other set (nil at a slot of one value). A free slot holds the
+// indexedValues holds a value set per slot, as the EditSet the check
+// reads, in slot-indexed arrays, so an enumeration checking a candidate
+// reads the shape at its slot, and then the value's bytes only if the
+// sketch there admits it, without touching its record: one and shape
+// hold a set of exactly one value — the common case, read with no
+// pointer to follow — and many any other set (nil at a slot of one
+// value, whose shape has a negative rune count). A free slot holds the
 // empty set.
 type indexedValues struct {
-	one  []string
-	many [][]string
+	one   []string
+	shape []similarity.EditShape
+	many  []*similarity.EditSet
 }
 
 // noValues is the empty set as many holds it, set apart from nil.
-var noValues = []string{}
+var noValues = &similarity.EditSet{}
+
+// manyShape marks a slot whose set is many's.
+var manyShape = similarity.EditShape{Runes: -1}
 
 // set records values at slot s, growing the arrays to reach it.
 func (iv *indexedValues) set(s int32, values []string) {
-	for int(s) >= len(iv.one) {
-		iv.one, iv.many = append(iv.one, ""), append(iv.many, nil)
+	if n := int(s) + 1; n > len(iv.one) {
+		iv.one, iv.shape, iv.many = grown(iv.one, n), grown(iv.shape, n), grown(iv.many, n)
 	}
 	switch len(values) {
 	case 1:
-		iv.one[s], iv.many[s] = values[0], nil
+		iv.one[s], iv.shape[s], iv.many[s] = values[0], similarity.NewEditShape(values[0]), nil
 	case 0:
-		iv.one[s], iv.many[s] = "", noValues
+		iv.one[s], iv.shape[s], iv.many[s] = "", manyShape, noValues
 	default:
-		iv.one[s], iv.many[s] = "", values
+		set := similarity.NewEditSet(values)
+		iv.one[s], iv.shape[s], iv.many[s] = "", manyShape, &set
 	}
 }
 
-// at returns the values recorded at slot s.
-func (iv *indexedValues) at(s int32) []string {
-	if vs := iv.many[s]; vs != nil {
-		return vs
+// edit returns the set recorded at slot s.
+func (iv *indexedValues) edit(s int32) similarity.EditSet {
+	if iv.shape[s].Runes < 0 {
+		return *iv.many[s]
 	}
-	return iv.one[s : s+1]
+	return similarity.EditSet{Values: iv.one[s : s+1], Shapes: iv.shape[s : s+1]}
 }

@@ -13,6 +13,9 @@ import (
 	"genlink/internal/transform"
 )
 
+// at returns the values recorded at slot s.
+func (iv *indexedValues) at(s int32) []string { return iv.edit(s).Values }
+
 // TestRuleIndexVerifiedDifferential holds the rule index, as
 // NewCandidateSource serves a rule with an edit bound, to a reference
 // over the survivors through batched adds, replacements and removals.
