@@ -3,6 +3,7 @@ package linkindex_test
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -274,5 +275,104 @@ func TestWorkIndependentOfOrder(t *testing.T) {
 	}
 	if forward[1] == 0 || forward[1] == forward[2] {
 		t.Fatalf("counts %v: no candidate scored to completion, or none declined by its bound", forward)
+	}
+}
+
+// BenchmarkRecoverCoraRule measures Recover on a directory shaped like
+// the rig's ingest-durable one after a kill -9: the rig's rule, the
+// default shard count, and a history of 64-entity Apply batches of Cora
+// chunks in which a quarter of the upserts update a stored entity (with
+// another entity's values) and 5 % of the ops delete one — a snapshot
+// taken once 29,000 entities are stored, then a 375-record log tail.
+// The directory is built once per variant; one op is one Recover. Besides
+// ns/op and allocs/op it reports the milliseconds per op of each step,
+// timed inside Recover (RecoverSteps): reading the snapshot file,
+// scanning its header and cutting its sections apart, decoding them,
+// installing them into the index and replaying the tail. plain is the rig's corpus, whose values
+// hold nothing json.Marshal escapes; escaped appends " & é" to every
+// title, so each title goes through the decoder's unescaping.
+func BenchmarkRecoverCoraRule(b *testing.B) {
+	const live, tail, batch = 29_000, 375, 64
+	for _, variant := range []struct {
+		name  string
+		title func(string) string
+	}{
+		{"plain", func(t string) string { return t }},
+		{"escaped", func(t string) string { return t + " & é" }},
+	} {
+		b.Run(variant.name, func(b *testing.B) {
+			dir := b.TempDir()
+			buildRecoverDir(b, dir, live, tail, batch, variant.title)
+			b.ReportAllocs()
+			stop := linkindex.RecoverSteps()
+			for b.Loop() {
+				d, _, err := linkindex.Recover(dir, linkindex.DurableOptions{SnapshotEvery: -1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				d.Close()
+			}
+			steps := stop()
+			for _, step := range []string{"read", "scan", "decode", "install", "replay"} {
+				b.ReportMetric(float64(steps[step].Microseconds())/1000/float64(b.N), step+"-ms")
+			}
+		})
+	}
+}
+
+// buildRecoverDir writes BenchmarkRecoverCoraRule's durable directory:
+// batches of Cora-chunk entities, titles rewritten by title, until live
+// entities are stored, a snapshot, then tail more batches, and a close
+// without a snapshot, as a kill -9 leaves the log.
+func buildRecoverDir(b *testing.B, dir string, live, tail, batch int, title func(string) string) {
+	b.Helper()
+	pool := coraChunks(2 * live)
+	for _, e := range pool {
+		if ts := e.Properties["title"]; len(ts) > 0 {
+			ts[0] = title(ts[0])
+		}
+	}
+	ix := linkindex.NewSharded(rigCoraRule(similarity.Levenshtein(), similarity.Date()), 0, matching.Options{Blocker: matching.BlockerByName("multipass")})
+	d, err := linkindex.NewDurable(dir, ix, linkindex.DurableOptions{Fsync: linkindex.FsyncIntervalPolicy, SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var ids []string // stored IDs, in no order
+	next := 0
+	write := func() {
+		var bt linkindex.Batch
+		for range batch {
+			switch r := rng.Float64(); {
+			case r < 0.05 && len(ids) > 0:
+				j := rng.Intn(len(ids))
+				bt.Deletes = append(bt.Deletes, ids[j])
+				ids[j] = ids[len(ids)-1]
+				ids = ids[:len(ids)-1]
+			case r < 0.30 && len(ids) > 0:
+				v := pool[rng.Intn(next)].Clone()
+				v.ID = ids[rng.Intn(len(ids))]
+				bt.Upserts = append(bt.Upserts, v)
+			default:
+				bt.Upserts = append(bt.Upserts, pool[next])
+				ids = append(ids, pool[next].ID)
+				next++
+			}
+		}
+		if _, err := d.Apply(bt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for d.Len() < live {
+		write()
+	}
+	if err := d.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	for range tail {
+		write()
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -118,10 +118,18 @@ type RecoveryStats struct {
 	Duration time.Duration
 }
 
-// walBatch is the JSON payload of one log record.
-type walBatch struct {
-	Upserts []*entity.Entity `json:"u,omitempty"`
-	Deletes []string         `json:"d,omitempty"`
+// walBatch is the JSON payload of one log record, written by json.Marshal
+// and read by the entity decoder (entity.Batch's DecodeJSON).
+type walBatch = entity.Batch
+
+// decodeWALBatch decodes one log record's payload: the one decoder of
+// Recover's replay and a follower's shipped records.
+func decodeWALBatch(payload []byte) (Batch, error) {
+	var b walBatch
+	if err := b.DecodeJSON(payload); err != nil {
+		return Batch{}, err
+	}
+	return Batch{Upserts: b.Upserts, Deletes: b.Deletes}, nil
 }
 
 // snapName returns the snapshot file name for the given covered
@@ -246,19 +254,21 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 	}
 
 	// Replay the log tail: read+CRC (replayWAL's walReader) and decode
-	// (its callback) stay in this goroutine while the replayer fans
+	// (decodeWALBatch) stay in this goroutine while the replayer fans
 	// per-shard ops out to apply workers. A record that fails to decode
 	// stops the scan as a torn tail before any of its ops are applied.
+	restoreStep("replay")
 	replayer := startReplayer(ix)
 	scan, err := replayWAL(dir, base.seq, func(seq uint64, payload []byte) error {
-		var b walBatch
-		if err := json.Unmarshal(payload, &b); err != nil {
+		b, err := decodeWALBatch(payload)
+		if err != nil {
 			return err
 		}
-		replayer.apply(Batch{Upserts: b.Upserts, Deletes: b.Deletes})
+		replayer.apply(b)
 		return nil
 	})
 	replayer.wait()
+	restoreStep("")
 	if err != nil {
 		return nil, stats, err
 	}

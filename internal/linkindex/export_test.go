@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+	"time"
 
 	"genlink/internal/entity"
 	"genlink/internal/matching"
@@ -12,7 +13,35 @@ import (
 
 // ReadSnapshot is readSnapshot, for the external tests' in-memory round
 // trips. It takes RestoreOptions as RestoreFrom does.
-func ReadSnapshot(r io.Reader, _ RestoreOptions) (*ShardedIndex, error) { return readSnapshot(r) }
+func ReadSnapshot(r io.Reader, _ RestoreOptions) (*ShardedIndex, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return readSnapshot(data)
+}
+
+// RecoverSteps times the steps of every restore and recovery, through
+// restoreStepHook, until the returned stop, which gives each step's
+// total: "read" the snapshot file, "scan" its header and cut its
+// sections apart, "decode" them, "install" them into an index and
+// "replay" the log tail. Restores must not run concurrently meanwhile.
+func RecoverSteps() (stop func() map[string]time.Duration) {
+	steps := map[string]time.Duration{}
+	var step string
+	var start time.Time
+	restoreStepHook = func(next string) {
+		now := time.Now()
+		if step != "" {
+			steps[step] += now.Sub(start)
+		}
+		step, start = next, now
+	}
+	return func() map[string]time.Duration {
+		restoreStepHook = nil
+		return steps
+	}
+}
 
 // RecordChunk is recordChunk, so a test can size a batch to build its
 // records in several chunks.

@@ -295,11 +295,11 @@ func (d *DurableIndex) ServeWALSnapshot(w http.ResponseWriter, r *http.Request) 
 // follower seq numbering byte-identical to the leader's, so a promoted
 // follower's log is a seamless continuation.
 func (d *DurableIndex) applyReplicated(seq uint64, payload []byte) error {
-	var b walBatch
-	if err := json.Unmarshal(payload, &b); err != nil {
+	b, err := decodeWALBatch(payload)
+	if err != nil {
 		return fmt.Errorf("linkindex: replication: undecodable record %d: %w", seq, err)
 	}
-	_, err := d.commit(Batch{Upserts: b.Upserts, Deletes: b.Deletes}, payload, seq)
+	_, err = d.commit(b, payload, seq)
 	return err
 }
 
@@ -322,7 +322,7 @@ func writeSnapshotBytes(path string, data []byte) error {
 // but never built into an index of its own, so a snapshot of another
 // shard count, whose answers would differ, is refused.
 func (d *DurableIndex) resetToSnapshot(data []byte, seq uint64) error {
-	snap, err := decodeSnapshot(bytes.NewReader(data))
+	snap, err := decodeSnapshot(data)
 	if err != nil {
 		return err
 	}
@@ -509,7 +509,7 @@ func OpenFollower(opts FollowerOptions) (*Follower, error) {
 		// Restore first, write after: a snapshot this build refuses is
 		// never stored, so the next start fetches afresh instead of
 		// refusing the same file through Recover forever.
-		ix, err := readSnapshot(bytes.NewReader(data))
+		ix, err := readSnapshot(data)
 		if err != nil {
 			return nil, err
 		}

@@ -207,15 +207,15 @@ type ApplyResult struct {
 // shardOps is one partition's resolved slice of a Batch: the final op
 // per ID in first-seen upsert order (a nil upsert slot marks an ID a
 // later delete won over). buildRecords drops the nil slots and sets recs
-// and keys, the fresh versions' scoring records and index keys by
-// position.
+// and stored, the fresh versions' scoring records and what the candidate
+// index stores of them, by position.
 type shardOps struct {
 	part    int
 	upserts []*entity.Entity
 	pos     map[string]int
 	deletes []string
 	recs    []*evalengine.Record
-	keys    [][]uint64
+	stored  []matching.Stored
 }
 
 // partitionOps resolves a batch to one final op per ID — later upsert
@@ -286,7 +286,7 @@ func SplitBatch(b Batch, parts int) map[int]Batch {
 // entities builds inline, and a 64-entity batch splits across the cores.
 const recordChunk = 16
 
-// buildRecords builds the records and index keys
+// buildRecords builds the records, index keys and edit sets
 // (CandidateSource.StoredKeys, from the records' values) of g's fresh
 // versions: pure functions of the entities, built without a lock, in
 // chunks of at least recordChunk versions on up to GOMAXPROCS
@@ -304,14 +304,14 @@ func (ix *ShardedIndex) buildRecords(g *shardOps) {
 	}
 	g.upserts = fresh
 	g.recs = make([]*evalengine.Record, len(fresh))
-	g.keys = make([][]uint64, len(fresh))
+	g.stored = make([]matching.Stored, len(fresh))
 	chunks := max(1, min(runtime.GOMAXPROCS(0), len(fresh)/recordChunk))
 	parallel(chunks, func(c int) {
 		lo, hi := c*len(fresh)/chunks, (c+1)*len(fresh)/chunks
 		for i := lo; i < hi; i++ {
 			g.recs[i] = ix.compiled.Record(fresh[i])
 		}
-		copy(g.keys[lo:hi], ix.source.StoredKeys(g.recs[lo:hi]))
+		copy(g.stored[lo:hi], ix.source.StoredKeys(g.recs[lo:hi]))
 	})
 }
 
@@ -324,7 +324,7 @@ func (ix *ShardedIndex) buildRecords(g *shardOps) {
 // it is atomic with respect to queries.
 func (ix *ShardedIndex) installShardOps(g *shardOps) (upserted, deleted int) {
 	sh := ix.shards[g.part]
-	fresh, recs, keys := g.upserts, g.recs, g.keys
+	fresh, recs, stored := g.upserts, g.recs, g.stored
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	// Deleted and replaced versions leave in one BulkRemove; the two ID
@@ -338,7 +338,7 @@ func (ix *ShardedIndex) installShardOps(g *shardOps) (upserted, deleted int) {
 		}
 	}
 	freed := sh.index.BulkRemove(gone)
-	taken := sh.index.BulkAdd(recs, keys)
+	taken := sh.index.BulkAdd(recs, stored)
 	for _, s := range freed {
 		sh.records[s] = nil
 	}

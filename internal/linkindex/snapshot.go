@@ -1,6 +1,7 @@
 package linkindex
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,12 +20,14 @@ import (
 // RestoreFrom accepts; any other version is rejected instead of guessed
 // at.
 //
-// A snapshot is a stream of JSON values separated by newlines: one
+// A snapshot is a stream of compact JSON values, one per line: one
 // header (version, shard count, blocker, threshold, rule, and the number
-// of sections that follow) and then the sections, each holding a
-// contiguous run of one shard's slice of the corpus sorted by ID. A
-// writer splits each shard into max(1, GOMAXPROCS/shards) sections, so a
-// one-shard index still decodes and installs on every core; a reader
+// of sections that follow) and then the sections (entity.Section), each
+// holding a contiguous run of one shard's slice of the corpus sorted by
+// ID. The sections are written by json.Marshal and read by the entity
+// decoder (entity.Section's DecodeJSON). A writer splits each shard into
+// max(1, GOMAXPROCS/shards) sections, so a one-shard index still decodes
+// and installs on every core; a reader
 // takes any count from one section per shard up. Every restore rebuilds
 // the header's shard count: a blocker's answers depend on it. Sections
 // are independently decodable, so both sides of the round trip
@@ -62,16 +65,11 @@ type snapshotHeader struct {
 	Sections int `json:"sections,omitempty"`
 }
 
-// snapshotSection is a run of one shard's slice of the corpus.
-type snapshotSection struct {
-	Entities []*entity.Entity `json:"entities"`
-}
-
 // snapshotCapture is an in-memory snapshot: the header plus every
 // section, captured under the shard locks and serialized later.
 type snapshotCapture struct {
 	header   snapshotHeader
-	sections []snapshotSection
+	sections []entity.Section
 }
 
 // buildSnapshot captures the snapshot state: per shard, the corpus slice
@@ -94,21 +92,21 @@ func (ix *ShardedIndex) buildSnapshot() *snapshotCapture {
 			Rule:         ix.rule,
 			Sections:     per * len(ix.shards),
 		},
-		sections: make([]snapshotSection, 0, per*len(ix.shards)),
+		sections: make([]entity.Section, 0, per*len(ix.shards)),
 	}
 	for _, sh := range ix.shards {
 		ents := sh.entities()
 		matching.SortByID(ents)
 		for j := range per {
-			snap.sections = append(snap.sections, snapshotSection{Entities: ents[j*len(ents)/per : (j+1)*len(ents)/per]})
+			snap.sections = append(snap.sections, entity.Section{Entities: ents[j*len(ents)/per : (j+1)*len(ents)/per]})
 		}
 	}
 	return snap
 }
 
 // encode serializes the capture to w: the header value, then each
-// section value, newline-separated. Sections are marshaled in parallel
-// (they are independent by construction) and written in shard order.
+// section value, one per line. Sections are marshaled in parallel (they
+// are independent by construction) and written in shard order.
 func (snap *snapshotCapture) encode(w io.Writer) error {
 	blobs := make([][]byte, 1+len(snap.sections))
 	errs := make([]error, len(blobs))
@@ -184,15 +182,29 @@ func writeSnapshotFile(path string, encode func(io.Writer) error) error {
 // its runs stay comparable across commits.
 type RestoreOptions struct{}
 
-// readSnapshot rebuilds an index from a snapshot: the snapshot is
-// decoded and checked (decodeSnapshot), the rule recompiled, the options
-// and shard count reconstructed, and the block structures and scoring
-// records rebuilt by installing the corpus sections in parallel.
-func readSnapshot(r io.Reader) (*ShardedIndex, error) {
-	snap, err := decodeSnapshot(r)
+// restoreStepHook, when a benchmark sets it, is called as each step of
+// a restore begins — "read" the file, "scan" its header and cut its
+// sections apart, "decode" them, "install" them into an index — and as
+// Recover's "replay" of the log tail begins, and with "" as that replay
+// ends, so the steps are timed on the path recovery runs.
+var restoreStepHook func(step string)
+
+func restoreStep(step string) {
+	if restoreStepHook != nil {
+		restoreStepHook(step)
+	}
+}
+
+// readSnapshot rebuilds an index from a snapshot's bytes: the snapshot
+// is decoded and checked (decodeSnapshot), the rule recompiled, the
+// options and shard count reconstructed, and the block structures and
+// scoring records rebuilt by installing the corpus sections in parallel.
+func readSnapshot(data []byte) (*ShardedIndex, error) {
+	snap, err := decodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
+	restoreStep("install")
 	ix := NewSharded(snap.header.Rule, snap.header.Shards, matching.Options{
 		Threshold:    snap.header.Threshold,
 		MaxBlockSize: snap.header.MaxBlockSize,
@@ -224,15 +236,20 @@ type decodedSnapshot struct {
 // an errSnapshotRule refusal. readSnapshot installs the result; a
 // follower re-bootstrapping from a leader snapshot diff-applies it into
 // its live index instead.
-func decodeSnapshot(r io.Reader) (*decodedSnapshot, error) {
-	dec := json.NewDecoder(r)
+func decodeSnapshot(data []byte) (*decodedSnapshot, error) {
+	restoreStep("scan")
+	// Every writer puts one compact value on each line (a string's
+	// newlines are escaped), so the header is the first line. A file
+	// without a newline is one value, such as a version 1 snapshot,
+	// which the version check refuses.
+	first, rest, _ := bytes.Cut(data, []byte{'\n'})
 	// The rule is held raw until the version is checked, so a rule error
 	// (errSnapshotRule) is told apart from a header that does not decode.
 	var raw struct {
 		snapshotHeader
 		Rule json.RawMessage `json:"rule"`
 	}
-	if err := dec.Decode(&raw); err != nil {
+	if err := json.Unmarshal(first, &raw); err != nil {
 		return nil, fmt.Errorf("linkindex: restore: %w", err)
 	}
 	hdr := raw.snapshotHeader
@@ -256,19 +273,21 @@ func decodeSnapshot(r io.Reader) (*decodedSnapshot, error) {
 	if hdr.Shards < 1 || hdr.Shards > hdr.Sections {
 		return nil, fmt.Errorf("linkindex: restore: snapshot shard count %d out of range for %d sections", hdr.Shards, hdr.Sections)
 	}
-	// Slurp the raw section values in order (a cheap syntactic scan),
-	// then decode them in parallel — entity unmarshaling dominates.
-	raws := make([]json.RawMessage, hdr.Sections)
-	for i := range raws {
-		if err := dec.Decode(&raws[i]); err != nil {
-			return nil, fmt.Errorf("linkindex: restore: section %d: %w", i, err)
-		}
+	// The sections are the next Sections lines, each ending in '\n', so
+	// the split leaves one empty element after them. A file laid out
+	// otherwise (truncated, or extended past the last section) is damage.
+	raws := bytes.Split(rest, []byte{'\n'})
+	if len(raws) != hdr.Sections+1 || len(raws[hdr.Sections]) != 0 {
+		return nil, fmt.Errorf("linkindex: restore: snapshot section count %d, but %d newline-terminated lines follow the header", hdr.Sections, len(raws)-1)
 	}
+	raws = raws[:hdr.Sections]
+	// Decode the sections in parallel, through the entity decoder.
+	restoreStep("decode")
 	snap := &decodedSnapshot{header: hdr, blocker: bl, sections: make([][]*entity.Entity, len(raws))}
 	errs := make([]error, len(raws))
 	parallel(len(raws), func(i int) {
-		var sec snapshotSection
-		if err := json.Unmarshal(raws[i], &sec); err != nil {
+		var sec entity.Section
+		if err := sec.DecodeJSON(raws[i]); err != nil {
 			errs[i] = fmt.Errorf("linkindex: restore: section %d: %w", i, err)
 			return
 		}
@@ -303,10 +322,10 @@ func validateSnapshotEntities(ents []*entity.Entity) error {
 // follower's copy of its leader's), in the header's shard count and
 // blocker.
 func RestoreFrom(path string, _ RestoreOptions) (*ShardedIndex, error) {
-	f, err := os.Open(path)
+	restoreStep("read")
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("linkindex: restore: %w", err)
 	}
-	defer f.Close()
-	return readSnapshot(f)
+	return readSnapshot(data)
 }

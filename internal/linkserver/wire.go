@@ -89,8 +89,9 @@ type NodeMetrics struct {
 	Writes              int64            `json:"writes"` // entities upserted
 }
 
-// DecodeEntities accepts `{...}` or `[{...}, ...]` bodies and validates
-// that every entity carries an id. The ResponseWriter lets
+// DecodeEntities accepts `{...}` or `[{...}, ...]` bodies, decoded by
+// entity.DecodeJSON and entity.DecodeJSONList, and validates that every
+// entity carries an id. The ResponseWriter lets
 // MaxBytesReader close the connection on overrun; the caller maps the
 // resulting *http.MaxBytesError to 413 via WriteDecodeError.
 func DecodeEntities(w http.ResponseWriter, r *http.Request) ([]*entity.Entity, error) {
@@ -100,15 +101,15 @@ func DecodeEntities(w http.ResponseWriter, r *http.Request) ([]*entity.Entity, e
 	}
 	var entities []*entity.Entity
 	if first := firstNonSpace(body); first == '[' {
-		if err := json.Unmarshal(body, &entities); err != nil {
+		if entities, err = entity.DecodeJSONList(body); err != nil {
 			return nil, fmt.Errorf("invalid entity array: %w", err)
 		}
 	} else {
-		var e entity.Entity
-		if err := json.Unmarshal(body, &e); err != nil {
+		e, err := entity.DecodeJSON(body)
+		if err != nil {
 			return nil, fmt.Errorf("invalid entity: %w", err)
 		}
-		entities = append(entities, &e)
+		entities = append(entities, e)
 	}
 	for _, e := range entities {
 		if e == nil || e.ID == "" {

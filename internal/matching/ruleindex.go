@@ -31,10 +31,10 @@ type CandidateSource interface {
 	String() string
 	// NewIndex returns an empty index of the source.
 	NewIndex() CandidateIndex
-	// StoredKeys returns the index keys of recs, by position (nil for a
-	// blocker): a pure function of the records, which a writer derives
-	// before it takes its lock.
-	StoredKeys(recs []*evalengine.Record) [][]uint64
+	// StoredKeys returns what the index stores of recs, by position (nil
+	// for a blocker): a pure function of the records, which a writer
+	// derives before it takes its lock.
+	StoredKeys(recs []*evalengine.Record) []Stored
 	// ProbeKeys returns the keys a query of the probe enumerates, derived
 	// once however many indexes it reads: nil for a blocker and for a
 	// probe whose bound (Probe.Upper) misses the threshold.
@@ -42,6 +42,14 @@ type CandidateSource interface {
 	// batch loads bs, whose records are rbs, to be probed with as; the
 	// enumerators it returns yield positions in bs.
 	batch(as, bs []*entity.Entity, rbs []*evalengine.Record) func(probe *evalengine.Record) Enumerator
+}
+
+// Stored is what a rule index stores of one record, derived by
+// CandidateSource.StoredKeys: its segment keys, sorted and unique, and
+// its indexed values with their shapes, which the index's check reads.
+type Stored struct {
+	Keys []uint64
+	Edit similarity.EditSet
 }
 
 // CandidateIndex is a CandidateSource's mutable index: Slot, Len, Keys,
@@ -53,7 +61,7 @@ type CandidateIndex interface {
 	Slot(id string) (int32, bool)
 	Len() int
 	Keys() int
-	BulkAdd(recs []*evalengine.Record, keys [][]uint64) []int32
+	BulkAdd(recs []*evalengine.Record, stored []Stored) []int32
 	BulkRemove(ids []string) []int32
 	For(probe *evalengine.Record, keys []uint64) Enumerator
 }
@@ -72,10 +80,10 @@ func NewCandidateSource(c *evalengine.Compiled, opts Options) CandidateSource {
 // blockerSource is the source of a rule without an edit bound.
 type blockerSource struct{ bl Blocker }
 
-func (s blockerSource) String() string                           { return "blocker " + s.bl.Name() }
-func (s blockerSource) NewIndex() CandidateIndex                 { return blocks{NewBlockIndex(s.bl)} }
-func (blockerSource) StoredKeys([]*evalengine.Record) [][]uint64 { return nil }
-func (blockerSource) ProbeKeys(*evalengine.Record) []uint64      { return nil }
+func (s blockerSource) String() string                         { return "blocker " + s.bl.Name() }
+func (s blockerSource) NewIndex() CandidateIndex               { return blocks{NewBlockIndex(s.bl)} }
+func (blockerSource) StoredKeys([]*evalengine.Record) []Stored { return nil }
+func (blockerSource) ProbeKeys(*evalengine.Record) []uint64    { return nil }
 func (s blockerSource) batch(as, bs []*entity.Entity, _ []*evalengine.Record) func(*evalengine.Record) Enumerator {
 	en := newEnumerator(s.bl, as, bs)
 	return func(*evalengine.Record) Enumerator { return en }
@@ -84,7 +92,7 @@ func (s blockerSource) batch(as, bs []*entity.Entity, _ []*evalengine.Record) fu
 // blocks is a BlockIndex as a CandidateIndex.
 type blocks struct{ BlockIndex }
 
-func (x blocks) BulkAdd(recs []*evalengine.Record, _ [][]uint64) []int32 {
+func (x blocks) BulkAdd(recs []*evalengine.Record, _ []Stored) []int32 {
 	es := make([]*entity.Entity, len(recs))
 	for i, r := range recs {
 		es[i] = r.Entity()
@@ -108,19 +116,28 @@ func (s *ruleSource) String() string {
 func (s *ruleSource) NewIndex() CandidateIndex { return NewRuleIndex(&s.edit) }
 
 // StoredKeys implements CandidateSource: the segment keys of each
-// record's B-side values, sorted and unique, derived once per entity
-// version.
-func (s *ruleSource) StoredKeys(recs []*evalengine.Record) [][]uint64 {
+// record's B-side values, sorted and unique, and the values' edit set,
+// derived once per entity version.
+func (s *ruleSource) StoredKeys(recs []*evalengine.Record) []Stored {
 	k := s.edit.K
-	keys := make([][]uint64, len(recs))
+	stored := make([]Stored, len(recs))
+	// The shapes of one-value sets share one array: RuleIndex.BulkAdd
+	// copies such a shape out, so the array does not outlive the add.
+	shapes := make([]similarity.EditShape, len(recs))
 	for i, r := range recs {
 		values := s.edit.Indexed(r)
 		// A value has K + 1 keys, or one when it is no longer than K.
 		ks := similarity.EditSegmentKeys(make([]uint64, 0, len(values)*(k+1)), values, k)
 		slices.Sort(ks)
-		keys[i] = slices.Compact(ks)
+		stored[i].Keys = slices.Compact(ks)
+		if len(values) == 1 {
+			shapes[i] = similarity.NewEditShape(values[0])
+			stored[i].Edit = similarity.EditSet{Values: values, Shapes: shapes[i : i+1]}
+		} else {
+			stored[i].Edit = similarity.NewEditSet(values)
+		}
 	}
-	return keys
+	return stored
 }
 
 // ProbeKeys implements CandidateSource: the keys of the A-side values.
@@ -146,11 +163,12 @@ func (s *ruleSource) batch(_, _ []*entity.Entity, rbs []*evalengine.Record) func
 // like a BlockIndex's with, in place of a blocker's passes, one pass of
 // posting lists of uint64 keys (StoredKeys), and at each live slot the
 // bound's B-side values of the record there (EditBound.Indexed) with
-// each value's sketch and rune count, derived as the slot is filled,
-// which For's enumerator checks. Each yields the slots holding any of a
-// probe's keys, each once: all of them, with no block-size cap, because
-// a cap would drop candidates the bound admits. The index derives no key
-// itself and tokenizes nothing. Like BlockIndex it is NOT synchronized.
+// each value's sketch and rune count, derived with the keys before the
+// writer's lock (Stored.Edit), which For's enumerator checks. Each
+// yields the slots holding any of a probe's keys, each once: all of
+// them, with no block-size cap, because a cap would drop candidates the
+// bound admits. The index derives no key itself and tokenizes nothing.
+// Like BlockIndex it is NOT synchronized.
 type RuleIndex struct {
 	table
 	pass    *keyedPass[uint64]
@@ -175,13 +193,13 @@ func (x *RuleIndex) Add(id string, keys []uint64) int32 {
 	return s
 }
 
-// BulkAdd implements CandidateIndex: Add of each record's entity, whose
-// indexed values it records with their sketches and rune counts.
-func (x *RuleIndex) BulkAdd(recs []*evalengine.Record, keys [][]uint64) []int32 {
+// BulkAdd implements CandidateIndex: Add of each record's entity under
+// its stored keys, recording its stored edit set.
+func (x *RuleIndex) BulkAdd(recs []*evalengine.Record, stored []Stored) []int32 {
 	slots := make([]int32, len(recs))
 	for i, r := range recs {
-		slots[i] = x.Add(r.Entity().ID, keys[i])
-		x.indexed.set(slots[i], x.edit.Indexed(r))
+		slots[i] = x.Add(r.Entity().ID, stored[i].Keys)
+		x.indexed.set(slots[i], stored[i].Edit)
 	}
 	return slots
 }
@@ -193,7 +211,7 @@ func (x *RuleIndex) BulkRemove(ids []string) []int32 {
 	slots := x.drop(ids)
 	x.pass.remove(nil, slots)
 	for _, s := range slots {
-		x.indexed.set(s, nil)
+		x.indexed.set(s, similarity.EditSet{})
 	}
 	x.release(slots)
 	return slots
@@ -269,19 +287,19 @@ var noValues = &similarity.EditSet{}
 // manyShape marks a slot whose set is many's.
 var manyShape = similarity.EditShape{Runes: -1}
 
-// set records values at slot s, growing the arrays to reach it.
-func (iv *indexedValues) set(s int32, values []string) {
+// set records the set at slot s, growing the arrays to reach it.
+func (iv *indexedValues) set(s int32, set similarity.EditSet) {
 	if n := int(s) + 1; n > len(iv.one) {
 		iv.one, iv.shape, iv.many = grown(iv.one, n), grown(iv.shape, n), grown(iv.many, n)
 	}
-	switch len(values) {
+	switch len(set.Values) {
 	case 1:
-		iv.one[s], iv.shape[s], iv.many[s] = values[0], similarity.NewEditShape(values[0]), nil
+		iv.one[s], iv.shape[s], iv.many[s] = set.Values[0], set.Shapes[0], nil
 	case 0:
 		iv.one[s], iv.shape[s], iv.many[s] = "", manyShape, noValues
 	default:
-		set := similarity.NewEditSet(values)
-		iv.one[s], iv.shape[s], iv.many[s] = "", manyShape, &set
+		many := set
+		iv.one[s], iv.shape[s], iv.many[s] = "", manyShape, &many
 	}
 }
 
