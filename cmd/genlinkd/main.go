@@ -70,9 +70,12 @@
 // hash-partitioned across the groups with the index's own placement
 // function, write batches are split per owning partition and applied to
 // the leaders in parallel, match queries fan out to every group and
-// merge with the index's top-k contract. -max-lag serves reads from
-// replicas while their lag is within the bound, -hedge-after duplicates
-// slow fan-out legs, -route-poll paces the membership/lag poll. The
+// merge with the index's top-k contract. Every routed read starts at a
+// replica within -max-lag (else the leader guess), hedges after
+// -hedge-after to another node within the same bound, and falls over to
+// the group's other nodes only once every attempt has failed — the one
+// way a read can answer staler than -max-lag. -route-poll paces the
+// membership/lag poll. The
 // router follows 403 leader redirects (and survives kill -9 + promote;
 // see scripts/router_smoke.sh) and serves its own /metrics.
 //
@@ -160,8 +163,8 @@ func main() {
 		follow     = flag.String("follow", "", "run as a read replica of this leader address (requires -wal-dir; excludes -rule/-dataset)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; off when empty)")
 		route      = flag.String("route", "", `run as a stateless routing tier over partition groups: "leader1,replica1,...;leader2,..." (excludes every index-serving flag)`)
-		maxLag     = flag.Uint64("max-lag", 0, "-route: serve reads from a replica only while its replica_lag_records is at most this (0 = fully caught up)")
-		hedgeAfter = flag.Duration("hedge-after", 0, "-route: duplicate a slow fan-out query leg to another node of the group after this budget (0 disables hedging)")
+		maxLag     = flag.Uint64("max-lag", 0, "-route: start or hedge a read at a replica only while its replica_lag_records is at most this, else at the leader; only a fall-over after every such node failed reads staler (0 = fully caught up)")
+		hedgeAfter = flag.Duration("hedge-after", 0, "-route: duplicate a read not answered within this budget to another node of the group within -max-lag; the first answer wins (0 disables hedging)")
 		routePoll  = flag.Duration("route-poll", 500*time.Millisecond, "-route: membership/lag poll interval")
 	)
 	flag.Parse()

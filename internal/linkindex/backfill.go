@@ -25,18 +25,19 @@ import "errors"
 // the commit took the lock is in its snapshot, a later one opens the
 // next session.
 //
-// It pays on a slow disk. Measured on an nproc 2 Xeon (pinned rule
-// benchmark/rules/cora.json, 2 shards, multipass blocking): 100,000
-// cora-x entities loaded from empty in 1,024-entity batches, logged
-// Apply plus one Snapshot against Backfill plus CommitBackfill, medians
-// [q1 / q3] of 10 alternating pairs:
+// It pays on any disk. Measured on an nproc 2 Xeon (pinned rule
+// benchmark/rules/cora.json, default shards, multipass blocking):
+// 100,000 cora-x entities loaded from empty in 1,024-entity batches,
+// logged Apply plus one Snapshot against Backfill plus CommitBackfill,
+// medians [q1 / q3] of 10 rotated rounds:
 //
 //	disk                  logged                   backfill
-//	5 ms Sync (injected)  2.264 s [2.171 / 2.329]  1.557 s [1.476 / 1.638]  faster in 10/10
-//	0.2 ms Sync           1.950 s [1.808 / 2.015]  1.843 s                  faster in 7/10, inside the noise
+//	local disk            0.951 s [0.911 / 0.983]  0.709 s [0.633 / 0.745]  faster in 10/10
+//	5 ms Sync (injected)  1.502 s [1.415 / 1.550]  0.715 s [0.683 / 0.766]  faster in 10/10
 //
-// Peak RSS was not measured; TotalAlloc read 646–662 MB logged against
-// 622 MB backfilled.
+// On the local disk most of the logged path's premium is the WAL payload's
+// json.Marshal (0.150 s for the 98 batches), not fsync (group commit
+// saves 0.11 s).
 
 // ErrBackfillActive is returned by Snapshot while a backfill session is
 // open.

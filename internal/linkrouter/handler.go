@@ -119,11 +119,11 @@ func (rt *Router) handlePostEntities(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleGetEntity routes the get to the ID's owning group, lag-aware.
+// handleGetEntity routes the get to the ID's owning group's read leg.
 func (rt *Router) handleGetEntity(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	gi := linkindex.PartitionOf(id, len(rt.groups))
-	status, data, err := rt.readGroup(r.Context(), gi, http.MethodGet, "/entities/"+url.PathEscape(id), nil)
+	status, data, err := rt.readLeg(r.Context(), gi, http.MethodGet, "/entities/"+url.PathEscape(id), nil)
 	if err != nil {
 		linkserver.WriteError(w, http.StatusBadGateway, err)
 		return
@@ -149,7 +149,7 @@ func (rt *Router) handleDeleteEntity(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMatch answers GET /match?id=X&k=N over the routed corpus: the
-// stored probe is fetched from its owning group (lag-aware), then
+// stored probe is fetched through its owning group's read leg, then
 // matched across all groups like any probe. Because each backend
 // excludes its stored record with the probe's ID — and the owning group
 // is the only one that can hold it — the result equals a single big
@@ -166,7 +166,7 @@ func (rt *Router) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gi := linkindex.PartitionOf(id, len(rt.groups))
-	status, probe, err := rt.readGroup(r.Context(), gi, http.MethodGet, "/entities/"+url.PathEscape(id), nil)
+	status, probe, err := rt.readLeg(r.Context(), gi, http.MethodGet, "/entities/"+url.PathEscape(id), nil)
 	if err != nil {
 		linkserver.WriteError(w, http.StatusBadGateway, err)
 		return
@@ -216,12 +216,15 @@ func (rt *Router) handleMatchProbe(w http.ResponseWriter, r *http.Request) {
 }
 
 // fanOutMatch POSTs the probe to every partition group concurrently
-// (each leg lag-aware and hedged) and merges the per-group winners with
-// the same bounded min-heap merge the sharded index uses per-shard —
-// so the routed answer keeps the index's ordering contract (descending
-// score, ascending BID on ties). A leg that fails on every node of its
-// group fails the query: a silently dropped partition would return a
-// confidently wrong top-k.
+// (one read leg each) and merges the per-group winners with the same
+// bounded min-heap merge the sharded index uses per-shard — so the
+// routed answer keeps the index's ordering contract (descending score,
+// ascending BID on ties). A leg that no node of its group answers with
+// a 200 fails the query: a silently dropped partition would return a
+// confidently wrong top-k. JSON float64 scores round-trip exactly
+// (encoding/json emits the shortest representation that parses back to
+// the same bits), so cross-node merges compare the same scores a
+// single-process merge would.
 func (rt *Router) fanOutMatch(ctx context.Context, probe []byte, k int) ([]matching.Link, error) {
 	path := "/match?k=" + strconv.Itoa(k)
 	perGroup := make([][]matching.Link, len(rt.groups))
@@ -231,7 +234,25 @@ func (rt *Router) fanOutMatch(ctx context.Context, probe []byte, k int) ([]match
 		wg.Add(1)
 		go func(gi int) {
 			defer wg.Done()
-			perGroup[gi], errs[gi] = rt.matchLeg(ctx, gi, path, probe)
+			t0 := time.Now()
+			status, data, err := rt.readLeg(ctx, gi, http.MethodPost, path, probe)
+			if err != nil {
+				errs[gi] = err
+				return
+			}
+			rt.m.legLatency[gi].Observe(time.Since(t0))
+			if status != http.StatusOK {
+				errs[gi] = fmt.Errorf("status %d: %s", status, truncate(data))
+				return
+			}
+			var resp linkserver.MatchResponse
+			if err := json.Unmarshal(data, &resp); err != nil {
+				errs[gi] = err
+				return
+			}
+			for _, l := range resp.Links {
+				perGroup[gi] = append(perGroup[gi], matching.Link{AID: resp.Query, BID: l.ID, Score: l.Score})
+			}
 		}(gi)
 	}
 	wg.Wait()
@@ -244,41 +265,43 @@ func (rt *Router) fanOutMatch(ctx context.Context, probe []byte, k int) ([]match
 	return linkindex.MergeTopK(perGroup, k), nil
 }
 
-// matchLeg runs one group's leg of a fan-out query: primary request to
-// the lag-aware read pick; if it has not answered within HedgeAfter, a
-// hedge fires at another node of the group and the first success wins
-// (the loser is cancelled). A failed attempt falls back to the group's
-// remaining nodes, so a leg only errors when the whole group is down.
-func (rt *Router) matchLeg(ctx context.Context, gi int, path string, probe []byte) ([]matching.Link, error) {
+// readLeg forwards one read to partition group gi and returns the first
+// authoritative answer, under the policy the package doc states: start
+// at pickRead's node, hedge once to alternate's node after HedgeAfter
+// (the first authoritative answer wins and the loser is cancelled), and
+// once every launched attempt has failed — a transport error or a 5xx,
+// which marks the node unhealthy — fall over to the next untried node
+// in writeOrder. Any other status is authoritative and returned as-is,
+// counted by the answering node's polled role. The error is the last
+// failure, once no node of the group is left to try.
+func (rt *Router) readLeg(ctx context.Context, gi int, method, path string, body []byte) (int, []byte, error) {
 	g := rt.groups[gi]
-	t0 := time.Now()
-	legCtx, cancel := context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	type attempt struct {
-		links   []matching.Link
-		err     error
-		addr    string
-		replica bool
-		hedge   bool
+		addr   string
+		status int
+		data   []byte
+		err    error
+		hedge  bool
 	}
-	ch := make(chan attempt, len(g.nodes)+2)
+	// Each address is launched at most once: every node, plus a leader
+	// guess a 403 body named from outside the configured set.
+	ch := make(chan attempt, len(g.nodes)+1)
 	launched := make(map[string]bool)
 	inflight := 0
-	launch := func(addr string, replica, hedge bool) {
-		if addr == "" || launched[addr] {
-			return
-		}
+	launch := func(addr string, hedge bool) {
 		launched[addr] = true
 		inflight++
 		go func() {
-			links, err := rt.doMatch(legCtx, addr+path, probe)
-			ch <- attempt{links: links, err: err, addr: addr, replica: replica, hedge: hedge}
+			status, data, err := rt.do(ctx, method, addr+path, body)
+			ch <- attempt{addr: addr, status: status, data: data, err: err, hedge: hedge}
 		}()
 	}
 
-	primary, primReplica := g.pickRead(rt.opts.MaxLag)
-	launch(primary, primReplica, false)
+	primary := g.pickRead(rt.opts.MaxLag)
+	launch(primary, false)
 
 	var hedgeCh <-chan time.Time
 	if rt.opts.HedgeAfter > 0 {
@@ -292,66 +315,39 @@ func (rt *Router) matchLeg(ctx context.Context, gi int, path string, probe []byt
 		select {
 		case <-hedgeCh:
 			hedgeCh = nil
-			if alt := g.alternate(primary); alt != "" && !launched[alt] {
+			if alt := g.alternate(primary, rt.opts.MaxLag); alt != "" && !launched[alt] {
 				rt.m.hedgesFired.Add(1)
-				launch(alt, false, true)
+				launch(alt, true)
 			}
 		case a := <-ch:
 			inflight--
-			if a.err != nil {
-				g.markUnhealthy(a.addr)
-				lastErr = a.err
-				if inflight == 0 {
-					// Fail over to any node of the group not yet tried.
-					for _, addr := range g.writeOrder() {
-						if !launched[addr] {
-							launch(addr, false, false)
-							break
-						}
+			if a.err == nil && a.status < 500 {
+				if a.hedge {
+					rt.m.hedgeWins.Add(1)
+				}
+				rt.m.observeRead(g.isFollower(a.addr))
+				return a.status, a.data, nil
+			}
+			g.markUnhealthy(a.addr)
+			lastErr = a.err
+			if lastErr == nil {
+				lastErr = fmt.Errorf("linkrouter: %s%s: status %d: %s", a.addr, path, a.status, truncate(a.data))
+			}
+			if inflight == 0 {
+				for _, addr := range g.writeOrder() {
+					if !launched[addr] {
+						launch(addr, false)
+						break
 					}
 				}
-				continue
 			}
-			if a.hedge {
-				rt.m.hedgeWins.Add(1)
-			}
-			rt.m.observeRead(a.replica)
-			rt.m.legLatency[gi].Observe(time.Since(t0))
-			return a.links, nil
 		}
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("no node answered in partition %d", gi)
-	}
-	return nil, lastErr
+	return 0, nil, lastErr
 }
 
-// doMatch issues one POST /match attempt and decodes the backend's
-// links into the merge input. JSON float64 scores round-trip exactly
-// (encoding/json emits the shortest representation that parses back to
-// the same bits), so cross-node merges compare the same scores a
-// single-process merge would.
-func (rt *Router) doMatch(ctx context.Context, url string, probe []byte) ([]matching.Link, error) {
-	status, data, err := rt.do(ctx, http.MethodPost, url, probe)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", status, truncate(data))
-	}
-	var resp linkserver.MatchResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return nil, err
-	}
-	links := make([]matching.Link, 0, len(resp.Links))
-	for _, l := range resp.Links {
-		links = append(links, matching.Link{AID: resp.Query, BID: l.ID, Score: l.Score})
-	}
-	return links, nil
-}
-
-// handleStats sums /stats across the partition groups (each leg
-// lag-aware). Per-group figures ride along so an imbalanced partition
+// handleStats sums /stats across the partition groups (one read leg
+// each). Per-group figures ride along so an imbalanced partition
 // shows up directly, and so do each group's shard count and candidate
 // source, which a node derives from its own cores and rule.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -373,7 +369,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			g.mu.Lock()
 			out[gi].Leader = g.leader
 			g.mu.Unlock()
-			status, data, err := rt.readGroup(r.Context(), gi, http.MethodGet, "/stats", nil)
+			status, data, err := rt.readLeg(r.Context(), gi, http.MethodGet, "/stats", nil)
 			if err != nil {
 				out[gi].Err = err.Error()
 				return

@@ -16,19 +16,26 @@
 // router fails over to the group's other nodes, which is how it finds a
 // freshly promoted replica after the old leader died.
 //
-// Reads: GET /entities/{id} routes to the owning group, served from a
+// Reads: every routed read — GET /entities/{id}, the probe fetch of
+// GET /match?id=, each /stats leg and each leg of the /match fan-out —
+// goes through one read leg (readLeg) with one policy. It starts at a
 // replica whose polled replica_lag_records is within Options.MaxLag
-// (round-robin across eligible replicas) and falling back to the
-// leader. Top-k /match fans out to every group concurrently and merges
-// the per-group winners with linkindex.MergeTopK — the per-shard
-// candidate-semantics contract of the sharded index is the cross-node
-// contract, so a quiescent router over N groups answers exactly like
-// one big index for partition-invariant blocking (pinned byte for byte
-// by the differential tests in internal/linkserver). Slow fan-out legs
-// are hedged: if a leg has not answered within Options.HedgeAfter, the
-// same request is fired at another node of that group and the first
-// answer wins, taming the p99 a single slow or GC-pausing node would
-// otherwise set.
+// (round-robin across eligible replicas), else at the leader guess. If
+// that node has not answered within Options.HedgeAfter, the same request
+// is fired once more at a node the lag gate also admits (the leader for
+// a replica start, an eligible replica for a leader start; none, no
+// hedge), and the first answer wins. A transport error or 5xx marks the
+// node unhealthy; once every launched attempt has failed, the leg falls
+// over to the group's untried nodes in write order (leader guess first),
+// whatever their lag. Any other answer is authoritative. So a read is
+// staler than MaxLag only when it fell over past the leader guess, and a
+// read fails only when no node of its group answers. Top-k /match fans
+// out to every group and merges the per-group winners with
+// linkindex.MergeTopK — the per-shard candidate-semantics contract of
+// the sharded index is the cross-node contract, so a quiescent router
+// over N groups answers exactly like one big index for
+// partition-invariant blocking (pinned byte for byte by the
+// differential tests in internal/linkserver).
 //
 // Hedging pays against a slow node. Measured in-process on an nproc 2
 // Xeon: two groups, each a leader plus a caught-up follower, with group
@@ -39,10 +46,10 @@
 //
 // Membership and freshness come from polling each node's GET /metrics
 // (role, applied_seq, replica_lag_records); a node that stops answering
-// is excluded from reads until it answers again. The router itself
-// serves GET /metrics with per-partition latency buckets, hedge and
-// retarget counters, the replica-read ratio and each node's polled
-// standing, its last_error included.
+// is no replica a read starts at or hedges to until it answers again.
+// The router itself serves GET /metrics with per-partition fan-out leg
+// latency buckets, hedge and retarget counters, the replica-read ratio
+// and each node's polled standing, its last_error included.
 package linkrouter
 
 import (
@@ -70,13 +77,14 @@ type Options struct {
 	// is the initial leader guess; the membership poller and the 403 /
 	// failover write paths correct it.
 	Groups [][]string
-	// MaxLag is the freshness knob: reads are served from a replica only
-	// while its polled replica_lag_records is ≤ MaxLag, otherwise they
-	// fall back to the group's leader. 0 (the default) means replicas
+	// MaxLag is the freshness knob: a read starts at, or hedges to, a
+	// replica only while its polled replica_lag_records is ≤ MaxLag,
+	// else at the leader guess. Only a read that falls over past the
+	// leader guess can answer staler. 0 (the default) means replicas
 	// must be fully caught up at the last poll.
 	MaxLag uint64
-	// HedgeAfter fires a second copy of a fan-out query leg at another
-	// node of the group when the first has not answered within this
+	// HedgeAfter fires a second copy of a read at another node the
+	// MaxLag gate admits when the first has not answered within this
 	// budget; the first answer wins. 0 disables hedging.
 	HedgeAfter time.Duration
 	// PollInterval paces the membership/lag poll (default 500ms).
@@ -145,44 +153,55 @@ func (g *group) writeOrder() []string {
 	return order
 }
 
-// pickRead selects the node a read should go to: a healthy follower
-// within maxLag (round-robin across the eligible ones), else the leader
-// guess. isReplica reports which kind was picked.
-func (g *group) pickRead(maxLag uint64) (addr string, isReplica bool) {
+// readable reports whether a read may start at, or hedge to, a node in
+// this polled state other than the leader guess: a healthy follower
+// within maxLag.
+func (st nodeState) readable(maxLag uint64) bool {
+	return st.healthy && st.role == "follower" && st.lag <= maxLag
+}
+
+// pickRead selects the node a read starts at: a readable follower
+// (round-robin across the eligible ones), else the leader guess.
+func (g *group) pickRead(maxLag uint64) string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	var eligible []string
 	for _, a := range g.nodes {
-		if st, ok := g.state[a]; ok && st.healthy && st.role == "follower" && st.lag <= maxLag {
+		if g.state[a].readable(maxLag) {
 			eligible = append(eligible, a)
 		}
 	}
 	if len(eligible) > 0 {
 		i := int(g.rr) % len(eligible)
 		g.rr++
-		return eligible[i], true
+		return eligible[i]
 	}
-	return g.leader, false
+	return g.leader
 }
 
-// alternate returns a hedge target distinct from primary: the leader
-// when the primary was a replica, otherwise another healthy node of the
-// group ("" when the group has nothing else to offer).
-func (g *group) alternate(primary string) string {
+// alternate returns a hedge target distinct from primary that pickRead
+// would also accept: the leader when the primary was a replica,
+// otherwise a readable follower ("" when the group has none).
+func (g *group) alternate(primary string, maxLag uint64) string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if primary != g.leader {
 		return g.leader
 	}
 	for _, a := range g.nodes {
-		if a == primary {
-			continue
-		}
-		if st, ok := g.state[a]; !ok || st.healthy {
+		if a != primary && g.state[a].readable(maxLag) {
 			return a
 		}
 	}
 	return ""
+}
+
+// isFollower reports whether addr's last poll found it a follower; a
+// read it answers counts as a replica read.
+func (g *group) isFollower(addr string) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.state[addr].role == "follower"
 }
 
 // markUnhealthy flags addr until the next successful poll, so reads stop
@@ -204,11 +223,11 @@ type routerMetrics struct {
 	queries       atomic.Int64 // client-facing match queries
 	hedgesFired   atomic.Int64
 	hedgeWins     atomic.Int64
-	replicaReads  atomic.Int64 // read legs answered by a replica
+	replicaReads  atomic.Int64 // read legs answered by a polled follower
 	leaderReads   atomic.Int64
 	retargets     atomic.Int64           // leader-guess changes (403 redirect or failover)
-	legErrors     atomic.Int64           // fan-out legs that failed both primary and hedge
-	legLatency    []linkserver.Histogram // proxied query legs, per partition
+	legErrors     atomic.Int64           // fan-out legs that failed their query
+	legLatency    []linkserver.Histogram // answered fan-out legs, per partition
 }
 
 func (m *routerMetrics) observeRead(isReplica bool) {
@@ -500,37 +519,6 @@ func (rt *Router) writeGroup(ctx context.Context, gi int, method, path string, b
 		lastErr = fmt.Errorf("linkrouter: no reachable leader in partition %d", gi)
 	}
 	return 0, nil, lastErr
-}
-
-// readGroup sends a read to partition group gi, lag-aware: an eligible
-// replica first (falling back to the leader on transport failure or
-// 5xx), counting where the answer actually came from.
-func (rt *Router) readGroup(ctx context.Context, gi int, method, path string, body []byte) (int, []byte, error) {
-	g := rt.groups[gi]
-	addr, isReplica := g.pickRead(rt.opts.MaxLag)
-	status, data, err := rt.do(ctx, method, addr+path, body)
-	if err == nil && status < 500 {
-		rt.m.observeRead(isReplica)
-		return status, data, nil
-	}
-	g.markUnhealthy(addr)
-	if isReplica {
-		// Replica failed mid-read: the leader is the fallback.
-		g.mu.Lock()
-		leader := g.leader
-		g.mu.Unlock()
-		if leader != addr {
-			status, data, err = rt.do(ctx, method, leader+path, body)
-			if err == nil && status < 500 {
-				rt.m.observeRead(false)
-				return status, data, nil
-			}
-		}
-	}
-	if err == nil {
-		err = fmt.Errorf("linkrouter: partition %d read: status %d: %s", gi, status, truncate(data))
-	}
-	return 0, nil, err
 }
 
 // truncate bounds an upstream body for error messages.

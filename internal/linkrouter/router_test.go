@@ -49,17 +49,16 @@ func TestPickReadLagGating(t *testing.T) {
 
 	// MaxLag 0: only the caught-up follower is eligible.
 	for i := 0; i < 3; i++ {
-		addr, replica := g.pickRead(0)
-		if addr != "http://f1" || !replica {
-			t.Fatalf("pickRead(0) = %s replica=%v, want the caught-up follower", addr, replica)
+		if addr := g.pickRead(0); addr != "http://f1" {
+			t.Fatalf("pickRead(0) = %s, want the caught-up follower", addr)
 		}
 	}
 
 	// MaxLag 3 admits the lagging follower too, round-robin across both.
 	seen := map[string]bool{}
 	for i := 0; i < 4; i++ {
-		addr, replica := g.pickRead(3)
-		if !replica {
+		addr := g.pickRead(3)
+		if addr == "http://l" {
 			t.Fatalf("pickRead(3) returned the leader with two eligible replicas")
 		}
 		seen[addr] = true
@@ -70,23 +69,23 @@ func TestPickReadLagGating(t *testing.T) {
 
 	// No eligible replica (all lagging or unhealthy): leader fallback.
 	g.markUnhealthy("http://f1")
-	if addr, replica := g.pickRead(0); addr != "http://l" || replica {
-		t.Fatalf("pickRead with no eligible replica = %s replica=%v, want leader fallback", addr, replica)
+	if addr := g.pickRead(0); addr != "http://l" {
+		t.Fatalf("pickRead with no eligible replica = %s, want leader fallback", addr)
 	}
 }
 
 func TestAlternatePrefersLeaderForReplicaPrimary(t *testing.T) {
 	g := newTestGroup()
-	if alt := g.alternate("http://f1"); alt != "http://l" {
+	if alt := g.alternate("http://f1", 0); alt != "http://l" {
 		t.Fatalf("alternate(replica) = %s, want the leader", alt)
 	}
 	// Primary is the leader: the hedge goes to another healthy node.
-	if alt := g.alternate("http://l"); alt != "http://f1" && alt != "http://f2" {
+	if alt := g.alternate("http://l", 0); alt != "http://f1" && alt != "http://f2" {
 		t.Fatalf("alternate(leader) = %s, want a follower", alt)
 	}
 	// Single-node group: nothing to hedge to.
 	solo := &group{nodes: []string{"http://only"}, state: map[string]nodeState{}, leader: "http://only"}
-	if alt := solo.alternate("http://only"); alt != "" {
+	if alt := solo.alternate("http://only", 0); alt != "" {
 		t.Fatalf("alternate on a single-node group = %q, want empty", alt)
 	}
 }

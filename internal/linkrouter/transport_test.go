@@ -417,3 +417,174 @@ func TestRouterStatsForwardsShardsAndCandidates(t *testing.T) {
 		t.Fatalf("/stats entities %d, groups %+v; want 4, %+v", got.Entities, got.Groups, want)
 	}
 }
+
+// TestRouterReadsFallOverPastLeaderGuess pins that every routed read
+// shares one fall-over policy: with the leader guess down and the only
+// other node a follower past MaxLag, each kind of read starts at the
+// leader guess, falls over to the follower and answers 200 from it —
+// counted as a replica read, because the follower answered it.
+func TestRouterReadsFallOverPastLeaderGuess(t *testing.T) {
+	net := &fakeNet{nodes: map[string]*fakeNode{
+		"l": {role: "leader", down: true},
+		"f": {role: "follower", lag: 5, serve: func(r *http.Request) (int, any, error) {
+			switch r.URL.Path {
+			case "/entities/x":
+				return http.StatusOK, map[string]any{"id": "x", "properties": map[string][]string{"p": {"v"}}}, nil
+			case "/match":
+				return http.StatusOK, linkserver.MatchResponse{Query: "x", K: 3, Links: []linkserver.MatchLink{{ID: "y", Score: 0.9}}}, nil
+			case "/stats":
+				return http.StatusOK, map[string]any{"entities": 1, "keys": 1, "shards": 1, "candidates": "blocker token"}, nil
+			}
+			return http.StatusNotFound, linkserver.ErrorBody{Error: "not found"}, nil
+		}},
+	}}
+	rt := newFakeRouter(t, net, []string{"l", "f"}, Options{MaxLag: 0})
+	for _, req := range []struct{ method, target, body, want string }{
+		{http.MethodGet, "/entities/x", "", `"id":"x"`},
+		{http.MethodGet, "/match?id=x&k=3", "", `"id":"y"`},
+		{http.MethodGet, "/stats", "", `"entities":1`},
+		{http.MethodPost, "/match?k=3", `{"id":"x","properties":{"p":["v"]}}`, `"id":"y"`},
+	} {
+		w := serve(rt, req.method, req.target, req.body)
+		if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), req.want) {
+			t.Fatalf("%s %s = %d %s, want 200 with %s", req.method, req.target, w.Code, w.Body, req.want)
+		}
+	}
+	wantLog := []string{
+		"l GET /entities/x", "f GET /entities/x",
+		"l GET /entities/x", "f GET /entities/x", "l POST /match", "f POST /match",
+		"l GET /stats", "f GET /stats",
+		"l POST /match", "f POST /match",
+	}
+	if got := net.requests(); !reflect.DeepEqual(got, wantLog) {
+		t.Fatalf("requests %q, want %q", got, wantLog)
+	}
+	got := rt.Metrics()
+	got.RoutedWrites, got.RoutedDeletes = nil, nil
+	if want := (Snapshot{Queries: 2, ReplicaReads: 5}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("metrics %+v, want %+v", got, want)
+	}
+}
+
+// TestRouterHedgeRespectsMaxLag pins that a hedge goes only to a node the
+// lag gate admits: the leader is slow, but the only other node is a
+// follower past MaxLag, so no hedge fires and the leader answers.
+func TestRouterHedgeRespectsMaxLag(t *testing.T) {
+	net := &fakeNet{nodes: map[string]*fakeNode{
+		"l": {role: "leader", serve: func(*http.Request) (int, any, error) {
+			time.Sleep(50 * time.Millisecond)
+			return http.StatusOK, linkserver.MatchResponse{Query: "p", K: 3, Links: []linkserver.MatchLink{{ID: "from-l", Score: 0.9}}}, nil
+		}},
+		"f": {role: "follower", lag: 5, serve: func(r *http.Request) (int, any, error) {
+			t.Errorf("hedge reached the lagging follower: %s %s", r.Method, r.URL)
+			return http.StatusOK, linkserver.MatchResponse{Query: "p", K: 3, Links: []linkserver.MatchLink{{ID: "from-f", Score: 0.9}}}, nil
+		}},
+	}}
+	rt := newFakeRouter(t, net, []string{"l", "f"}, Options{MaxLag: 0, HedgeAfter: time.Millisecond})
+	w := serve(rt, http.MethodPost, "/match?k=3", `{"id":"p","properties":{"name":["x"]}}`)
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "from-l") {
+		t.Fatalf("status %d: %s, want 200 from the leader", w.Code, w.Body)
+	}
+	got := rt.Metrics()
+	got.RoutedWrites, got.RoutedDeletes = nil, nil
+	if want := (Snapshot{Queries: 1, LeaderReads: 1}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("metrics %+v, want %+v", got, want)
+	}
+}
+
+// TestRouterWritePartialFailure pins the routed write's contract across
+// partitions: with one group unreachable the write answers 502, the
+// reachable group's sub-batch stays applied and its ack is reported,
+// and re-posting the same batch once the group is back answers 200 with
+// every entity stored exactly once. Each group is one real linkserver
+// handler answering in process.
+func TestRouterWritePartialFailure(t *testing.T) {
+	r, err := rule.ParseJSON([]byte(`{"kind": "comparison", "function": "jaccard", "threshold": 0.5,
+		"children": [{"kind": "property", "property": "name"}, {"kind": "property", "property": "name"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := func() *fakeNode {
+		ix := linkindex.NewSharded(r, 1, matching.Options{Blocker: matching.TokenBlocking()})
+		h := linkserver.New(linkserver.Config{Index: ix}).Handler()
+		return &fakeNode{role: "leader", serve: func(r *http.Request) (int, any, error) {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			return w.Code, json.RawMessage(w.Body.Bytes()), nil
+		}}
+	}
+	net := &fakeNet{nodes: map[string]*fakeNode{"l0": node(), "l1": node()}}
+	net.nodes["l1"].down = true
+	rt, err := New(Options{
+		Groups:       [][]string{{"l0"}, {"l1"}},
+		Client:       &http.Client{Transport: net, Timeout: time.Minute},
+		PollInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+
+	var batch []map[string]any
+	var inPart0 []string
+	for i := 0; i < 8; i++ {
+		id := fmt.Sprintf("e%d", i)
+		batch = append(batch, map[string]any{"id": id, "properties": map[string][]string{"name": {"name " + id}}})
+		if linkindex.PartitionOf(id, 2) == 0 {
+			inPart0 = append(inPart0, id)
+		}
+	}
+	if len(inPart0) == 0 || len(inPart0) == len(batch) {
+		t.Fatalf("batch must span both partitions; partition 0 holds %v", inPart0)
+	}
+	body, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type writeResp struct {
+		Added      int                        `json:"added"`
+		Partitions map[string]json.RawMessage `json:"partitions"`
+	}
+	post := func() (int, writeResp) {
+		w := serve(rt, http.MethodPost, "/entities", string(body))
+		var resp writeResp
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("write response %s: %v", w.Body, err)
+		}
+		return w.Code, resp
+	}
+
+	code, resp := post()
+	if code != http.StatusBadGateway {
+		t.Fatalf("write with partition 1 down = %d, want 502", code)
+	}
+	if want := fmt.Sprintf(`{"added":%d}`, len(inPart0)); resp.Added != len(inPart0) || string(resp.Partitions["0"]) != want {
+		t.Fatalf("added %d, partitions[0] %s; want %d, %s", resp.Added, resp.Partitions["0"], len(inPart0), want)
+	}
+	var part1 struct{ Error string }
+	if err := json.Unmarshal(resp.Partitions["1"], &part1); err != nil || !strings.Contains(part1.Error, "connection refused") {
+		t.Fatalf("partitions[1] = %s, want the unreachable group's error", resp.Partitions["1"])
+	}
+	for _, id := range inPart0 {
+		if w := serve(rt, http.MethodGet, "/entities/"+id, ""); w.Code != http.StatusOK {
+			t.Fatalf("GET %s after the partial write = %d, want it applied", id, w.Code)
+		}
+	}
+
+	net.nodes["l1"].down = false
+	if code, _ := post(); code != http.StatusOK {
+		t.Fatalf("re-posted write = %d, want 200", code)
+	}
+	var stats struct {
+		Entities int `json:"entities"`
+	}
+	w := serve(rt, http.MethodGet, "/stats", "")
+	if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil || w.Code != http.StatusOK || stats.Entities != len(batch) {
+		t.Fatalf("/stats after the retry = %d %s, want 200 with %d entities", w.Code, w.Body, len(batch))
+	}
+	for _, e := range batch {
+		if w := serve(rt, http.MethodGet, "/entities/"+e["id"].(string), ""); w.Code != http.StatusOK {
+			t.Fatalf("GET %s after the retry = %d", e["id"], w.Code)
+		}
+	}
+}

@@ -136,7 +136,7 @@ got=$(curl -fsS "$RT/entities/g" | jq -r .id)
 
 # The router's own metrics expose the recovery.
 retargets=$(curl -fsS "$RT/metrics" | jq -r .retargets)
-[ "$retargets" -ge 0 ] || fail "router metrics missing retargets"
+[ "$retargets" -ge 1 ] || fail "router retargets = $retargets after kill -9 + promote, want ≥ 1"
 writes=$(curl -fsS "$RT/metrics" | jq -r '.routed_writes | add')
 [ "$writes" = "7" ] || fail "router routed_writes total = $writes, want 7"
 
