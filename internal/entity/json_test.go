@@ -64,6 +64,15 @@ var codecSeeds = []string{
 	`{"entities":[{"id":"a"}],"extra":[]}`,
 	`{"u":[],"u":[]}`,
 	`{"\u0069d":"a"}`,
+	`{"id":"a","properties":{}}`,
+	`{"id":"a","properties":{"a":["1"],"b":["2",""]}}`,
+	`{"id":"a","properties":{"b":["1"],"a":["2"]}}`,
+	`{"id":"a","properties":{"p":["\u003c\u003e\u0026\"\\\n\u001f\u2028\u2029"]}}`,
+	`{"id":"\u00e9\/\u007f"}`,
+	`{"id":"\ufffd"}`,
+	"{\"id\":\"\xef\xbf\xbd\x7f\"}",
+	`{"properties":{"p":["v"]}}`,
+	`[{"id":"a","properties":{"p":["v"]}}, {"id":"b"} ,{"id":"c","properties":{"p":["v"],"p":["w"]}}]`,
 }
 
 // checkDecode holds every decoder to json.Unmarshal into the same type
@@ -94,12 +103,90 @@ func checkDecode(t *testing.T, data []byte) {
 	gerr = gotSec.DecodeJSON(data)
 	same("Section.DecodeJSON", gotSec, sec, gerr, werr)
 
-	var b, gotB Batch
-	werr = json.Unmarshal(data, &b)
-	gerr = gotB.DecodeJSON(data)
-	same("Batch.DecodeJSON", gotB, b, gerr, werr)
-
+	checkEncoded(t, data)
 	checkFastPathKeys(t, data)
+}
+
+// checkEncoded holds the Encoded decoders to json.Unmarshal on data: an
+// error exactly when it errs, and otherwise, for each entity, canonical
+// bytes that are json.Marshal's bytes of the entity json.Unmarshal
+// decodes, with an entity that marshals to them too. Where the decoder
+// calls an entity's span canonical and keeps it, the span is json.Marshal's
+// bytes of the entity decoded from it.
+func checkEncoded(t *testing.T, data []byte) {
+	t.Helper()
+	marshal := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	same := func(what string, got []Encoded, want []*Entity, gerr, werr error) {
+		t.Helper()
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("%s of %q: error %v, json.Unmarshal's %v", what, data, gerr, werr)
+		}
+		if gerr != nil {
+			return
+		}
+		if len(got) != len(want) || (got == nil) != (want == nil) {
+			t.Fatalf("%s of %q: %d entities (nil %v), json.Unmarshal's %d (nil %v)", what, data, len(got), got == nil, len(want), want == nil)
+		}
+		for i, w := range want {
+			if js := marshal(w); got[i].JSON != js {
+				t.Fatalf("%s of %q: entity %d stored as\n%s\njson.Marshal writes\n%s", what, data, i, got[i].JSON, js)
+			}
+			e := got[i].Entity()
+			if (w == nil) != (e == nil) || marshal(e) != got[i].JSON {
+				t.Fatalf("%s of %q: entity %d %#v does not marshal to its bytes %s", what, data, i, e, got[i].JSON)
+			}
+			if e == nil {
+				continue
+			}
+			if got[i].ID() != e.ID || got[i].Values("\x00absent") != nil {
+				t.Fatalf("%s of %q: entity %d reads ID %q, or values of an absent property", what, data, i, got[i].ID())
+			}
+			for p, vs := range e.Properties {
+				if !slices.Equal(got[i].Values(p), vs) {
+					t.Fatalf("%s of %q: entity %d reads %q as %q, its entity holds %q", what, data, i, p, got[i].Values(p), vs)
+				}
+			}
+		}
+	}
+	var e *Entity
+	werr := json.Unmarshal(data, &e)
+	got, gerr := DecodeEncoded(data)
+	if e == nil && werr == nil {
+		e = &Entity{} // null decodes into a zero Entity
+	}
+	same("DecodeEncoded", []Encoded{got}, []*Entity{e}, gerr, werr)
+
+	var es []*Entity
+	werr = json.Unmarshal(data, &es)
+	gotList, gerr := DecodeEncodedList(data)
+	same("DecodeEncodedList", gotList, es, gerr, werr)
+
+	var sec Section
+	werr = json.Unmarshal(data, &sec)
+	gotSec, gerr := DecodeEncodedSection(data)
+	same("DecodeEncodedSection", gotSec, sec.Entities, gerr, werr)
+
+	var b Batch
+	werr = json.Unmarshal(data, &b)
+	gotUps, gotDels, gerr := DecodeEncodedBatch(data)
+	same("DecodeEncodedBatch", gotUps, b.Upserts, gerr, werr)
+	if gerr == nil && !reflect.DeepEqual(gotDels, b.Deletes) {
+		t.Fatalf("DecodeEncodedBatch of %q: deletes %#v, json.Unmarshal's %#v", data, gotDels, b.Deletes)
+	}
+
+	d := decoder{data: data, keep: true}
+	if start, ok := d.object(); ok && d.canon {
+		span := string(data[start:d.pos])
+		if e, ok := d.build(span, start); ok && marshal(e) != span {
+			t.Fatalf("the decoder calls %q canonical; json.Marshal writes %s", span, marshal(e))
+		}
+	}
 }
 
 // checkFastPathKeys holds the fast path to the shape it claims, which the
@@ -136,20 +223,60 @@ func checkFastPathKeys(t *testing.T, data []byte) {
 		t.Fatalf("the list fast path took %q", data)
 	}
 	d = decoder{data: data}
-	if d.section(new(Section)) && !(keysIn(v, "entities") && (m["entities"] == nil || list(m["entities"]))) {
+	if _, ok := d.section(); ok && !(keysIn(v, "entities") && (m["entities"] == nil || list(m["entities"]))) {
 		t.Fatalf("the section fast path took %q", data)
 	}
 	d = decoder{data: data}
-	if d.batch(new(Batch)) && !(keysIn(v, "u", "d") && (m["u"] == nil || list(m["u"]))) {
+	if _, _, ok := d.batch(); ok && !(keysIn(v, "u", "d") && (m["u"] == nil || list(m["u"]))) {
 		t.Fatalf("the batch fast path took %q", data)
 	}
 }
 
 // checkMarshaled runs checkDecode on json.Marshal's bytes of es as a
 // list, a Section and a Batch: the writers' output. A section holding no
-// null (no nil entity or value list) must be taken by the fast path.
+// null (no nil entity or value list) must be taken by the fast path, and
+// json.Marshal's bytes of an entity whose strings are valid UTF-8 must be
+// kept as they are, and are what AppendSection and AppendBatch write.
 func checkMarshaled(t *testing.T, es []*Entity, deletes []string) {
 	t.Helper()
+	var spans []Encoded
+	for _, e := range es {
+		if e == nil {
+			continue
+		}
+		data, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := decoder{data: data, keep: true}
+		if _, ok := d.object(); ok && !d.canon && !bytes.Contains(data, []byte(`\ufffd`)) {
+			t.Fatalf("the decoder calls json.Marshal's %s not canonical", data)
+		}
+		enc := Encode(e)
+		if enc.JSON != string(data) && !bytes.Contains(data, []byte(`\ufffd`)) {
+			t.Fatalf("Encode stores %s as %s", data, enc.JSON)
+		}
+		spans = append(spans, enc)
+	}
+	stored, jsons := []*Entity{}, []string{}
+	for _, e := range spans {
+		stored, jsons = append(stored, e.Entity()), append(jsons, e.JSON)
+	}
+	for _, w := range []struct {
+		got []byte
+		v   any
+	}{
+		{AppendSection(nil, jsons), &Section{Entities: stored}},
+		{AppendBatch(nil, spans, deletes), &Batch{Upserts: stored, Deletes: deletes}},
+	} {
+		want, err := json.Marshal(w.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.got, want) {
+			t.Fatalf("the writer wrote\n%s\njson.Marshal writes\n%s", w.got, want)
+		}
+	}
 	for _, v := range []any{es, &Section{Entities: es}, &Batch{Upserts: es, Deletes: deletes}} {
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -157,8 +284,10 @@ func checkMarshaled(t *testing.T, es []*Entity, deletes []string) {
 		}
 		checkDecode(t, data)
 		d := decoder{data: data}
-		if _, ok := v.(*Section); ok && !bytes.Contains(data, []byte("null")) && !d.section(new(Section)) {
-			t.Fatalf("the section fast path refused json.Marshal's %q", data)
+		if _, isSec := v.(*Section); isSec && !bytes.Contains(data, []byte("null")) {
+			if _, ok := d.section(); !ok {
+				t.Fatalf("the section fast path refused json.Marshal's %q", data)
+			}
 		}
 	}
 }
@@ -252,8 +381,8 @@ func TestCodecFastPathDecodesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := decoder{data: data}
-	var out Batch
-	if !d.batch(&out) || !reflect.DeepEqual(out, in) {
+	ups, dels, ok := d.batch()
+	if out := (Batch{Upserts: entities(ups), Deletes: dels}); !ok || !reflect.DeepEqual(out, in) {
 		t.Fatalf("fast path refused or misread %s: %#v", data, out)
 	}
 	sec := Section{Entities: es}
@@ -261,8 +390,8 @@ func TestCodecFastPathDecodesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	d = decoder{data: data}
-	var gotSec Section
-	if !d.section(&gotSec) || !reflect.DeepEqual(gotSec, sec) {
+	got, ok := d.section()
+	if gotSec := (Section{Entities: entities(got)}); !ok || !reflect.DeepEqual(gotSec, sec) {
 		t.Fatalf("fast path refused or misread the section: %#v", gotSec)
 	}
 	raw := []byte(`{"id":"abc","properties":{"p":["def"]}}`)

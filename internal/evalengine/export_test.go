@@ -22,11 +22,6 @@ func RecordCount(s *Scorer) int {
 	return n
 }
 
-// CloneRecord returns a deep copy of r, a record of c, so a test can
-// check that scoring leaves r unchanged: the record of r's entity built
-// afresh, as Compiled.Record built r.
-func CloneRecord(c *Compiled, r *Record) *Record { return c.Record(r.e) }
-
 // PartialBound is the upper bound Probe.Score folds for the pair once it
 // knows the exact distances of the distance programs whose bit is set in
 // known (by program id), the rest at their metadata lower bounds: with

@@ -18,7 +18,9 @@ import (
 // whatever code stores the entity — a shard of the matching service
 // installs it next to the entity, batch matching builds B's when it
 // loads B — and is immutable afterwards, so any number of goroutines may
-// score against it. A new entity version gets a new record.
+// score against it. A new entity version gets a new record. It keeps the
+// entity's ID, not the entity: the version's properties are needed only
+// while the record is built.
 //
 // While the rule has at most inlineSlots value programs and typed forms,
 // the record holds meta, sets and typed in its own storage: Probe.Score
@@ -31,7 +33,7 @@ type Record struct {
 	typed    []similarity.Column // per Compiled.typed: a one-set column
 	setsBuf  [inlineSlots][]string
 	typedBuf [inlineSlots]similarity.Column
-	e        *entity.Entity
+	id       string
 }
 
 // inlineSlots is the number of value programs and of typed forms a
@@ -46,21 +48,29 @@ func slots[T any](buf []T, n int) []T {
 	return make([]T, n)
 }
 
-// Entity returns the entity version the record was built from.
-func (r *Record) Entity() *entity.Entity { return r.e }
+// ID returns the ID of the entity version the record was built from.
+func (r *Record) ID() string { return r.id }
 
 // Record evaluates every value program on e and prepares the typed forms
 // of their outputs. The entity must not be mutated afterwards: the
 // record would keep the old version's values.
 func (c *Compiled) Record(e *entity.Entity) *Record {
-	r := &Record{e: e}
+	return c.RecordOf(e.ID, e.Values)
+}
+
+// RecordOf is Record of the entity version with the given ID whose
+// property values values returns, as Entity.Values does: a store that
+// holds a version as its decoded bytes (entity.Encoded) builds the
+// record without building the entity.
+func (c *Compiled) RecordOf(id string, values func(property string) []string) *Record {
+	r := &Record{id: id}
 	r.sets = slots(r.setsBuf[:], len(c.values))
 	if c.pf != nil {
 		r.meta = slots(r.metaBuf[:], len(c.values))
 	}
 	vstack := make([][]string, c.vdepth)
 	for i, p := range c.values {
-		r.sets[i] = p.eval(e.Values, vstack)
+		r.sets[i] = p.eval(values, vstack)
 		if r.meta != nil {
 			r.meta[i] = metaOfValues(r.sets[i])
 		}

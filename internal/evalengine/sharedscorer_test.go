@@ -162,8 +162,8 @@ func TestExternalProbesLeaveCacheUnchanged(t *testing.T) {
 		t.Fatalf("after scoring the corpus the cache holds %d records, want %d", n, len(corpus))
 	}
 	before := make([]*evalengine.Record, len(stored))
-	for i, rec := range stored {
-		before[i] = evalengine.CloneRecord(c, rec)
+	for i, e := range corpus {
+		before[i] = c.Record(e) // a deep copy of stored[i], built afresh
 	}
 	for q := 0; q < 50; q++ {
 		p := c.Bind(c.Record(randomEntity(rng, "probe")))

@@ -35,9 +35,13 @@ import "errors"
 //	local disk            0.951 s [0.911 / 0.983]  0.709 s [0.633 / 0.745]  faster in 10/10
 //	5 ms Sync (injected)  1.502 s [1.415 / 1.550]  0.715 s [0.683 / 0.766]  faster in 10/10
 //
-// On the local disk most of the logged path's premium is the WAL payload's
-// json.Marshal (0.150 s for the 98 batches), not fsync (group commit
-// saves 0.11 s).
+// On the local disk most of the logged path's premium was the WAL
+// payload's json.Marshal (0.150 s for the 98 batches), not fsync (group
+// commit saves 0.11 s). The table predates stored canonical bytes: an
+// in-process batch like these still pays that marshal, now per upsert in
+// entity.Encode, which the backfill path pays too, to store the bytes; a
+// batch decoded from JSON (the HTTP surface) marshals nothing on either
+// path.
 
 // ErrBackfillActive is returned by Snapshot while a backfill session is
 // open.

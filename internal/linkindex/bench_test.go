@@ -1,6 +1,7 @@
 package linkindex_test
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -63,8 +64,12 @@ func coraChunks(n int) []*entity.Entity {
 // blocker goes unused. One op is one query: a stored ID through QueryID,
 // or, for Query, a re-keyed copy of a stored entity, as an external
 // probe. Besides ns/op and allocs/op it reports the heap the loaded
-// index retains per entity (heap-B/entity: rule indexes, records and the
-// shards' tables) and, per query, from one untimed pass over the same
+// index retains per entity beyond the entities the test holds
+// (heap-B/entity: rule indexes, records and the shards' tables), the
+// heap an index retains per entity when it holds the corpus as genlinkd
+// does (served-B/entity: decoded from json.Marshal's bytes by the
+// service's decoder and loaded, no other reference left) and, per query,
+// from one untimed pass over the same
 // probes on an index whose rule counts its work: the edit-bound check's
 // funnel (linkindex.Funnel) — candidates proposed, of those the ones the
 // letter-count sketch rejected, and the bounded edit distances the check
@@ -83,6 +88,18 @@ func BenchmarkQueryCoraRule(b *testing.B) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	heapPerEntity := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
+	body, err := json.Marshal(es)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	served := loadEncoded(b, body, shards, opts)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(served)
+	runtime.KeepAlive(body)
+	servedPerEntity := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
 	var work linkindex.Work
 	counted := linkindex.NewSharded(rigCoraRule(linkindex.CountingLevenshtein(&work), linkindex.CountingDate(&work)), shards, opts)
 	counted.BulkLoad(es)
@@ -127,6 +144,7 @@ func BenchmarkQueryCoraRule(b *testing.B) {
 				i++
 			}
 			b.ReportMetric(heapPerEntity, "heap-B/entity")
+			b.ReportMetric(servedPerEntity, "served-B/entity")
 			b.ReportMetric(float64(funnel.Proposed)/probes, "proposed/query")
 			b.ReportMetric(float64(funnel.SketchRejected)/probes, "sketch-rejected/query")
 			b.ReportMetric(float64(funnel.Checked)/probes, "myers/query")
@@ -135,6 +153,20 @@ func BenchmarkQueryCoraRule(b *testing.B) {
 			b.ReportMetric(float64(work.Parses.Load())/probes, "parses/query")
 		})
 	}
+}
+
+// loadEncoded loads the entity list body into a new index of the rig's
+// rule the way a node loads a POST /entities body: through the entity
+// decoder, each entity with its canonical bytes, in one Apply batch.
+func loadEncoded(b *testing.B, body []byte, shards int, opts matching.Options) *linkindex.ShardedIndex {
+	b.Helper()
+	es, err := entity.DecodeEncodedList(body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := linkindex.NewSharded(rigCoraRule(similarity.Levenshtein(), similarity.Date()), shards, opts)
+	ix.Apply(linkindex.Batch{Encoded: es})
+	return ix
 }
 
 // BenchmarkApplyCoraRule measures the served write path without the HTTP
@@ -288,7 +320,10 @@ func TestWorkIndependentOfOrder(t *testing.T) {
 // ns/op and allocs/op it reports the milliseconds per op of each step,
 // timed inside Recover (RecoverSteps): reading the snapshot file,
 // scanning its header and cutting its sections apart, decoding them,
-// installing them into the index and replaying the tail. plain is the rig's corpus, whose values
+// queuing them to install into the index, and replaying the tail while
+// they install (Recover does not wait for the sections), and the heap
+// objects one more recovered index retains per stored entity
+// (objects/entity). plain is the rig's corpus, whose values
 // hold nothing json.Marshal escapes; escaped appends " & é" to every
 // title, so each title goes through the decoder's unescaping.
 func BenchmarkRecoverCoraRule(b *testing.B) {
@@ -316,8 +351,25 @@ func BenchmarkRecoverCoraRule(b *testing.B) {
 			for _, step := range []string{"read", "scan", "decode", "install", "replay"} {
 				b.ReportMetric(float64(steps[step].Microseconds())/1000/float64(b.N), step+"-ms")
 			}
+			b.ReportMetric(objectsPerEntity(b, dir), "objects/entity")
 		})
 	}
+}
+
+// objectsPerEntity recovers dir and returns the heap objects the
+// recovered index retains per stored entity.
+func objectsPerEntity(b *testing.B, dir string) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d, _, err := linkindex.Recover(dir, linkindex.DurableOptions{SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	defer d.Close()
+	return float64(int64(after.HeapObjects)-int64(before.HeapObjects)) / float64(d.Len())
 }
 
 // buildRecoverDir writes BenchmarkRecoverCoraRule's durable directory:

@@ -1,7 +1,6 @@
 package linkindex
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -118,18 +117,21 @@ type RecoveryStats struct {
 	Duration time.Duration
 }
 
-// walBatch is the JSON payload of one log record, written by json.Marshal
-// and read by the entity decoder (entity.Batch's DecodeJSON).
+// walBatch is the JSON shape of one log record's payload: json.Marshal's
+// bytes of it, which Apply writes without marshaling as the upserts'
+// canonical bytes and the deletes (entity.AppendBatch), and which the
+// entity decoder reads (entity.DecodeEncodedBatch).
 type walBatch = entity.Batch
 
 // decodeWALBatch decodes one log record's payload: the one decoder of
-// Recover's replay and a follower's shipped records.
+// Recover's replay and a follower's shipped records, whose upserts keep
+// their canonical spans of the payload.
 func decodeWALBatch(payload []byte) (Batch, error) {
-	var b walBatch
-	if err := b.DecodeJSON(payload); err != nil {
+	ups, dels, err := entity.DecodeEncodedBatch(payload)
+	if err != nil {
 		return Batch{}, err
 	}
-	return Batch{Upserts: b.Upserts, Deletes: b.Deletes}, nil
+	return Batch{Encoded: ups, Deletes: dels}, nil
 }
 
 // snapName returns the snapshot file name for the given covered
@@ -223,11 +225,13 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 		return nil, stats, fmt.Errorf("linkindex: recover: %s holds no snapshot (the log alone carries no rule); was the directory initialized with NewDurable?", dir)
 	}
 	var ix *ShardedIndex
+	var replayer *parallelReplayer
 	var base durableSnapshot
 	var rerr error
 	for _, s := range snaps {
 		var restored *ShardedIndex
-		restored, rerr = RestoreFrom(s.path, RestoreOptions{})
+		var r *parallelReplayer
+		restored, r, rerr = restoreFile(s.path)
 		if errors.Is(rerr, errSnapshotRule) {
 			// Every snapshot of a directory carries the same rule and
 			// blocker, and its bytes are intact: leave them for a reader
@@ -246,7 +250,7 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 			}
 			continue
 		}
-		ix, base = restored, s
+		ix, replayer, base = restored, r, s
 		break
 	}
 	if ix == nil {
@@ -254,11 +258,12 @@ func Recover(dir string, o DurableOptions) (*DurableIndex, RecoveryStats, error)
 	}
 
 	// Replay the log tail: read+CRC (replayWAL's walReader) and decode
-	// (decodeWALBatch) stay in this goroutine while the replayer fans
-	// per-shard ops out to apply workers. A record that fails to decode
-	// stops the scan as a torn tail before any of its ops are applied.
+	// (decodeWALBatch) stay in this goroutine while the replayer — the
+	// one the snapshot's sections are still installing through, so
+	// every record's ops queue behind them — fans per-shard ops out to
+	// apply workers. A record that fails to decode stops the scan as a
+	// torn tail before any of its ops are applied.
 	restoreStep("replay")
-	replayer := startReplayer(ix)
 	scan, err := replayWAL(dir, base.seq, func(seq uint64, payload []byte) error {
 		b, err := decodeWALBatch(payload)
 		if err != nil {
@@ -329,16 +334,20 @@ func OpenDurable(dir string, build func() (*ShardedIndex, error), o DurableOptio
 // durable under the fsync policy (see the DurableIndex contract) and the
 // index reflects the batch; on an error nothing was applied. Recovery
 // replays the same batches in log order. An empty batch is a no-op and
-// is not logged.
+// is not logged. The record's payload is json.Marshal's bytes of the
+// batch, assembled from the upserts' canonical bytes: an Encoded upsert
+// costs a copy, an in-process one (Upserts) its json.Marshal.
 func (d *DurableIndex) Apply(b Batch) (ApplyResult, error) {
-	if len(b.Upserts) == 0 && len(b.Deletes) == 0 {
+	if len(b.Upserts) == 0 && len(b.Encoded) == 0 && len(b.Deletes) == 0 {
 		return ApplyResult{}, nil
 	}
-	payload, err := json.Marshal(walBatch{Upserts: b.Upserts, Deletes: b.Deletes})
-	if err != nil {
-		return ApplyResult{}, fmt.Errorf("linkindex: durable: %w", err)
+	ups := make([]entity.Encoded, 0, len(b.Upserts)+len(b.Encoded))
+	for _, e := range b.Upserts {
+		ups = append(ups, entity.Encode(e))
 	}
-	return d.commit(b, payload, 0)
+	ups = append(ups, b.Encoded...)
+	b = Batch{Encoded: ups, Deletes: b.Deletes}
+	return d.commit(b, entity.AppendBatch(nil, ups, b.Deletes), 0)
 }
 
 // commit is the durable layer's one write step; logged writes, shipped

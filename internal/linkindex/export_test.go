@@ -53,12 +53,13 @@ func (ix *ShardedIndex) WriteSnapshot(w io.Writer) error {
 	return ix.buildSnapshot().encode(w)
 }
 
-// CheckShardCounts reports a shard whose records and index are out of
-// the lockstep installShardOps keeps them in, or per-shard counts that do
-// not add up to Len: every live slot of the index must hold exactly one
-// record, whose entity has that slot's ID, and every free slot none. A
-// record left at a freed slot would leak a deleted entity into Entities
-// and into snapshots. The index's own structure, a rule index's checked
+// CheckShardCounts reports a shard whose records, stored bytes and index
+// are out of the lockstep installShardOps keeps them in, or per-shard
+// counts that do not add up to Len: every live slot of the index must
+// hold exactly one record, with that slot's ID, and canonical bytes of an
+// entity with that ID, and every free slot neither. A record or bytes
+// left at a freed slot would leak a deleted entity into Entities and
+// into snapshots. The index's own structure, a rule index's checked
 // values included, is matching's to check (TestRuleIndexVerifiedDifferential).
 func (ix *ShardedIndex) CheckShardCounts() error {
 	total := 0
@@ -86,10 +87,16 @@ func (ix *ShardedIndex) checkRecords(sh *shard) error {
 	records := 0
 	for s, r := range sh.records {
 		if r == nil {
+			if sh.json[s] != "" {
+				return fmt.Errorf("free slot %d holds stored bytes %s", s, sh.json[s])
+			}
 			continue
 		}
 		records++
-		id := r.Entity().ID
+		id := r.ID()
+		if e := decodeStored(sh.json[s]); e == nil || e.ID != id {
+			return fmt.Errorf("slot %d holds the record of %q and the stored bytes %q", s, id, sh.json[s])
+		}
 		at, ok := sh.index.Slot(id)
 		if !ok {
 			return fmt.Errorf("slot %d holds the record of %q, which is not indexed", s, id)

@@ -25,11 +25,13 @@
 //     build and install steps.
 //   - ShardedIndex hash-partitions the corpus over N shards, each owning
 //     a candidate index and its records behind a per-shard RWMutex.
-//     The index's entity table is the shard's one ID table, and the records
-//     slice holds, by that table's slot, every stored entity's
+//     The index's entity table is the shard's one ID table, and by that
+//     table's slot the shard holds every stored entity version as its
+//     canonical bytes (exactly json.Marshal's, entity.Encoded) and its
 //     evalengine.Record, the scoring record built once per entity
 //     version when the version is written, so queries score stored
-//     records and never invalidate anything. Queries fan out across
+//     records and never invalidate anything, and the log, snapshots and
+//     entity bodies write the bytes without marshaling. Queries fan out across
 //     shards in parallel and merge per-shard bounded top-k heaps; writes
 //     lock only the shards they touch, and the Apply pipeline groups a
 //     batch of upserts and deletes per shard so block structures load

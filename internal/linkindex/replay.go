@@ -2,12 +2,15 @@ package linkindex
 
 import "sync"
 
-// This file implements the shard-parallel WAL replay pipeline Recover
-// feeds every log tail through: the read+CRC work (replayWAL's
-// walReader) and the decode (replayWAL's callback) stay in the
-// recovering goroutine, which hands the partitioned per-shard ops to
-// each shard's apply stages over bounded channels, so decoding runs
-// ahead of index building. A shard has two stages, each its own
+// This file implements the shard-parallel replay pipeline every restore
+// feeds its snapshot's sections through (restoreSnapshot, in runs of
+// restoreChunk entities) and Recover then the log tail, behind the
+// sections: the read+CRC work (replayWAL's walReader) and the decode
+// (replayWAL's callback) stay in the recovering goroutine, which hands
+// the partitioned per-shard ops to each shard's apply stages over
+// bounded channels, so decoding runs ahead of index building, and the
+// first records decode while the last sections install. A shard has two
+// stages, each its own
 // goroutine: buildRecords builds a group's records on every core (in
 // chunks of recordChunk) while installShardOps installs the previous
 // group under the shard lock. So a one-shard index replays on every core
@@ -22,7 +25,8 @@ import "sync"
 // uses, so within-record semantics (last upsert wins, delete beats
 // upsert) are shared, not reimplemented. The recovery-equivalence
 // differential test pins the pipeline against plain sequential Apply of
-// the covered batches on a fresh index.
+// the covered batches on a fresh index. A snapshot's sections hold
+// disjoint ID sets, so the order their runs are fed in does not matter.
 //
 // The pipeline pays for being a second way into the shards. A prototype
 // that sent the log tail through plain Apply, and decoded every snapshot

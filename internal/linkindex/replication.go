@@ -371,15 +371,17 @@ func (d *DurableIndex) resetToSnapshot(data []byte, seq uint64) error {
 	// it does not.
 	var b Batch
 	for _, sec := range snap.sections {
-		b.Upserts = append(b.Upserts, sec...)
+		b.Encoded = append(b.Encoded, sec...)
 	}
-	want := make(map[string]bool, len(b.Upserts))
-	for _, e := range b.Upserts {
-		want[e.ID] = true
+	want := make(map[string]bool, len(b.Encoded))
+	for _, e := range b.Encoded {
+		want[e.ID()] = true
 	}
-	for _, e := range d.ix.Entities() {
-		if !want[e.ID] {
-			b.Deletes = append(b.Deletes, e.ID)
+	for _, sh := range d.ix.shards {
+		for _, v := range sh.versions() {
+			if !want[v.id] {
+				b.Deletes = append(b.Deletes, v.id)
+			}
 		}
 	}
 	d.ix.Apply(b)

@@ -90,14 +90,19 @@ type ShardedIndex struct {
 
 // shard is one partition: a single-mutex miniature of the retired
 // monolithic index. Its candidate index's entity table is the shard's
-// only map from ID to slot; records holds, at each live slot, the
-// scoring record of the entity there (Record.Entity is the entity
-// itself) and nil at each free slot, so the entity and its record are
-// installed and replaced together.
+// only map from ID to slot. At each live slot, records holds the scoring
+// record of the entity version there (Record.ID is its ID) and json its
+// canonical bytes, exactly what json.Marshal emits for it
+// (entity.Encoded); a free slot holds nil and "". The version itself is
+// its bytes: Get decodes them on demand, the snapshot writer and the
+// entity body concatenate them, and the properties decoded at write time
+// feed the record, and a blocker's own table, alone. A version's record
+// and bytes are installed and replaced together.
 type shard struct {
 	mu      sync.RWMutex
 	index   matching.CandidateIndex
 	records []*evalengine.Record
+	json    []string
 }
 
 // NewSharded returns an empty index with the given shard count (≤ 0 means
@@ -169,11 +174,12 @@ func (ix *ShardedIndex) Add(e *entity.Entity) {
 }
 
 // Update replaces the entity with e.ID by e: the block structures are
-// re-keyed and e's scoring record replaces the old version's. Always
-// pass a freshly built entity value — mutating a stored entity (as
-// returned by Get) in place is a data race against concurrent queries,
-// which read entity properties under only the read lock, and its record
-// would keep scoring the old values.
+// re-keyed and e's scoring record and canonical bytes replace the old
+// version's. Always pass a freshly built entity value — a blocker's
+// table keeps e itself, which queries read under only the read lock, so
+// mutating it in place is a data race, and the record and bytes would
+// keep the old values. Get returns a fresh decoded copy, which may be
+// changed and passed back.
 func (ix *ShardedIndex) Update(e *entity.Entity) {
 	ix.Add(e)
 }
@@ -188,10 +194,17 @@ func (ix *ShardedIndex) Remove(id string) bool {
 // upsert of an ID wins over earlier upserts of the same ID, and a delete
 // of an ID wins over any upsert of it (deletes are applied last).
 type Batch struct {
-	// Upserts are entities to add or replace, like Update.
+	// Upserts are entities to add or replace, like Update. Each is
+	// stored as its canonical bytes, which Apply marshals (entity.Encode).
 	Upserts []*entity.Entity
 	// Deletes are entity IDs to remove; unknown IDs are ignored.
 	Deletes []string
+	// Encoded are upserts that come with their canonical bytes, as the
+	// entity package's Encoded decoders return them, stored as they are:
+	// the writes of the HTTP surface, WAL replay, snapshot restore and a
+	// follower's shipped records. They follow Upserts in the batch's
+	// order.
+	Encoded []entity.Encoded
 }
 
 // ApplyResult summarizes one Apply call.
@@ -205,13 +218,15 @@ type ApplyResult struct {
 }
 
 // shardOps is one partition's resolved slice of a Batch: the final op
-// per ID in first-seen upsert order (a nil upsert slot marks an ID a
-// later delete won over). buildRecords drops the nil slots and sets recs
-// and stored, the fresh versions' scoring records and what the candidate
-// index stores of them, by position.
+// per ID in first-seen upsert order — an in-process entity still to be
+// encoded (entity.Pending) or an encoded one — where a zero slot marks
+// an ID a later delete won over. buildRecords drops the zero slots,
+// encodes the pending ones and sets recs and stored, the fresh versions'
+// scoring records and what the candidate index stores of them, by
+// position.
 type shardOps struct {
 	part    int
-	upserts []*entity.Entity
+	upserts []entity.Encoded
 	pos     map[string]int
 	deletes []string
 	recs    []*evalengine.Record
@@ -227,29 +242,40 @@ type shardOps struct {
 func partitionOps(b Batch, parts int) []*shardOps {
 	byPart := make([]*shardOps, parts)
 	var groups []*shardOps
+	// A group's tables are sized for its share of the upserts, so a
+	// snapshot section, one shard's run of entities, builds no table
+	// twice.
+	share := (len(b.Upserts)+len(b.Encoded))/parts + 1
 	groupFor := func(id string) *shardOps {
 		p := PartitionOf(id, parts)
 		g := byPart[p]
 		if g == nil {
-			g = &shardOps{part: p, pos: make(map[string]int)}
+			g = &shardOps{part: p, pos: make(map[string]int, share), upserts: make([]entity.Encoded, 0, share)}
 			byPart[p] = g
 			groups = append(groups, g)
 		}
 		return g
 	}
-	for _, e := range b.Upserts {
-		g := groupFor(e.ID)
-		if i, dup := g.pos[e.ID]; dup {
-			g.upserts[i] = e // later batch occurrence wins
-			continue
+	add := func(u entity.Encoded) {
+		id := u.ID()
+		g := groupFor(id)
+		if i, dup := g.pos[id]; dup {
+			g.upserts[i] = u // later batch occurrence wins
+			return
 		}
-		g.pos[e.ID] = len(g.upserts)
-		g.upserts = append(g.upserts, e)
+		g.pos[id] = len(g.upserts)
+		g.upserts = append(g.upserts, u)
+	}
+	for _, e := range b.Upserts {
+		add(entity.Pending(e))
+	}
+	for _, e := range b.Encoded {
+		add(e)
 	}
 	for _, id := range b.Deletes {
 		g := groupFor(id)
 		if i, up := g.pos[id]; up {
-			g.upserts[i] = nil // delete beats upsert of the same ID
+			g.upserts[i] = entity.Encoded{} // delete beats upsert of the same ID
 			delete(g.pos, id)
 		}
 		g.deletes = append(g.deletes, id)
@@ -263,14 +289,19 @@ func partitionOps(b Batch, parts int) []*shardOps {
 // partitions the batch touches appear in the result. The scale-out
 // router splits client write batches across partition groups with this,
 // so a batch routed over N groups lands exactly as it would through one
-// N-shard Apply (the differential router tests pin that equality).
+// N-shard Apply (the differential router tests pin that equality). An
+// upsert keeps the form it came in, an entity or an encoded one; a
+// resolved partition holds one op per ID, so their order does not matter.
 func SplitBatch(b Batch, parts int) map[int]Batch {
 	out := make(map[int]Batch)
 	for _, g := range partitionOps(b, parts) {
 		var pb Batch
-		for _, e := range g.upserts {
-			if e != nil {
-				pb.Upserts = append(pb.Upserts, e)
+		for _, u := range g.upserts {
+			switch {
+			case u.JSON != "":
+				pb.Encoded = append(pb.Encoded, u)
+			case u.Entity() != nil:
+				pb.Upserts = append(pb.Upserts, u.Entity())
 			}
 		}
 		pb.Deletes = g.deletes
@@ -286,20 +317,20 @@ func SplitBatch(b Batch, parts int) map[int]Batch {
 // entities builds inline, and a 64-entity batch splits across the cores.
 const recordChunk = 16
 
-// buildRecords builds the records, index keys and edit sets
-// (CandidateSource.StoredKeys, from the records' values) of g's fresh
-// versions: pure functions of the entities, built without a lock, in
-// chunks of at least recordChunk versions on up to GOMAXPROCS
-// goroutines, so a batch, a snapshot section or a replayed record builds
-// on every core however few shards there are. Apply runs it and then
-// installShardOps for each touched shard; the replay pipeline runs the
-// two on a goroutine each per shard, so one record's build overlaps the
-// previous record's install.
+// buildRecords encodes g's fresh in-process versions (entity.Encode) and
+// builds the records, index keys and edit sets (CandidateSource.StoredKeys,
+// from the records' values) of all of them: pure functions of the
+// entities, built without a lock, in chunks of at least recordChunk
+// versions on up to GOMAXPROCS goroutines, so a batch, a snapshot
+// section or a replayed record builds on every core however few shards
+// there are. Apply runs it and then installShardOps for each touched
+// shard; the replay pipeline runs the two on a goroutine each per shard,
+// so one record's build overlaps the previous record's install.
 func (ix *ShardedIndex) buildRecords(g *shardOps) {
 	fresh := g.upserts[:0]
-	for _, e := range g.upserts {
-		if e != nil {
-			fresh = append(fresh, e)
+	for _, u := range g.upserts {
+		if u.JSON != "" || u.Entity() != nil {
+			fresh = append(fresh, u)
 		}
 	}
 	g.upserts = fresh
@@ -309,7 +340,10 @@ func (ix *ShardedIndex) buildRecords(g *shardOps) {
 	parallel(chunks, func(c int) {
 		lo, hi := c*len(fresh)/chunks, (c+1)*len(fresh)/chunks
 		for i := lo; i < hi; i++ {
-			g.recs[i] = ix.compiled.Record(fresh[i])
+			if fresh[i].JSON == "" {
+				fresh[i] = entity.Encode(fresh[i].Entity())
+			}
+			g.recs[i] = ix.compiled.RecordOf(fresh[i].ID(), fresh[i].Values)
 		}
 		copy(g.stored[lo:hi], ix.source.StoredKeys(g.recs[lo:hi]))
 	})
@@ -331,22 +365,23 @@ func (ix *ShardedIndex) installShardOps(g *shardOps) (upserted, deleted int) {
 	// sets are disjoint, because a delete beats an upsert of the same ID.
 	gone := append(make([]string, 0, len(g.deletes)+len(fresh)), g.deletes...)
 	replaced := 0
-	for _, e := range fresh {
-		if _, ok := sh.index.Slot(e.ID); ok {
-			gone = append(gone, e.ID)
+	for i := range fresh {
+		id := fresh[i].ID()
+		if _, ok := sh.index.Slot(id); ok {
+			gone = append(gone, id)
 			replaced++
 		}
 	}
 	freed := sh.index.BulkRemove(gone)
-	taken := sh.index.BulkAdd(recs, stored)
+	taken := sh.index.BulkAdd(fresh, recs, stored)
 	for _, s := range freed {
-		sh.records[s] = nil
+		sh.records[s], sh.json[s] = nil, ""
 	}
 	for i, s := range taken {
 		for int(s) >= len(sh.records) {
-			sh.records = append(sh.records, nil)
+			sh.records, sh.json = append(sh.records, nil), append(sh.json, "")
 		}
-		sh.records[s] = recs[i]
+		sh.records[s], sh.json[s] = recs[i], fresh[i].JSON
 	}
 	deleted = len(freed) - replaced
 	ix.count.Add(int64(len(fresh) - replaced - deleted))
@@ -390,38 +425,67 @@ func (ix *ShardedIndex) BulkLoad(entities []*entity.Entity) int {
 // Len returns the current corpus size.
 func (ix *ShardedIndex) Len() int { return int(ix.count.Load()) }
 
-// Get returns the stored entity with the given ID, or nil. The returned
-// entity must not be mutated (use Update with a fresh value).
-func (ix *ShardedIndex) Get(id string) *entity.Entity {
+// JSON returns the canonical bytes of the stored entity with the given
+// ID — exactly what json.Marshal emits for it — and whether it is
+// stored.
+func (ix *ShardedIndex) JSON(id string) (string, bool) {
 	sh := ix.shards[ix.shardOf(id)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if s, ok := sh.index.Slot(id); ok {
-		return sh.records[s].Entity()
+		return sh.json[s], true
+	}
+	return "", false
+}
+
+// Contains reports whether an entity with the given ID is stored.
+func (ix *ShardedIndex) Contains(id string) bool {
+	_, ok := ix.JSON(id)
+	return ok
+}
+
+// Get returns the stored entity with the given ID, decoded from its
+// canonical bytes, or nil. Each call decodes a fresh entity.
+func (ix *ShardedIndex) Get(id string) *entity.Entity {
+	if js, ok := ix.JSON(id); ok {
+		return decodeStored(js)
 	}
 	return nil
 }
 
-// entities returns the shard's stored entities in slot order, read under
-// its read lock.
-func (sh *shard) entities() []*entity.Entity {
+// decodeStored decodes canonical bytes a shard stores, which the entity
+// decoder wrote or checked, so they always decode.
+func decodeStored(js string) *entity.Entity {
+	e, _ := entity.DecodeJSONString(js)
+	return e
+}
+
+// versions returns the shard's stored versions, ID and canonical bytes,
+// in slot order, read under its read lock.
+func (sh *shard) versions() []version {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	out := make([]*entity.Entity, 0, sh.index.Len())
-	for _, r := range sh.records {
+	out := make([]version, 0, sh.index.Len())
+	for s, r := range sh.records {
 		if r != nil {
-			out = append(out, r.Entity())
+			out = append(out, version{r.ID(), sh.json[s]})
 		}
 	}
 	return out
 }
 
-// Entities returns a snapshot of the corpus sorted by ID. Each shard is
-// read under its lock; see the isolation notes for cross-shard semantics.
+// version is one stored entity version: its ID and canonical bytes.
+type version struct{ id, json string }
+
+// Entities returns a snapshot of the corpus sorted by ID, each entity
+// decoded from its canonical bytes. Each shard is read under its lock;
+// see the isolation notes for cross-shard semantics.
 func (ix *ShardedIndex) Entities() []*entity.Entity {
 	out := make([]*entity.Entity, 0, ix.Len())
 	for _, sh := range ix.shards {
-		out = append(out, sh.entities()...)
+		for _, v := range sh.versions() {
+			out = append(out, decodeStored(v.json))
+		}
 	}
 	matching.SortByID(out)
 	return out
@@ -454,7 +518,7 @@ func (ix *ShardedIndex) Stats() Stats {
 // matching.Options.normalize does, from the shard's partition minus the
 // probe's own record, so its +50 floor is per shard. Negative is
 // uncapped. A rule index caps nothing.
-func (ix *ShardedIndex) maxBlock(sh *shard, probe *entity.Entity) int {
+func (ix *ShardedIndex) maxBlock(sh *shard, probe string) int {
 	switch m := ix.opts.MaxBlockSize; {
 	case m > 0:
 		return (m + len(ix.shards) - 1) / len(ix.shards)
@@ -462,7 +526,7 @@ func (ix *ShardedIndex) maxBlock(sh *shard, probe *entity.Entity) int {
 		return 0 // BlockIndex treats ≤0 as uncapped
 	}
 	n := sh.index.Len()
-	if _, ok := sh.index.Slot(probe.ID); ok {
+	if _, ok := sh.index.Slot(probe); ok {
 		n--
 	}
 	return matching.DefaultMaxBlockSize(n)
@@ -474,23 +538,26 @@ func (ix *ShardedIndex) maxBlock(sh *shard, probe *entity.Entity) int {
 // under an edit bound, every stored entity within K edits of the probe
 // on the bound's values (none when its bound misses the threshold);
 // otherwise the ones blocking proposes, unioned over the shards (see
-// ShardedIndex). The probe's own record (same ID) is never one.
+// ShardedIndex). The probe's own record (same ID) is never one. Each
+// candidate is decoded from its canonical bytes.
 func (ix *ShardedIndex) Candidates(probe *entity.Entity) []*entity.Entity {
 	rec := ix.compiled.Record(probe)
 	keys := ix.source.ProbeKeys(rec)
-	perShard := make([][]*entity.Entity, len(ix.shards))
+	perShard := make([][]string, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
 		sh := ix.shards[i]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		sh.index.For(rec, keys).Each(probe, ix.maxBlock(sh, probe), new(matching.SlotSet), func(s int32) bool {
-			perShard[i] = append(perShard[i], sh.records[s].Entity())
+		sh.index.For(rec, keys).Each(probe, ix.maxBlock(sh, probe.ID), new(matching.SlotSet), func(s int32) bool {
+			perShard[i] = append(perShard[i], sh.json[s])
 			return true
 		})
 	})
 	var out []*entity.Entity
 	for _, cands := range perShard {
-		out = append(out, cands...)
+		for _, js := range cands {
+			out = append(out, decodeStored(js))
+		}
 	}
 	matching.SortByID(out)
 	return out
@@ -509,7 +576,7 @@ func (ix *ShardedIndex) Query(probe *entity.Entity, k int) []matching.Link {
 	keys := ix.source.ProbeKeys(rec)
 	perShard := make([][]matching.Link, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
-		perShard[i] = ix.query(ix.shards[i], rec, keys, k)
+		perShard[i] = ix.query(ix.shards[i], rec, probe, keys, k)
 	})
 	return MergeTopK(perShard, k)
 }
@@ -545,7 +612,8 @@ func MergeTopK(perShard [][]matching.Link, k int) []matching.Link {
 // shard, not for the home shard and then the rest. Holding the home lock
 // while the other shards take theirs cannot deadlock: writers take one
 // shard lock at a time. Every shard scores against the home shard's
-// stored record of the probe.
+// stored record of the probe; a blocker enumerates from the entity its
+// table keeps, a rule index from the record alone.
 func (ix *ShardedIndex) QueryID(id string, k int) ([]matching.Link, bool) {
 	hi := ix.shardOf(id)
 	home := ix.shards[hi]
@@ -555,16 +623,16 @@ func (ix *ShardedIndex) QueryID(id string, k int) ([]matching.Link, bool) {
 		home.mu.RUnlock()
 		return nil, false
 	}
-	probe := home.records[s]
+	probe, pe := home.records[s], home.index.Entity(s)
 	keys := ix.source.ProbeKeys(probe)
 	perShard := make([][]matching.Link, len(ix.shards))
 	parallel(len(ix.shards), func(i int) {
 		if i != hi {
-			perShard[i] = ix.query(ix.shards[i], probe, keys, k)
+			perShard[i] = ix.query(ix.shards[i], probe, pe, keys, k)
 			return
 		}
 		defer home.mu.RUnlock()
-		perShard[i] = ix.queryLocked(home, probe, keys, k)
+		perShard[i] = ix.queryLocked(home, probe, pe, keys, k)
 	})
 	return MergeTopK(perShard, k), true
 }
@@ -598,11 +666,12 @@ func parallel(n int, f func(i int)) {
 
 // query answers shard sh's share of a Query under its read lock,
 // returning its top-k links (all links above the threshold for k ≤ 0).
-// keys are the probe's index keys (CandidateSource.ProbeKeys).
-func (ix *ShardedIndex) query(sh *shard, probe *evalengine.Record, keys []uint64, k int) []matching.Link {
+// keys are the probe's index keys (CandidateSource.ProbeKeys) and pe its
+// entity, which only a blocker reads (matching.ScoreCandidates).
+func (ix *ShardedIndex) query(sh *shard, probe *evalengine.Record, pe *entity.Entity, keys []uint64, k int) []matching.Link {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return ix.queryLocked(sh, probe, keys, k)
+	return ix.queryLocked(sh, probe, pe, keys, k)
 }
 
 // queryLocked is query with the shard lock already held: the shard's
@@ -611,9 +680,9 @@ func (ix *ShardedIndex) query(sh *shard, probe *evalengine.Record, keys []uint64
 // link for k ≤ 0), exactly those of scoring every candidate Candidates
 // returns. A probe whose bound already misses the threshold enumerates
 // nothing and counts as an early exit.
-func (ix *ShardedIndex) queryLocked(sh *shard, probe *evalengine.Record, keys []uint64, k int) []matching.Link {
+func (ix *ShardedIndex) queryLocked(sh *shard, probe *evalengine.Record, pe *entity.Entity, keys []uint64, k int) []matching.Link {
 	cands := sh.index.For(probe, keys)
-	links, scored := matching.ScoreCandidates(ix.compiled, probe, cands, ix.maxBlock(sh, probe.Entity()), sh.records, ix.opts.Threshold, k)
+	links, scored := matching.ScoreCandidates(ix.compiled, probe, pe, cands, ix.maxBlock(sh, probe.ID()), sh.records, ix.opts.Threshold, k)
 	if !scored {
 		ix.streamEarlyExits.Add(1)
 	}

@@ -335,8 +335,8 @@ func TestApplyBatchSemantics(t *testing.T) {
 	if batched.Get("ghost") != nil {
 		t.Fatal("ghost (upserted then deleted in one batch) materialized")
 	}
-	if got := batched.Get("new"); got != newV2 {
-		t.Fatalf("new = %v, want the later batch occurrence", got)
+	if got, _ := batched.JSON("new"); got != entity.Encode(newV2).JSON {
+		t.Fatalf("new = %s, want the later batch occurrence", got)
 	}
 	be, ie := batched.Entities(), individual.Entities()
 	if !equalIDs(idsOf(be), idsOf(ie)) {

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"genlink/internal/entity"
@@ -24,15 +26,20 @@ import (
 // header (version, shard count, blocker, threshold, rule, and the number
 // of sections that follow) and then the sections (entity.Section), each
 // holding a contiguous run of one shard's slice of the corpus sorted by
-// ID. The sections are written by json.Marshal and read by the entity
-// decoder (entity.Section's DecodeJSON). A writer splits each shard into
+// ID. A section is json.Marshal's bytes of an entity.Section, written
+// without marshaling as the concatenation of its entities' stored
+// canonical bytes (entity.AppendSection), and read by the entity decoder
+// (entity.DecodeEncodedSection), whose canonical spans the restored
+// shards store as they are. A writer splits each shard into
 // max(1, GOMAXPROCS/shards) sections, so a one-shard index still decodes
 // and installs on every core; a reader
 // takes any count from one section per shard up. Every restore rebuilds
 // the header's shard count: a blocker's answers depend on it. Sections
 // are independently decodable, so both sides of the round trip
-// parallelize: writing marshals every section concurrently and restoring
-// decodes and index-builds sections concurrently. Block structures are
+// parallelize: writing assembles every section concurrently, and
+// restoring decodes the sections concurrently and feeds them, in runs,
+// through the replay pipeline, which builds one run's records on every
+// core while the previous run installs. Block structures are
 // NOT persisted; they are deterministic functions of (blocker, corpus,
 // shard count) and are rebuilt through the bulk-load path on restore,
 // which is both simpler and robust against block-structure layout
@@ -66,19 +73,20 @@ type snapshotHeader struct {
 }
 
 // snapshotCapture is an in-memory snapshot: the header plus every
-// section, captured under the shard locks and serialized later.
+// section, each its entities' canonical bytes, captured under the shard
+// locks and serialized later.
 type snapshotCapture struct {
 	header   snapshotHeader
-	sections []entity.Section
+	sections [][]string
 }
 
 // buildSnapshot captures the snapshot state: per shard, the corpus slice
-// (entity pointers — immutable once stored, so the capture stays
-// consistent while it is serialized later) sorted by ID and cut into
-// max(1, GOMAXPROCS/shards) sections of near-equal size, plus the rule
-// and the options. Each shard is read under its lock; see the isolation
-// notes on ShardedIndex for cross-shard semantics under concurrent
-// writes.
+// (the versions' canonical bytes — immutable strings, so the capture
+// stays consistent while it is serialized later) sorted by ID and cut
+// into max(1, GOMAXPROCS/shards) sections of near-equal size, plus the
+// rule and the options. Each shard is read under its lock; see the
+// isolation notes on ShardedIndex for cross-shard semantics under
+// concurrent writes.
 func (ix *ShardedIndex) buildSnapshot() *snapshotCapture {
 	per := max(1, runtime.GOMAXPROCS(0)/len(ix.shards))
 	snap := &snapshotCapture{
@@ -92,20 +100,24 @@ func (ix *ShardedIndex) buildSnapshot() *snapshotCapture {
 			Rule:         ix.rule,
 			Sections:     per * len(ix.shards),
 		},
-		sections: make([]entity.Section, 0, per*len(ix.shards)),
+		sections: make([][]string, 0, per*len(ix.shards)),
 	}
 	for _, sh := range ix.shards {
-		ents := sh.entities()
-		matching.SortByID(ents)
+		vs := sh.versions()
+		slices.SortFunc(vs, func(a, b version) int { return strings.Compare(a.id, b.id) })
+		js := make([]string, len(vs))
+		for i, v := range vs {
+			js[i] = v.json
+		}
 		for j := range per {
-			snap.sections = append(snap.sections, entity.Section{Entities: ents[j*len(ents)/per : (j+1)*len(ents)/per]})
+			snap.sections = append(snap.sections, js[j*len(js)/per:(j+1)*len(js)/per])
 		}
 	}
 	return snap
 }
 
 // encode serializes the capture to w: the header value, then each
-// section value, one per line. Sections are marshaled in parallel (they
+// section value, one per line. Sections are assembled in parallel (they
 // are independent by construction) and written in shard order.
 func (snap *snapshotCapture) encode(w io.Writer) error {
 	blobs := make([][]byte, 1+len(snap.sections))
@@ -114,7 +126,7 @@ func (snap *snapshotCapture) encode(w io.Writer) error {
 		if i == 0 {
 			blobs[0], errs[0] = json.Marshal(&snap.header)
 		} else {
-			blobs[i], errs[i] = json.Marshal(&snap.sections[i-1])
+			blobs[i] = entity.AppendSection(nil, snap.sections[i-1])
 		}
 	})
 	for i, err := range errs {
@@ -186,7 +198,10 @@ type RestoreOptions struct{}
 // a restore begins — "read" the file, "scan" its header and cut its
 // sections apart, "decode" them, "install" them into an index — and as
 // Recover's "replay" of the log tail begins, and with "" as that replay
-// ends, so the steps are timed on the path recovery runs.
+// ends, so the steps are timed on the path recovery runs. Recover queues
+// the log tail behind the sections without waiting for them to install,
+// so there its "install" step times their queuing and "replay" the rest
+// of their install with the replay.
 var restoreStepHook func(step string)
 
 func restoreStep(step string) {
@@ -195,14 +210,30 @@ func restoreStep(step string) {
 	}
 }
 
-// readSnapshot rebuilds an index from a snapshot's bytes: the snapshot
-// is decoded and checked (decodeSnapshot), the rule recompiled, the
-// options and shard count reconstructed, and the block structures and
-// scoring records rebuilt by installing the corpus sections in parallel.
+// readSnapshot rebuilds an index from a snapshot's bytes
+// (restoreSnapshot) and waits until every section is installed.
 func readSnapshot(data []byte) (*ShardedIndex, error) {
-	snap, err := decodeSnapshot(data)
+	ix, r, err := restoreSnapshot(data)
 	if err != nil {
 		return nil, err
+	}
+	r.wait()
+	return ix, nil
+}
+
+// restoreSnapshot starts rebuilding an index from a snapshot's bytes:
+// the snapshot is decoded and checked (decodeSnapshot), the rule
+// recompiled, the options and shard count reconstructed, and the
+// corpus sections queued on the index's replay pipeline, which rebuilds
+// the block structures and scoring records. It returns the pipeline
+// still running, so Recover queues the log tail behind the sections
+// and the first records replay while the last sections install; the
+// index is whole once the pipeline's wait returns. Every error is
+// returned before anything is queued.
+func restoreSnapshot(data []byte) (*ShardedIndex, *parallelReplayer, error) {
+	snap, err := decodeSnapshot(data)
+	if err != nil {
+		return nil, nil, err
 	}
 	restoreStep("install")
 	ix := NewSharded(snap.header.Rule, snap.header.Shards, matching.Options{
@@ -210,23 +241,49 @@ func readSnapshot(data []byte) (*ShardedIndex, error) {
 		MaxBlockSize: snap.header.MaxBlockSize,
 		Blocker:      snap.blocker,
 	})
-	// Each section installs through Apply. A section holds one shard's
-	// entities, so its Apply is one group. A valid snapshot's sections
-	// hold disjoint ID sets, so concurrent installs into the same shard
-	// commute.
-	parallel(len(snap.sections), func(i int) {
-		ix.Apply(Batch{Upserts: snap.sections[i]})
-	})
-	return ix, nil
+	// Each shard's table and slot arrays are sized for its entities
+	// once, instead of growing run by run.
+	counts := make([]int, len(ix.shards))
+	for _, sec := range snap.sections {
+		for i := range sec {
+			counts[ix.shardOf(sec[i].ID())]++
+		}
+	}
+	for p, sh := range ix.shards {
+		sh.index.Grow(counts[p])
+		sh.records, sh.json = slices.Grow(sh.records, counts[p]), slices.Grow(sh.json, counts[p])
+	}
+	// The sections are cut into runs of restoreChunk entities, taken
+	// from each section in turn, so that one run's records build on
+	// every core while the previous run installs under its shard's lock.
+	// A valid snapshot's sections hold disjoint ID sets, so their order
+	// does not matter.
+	r := startReplayer(ix)
+	for lo := 0; ; lo += restoreChunk {
+		fed := false
+		for _, sec := range snap.sections {
+			if lo < len(sec) {
+				r.apply(Batch{Encoded: sec[lo:min(lo+restoreChunk, len(sec))]})
+				fed = true
+			}
+		}
+		if !fed {
+			return ix, r, nil
+		}
+	}
 }
+
+// restoreChunk is the run of a snapshot section that installs as one
+// batch.
+const restoreChunk = 512
 
 // decodedSnapshot is a snapshot that passed every check restoring makes:
 // the header, the resolved blocker and each section's validated corpus
-// slice, in section order.
+// slice, with its canonical bytes, in section order.
 type decodedSnapshot struct {
 	header   snapshotHeader
 	blocker  matching.Blocker
-	sections [][]*entity.Entity
+	sections [][]entity.Encoded
 }
 
 // decodeSnapshot reads and checks a snapshot without building an index:
@@ -283,19 +340,18 @@ func decodeSnapshot(data []byte) (*decodedSnapshot, error) {
 	raws = raws[:hdr.Sections]
 	// Decode the sections in parallel, through the entity decoder.
 	restoreStep("decode")
-	snap := &decodedSnapshot{header: hdr, blocker: bl, sections: make([][]*entity.Entity, len(raws))}
+	snap := &decodedSnapshot{header: hdr, blocker: bl, sections: make([][]entity.Encoded, len(raws))}
 	errs := make([]error, len(raws))
 	parallel(len(raws), func(i int) {
-		var sec entity.Section
-		if err := sec.DecodeJSON(raws[i]); err != nil {
+		sec, err := entity.DecodeEncodedSection(raws[i])
+		if err == nil {
+			err = validateSnapshotEntities(sec)
+		}
+		if err != nil {
 			errs[i] = fmt.Errorf("linkindex: restore: section %d: %w", i, err)
 			return
 		}
-		if err := validateSnapshotEntities(sec.Entities); err != nil {
-			errs[i] = fmt.Errorf("linkindex: restore: section %d: %w", i, err)
-			return
-		}
-		snap.sections[i] = sec.Entities
+		snap.sections[i] = sec
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -308,9 +364,9 @@ func decodeSnapshot(data []byte) (*decodedSnapshot, error) {
 // validateSnapshotEntities rejects corpus entries a valid writer can
 // never produce before they reach the index. Callers wrap the error with
 // their location context.
-func validateSnapshotEntities(ents []*entity.Entity) error {
+func validateSnapshotEntities(ents []entity.Encoded) error {
 	for i, e := range ents {
-		if e == nil || e.ID == "" {
+		if e.ID() == "" {
 			return fmt.Errorf("entity %d has no id", i)
 		}
 	}
@@ -322,10 +378,20 @@ func validateSnapshotEntities(ents []*entity.Entity) error {
 // follower's copy of its leader's), in the header's shard count and
 // blocker.
 func RestoreFrom(path string, _ RestoreOptions) (*ShardedIndex, error) {
+	ix, r, err := restoreFile(path)
+	if err != nil {
+		return nil, err
+	}
+	r.wait()
+	return ix, nil
+}
+
+// restoreFile is restoreSnapshot of the file at path.
+func restoreFile(path string) (*ShardedIndex, *parallelReplayer, error) {
 	restoreStep("read")
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("linkindex: restore: %w", err)
+		return nil, nil, fmt.Errorf("linkindex: restore: %w", err)
 	}
-	return readSnapshot(data)
+	return restoreSnapshot(data)
 }

@@ -20,7 +20,10 @@
 // GET /match?id=, each /stats leg and each leg of the /match fan-out —
 // goes through one read leg (readLeg) with one policy. It starts at a
 // replica whose polled replica_lag_records is within Options.MaxLag
-// (round-robin across eligible replicas), else at the leader guess. If
+// (round-robin across eligible replicas), else at the leader guess —
+// unless the router saw the leader guess fail (a poll or a read), when it
+// starts at the first node whose last attempt succeeded, whatever its
+// lag, which is a fall-over. If
 // that node has not answered within Options.HedgeAfter, the same request
 // is fired once more at a node the lag gate also admits (the leader for
 // a replica start, an eligible replica for a leader start; none, no
@@ -28,8 +31,9 @@
 // node unhealthy; once every launched attempt has failed, the leg falls
 // over to the group's untried nodes in write order (leader guess first),
 // whatever their lag. Any other answer is authoritative. So a read is
-// staler than MaxLag only when it fell over past the leader guess, and a
-// read fails only when no node of its group answers. Top-k /match fans
+// staler than MaxLag only when it fell over past the leader guess, at
+// its start or after a failure, and a read fails only when no node of
+// its group answers. Top-k /match fans
 // out to every group and merges the per-group winners with
 // linkindex.MergeTopK — the per-shard candidate-semantics contract of
 // the sharded index is the cross-node contract, so a quiescent router
@@ -161,7 +165,12 @@ func (st nodeState) readable(maxLag uint64) bool {
 }
 
 // pickRead selects the node a read starts at: a readable follower
-// (round-robin across the eligible ones), else the leader guess.
+// (round-robin across the eligible ones), else the leader guess unless
+// the router saw it fail, else the first node, in configuration order,
+// whose last attempt (the poll or a read) succeeded. Starting there is a
+// fall-over, like readLeg's after a failed attempt: the node may be a
+// follower past maxLag. Only when every node is marked unhealthy does
+// the read start at the leader guess all the same.
 func (g *group) pickRead(maxLag uint64) string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -176,16 +185,33 @@ func (g *group) pickRead(maxLag uint64) string {
 		g.rr++
 		return eligible[i]
 	}
+	if !g.failedLocked(g.leader) {
+		return g.leader
+	}
+	for _, a := range g.nodes {
+		if g.state[a].healthy {
+			return a
+		}
+	}
 	return g.leader
 }
 
+// failedLocked reports whether the last attempt at addr, a poll or a
+// read, failed. A leader guess a 403 body named from outside the
+// configured set has had none. The caller holds g.mu.
+func (g *group) failedLocked(addr string) bool {
+	st, seen := g.state[addr]
+	return seen && !st.healthy
+}
+
 // alternate returns a hedge target distinct from primary that pickRead
-// would also accept: the leader when the primary was a replica,
-// otherwise a readable follower ("" when the group has none).
+// would also accept: the leader when the primary was a replica and the
+// leader has not failed, otherwise a readable follower ("" when the
+// group has none).
 func (g *group) alternate(primary string, maxLag uint64) string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if primary != g.leader {
+	if primary != g.leader && !g.failedLocked(g.leader) {
 		return g.leader
 	}
 	for _, a := range g.nodes {

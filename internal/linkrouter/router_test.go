@@ -72,6 +72,22 @@ func TestPickReadLagGating(t *testing.T) {
 	if addr := g.pickRead(0); addr != "http://l" {
 		t.Fatalf("pickRead with no eligible replica = %s, want leader fallback", addr)
 	}
+
+	// The leader guess marked unhealthy too: fall over to the node whose
+	// last attempt succeeded, the follower past the lag gate.
+	g.markUnhealthy("http://l")
+	if addr := g.pickRead(0); addr != "http://f2" {
+		t.Fatalf("pickRead with the leader marked unhealthy = %s, want the healthy lagging follower", addr)
+	}
+	if alt := g.alternate("http://f2", 0); alt != "" {
+		t.Fatalf("alternate(fall-over) = %s, want no hedge to the failed leader", alt)
+	}
+
+	// Every node marked unhealthy: the leader guess all the same.
+	g.markUnhealthy("http://f2")
+	if addr := g.pickRead(0); addr != "http://l" {
+		t.Fatalf("pickRead with every node unhealthy = %s, want the leader guess", addr)
+	}
 }
 
 func TestAlternatePrefersLeaderForReplicaPrimary(t *testing.T) {

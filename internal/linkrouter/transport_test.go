@@ -419,10 +419,11 @@ func TestRouterStatsForwardsShardsAndCandidates(t *testing.T) {
 }
 
 // TestRouterReadsFallOverPastLeaderGuess pins that every routed read
-// shares one fall-over policy: with the leader guess down and the only
-// other node a follower past MaxLag, each kind of read starts at the
-// leader guess, falls over to the follower and answers 200 from it —
-// counted as a replica read, because the follower answered it.
+// shares one fall-over policy: with the leader guess down — its poll
+// failed — and the only other node a follower past MaxLag, each kind of
+// read starts at the follower, the node whose last attempt succeeded,
+// and answers 200 from it — counted as a replica read, because the
+// follower answered it.
 func TestRouterReadsFallOverPastLeaderGuess(t *testing.T) {
 	net := &fakeNet{nodes: map[string]*fakeNode{
 		"l": {role: "leader", down: true},
@@ -451,10 +452,10 @@ func TestRouterReadsFallOverPastLeaderGuess(t *testing.T) {
 		}
 	}
 	wantLog := []string{
-		"l GET /entities/x", "f GET /entities/x",
-		"l GET /entities/x", "f GET /entities/x", "l POST /match", "f POST /match",
-		"l GET /stats", "f GET /stats",
-		"l POST /match", "f POST /match",
+		"f GET /entities/x",
+		"f GET /entities/x", "f POST /match",
+		"f GET /stats",
+		"f POST /match",
 	}
 	if got := net.requests(); !reflect.DeepEqual(got, wantLog) {
 		t.Fatalf("requests %q, want %q", got, wantLog)
@@ -463,6 +464,38 @@ func TestRouterReadsFallOverPastLeaderGuess(t *testing.T) {
 	got.RoutedWrites, got.RoutedDeletes = nil, nil
 	if want := (Snapshot{Queries: 2, ReplicaReads: 5}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("metrics %+v, want %+v", got, want)
+	}
+}
+
+// TestRouterReadSkipsFailedLeader pins that a read does not start at a
+// node the router just saw fail: the leader answers its poll but hangs on
+// reads, so the first read waits out RequestTimeout there and falls over
+// to the follower past MaxLag, and the second read starts at the
+// follower without waiting for the leader at all.
+func TestRouterReadSkipsFailedLeader(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	match := linkserver.MatchResponse{Query: "p", K: 3, Links: []linkserver.MatchLink{{ID: "from-f", Score: 0.9}}}
+	net := &fakeNet{nodes: map[string]*fakeNode{
+		"l": {role: "leader", serve: func(r *http.Request) (int, any, error) {
+			<-r.Context().Done()
+			return 0, nil, r.Context().Err()
+		}},
+		"f": {role: "follower", lag: 5, serve: answer(http.StatusOK, match)},
+	}}
+	rt := newFakeRouter(t, net, []string{"l", "f"}, Options{MaxLag: 0, RequestTimeout: timeout})
+	probe := `{"id":"p","properties":{"name":["x"]}}`
+	if w := serve(rt, http.MethodPost, "/match?k=3", probe); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "from-f") {
+		t.Fatalf("first read: status %d: %s, want 200 from the follower", w.Code, w.Body)
+	}
+	start := time.Now()
+	if w := serve(rt, http.MethodPost, "/match?k=3", probe); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "from-f") {
+		t.Fatalf("second read: status %d: %s, want 200 from the follower", w.Code, w.Body)
+	}
+	if took := time.Since(start); took >= timeout {
+		t.Fatalf("the second read took %v: it waited for the hanging leader", took)
+	}
+	if got, want := net.requests(), []string{"l POST /match", "f POST /match", "f POST /match"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("requests %q, want %q", got, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -215,17 +216,17 @@ func (s *Server) apply(b linkindex.Batch) (linkindex.ApplyResult, error) {
 	return s.ix.Apply(b), nil
 }
 
-// handlePostEntities decodes one entity or an array and upserts them as
-// one batch through apply: each shard is locked once, old versions leave
-// through the bulk-remove path and new versions enter through the BulkAdd
-// path. Concurrent queries see each shard's slice of the batch either
-// fully applied or not at all. "added" counts distinct IDs (a repeated ID
-// upserts once).
+// handlePostEntities decodes one entity or an array, each with its
+// canonical bytes, and upserts them as one batch through apply: each
+// shard is locked once, old versions leave through the bulk-remove path
+// and new versions enter through the BulkAdd path. Concurrent queries see
+// each shard's slice of the batch either fully applied or not at all.
+// "added" counts distinct IDs (a repeated ID upserts once).
 func (s *Server) handlePostEntities(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReplicaWrite(w) {
 		return
 	}
-	entities, err := DecodeEntities(w, r)
+	entities, err := decodeEncoded(w, r)
 	if err != nil {
 		WriteDecodeError(w, err)
 		return
@@ -234,7 +235,7 @@ func (s *Server) handlePostEntities(w http.ResponseWriter, r *http.Request) {
 		s.handleBackfillEntities(w, entities)
 		return
 	}
-	res, err := s.apply(linkindex.Batch{Upserts: entities})
+	res, err := s.apply(linkindex.Batch{Encoded: entities})
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, err)
 		return
@@ -249,12 +250,12 @@ func (s *Server) handlePostEntities(w http.ResponseWriter, r *http.Request) {
 // Nothing is durable until POST /backfill/commit; the response says so
 // explicitly so a 200 here cannot be mistaken for the logged path's
 // durability acknowledgment.
-func (s *Server) handleBackfillEntities(w http.ResponseWriter, entities []*entity.Entity) {
+func (s *Server) handleBackfillEntities(w http.ResponseWriter, entities []entity.Encoded) {
 	if s.dix == nil {
 		WriteError(w, http.StatusConflict, errors.New("backfill mode requires -wal-dir (there is no durability barrier to commit to)"))
 		return
 	}
-	res, pending, err := s.dix.Backfill(linkindex.Batch{Upserts: entities})
+	res, pending, err := s.dix.Backfill(linkindex.Batch{Encoded: entities})
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, err)
 		return
@@ -316,13 +317,24 @@ func (s *Server) rejectReplicaWrite(w http.ResponseWriter) bool {
 	return true
 }
 
+// handleGetEntity answers a stored entity's canonical bytes as they are
+// stored: WriteJSON's body of the entity, json.Marshal's bytes and a
+// newline, without decoding or marshaling anything.
 func (s *Server) handleGetEntity(w http.ResponseWriter, r *http.Request) {
-	e := s.ix.Get(r.PathValue("id"))
-	if e == nil {
+	js, ok := s.ix.JSON(r.PathValue("id"))
+	if !ok {
 		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown entity %q", r.PathValue("id")))
 		return
 	}
-	WriteJSON(w, http.StatusOK, e)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, err := io.WriteString(w, js)
+	if err == nil {
+		_, err = io.WriteString(w, "\n")
+	}
+	if err != nil {
+		log.Printf("write response: %v", err)
+	}
 }
 
 // handleDeleteEntity deletes one entity through apply. An unknown ID
@@ -335,7 +347,7 @@ func (s *Server) handleDeleteEntity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	if s.ix.Get(id) == nil {
+	if !s.ix.Contains(id) {
 		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown entity %q", id))
 		return
 	}

@@ -95,24 +95,43 @@ type NodeMetrics struct {
 // MaxBytesReader close the connection on overrun; the caller maps the
 // resulting *http.MaxBytesError to 413 via WriteDecodeError.
 func DecodeEntities(w http.ResponseWriter, r *http.Request) ([]*entity.Entity, error) {
+	return decodeBody(w, r, entity.DecodeJSONList, entity.DecodeJSON, func(e *entity.Entity) string {
+		if e == nil {
+			return ""
+		}
+		return e.ID
+	})
+}
+
+// decodeEncoded is DecodeEntities giving each entity with its canonical
+// bytes (entity.DecodeEncodedList and entity.DecodeEncoded): how a node
+// reads the entities it stores.
+func decodeEncoded(w http.ResponseWriter, r *http.Request) ([]entity.Encoded, error) {
+	return decodeBody(w, r, entity.DecodeEncodedList, entity.DecodeEncoded, func(e entity.Encoded) string { return e.ID() })
+}
+
+// decodeBody reads an entity body, decoded by list when it is an array
+// and by one otherwise, and validates that every entity carries an id
+// (id reads it; a null entity has none).
+func decodeBody[T any](w http.ResponseWriter, r *http.Request, list func([]byte) ([]T, error), one func([]byte) (T, error), id func(T) string) ([]T, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEntityBody))
 	if err != nil {
 		return nil, fmt.Errorf("read body: %w", err)
 	}
-	var entities []*entity.Entity
+	var entities []T
 	if first := firstNonSpace(body); first == '[' {
-		if entities, err = entity.DecodeJSONList(body); err != nil {
+		if entities, err = list(body); err != nil {
 			return nil, fmt.Errorf("invalid entity array: %w", err)
 		}
 	} else {
-		e, err := entity.DecodeJSON(body)
+		e, err := one(body)
 		if err != nil {
 			return nil, fmt.Errorf("invalid entity: %w", err)
 		}
 		entities = append(entities, e)
 	}
 	for _, e := range entities {
-		if e == nil || e.ID == "" {
+		if id(e) == "" {
 			return nil, errors.New(`every entity needs a non-empty "id"`)
 		}
 	}

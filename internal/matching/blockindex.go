@@ -88,6 +88,13 @@ type table struct {
 
 func newTable() table { return table{slotOf: make(map[string]int32)} }
 
+// grow makes room for n more IDs: an empty table's map is made for n.
+func (t *table) grow(n int) {
+	if len(t.slotOf) == 0 {
+		t.slotOf = make(map[string]int32, n)
+	}
+}
+
 // take gives id a slot, the last freed one if any.
 func (t *table) take(id string) int32 {
 	s := t.slots
@@ -272,7 +279,10 @@ func grown[T any](s []T, n int) []T {
 // QGramBlocker (uint64 keys: the packed q-grams, packGram), and
 // RuleIndex's one pass (uint64 keys a served rule derives from the
 // entity): every key maps to the posting list of the slots whose entity
-// carries it. The
+// carries it. A list's array holds its length and then its slots, with
+// room to grow, so adding a slot to a key's list looks the key up once
+// and writes the map only when the array moves to one twice its size;
+// reading a list is the one lookup. The
 // lists hold no pointers, so the garbage collector never scans them, and
 // neither do a q-gram slot's keys. add appends the slot to one list per
 // key; remove swap-removes it from each, fixing the moved slot's
@@ -280,8 +290,8 @@ func grown[T any](s []T, n int) []T {
 // keys), whatever the block sizes.
 type keyedPass[K cmp.Ordered] struct {
 	keyFn    func(e *entity.Entity, toks []string) []K // toks: e's Tokens; sorted, unique; nil in RuleIndex
-	postings map[K][]int32
-	slots    []keyedSlot[K] // by table slot
+	postings map[K][]int32                             // key → [n, slot₁ … slotₙ, room]
+	slots    []keyedSlot[K]                            // by table slot
 }
 
 // keyedSlot is one slot's keys, recorded at add time so remove never
@@ -294,6 +304,15 @@ type keyedSlot[K cmp.Ordered] struct {
 
 func newKeyedPass[K cmp.Ordered](keyFn func(e *entity.Entity, toks []string) []K) *keyedPass[K] {
 	return &keyedPass[K]{keyFn: keyFn, postings: make(map[K][]int32)}
+}
+
+// list returns the slots of key k's posting list, nil when no slot
+// carries k.
+func (p *keyedPass[K]) list(k K) []int32 {
+	if l := p.postings[k]; l != nil {
+		return l[1 : 1+l[0]]
+	}
+	return nil
 }
 
 func (p *keyedPass[K]) add(x *blockIndex, slots []int32, toks [][]string) {
@@ -309,9 +328,19 @@ func (p *keyedPass[K]) put(s int32, keys []K) {
 	sl.keys = keys
 	sl.pos = slices.Grow(sl.pos, len(keys))
 	for _, k := range keys {
-		list := p.postings[k]
-		sl.pos = append(sl.pos, int32(len(list)))
-		p.postings[k] = append(list, s)
+		l := p.postings[k]
+		var n int32
+		if l != nil {
+			n = l[0]
+		}
+		if int(n)+1 >= len(l) {
+			moved := make([]int32, max(2, 2*len(l)))
+			copy(moved, l)
+			l = moved
+			p.postings[k] = l
+		}
+		l[0], l[n+1] = n+1, s
+		sl.pos = append(sl.pos, n)
 	}
 }
 
@@ -319,7 +348,8 @@ func (p *keyedPass[K]) remove(_ *blockIndex, slots []int32) {
 	for _, s := range slots {
 		sl := &p.slots[s]
 		for i, k := range sl.keys {
-			list := p.postings[k]
+			l := p.postings[k]
+			list := l[1 : 1+l[0]]
 			last := int32(len(list) - 1)
 			if last == 0 {
 				delete(p.postings, k)
@@ -331,7 +361,7 @@ func (p *keyedPass[K]) remove(_ *blockIndex, slots []int32) {
 				j, _ := slices.BinarySearch(moved.keys, k)
 				moved.pos[j] = q
 			}
-			p.postings[k] = list[:last]
+			l[0] = last
 		}
 		*sl = keyedSlot[K]{pos: sl.pos[:0]}
 	}
@@ -348,7 +378,7 @@ func (p *keyedPass[K]) each(_ *blockIndex, probe *entity.Entity, toks []string, 
 		selfKeys = p.slots[self].keys
 	}
 	for _, k := range p.keyFn(probe, toks) {
-		list := p.postings[k]
+		list := p.list(k)
 		size := len(list)
 		for len(selfKeys) > 0 && selfKeys[0] < k {
 			selfKeys = selfKeys[1:]

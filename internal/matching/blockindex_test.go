@@ -323,7 +323,7 @@ func checkKeyedInvariants[K cmp.Ordered](t *testing.T, p *keyedPass[K], slots in
 			t.Fatalf("keyed: slot %d holds keys %v, its entity has %v", s, sl.keys, w)
 		}
 		for i, k := range sl.keys {
-			if list := p.postings[k]; int(sl.pos[i]) >= len(list) || list[sl.pos[i]] != int32(s) {
+			if list := p.list(k); int(sl.pos[i]) >= len(list) || list[sl.pos[i]] != int32(s) {
 				t.Fatalf("keyed: slot %d is not at position %d of %v's list %v", s, sl.pos[i], k, list)
 			}
 		}
@@ -333,7 +333,8 @@ func checkKeyedInvariants[K cmp.Ordered](t *testing.T, p *keyedPass[K], slots in
 	// lists hold nothing else (no free slot, no repeat) iff their lengths
 	// add up to the same count.
 	total := 0
-	for k, list := range p.postings {
+	for k := range p.postings {
+		list := p.list(k)
 		if len(list) == 0 {
 			t.Fatalf("keyed: key %v has an empty list", k)
 		}

@@ -154,6 +154,7 @@ func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
 	}
 	c := evalengine.Compile(r)
 	slotOf := make(map[string]int32)
+	var bs []*entity.Entity
 	var rbs []*evalengine.Record
 	slots := make(pairGroup, len(pairs)) // slots[i] is pairs[i].B's
 	for i, p := range pairs {
@@ -161,7 +162,7 @@ func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
 		if !ok {
 			s = int32(len(rbs))
 			slotOf[p.B.ID] = s
-			rbs = append(rbs, c.Record(p.B))
+			bs, rbs = append(bs, p.B), append(rbs, c.Record(p.B))
 		}
 		slots[i] = s
 	}
@@ -171,7 +172,8 @@ func MatchPairs(r *rule.Rule, pairs []Pair, opts Options) []Link {
 		for hi < len(pairs) && pairs[hi].A == pairs[lo].A {
 			hi++
 		}
-		links, _ := ScoreCandidates(c, probeRecord(c, rbs, slotOf, pairs[lo].A), slots[lo:hi], 0, rbs, opts.Threshold, 0)
+		ea := pairs[lo].A
+		links, _ := ScoreCandidates(c, probeRecord(c, bs, rbs, slotOf, ea), ea, slots[lo:hi], 0, rbs, opts.Threshold, 0)
 		perA = append(perA, links)
 		lo = hi
 	}
@@ -194,9 +196,9 @@ func (g pairGroup) Each(_ *entity.Entity, _ int, seen *SlotSet, yield func(slot 
 // probeRecord returns the record an A entity probes with: its B record
 // when the entity is itself in B (a self-join), as QueryID probes with
 // the stored record, and a fresh one otherwise. slotOf maps B's IDs to
-// their slots in rbs.
-func probeRecord(c *evalengine.Compiled, rbs []*evalengine.Record, slotOf map[string]int32, ea *entity.Entity) *evalengine.Record {
-	if s, ok := slotOf[ea.ID]; ok && rbs[s].Entity() == ea {
+// their slots in bs and rbs, which hold B's entities and their records.
+func probeRecord(c *evalengine.Compiled, bs []*entity.Entity, rbs []*evalengine.Record, slotOf map[string]int32, ea *entity.Entity) *evalengine.Record {
+	if s, ok := slotOf[ea.ID]; ok && bs[s] == ea {
 		return rbs[s]
 	}
 	return c.Record(ea)

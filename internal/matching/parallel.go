@@ -41,8 +41,8 @@ func MatchParallel(r *rule.Rule, a, b *entity.Source, opts Options, workers int)
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				probe := probeRecord(c, rbs, slotOf, eas[i])
-				perA[i], _ = ScoreCandidates(c, probe, cands(probe), opts.MaxBlockSize, rbs, opts.Threshold, 0)
+				probe := probeRecord(c, ebs, rbs, slotOf, eas[i])
+				perA[i], _ = ScoreCandidates(c, probe, eas[i], cands(probe), opts.MaxBlockSize, rbs, opts.Threshold, 0)
 			}
 		}(lo, min(lo+chunk, len(eas)))
 	}

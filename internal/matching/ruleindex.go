@@ -54,16 +54,24 @@ type Stored struct {
 
 // CandidateIndex is a CandidateSource's mutable index: Slot, Len, Keys,
 // BulkAdd and BulkRemove have BlockIndex's contracts, BulkAdd taking the
-// records' StoredKeys, and For returns the enumerator of a probe's
-// candidates, keys being its ProbeKeys. Like BlockIndex it is NOT
+// entity versions, as the service stores them, with their records and
+// the records' StoredKeys, and For returns the enumerator of a probe's
+// candidates, keys being its ProbeKeys. Entity returns the entity at a
+// live slot where the index keeps entities — a blocker's table builds
+// them (entity.Encoded.Entity) for its enumeration — and nil where it
+// keeps none: a rule index reads the records alone. Grow makes room for
+// n more entities, so that a restore that knows its size sizes the
+// entity table and the per-slot arrays once. Like BlockIndex it is NOT
 // synchronized.
 type CandidateIndex interface {
+	Grow(n int)
 	Slot(id string) (int32, bool)
 	Len() int
 	Keys() int
-	BulkAdd(recs []*evalengine.Record, stored []Stored) []int32
+	BulkAdd(es []entity.Encoded, recs []*evalengine.Record, stored []Stored) []int32
 	BulkRemove(ids []string) []int32
 	For(probe *evalengine.Record, keys []uint64) Enumerator
+	Entity(slot int32) *entity.Entity
 }
 
 // NewCandidateSource decides what serves the compiled rule c under
@@ -81,7 +89,7 @@ func NewCandidateSource(c *evalengine.Compiled, opts Options) CandidateSource {
 type blockerSource struct{ bl Blocker }
 
 func (s blockerSource) String() string                         { return "blocker " + s.bl.Name() }
-func (s blockerSource) NewIndex() CandidateIndex               { return blocks{NewBlockIndex(s.bl)} }
+func (s blockerSource) NewIndex() CandidateIndex               { return blocks{NewBlockIndex(s.bl).(*blockIndex)} }
 func (blockerSource) StoredKeys([]*evalengine.Record) []Stored { return nil }
 func (blockerSource) ProbeKeys(*evalengine.Record) []uint64    { return nil }
 func (s blockerSource) batch(as, bs []*entity.Entity, _ []*evalengine.Record) func(*evalengine.Record) Enumerator {
@@ -90,17 +98,25 @@ func (s blockerSource) batch(as, bs []*entity.Entity, _ []*evalengine.Record) fu
 }
 
 // blocks is a BlockIndex as a CandidateIndex.
-type blocks struct{ BlockIndex }
+type blocks struct{ *blockIndex }
 
-func (x blocks) BulkAdd(recs []*evalengine.Record, _ []Stored) []int32 {
-	es := make([]*entity.Entity, len(recs))
-	for i, r := range recs {
-		es[i] = r.Entity()
+func (x blocks) BulkAdd(es []entity.Encoded, _ []*evalengine.Record, _ []Stored) []int32 {
+	ents := make([]*entity.Entity, len(es))
+	for i := range es {
+		ents[i] = es[i].Entity()
 	}
-	return x.BlockIndex.BulkAdd(es)
+	return x.blockIndex.BulkAdd(ents)
 }
 
-func (x blocks) For(*evalengine.Record, []uint64) Enumerator { return x.BlockIndex }
+func (x blocks) For(*evalengine.Record, []uint64) Enumerator { return x.blockIndex }
+
+// Grow implements CandidateIndex: the table and the entity slots.
+func (x blocks) Grow(n int) {
+	x.table.grow(n)
+	x.ents = slices.Grow(x.ents, n)
+}
+
+func (x blocks) Entity(slot int32) *entity.Entity { return x.ents[slot] }
 
 // ruleSource is the source of a rule with an edit bound.
 type ruleSource struct {
@@ -155,7 +171,7 @@ func (s *ruleSource) ProbeKeys(r *evalengine.Record) []uint64 {
 
 func (s *ruleSource) batch(_, _ []*entity.Entity, rbs []*evalengine.Record) func(*evalengine.Record) Enumerator {
 	x := s.NewIndex()
-	x.BulkAdd(rbs, s.StoredKeys(rbs))
+	x.BulkAdd(nil, rbs, s.StoredKeys(rbs))
 	return func(probe *evalengine.Record) Enumerator { return x.For(probe, s.ProbeKeys(probe)) }
 }
 
@@ -193,12 +209,21 @@ func (x *RuleIndex) Add(id string, keys []uint64) int32 {
 	return s
 }
 
+// Grow implements CandidateIndex.
+func (x *RuleIndex) Grow(n int) {
+	x.table.grow(n)
+	x.pass.slots = slices.Grow(x.pass.slots, n)
+	x.indexed.one = slices.Grow(x.indexed.one, n)
+	x.indexed.shape = slices.Grow(x.indexed.shape, n)
+	x.indexed.many = slices.Grow(x.indexed.many, n)
+}
+
 // BulkAdd implements CandidateIndex: Add of each record's entity under
-// its stored keys, recording its stored edit set.
-func (x *RuleIndex) BulkAdd(recs []*evalengine.Record, stored []Stored) []int32 {
+// its stored keys, recording its stored edit set. It keeps no entity.
+func (x *RuleIndex) BulkAdd(_ []entity.Encoded, recs []*evalengine.Record, stored []Stored) []int32 {
 	slots := make([]int32, len(recs))
 	for i, r := range recs {
-		slots[i] = x.Add(r.Entity().ID, stored[i].Keys)
+		slots[i] = x.Add(r.ID(), stored[i].Keys)
 		x.indexed.set(slots[i], stored[i].Edit)
 	}
 	return slots
@@ -227,7 +252,7 @@ func (x *RuleIndex) Each(self string, keys []uint64, seen *SlotSet, yield func(s
 		own = -1
 	}
 	for _, k := range keys {
-		for _, s := range x.pass.postings[k] {
+		for _, s := range x.pass.list(k) {
 			if s != own && seen.Add(s) && !yield(s) {
 				return false
 			}
@@ -243,6 +268,9 @@ func (x *RuleIndex) Keys() int { return x.pass.keys() }
 func (x *RuleIndex) For(probe *evalengine.Record, keys []uint64) Enumerator {
 	return verified{x, probe, keys}
 }
+
+// Entity implements CandidateIndex: a rule index keeps no entity.
+func (x *RuleIndex) Entity(int32) *entity.Entity { return nil }
 
 // verified enumerates a RuleIndex for one probe: the slots holding one
 // of the probe's keys, each once, but the probe's own, and of those only
@@ -262,7 +290,7 @@ func (v verified) Each(_ *entity.Entity, _ int, seen *SlotSet, yield func(slot i
 		return true
 	}
 	within := v.x.edit.Within(v.probe)
-	return v.x.Each(v.probe.Entity().ID, v.keys, seen, func(s int32) bool {
+	return v.x.Each(v.probe.ID(), v.keys, seen, func(s int32) bool {
 		return !within(v.x.indexed.edit(s)) || yield(s)
 	})
 }

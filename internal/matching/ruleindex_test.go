@@ -44,7 +44,7 @@ func TestRuleIndexVerifiedDifferential(t *testing.T) {
 			recs[i] = c.Record(e)
 			survivors[e.ID] = recs[i]
 		}
-		x.BulkAdd(recs, src.StoredKeys(recs))
+		x.BulkAdd(nil, recs, src.StoredKeys(recs))
 	}
 	remove := func(ids []string) {
 		for _, id := range ids {
@@ -82,21 +82,21 @@ func TestRuleIndexVerifiedDifferential(t *testing.T) {
 			want := make(map[string]struct{})
 			if c.Bind(p).Upper() >= opts.Threshold {
 				for id, rec := range survivors {
-					if id != p.Entity().ID && lev.Distance(eb.Probe(p), eb.Indexed(rec)) <= float64(eb.K) {
+					if id != p.ID() && lev.Distance(eb.Probe(p), eb.Indexed(rec)) <= float64(eb.K) {
 						want[id] = struct{}{}
 					}
 				}
 			}
 			got := make(map[string]struct{})
-			x.For(p, src.ProbeKeys(p)).Each(p.Entity(), 0, new(SlotSet), func(s int32) bool {
+			x.For(p, src.ProbeKeys(p)).Each(nil, 0, new(SlotSet), func(s int32) bool {
 				if _, dup := got[idAt[s]]; dup {
-					t.Fatalf("probe %s: %s yielded twice", p.Entity().ID, idAt[s])
+					t.Fatalf("probe %s: %s yielded twice", p.ID(), idAt[s])
 				}
 				got[idAt[s]] = struct{}{}
 				return true
 			})
 			if g, w := sortedIDs(got), sortedIDs(want); !slices.Equal(g, w) {
-				t.Fatalf("probe %s: enumeration diverges from the survivors within K\n got: %v\nwant: %v", p.Entity().ID, g, w)
+				t.Fatalf("probe %s: enumeration diverges from the survivors within K\n got: %v\nwant: %v", p.ID(), g, w)
 			}
 		}
 	}

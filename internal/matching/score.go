@@ -31,6 +31,9 @@ type Enumerator interface {
 // probe's candidates scoring ≥ threshold: the best k of them when
 // k > 0, every one otherwise, in no particular order. records holds the
 // scoring record of every entity cands can yield, indexed by its slot.
+// pe is the probe's entity, which a blocker's enumeration reads; a rule
+// index's reads only the record, and is handed nil by a caller that holds
+// no entity.
 //
 // The one early exit is before the enumeration starts: a probe whose
 // Upper() bound is below the threshold (it misses the properties of
@@ -44,7 +47,7 @@ type Enumerator interface {
 // bit-identical to Rule.Evaluate, so the result equals scoring every
 // candidate in full; with k > 0 it is the same set whatever the
 // enumeration order, because the link order is total (SortLinks).
-func ScoreCandidates(c *evalengine.Compiled, probe *evalengine.Record, cands Enumerator, maxBlock int, records []*evalengine.Record, threshold float64, k int) (links []Link, scored bool) {
+func ScoreCandidates(c *evalengine.Compiled, probe *evalengine.Record, pe *entity.Entity, cands Enumerator, maxBlock int, records []*evalengine.Record, threshold float64, k int) (links []Link, scored bool) {
 	p := c.Bind(probe)
 	if p.Upper() < threshold {
 		return nil, false
@@ -54,7 +57,6 @@ func ScoreCandidates(c *evalengine.Compiled, probe *evalengine.Record, cands Enu
 		seen.Clear()
 		slotSets.Put(seen)
 	}()
-	pe := probe.Entity()
 	h := topK{k: k, links: make([]Link, 0, min(max(k, 0), 16))}
 	cands.Each(pe, maxBlock, seen, func(s int32) bool {
 		floor := threshold
@@ -63,7 +65,7 @@ func ScoreCandidates(c *evalengine.Compiled, probe *evalengine.Record, cands Enu
 		}
 		rec := records[s]
 		if score, ok := p.Score(rec, floor); ok && score >= threshold {
-			h.push(Link{AID: pe.ID, BID: rec.Entity().ID, Score: score})
+			h.push(Link{AID: probe.ID(), BID: rec.ID(), Score: score})
 		}
 		return true
 	})

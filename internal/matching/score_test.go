@@ -95,7 +95,7 @@ func TestBatchProbeBelowThresholdComputesNothing(t *testing.T) {
 		records[s] = c.Record(e)
 	}
 	en := &countingEnumerator{Enumerator: newEnumerator(opts.Blocker, a.Entities, b.Entities)}
-	if links, scored := ScoreCandidates(c, c.Record(untitled), en, 0, records, opts.Threshold, 0); scored || len(links) != 0 || en.calls != 0 || edits != 0 {
+	if links, scored := ScoreCandidates(c, c.Record(untitled), untitled, en, 0, records, opts.Threshold, 0); scored || len(links) != 0 || en.calls != 0 || edits != 0 {
 		t.Fatalf("untitled probe: scored %v, %d links, %d enumerations, %d edit distances; want none", scored, len(links), en.calls, edits)
 	}
 
