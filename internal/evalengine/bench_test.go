@@ -57,7 +57,9 @@ func coraPopulation(rng *rand.Rand, size int) []*rule.Rule {
 // population repeat a signature); every generation half of the distinct
 // rules are replaced by threshold-crossover offspring of one another —
 // new signatures over distance vectors already cached — and the copies
-// are re-drawn. This is the
+// are re-drawn. Besides ns/op and allocs/op the engine reports the
+// similarity instructions it runs per generation, each over every pair
+// (foldops/op, CacheStats.FoldOps). This is the
 // measurement behind the engine's headline speedup; the rig's learn
 // workload (benchmark/) measures the engine inside the whole learner.
 func BenchmarkFitnessEvaluation(b *testing.B) {
@@ -103,6 +105,9 @@ func BenchmarkFitnessEvaluation(b *testing.B) {
 					for _, r := range pop {
 						treeWalkCounts(r, ds.Refs)
 					}
+				}
+				if mode == "engine" {
+					b.ReportMetric(float64(eng.Stats().FoldOps)/float64(b.N), "foldops/op")
 				}
 			})
 		}

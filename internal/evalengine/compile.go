@@ -1,6 +1,7 @@
 package evalengine
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -23,8 +24,8 @@ import (
 // *distance* does not depend on its threshold (score = 1 − d/θ), so
 // comparisons that only differ in threshold, the typical outcome of
 // threshold crossover, share one distance program. Thresholds are applied
-// by the similarity instructions at fold time, which is a handful of
-// floating-point operations per pair.
+// by the similarity instructions at fold time, which runs each
+// instruction over a whole column of pairs (fold).
 
 // value instruction opcodes.
 const (
@@ -131,19 +132,29 @@ type typedForm struct {
 	m     similarity.Prepared
 }
 
-// similarity instruction opcodes.
+// similarity instruction opcodes: a comparison, and the aggregations of
+// package rule, lowered by name at Compile (lowerAgg).
 const (
 	sDist uint8 = iota
-	sAgg
+	sMin
+	sMax
+	sWMean
 )
 
-// simInstr is one step of the similarity stack machine.
+// simInstr is one step of the similarity machine (fold), which runs each
+// step over a whole column of pairs: a comparison turns its distance
+// column into a score column, an aggregation combines the score columns
+// of its operands into one.
 type simInstr struct {
 	op        uint8
 	dist      int     // sDist: distProgram id
 	threshold float64 // sDist: comparison threshold θ
-	agg       rule.Aggregator
-	weights   []int // sAgg: operand weights; len == operand count
+	// weights are an aggregation's operand weights as floats, in operand
+	// order; len == operand count.
+	weights []float64
+	// den is an sWMean's weight sum, added up in operand order as
+	// rule.WMean adds it.
+	den float64
 }
 
 // Compiled is an executable form of a linkage rule. It is immutable after
@@ -164,8 +175,9 @@ type Compiled struct {
 
 // Compile translates a rule into flat post-order programs. The operator
 // kinds and aggregators of package rule are a closed set, and the compiler
-// handles every one of them: every rule is guaranteed (and differentially
-// tested) to score identically to Rule.Evaluate.
+// handles every one of them, lowering each aggregator to its opcode:
+// every rule is guaranteed (and differentially tested) to score
+// identically to Rule.Evaluate.
 func Compile(r *rule.Rule) *Compiled {
 	c := &Compiled{}
 	if r == nil || r.Root == nil {
@@ -223,12 +235,13 @@ func (k *compiler) sim(op rule.SimilarityOp) {
 		k.c.sims = append(k.c.sims, simInstr{op: sDist, dist: d.id, threshold: o.Threshold})
 		k.push()
 	case *rule.AggregationOp:
-		weights := make([]int, len(o.Operands))
+		in := simInstr{op: lowerAgg(o.Function), weights: make([]float64, len(o.Operands))}
 		for i, child := range o.Operands {
 			k.sim(child)
-			weights[i] = child.Weight()
+			in.weights[i] = float64(child.Weight())
+			in.den += in.weights[i]
 		}
-		k.c.sims = append(k.c.sims, simInstr{op: sAgg, agg: o.Function, weights: weights})
+		k.c.sims = append(k.c.sims, in)
 		k.depth -= len(o.Operands)
 		k.push()
 	}
@@ -334,32 +347,192 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// fold runs the similarity stack machine for one pair given the pair's
-// distance per distProgram id. stack must have at least c.depth slots.
-func (c *Compiled) fold(dists []float64, stack []float64) float64 {
+// lowerAgg returns the opcode of an aggregation function. The
+// aggregators of package rule are a closed set (rule.Aggregator is
+// sealed), and an aggregation without one is refused here.
+func lowerAgg(agg rule.Aggregator) uint8 {
+	if agg != nil {
+		switch agg.Name() {
+		case "min":
+			return sMin
+		case "max":
+			return sMax
+		case "wmean":
+			return sWMean
+		}
+		panic(fmt.Sprintf("evalengine: no opcode for aggregation %q", agg.Name()))
+	}
+	panic("evalengine: aggregation without a function")
+}
+
+// distColumns is where fold reads its distance columns: the engine's
+// cached vectors, vecs[j] distance program j's over every reference pair,
+// or, when vecs is nil, flat, which holds program j's column of n at
+// flat[j*n:(j+1)*n] — one pair's distances when n = 1.
+type distColumns struct {
+	vecs [][]float64
+	flat []float64
+}
+
+// column returns distance program j's column of n.
+func (d distColumns) column(j, n int) []float64 {
+	if d.vecs != nil {
+		return d.vecs[j][:n]
+	}
+	return d.flat[j*n : (j+1)*n]
+}
+
+// fold runs the similarity machine over a column of n pairs, reading
+// the distance columns from dists; stack holds the operand stack, c.depth
+// columns of n, column k at stack[k*n:(k+1)*n]. Each instruction is one
+// loop over the column, so a rule is folded over every pair at once; the
+// per-pair callers run it at n = 1 (pairFold). It returns the root
+// column, a column of stack, or nil for the empty rule, whose pairs all
+// score 0. Every score is bit-identical to Rule.Evaluate's on the pair.
+func (c *Compiled) fold(dists distColumns, stack []float64, n int) []float64 {
 	sp := 0
 	for i := range c.sims {
 		in := &c.sims[i]
-		switch in.op {
-		case sDist:
-			stack[sp] = scoreFromDist(dists[in.dist], in.threshold)
+		if in.op == sDist {
+			scoreColumn(stack[sp*n:(sp+1)*n], dists.column(in.dist, n), in.threshold)
 			sp++
-		case sAgg:
-			n := len(in.weights)
-			if n == 0 {
-				// An aggregation without operands provides no evidence
-				// (AggregationOp.Evaluate returns 0).
-				stack[sp] = 0
-				sp++
-				continue
-			}
-			sp -= n
-			stack[sp] = clamp01(in.agg.Combine(stack[sp:sp+n], in.weights))
-			sp++
+			continue
 		}
+		k := len(in.weights)
+		sp -= k
+		// The operands are the k columns from sp on; the result
+		// replaces the first.
+		out, ops := stack[sp*n:(sp+1)*n], stack[sp*n:(sp+k)*n]
+		switch in.op {
+		case sMin:
+			minColumn(out, ops)
+		case sMax:
+			maxColumn(out, ops)
+		case sWMean:
+			wmeanColumn(out, ops, in.weights, in.den)
+		}
+		sp++
 	}
 	if sp == 0 {
-		return 0
+		return nil
 	}
-	return stack[sp-1]
+	return stack[(sp-1)*n : sp*n]
+}
+
+// scoreColumn writes every pair's comparison score (scoreFromDist) from
+// its distance.
+func scoreColumn(out, dist []float64, threshold float64) {
+	dist = dist[:len(out)]
+	for p, d := range dist {
+		out[p] = scoreFromDist(d, threshold)
+	}
+}
+
+// minColumn writes rule.Min of the operand columns ops, clamped, into
+// out, which is ops' first column: from 1, each operand in order replaces
+// a larger running minimum. No operands give 0, as an empty
+// AggregationOp scores.
+func minColumn(out, ops []float64) {
+	if len(ops) == 0 {
+		clear(out)
+		return
+	}
+	n := len(out)
+	for p, s := range ops[:n] {
+		best := 1.0
+		if s < best {
+			best = s
+		}
+		out[p] = best
+	}
+	for j := n; j < len(ops); j += n {
+		for p, s := range ops[j : j+n] {
+			if s < out[p] {
+				out[p] = s
+			}
+		}
+	}
+	clampColumn(out)
+}
+
+// maxColumn is minColumn for rule.Max, from 0.
+func maxColumn(out, ops []float64) {
+	if len(ops) == 0 {
+		clear(out)
+		return
+	}
+	n := len(out)
+	for p, s := range ops[:n] {
+		best := 0.0
+		if s > best {
+			best = s
+		}
+		out[p] = best
+	}
+	for j := n; j < len(ops); j += n {
+		for p, s := range ops[j : j+n] {
+			if s > out[p] {
+				out[p] = s
+			}
+		}
+	}
+	clampColumn(out)
+}
+
+// wmeanColumn is minColumn for rule.WMean with the operand weights
+// weights, whose sum is den: the numerator adds weight·score from 0 in
+// operand order, and is divided by den, a zero den (no operands, or
+// weights that cancel) giving 0.
+func wmeanColumn(out, ops, weights []float64, den float64) {
+	if den == 0 {
+		clear(out)
+		return
+	}
+	n := len(out)
+	for i, w := range weights {
+		col := ops[i*n : (i+1)*n]
+		if i == 0 {
+			for p, s := range col {
+				out[p] = 0 + w*s // a −0 product sums to +0, as from 0
+			}
+			continue
+		}
+		for p, s := range col {
+			out[p] += w * s
+		}
+	}
+	for p, num := range out {
+		out[p] = clamp01(num / den)
+	}
+}
+
+// clampColumn applies clamp01 to every score of out.
+func clampColumn(out []float64) {
+	for p, v := range out {
+		out[p] = clamp01(v)
+	}
+}
+
+// pairFold is the similarity machine at n = 1, for the callers that fold
+// one pair at a time (Probe, Prefilter.probeBound, EditBound): dists
+// holds the pair's distance per distProgram id, each a column of one, and
+// stack c.depth columns of one.
+type pairFold struct {
+	c     *Compiled
+	dists []float64
+	stack []float64
+}
+
+// newPairFold returns a pairFold for c in one allocation.
+func (c *Compiled) newPairFold() pairFold {
+	buf := make([]float64, len(c.dists)+c.depth)
+	return pairFold{c: c, dists: buf[:len(c.dists)], stack: buf[len(c.dists):]}
+}
+
+// fold returns the pair's score at the distances in f.dists.
+func (f *pairFold) fold() float64 {
+	if root := f.c.fold(distColumns{flat: f.dists}, f.stack, 1); root != nil {
+		return root[0]
+	}
+	return 0
 }

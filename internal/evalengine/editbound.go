@@ -66,11 +66,11 @@ func (c *Compiled) EditBound(threshold float64) (EditBound, bool) {
 	if c.pf == nil {
 		return best, false
 	}
-	buf := make([]float64, len(c.dists)+c.depth)
-	dists, stack := buf[:len(c.dists)], buf[len(c.dists):]
+	f := c.newPairFold()
+	dists := f.dists
 	foldAt := func(d *distProgram, x float64) float64 {
 		dists[d.id] = x
-		return c.fold(dists, stack)
+		return f.fold()
 	}
 	for _, d := range c.dists {
 		if !d.cutoff {

@@ -25,8 +25,10 @@
 //	                   signature, pair) — a comparison's distance does not
 //	                   depend on its threshold, so threshold-crossover
 //	                   offspring hit the cache
-//	  - scores         derived from cached distances at fold time
-//	                   (a few float ops per pair)
+//	  - scores         folded from the cached distance vectors a whole
+//	                   column at a time: each instruction of a rule's
+//	                   similarity program is one loop over every pair,
+//	                   in buffers each worker reuses for every rule
 //	  - counts         memoized per canonical rule signature: a rule that
 //	                   repeats inside a batch, or was scored in an earlier
 //	                   one, is neither compiled nor folded again
@@ -152,6 +154,10 @@ type CacheStats struct {
 	// had occurred earlier in the same batch, the rest were scored in an
 	// earlier one.
 	RulesFolded, RuleHits, RuleRepeats int64
+	// FoldOps counts the similarity instructions run over the pairs:
+	// each folded rule's instruction count times the number of
+	// reference pairs, summed over the rules folded.
+	FoldOps int64
 }
 
 // Engine evaluates batches of rules against a fixed set of reference links
@@ -171,6 +177,8 @@ type Engine struct {
 	rules  map[string]*ruleEntry
 	gen    int
 	stats  CacheStats
+	// folders are the phase-3 workers' scratch, kept across batches.
+	folders []folder
 }
 
 // New returns an engine over the given reference links.
@@ -311,6 +319,7 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 		memo[i] = re
 		folds = append(folds, foldTask{prog: p, entry: re})
 		e.stats.RulesFolded++
+		e.stats.FoldOps += int64(len(p.sims)) * int64(e.table.numPairs())
 		for j, d := range p.dists {
 			re.dists[j] = d.sig
 			if de, ok := e.dists[d.sig]; ok {
@@ -359,7 +368,7 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 	for _, n := range valueNeeds {
 		valueTasks = append(valueTasks, n)
 	}
-	parallelDo(len(valueTasks), workers, func(ti int) {
+	parallelDo(len(valueTasks), workers, func(_, ti int) {
 		n := valueTasks[ti]
 		prog := n.entry.prog
 		scratch := make([][]string, prog.depth)
@@ -371,7 +380,7 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 	for _, n := range preparedNeeds {
 		preparedTasks = append(preparedTasks, n)
 	}
-	parallelDo(len(preparedTasks), workers, func(ti int) {
+	parallelDo(len(preparedTasks), workers, func(_, ti int) {
 		n := preparedTasks[ti]
 		e.table.fillMissing(n.column.done, n.sides, func(id int32) {
 			n.column.col.Prepare(int(id), n.values.vals[id])
@@ -386,7 +395,7 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 		distTasks = append(distTasks, n)
 	}
 	pairA, pairB := e.table.pairA, e.table.pairB
-	parallelDo(len(distTasks), workers, func(ti int) {
+	parallelDo(len(distTasks), workers, func(_, ti int) {
 		n := distTasks[ti]
 		if n.pa != nil {
 			for p := range n.entry.dists {
@@ -402,36 +411,15 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 	})
 
 	// Phase 3: fold every rule the memo could not answer over the cached
-	// distance vectors, then hand every rule the counts of its signature.
-	parallelDo(len(folds), workers, func(ti int) {
-		p := folds[ti].prog
-		vecs := make([][]float64, len(p.dists))
-		for _, d := range p.dists {
-			vecs[d.id] = e.dists[d.sig].dists
-		}
-		pd := make([]float64, len(p.dists))
-		stack := make([]float64, p.depth)
-		var c Counts
-		for pi := 0; pi < e.table.numPairs(); pi++ {
-			for j := range vecs {
-				pd[j] = vecs[j][pi]
-			}
-			match := p.fold(pd, stack) >= rule.MatchThreshold
-			if pi < e.table.numPos {
-				if match {
-					c.TP++
-				} else {
-					c.FN++
-				}
-			} else {
-				if match {
-					c.FP++
-				} else {
-					c.TN++
-				}
-			}
-		}
-		folds[ti].entry.counts = c
+	// distance vectors, one instruction at a time over all pairs, each
+	// worker in its own reusable buffers, then hand every rule the counts
+	// of its signature.
+	if len(e.folders) < workers {
+		e.folders = make([]folder, workers)
+	}
+	parallelDo(len(folds), workers, func(w, ti int) {
+		root := e.foldRule(folds[ti].prog, &e.folders[w])
+		folds[ti].entry.counts = e.count(root)
 	})
 	for i, re := range memo {
 		out[i] = re.counts
@@ -439,6 +427,57 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 
 	e.evict()
 	return out
+}
+
+// folder is one phase-3 worker's scratch: the distance columns of the
+// rule it folds and the machine's operand stack over all pairs, grown to
+// the largest rule and reused for every rule the worker folds, in this
+// batch and the next.
+type folder struct {
+	vecs  [][]float64
+	stack []float64
+}
+
+// foldRule folds compiled rule p over every reference pair, reading the
+// cached distance vectors of p's distance programs, and returns the root
+// score column, which lives in f until the next fold, or nil when p is
+// the empty rule.
+func (e *Engine) foldRule(p *Compiled, f *folder) []float64 {
+	n := e.table.numPairs()
+	if cap(f.vecs) < len(p.dists) {
+		f.vecs = make([][]float64, len(p.dists))
+	}
+	f.vecs = f.vecs[:len(p.dists)]
+	for _, d := range p.dists {
+		f.vecs[d.id] = e.dists[d.sig].dists
+	}
+	if cap(f.stack) < p.depth*n {
+		f.stack = make([]float64, p.depth*n)
+	}
+	return p.fold(distColumns{vecs: f.vecs}, f.stack[:p.depth*n], n)
+}
+
+// count classifies the pairs by their root scores, positives first, as
+// links at rule.MatchThreshold; a nil root scores every pair 0.
+func (e *Engine) count(root []float64) Counts {
+	pos, neg := e.table.numPos, e.table.numPairs()-e.table.numPos
+	c := Counts{FN: pos, TN: neg}
+	if root == nil {
+		return c
+	}
+	for _, s := range root[:pos] {
+		if s >= rule.MatchThreshold {
+			c.TP++
+		}
+	}
+	for _, s := range root[pos:] {
+		if s >= rule.MatchThreshold {
+			c.FP++
+		}
+	}
+	c.FN -= c.TP
+	c.TN -= c.FP
+	return c
 }
 
 // answers reports whether the memoized counts of re stand in for
@@ -520,8 +559,9 @@ func evictOldest[V any](m map[string]V, n int, lastUsed func(V) int) {
 	}
 }
 
-// parallelDo runs f(0..n-1) across at most workers goroutines.
-func parallelDo(n, workers int, f func(int)) {
+// parallelDo runs f(w, i) for i in 0..n-1 across at most workers
+// goroutines, w in 0..workers-1 naming the goroutine that runs i.
+func parallelDo(n, workers int, f func(w, i int)) {
 	if n == 0 {
 		return
 	}
@@ -530,7 +570,7 @@ func parallelDo(n, workers int, f func(int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			f(i)
+			f(0, i)
 		}
 		return
 	}
@@ -541,7 +581,7 @@ func parallelDo(n, workers int, f func(int)) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				f(i)
+				f(w, i)
 			}
 		}()
 	}

@@ -265,39 +265,90 @@ func TestEngineMemoMeetsTreeWalk(t *testing.T) {
 	}
 }
 
-// TestEngineEvictionDeterministic runs the memo schedule under a hard
-// distance-cache cap of 3 — where every batch evicts, and entries share
-// lastUsed stamps — twelve times from scratch. Which entries the cap
+// memoScheduleStats runs the memo schedule on a fresh engine with the
+// given workers, under a hard distance-cache cap of 3 — where every
+// batch evicts, and entries share lastUsed stamps — and returns the
+// CacheStats after every batch.
+func memoScheduleStats(workers int) []evalengine.CacheStats {
+	rng := rand.New(rand.NewSource(23))
+	refs := randomRefs(rng, 40)
+	pool := make([]*rule.Rule, 8)
+	for i := range pool {
+		pool[i] = randomRule(rng)
+	}
+	eng := evalengine.New(refs, evalengine.Options{Workers: workers})
+	eng.SetLimits(3, 0, 0)
+	var stats []evalengine.CacheStats
+	for _, picks := range memoSchedule {
+		batch := make([]*rule.Rule, len(picks))
+		for i, p := range picks {
+			batch[i] = pool[p].Clone()
+		}
+		eng.EvaluateBatch(batch)
+		stats = append(stats, eng.Stats())
+	}
+	return stats
+}
+
+// TestEngineEvictionDeterministic runs the memo schedule
+// (memoScheduleStats) twelve times from scratch. Which entries the cap
 // drops decides what later batches recompute, so the CacheStats after
 // every batch must repeat exactly from run to run.
 func TestEngineEvictionDeterministic(t *testing.T) {
-	run := func() []evalengine.CacheStats {
-		rng := rand.New(rand.NewSource(23))
-		refs := randomRefs(rng, 40)
-		pool := make([]*rule.Rule, 8)
-		for i := range pool {
-			pool[i] = randomRule(rng)
-		}
-		eng := evalengine.New(refs, evalengine.Options{Workers: 2})
-		eng.SetLimits(3, 0, 0)
-		var stats []evalengine.CacheStats
-		for _, picks := range memoSchedule {
-			batch := make([]*rule.Rule, len(picks))
-			for i, p := range picks {
-				batch[i] = pool[p].Clone()
-			}
-			eng.EvaluateBatch(batch)
-			stats = append(stats, eng.Stats())
-		}
-		return stats
-	}
-	first := run()
+	first := memoScheduleStats(2)
 	for i := 1; i < 12; i++ {
-		again := run()
+		again := memoScheduleStats(2)
 		for bi := range first {
 			if again[bi] != first[bi] {
 				t.Fatalf("run %d, after batch %d: %+v, first run %+v", i, bi, again[bi], first[bi])
 			}
 		}
 	}
+}
+
+// TestFoldOpsExact pins CacheStats.FoldOps as an exact count of the
+// fold's work: one rule of three instructions folded over the fixture's
+// eight pairs counts 24, and answering it again from the memo counts
+// nothing; the memo schedule counts the same, batch by batch, with 1 and
+// with 4 workers (TestEngineEvictionDeterministic pins that it repeats
+// under one seed).
+func TestFoldOpsExact(t *testing.T) {
+	name := rule.NewTransform(transform.LowerCase(), rule.NewProperty("name"))
+	r := rule.New(rule.NewAggregation(rule.WMean(),
+		rule.NewComparison(name, name.CloneValue(), similarity.Levenshtein(), 1),
+		rule.NewComparison(name.CloneValue(), name.CloneValue(), similarity.Jaccard(), 0.5)))
+	eng := evalengine.New(fixtureRefs(), evalengine.Options{Workers: 1})
+	eng.Evaluate(r)
+	eng.Evaluate(r.Clone())
+	if got := eng.Stats().FoldOps; got != 3*8 {
+		t.Errorf("FoldOps = %d, want 3 instructions × 8 pairs", got)
+	}
+
+	one, four := memoScheduleStats(1), memoScheduleStats(4)
+	if one[len(one)-1].FoldOps == 0 {
+		t.Fatal("the memo schedule folded nothing")
+	}
+	for bi := range one {
+		if one[bi] != four[bi] {
+			t.Errorf("after batch %d: %+v with 1 worker, %+v with 4", bi, one[bi], four[bi])
+		}
+	}
+}
+
+// TestCompileRefusesUnknownAggregation pins that an aggregation whose
+// function is none of rule's three — the nil a decoder's lookup of an
+// unknown name gives — is refused when it is compiled, not scored as
+// something else.
+func TestCompileRefusesUnknownAggregation(t *testing.T) {
+	name := rule.NewProperty("name")
+	r := rule.New(&rule.AggregationOp{
+		Function: rule.AggregatorByName("median"),
+		Operands: []rule.SimilarityOp{rule.NewComparison(name, name.CloneValue(), similarity.Levenshtein(), 1)},
+	})
+	defer func() {
+		if recover() == nil {
+			t.Error("Compile accepted an aggregation without a known function")
+		}
+	}()
+	evalengine.Compile(r)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"genlink/internal/entity"
+	"genlink/internal/rule"
 )
 
 // MetaOfValues exposes the prefilter metadata of a value set.
@@ -38,7 +39,7 @@ func PartialBound(c *Compiled, a, b *entity.Entity, known uint64) float64 {
 			p.dists[d.id] = p.distance(d, rb, math.Inf(1))
 		}
 	}
-	return c.fold(p.dists, p.sstack)
+	return p.fold()
 }
 
 // SetLimits replaces e's cache bounds — the constants maxDistEntries,
@@ -54,4 +55,14 @@ func (e *Engine) SetLimits(maxDist, maxValue, keep int) {
 	if keep != 0 {
 		e.limits.keep = keep
 	}
+}
+
+// RootScores evaluates r on e as one batch and returns the score the
+// column fold gives each of e's reference pairs, positives first: the
+// root column the batch counts links from.
+func RootScores(e *Engine, r *rule.Rule) []float64 {
+	e.EvaluateBatch([]*rule.Rule{r})
+	out := make([]float64, e.table.numPairs())
+	copy(out, e.foldRule(Compile(r), &folder{}))
+	return out
 }

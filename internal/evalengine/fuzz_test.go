@@ -1,8 +1,10 @@
 package evalengine_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -251,4 +253,124 @@ func rigRule() *rule.Rule {
 		similarity.Jaccard(), 0.8)
 	date := rule.NewComparison(rule.NewProperty("date"), rule.NewProperty("date"), similarity.Date(), 400)
 	return rule.New(rule.NewAggregation(rule.WMean(), title, authors, date))
+}
+
+// rawDistance is a measure that reads its distance off the values: the
+// first value of a minus the first of b, parsed as floats, so a fuzzed
+// pair can have any distance — NaN, ±Inf, negative — and +Inf when
+// either side has no value that parses.
+type rawDistance struct{}
+
+func (rawDistance) Name() string { return "rawDistance" }
+
+func (rawDistance) Distance(a, b []string) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return math.Inf(1)
+	}
+	x, errA := strconv.ParseFloat(a[0], 64)
+	y, errB := strconv.ParseFloat(b[0], 64)
+	if errA != nil || errB != nil {
+		return math.Inf(1)
+	}
+	return x - y
+}
+
+// FuzzFoldColumns' shape bits: each adds to a fuzzRule an edge case of
+// the column fold.
+const (
+	foldRaw         = 1 << iota // a comparison of raw distances (rawDistance)
+	foldEmpty                   // an aggregation without operands
+	foldZeroWeights             // every weight 0: wmeans with a zero denominator
+	foldNonPositive             // every threshold 0 or negative
+	foldNested                  // the rule under min(max(·, raw), wmean(·, raw))
+	foldNegative                // every weight negative: a wmean of zero scores sums −0s
+)
+
+// foldRule draws a fuzzRule and shapes it by the bits of shape.
+func foldRule(rng *rand.Rand, shape uint8) *rule.Rule {
+	aggs := rule.CoreAggregators()
+	raw := func() rule.SimilarityOp {
+		return rule.NewComparison(rule.NewProperty("d"), rule.NewProperty("d"), rawDistance{}, rng.Float64()*4)
+	}
+	root := fuzzRule(rng).Root
+	var extra []rule.SimilarityOp
+	if shape&foldRaw != 0 {
+		extra = append(extra, raw())
+	}
+	if shape&foldEmpty != 0 {
+		extra = append(extra, &rule.AggregationOp{Function: aggs[rng.Intn(len(aggs))], W: 1})
+	}
+	if len(extra) > 0 {
+		root = rule.NewAggregation(aggs[rng.Intn(len(aggs))], append([]rule.SimilarityOp{root}, extra...)...)
+	}
+	if shape&foldNested != 0 {
+		root = rule.NewAggregation(rule.Min(),
+			rule.NewAggregation(rule.Max(), root, raw()),
+			rule.NewAggregation(rule.WMean(), root.CloneSim(), raw()))
+	}
+	var shapeOp func(op rule.SimilarityOp)
+	shapeOp = func(op rule.SimilarityOp) {
+		switch {
+		case shape&foldZeroWeights != 0:
+			op.SetWeight(0)
+		case shape&foldNegative != 0:
+			op.SetWeight(-1 - rng.Intn(3))
+		}
+		switch o := op.(type) {
+		case *rule.ComparisonOp:
+			if shape&foldNonPositive != 0 {
+				o.Threshold = -math.Abs(o.Threshold) * float64(rng.Intn(2))
+			}
+		case *rule.AggregationOp:
+			for _, child := range o.Operands {
+				shapeOp(child)
+			}
+		}
+	}
+	shapeOp(root)
+	return rule.New(root)
+}
+
+// FuzzFoldColumns pins the learner's column fold bit for bit: a shaped
+// random rule (foldRule) folded over random reference pairs, whose
+// entities hold x, y and edits of them (fuzzEntity) and raw distances
+// drawn from x, y and a few numbers, must give every pair's root score
+// exactly as Rule.Evaluate gives it, under math.Float64bits.
+func FuzzFoldColumns(f *testing.F) {
+	f.Add(int64(1), "NaN", "+Inf", uint8(foldRaw))
+	f.Add(int64(2), "+Inf", "-Inf", uint8(foldRaw|foldNested))
+	f.Add(int64(3), "Berlin", "berlin", uint8(foldNonPositive))
+	f.Add(int64(4), "1999", "2001", uint8(foldZeroWeights))
+	f.Add(int64(5), "0", "NaN", uint8(foldEmpty))
+	f.Add(int64(6), "52.52 13.405", "2001-05-03", uint8(foldNested))
+	f.Add(int64(7), "NaN", "Inf", uint8(foldRaw|foldEmpty|foldZeroWeights|foldNonPositive|foldNested))
+	f.Add(int64(8), "", "café", uint8(0))
+	f.Add(int64(-38), "0", "0", uint8(foldRaw|foldNegative)) // a wmean over −0s: 0 + w·s, not w·s
+	f.Fuzz(func(t *testing.T, seed int64, x, y string, shape uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		r := foldRule(rng, shape)
+		raws := []string{x, y, "0", "1", "-2.5", "7"}
+		side := func(id, x, y string) *entity.Entity {
+			e := fuzzEntity(rng, id, x, y)
+			for n := rng.Intn(3); n > 0; n-- {
+				e.Add("d", raws[rng.Intn(len(raws))])
+			}
+			return e
+		}
+		refs := &entity.ReferenceLinks{}
+		for i := 0; i < 12; i++ {
+			p := entity.Pair{A: side(fmt.Sprintf("a%d", i), x, y), B: side(fmt.Sprintf("b%d", i), y, fuzzEdit(rng, x))}
+			if i%2 == 0 {
+				refs.Positive = append(refs.Positive, p)
+			} else {
+				refs.Negative = append(refs.Negative, p)
+			}
+		}
+		got := evalengine.RootScores(evalengine.New(refs, evalengine.Options{Workers: 1}), r)
+		for i, p := range append(refs.Positive, refs.Negative...) {
+			if want := r.Evaluate(p.A, p.B); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("pair %d: fold %v, Evaluate %v\nrule: %s\na: %v\nb: %v", i, got[i], want, r.Render(), p.A, p.B)
+			}
+		}
+	})
 }

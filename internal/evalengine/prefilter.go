@@ -163,7 +163,7 @@ func newPrefilter(c *Compiled) *Prefilter {
 		return nil
 	}
 	for _, in := range c.sims {
-		if slices.ContainsFunc(in.weights, func(w int) bool { return w < 0 }) || math.IsNaN(in.threshold) {
+		if slices.ContainsFunc(in.weights, func(w float64) bool { return w < 0 }) || math.IsNaN(in.threshold) {
 			return nil
 		}
 	}
@@ -199,13 +199,13 @@ func (pf *Prefilter) lower(ra, rb *Record, dists []float64) {
 // probeBound folds the one-sided bound: the A side's record is known,
 // the B side is a hypothetical best-case candidate (distance lower bound
 // 0 everywhere the probe side is non-empty).
-func (pf *Prefilter) probeBound(ra *Record, dists, stack []float64) float64 {
+func (pf *Prefilter) probeBound(ra *Record, f *pairFold) float64 {
 	for _, d := range pf.c.dists {
 		if ra.meta[d.a.id].card == 0 {
-			dists[d.id] = math.Inf(1)
+			f.dists[d.id] = math.Inf(1)
 			continue
 		}
-		dists[d.id] = 0
+		f.dists[d.id] = 0
 	}
-	return pf.c.fold(dists, stack)
+	return f.fold()
 }

@@ -90,12 +90,10 @@ func (c *Compiled) RecordOf(id string, values func(property string) []string) *R
 // probe's edit-distance patterns, so it must be used by one goroutine at
 // a time; any number of probes may be bound to one record concurrently.
 type Probe struct {
-	c      *Compiled
-	rec    *Record
-	pats   []func(text []string, k float64) float64 // per distProgram id, built on second use
-	edited bool                                     // an edit distance has been computed
-	dists  []float64
-	sstack []float64
+	pairFold // the pair's distances, folded in place
+	rec      *Record
+	pats     []func(text []string, k float64) float64 // per distProgram id, built on second use
+	edited   bool                                     // an edit distance has been computed
 }
 
 // Bind prepares scoring candidates against the probe record a. The probe
@@ -106,8 +104,7 @@ type Probe struct {
 // candidate (Scorer.Score) allocates none, and a probe that Upper answers
 // or every candidate of which is declined earlier builds none.
 func (c *Compiled) Bind(a *Record) *Probe {
-	buf := make([]float64, len(c.dists)+c.depth)
-	return &Probe{c: c, rec: a, dists: buf[:len(c.dists)], sstack: buf[len(c.dists):]}
+	return &Probe{pairFold: c.newPairFold(), rec: a}
 }
 
 // Upper returns an upper bound on the probe's score against any
@@ -121,7 +118,7 @@ func (p *Probe) Upper() float64 {
 	if p.c.pf == nil {
 		return math.Inf(1)
 	}
-	return p.c.pf.probeBound(p.rec, p.dists, p.sstack)
+	return p.c.pf.probeBound(p.rec, &p.pairFold)
 }
 
 // bound is the prefilter's upper bound on the pair's score, +Inf when the
@@ -131,7 +128,7 @@ func (p *Probe) bound(rb *Record) float64 {
 		return math.Inf(1)
 	}
 	p.c.pf.lower(p.rec, rb, p.dists)
-	return p.c.fold(p.dists, p.sstack)
+	return p.fold()
 }
 
 // Score scores candidate b against the probe, computing only as much as
@@ -160,10 +157,10 @@ func (p *Probe) Score(b *Record, floor float64) (score float64, ok bool) {
 		for _, d := range c.order {
 			dists[d.id] = p.distance(d, b, math.Inf(1))
 		}
-		return c.fold(dists, p.sstack), true
+		return p.fold(), true
 	}
 	c.pf.lower(p.rec, b, dists)
-	bound := c.fold(dists, p.sstack)
+	bound := p.fold()
 	for _, d := range c.order {
 		if bound < floor {
 			return 0, false
@@ -176,7 +173,7 @@ func (p *Probe) Score(b *Record, floor float64) (score float64, ok bool) {
 			k = p.cutoff(d, b, floor)
 		}
 		dists[d.id] = p.distance(d, b, k)
-		bound = c.fold(dists, p.sstack)
+		bound = p.fold()
 	}
 	if bound < floor {
 		return 0, false
@@ -228,12 +225,12 @@ func (p *Probe) cutoff(d *distProgram, b *Record, floor float64) float64 {
 		top = max(0, math.Floor(d.theta))
 	}
 	k := top
-	if dists[d.id] = top + 1; p.c.fold(dists, p.sstack) < floor {
+	if dists[d.id] = top + 1; p.fold() < floor {
 		// fold(lo) ≥ floor (Score has not declined) and fold(hi) < floor.
 		lo, hi := lb, top+1
 		for hi-lo > 1 {
 			mid := math.Floor((lo + hi) / 2)
-			if dists[d.id] = mid; p.c.fold(dists, p.sstack) < floor {
+			if dists[d.id] = mid; p.fold() < floor {
 				hi = mid
 			} else {
 				lo = mid

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"syscall"
 	"testing"
+	"time"
 
 	"genlink/internal/datagen"
 	"genlink/internal/entity"
@@ -321,8 +323,9 @@ func TestWorkIndependentOfOrder(t *testing.T) {
 // timed inside Recover (RecoverSteps): reading the snapshot file,
 // scanning its header and cutting its sections apart, decoding them,
 // queuing them to install into the index, and replaying the tail while
-// they install (Recover does not wait for the sections), and the heap
-// objects one more recovered index retains per stored entity
+// they install (Recover does not wait for the sections), the CPU time
+// per op, user and system on every core (cpu-ms/op, cpuTime), and the
+// heap objects one more recovered index retains per stored entity
 // (objects/entity). plain is the rig's corpus, whose values
 // hold nothing json.Marshal escapes; escaped appends " & é" to every
 // title, so each title goes through the decoder's unescaping.
@@ -340,6 +343,7 @@ func BenchmarkRecoverCoraRule(b *testing.B) {
 			buildRecoverDir(b, dir, live, tail, batch, variant.title)
 			b.ReportAllocs()
 			stop := linkindex.RecoverSteps()
+			cpu0 := cpuTime(b)
 			for b.Loop() {
 				d, _, err := linkindex.Recover(dir, linkindex.DurableOptions{SnapshotEvery: -1})
 				if err != nil {
@@ -347,6 +351,7 @@ func BenchmarkRecoverCoraRule(b *testing.B) {
 				}
 				d.Close()
 			}
+			b.ReportMetric(float64((cpuTime(b)-cpu0).Microseconds())/1000/float64(b.N), "cpu-ms/op")
 			steps := stop()
 			for _, step := range []string{"read", "scan", "decode", "install", "replay"} {
 				b.ReportMetric(float64(steps[step].Microseconds())/1000/float64(b.N), step+"-ms")
@@ -354,6 +359,17 @@ func BenchmarkRecoverCoraRule(b *testing.B) {
 			b.ReportMetric(objectsPerEntity(b, dir), "objects/entity")
 		})
 	}
+}
+
+// cpuTime returns the user and system CPU time the process has used
+// (getrusage(RUSAGE_SELF)): what Recover spends on every core, which
+// its wall time on a loaded host does not repeat.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // objectsPerEntity recovers dir and returns the heap objects the

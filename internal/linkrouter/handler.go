@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"genlink/internal/entity"
 	"genlink/internal/linkindex"
 	"genlink/internal/linkserver"
 	"genlink/internal/matching"
@@ -38,19 +39,22 @@ func (rt *Router) Handler() http.Handler {
 
 // handlePostEntities splits the batch per owning partition with the
 // Apply pipeline's dedup semantics (SplitBatch) and applies the
-// sub-batches to the partition leaders in parallel. The response sums
+// sub-batches to the partition leaders in parallel, each sent as its
+// entities' canonical bytes, json.Marshal's, joined into a list: what
+// the client sent where that was canonical, so the router marshals
+// nothing. The response sums
 // the per-leader acks. The fan-out is not atomic across partitions: on
 // a partial failure the acked partitions stay applied and the response
 // is 502 with the per-partition outcome, so a retry of the same batch
 // is the recovery path (upserts are idempotent).
 func (rt *Router) handlePostEntities(w http.ResponseWriter, r *http.Request) {
-	entities, err := linkserver.DecodeEntities(w, r)
+	entities, err := linkserver.DecodeEncoded(w, r)
 	if err != nil {
 		linkserver.WriteDecodeError(w, err)
 		return
 	}
 	rt.m.writeBatches.Add(1)
-	parts := linkindex.SplitBatch(linkindex.Batch{Upserts: entities}, len(rt.groups))
+	parts := linkindex.SplitBatch(linkindex.Batch{Encoded: entities}, len(rt.groups))
 	type legResult struct {
 		ack linkserver.EntitiesAck
 		err error
@@ -58,16 +62,12 @@ func (rt *Router) handlePostEntities(w http.ResponseWriter, r *http.Request) {
 	results := make(map[int]*legResult, len(parts))
 	var wg sync.WaitGroup
 	for pi, pb := range parts {
-		if len(pb.Upserts) == 0 {
+		if len(pb.Encoded) == 0 {
 			continue
 		}
 		res := &legResult{}
 		results[pi] = res
-		body, merr := json.Marshal(pb.Upserts)
-		if merr != nil {
-			res.err = merr
-			continue
-		}
+		body := encodedList(pb.Encoded)
 		wg.Add(1)
 		go func(pi int, body []byte, res *legResult) {
 			defer wg.Done()
@@ -117,6 +117,23 @@ func (rt *Router) handlePostEntities(w http.ResponseWriter, r *http.Request) {
 		"entities":   total,
 		"partitions": perPart,
 	})
+}
+
+// encodedList returns json.Marshal's bytes of the list of entities whose
+// canonical bytes es hold: their spans, joined by commas in brackets.
+func encodedList(es []entity.Encoded) []byte {
+	n := 2 + len(es)
+	for i := range es {
+		n += len(es[i].JSON)
+	}
+	body := append(make([]byte, 0, n), '[')
+	for i := range es {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, es[i].JSON...)
+	}
+	return append(body, ']')
 }
 
 // handleGetEntity routes the get to the ID's owning group's read leg.

@@ -621,3 +621,89 @@ func TestRouterWritePartialFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterForwardsCanonicalBytes pins the body of a routed write:
+// whatever form the client's upload takes — json.Marshal's bytes, such
+// bytes whose values hold what json.Marshal escapes, or neither (spaces,
+// reordered members, needless escapes) — each partition's leader
+// receives exactly json.Marshal's bytes of its share of the entities.
+func TestRouterForwardsCanonicalBytes(t *testing.T) {
+	var mu sync.Mutex
+	got := make(map[string][]byte)
+	leader := func(host string) *fakeNode {
+		return &fakeNode{role: "leader", serve: func(r *http.Request) (int, any, error) {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				return 0, nil, err
+			}
+			mu.Lock()
+			got[host] = body
+			mu.Unlock()
+			return http.StatusOK, linkserver.EntitiesAck{Added: 1, Entities: 1}, nil
+		}}
+	}
+	hosts := []string{"l0", "l1"}
+	net := &fakeNet{nodes: map[string]*fakeNode{"l0": leader("l0"), "l1": leader("l1")}}
+	rt, err := New(Options{
+		Groups:       [][]string{{"l0"}, {"l1"}},
+		Client:       &http.Client{Transport: net, Timeout: time.Minute},
+		PollInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+
+	entities := func(name func(i int) string) []*entity.Entity {
+		var es []*entity.Entity
+		for i := 0; i < 6; i++ {
+			e := entity.New(fmt.Sprintf("e%d", i))
+			e.Add("name", name(i))
+			e.Add("year", "2012")
+			es = append(es, e)
+		}
+		return es
+	}
+	marshal := func(v any) string {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	var nonCanonical []string
+	for i := 0; i < 6; i++ {
+		nonCanonical = append(nonCanonical,
+			fmt.Sprintf(` { "properties" : { "year": ["2012"], "name" : [ "\u0061lpha %d" ] } , "id" : "e%d" }`, i, i))
+	}
+	for _, upload := range []struct{ name, body string }{
+		{"canonical", marshal(entities(func(i int) string { return fmt.Sprintf("alpha %d", i) }))},
+		{"escaped", marshal(entities(func(i int) string { return fmt.Sprintf("say \"hi\" & <b>é</b>\n%d", i) }))},
+		{"non-canonical", "[" + strings.Join(nonCanonical, ",") + "]\n"},
+	} {
+		t.Run(upload.name, func(t *testing.T) {
+			clear(got)
+			if w := serve(rt, http.MethodPost, "/entities", upload.body); w.Code != http.StatusOK {
+				t.Fatalf("write = %d %s", w.Code, w.Body)
+			}
+			var es []*entity.Entity
+			if err := json.Unmarshal([]byte(upload.body), &es); err != nil {
+				t.Fatal(err)
+			}
+			for pi, host := range hosts {
+				var share []*entity.Entity
+				for _, e := range es {
+					if linkindex.PartitionOf(e.ID, len(hosts)) == pi {
+						share = append(share, e)
+					}
+				}
+				if len(share) == 0 || len(share) == len(es) {
+					t.Fatalf("the upload must span both partitions; partition %d holds %d of %d", pi, len(share), len(es))
+				}
+				if want := marshal(share); string(got[host]) != want {
+					t.Errorf("leader %s received\n%s\nwant json.Marshal's\n%s", host, got[host], want)
+				}
+			}
+		})
+	}
+}

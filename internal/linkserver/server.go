@@ -226,7 +226,7 @@ func (s *Server) handlePostEntities(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReplicaWrite(w) {
 		return
 	}
-	entities, err := decodeEncoded(w, r)
+	entities, err := DecodeEncoded(w, r)
 	if err != nil {
 		WriteDecodeError(w, err)
 		return

@@ -103,10 +103,10 @@ func DecodeEntities(w http.ResponseWriter, r *http.Request) ([]*entity.Entity, e
 	})
 }
 
-// decodeEncoded is DecodeEntities giving each entity with its canonical
+// DecodeEncoded is DecodeEntities giving each entity with its canonical
 // bytes (entity.DecodeEncodedList and entity.DecodeEncoded): how a node
-// reads the entities it stores.
-func decodeEncoded(w http.ResponseWriter, r *http.Request) ([]entity.Encoded, error) {
+// reads the entities it stores, and the router the ones it forwards.
+func DecodeEncoded(w http.ResponseWriter, r *http.Request) ([]entity.Encoded, error) {
 	return decodeBody(w, r, entity.DecodeEncodedList, entity.DecodeEncoded, func(e entity.Encoded) string { return e.ID() })
 }
 
