@@ -215,6 +215,10 @@ type compiler struct {
 	distBySig  map[string]*distProgram
 	depth      int
 	maxDepth   int
+	// buf is where value and distance signatures are written (package
+	// rule's signature writer), so a lookup that finds its program
+	// allocates no string.
+	buf []byte
 }
 
 func (k *compiler) push() {
@@ -250,10 +254,11 @@ func (k *compiler) sim(op rule.SimilarityOp) {
 // value compiles a value subtree, reusing an existing program with the same
 // signature.
 func (k *compiler) value(op rule.ValueOp) *valueProgram {
-	sig := rule.ValueSignature(op)
-	if p, ok := k.valueBySig[sig]; ok {
+	k.buf = rule.AppendValueSignature(k.buf[:0], op)
+	if p, ok := k.valueBySig[string(k.buf)]; ok {
 		return p
 	}
+	sig := string(k.buf)
 	p := &valueProgram{sig: sig, id: len(k.c.values)}
 	depth := 0
 	var flatten func(rule.ValueOp)
@@ -285,10 +290,12 @@ func (k *compiler) value(op rule.ValueOp) *valueProgram {
 
 // dist interns the distance program for (measure, a, b).
 func (k *compiler) dist(m similarity.Measure, a, b *valueProgram) *distProgram {
-	sig := "d:" + m.Name() + "(" + a.sig + "|" + b.sig + ")"
-	if d, ok := k.distBySig[sig]; ok {
+	k.buf = append(append(append(k.buf[:0], "d:"...), m.Name()...), '(')
+	k.buf = append(append(append(append(k.buf, a.sig...), '|'), b.sig...), ')')
+	if d, ok := k.distBySig[string(k.buf)]; ok {
 		return d
 	}
+	sig := string(k.buf)
 	d := &distProgram{sig: sig, id: len(k.c.dists), measure: m, a: a, b: b,
 		ta: -1, tb: -1, theta: math.Inf(-1), rank: rankOf(m)}
 	if p, ok := m.(similarity.Prepared); ok {

@@ -44,6 +44,16 @@
 // value and distance caches hold what they would hold without the memo,
 // which only removes work.
 //
+// A batch runs on Options.Workers goroutines wherever the order of the
+// work cannot change its outcome: signing the rules, compiling the ones
+// the memo cannot answer, filling value sets and typed columns,
+// computing distance vectors and folding. What stays on the calling
+// goroutine is one pass in rule order over the signatures — the memo
+// lookups and the scheduling of value, typed and distance columns —
+// because whether the memo answers a rule depends on what the rules
+// before it scheduled; keeping that pass serial keeps every CacheStats
+// counter the same at every worker count.
+//
 // Equivalence with the interpreted tree-walk (rule.Rule.Evaluate) is pinned
 // by differential tests over random rules and entities, which count with
 // Rule.Matches in the test files. The tree-walk is those tests' oracle and
@@ -56,6 +66,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"genlink/internal/entity"
 	"genlink/internal/rule"
@@ -233,6 +244,17 @@ func (s *sides) add(sideA bool) {
 // EvaluateBatch scores every rule over the engine's reference links and
 // returns one confusion count per rule, in order. It advances the cache
 // generation.
+//
+// The workers sign every rule, then compile the first rule of each
+// signature the memo cannot answer at batch start. The calling goroutine
+// then walks the rules in order, answering from the memo or scheduling
+// the compiled rule's missing columns, exactly as it would with no
+// workers: an entry that could not answer at batch start may answer once
+// an earlier rule has scheduled the vector it missed, and then the
+// program compiled for it goes unused. So RulesFolded, RuleHits,
+// RuleRepeats, DistHits, DistComputed and FoldOps count the same at every
+// worker count. The workers then fill the scheduled columns and fold the
+// compiled rules.
 func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 	out := make([]Counts, len(rules))
 	if len(rules) == 0 || e.table.numPairs() == 0 {
@@ -241,9 +263,32 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 	workers := e.opts.workers()
 	e.gen++
 
-	// Look every rule up by canonical signature. Only the first rule of a
-	// signature the memo cannot answer is compiled; its cache misses are
-	// collected, deduplicated by signature.
+	// Sign every rule on the workers, then compile, also on the workers,
+	// the first rule of each signature the memo cannot answer at batch
+	// start: one it has no entry for, or one whose entry reads a distance
+	// vector no longer cached.
+	sigs := make([]string, len(rules))
+	parallelDo(len(rules), workers, func(_, i int) { sigs[i] = rules[i].Signature() })
+	var compile []int
+	seen := make(map[string]struct{}, len(rules))
+	for i, sig := range sigs {
+		if _, ok := seen[sig]; ok {
+			continue
+		}
+		seen[sig] = struct{}{}
+		if re, ok := e.rules[sig]; !ok || !e.cached(re) {
+			compile = append(compile, i)
+		}
+	}
+	progs := make([]*Compiled, len(rules))
+	parallelDo(len(compile), workers, func(_, j int) { progs[compile[j]] = Compile(rules[compile[j]]) })
+
+	// Look every rule up by canonical signature, in rule order. The
+	// cache only grows until evict, so the memo answers every rule it
+	// could answer at batch start, and every rule whose signature came
+	// earlier in the batch: a rule it does not answer is the first of its
+	// signature and was compiled above. Its cache misses are collected,
+	// deduplicated by signature.
 	type valueNeed struct {
 		entry *valueEntry
 		sides
@@ -307,13 +352,12 @@ func (e *Engine) EvaluateBatch(rules []*rule.Rule) []Counts {
 	}
 	var folds []foldTask
 	memo := make([]*ruleEntry, len(rules))
-	for i, r := range rules {
-		sig := r.Signature()
+	for i, sig := range sigs {
 		if re, ok := e.rules[sig]; ok && e.answers(re) {
 			memo[i] = re
 			continue
 		}
-		p := Compile(r)
+		p := progs[i]
 		re := &ruleEntry{dists: make([]string, len(p.dists)), lastUsed: e.gen}
 		e.rules[sig] = re
 		memo[i] = re
@@ -492,12 +536,9 @@ func (e *Engine) answers(re *ruleEntry) bool {
 		// Entered or refreshed by an earlier rule of this batch, which
 		// stamped (or scheduled) the vectors already.
 		e.stats.RuleRepeats++
+	} else if !e.cached(re) {
+		return false
 	} else {
-		for _, sig := range re.dists {
-			if _, ok := e.dists[sig]; !ok {
-				return false
-			}
-		}
 		for _, sig := range re.dists {
 			e.dists[sig].lastUsed = e.gen
 		}
@@ -505,6 +546,17 @@ func (e *Engine) answers(re *ruleEntry) bool {
 	}
 	e.stats.DistHits += int64(len(re.dists))
 	e.stats.RuleHits++
+	return true
+}
+
+// cached reports whether every distance vector re's rule reads is in
+// the cache.
+func (e *Engine) cached(re *ruleEntry) bool {
+	for _, sig := range re.dists {
+		if _, ok := e.dists[sig]; !ok {
+			return false
+		}
+	}
 	return true
 }
 
@@ -560,11 +612,13 @@ func evictOldest[V any](m map[string]V, n int, lastUsed func(V) int) {
 }
 
 // parallelDo runs f(w, i) for i in 0..n-1 across at most workers
-// goroutines, w in 0..workers-1 naming the goroutine that runs i.
+// goroutines, w in 0..workers-1 naming the goroutine that runs i; the
+// calling goroutine is worker 0. Workers claim the next index from one
+// atomic counter: signing a rule takes a few microseconds, about what
+// handing an index over an unbuffered channel costs, so a channel would
+// make signing and compiling on the workers no faster than on one
+// goroutine, while a counter increment is nanoseconds.
 func parallelDo(n, workers int, f func(w, i int)) {
-	if n == 0 {
-		return
-	}
 	if workers > n {
 		workers = n
 	}
@@ -574,20 +628,20 @@ func parallelDo(n, workers int, f func(w, i int)) {
 		}
 		return
 	}
+	var next atomic.Int64
+	run := func(w int) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			f(w, i)
+		}
+	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				f(w, i)
-			}
+			run(w)
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
+	run(0)
 	wg.Wait()
 }

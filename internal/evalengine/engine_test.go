@@ -2,6 +2,7 @@ package evalengine_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"genlink/internal/entity"
@@ -351,4 +352,73 @@ func TestCompileRefusesUnknownAggregation(t *testing.T) {
 		}
 	}()
 	evalengine.Compile(r)
+}
+
+// TestMemoAnswersAfterEarlierRuleReschedules pins the memo's answer in
+// batch order. Rule j's entry reads a distance vector that the hard cap
+// evicted, so at the start of the batch the memo cannot answer j; rule i,
+// earlier in the same batch and new, reads that vector and schedules it
+// again, after which j's entry can answer, and must: j is not folded, and
+// the vector is computed once. Counts and CacheStats after every batch
+// must agree at 1 and 4 workers.
+func TestMemoAnswersAfterEarlierRuleReschedules(t *testing.T) {
+	refs := fixtureRefs()
+	name := func() rule.ValueOp { return rule.NewTransform(transform.Trim(), rule.NewProperty("name")) }
+	onD := func(threshold float64) *rule.Rule {
+		return rule.New(rule.NewComparison(name(), name(), similarity.Levenshtein(), threshold))
+	}
+	onE := rule.New(rule.NewComparison(name(), name(), similarity.Jaccard(), 0.5))
+	j, i := onD(1), onD(2) // one distance vector D, two signatures
+	batches := [][]*rule.Rule{
+		{j},    // computes D; memo enters j
+		{onE},  // computes E; the cap of one vector evicts D, j's entry stays
+		{i, j}, // i schedules D again, then j's entry answers; the cap evicts E
+		{j, i}, // both answer
+		{onE},  // E is computed again
+	}
+	run := func(workers int) ([][]evalengine.Counts, []evalengine.CacheStats) {
+		eng := evalengine.New(refs, evalengine.Options{Workers: workers})
+		eng.SetLimits(1, 0, 100)
+		var counts [][]evalengine.Counts
+		var stats []evalengine.CacheStats
+		for _, b := range batches {
+			batch := make([]*rule.Rule, len(b))
+			for k, r := range b {
+				batch[k] = r.Clone()
+			}
+			counts = append(counts, eng.EvaluateBatch(batch))
+			stats = append(stats, eng.Stats())
+		}
+		return counts, stats
+	}
+	counts, stats := run(1)
+	for bi, b := range batches {
+		for k, r := range b {
+			if want := treeWalkCounts(r, refs); counts[bi][k] != want {
+				t.Errorf("batch %d rule %d: engine %+v, tree-walk %+v", bi, k, counts[bi][k], want)
+			}
+		}
+	}
+	before, after := stats[1], stats[2]
+	if after.DistVectors != 1 || before.DistVectors != 1 {
+		t.Fatalf("the cap of one vector did not hold: %d, then %d vectors", before.DistVectors, after.DistVectors)
+	}
+	if got := after.RulesFolded - before.RulesFolded; got != 1 {
+		t.Errorf("batch 2 folded %d rules, want 1 (i; j answered from the memo)", got)
+	}
+	if hits, repeats := after.RuleHits-before.RuleHits, after.RuleRepeats-before.RuleRepeats; hits != 1 || repeats != 0 {
+		t.Errorf("batch 2: %d memo hits (%d repeats), want j answered by its entry from batch 0", hits, repeats)
+	}
+	if got := after.DistComputed - before.DistComputed; got != 1 {
+		t.Errorf("batch 2 computed %d distance vectors, want D once", got)
+	}
+	counts4, stats4 := run(4)
+	for bi := range batches {
+		if !reflect.DeepEqual(counts4[bi], counts[bi]) {
+			t.Errorf("batch %d: counts %+v at 4 workers, %+v at 1", bi, counts4[bi], counts[bi])
+		}
+		if stats4[bi] != stats[bi] {
+			t.Errorf("after batch %d: %+v at 4 workers, %+v at 1", bi, stats4[bi], stats[bi])
+		}
+	}
 }

@@ -2,7 +2,9 @@ package genlink
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 
 	"genlink/internal/entity"
 	"genlink/internal/similarity"
@@ -32,8 +34,19 @@ type PropertyPair struct {
 // Following the paper's experiments, callers usually pass only the
 // Levenshtein measure with threshold 1. maxLinks > 0 analyzes a random
 // sample of at most that many links (rng is only used for sampling).
+//
+// The links are analyzed on GOMAXPROCS goroutines, each over a contiguous
+// range of them into its own support counts; the counts are summed before
+// the sort, so the list is the same at every core count.
 func CompatibleProperties(positive []entity.Pair, measures []similarity.Measure,
 	threshold float64, maxLinks int, rng *rand.Rand) []PropertyPair {
+	return compatibleProperties(positive, measures, threshold, maxLinks, rng, 0)
+}
+
+// compatibleProperties is CompatibleProperties on at most workers
+// goroutines (≤0: GOMAXPROCS), the learner's Config.Workers.
+func compatibleProperties(positive []entity.Pair, measures []similarity.Measure,
+	threshold float64, maxLinks int, rng *rand.Rand, workers int) []PropertyPair {
 
 	links := positive
 	if maxLinks > 0 && len(links) > maxLinks {
@@ -82,31 +95,53 @@ func CompatibleProperties(positive []entity.Pair, measures []similarity.Measure,
 	}
 
 	type key struct{ a, b, m string }
-	support := make(map[key]int)
-	for _, link := range links {
-		a, b := normalize(link.A), normalize(link.B)
-		for ib, pb := range b.props {
-			if len(b.raw[ib]) == 0 {
-				continue
-			}
-			for ia, pa := range a.props {
-				if len(a.raw[ia]) == 0 {
+	analyze := func(links []entity.Pair, support map[key]int) {
+		for _, link := range links {
+			a, b := normalize(link.A), normalize(link.B)
+			for ib, pb := range b.props {
+				if len(b.raw[ib]) == 0 {
 					continue
 				}
-				for mi, m := range measures {
-					var within bool
-					if ca, cb := a.columns[mi], b.columns[mi]; ca != nil {
-						within = ca.Distance(2*ia+1, cb, 2*ib+1) < threshold ||
-							ca.Distance(2*ia, cb, 2*ib) < threshold
-					} else {
-						within = m.Distance(a.tokens[ia], b.tokens[ib]) < threshold ||
-							m.Distance(a.raw[ia], b.raw[ib]) < threshold
+				for ia, pa := range a.props {
+					if len(a.raw[ia]) == 0 {
+						continue
 					}
-					if within {
-						support[key{pa, pb, m.Name()}]++
+					for mi, m := range measures {
+						var within bool
+						if ca, cb := a.columns[mi], b.columns[mi]; ca != nil {
+							within = ca.Distance(2*ia+1, cb, 2*ib+1) < threshold ||
+								ca.Distance(2*ia, cb, 2*ib) < threshold
+						} else {
+							within = m.Distance(a.tokens[ia], b.tokens[ib]) < threshold ||
+								m.Distance(a.raw[ia], b.raw[ib]) < threshold
+						}
+						if within {
+							support[key{pa, pb, m.Name()}]++
+						}
 					}
 				}
 			}
+		}
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, len(links)))
+	counts := make([]map[key]int, workers)
+	var wg sync.WaitGroup
+	for w := range counts {
+		counts[w] = make(map[key]int)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			analyze(links[w*len(links)/workers:(w+1)*len(links)/workers], counts[w])
+		}()
+	}
+	wg.Wait()
+	support := counts[0]
+	for _, c := range counts[1:] {
+		for k, n := range c {
+			support[k] += n
 		}
 	}
 

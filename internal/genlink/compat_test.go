@@ -2,6 +2,8 @@ package genlink
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"genlink/internal/datagen"
@@ -181,5 +183,30 @@ func TestCompatiblePropertiesMatchesPairwiseReference(t *testing.T) {
 	}
 	if parsed == 0 {
 		t.Error("no pair was found by numeric, geographic or date: the prepared columns went unexercised")
+	}
+}
+
+// TestCompatiblePropertiesAnyCoreCount runs Algorithm 2 on every positive
+// link of each dataset, and on a sample of half of them, at GOMAXPROCS 1
+// and 4: the links are split across that many workers, whose support
+// counts are summed, and the list must not depend on how they were
+// split.
+func TestCompatiblePropertiesAnyCoreCount(t *testing.T) {
+	run := func(procs int, links []entity.Pair, maxLinks int) []PropertyPair {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return CompatibleProperties(links, similarity.Core(), 1, maxLinks, rand.New(rand.NewSource(5)))
+	}
+	for _, ds := range datagen.All(3) {
+		links := ds.Refs.Positive
+		for _, maxLinks := range []int{0, len(links) / 2} {
+			one, four := run(1, links, maxLinks), run(4, links, maxLinks)
+			if len(one) == 0 {
+				t.Fatalf("%s maxLinks=%d: no compatible pairs", ds.Name, maxLinks)
+			}
+			if !reflect.DeepEqual(one, four) {
+				t.Errorf("%s maxLinks=%d: %d pairs at GOMAXPROCS 1, %d at 4, or their order or support differs",
+					ds.Name, maxLinks, len(one), len(four))
+			}
+		}
 	}
 }

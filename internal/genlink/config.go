@@ -169,7 +169,8 @@ type Config struct {
 	Crossover CrossoverMode
 	// Seeding selects seeded or random initialization (Table 14).
 	Seeding SeedingMode
-	// Workers bounds fitness-evaluation parallelism (≤0: GOMAXPROCS).
+	// Workers bounds the parallelism of fitness evaluation and of
+	// Algorithm 2's seeding (≤0: GOMAXPROCS).
 	// Populations are always scored by the compiled evaluation engine
 	// (package evalengine), whose cache bounds are fixed constants.
 	Workers int

@@ -152,8 +152,8 @@ func (l *Learner) LearnWithValidation(train, val *entity.ReferenceLinks) (*Resul
 	// full cross product (RandomInit mode and empty-seeding fallback).
 	var pairs []PropertyPair
 	if l.cfg.Seeding == Seeded {
-		pairs = CompatibleProperties(train.Positive, l.cfg.Measures,
-			l.cfg.CompatThreshold, l.cfg.MaxCompatLinks, rng)
+		pairs = compatibleProperties(train.Positive, l.cfg.Measures,
+			l.cfg.CompatThreshold, l.cfg.MaxCompatLinks, rng, l.cfg.Workers)
 	}
 	if len(pairs) == 0 {
 		pairs = AllPropertyPairs(train.Positive)

@@ -1,9 +1,9 @@
 package rule
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // Canonical subtree signatures.
@@ -27,22 +27,44 @@ import (
 // learner uses Rule.Signature to deduplicate its rule committee. Like the
 // serializer, signatures identify measures, transformations and aggregators
 // by Name(), so registered names must uniquely determine behaviour.
+//
+// One writer produces every signature: AppendValueSignature and
+// appendSimSignature append a subtree's signature to a byte buffer, quoting
+// property names with strconv.AppendQuote and formatting thresholds with
+// strconv.AppendFloat, and an aggregation writes its weighted operand
+// entries into the same buffer and then reorders them in place, so a
+// whole rule costs one growing buffer instead of a string per node. The
+// evalengine compiler keys its value and distance programs with the same
+// writer. Signing runs for every rule of every generation, and nodes do
+// not cache their signature: every crossover operator and repair would
+// have to invalidate it, and a stale one would give a rule another
+// rule's fitness.
 
 // ValueSignature returns the canonical signature of a value operator
 // subtree; a nil subtree signs as "?". Transformation input order is
 // preserved: transformations such as concatenate are order-sensitive.
 func ValueSignature(op ValueOp) string {
+	var buf [128]byte
+	return string(AppendValueSignature(buf[:0], op))
+}
+
+// AppendValueSignature appends ValueSignature(op) to b and returns the
+// extended buffer.
+func AppendValueSignature(b []byte, op ValueOp) []byte {
 	switch o := op.(type) {
 	case *PropertyOp:
-		return "p:" + strconv.Quote(o.Property)
+		return strconv.AppendQuote(append(b, "p:"...), o.Property)
 	case *TransformOp:
-		args := make([]string, len(o.Inputs))
+		b = append(append(append(b, "t:"...), o.Function.Name()...), '(')
 		for i, in := range o.Inputs {
-			args[i] = ValueSignature(in)
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = AppendValueSignature(b, in)
 		}
-		return "t:" + o.Function.Name() + "(" + strings.Join(args, ",") + ")"
+		return append(b, ')')
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // SimSignature returns the canonical signature of a similarity operator
@@ -54,19 +76,46 @@ func ValueSignature(op ValueOp) string {
 // collide; an aggregation's weighted operand entries are sorted into
 // canonical order.
 func SimSignature(op SimilarityOp) string {
+	var buf [512]byte
+	return string(appendSimSignature(buf[:0], op))
+}
+
+// appendSimSignature appends SimSignature(op) to b. An aggregation
+// writes each operand's "w*signature" entry after its own prefix, sorts
+// the entries' spans bytewise (the order sort.Strings gives their
+// strings), appends them comma-separated in that order past the unsorted
+// ones and moves the result back over them.
+func appendSimSignature(b []byte, op SimilarityOp) []byte {
 	switch o := op.(type) {
 	case *ComparisonOp:
-		thr := strconv.FormatFloat(o.Threshold, 'g', -1, 64)
-		return "c:" + o.Measure.Name() + "@" + thr + "(" + ValueSignature(o.InputA) + "," + ValueSignature(o.InputB) + ")"
+		b = append(append(append(b, "c:"...), o.Measure.Name()...), '@')
+		b = append(strconv.AppendFloat(b, o.Threshold, 'g', -1, 64), '(')
+		b = append(AppendValueSignature(b, o.InputA), ',')
+		return append(AppendValueSignature(b, o.InputB), ')')
 	case *AggregationOp:
-		entries := make([]string, len(o.Operands))
-		for i, child := range o.Operands {
-			entries[i] = strconv.Itoa(child.Weight()) + "*" + SimSignature(child)
+		b = append(append(append(b, "a:"...), o.Function.Name()...), '(')
+		start := len(b)
+		var small [8][2]int
+		spans := small[:0]
+		for _, child := range o.Operands {
+			lo := len(b)
+			b = appendSimSignature(append(strconv.AppendInt(b, int64(child.Weight()), 10), '*'), child)
+			spans = append(spans, [2]int{lo, len(b)})
 		}
-		sort.Strings(entries)
-		return "a:" + o.Function.Name() + "(" + strings.Join(entries, ",") + ")"
+		slices.SortFunc(spans, func(x, y [2]int) int {
+			return bytes.Compare(b[x[0]:x[1]], b[y[0]:y[1]])
+		})
+		end := len(b)
+		for i, s := range spans {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, b[s[0]:s[1]]...)
+		}
+		n := copy(b[start:], b[end:])
+		return append(b[:start+n], ')')
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // Signature returns the canonical signature of the whole rule.
